@@ -31,7 +31,6 @@ from .transforms import (
     classify,
     compare_strength,
     default_j_window,
-    g_of,
     make_affine,
     make_custom,
     make_exp,
@@ -107,7 +106,6 @@ __all__ = [
     "discrete_convexity_defect",
     "epsilon_quadratic_lift",
     "fit_growth_envelope",
-    "g_of",
     "gauss_kernel",
     "grid_nodes",
     "heat_evolve_dirichlet",

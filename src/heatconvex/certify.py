@@ -6,7 +6,8 @@ restrict lam to small-denominator rationals so every tested midpoint lands
 exactly on a grid node; since evolved solutions are continuous, midpoint
 convexity upgrades to full convexity.  Verdicts are guarded by noise floors
 propagated from each grid function's recorded value error, and a violation
-counts as significant only when its gap clears ten times that floor.
+counts as significant only when its gap clears a significance factor
+(default 10) times that floor.
 """
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ class Certificate:
     noise_floor is the propagated value-error spread at the worst triple (the
     evolution routines estimate value errors by two-grid comparison, so this
     is a discretization noise estimate).  significant requires the worst gap
-    to exceed ten times the floor.
+    to exceed the scan's significance factor times the floor.
     """
 
     status: str
@@ -261,13 +262,13 @@ def _node_point(u, idx):
     return (float(ax[0][idx[0]]), float(ax[1][idx[1]]))
 
 
-def check_F_convex(u, F, plan=None):
+def check_F_convex(u, F, plan=None, significance_factor=10.0):
     """Midpoint-inequality scan of F(u) over a sampling plan of grid triples.
 
     Endpoint pairs whose transformed values are opposite infinities carry no
     information and are excluded.  The returned certificate holds the worst
     (largest-gap) sample, the noise floor at that sample, and whether a
-    positive gap clears ten times the floor.
+    positive gap clears significance_factor times the floor.
     """
     if plan is None:
         plan = SamplingPlan()
@@ -302,9 +303,9 @@ def check_F_convex(u, F, plan=None):
         x0=_node_point(u, i0), x1=_node_point(u, i1), lam=lam_f,
         lhs=lhs, rhs=rhs, gap=gap)
     # positive gaps below the noise floor are discretization dust, not
-    # violations; significance additionally demands a 10x clearance
+    # violations; significance additionally demands a clearance by the factor
     status = "violation" if gap > noise else "no_violation_found"
-    significant = bool(gap > 10.0 * noise)
+    significant = bool(gap > significance_factor * noise)
     return Certificate(status=status, worst=worst, noise_floor=noise,
                        significant=significant, n_samples=total, note=note)
 
@@ -491,7 +492,7 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
 
 
 def hunt_violation(F, phi, times, window, refine=3, plan=None, n_base=257,
-                   history=None):
+                   history=None, significance_factor=10.0):
     """Search scheduled times for a grid-stable significant violation.
 
     For each time the datum is evolved on successively halved grids until the
@@ -512,7 +513,7 @@ def hunt_violation(F, phi, times, window, refine=3, plan=None, n_base=257,
         stable = None
         for level in range(refine + 1):
             u = heat_evolve_free(phi, t, (lo, hi, h))
-            cert = check_F_convex(u, F, plan)
+            cert = check_F_convex(u, F, plan, significance_factor)
             if history is not None:
                 history.append({"t": float(t), "level": level, "h": h,
                                 "certificate": cert})

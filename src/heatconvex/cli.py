@@ -134,12 +134,9 @@ def cmd_verify(cfg):
         _check_schedule(phi, cfg.times)
         for t in cfg.times:
             u = _evolve(cfg, phi, t)
-            cert = check_F_convex(u, F, cfg.plan)
+            cert = check_F_convex(u, F, cfg.plan, cfg.significance_factor)
             worst = cert.worst
-            significant = bool(
-                worst is not None
-                and worst.gap > cfg.significance_factor * cert.noise_floor)
-            any_significant |= significant
+            any_significant |= cert.significant
             if worst is None:
                 tail = ",,,"
             else:
@@ -147,10 +144,10 @@ def cmd_verify(cfg):
             gap = worst.gap if worst is not None else np.nan
             rows.append(f"{F.label},{t:.17g},{cert.status},{gap:.17g},"
                         f"{cert.noise_floor:.17g},"
-                        f"{'true' if significant else 'false'},{tail}")
+                        f"{'true' if cert.significant else 'false'},{tail}")
             print(f"{F.label} t={t:g}: {cert.status} gap={gap:.3g} "
                   f"noise={cert.noise_floor:.3g}"
-                  + (" SIGNIFICANT" if significant else ""))
+                  + (" SIGNIFICANT" if cert.significant else ""))
     _write(cfg.out_dir, "verify.csv", "\n".join(rows) + "\n")
     _write_meta(cfg, "verify", "verify_meta.json",
                 {"significant_violation": any_significant})
@@ -169,7 +166,8 @@ def cmd_hunt(cfg):
         history = []
         cert, t_first = hunt_violation(
             F, phi, cfg.times, (lo, hi), refine=cfg.refine_levels,
-            plan=cfg.plan, n_base=n_base, history=history)
+            plan=cfg.plan, n_base=n_base, history=history,
+            significance_factor=cfg.significance_factor)
         lines = ["t,level,h,status,gap,noise_floor,significant"]
         for rec in history:
             c = rec["certificate"]

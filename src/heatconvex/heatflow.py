@@ -2,16 +2,24 @@
 
 Data are represented on uniform grids with a certified Gaussian growth bound
 |phi(x)| <= a * exp(A |x|^2); the bound controls both the existence window
-(4 A t < 1) and the truncation radius of the convolution quadrature.  All
-evolutions refine their quadrature until a two-grid Richardson comparison
-meets the requested tolerance, and record the achieved error estimate on the
-result so downstream certification can build honest noise floors.
+(4 A t < 1) and the truncation radius of the free-space quadrature.
+
+Every evolution is one operation: Simpson-weighted samples of the datum on a
+lattice H/m (H the output spacing) are convolved with a sampled kernel and
+read off at every m-th node.  Free space uses the Gaussian heat kernel; the
+Dirichlet domains (half line, interval, rectangle) subtract a Hankel
+(reflected) term from a Toeplitz term, both sampled from the Gaussian or,
+on bounded intervals, from its periodic image sum.  2D data apply the 1D
+operator along each axis of the tensor lattice.  One driver doubles m until
+a two-grid Richardson comparison meets the requested tolerance, and the
+achieved estimate is recorded on the result so downstream certification can
+build honest noise floors.
 """
 from __future__ import annotations
 
 import io
-import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -184,36 +192,6 @@ class GridFunction:
             **growth,
         )
 
-    _MAGIC = b"HCGF1\n"
-
-    def to_bytes(self):
-        """Small binary format: fixed header followed by float64 C-order array."""
-        head = bytearray(self._MAGIC)
-        head += struct.pack("<B", self.dim)
-        for (lo, hi), n in zip(self.extent, self.values.shape):
-            head += struct.pack("<Idd", n, lo, hi)
-        head += struct.pack("<ddd", self.growth_a, self.growth_A, self.value_error)
-        return bytes(head) + np.ascontiguousarray(self.values, dtype="<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob):
-        if not blob.startswith(cls._MAGIC):
-            raise ValueError("bad magic")
-        off = len(cls._MAGIC)
-        (dim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape, extent = [], []
-        for _ in range(dim):
-            n, lo, hi = struct.unpack_from("<Idd", blob, off)
-            off += struct.calcsize("<Idd")
-            shape.append(n)
-            extent.append((lo, hi))
-        a, A, err = struct.unpack_from("<ddd", blob, off)
-        off += struct.calcsize("<ddd")
-        values = np.frombuffer(blob, dtype="<f8", offset=off).reshape(shape).copy()
-        return cls(values=values, extent=tuple(extent), growth_a=a, growth_A=A,
-                   value_error=err)
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -318,21 +296,49 @@ def maximal_time_hint(growth_A):
     return 1.0 / (4.0 * growth_A)
 
 
-# -- free-space evolution ----------------------------------------------------
+# -- evolution engine --------------------------------------------------------
 
 
-def _resolve_datum(phi):
-    """Normalize the datum argument to (eval_fn, a, A, breakpoints, extent, spacing, inherited_error)."""
+def _resolve_datum(phi, dim):
+    """Normalize a datum for a dim-`dim` evolution.
+
+    Returns (sample, a, A, breakpoints, extent, spacing, inherited_error).
+    sample(y) evaluates at points for dim 1, sample(ax0, ax1) on the lattice
+    ax0 x ax1 for dim 2, as float arrays; grid data are interpolated by
+    monotone cubics clamped to their extent.  breakpoints holds one tuple of
+    kink coordinates per axis.  extent and spacing (the finest grid spacing)
+    are None for callable data.
+    """
     if isinstance(phi, GridFunction):
-        if phi.dim != 1:
-            return (phi, phi.growth_a, phi.growth_A, (), phi.extent, phi.spacing,
-                    phi.value_error)
-        interp = phi.interpolator()
-        return (interp, phi.growth_a, phi.growth_A, (), phi.extent[0],
-                phi.spacing[0], phi.value_error)
+        if phi.dim != dim:
+            raise ValueError(f"dim-{phi.dim} grid data for a dim-{dim} evolution")
+        if dim == 1:
+            interp = phi.interpolator()
+            (lo, hi), = phi.extent
+
+            def sample(y):
+                return interp(np.clip(y, lo, hi))
+        else:
+            def sample(*ax):
+                return phi.interp_to_lattice(
+                    *(np.clip(c, lo, hi) for c, (lo, hi) in zip(ax, phi.extent)))
+        return (sample, phi.growth_a, phi.growth_A, ((),) * dim, phi.extent,
+                min(phi.spacing), phi.value_error)
     if isinstance(phi, InitialDatum):
-        return (phi.fn, phi.growth_a, phi.growth_A, tuple(phi.breakpoints),
-                None, None, phi.value_error)
+        brk = tuple(phi.breakpoints)
+        if dim == 1:
+            brk = (brk,)
+
+            def sample(y):
+                return np.asarray(phi.fn(y), dtype=float)
+        else:
+            if not (brk and isinstance(brk[0], (tuple, list))):
+                brk = (brk, brk)
+
+            def sample(ax0, ax1):
+                return np.asarray(phi.fn(ax0[:, None], ax1[None, :]), dtype=float)
+        return (sample, phi.growth_a, phi.growth_A, brk, None, None,
+                phi.value_error)
     raise TypeError("phi must be a GridFunction or an InitialDatum")
 
 
@@ -386,23 +392,68 @@ def _snap_edges(y0, h, n_nodes, points):
     return sorted(idx)
 
 
-def _evolve_free_1d_once(fn, breakpoints, t, x_lo, n_out, H, m, n_pad_cells, extent):
-    """One quadrature pass at lattice spacing H/m; returns values at out nodes."""
-    h = H / m
-    n_pad = n_pad_cells * m
-    M = n_pad + (n_out - 1) * m + n_pad + 1
-    y0 = x_lo - n_pad * h
-    y = y0 + h * np.arange(M)
-    if extent is not None and (y[0] < extent[0] - 1e-9 * (1 + abs(extent[0]))
-                               or y[-1] > extent[1] + 1e-9 * (1 + abs(extent[1]))):
-        raise EvaluationWindowError(
-            f"datum known on {extent} but integration window is [{y[0]}, {y[-1]}]")
-    edges = _snap_edges(y0, h, M, breakpoints)
-    psi = _piece_weighted_values(fn, y, edges, h)
-    d = h * np.arange(-n_pad, n_pad + 1)
-    kern = gauss_kernel(d, t)
-    u_full = np.convolve(psi, kern, mode="valid")
-    return u_full[:: m][: n_out] if m > 1 else u_full[:n_out]
+def _kernel_apply(psi, m, n, kern, kern_hankel=None):
+    """n outputs, at every m-th node, of the valid sums sum_j kern[q - j] psi[j].
+
+    With a Hankel kernel the sums sum_j kern_hankel[q + j] psi[j] are
+    subtracted: the reflected images of a Dirichlet boundary.
+    """
+    u = np.convolve(psi, kern, mode="valid")[::m][:n]
+    if kern_hankel is None:
+        return u
+    return u - np.correlate(kern_hankel, psi, mode="valid")[::m][:n]
+
+
+def _separable(vals, w0, w1, op0, op1, shape):
+    """Tensor quadrature onto a `shape` grid: op0 down every column of the
+    w0-weighted lattice values, then op1 along every row of the w1-weighted
+    result."""
+    wv = w0[:, None] * vals
+    part = np.empty((shape[0], wv.shape[1]))
+    for j in range(wv.shape[1]):
+        part[:, j] = op0(wv[:, j])
+    wp = part * w1[None, :]
+    out = np.empty(shape)
+    for i in range(shape[0]):
+        out[i] = op1(wp[i])
+    return out
+
+
+def _start_factor(spacings, t, datum_h):
+    """First lattice factor m: H/m resolves the output grid, sqrt(t)/8 and
+    the spacing of grid data."""
+    h_target = min(*spacings, np.sqrt(t) / 8.0, *([datum_h] if datum_h else []))
+    return max(1, int(np.ceil(max(spacings) / h_target - 1e-12)))
+
+
+def _refine(one_pass, m, quad_tol, max_refine):
+    """Double m until two passes agree to quad_tol; returns (values, est, m).
+
+    est is the Richardson estimate |u_2m - u_m| / (15 (1 + |u_2m|)) of the
+    last doubling (inf when max_refine is 0).
+    """
+    u = one_pass(m)
+    est = np.inf
+    for _ in range(max_refine):
+        m *= 2
+        u_next = one_pass(m)
+        est = float(np.max(np.abs(u_next - u) / (1.0 + np.abs(u_next)))) / 15.0
+        u = u_next
+        if est <= quad_tol:
+            break
+    return u, est, m
+
+
+def _check_window(axes, extent):
+    """EvaluationWindowError unless grid data cover every lattice axis."""
+    for y, (lo, hi) in zip(axes, extent):
+        if y[0] < lo - 1e-9 * (1 + abs(lo)) or y[-1] > hi + 1e-9 * (1 + abs(hi)):
+            raise EvaluationWindowError(
+                f"datum known on {(lo, hi)} but integration window is "
+                f"[{y[0]}, {y[-1]}]")
+
+
+# -- free-space evolution ----------------------------------------------------
 
 
 def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
@@ -410,7 +461,8 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     """Evolve phi by the free-space heat semigroup to time t on out_grid.
 
     phi: GridFunction or InitialDatum (callable + growth certificate).
-    out_grid: (lo, hi, h) for dim 1 or a pair of such triples for dim 2.
+    out_grid: (lo, hi, h) for dim 1 or a pair of such triples for dim 2;
+    grid data of the other dimension raise ValueError.
     Raises ExistenceWindowError unless 4*growth_A*t < 1 - margin.  The
     quadrature window is truncated where the closed-form Gaussian tail bound
     (from the growth certificate) drops below eps_tail relative to the growth
@@ -420,139 +472,53 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    fn, a, A, brk, extent, phi_h, inherited = _resolve_datum(phi)
+    dim = 2 if isinstance(out_grid[0], (tuple, list)) else 1
+    sample, a, A, brk, extent, phi_h, inherited = _resolve_datum(phi, dim)
     if 4.0 * A * t >= 1.0 - EXISTENCE_MARGIN:
         admitted = (1.0 - EXISTENCE_MARGIN) / (4.0 * A) if A > 0 else np.inf
         raise ExistenceWindowError(
             f"4*A*t = {4 * A * t:.4g} exceeds the margin; largest admitted "
             f"time for growth exponent {A:.6g} is {admitted:.6g}")
-    two_d = isinstance(phi, GridFunction) and phi.dim == 2
-    if not two_d and isinstance(out_grid[0], (tuple, list)):
-        two_d = True
-    if two_d:
-        return _heat_evolve_free_2d(phi, t, out_grid, eps_tail=eps_tail,
-                                    quad_tol=quad_tol, max_refine=max_refine)
 
-    lo, hi, H_req = out_grid
-    x = grid_nodes(lo, hi, H_req)
-    n_out = x.size
-    H = (hi - lo) / (n_out - 1) if n_out > 1 else H_req
-
+    grids = (out_grid,) if dim == 1 else tuple(out_grid)
+    ns = [grid_nodes(lo, hi, h).size for lo, hi, h in grids]
+    Hs = [(hi - lo) / (n - 1) for (lo, hi, _), n in zip(grids, ns)]
     shrink = 1.0 - 4.0 * A * t
-    x_max = max(abs(lo), abs(hi))
-    u_scale = a * shrink ** -0.5 * np.exp(min(700.0, A * x_max * x_max / shrink))
+    x_max = max(max(abs(lo), abs(hi)) for lo, hi, _ in grids)
+    gain = a * shrink ** -0.5 if dim == 1 else a / shrink  # a shrink^(-dim/2)
+    u_scale = gain * np.exp(min(700.0, dim * A * x_max * x_max / shrink))
     eps_abs = eps_tail * max(1.0, u_scale)
-    R = _truncation_radius(a, A, t, x_max, eps_abs)
-
-    h_target = min(H, np.sqrt(t) / 8.0)
-    if phi_h is not None:
-        h_target = min(h_target, phi_h)
-    m = max(1, int(np.ceil(H / h_target - 1e-12)))
-    n_pad_cells = int(np.ceil(R / H))
-
-    u_prev = _evolve_free_1d_once(fn, brk, t, lo, n_out, H, m, n_pad_cells, extent)
-    est = np.inf
-    for _ in range(max_refine):
-        m *= 2
-        u_next = _evolve_free_1d_once(fn, brk, t, lo, n_out, H, m, n_pad_cells, extent)
-        est = float(np.max(np.abs(u_next - u_prev) / (1.0 + np.abs(u_next)))) / 15.0
-        u_prev = u_next
-        if est <= quad_tol:
-            break
-
-    umax = float(np.max(np.abs(u_prev)))
-    tail_rel = eps_abs / (1.0 + umax)
-    value_error = est + tail_rel + 1.5 * inherited
-    return GridFunction(
-        values=u_prev,
-        extent=((lo, hi),),
-        growth_a=a * shrink ** -0.5,
-        growth_A=A / shrink,
-        value_error=value_error,
-        meta={"t": t, "quad_error": est, "tail_bound": eps_abs,
-              "inherited_error": inherited, "lattice_factor": m},
-    )
-
-
-def _heat_evolve_free_2d(phi, t, out_grid, *, eps_tail, quad_tol, max_refine):
-    """Two-pass separable quadrature for dim-2 data (tensor heat kernel)."""
-    if isinstance(phi, GridFunction):
-        a, A = phi.growth_a, phi.growth_A
-        inherited = phi.value_error
-        extent = phi.extent
-        sample = phi.interp_to_lattice
-        phi_h = min(phi.spacing)
-        brk = ((), ())
-    else:
-        a, A = phi.growth_a, phi.growth_A
-        inherited = phi.value_error
-        extent = None
-        phi_h = None
-        brk = phi.breakpoints if phi.breakpoints and isinstance(phi.breakpoints[0], (tuple, list)) else (tuple(phi.breakpoints), tuple(phi.breakpoints))
-
-        def sample(ax0, ax1):
-            return np.asarray(phi.fn(ax0[:, None], ax1[None, :]), dtype=float)
-
-    (lo1, hi1, H1r), (lo2, hi2, H2r) = out_grid
-    x1 = grid_nodes(lo1, hi1, H1r)
-    x2 = grid_nodes(lo2, hi2, H2r)
-    H1 = (hi1 - lo1) / (x1.size - 1)
-    H2 = (hi2 - lo2) / (x2.size - 1)
-
-    shrink = 1.0 - 4.0 * A * t
-    x_max = max(abs(lo1), abs(hi1), abs(lo2), abs(hi2))
-    u_scale = a / shrink * np.exp(min(700.0, 2 * A * x_max * x_max / shrink))
-    eps_abs = eps_tail * max(1.0, u_scale)
-    R = _truncation_radius(a, A, t, x_max, eps_abs / 2.0)
+    # the tail budget is split evenly between the axes
+    R = _truncation_radius(a, A, t, x_max, eps_abs / dim)
 
     def one_pass(m):
-        h1, h2 = H1 / m, H2 / m
-        p1, p2 = int(np.ceil(R / H1)) * m, int(np.ceil(R / H2)) * m
-        M1 = p1 + (x1.size - 1) * m + p1 + 1
-        M2 = p2 + (x2.size - 1) * m + p2 + 1
-        ax0 = lo1 - p1 * h1 + h1 * np.arange(M1)
-        ax1 = lo2 - p2 * h2 + h2 * np.arange(M2)
+        axes, ops, edges = [], [], []
+        for (lo, _, _), H, n, b in zip(grids, Hs, ns, brk):
+            h = H / m
+            p = int(np.ceil(R / H)) * m
+            y = lo - p * h + h * np.arange(2 * p + (n - 1) * m + 1)
+            axes.append(y)
+            edges.append(_snap_edges(y[0], h, y.size, b))
+            ops.append(partial(_kernel_apply, m=m, n=n,
+                               kern=gauss_kernel(h * np.arange(-p, p + 1), t)))
         if extent is not None:
-            (e1lo, e1hi), (e2lo, e2hi) = extent
-            if ax0[0] < e1lo - 1e-9 or ax0[-1] > e1hi + 1e-9 \
-                    or ax1[0] < e2lo - 1e-9 or ax1[-1] > e2hi + 1e-9:
-                raise EvaluationWindowError("2D datum does not cover window")
-        vals = np.asarray(sample(ax0, ax1), dtype=float)
-        w1 = piecewise_simpson_weights(ax0, _snap_edges(ax0[0], h1, M1, brk[0]))
-        w2 = piecewise_simpson_weights(ax1, _snap_edges(ax1[0], h2, M2, brk[1]))
-        k1 = gauss_kernel(h1 * np.arange(-p1, p1 + 1), t)
-        k2 = gauss_kernel(h2 * np.arange(-p2, p2 + 1), t)
-        part = np.empty((x1.size, M2))
-        wv = w1[:, None] * vals
-        for j in range(M2):
-            part[:, j] = np.convolve(wv[:, j], k1, mode="valid")[:: m][: x1.size]
-        out = np.empty((x1.size, x2.size))
-        wp = part * w2[None, :]
-        for i in range(x1.size):
-            out[i, :] = np.convolve(wp[i, :], k2, mode="valid")[:: m][: x2.size]
-        return out
+            _check_window(axes, extent)
+        if dim == 1:
+            return ops[0](_piece_weighted_values(sample, axes[0], edges[0], Hs[0] / m))
+        w0, w1 = (piecewise_simpson_weights(y, e) for y, e in zip(axes, edges))
+        return _separable(sample(*axes), w0, w1, *ops, ns)
 
-    h_target = min(H1, H2, np.sqrt(t) / 8.0)
-    if phi_h is not None:
-        h_target = min(h_target, phi_h)
-    m = max(1, int(np.ceil(max(H1, H2) / h_target - 1e-12)))
-    u_prev = one_pass(m)
-    est = np.inf
-    for _ in range(max_refine):
-        m *= 2
-        u_next = one_pass(m)
-        est = float(np.max(np.abs(u_next - u_prev) / (1.0 + np.abs(u_next)))) / 15.0
-        u_prev = u_next
-        if est <= quad_tol:
-            break
-    umax = float(np.max(np.abs(u_prev)))
+    u, est, m = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
+                        max_refine)
+    umax = float(np.max(np.abs(u)))
     return GridFunction(
-        values=u_prev,
-        extent=((lo1, hi1), (lo2, hi2)),
-        growth_a=a / shrink,
+        values=u,
+        extent=tuple((lo, hi) for lo, hi, _ in grids),
+        growth_a=gain,
         growth_A=A / shrink,
         value_error=est + eps_abs / (1.0 + umax) + 1.5 * inherited,
-        meta={"t": t, "quad_error": est, "tail_bound": eps_abs},
+        meta={"t": t, "quad_error": est, "tail_bound": eps_abs,
+              "inherited_error": inherited, "lattice_factor": m},
     )
 
 
@@ -564,72 +530,27 @@ def _image_kernel_samples(xi, L, t, eps_rel):
     spread = 2.0 * np.sqrt(max(t, 1e-300) * np.log(1.0 / eps_rel))
     K = int(np.ceil((spread + 2 * L + np.max(np.abs(xi))) / (2 * L))) + 1
     ks = np.arange(-K, K + 1)
-    return gauss_kernel(xi[:, None] - 2 * L * ks[None, :], t).sum(axis=1), 2 * K + 1
+    return gauss_kernel(xi[:, None] - 2 * L * ks[None, :], t).sum(axis=1)
 
 
-def _dirichlet_interval_values(u0_fn, a, b, t, n_out, m, breakpoints, eps_image,
-                               use_sine=None):
-    """Zero-boundary evolution of u0 on (a, b) at out nodes a + i*(b-a)/(n_out-1)."""
-    L = b - a
-    M_cells = (n_out - 1) * m
-    h = L / M_cells
-    y = a + h * np.arange(M_cells + 1)
-    edges = _snap_edges(a, h, M_cells + 1, breakpoints)
-    psi = _piece_weighted_values(u0_fn, y, edges, h)
-
-    spread = 2.0 * np.sqrt(t * np.log(1.0 / eps_image))
-    n_images = 2 * int(np.ceil((spread + 2 * L) / (2 * L))) + 1
-    if use_sine is None:
-        use_sine = n_images > 200
-
-    if use_sine:
-        n_modes = max(4, int(np.ceil(L / np.pi * np.sqrt(np.log(1.0 / eps_image) / t))) + 2)
-        modes = np.arange(1, n_modes + 1)
-        sins = np.sin(np.pi * modes[:, None] * (y[None, :] - a) / L)
-        coef = (2.0 / L) * sins @ psi
-        decay = np.exp(-((np.pi * modes / L) ** 2) * t)
-        x = y[::m]
-        out = (coef * decay) @ np.sin(np.pi * modes[:, None] * (x[None, :] - a) / L)
-        return out, "sine", n_modes
-
-    # Toeplitz part Theta(x - y) and Hankel part Theta(x + y - 2a), where
-    # Theta is the 2L-periodic image sum; both sampled from one lattice vector.
-    d_T = h * np.arange(-(M_cells), M_cells + 1)
-    theta_T, _ = _image_kernel_samples(d_T, L, t, eps_image)
-    full = np.convolve(psi, theta_T, mode="valid")
-    u_T = full  # length M_cells + 1, node q equals sum_j psi_j Theta((q-j)h)
-
-    s = h * np.arange(0, 2 * M_cells + 1)
-    theta_H, _ = _image_kernel_samples(s, L, t, eps_image)
-    u_H = np.correlate(theta_H, psi, mode="valid")  # node q: sum_j Theta((q+j)h) psi_j
-
-    u = (u_T - u_H)[:: m][:n_out]
-    return u, "images", n_images
+def _image_kernels(L, h, M_cells, t, eps_rel):
+    """Toeplitz kernel Theta((q - j) h) and Hankel kernel Theta((q + j) h) on a
+    lattice of M_cells cells over an interval of length L, where Theta is the
+    2L-periodic image sum."""
+    return (_image_kernel_samples(h * np.arange(-M_cells, M_cells + 1), L, t, eps_rel),
+            _image_kernel_samples(h * np.arange(0, 2 * M_cells + 1), L, t, eps_rel))
 
 
-def _dirichlet_halfline_values(u0_fn, t, x, m, breakpoints, eps_tail, u0_bound):
-    """Zero-boundary evolution on [0, inf) at nodes x (x[0] == 0)."""
-    H = x[1] - x[0]
-    h = H / m
-    R = 2.0 * np.sqrt(t * np.log(max(u0_bound, 1.0) / eps_tail)) + 4 * np.sqrt(t)
-    n_extra = int(np.ceil(R / h))
-    M = (x.size - 1) * m + n_extra + 1
-    y = h * np.arange(M)
-    edges = _snap_edges(0.0, h, M, breakpoints)
-    psi = _piece_weighted_values(u0_fn, y, edges, h)
-
-    d = h * np.arange(-(M - 1), M)
-    kern_T = gauss_kernel(d, t)
-    u_T = np.convolve(psi, kern_T, mode="valid")[:: m][: x.size]
-    s = h * np.arange(0, (x.size - 1) * m + M)
-    kern_H = gauss_kernel(s, t)
-    u_H = np.correlate(kern_H, psi, mode="valid")[:: m][: x.size]
-    return u_T - u_H
+def _probe_bound(values):
+    """max |values|, refusing data that are unbounded on the domain."""
+    probe = np.abs(values)
+    if not np.all(np.isfinite(probe)):
+        raise DomainError("datum must be bounded on the domain")
+    return float(np.max(probe))
 
 
 def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
-                          eps_image=1e-14, eps_tail=1e-12, max_refine=6,
-                          force_sine=None):
+                          eps_image=1e-14, eps_tail=1e-12, max_refine=6):
     """Evolve phi holding the boundary at domain.ell, by the method of images.
 
     phi: GridFunction on the domain, or InitialDatum.  The complement
@@ -637,188 +558,111 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     image (reflected-kernel) representation; on intervals the alternating
     image sum switches to the spectral sine series when it would need more
     than 200 images.  Rectangle domains use the tensor product of interval
-    kernels.  Boundary nodes of the result are exact.
+    kernels.  Grid data must have the domain's dimension (ValueError
+    otherwise).  Boundary nodes of the result are exact.
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    if domain.kind not in ("half_line", "interval", "rectangle"):
+        raise ValueError(f"unsupported domain kind {domain.kind!r} for Dirichlet flow")
+    sample, _, _, brk, _, phi_h, inherited = _resolve_datum(phi, domain.n)
     ell = domain.ell
 
-    if isinstance(phi, GridFunction):
-        inherited = phi.value_error
-        brk = ()
-        if phi.dim == 1:
-            interp = phi.interpolator()
-            ex = phi.extent[0]
+    def u0(*ax):
+        return ell - sample(*ax)
 
-            def u0_fn(y):
-                return ell - np.asarray(interp(np.clip(y, ex[0], ex[1])), dtype=float)
-
-            phi_h = phi.spacing[0]
-            sample2 = None
-        else:
-            phi_h = min(phi.spacing)
-
-            def sample2(ax0, ax1):
-                return ell - phi.interp_to_lattice(ax0, ax1)
-    elif isinstance(phi, InitialDatum):
-        inherited = phi.value_error
-        brk = tuple(phi.breakpoints)
-        phi_h = None
-        if domain.kind == "rectangle":
-            def sample2(ax0, ax1):
-                return ell - np.asarray(phi.fn(ax0[:, None], ax1[None, :]), dtype=float)
-        else:
-            def u0_fn(y):
-                return ell - np.asarray(phi.fn(y), dtype=float)
-    else:
-        raise TypeError("phi must be GridFunction or InitialDatum")
-
-    if domain.kind == "interval":
-        a, b = domain.bounds[0]
-        if out_grid is None:
-            if not isinstance(phi, GridFunction):
-                raise ValueError("out_grid required for callable data")
-            n_out = phi.values.size
-        else:
-            n_out = grid_nodes(*out_grid).size
-            if abs(out_grid[0] - a) > 1e-12 or abs(out_grid[1] - b) > 1e-12:
-                raise ValueError("out_grid must span the interval")
-        H = (b - a) / (n_out - 1)
-        h_target = min(H, np.sqrt(t) / 8.0, *( [phi_h] if phi_h else [] ))
-        m = max(1, int(np.ceil(H / h_target - 1e-12)))
-
-        probe = np.abs(np.asarray(u0_fn(np.linspace(a, b, 257)), dtype=float))
-        if not np.all(np.isfinite(probe)):
-            raise DomainError("datum must be bounded on the domain")
-
-        u_prev, rep, _ = _dirichlet_interval_values(
-            u0_fn, a, b, t, n_out, m, brk, eps_image, use_sine=force_sine)
-        est = np.inf
-        for _ in range(max_refine):
-            m *= 2
-            u_next, rep, _ = _dirichlet_interval_values(
-                u0_fn, a, b, t, n_out, m, brk, eps_image, use_sine=force_sine)
-            est = float(np.max(np.abs(u_next - u_prev) / (1.0 + np.abs(u_next)))) / 15.0
-            u_prev = u_next
-            if est <= quad_tol:
-                break
-        vals = ell - u_prev
-        vals[0] = ell
-        vals[-1] = ell
-        bound = float(np.max(np.abs(vals)))
-        return GridFunction(values=vals, extent=((a, b),), growth_a=max(bound, 1e-300),
-                            growth_A=0.0,
-                            value_error=est + eps_image + 1.5 * inherited,
-                            meta={"t": t, "representation": rep, "quad_error": est})
+    if out_grid is None:
+        if domain.kind == "half_line":
+            raise ValueError("out_grid required on the half line")
+        if not isinstance(phi, GridFunction):
+            raise ValueError("out_grid required for callable data")
+        ns = phi.values.shape
+    rep, floor = "images", eps_image
 
     if domain.kind == "half_line":
-        if out_grid is None:
-            raise ValueError("out_grid required on the half line")
         lo, hi, H_req = out_grid
         if abs(lo) > 1e-12:
             raise ValueError("half-line out_grid must start at 0")
         x = grid_nodes(lo, hi, H_req)
-        H = x[1] - x[0]
-        probe = np.abs(np.asarray(u0_fn(np.linspace(0, hi + 8 * np.sqrt(t), 257)),
-                                  dtype=float))
-        if not np.all(np.isfinite(probe)):
-            raise DomainError("datum must be bounded")
-        u0_bound = float(np.max(probe))
-        h_target = min(H, np.sqrt(t) / 8.0, *( [phi_h] if phi_h else [] ))
-        m = max(1, int(np.ceil(H / h_target - 1e-12)))
-        u_prev = _dirichlet_halfline_values(u0_fn, t, x, m, brk, eps_tail, u0_bound)
-        est = np.inf
-        for _ in range(max_refine):
-            m *= 2
-            u_next = _dirichlet_halfline_values(u0_fn, t, x, m, brk, eps_tail, u0_bound)
-            est = float(np.max(np.abs(u_next - u_prev) / (1.0 + np.abs(u_next)))) / 15.0
-            u_prev = u_next
-            if est <= quad_tol:
-                break
-        vals = ell - u_prev
-        vals[0] = ell
-        bound = float(np.max(np.abs(vals)))
-        return GridFunction(values=vals, extent=((lo, hi),),
-                            growth_a=max(bound, 1e-300), growth_A=0.0,
-                            value_error=est + eps_tail + 1.5 * inherited,
-                            meta={"t": t, "representation": "images",
-                                  "quad_error": est})
-
-    if domain.kind == "rectangle":
-        (a1, b1), (a2, b2) = domain.bounds
-        if out_grid is None:
-            if not isinstance(phi, GridFunction):
-                raise ValueError("out_grid required for callable data")
-            n1, n2 = phi.values.shape
-        else:
-            n1 = grid_nodes(a1, b1, out_grid[0][2]).size
-            n2 = grid_nodes(a2, b2, out_grid[1][2]).size
-        H1, H2 = (b1 - a1) / (n1 - 1), (b2 - a2) / (n2 - 1)
-        h_target = min(H1, H2, np.sqrt(t) / 8.0, *( [phi_h] if phi_h else [] ))
-        m0 = max(1, int(np.ceil(max(H1, H2) / h_target - 1e-12)))
-
-        brk2 = brk if (brk and isinstance(brk[0], (tuple, list))) else (brk, brk)
+        Hs, extent, floor = (x[1] - x[0],), ((lo, hi),), eps_tail
+        u0_bound = _probe_bound(u0(np.linspace(0, hi + 8 * np.sqrt(t), 257)))
+        R = (2.0 * np.sqrt(t * np.log(max(u0_bound, 1.0) / eps_tail))
+             + 4 * np.sqrt(t))
 
         def one_pass(m):
-            h1 = H1 / m
-            h2 = H2 / m
-            M1 = (n1 - 1) * m + 1
-            M2 = (n2 - 1) * m + 1
-            ax0 = a1 + h1 * np.arange(M1)
-            ax1 = a2 + h2 * np.arange(M2)
-            vals0 = np.asarray(sample2(ax0, ax1), dtype=float)
-            w1 = piecewise_simpson_weights(ax0, _snap_edges(a1, h1, M1, brk2[0]))
-            w2 = piecewise_simpson_weights(ax1, _snap_edges(a2, h2, M2, brk2[1]))
+            h = Hs[0] / m
+            M = (x.size - 1) * m + int(np.ceil(R / h)) + 1
+            y = h * np.arange(M)
+            psi = _piece_weighted_values(u0, y, _snap_edges(0.0, h, M, brk[0]), h)
+            return _kernel_apply(
+                psi, m, x.size, gauss_kernel(h * np.arange(-(M - 1), M), t),
+                gauss_kernel(h * np.arange(0, (x.size - 1) * m + M), t))
 
-            def axis_kernels(aa, L, h, M_cells):
-                d = h * np.arange(-M_cells, M_cells + 1)
-                thT, _ = _image_kernel_samples(d, L, t, eps_image)
-                s = h * np.arange(0, 2 * M_cells + 1)
-                thH, _ = _image_kernel_samples(s, L, t, eps_image)
-                return thT, thH
+    elif domain.kind == "interval":
+        extent = domain.bounds
+        (a, b), = extent
+        if out_grid is not None:
+            ns = (grid_nodes(*out_grid).size,)
+            if abs(out_grid[0] - a) > 1e-12 or abs(out_grid[1] - b) > 1e-12:
+                raise ValueError("out_grid must span the interval")
+        L = b - a
+        n_out, = ns
+        Hs = (L / (n_out - 1),)
+        _probe_bound(u0(np.linspace(a, b, 257)))
+        spread = 2.0 * np.sqrt(t * np.log(1.0 / eps_image))
+        if 2 * int(np.ceil((spread + 2 * L) / (2 * L))) + 1 > 200:
+            rep = "sine"
+            n_modes = max(4, int(np.ceil(
+                L / np.pi * np.sqrt(np.log(1.0 / eps_image) / t))) + 2)
+            modes = np.arange(1, n_modes + 1)
+            decay = np.exp(-((np.pi * modes / L) ** 2) * t)
 
-            thT1, thH1 = axis_kernels(a1, b1 - a1, h1, M1 - 1)
-            thT2, thH2 = axis_kernels(a2, b2 - a2, h2, M2 - 1)
+        def one_pass(m):
+            M_cells = (n_out - 1) * m
+            h = L / M_cells
+            y = a + h * np.arange(M_cells + 1)
+            psi = _piece_weighted_values(u0, y, _snap_edges(a, h, M_cells + 1, brk[0]), h)
+            if rep == "images":
+                return _kernel_apply(psi, m, n_out,
+                                     *_image_kernels(L, h, M_cells, t, eps_image))
+            sins = np.sin(np.pi * modes[:, None] * (y[None, :] - a) / L)
+            coef = (2.0 / L) * sins @ psi
+            x = y[::m]
+            return (coef * decay) @ np.sin(np.pi * modes[:, None] * (x[None, :] - a) / L)
 
-            wv = w1[:, None] * vals0
-            part = np.empty((n1, M2))
-            for j in range(M2):
-                col = wv[:, j]
-                uT = np.convolve(col, thT1, mode="valid")
-                uH = np.correlate(thH1, col, mode="valid")
-                part[:, j] = (uT - uH)[:: m][:n1]
-            out = np.empty((n1, n2))
-            wp = part * w2[None, :]
-            for i in range(n1):
-                row = wp[i, :]
-                uT = np.convolve(row, thT2, mode="valid")
-                uH = np.correlate(thH2, row, mode="valid")
-                out[i, :] = (uT - uH)[:: m][:n2]
-            return out
+    else:
+        extent = domain.bounds
+        if out_grid is not None:
+            ns = tuple(grid_nodes(lo, hi, g[2]).size
+                       for (lo, hi), g in zip(extent, out_grid))
+        Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
 
-        m = m0
-        u_prev = one_pass(m)
-        est = np.inf
-        for _ in range(max_refine):
-            m *= 2
-            u_next = one_pass(m)
-            est = float(np.max(np.abs(u_next - u_prev) / (1.0 + np.abs(u_next)))) / 15.0
-            u_prev = u_next
-            if est <= quad_tol:
-                break
-        vals = ell - u_prev
-        vals[0, :] = ell
-        vals[-1, :] = ell
-        vals[:, 0] = ell
-        vals[:, -1] = ell
-        bound = float(np.max(np.abs(vals)))
-        return GridFunction(values=vals, extent=((a1, b1), (a2, b2)),
-                            growth_a=max(bound, 1e-300), growth_A=0.0,
-                            value_error=est + eps_image + 1.5 * inherited,
-                            meta={"t": t, "representation": "images",
-                                  "quad_error": est})
+        def one_pass(m):
+            axes, weights, ops = [], [], []
+            for (lo, hi), H, n, b in zip(extent, Hs, ns, brk):
+                h = H / m
+                M = (n - 1) * m + 1
+                y = lo + h * np.arange(M)
+                axes.append(y)
+                weights.append(piecewise_simpson_weights(y, _snap_edges(lo, h, M, b)))
+                thT, thH = _image_kernels(hi - lo, h, M - 1, t, eps_image)
+                ops.append(partial(_kernel_apply, m=m, n=n, kern=thT,
+                                   kern_hankel=thH))
+            return _separable(u0(*axes), *weights, *ops, ns)
 
-    raise ValueError(f"unsupported domain kind {domain.kind!r} for Dirichlet flow")
+    u, est, m = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
+                        max_refine)
+    vals = ell - u
+    for k, (_, hi) in enumerate(domain.bounds):
+        ends = (0,) if np.isinf(hi) else (0, -1)
+        for e in ends:
+            vals[(slice(None),) * k + (e,)] = ell
+    bound = float(np.max(np.abs(vals)))
+    return GridFunction(values=vals, extent=extent,
+                        growth_a=max(bound, 1e-300), growth_A=0.0,
+                        value_error=est + floor + 1.5 * inherited,
+                        meta={"t": t, "representation": rep, "quad_error": est,
+                              "lattice_factor": m})
 
 
 # -- heat-evolved step function and its inverse ------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 __all__ = [
     "DomainError",
     "fd_step",
-    "second_derivative_5pt",
     "invert_monotone",
     "quadratic_leading_fit",
     "affine_fit",
@@ -23,24 +22,6 @@ class DomainError(ValueError):
 def fd_step(z):
     """Central-difference step, relative with an absolute floor."""
     return np.maximum(1e-5, 1e-5 * np.abs(z))
-
-
-def second_derivative_5pt(f, z, h=None):
-    """Second derivative by a 5-point central stencil.
-
-    Returns (value, noise) where noise estimates roundoff + truncation of the
-    stencil; convexity checks downstream use a multiple of it as tolerance.
-    """
-    z = np.asarray(z, dtype=float)
-    if h is None:
-        h = fd_step(z)
-    fm2, fm1, f0, fp1, fp2 = (f(z - 2 * h), f(z - h), f(z), f(z + h), f(z + 2 * h))
-    val = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
-    scale = np.max(np.abs([fm2, fm1, f0, fp1, fp2]), axis=0)
-    # roundoff amplification eps*|f|/h^2; the h^4 truncation term is folded in
-    # crudely via the same scale
-    noise = 64 * np.finfo(float).eps * (1.0 + scale) / (h * h) + np.abs(val) * h * h
-    return val, noise
 
 
 def invert_monotone(f, target, lo, hi, deriv=None, newton_steps=4):

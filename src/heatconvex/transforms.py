@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, logsumexp
 
 from .heatflow import hot_h, hot_h_deriv, hot_H
 from .numerics import (
@@ -50,7 +50,6 @@ __all__ = [
     "scale_shift",
     "abs_kink_generator",
     "builtin_transforms",
-    "g_of",
     "check_admissible",
     "check_gaussian_integrability",
     "check_curvature_criterion",
@@ -658,13 +657,6 @@ def make_from_g(g, base_z, base_value, base_slope, *, table_tol=1e-10,
     return F
 
 
-def _logsumexp(a):
-    m = np.max(a)
-    if not np.isfinite(m):
-        return m
-    return m + np.log(np.sum(np.exp(a - m)))
-
-
 def builtin_transforms():
     """The named transforms exercised by the verification suites."""
     out = {}
@@ -763,7 +755,7 @@ def _log_window_integral(F, lo, hi, A, n=513):
     with np.errstate(divide="ignore"):
         vals = np.asarray(F.log_inverse(z), dtype=float) - A * z * z + np.log(w)
     vals = vals[np.isfinite(vals) | (vals == -np.inf)]
-    return _logsumexp(vals[np.isfinite(vals)]) if np.any(np.isfinite(vals)) else -np.inf
+    return logsumexp(vals[np.isfinite(vals)]) if np.any(np.isfinite(vals)) else -np.inf
 
 
 def _tail_fit_a_star(F, direction, j_cap):
@@ -1224,8 +1216,3 @@ def compare_strength(F1, F2, z_grid=None):
         relation=relation, comp12_convex=c12, comp21_convex=c21,
         affine=(float(A_fit), float(B_fit), float(resid)),
         worst_z=float(worst12))
-
-
-def g_of(F, z):
-    """Curvature profile of a transform at z (module-level convenience)."""
-    return F.g(z)

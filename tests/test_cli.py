@@ -144,6 +144,18 @@ def test_hunt_reports_earliest_stable_time(tmp_path):
     assert meta["earliest_significant_t"]["power[1.5]"] == 0.05
 
 
+def test_hunt_honours_the_significance_factor(tmp_path):
+    cfg = write_config(tmp_path, HUNT_CFG + "certify.significance_factor = 1e9\n")
+    out = tmp_path / "res"
+    r = run_cli("hunt", "--config", cfg, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    text = (out / "hunt_power_1.5.csv").read_text()
+    assert "earliest_significant_t" not in text
+    assert "# no stable significant violation found" in text
+    meta = json.loads((out / "hunt_meta.json").read_text())
+    assert meta["earliest_significant_t"]["power[1.5]"] is None
+
+
 def test_unknown_key_is_a_config_error(tmp_path):
     cfg = write_config(tmp_path, "grid.spacing = 0.1\n")
     r = run_cli("classify", "--config", cfg)

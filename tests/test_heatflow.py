@@ -178,7 +178,61 @@ def test_dirichlet_rectangle_product_eigenfunction():
     assert np.max(np.abs(u.values - exact)) < 1e-8
 
 
+def test_dirichlet_interval_long_time_uses_sine_series():
+    """t >~ 300 L^2 needs over 200 images, so the interval switches to sines."""
+    dom = DomainSpec.interval(0.0, 0.1, ell=1.0)
+    phi = InitialDatum(fn=lambda x: np.abs(x), growth_a=1.0, growth_A=0.0)
+    u = heat_evolve_dirichlet(phi, dom, 4.0, (0.0, 0.1, 0.1 / 128))
+    assert u.values.size == 129
+    assert u.meta["representation"] == "sine"
+    assert u.values[0] == 1.0 and u.values[-1] == 1.0
+    assert np.max(np.abs(u.values - 1.0)) <= u.value_error
+
+
+# -- every path ---------------------------------------------------------------
+
+
+_SIN = InitialDatum(fn=lambda x: np.sin(np.pi * np.asarray(x, float)),
+                    growth_a=1.0, growth_A=0.0)
+_SIN2 = InitialDatum(fn=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
+                     growth_a=1.0, growth_A=0.0)
+_G8 = (0.0, 1.0, 1.0 / 8)
+
+
+@pytest.mark.parametrize("evolve", [
+    lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 16)),
+    lambda: heat_evolve_free(_SIN2, 0.05, (_G8, _G8)),
+    lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 1.0), 0.05, _G8),
+    lambda: heat_evolve_dirichlet(_SIN, DomainSpec.half_line(), 0.05, (0.0, 2.0, 1.0 / 8)),
+    lambda: heat_evolve_dirichlet(_SIN2, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))),
+                                  0.05, (_G8, _G8)),
+], ids=["free_1d", "free_2d", "interval", "half_line", "rectangle"])
+def test_every_path_records_the_same_meta(evolve):
+    u = evolve()
+    assert {"t", "quad_error", "lattice_factor"} <= set(u.meta)
+    assert u.meta["t"] == 0.05
+    assert u.meta["quad_error"] <= u.value_error
+    assert u.meta["lattice_factor"] >= 2
+
+
+_GRID_1D = GridFunction(values=np.zeros(9), extent=((0.0, 1.0),))
+_GRID_2D = GridFunction(values=np.zeros((9, 9)), extent=((0.0, 1.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("evolve, data_dim, flow_dim", [
+    (lambda: heat_evolve_dirichlet(_GRID_2D, DomainSpec.interval(0.0, 1.0), 0.05), 2, 1),
+    (lambda: heat_evolve_free(_GRID_1D, 0.05, (_G8, _G8)), 1, 2),
+    (lambda: heat_evolve_dirichlet(
+        _GRID_1D, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))), 0.05), 1, 2),
+], ids=["2d_data_on_interval", "1d_data_2d_grid", "1d_data_on_rectangle"])
+def test_grid_data_of_the_wrong_dimension_are_refused(evolve, data_dim, flow_dim):
+    with pytest.raises(ValueError,
+                       match=f"dim-{data_dim} grid data for a dim-{flow_dim} evolution"):
+        evolve()
+
+
 # -- growth fitting and serialization ------------------------------------------
+
 
 
 def test_fit_growth_envelope_certifies_samples():
@@ -201,16 +255,6 @@ def test_csv_round_trip_exact():
     assert np.array_equal(back.values, gf.values)
     assert back.extent == gf.extent
     assert back.value_error == gf.value_error
-
-
-def test_bytes_round_trip_exact_2d():
-    vals = np.arange(12.0).reshape(3, 4) / 7.0
-    gf = GridFunction(values=vals, extent=((0.0, 1.0), (0.0, 1.5)),
-                      growth_a=2.0, growth_A=0.1, value_error=3e-10)
-    back = GridFunction.from_bytes(gf.to_bytes())
-    assert np.array_equal(back.values, gf.values)
-    assert back.extent == gf.extent
-    assert back.growth_A == gf.growth_A
 
 
 def test_gauss_kernel_unit_mass():

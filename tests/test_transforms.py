@@ -8,7 +8,7 @@ from scipy.special import erf
 from heatconvex import (DomainError, abs_kink_generator, builtin_transforms,
                         check_admissible, check_curvature_criterion,
                         check_gaussian_integrability, classify,
-                        compare_strength, default_j_window, g_of, make_affine,
+                        compare_strength, default_j_window, make_affine,
                         make_custom, make_exp, make_from_g, make_hot,
                         make_neglog, make_power_alpha, scale_shift)
 
@@ -111,13 +111,13 @@ def test_affine_and_scale_shift_roundtrip():
 
 def test_g_closed_forms():
     z = np.linspace(0.5, 6.0, 23)
-    np.testing.assert_allclose(g_of(make_power_alpha(0.0), z),
+    np.testing.assert_allclose(make_power_alpha(0.0).g(z),
                                np.ones_like(z), atol=1e-12)
-    np.testing.assert_allclose(g_of(make_power_alpha(1.0), z),
+    np.testing.assert_allclose(make_power_alpha(1.0).g(z),
                                np.zeros_like(z), atol=1e-12)
-    np.testing.assert_allclose(g_of(make_exp(), z), -1.0 / z, rtol=1e-10)
-    np.testing.assert_allclose(g_of(make_hot(1.0), z), -z / 2.0, rtol=1e-10)
-    np.testing.assert_allclose(g_of(make_neglog(0.0, 1.0), z),
+    np.testing.assert_allclose(make_exp().g(z), -1.0 / z, rtol=1e-10)
+    np.testing.assert_allclose(make_hot(1.0).g(z), -z / 2.0, rtol=1e-10)
+    np.testing.assert_allclose(make_neglog(0.0, 1.0).g(z),
                                -np.ones_like(z), atol=1e-10)
 
 
@@ -125,7 +125,7 @@ def test_g_of_power_general():
     alpha = 0.5
     F = make_power_alpha(alpha)
     z = np.linspace(-1.5, 8.0, 40)
-    np.testing.assert_allclose(g_of(F, z), (1 - alpha) / (alpha * z + 1),
+    np.testing.assert_allclose(F.g(z), (1 - alpha) / (alpha * z + 1),
                                rtol=1e-11)
 
 
