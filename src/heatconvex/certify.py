@@ -8,6 +8,11 @@ convexity upgrades to full convexity.  Verdicts are guarded by noise floors
 propagated from each grid function's recorded value error, and a violation
 counts as significant only when its gap clears a significance factor
 (default 10) times that floor.
+
+Every check is a line scan along the lattice directions of one table (the
+axis in 1D; rows, columns and both diagonals in 2D) asking whether a middle
+value sits above its ends: above the weighted chord for F-convexity, above
+the running minima on both sides for quasi-convexity.
 """
 from __future__ import annotations
 
@@ -115,143 +120,104 @@ def _transform_values(u, F):
     return v, spread
 
 
-def _triple_slices_1d(n, ps, qs):
-    yield (slice(None),), (slice(0, n - qs),), (slice(ps, n - qs + ps),), (slice(qs, n),)
+# lattice directions of the triple families, in scan order (ties keep the
+# first): 1D has one; 2D has rows, columns and the two diagonals
+_DIRECTIONS = {1: ((1,),), 2: ((0, 1), (1, 0), (1, 1), (1, -1))}
 
 
-def _triple_slices_2d(shape, ps, qs):
-    n0, n1 = shape
-    # rows, columns, and the two diagonal directions
-    if n1 > qs:
-        yield ("row",), (slice(None), slice(0, n1 - qs)), \
-            (slice(None), slice(ps, n1 - qs + ps)), (slice(None), slice(qs, n1))
-    if n0 > qs:
-        yield ("col",), (slice(0, n0 - qs), slice(None)), \
-            (slice(ps, n0 - qs + ps), slice(None)), (slice(qs, n0), slice(None))
-    if n0 > qs and n1 > qs:
-        yield ("diag+",), (slice(0, n0 - qs), slice(0, n1 - qs)), \
-            (slice(ps, n0 - qs + ps), slice(ps, n1 - qs + ps)), \
-            (slice(qs, n0), slice(qs, n1))
-        yield ("diag-",), (slice(0, n0 - qs), slice(qs, n1)), \
-            (slice(ps, n0 - qs + ps), slice(qs - ps, n1 - ps)), \
-            (slice(qs, n0), slice(0, n1 - qs))
+def _starts(n, step, qs):
+    """[lo, hi) of the start indices x on an axis of n nodes for which
+    x + qs*step is a node too."""
+    return (qs if step < 0 else 0), (n - qs if step > 0 else n)
 
 
-def _offset_of(sl):
-    return sl.start or 0
+def _line_slices(shape, d, ps, qs):
+    """Slices (s0, sm, s1) of the nodes x, x + ps*d, x + qs*d over every x
+    whose triple fits the grid, or None when stride qs leaves no triple."""
+    axes = []
+    for n, step in zip(shape, d):
+        if step and n <= qs:
+            return None
+        lo, hi = _starts(n, step, qs)
+        axes.append(tuple(slice(lo + o * step, hi + o * step) for o in (0, ps, qs)))
+    return tuple(zip(*axes))
 
 
-def _scan_aligned(v, spread, p, q, lam, max_stride):
+def _keep_worst(best, gap, rhs, nodes, v, spread, lam):
+    """Fold a gap array into the worst-triple record and count its triples.
+
+    The record (gap, noise, i0, im, i1, lhs, rhs, lam) changes only for a
+    strictly larger gap; nodes(k) gives (i0, im, i1) of flat entry k.  NaN
+    gaps (opposite infinite endpoints) are not triples.
+    """
+    valid = ~np.isnan(gap)
+    count = int(np.count_nonzero(valid))
+    if count == 0:
+        return best, 0
+    g = np.where(valid, gap, -np.inf)
+    k = int(np.argmax(g))
+    if best is not None and not (g.flat[k] > best[0]):
+        return best, count
+    i0, im, i1 = nodes(k)
+    noise = (1.0 - lam) * spread[i0] + lam * spread[i1] + spread[im]
+    return (float(g.flat[k]), float(noise), i0, im, i1, float(v[im]),
+            float(rhs.flat[k]), lam), count
+
+
+def _scan_aligned(best, v, spread, p, q, lam, max_stride):
     """Worst gap over all grid-aligned stride triples for one weight."""
-    best = None
     count = 0
-    if v.ndim == 1:
-        n = v.size
-        s_cap = (n - 1) // q
-    else:
-        s_cap = (max(v.shape) - 1) // q
+    s_cap = (max(v.shape) - 1) // q
     if max_stride is not None:
         s_cap = min(s_cap, int(max_stride))
     for s in range(1, s_cap + 1):
-        ps, qs = p * s, q * s
-        if v.ndim == 1:
-            if v.size <= qs:
-                break
-            groups = _triple_slices_1d(v.size, ps, qs)
-        else:
-            groups = _triple_slices_2d(v.shape, ps, qs)
-        for tag_and_slices in groups:
-            _, s0, sm, s1 = tag_and_slices
-            v0, vm, v1 = v[tuple(s0)], v[tuple(sm)], v[tuple(s1)]
+        for d in _DIRECTIONS[v.ndim]:
+            slices = _line_slices(v.shape, d, p * s, q * s)
+            if slices is None:
+                continue
             with np.errstate(invalid="ignore"):
-                rhs = (1.0 - lam) * v0 + lam * v1
-                gap = vm - rhs
-            valid = ~np.isnan(gap)
-            count += int(np.count_nonzero(valid))
-            if not np.any(valid):
-                continue
-            g = np.where(valid, gap, -np.inf)
-            flat = int(np.argmax(g))
-            if best is not None and not (g.flat[flat] > best[0]):
-                continue
-            idx = np.unravel_index(flat, g.shape)
-            i0 = tuple(i + _offset_of(sl) for i, sl in zip(idx, tuple(s0)))
-            im = tuple(i + _offset_of(sl) for i, sl in zip(idx, tuple(sm)))
-            i1 = tuple(i + _offset_of(sl) for i, sl in zip(idx, tuple(s1)))
-            noise = ((1.0 - lam) * spread[i0] + lam * spread[i1] + spread[im])
-            best = (float(g.flat[flat]), float(noise), i0, im, i1,
-                    float(vm[idx]), float(rhs[idx]))
+                rhs = (1.0 - lam) * v[slices[0]] + lam * v[slices[2]]
+                gap = v[slices[1]] - rhs
+
+            def nodes(k):
+                idx = np.unravel_index(k, gap.shape)
+                return tuple(tuple(i + sl.start for i, sl in zip(idx, part))
+                             for part in slices)
+
+            best, cnt = _keep_worst(best, gap, rhs, nodes, v, spread, lam)
+            count += cnt
     return best, count
 
 
-def _scan_random(v, spread, triples_per_lam, rng, p, q, lam, max_stride):
-    best = None
+def _scan_random(best, v, spread, triples_per_lam, rng, p, q, lam, max_stride):
+    """Worst gap over triples_per_lam random grid-aligned triples, drawn
+    direction per triple (2D only), then per direction strides, then starts."""
     count = 0
-    if v.ndim == 1:
-        n = v.size
-        s_hi = (n - 1) // q
-        if max_stride is not None:
-            s_hi = min(s_hi, int(max_stride))
-        if s_hi < 1:
-            return None, 0
-        s = rng.integers(1, s_hi + 1, size=triples_per_lam)
-        i0 = rng.integers(0, n - q * s)
-        im, i1 = i0 + p * s, i0 + q * s
-        with np.errstate(invalid="ignore"):
-            rhs = (1.0 - lam) * v[i0] + lam * v[i1]
-            gap = v[im] - rhs
-        valid = ~np.isnan(gap)
-        count = int(np.count_nonzero(valid))
-        if count == 0:
-            return None, 0
-        g = np.where(valid, gap, -np.inf)
-        k = int(np.argmax(g))
-        noise = ((1.0 - lam) * spread[i0[k]] + lam * spread[i1[k]]
-                 + spread[im[k]])
-        best = (float(g[k]), float(noise), (int(i0[k]),), (int(im[k]),),
-                (int(i1[k]),), float(v[im[k]]), float(rhs[k]))
-        return best, count
-    # dim 2: random direction per draw among the four aligned families
-    n0, n1 = v.shape
-    dirs = ((0, 1), (1, 0), (1, 1), (1, -1))
-    pick = rng.integers(0, 4, size=triples_per_lam)
-    for d_i, (d0, d1) in enumerate(dirs):
-        m = int(np.count_nonzero(pick == d_i))
+    dirs = _DIRECTIONS[v.ndim]
+    pick = rng.integers(0, len(dirs), size=triples_per_lam) if v.ndim == 2 else None
+    for j, d in enumerate(dirs):
+        m = triples_per_lam if pick is None else int(np.count_nonzero(pick == j))
         if m == 0:
             continue
-        span0 = (n0 - 1) // q if d0 else 10 ** 9
-        span1 = (n1 - 1) // q if d1 else 10 ** 9
-        s_hi = min(span0, span1)
+        s_hi = min((n - 1) // q for n, step in zip(v.shape, d) if step)
         if max_stride is not None:
             s_hi = min(s_hi, int(max_stride))
         if s_hi < 1:
             continue
         s = rng.integers(1, s_hi + 1, size=m)
-        r0 = rng.integers(0, n0 - q * s * abs(d0)) if d0 else rng.integers(0, n0, size=m)
-        if d1 == 1:
-            c0 = rng.integers(0, n1 - q * s) if d1 else None
-        elif d1 == -1:
-            c0 = rng.integers(q * s, n1)
-        else:
-            c0 = rng.integers(0, n1, size=m)
-        rm, r1 = r0 + p * s * d0, r0 + q * s * d0
-        cm, c1 = c0 + p * s * d1, c0 + q * s * d1
+        i0 = tuple(rng.integers(*_starts(n, step, q * s), size=m)
+                   for n, step in zip(v.shape, d))
+        im = tuple(i + p * s * step for i, step in zip(i0, d))
+        i1 = tuple(i + q * s * step for i, step in zip(i0, d))
         with np.errstate(invalid="ignore"):
-            rhs = (1.0 - lam) * v[r0, c0] + lam * v[r1, c1]
-            gap = v[rm, cm] - rhs
-        valid = ~np.isnan(gap)
-        count += int(np.count_nonzero(valid))
-        if not np.any(valid):
-            continue
-        g = np.where(valid, gap, -np.inf)
-        k = int(np.argmax(g))
-        if best is None or g[k] > best[0]:
-            noise = ((1.0 - lam) * spread[r0[k], c0[k]]
-                     + lam * spread[r1[k], c1[k]] + spread[rm[k], cm[k]])
-            best = (float(g[k]), float(noise),
-                    (int(r0[k]), int(c0[k])), (int(rm[k]), int(cm[k])),
-                    (int(r1[k]), int(c1[k])), float(v[rm[k], cm[k]]),
-                    float(rhs[k]))
+            rhs = (1.0 - lam) * v[i0] + lam * v[i1]
+            gap = v[im] - rhs
+
+        def nodes(k):
+            return tuple(tuple(int(a[k]) for a in ix) for ix in (i0, im, i1))
+
+        best, cnt = _keep_worst(best, gap, rhs, nodes, v, spread, lam)
+        count += cnt
     return best, count
 
 
@@ -281,16 +247,15 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
         p, q = _as_fraction(lam)
         lam_f = p / q
         if plan.kind == "aligned":
-            cand, cnt = _scan_aligned(v, spread, p, q, lam_f, plan.max_stride)
+            best, cnt = _scan_aligned(best, v, spread, p, q, lam_f,
+                                      plan.max_stride)
         elif plan.kind == "random":
             per = max(1, plan.n_random // len(plan.lambdas))
-            cand, cnt = _scan_random(v, spread, per, rng, p, q, lam_f,
+            best, cnt = _scan_random(best, v, spread, per, rng, p, q, lam_f,
                                      plan.max_stride)
         else:
             raise DomainError(f"unknown sampling plan kind {plan.kind!r}")
         total += cnt
-        if cand is not None and (best is None or cand[0] > best[0]):
-            best = cand + (lam_f,)
 
     note = ("midpoints are grid-exact; continuity of the data upgrades "
             "midpoint convexity to convexity")
@@ -313,127 +278,62 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
 # -- quasi-convexity ----------------------------------------------------------
 
 
-def _quasi_1d(vals, tol):
-    """Violation = an interior point above the running minima on both sides."""
-    n = vals.size
-    left_min = np.minimum.accumulate(vals)
-    right_min = np.minimum.accumulate(vals[::-1])[::-1]
-    excess = np.full(n, -np.inf)
-    excess[1:-1] = vals[1:-1] - np.maximum(left_min[:-2], right_min[2:])
-    j = int(np.argmax(excess))
-    if excess[j] <= tol:
-        return True, None
-    i = int(np.argmin(vals[:j]))
-    k = j + 1 + int(np.argmin(vals[j + 1:]))
-    return False, (i, j, k)
+def _running_min(vals, d):
+    """Minimum over each node and every node before it along d, by window
+    doubling: the pass with stride k leaves the minimum over 2k nodes."""
+    run = vals.astype(float)
+    k = 1
+    while (slices := _line_slices(vals.shape, d, 0, k)) is not None:
+        s0, _, s1 = slices
+        run[s1] = np.minimum(run[s1], run[s0])
+        k *= 2
+    return run
+
+
+def _ray(node, d, shape):
+    """Index arrays of the nodes node + k*d, k = 1, 2, ..., inside the grid."""
+    k = min(n - 1 - i if step > 0 else i
+            for i, step, n in zip(node, d, shape) if step)
+    steps = np.arange(1, k + 1)
+    return tuple(i + step * steps for i, step in zip(node, d))
 
 
 def check_quasi_convex(u, n_levels=32):
     """Are all sublevel sets of the sampled values convex?
 
-    dim 1: every sublevel set must be a contiguous index interval.  dim 2:
-    for each of n_levels level values, grid nodes in the convex hull of the
-    sublevel set but above the level must sit within one cell of the hull
-    boundary (discretization tolerance); violations at least one cell deep
-    refute quasi-convexity.  Returns (verdict, worst_triple) where the triple
-    holds grid points (x0, x_mid, x1) witnessing a mid-above-ends pattern, or
-    None when quasi-convex (2D hull-only violations fall back to the deep
-    node flanked by its nearest sublevel nodes).
+    They are when no point of a segment lies above both its ends.  Along
+    every grid line of the scan directions, a node above the running minima
+    strictly before and after it, by more than the value-error tolerance,
+    refutes quasi-convexity.  Returns (verdict, witness): None when
+    quasi-convex, else grid points (x0, x_mid, x1) on one line, x_mid at the
+    largest excess of the first direction that has one and x0, x1 the
+    smallest values before and after it (first in travel order on ties).
+
+    n_levels has no effect: it counted the sublevel sets of an earlier
+    convex-hull test, while the line scan covers every level at once.  It
+    stays so that callers passing it keep working.
     """
     vals = u.values
     tol = (4 * _EPS + u.value_error) * float(np.max(np.abs(vals)) + 1.0)
-    if u.dim == 1:
-        ok, triple = _quasi_1d(vals, tol)
-        if ok:
-            return True, None
-        i, j, k = triple
-        ax = u.axes()[0]
-        return False, (float(ax[i]), float(ax[j]), float(ax[k]))
-
-    from scipy.spatial import ConvexHull, Delaunay, QhullError
-
-    ax0, ax1 = u.axes()
-    X, Y = np.meshgrid(ax0, ax1, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    lo, hi = float(np.min(vals)), float(np.max(vals))
-    if hi - lo <= tol:
-        return True, None
-    levels = np.linspace(lo, hi, n_levels + 2)[1:-1]
-    for level in levels:
-        inside = vals <= level
-        if np.count_nonzero(inside) < 3:
+    for d in _DIRECTIONS[u.dim]:
+        slices = _line_slices(vals.shape, d, 1, 2)
+        if slices is None:
             continue
-        sub_pts = pts[inside.ravel()]
-        try:
-            tri = Delaunay(sub_pts)
-        except QhullError:
-            # collinear sublevel set: contiguity along the line is the test
-            order = np.lexsort(sub_pts.T)
-            seq = sub_pts[order]
-            step = np.diff(seq, axis=0)
-            norms = np.hypot(step[:, 0], step[:, 1])
-            if norms.size >= 2:
-                base = float(np.min(norms))
-                k = int(np.argmax(norms))
-                if norms[k] > 1.5 * base:
-                    mid = 0.5 * (seq[k] + seq[k + 1])
-                    return False, (tuple(seq[k]), tuple(mid), tuple(seq[k + 1]))
+        back = tuple(-step for step in d)
+        s0, sm, s1 = slices
+        excess = vals[sm] - np.maximum(_running_min(vals, d)[s0],
+                                       _running_min(vals, back)[s1])
+        k = int(np.argmax(excess))
+        if excess.flat[k] <= tol:
             continue
-        in_hull = (tri.find_simplex(pts) >= 0).reshape(vals.shape)
-        hole = in_hull & ~inside
-        if not np.any(hole):
-            continue
-        # one-cell tolerance: only nodes whose full neighborhood is still in
-        # the hull count as genuinely interior
-        deep = hole.copy()
-        deep[0, :] = deep[-1, :] = False
-        deep[:, 0] = deep[:, -1] = False
-        core = in_hull[1:-1, 1:-1]
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                core = core & in_hull[1 + di:vals.shape[0] - 1 + di,
-                                      1 + dj:vals.shape[1] - 1 + dj]
-        deep[1:-1, 1:-1] &= core
-        deep &= vals > level + tol
-        if not np.any(deep):
-            continue
-        ii, jj = np.nonzero(deep)
-        worst = int(np.argmax(vals[ii, jj]))
-        i, j = int(ii[worst]), int(jj[worst])
-        mid = (float(ax0[i]), float(ax1[j]))
-        witness = _straddle_witness(inside, i, j)
-        if witness is None:
-            near = sub_pts[np.argsort(np.hypot(sub_pts[:, 0] - mid[0],
-                                               sub_pts[:, 1] - mid[1]))[:2]]
-            return False, (tuple(near[0]), mid, tuple(near[-1]))
-        (i0, j0), (i1, j1) = witness
-        return False, ((float(ax0[i0]), float(ax1[j0])), mid,
-                       (float(ax0[i1]), float(ax1[j1])))
+        idx = np.unravel_index(k, excess.shape)
+        j = tuple(i + sl.start for i, sl in zip(idx, sm))
+        before = tuple(a[::-1] for a in _ray(j, back, vals.shape))
+        after = _ray(j, d, vals.shape)
+        i0 = tuple(a[int(np.argmin(vals[before]))] for a in before)
+        i1 = tuple(a[int(np.argmin(vals[after]))] for a in after)
+        return False, (_node_point(u, i0), _node_point(u, j), _node_point(u, i1))
     return True, None
-
-
-def _straddle_witness(inside, i, j):
-    """Sublevel nodes on opposite sides of (i, j) along a grid direction."""
-    n0, n1 = inside.shape
-    for d0, d1 in ((0, 1), (1, 0), (1, 1), (1, -1)):
-        fwd = bwd = None
-        for s in range(1, max(n0, n1)):
-            a, b = i + d0 * s, j + d1 * s
-            if not (0 <= a < n0 and 0 <= b < n1):
-                break
-            if inside[a, b]:
-                fwd = (a, b)
-                break
-        for s in range(1, max(n0, n1)):
-            a, b = i - d0 * s, j - d1 * s
-            if not (0 <= a < n0 and 0 <= b < n1):
-                break
-            if inside[a, b]:
-                bwd = (a, b)
-                break
-        if fwd is not None and bwd is not None:
-            return bwd, fwd
-    return None
 
 
 # -- constructed destruction data ---------------------------------------------

@@ -305,9 +305,12 @@ def load_config(path, overrides=None):
     plan_kind = str(get("certify.plan"))
     if plan_kind not in ("aligned", "random"):
         raise ConfigError("certify.plan must be aligned or random")
+    n_random = int(get("certify.n_random"))
+    if n_random < 1:
+        raise ConfigError("certify.n_random must be a positive count of triples")
     seed = int(get("seed"))
     plan = SamplingPlan(kind=plan_kind, lambdas=tuple(lambdas),
-                        n_random=int(get("certify.n_random")), seed=seed)
+                        n_random=n_random, seed=seed)
 
     transforms = []
     for spec in raw["transform"]:

@@ -999,6 +999,31 @@ def _csv_cell(text):
     return text
 
 
+def _report(F, verdict, basis, **fields):
+    """ClassReport of F; fields override the defaults of an admissible F."""
+    row = dict(admissible=True, limit_at_sup=F.j_hi, gaussian_divergent=False,
+               gaussian_order=np.nan, deriv_positive=None,
+               curvature_convex=None, notes="")
+    row.update(fields)
+    return ClassReport(label=F.label, verdict=verdict, basis=basis, **row)
+
+
+# domain kind -> (name in the rule bases, why a bounded image is trivial,
+# basis of a passed curvature rule; the whole line uses the affine rule)
+_RULES = {
+    "half_line_nonneg": (
+        "half line", "evolving data in the class are constant in shape",
+        "curvature rule (half line): positive slope and convex curvature "
+        "profile of the inverse"),
+    "whole_line": (
+        "whole line", "evolving data in the class are constant in shape", None),
+    "bounded_above": (
+        "bounded values", "transform must blow up at the right endpoint",
+        "curvature rule (bounded values, constant-boundary flow): blow-up at "
+        "the endpoint plus convex curvature"),
+}
+
+
 def classify(F, *, z_grid=None, a_probe=1.0):
     """Route a transform through the preservation rules for its domain kind.
 
@@ -1012,121 +1037,47 @@ def classify(F, *, z_grid=None, a_probe=1.0):
     """
     adm = check_admissible(F)
     if not adm.admissible:
-        return ClassReport(
-            label=F.label, admissible=False, limit_at_sup=np.nan,
-            gaussian_divergent=False, gaussian_order=np.nan,
-            deriv_positive=None, curvature_convex=None,
-            verdict="inconclusive", basis="not admissible",
-            notes=str(adm.first_violation))
+        return _report(F, "inconclusive", "not admissible", admissible=False,
+                       limit_at_sup=np.nan, notes=str(adm.first_violation))
+    if F.domain_kind not in _RULES:
+        raise DomainError(f"unknown domain kind {F.domain_kind!r}")
+    where, trivial, curvature_basis = _RULES[F.domain_kind]
 
-    limit_at_sup = F.j_hi
-
-    if F.domain_kind in ("half_line_nonneg", "whole_line"):
-        where = "half line" if F.domain_kind == "half_line_nonneg" else "whole line"
-        if np.isfinite(limit_at_sup):
-            return ClassReport(
-                label=F.label, admissible=True, limit_at_sup=limit_at_sup,
-                gaussian_divergent=False, gaussian_order=np.nan,
-                deriv_positive=None, curvature_convex=None,
-                verdict="only_trivially_preserved",
-                basis=f"bounded-image rule ({where}): evolving data in the "
-                      "class are constant in shape",
-            )
+    if np.isfinite(F.j_hi):
+        return _report(F, "only_trivially_preserved",
+                       f"bounded-image rule ({where}): {trivial}")
+    order = {}
+    if F.domain_kind != "bounded_above":
         integ = check_gaussian_integrability(F, A=a_probe)
-        a_star = integ.a_star
-        if np.isinf(a_star):
-            return ClassReport(
-                label=F.label, admissible=True, limit_at_sup=limit_at_sup,
-                gaussian_divergent=True, gaussian_order=np.inf,
-                deriv_positive=None, curvature_convex=None,
-                verdict="only_trivially_preserved",
-                basis=f"gaussian-divergence rule ({where}): inverse grows too "
-                      "fast for any nontrivial datum to evolve",
-            )
-        if np.isnan(a_star):
-            return ClassReport(
-                label=F.label, admissible=True, limit_at_sup=limit_at_sup,
-                gaussian_divergent=False, gaussian_order=np.nan,
-                deriv_positive=None, curvature_convex=None,
-                verdict="inconclusive",
-                basis="integrability probe inconclusive",
-                notes=f"window fits {integ.fit_coeffs}")
+        if np.isinf(integ.a_star):
+            return _report(F, "only_trivially_preserved",
+                           f"gaussian-divergence rule ({where}): inverse grows "
+                           "too fast for any nontrivial datum to evolve",
+                           gaussian_divergent=True, gaussian_order=np.inf)
+        if np.isnan(integ.a_star):
+            return _report(F, "inconclusive", "integrability probe inconclusive",
+                           notes=f"window fits {integ.fit_coeffs}")
+        order = {"gaussian_order": integ.a_star}
 
-        if F.domain_kind == "whole_line":
-            r = np.linspace(-8.0, 8.0, 161)
-            v = np.asarray(F(r), dtype=float)
-            A_fit, B_fit, resid = affine_fit(r, v)
-            scale = np.max(np.abs(v)) + 1.0
-            crit = check_curvature_criterion(F, z_grid=z_grid)
-            if A_fit > 0 and resid <= 1e-8 * scale:
-                return ClassReport(
-                    label=F.label, admissible=True, limit_at_sup=limit_at_sup,
-                    gaussian_divergent=False, gaussian_order=a_star,
-                    deriv_positive=crit.deriv_positive,
-                    curvature_convex=crit.curvature_convex,
-                    verdict="preserved",
-                    basis="affine rule (whole line): transform is affine, the "
-                          "class is plain convexity",
-                    notes=f"affine fit A={A_fit:.6g} B={B_fit:.6g}")
-            return ClassReport(
-                label=F.label, admissible=True, limit_at_sup=limit_at_sup,
-                gaussian_divergent=False, gaussian_order=a_star,
-                deriv_positive=crit.deriv_positive,
-                curvature_convex=crit.curvature_convex,
-                verdict="not_preserved",
-                basis="affine-only rule (whole line): under integrability of "
-                      "the inverse, only affine transforms preserve",
-                notes=f"affine fit residual {resid:.3g}")
-
-        crit = check_curvature_criterion(F, z_grid=z_grid)
-        if crit.deriv_positive and crit.curvature_convex:
-            return ClassReport(
-                label=F.label, admissible=True, limit_at_sup=limit_at_sup,
-                gaussian_divergent=False, gaussian_order=a_star,
-                deriv_positive=True, curvature_convex=True,
-                verdict="preserved",
-                basis="curvature rule (half line): positive slope and convex "
-                      "curvature profile of the inverse",
-            )
-        return ClassReport(
-            label=F.label, admissible=True, limit_at_sup=limit_at_sup,
-            gaussian_divergent=False, gaussian_order=a_star,
-            deriv_positive=crit.deriv_positive,
-            curvature_convex=crit.curvature_convex,
-            verdict="not_preserved",
-            basis="curvature rule (half line): criterion fails",
-            notes=f"worst z={crit.worst_z:.6g} defect={crit.defect:.3g}")
-
-    if F.domain_kind == "bounded_above":
-        if np.isfinite(limit_at_sup):
-            return ClassReport(
-                label=F.label, admissible=True, limit_at_sup=limit_at_sup,
-                gaussian_divergent=False, gaussian_order=np.nan,
-                deriv_positive=None, curvature_convex=None,
-                verdict="only_trivially_preserved",
-                basis="bounded-image rule (bounded values): transform must "
-                      "blow up at the right endpoint",
-            )
-        crit = check_curvature_criterion(F, z_grid=z_grid)
-        if crit.deriv_positive and crit.curvature_convex:
-            return ClassReport(
-                label=F.label, admissible=True, limit_at_sup=limit_at_sup,
-                gaussian_divergent=False, gaussian_order=np.nan,
-                deriv_positive=True, curvature_convex=True,
-                verdict="preserved",
-                basis="curvature rule (bounded values, constant-boundary "
-                      "flow): blow-up at the endpoint plus convex curvature",
-            )
-        return ClassReport(
-            label=F.label, admissible=True, limit_at_sup=limit_at_sup,
-            gaussian_divergent=False, gaussian_order=np.nan,
-            deriv_positive=crit.deriv_positive,
-            curvature_convex=crit.curvature_convex,
-            verdict="not_preserved",
-            basis="curvature rule (bounded values): criterion fails",
-            notes=f"worst z={crit.worst_z:.6g} defect={crit.defect:.3g}")
-
-    raise DomainError(f"unknown domain kind {F.domain_kind!r}")
+    crit = check_curvature_criterion(F, z_grid=z_grid)
+    found = dict(order, deriv_positive=crit.deriv_positive,
+                 curvature_convex=crit.curvature_convex)
+    if F.domain_kind == "whole_line":
+        r = np.linspace(-8.0, 8.0, 161)
+        v = np.asarray(F(r), dtype=float)
+        A_fit, B_fit, resid = affine_fit(r, v)
+        if A_fit > 0 and resid <= 1e-8 * (np.max(np.abs(v)) + 1.0):
+            return _report(F, "preserved", "affine rule (whole line): transform "
+                           "is affine, the class is plain convexity",
+                           notes=f"affine fit A={A_fit:.6g} B={B_fit:.6g}", **found)
+        return _report(F, "not_preserved", "affine-only rule (whole line): under "
+                       "integrability of the inverse, only affine transforms "
+                       "preserve", notes=f"affine fit residual {resid:.3g}", **found)
+    if crit.deriv_positive and crit.curvature_convex:
+        return _report(F, "preserved", curvature_basis, **found)
+    return _report(F, "not_preserved", f"curvature rule ({where}): criterion fails",
+                   notes=f"worst z={crit.worst_z:.6g} defect={crit.defect:.3g}",
+                   **found)
 
 
 # -- strength comparison ------------------------------------------------------

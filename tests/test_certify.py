@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatconvex import (
     DomainError,
@@ -339,6 +340,25 @@ def grid_2d(fn, lo=-2.0, hi=2.0, n=61):
                         growth_a=50.0, growth_A=0.0)
 
 
+def assert_line_witness(u, witness):
+    """x0, x_mid, x1 are nodes on one grid line, the middle strictly between
+    the ends and its value above both."""
+    axes = u.axes()
+    nodes = []
+    for point in witness:
+        idx = tuple(int(np.argmin(np.abs(ax - c)))
+                    for ax, c in zip(axes, np.atleast_1d(point)))
+        assert tuple(float(ax[i]) for ax, i in zip(axes, idx)) == \
+            tuple(np.atleast_1d(point))
+        nodes.append(idx)
+    i0, im, i1 = (np.array(n) for n in nodes)
+    a, b = im - i0, i1 - im
+    assert np.any(a != 0) and np.any(b != 0)
+    assert a[0] * b[-1] == a[-1] * b[0] and np.dot(a, b) > 0
+    v = u.values
+    assert v[tuple(im)] > max(v[tuple(i0)], v[tuple(i1)])
+
+
 def test_quasi_convex_2d():
     ok, _ = check_quasi_convex(grid_2d(lambda x, y: x * x + y * y))
     assert ok
@@ -346,19 +366,118 @@ def test_quasi_convex_2d():
     assert not ok
     ok, _ = check_quasi_convex(grid_2d(lambda x, y: (x * x - 1) ** 2 + 0.5 * y * y))
     assert not ok
+    # a shallow dip on a bowl: on the axis-0 line through (0.33, -0.13) the
+    # middle node sits 4.3e-3 above the running minima on both sides
+    u = grid_2d(lambda x, y: x * x + y * y
+                - 0.8 * np.exp(-4 * ((x - 1) ** 2 + y * y)))
+    ok, witness = check_quasi_convex(u)
+    assert not ok
+    assert_line_witness(u, witness)
+
+
+def _quadratic(X, Y, c, w):
+    return (w[0] * (X - c[0]) ** 2 + 2 * w[1] * (X - c[0]) * (Y - c[1])
+            + w[2] * (Y - c[1]) ** 2)
+
+
+QUASI_BASES = {
+    "quadratic": _quadratic,
+    "abs_linear": lambda X, Y, c, w: np.abs(w[0] * X + w[1] * Y + c[0]),
+    "l1": lambda X, Y, c, w: np.abs(X - c[0]) + np.abs(Y - c[1]),
+    "linf": lambda X, Y, c, w: np.maximum(np.abs(X - c[0]), np.abs(Y - c[1])),
+}
+INCREASING = {"identity": lambda t: t, "tanh": np.tanh, "arctan": np.arctan,
+              "log1p": np.log1p, "sqrt": np.sqrt}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(QUASI_BASES)), st.sampled_from(sorted(INCREASING)),
+       st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+       st.tuples(st.floats(0.1, 3.0), st.floats(-1.0, 1.0), st.floats(0.1, 3.0)),
+       st.integers(2, 23), st.integers(2, 23))
+def test_increasing_functions_of_convex_bases_are_quasi_convex(
+        base, phi, c, w, n0, n1):
+    if base == "quadratic":
+        # positive definite: w1^2 < w0 * w2
+        w = (w[0], w[1] * 0.99 * np.sqrt(w[0] * w[2]), w[2])
+    x, y = np.linspace(-2.0, 2.0, n0), np.linspace(-2.0, 3.0, n1)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    vals = INCREASING[phi](QUASI_BASES[base](X, Y, c, w))
+    u = GridFunction(values=vals, extent=((-2.0, 2.0), (-2.0, 3.0)),
+                     growth_a=float(np.max(np.abs(vals))) + 1.0, growth_A=0.0)
+    ok, witness = check_quasi_convex(u)
+    assert ok and witness is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.integers(0, 14),
+       st.sampled_from([0.0, 1e-3, 0.5]))
+def test_every_refutation_carries_a_line_witness(seed, n0, n1, step):
+    # n1 == 0 draws a 1D field; step > 0 rounds values so ties are common
+    rng = np.random.default_rng(seed)
+    shape = (n0,) if n1 == 0 else (n0, n1)
+    vals = np.cumsum(rng.standard_normal(shape), axis=0)
+    if step:
+        vals = np.round(vals / step) * step
+    extent = ((-1.0, 1.0),) if n1 == 0 else ((-1.0, 1.0), (0.0, 2.0))
+    u = GridFunction(values=vals, extent=extent,
+                     growth_a=float(np.max(np.abs(vals))) + 1.0, growth_A=0.0)
+    ok, witness = check_quasi_convex(u)
+    if ok:
+        assert witness is None
+    else:
+        assert_line_witness(u, witness)
 
 
 # -- sampling plans ------------------------------------------------------------
 
 
-def test_random_plan_is_deterministic_by_seed():
-    u = grid_1d(lambda x: np.sin(2 * x) + x * x / 4 + 2.0)
+@pytest.mark.parametrize("u", [
+    grid_1d(lambda x: np.sin(2 * x) + x * x / 4 + 2.0),
+    grid_2d(lambda x, y: np.sin(2 * x) * np.cos(y) + x * x / 4 + 2.0, n=33),
+], ids=["1d", "2d"])
+def test_random_plan_is_deterministic_by_seed(u):
     plan = SamplingPlan(kind="random", lambdas=(0.5, 0.25), n_random=500, seed=7)
     c1 = check_F_convex(u, P1, plan)
     c2 = check_F_convex(u, P1, plan)
     assert c1.worst.gap == c2.worst.gap
     assert c1.worst.x0 == c2.worst.x0
     assert c1.n_samples == c2.n_samples > 0
+
+
+def brute_aligned_2d(vals, p, q, max_stride):
+    """Every triple of the four 2D families, in the scan's order, the pedestrian way."""
+    lam = p / q
+    n0, n1 = vals.shape
+    best, count = None, 0
+    for s in range(1, max_stride + 1):
+        for d0, d1 in ((0, 1), (1, 0), (1, 1), (1, -1)):
+            for i in range(n0):
+                for j in range(n1):
+                    i1, j1 = i + q * s * d0, j + q * s * d1
+                    if not (0 <= i1 < n0 and 0 <= j1 < n1):
+                        continue
+                    mid = vals[i + p * s * d0, j + p * s * d1]
+                    gap = mid - ((1.0 - lam) * vals[i, j] + lam * vals[i1, j1])
+                    count += 1
+                    if best is None or gap > best[0]:
+                        best = (gap, (i, j), (i1, j1))
+    return best, count
+
+
+@pytest.mark.parametrize("lam,p,q", [(0.5, 1, 2), (1 / 3, 1, 3)])
+def test_aligned_2d_scan_matches_enumeration(lam, p, q):
+    rng = np.random.default_rng(5)
+    vals = rng.random((9, 17)) + 0.5
+    u = GridFunction(values=vals, extent=((-1.0, 1.0), (-2.0, 2.0)),
+                     growth_a=float(np.max(np.abs(vals))) + 1.0, growth_A=0.0)
+    cert = check_F_convex(u, P1, SamplingPlan(lambdas=(lam,), max_stride=2))
+    (gap, n0, n1), count = brute_aligned_2d(np.asarray(P1(vals)), p, q, 2)
+    ax0, ax1 = u.axes()
+    assert cert.worst.gap == gap
+    assert cert.worst.x0 == (float(ax0[n0[0]]), float(ax1[n0[1]]))
+    assert cert.worst.x1 == (float(ax0[n1[0]]), float(ax1[n1[1]]))
+    assert cert.n_samples == count
 
 
 def test_unknown_plan_kind_rejected():

@@ -169,6 +169,15 @@ def test_classify_without_transforms_is_a_config_error(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("n_random", ["0", "-5"])
+def test_non_positive_random_triple_count_is_a_config_error(tmp_path, n_random):
+    cfg = write_config(tmp_path, VERIFY_BAD_CFG + "certify.plan = random\n"
+                       f"certify.n_random = {n_random}\n")
+    r = run_cli("verify", "--config", cfg, "--out", str(tmp_path / "res"))
+    assert r.returncode == 2
+    assert "certify.n_random" in r.stderr
+
+
 def test_bad_grid_extent_flag(tmp_path):
     cfg = write_config(tmp_path, CLASSIFY_CFG)
     r = run_cli("classify", "--config", cfg, "--grid-extent", "wide")
