@@ -59,8 +59,9 @@ class SamplingPlan:
 
     kind 'aligned' scans every grid-aligned triple (rows, columns, and both
     diagonals for dim 2) for each weight; 'random' draws n_random triples
-    with weights chosen from lambdas, snapped to the grid.  Weights must be
-    rationals p/q with q <= 8 so midpoints are grid-exact.
+    (a positive count, ValueError otherwise) with weights chosen from
+    lambdas, snapped to the grid.  Weights must be rationals p/q with q <= 8
+    so midpoints are grid-exact.
     """
 
     kind: str = "aligned"
@@ -68,6 +69,11 @@ class SamplingPlan:
     n_random: int = 4000
     seed: int = 0
     max_stride: object = None
+
+    def __post_init__(self):
+        if self.n_random < 1:
+            raise ValueError(
+                f"n_random must be a positive count of triples, got {self.n_random}")
 
 
 @dataclass(frozen=True)
@@ -373,8 +379,13 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
         d = d / norm
 
         def fn(x, y):
-            xi = d[0] * np.asarray(x, dtype=float) + d[1] * np.asarray(y, dtype=float)
-            return F.inverse(z0 + np.abs(xi - z0))
+            # updated in place: on a 2D lattice every temporary is a full lattice
+            xi = np.asarray(d[0] * np.asarray(x, dtype=float)
+                            + d[1] * np.asarray(y, dtype=float))
+            xi -= z0
+            np.abs(xi, out=xi)
+            xi += z0
+            return F.inverse(xi)
 
         if d[1] == 0.0:
             breakpoints = ((z0 / d[0],), ())

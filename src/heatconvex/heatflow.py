@@ -9,19 +9,23 @@ lattice H/m (H the output spacing) are convolved with a sampled kernel and
 read off at every m-th node.  Free space uses the Gaussian heat kernel; the
 Dirichlet domains (half line, interval, rectangle) subtract a Hankel
 (reflected) term from a Toeplitz term, both sampled from the Gaussian or,
-on bounded intervals, from its periodic image sum.  2D data apply the 1D
-operator along each axis of the tensor lattice.  One driver doubles m until
-a two-grid Richardson comparison meets the requested tolerance, and the
-achieved estimate is recorded on the result so downstream certification can
-build honest noise floors.
+on bounded intervals, from its periodic image sum.  Long 1D convolutions run
+as blocked FFTs with a roundoff bound, short ones (and data whose bound is
+too large) as direct sums; 2D data apply the decimated operator matrix of
+each axis, as two matrix products.  One refinement loop doubles m until a
+two-grid Richardson comparison meets the requested tolerance or the lattice
+would pass a node budget, and the achieved estimate plus the roundoff bound
+is recorded on the result so downstream certification can build honest
+noise floors.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import next_fast_len
 from scipy.interpolate import PchipInterpolator
 from scipy.special import erf
 
@@ -73,7 +77,8 @@ class GridFunction:
     the first coordinate.  extent: ((lo, hi),) per axis.  The growth fields
     certify |phi| <= growth_a * exp(growth_A |x|^2) at every sampled node.
     value_error is the recorded max relative uncertainty |du|/(1+|u|) of the
-    values (quadrature + truncation for evolved data, 0 for exact data).
+    values (quadrature + roundoff + truncation for evolved data, 0 for exact
+    data).
     """
 
     values: np.ndarray
@@ -392,31 +397,109 @@ def _snap_edges(y0, h, n_nodes, points):
     return sorted(idx)
 
 
-def _kernel_apply(psi, m, n, kern, kern_hankel=None):
+# shorter operand length from which the blocked FFT beats np.convolve
+# (measured crossover on the reference machine: 2048 to 2560)
+_FFT_MIN_LEN = 2304
+# entries per batch of a work table (FFT segments, image-sum terms), so
+# work arrays stay small
+_BATCH = 2 ** 17
+
+# lattice nodes a refinement may not pass: 2**23 doubles are 64 MiB per array
+_MAX_LATTICE_NODES = 2 ** 23
+
+
+def _valid(f, g):
+    """np.convolve(f, g, "valid") by overlap-save, with a roundoff bound.
+
+    The outputs are cut into blocks of K // 8 (K the shorter length), whose
+    segments go through batched real FFTs of length next_fast_len.  numpy's
+    FFT keeps no plans between calls (scipy.fft caches 16, about 1 MB at
+    these lengths), so a run's resident memory does not grow with it.  The
+    second array bounds the error of each output by the normwise bound of
+    its block, eps log2(nfft) |segment|_2 |g|_2: FFT roundoff is spread over
+    the whole block, so short blocks keep it near the local data.
+    """
+    if f.size < g.size:
+        f, g = g, f
+    K = g.size
+    n_out = f.size - K + 1
+    B = max(1, K // 8)
+    nb = -(-n_out // B)
+    nfft = next_fast_len(B + K - 1, real=True)
+    fp = np.zeros(nb * B + K - 1)
+    fp[:f.size] = f
+    seg = sliding_window_view(fp, B + K - 1)[::B]
+    g_hat = np.fft.rfft(g, nfft)
+    out, bound = np.empty((nb, B)), np.empty(nb)
+    rows = max(1, _BATCH // nfft)
+    for i in range(0, nb, rows):
+        spec = np.fft.rfft(seg[i:i + rows], nfft, axis=1)
+        spec *= g_hat
+        out[i:i + rows] = np.fft.irfft(spec, nfft, axis=1)[:, K - 1:K - 1 + B]
+        bound[i:i + rows] = np.linalg.norm(seg[i:i + rows], axis=1)
+    bound *= np.finfo(float).eps * np.log2(nfft) * np.linalg.norm(g)
+    return out.ravel()[:n_out], np.repeat(bound, B)[:n_out]
+
+
+def _kernel_apply(psi, m, n, kern, kern_hankel=None, tol=np.inf):
     """n outputs, at every m-th node, of the valid sums sum_j kern[q - j] psi[j].
 
     With a Hankel kernel the sums sum_j kern_hankel[q + j] psi[j] are
-    subtracted: the reflected images of a Dirichlet boundary.
+    subtracted: the reflected images of a Dirichlet boundary.  Returns
+    (u, roundoff, method).  Long operands go through the blocked FFT, whose
+    roundoff is max(bound / (1 + |u|)) over the outputs; where that exceeds
+    tol, and for short operands, the sums are taken directly (roundoff 0:
+    the pointwise rounding of direct sums is the reference).
     """
+    if min(psi.size, kern.size) >= _FFT_MIN_LEN:
+        need = (n - 1) * m + 1
+        u, bound = _valid(psi, kern[:need + psi.size - 1])
+        if kern_hankel is not None:
+            u_h, bound_h = _valid(kern_hankel, psi[::-1])
+            u, bound = u - u_h, bound + bound_h
+        u = u[::m]
+        roundoff = float(np.max(bound[::m] / (1.0 + np.abs(u))))
+        if roundoff <= tol:
+            return u, roundoff, "fft"
     u = np.convolve(psi, kern, mode="valid")[::m][:n]
+    if kern_hankel is not None:
+        u = u - np.correlate(kern_hankel, psi, mode="valid")[::m][:n]
+    return u, 0.0, "direct"
+
+
+def _kernel_matrix(N, m, n, kern, kern_hankel=None):
+    """The n x N matrix of _kernel_apply on length-N data, already decimated:
+    Toeplitz rows kern[q + s - j] (s = min(N, K) - 1, K = kern.size) minus
+    Hankel rows kern_hankel[q + j], for q = 0, m, ..., (n - 1) m.
+
+    Row i is a window of the reversed kernel placed at z0 = s + (n - 1) m,
+    starting (n - 1 - i) m nodes in.
+    """
+    z0 = min(N, kern.size) - 1 + (n - 1) * m
+    lo = max(0, z0 - kern.size + 1)
+    rev = np.zeros((n - 1) * m + N)
+    rev[lo:z0 + 1] = kern[z0 - lo::-1]
+    mat = sliding_window_view(rev, N)[(n - 1) * m::-m]
     if kern_hankel is None:
-        return u
-    return u - np.correlate(kern_hankel, psi, mode="valid")[::m][:n]
+        return mat.copy()
+    return mat - sliding_window_view(kern_hankel, N)[::m][:n]
 
 
-def _separable(vals, w0, w1, op0, op1, shape):
-    """Tensor quadrature onto a `shape` grid: op0 down every column of the
-    w0-weighted lattice values, then op1 along every row of the w1-weighted
-    result."""
-    wv = w0[:, None] * vals
-    part = np.empty((shape[0], wv.shape[1]))
-    for j in range(wv.shape[1]):
-        part[:, j] = op0(wv[:, j])
-    wp = part * w1[None, :]
-    out = np.empty(shape)
-    for i in range(shape[0]):
-        out[i] = op1(wp[i])
-    return out
+def _separable(vals, w0, w1, mat0, mat1):
+    """Tensor quadrature (mat0 w0) vals (mat1 w1)^T of lattice values, with
+    its roundoff relative to direct sums.
+
+    Each product rounds within gamma_N |A| |B|; with Cauchy-Schwarz the
+    error of output (i, j) stays below gamma |A_i|_2 (|B| c)_j, A and B the
+    weighted matrices and c the column norms of vals.  The factor 2 in gamma
+    covers the direct sums this replaces.
+    """
+    a0, a1 = mat0 * w0, mat1 * w1
+    u = (a0 @ vals) @ a1.T
+    gamma = 2.0 * np.finfo(float).eps * sum(vals.shape)
+    bound = gamma * np.outer(np.linalg.norm(a0, axis=1),
+                             np.abs(a1) @ np.sqrt(np.einsum("ij,ij->j", vals, vals)))
+    return u, float(np.max(bound / (1.0 + np.abs(u)))), "matrix"
 
 
 def _start_factor(spacings, t, datum_h):
@@ -426,22 +509,31 @@ def _start_factor(spacings, t, datum_h):
     return max(1, int(np.ceil(max(spacings) / h_target - 1e-12)))
 
 
-def _refine(one_pass, m, quad_tol, max_refine):
-    """Double m until two passes agree to quad_tol; returns (values, est, m).
+def _refine(one_pass, m, quad_tol, max_refine, cells):
+    """Double m until two passes agree to quad_tol; returns (values, record).
 
-    est is the Richardson estimate |u_2m - u_m| / (15 (1 + |u_2m|)) of the
-    last doubling (inf when max_refine is 0).
+    one_pass(m) returns (values, roundoff, kernel_method).  A lattice has
+    c m + 1 nodes along an axis of c cells at m = 1 (cells lists c per
+    axis); doubling stops before the lattice would pass _MAX_LATTICE_NODES,
+    keeping the last finished pass.  The record holds quad_error, the
+    Richardson estimate |u_2m - u_m| / (15 (1 + |u_2m|)) of the last doubling
+    (inf when none ran), the roundoff_error and kernel_method of the last
+    pass, lattice_factor and converged (quad_error <= quad_tol).
     """
-    u = one_pass(m)
+    u, roundoff, method = one_pass(m)
     est = np.inf
     for _ in range(max_refine):
+        if np.prod([2 * m * c + 1 for c in cells]) > _MAX_LATTICE_NODES:
+            break
         m *= 2
-        u_next = one_pass(m)
+        u_next, roundoff, method = one_pass(m)
         est = float(np.max(np.abs(u_next - u) / (1.0 + np.abs(u_next)))) / 15.0
         u = u_next
         if est <= quad_tol:
             break
-    return u, est, m
+    return u, {"quad_error": est, "roundoff_error": roundoff,
+               "kernel_method": method, "lattice_factor": m,
+               "converged": est <= quad_tol}
 
 
 def _check_window(axes, extent):
@@ -467,8 +559,11 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     quadrature window is truncated where the closed-form Gaussian tail bound
     (from the growth certificate) drops below eps_tail relative to the growth
     scale of the result; composite Simpson quadrature is refined by doubling
-    until two-grid Richardson agreement reaches quad_tol (relative).  The
-    achieved estimate is recorded in value_error and meta.
+    until two-grid Richardson agreement reaches quad_tol (relative), or until
+    the next lattice would pass _MAX_LATTICE_NODES nodes.  The achieved
+    estimate plus the kernel operator's roundoff bound is recorded in
+    value_error; meta says how it was reached (quad_error, roundoff_error,
+    kernel_method, lattice_factor, converged, tail_bound, inherited_error).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -490,35 +585,38 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     eps_abs = eps_tail * max(1.0, u_scale)
     # the tail budget is split evenly between the axes
     R = _truncation_radius(a, A, t, x_max, eps_abs / dim)
+    margins = [int(np.ceil(R / H)) for H in Hs]
 
     def one_pass(m):
-        axes, ops, edges = [], [], []
-        for (lo, _, _), H, n, b in zip(grids, Hs, ns, brk):
+        axes, kerns, edges = [], [], []
+        for (lo, _, _), H, n, b, c in zip(grids, Hs, ns, brk, margins):
             h = H / m
-            p = int(np.ceil(R / H)) * m
+            p = c * m
             y = lo - p * h + h * np.arange(2 * p + (n - 1) * m + 1)
             axes.append(y)
             edges.append(_snap_edges(y[0], h, y.size, b))
-            ops.append(partial(_kernel_apply, m=m, n=n,
-                               kern=gauss_kernel(h * np.arange(-p, p + 1), t)))
+            kerns.append(gauss_kernel(h * np.arange(-p, p + 1), t))
         if extent is not None:
             _check_window(axes, extent)
         if dim == 1:
-            return ops[0](_piece_weighted_values(sample, axes[0], edges[0], Hs[0] / m))
+            psi = _piece_weighted_values(sample, axes[0], edges[0], Hs[0] / m)
+            return _kernel_apply(psi, m, ns[0], kerns[0], tol=quad_tol / 100.0)
         w0, w1 = (piecewise_simpson_weights(y, e) for y, e in zip(axes, edges))
-        return _separable(sample(*axes), w0, w1, *ops, ns)
+        return _separable(sample(*axes), w0, w1, *(
+            _kernel_matrix(y.size, m, n, k) for y, n, k in zip(axes, ns, kerns)))
 
-    u, est, m = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
-                        max_refine)
+    u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
+                     max_refine, [2 * c + n - 1 for c, n in zip(margins, ns)])
     umax = float(np.max(np.abs(u)))
     return GridFunction(
         values=u,
         extent=tuple((lo, hi) for lo, hi, _ in grids),
         growth_a=gain,
         growth_A=A / shrink,
-        value_error=est + eps_abs / (1.0 + umax) + 1.5 * inherited,
-        meta={"t": t, "quad_error": est, "tail_bound": eps_abs,
-              "inherited_error": inherited, "lattice_factor": m},
+        value_error=(rec["quad_error"] + rec["roundoff_error"]
+                     + eps_abs / (1.0 + umax) + 1.5 * inherited),
+        meta={"t": t, **rec, "tail_bound": eps_abs,
+              "inherited_error": inherited},
     )
 
 
@@ -526,11 +624,14 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
 
 
 def _image_kernel_samples(xi, L, t, eps_rel):
-    """Sum of heat-kernel images sum_k Gauss(xi - 2kL, t) at sample points xi."""
+    """Sum of heat-kernel images sum_k Gauss(xi - 2kL, t) at sample points xi,
+    summed over a batch of points at a time."""
     spread = 2.0 * np.sqrt(max(t, 1e-300) * np.log(1.0 / eps_rel))
     K = int(np.ceil((spread + 2 * L + np.max(np.abs(xi))) / (2 * L))) + 1
-    ks = np.arange(-K, K + 1)
-    return gauss_kernel(xi[:, None] - 2 * L * ks[None, :], t).sum(axis=1)
+    shifts = 2 * L * np.arange(-K, K + 1)
+    step = max(1, _BATCH // shifts.size)
+    return np.concatenate([gauss_kernel(xi[i:i + step, None] - shifts, t).sum(axis=1)
+                           for i in range(0, xi.size, step)])
 
 
 def _image_kernels(L, h, M_cells, t, eps_rel):
@@ -559,7 +660,9 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     image sum switches to the spectral sine series when it would need more
     than 200 images.  Rectangle domains use the tensor product of interval
     kernels.  Grid data must have the domain's dimension (ValueError
-    otherwise).  Boundary nodes of the result are exact.
+    otherwise).  Boundary nodes of the result are exact.  Refinement, the
+    node budget and meta are as in heat_evolve_free, with representation
+    in place of tail_bound.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -588,6 +691,8 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
         u0_bound = _probe_bound(u0(np.linspace(0, hi + 8 * np.sqrt(t), 257)))
         R = (2.0 * np.sqrt(t * np.log(max(u0_bound, 1.0) / eps_tail))
              + 4 * np.sqrt(t))
+        # ceil(R / h) <= ceil(R / H) m bounds the lattice from above
+        cells = [x.size - 1 + int(np.ceil(R / Hs[0]))]
 
         def one_pass(m):
             h = Hs[0] / m
@@ -596,7 +701,8 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
             psi = _piece_weighted_values(u0, y, _snap_edges(0.0, h, M, brk[0]), h)
             return _kernel_apply(
                 psi, m, x.size, gauss_kernel(h * np.arange(-(M - 1), M), t),
-                gauss_kernel(h * np.arange(0, (x.size - 1) * m + M), t))
+                gauss_kernel(h * np.arange(0, (x.size - 1) * m + M), t),
+                tol=quad_tol / 100.0)
 
     elif domain.kind == "interval":
         extent = domain.bounds
@@ -607,7 +713,7 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
                 raise ValueError("out_grid must span the interval")
         L = b - a
         n_out, = ns
-        Hs = (L / (n_out - 1),)
+        Hs, cells = (L / (n_out - 1),), [n_out - 1]
         _probe_bound(u0(np.linspace(a, b, 257)))
         spread = 2.0 * np.sqrt(t * np.log(1.0 / eps_image))
         if 2 * int(np.ceil((spread + 2 * L) / (2 * L))) + 1 > 200:
@@ -624,11 +730,13 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
             psi = _piece_weighted_values(u0, y, _snap_edges(a, h, M_cells + 1, brk[0]), h)
             if rep == "images":
                 return _kernel_apply(psi, m, n_out,
-                                     *_image_kernels(L, h, M_cells, t, eps_image))
+                                     *_image_kernels(L, h, M_cells, t, eps_image),
+                                     tol=quad_tol / 100.0)
             sins = np.sin(np.pi * modes[:, None] * (y[None, :] - a) / L)
             coef = (2.0 / L) * sins @ psi
             x = y[::m]
-            return (coef * decay) @ np.sin(np.pi * modes[:, None] * (x[None, :] - a) / L)
+            return ((coef * decay) @ np.sin(np.pi * modes[:, None] * (x[None, :] - a) / L),
+                    0.0, "sine")
 
     else:
         extent = domain.bounds
@@ -636,22 +744,22 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
             ns = tuple(grid_nodes(lo, hi, g[2]).size
                        for (lo, hi), g in zip(extent, out_grid))
         Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
+        cells = [n - 1 for n in ns]
 
         def one_pass(m):
-            axes, weights, ops = [], [], []
+            axes, weights, mats = [], [], []
             for (lo, hi), H, n, b in zip(extent, Hs, ns, brk):
                 h = H / m
                 M = (n - 1) * m + 1
                 y = lo + h * np.arange(M)
                 axes.append(y)
                 weights.append(piecewise_simpson_weights(y, _snap_edges(lo, h, M, b)))
-                thT, thH = _image_kernels(hi - lo, h, M - 1, t, eps_image)
-                ops.append(partial(_kernel_apply, m=m, n=n, kern=thT,
-                                   kern_hankel=thH))
-            return _separable(u0(*axes), *weights, *ops, ns)
+                mats.append(_kernel_matrix(
+                    M, m, n, *_image_kernels(hi - lo, h, M - 1, t, eps_image)))
+            return _separable(u0(*axes), *weights, *mats)
 
-    u, est, m = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
-                        max_refine)
+    u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
+                     max_refine, cells)
     vals = ell - u
     for k, (_, hi) in enumerate(domain.bounds):
         ends = (0,) if np.isinf(hi) else (0, -1)
@@ -660,9 +768,10 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     bound = float(np.max(np.abs(vals)))
     return GridFunction(values=vals, extent=extent,
                         growth_a=max(bound, 1e-300), growth_A=0.0,
-                        value_error=est + floor + 1.5 * inherited,
-                        meta={"t": t, "representation": rep, "quad_error": est,
-                              "lattice_factor": m})
+                        value_error=(rec["quad_error"] + rec["roundoff_error"]
+                                     + floor + 1.5 * inherited),
+                        meta={"t": t, "representation": rep, **rec,
+                              "inherited_error": inherited})
 
 
 # -- heat-evolved step function and its inverse ------------------------------

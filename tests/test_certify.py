@@ -480,6 +480,13 @@ def test_aligned_2d_scan_matches_enumeration(lam, p, q):
     assert cert.n_samples == count
 
 
+@pytest.mark.parametrize("n_random", [0, -5])
+def test_non_positive_random_triple_count_is_refused(n_random):
+    """A plan of no triples used to run one per weight and certify from that."""
+    with pytest.raises(ValueError, match="n_random"):
+        SamplingPlan(kind="random", lambdas=(0.5, 0.25), n_random=n_random)
+
+
 def test_unknown_plan_kind_rejected():
     u = grid_1d(lambda x: x * x)
     with pytest.raises(DomainError):

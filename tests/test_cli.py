@@ -213,3 +213,15 @@ def test_inconclusive_classification_exits_three(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "transform = power alpha=1\n")
     monkeypatch.chdir(tmp_path)
     assert entry(["classify", "--config", cfg]) == 3
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    """scipy.signal would add about 0.6 s to every CLI start; the FFT kernel
+    operator needs only numpy.fft and scipy.fft.next_fast_len, which the
+    other imports already load."""
+    r = subprocess.run(
+        [sys.executable, "-c", "import heatconvex.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"],
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

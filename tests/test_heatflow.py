@@ -8,8 +8,9 @@ from heatconvex import (DomainSpec, EvaluationWindowError,
                         ExistenceWindowError, GridFunction, InitialDatum,
                         epsilon_quadratic_lift, fit_growth_envelope,
                         gauss_kernel, grid_nodes, heat_evolve_dirichlet,
-                        heat_evolve_free, hot_h, lifted_evolution_identity,
-                        maximal_time_hint)
+                        heat_evolve_free, heatflow, hot_h,
+                        lifted_evolution_identity, maximal_time_hint)
+from heatconvex.heatflow import _kernel_apply, _kernel_matrix
 
 
 def rel_err(got, want):
@@ -199,20 +200,152 @@ _SIN2 = InitialDatum(fn=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
 _G8 = (0.0, 1.0, 1.0 / 8)
 
 
-@pytest.mark.parametrize("evolve", [
-    lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 16)),
-    lambda: heat_evolve_free(_SIN2, 0.05, (_G8, _G8)),
-    lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 1.0), 0.05, _G8),
-    lambda: heat_evolve_dirichlet(_SIN, DomainSpec.half_line(), 0.05, (0.0, 2.0, 1.0 / 8)),
-    lambda: heat_evolve_dirichlet(_SIN2, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))),
-                                  0.05, (_G8, _G8)),
-], ids=["free_1d", "free_2d", "interval", "half_line", "rectangle"])
-def test_every_path_records_the_same_meta(evolve):
+@pytest.mark.parametrize("evolve, method", [
+    (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 16)), "direct"),
+    (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 2048)), "fft"),
+    (lambda: heat_evolve_free(_SIN2, 0.05, (_G8, _G8)), "matrix"),
+    (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 1.0), 0.05, _G8),
+     "direct"),
+    (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 1.0), 0.05,
+                                   (0.0, 1.0, 1.0 / 2048)), "fft"),
+    (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 0.1), 4.0,
+                                   (0.0, 0.1, 0.1 / 16)), "sine"),
+    (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.half_line(), 0.05,
+                                   (0.0, 2.0, 1.0 / 8)), "direct"),
+    (lambda: heat_evolve_dirichlet(_SIN2, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))),
+                                   0.05, (_G8, _G8)), "matrix"),
+], ids=["free_1d", "free_1d_fft", "free_2d", "interval", "interval_fft",
+        "interval_sine", "half_line", "rectangle"])
+def test_every_path_records_the_same_meta(evolve, method):
     u = evolve()
-    assert {"t", "quad_error", "lattice_factor"} <= set(u.meta)
-    assert u.meta["t"] == 0.05
-    assert u.meta["quad_error"] <= u.value_error
+    assert {"t", "quad_error", "roundoff_error", "kernel_method", "lattice_factor",
+            "converged", "inherited_error"} <= set(u.meta)
+    assert u.meta["t"] in (0.05, 4.0)
+    assert u.meta["kernel_method"] == method
+    assert u.meta["converged"]
+    assert (method in ("fft", "matrix")) == (u.meta["roundoff_error"] > 0)
+    assert u.meta["quad_error"] + u.meta["roundoff_error"] <= u.value_error
     assert u.meta["lattice_factor"] >= 2
+
+
+# -- kernel operator -----------------------------------------------------------
+
+
+def _operator_case(N, K, m, n, hankel, seed=3):
+    """Random data psi of length N, a kernel of length K and, for Dirichlet
+    domains, a Hankel kernel long enough for n outputs at stride m."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(N)
+    kern = np.exp(-np.linspace(-3.0, 3.0, K) ** 2) + 0.1 * rng.random(K)
+    kh = rng.random((n - 1) * m + N) if hankel else None
+    return psi, kern, kh
+
+
+def _direct(psi, m, n, kern, kh):
+    u = np.convolve(psi, kern, mode="valid")[::m][:n]
+    if kh is not None:
+        u = u - np.correlate(kh, psi, mode="valid")[::m][:n]
+    return u
+
+
+# (N, K, m, n, hankel): free space has N = K + (n - 1) m; the Dirichlet
+# Toeplitz kernels are longer than the data (K = 2N - 1, interval and
+# rectangle; the half line reads only its first outputs)
+_OPERATOR_CASES = [
+    (2305 + 4096, 2305, 1, 4097, False),
+    (4609 + 1024 * 4, 4609, 4, 1025, False),
+    (6145 + 512 * 16, 6145, 16, 513, False),
+    (4097, 8193, 1, 4097, True),
+    (8193, 16385, 16, 513, True),
+    (6000, 11999, 2, 1500, True),
+    (129, 257, 16, 9, True),
+    (97 + 32 * 8, 97, 8, 33, False),
+]
+
+
+@pytest.mark.parametrize("N, K, m, n, hankel", _OPERATOR_CASES)
+def test_fft_operator_stays_within_its_roundoff_bound(N, K, m, n, hankel):
+    psi, kern, kh = _operator_case(N, K, m, n, hankel)
+    u, roundoff, method = _kernel_apply(psi, m, n, kern, kh)
+    ref = _direct(psi, m, n, kern, kh)
+    assert method == ("fft" if min(N, K) >= 2304 else "direct")
+    assert u.shape == (n,)
+    assert np.all(np.abs(u - ref) <= roundoff * (1.0 + np.abs(u)))
+    if method == "fft":
+        assert 0.0 < roundoff < 1e-9
+
+
+@pytest.mark.parametrize("N, K, m, n, hankel", _OPERATOR_CASES)
+def test_kernel_matrix_applies_the_operator(N, K, m, n, hankel):
+    psi, kern, kh = _operator_case(N, K, m, n, hankel)
+    u, _, _ = _kernel_apply(psi, m, n, kern, kh)
+    mat = _kernel_matrix(N, m, n, kern, kh)
+    assert mat.shape == (n, N)
+    assert np.max(np.abs(mat @ psi - u) / (1.0 + np.abs(u))) < 1e-12
+
+
+def test_fast_growing_data_fall_back_to_direct_sums():
+    """|psi| spans hundreds of decades inside one block, so the FFT bound
+    exceeds the tolerance and the sums are taken directly, bit for bit."""
+    h, p, n = 1.0 / 256, 5000, 1025
+    y = h * np.arange(-p, p + n)
+    psi = h * np.exp(0.2 * y * y)
+    kern = gauss_kernel(h * np.arange(-p, p + 1), 0.5)
+    u, roundoff, method = _kernel_apply(psi, 1, n, kern, tol=1e-11)
+    assert (method, roundoff) == ("direct", 0.0)
+    assert np.array_equal(u, np.convolve(psi, kern, mode="valid"))
+    A, t = 0.2, 0.5
+    phi = InitialDatum(fn=lambda x: np.exp(A * x * x), growth_a=1.0, growth_A=A)
+    u = heat_evolve_free(phi, t, (-2.0, 2.0, 1.0 / 256))
+    assert u.meta["kernel_method"] == "direct"
+    shrink = 1.0 - 4.0 * A * t
+    x = u.axes()[0]
+    assert rel_err(u.values, shrink ** -0.5 * np.exp(A * x * x / shrink)) < 1e-8
+
+
+def test_fft_evolution_of_exp_abs_meets_the_closed_form():
+    from scipy.special import ndtr
+    t = 0.1
+    phi = InitialDatum(fn=lambda x: np.exp(np.abs(x)), growth_a=np.e,
+                       growth_A=0.25, breakpoints=(0.0,))
+    u = heat_evolve_free(phi, t, (-8.0, 8.0, 1.0 / 1024))
+    x = u.axes()[0]
+    s = np.sqrt(2.0 * t)
+    exact = (np.exp(x + t) * ndtr((x + 2.0 * t) / s)
+             + np.exp(-x + t) * ndtr((-x + 2.0 * t) / s))
+    assert u.meta["kernel_method"] == "fft"
+    assert rel_err(u.values, exact) <= min(u.value_error, 1e-13)
+
+
+@pytest.mark.parametrize("evolve", [
+    lambda **kw: heat_evolve_free(_SIN2, 0.05, (_G8, _G8), **kw),
+    lambda **kw: heat_evolve_dirichlet(
+        _SIN2, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))), 0.05, (_G8, _G8), **kw),
+], ids=["free_2d", "rectangle"])
+def test_node_budget_keeps_the_last_finished_pass(evolve, monkeypatch):
+    lattices = []
+    separable = heatflow._separable
+
+    def spy(vals, *args):
+        lattices.append(vals.size)
+        return separable(vals, *args)
+
+    monkeypatch.setattr(heatflow, "_separable", spy)
+    full = evolve(quad_tol=1e-30, max_refine=3)
+    assert len(lattices) == 4 and not full.meta["converged"]
+    one = evolve(quad_tol=1e-30, max_refine=1)
+    # room for the lattice of the first doubling, not for the second
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", lattices[1])
+    del lattices[:]
+    capped = evolve(quad_tol=1e-30, max_refine=3)
+    assert len(lattices) == 2
+    assert capped.meta["lattice_factor"] == one.meta["lattice_factor"]
+    assert capped.meta["lattice_factor"] * 4 == full.meta["lattice_factor"]
+    assert not capped.meta["converged"]
+    assert np.array_equal(capped.values, one.values)
+    assert capped.value_error == one.value_error
+    assert (capped.meta["quad_error"] + capped.meta["roundoff_error"]
+            <= capped.value_error < 1e-3)
 
 
 _GRID_1D = GridFunction(values=np.zeros(9), extent=((0.0, 1.0),))
