@@ -111,8 +111,13 @@ def cmd_evolve(cfg):
         fname = f"evolve_{i:02d}.csv"
         _write(cfg.out_dir, fname, f"# t={t!r}\n" + u.to_csv())
         results.append({"file": fname, "t": t, "value_error": u.value_error,
-                        "growth_a": u.growth_a, "growth_A": u.growth_A})
+                        "growth_a": u.growth_a, "growth_A": u.growth_A,
+                        "converged": u.meta["converged"]})
         print(f"t={t:g}: wrote {fname} (value_error {u.value_error:.3g})")
+        if not u.meta["converged"]:
+            print(f"warning: t={t:g}: evolution did not converge (quad_error "
+                  f"{u.meta['quad_error']:.3g} at lattice_factor "
+                  f"{u.meta['lattice_factor']})", file=sys.stderr)
     _write_meta(cfg, "evolve", "evolve_meta.json", {"results": results})
     return EXIT_OK
 

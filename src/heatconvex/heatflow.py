@@ -7,12 +7,13 @@ Data are represented on uniform grids with a certified Gaussian growth bound
 Every evolution is one operation: Simpson-weighted samples of the datum on a
 lattice H/m (H the output spacing) are convolved with a sampled kernel and
 read off at every m-th node.  Free space uses the Gaussian heat kernel; the
-Dirichlet domains (half line, interval, rectangle) subtract a Hankel
-(reflected) term from a Toeplitz term, both sampled from the Gaussian or,
-on bounded intervals, from its periodic image sum.  Long 1D convolutions run
-as blocked FFTs with a roundoff bound, short ones (and data whose bound is
-too large) as direct sums; 2D data apply the decimated operator matrix of
-each axis, as two matrix products.  One refinement loop doubles m until a
+Dirichlet domains subtract a Hankel (reflected) term from a Toeplitz term,
+both sampled from the Gaussian on the half line and, on a box (interval or
+rectangle), from the periodic image sum, which one inverse FFT of its
+closed-form spectrum gives per axis.  Long 1D convolutions run as blocked
+FFTs with a roundoff bound, short ones (and data whose bound is too large)
+as direct sums; 2D data apply the decimated operator matrix of each axis,
+as two matrix products.  One refinement loop doubles m until a
 two-grid Richardson comparison meets the requested tolerance or the lattice
 would pass a node budget, and the achieved estimate plus the roundoff bound
 is recorded on the result so downstream certification can build honest
@@ -400,8 +401,7 @@ def _snap_edges(y0, h, n_nodes, points):
 # shorter operand length from which the blocked FFT beats np.convolve
 # (measured crossover on the reference machine: 2048 to 2560)
 _FFT_MIN_LEN = 2304
-# entries per batch of a work table (FFT segments, image-sum terms), so
-# work arrays stay small
+# entries per batch of FFT segments, so work arrays stay small
 _BATCH = 2 ** 17
 
 # lattice nodes a refinement may not pass: 2**23 doubles are 64 MiB per array
@@ -485,20 +485,26 @@ def _kernel_matrix(N, m, n, kern, kern_hankel=None):
     return mat - sliding_window_view(kern_hankel, N)[::m][:n]
 
 
-def _separable(vals, w0, w1, mat0, mat1):
+def _separable(vals, w0, w1, mat0, mat1, kern_err=(0.0, 0.0)):
     """Tensor quadrature (mat0 w0) vals (mat1 w1)^T of lattice values, with
     its roundoff relative to direct sums.
 
     Each product rounds within gamma_N |A| |B|; with Cauchy-Schwarz the
     error of output (i, j) stays below gamma |A_i|_2 (|B| c)_j, A and B the
     weighted matrices and c the column norms of vals.  The factor 2 in gamma
-    covers the direct sums this replaces.
+    covers the direct sums this replaces.  kern_err bounds, per axis, the
+    error delta of each kernel sample; a row of A then errs by at most
+    d_0 = 2 delta_0 max|w0| in 2-norm (a Toeplitz and a Hankel window), one
+    of B by d_1, which adds d_0 (|B| c)_j + d_1 |A_i|_2 |c|_2 to first order.
     """
     a0, a1 = mat0 * w0, mat1 * w1
     u = (a0 @ vals) @ a1.T
     gamma = 2.0 * np.finfo(float).eps * sum(vals.shape)
-    bound = gamma * np.outer(np.linalg.norm(a0, axis=1),
-                             np.abs(a1) @ np.sqrt(np.einsum("ij,ij->j", vals, vals)))
+    d0, d1 = (2.0 * d * float(np.max(np.abs(w))) for d, w in zip(kern_err, (w0, w1)))
+    c = np.sqrt(np.einsum("ij,ij->j", vals, vals))
+    cols, rows = np.abs(a1) @ c, np.linalg.norm(a0, axis=1)
+    bound = (gamma * np.outer(rows, cols) + d0 * cols
+             + (d1 * float(np.linalg.norm(c))) * rows[:, None])
     return u, float(np.max(bound / (1.0 + np.abs(u)))), "matrix"
 
 
@@ -623,23 +629,22 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
 # -- Dirichlet evolution -----------------------------------------------------
 
 
-def _image_kernel_samples(xi, L, t, eps_rel):
-    """Sum of heat-kernel images sum_k Gauss(xi - 2kL, t) at sample points xi,
-    summed over a batch of points at a time."""
-    spread = 2.0 * np.sqrt(max(t, 1e-300) * np.log(1.0 / eps_rel))
-    K = int(np.ceil((spread + 2 * L + np.max(np.abs(xi))) / (2 * L))) + 1
-    shifts = 2 * L * np.arange(-K, K + 1)
-    step = max(1, _BATCH // shifts.size)
-    return np.concatenate([gauss_kernel(xi[i:i + step, None] - shifts, t).sum(axis=1)
-                           for i in range(0, xi.size, step)])
+def _dirichlet_kernels(L, t, M):
+    """Toeplitz (s = -M..M) and Hankel (s = 0..2M) samples Theta(s h),
+    h = L / M, of the 2L-periodic image sum Theta(x) = sum_k Gauss(x - 2kL, t),
+    and a bound delta on the error of each sample.
 
-
-def _image_kernels(L, h, M_cells, t, eps_rel):
-    """Toeplitz kernel Theta((q - j) h) and Hankel kernel Theta((q + j) h) on a
-    lattice of M_cells cells over an interval of length L, where Theta is the
-    2L-periodic image sum."""
-    return (_image_kernel_samples(h * np.arange(-M_cells, M_cells + 1), L, t, eps_rel),
-            _image_kernel_samples(h * np.arange(0, 2 * M_cells + 1), L, t, eps_rel))
+    By Poisson summation Theta(x) = sum_n exp(-t (pi n / L)^2)
+    cos(pi n x / L) / (2L), so one inverse real FFT of length 2M of
+    lambda_k = exp(-t (pi k / L)^2) / h, k = 0..M, samples a period.  The
+    aliased terms |n| >= M are each below exp(-t pi^2 / h^2) / h, so below
+    exp(-64 pi^2) / h, because _start_factor keeps h <= sqrt(t) / 8.
+    delta = eps log2(2M) |theta|_2 is the normwise rounding bound of the FFT.
+    """
+    k = np.arange(M + 1)
+    theta = np.fft.irfft(np.exp(-t * (np.pi * k / L) ** 2) / (L / M), 2 * M)
+    delta = np.finfo(float).eps * np.log2(2 * M) * float(np.linalg.norm(theta))
+    return np.concatenate((theta[M:], theta[:M + 1])), np.append(theta, theta[0]), delta
 
 
 def _probe_bound(values):
@@ -651,24 +656,26 @@ def _probe_bound(values):
 
 
 def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
-                          eps_image=1e-14, eps_tail=1e-12, max_refine=6):
+                          eps_tail=1e-12, max_refine=6):
     """Evolve phi holding the boundary at domain.ell, by the method of images.
 
     phi: GridFunction on the domain, or InitialDatum.  The complement
-    v0 = ell - phi has zero boundary data and is evolved with the domain's
-    image (reflected-kernel) representation; on intervals the alternating
-    image sum switches to the spectral sine series when it would need more
-    than 200 images.  Rectangle domains use the tensor product of interval
-    kernels.  Grid data must have the domain's dimension (ValueError
-    otherwise).  Boundary nodes of the result are exact.  Refinement, the
-    node budget and meta are as in heat_evolve_free, with representation
-    in place of tail_bound.
+    v0 = ell - phi has zero boundary data and is evolved with a Toeplitz
+    kernel minus its Hankel reflection: on the half line the Gaussian, cut
+    where its tail drops below eps_tail (tail_bound); on a box (interval or
+    rectangle) the periodic image sum of each axis (_dirichlet_kernels),
+    whose rounding joins roundoff_error (tail_bound 0).  out_grid is
+    (lo, hi, h) per axis; on a box it must span the domain, and grid data
+    may leave it None.  Data of the wrong dimension raise ValueError, data
+    unbounded on the domain DomainError.  Boundary nodes of the result are
+    exact.  Refinement, the node budget and meta are as in heat_evolve_free.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if domain.kind not in ("half_line", "interval", "rectangle"):
         raise ValueError(f"unsupported domain kind {domain.kind!r} for Dirichlet flow")
-    sample, _, _, brk, _, phi_h, inherited = _resolve_datum(phi, domain.n)
+    dim = domain.n
+    sample, _, _, brk, _, phi_h, inherited = _resolve_datum(phi, dim)
     ell = domain.ell
 
     def u0(*ax):
@@ -679,15 +686,13 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
             raise ValueError("out_grid required on the half line")
         if not isinstance(phi, GridFunction):
             raise ValueError("out_grid required for callable data")
-        ns = phi.values.shape
-    rep, floor = "images", eps_image
 
     if domain.kind == "half_line":
         lo, hi, H_req = out_grid
         if abs(lo) > 1e-12:
             raise ValueError("half-line out_grid must start at 0")
         x = grid_nodes(lo, hi, H_req)
-        Hs, extent, floor = (x[1] - x[0],), ((lo, hi),), eps_tail
+        Hs, extent, tail = (x[1] - x[0],), ((lo, hi),), eps_tail
         u0_bound = _probe_bound(u0(np.linspace(0, hi + 8 * np.sqrt(t), 257)))
         R = (2.0 * np.sqrt(t * np.log(max(u0_bound, 1.0) / eps_tail))
              + 4 * np.sqrt(t))
@@ -704,59 +709,46 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
                 gauss_kernel(h * np.arange(0, (x.size - 1) * m + M), t),
                 tol=quad_tol / 100.0)
 
-    elif domain.kind == "interval":
-        extent = domain.bounds
-        (a, b), = extent
-        if out_grid is not None:
-            ns = (grid_nodes(*out_grid).size,)
-            if abs(out_grid[0] - a) > 1e-12 or abs(out_grid[1] - b) > 1e-12:
-                raise ValueError("out_grid must span the interval")
-        L = b - a
-        n_out, = ns
-        Hs, cells = (L / (n_out - 1),), [n_out - 1]
-        _probe_bound(u0(np.linspace(a, b, 257)))
-        spread = 2.0 * np.sqrt(t * np.log(1.0 / eps_image))
-        if 2 * int(np.ceil((spread + 2 * L) / (2 * L))) + 1 > 200:
-            rep = "sine"
-            n_modes = max(4, int(np.ceil(
-                L / np.pi * np.sqrt(np.log(1.0 / eps_image) / t))) + 2)
-            modes = np.arange(1, n_modes + 1)
-            decay = np.exp(-((np.pi * modes / L) ** 2) * t)
-
-        def one_pass(m):
-            M_cells = (n_out - 1) * m
-            h = L / M_cells
-            y = a + h * np.arange(M_cells + 1)
-            psi = _piece_weighted_values(u0, y, _snap_edges(a, h, M_cells + 1, brk[0]), h)
-            if rep == "images":
-                return _kernel_apply(psi, m, n_out,
-                                     *_image_kernels(L, h, M_cells, t, eps_image),
-                                     tol=quad_tol / 100.0)
-            sins = np.sin(np.pi * modes[:, None] * (y[None, :] - a) / L)
-            coef = (2.0 / L) * sins @ psi
-            x = y[::m]
-            return ((coef * decay) @ np.sin(np.pi * modes[:, None] * (x[None, :] - a) / L),
-                    0.0, "sine")
-
     else:
-        extent = domain.bounds
-        if out_grid is not None:
-            ns = tuple(grid_nodes(lo, hi, g[2]).size
-                       for (lo, hi), g in zip(extent, out_grid))
+        extent, tail = domain.bounds, 0.0
+        if out_grid is None:
+            ns = phi.values.shape
+        else:
+            grids = (out_grid,) if dim == 1 else tuple(out_grid)
+            for (lo, hi, _), (a, b) in zip(grids, extent):
+                if abs(lo - a) > 1e-12 or abs(hi - b) > 1e-12:
+                    raise ValueError(f"out_grid must span the {domain.kind}")
+            ns = tuple(grid_nodes(*g).size for g in grids)
+        # a monotone-cubic interpolant stays within its data, so grid data
+        # are probed at their nodes, callables on 257 nodes per axis
+        _probe_bound(phi.values if isinstance(phi, GridFunction) else
+                     u0(*(np.linspace(lo, hi, 257) for lo, hi in extent)))
         Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
         cells = [n - 1 for n in ns]
 
         def one_pass(m):
-            axes, weights, mats = [], [], []
+            axes, edges, kerns, deltas = [], [], [], []
             for (lo, hi), H, n, b in zip(extent, Hs, ns, brk):
                 h = H / m
-                M = (n - 1) * m + 1
-                y = lo + h * np.arange(M)
+                M = (n - 1) * m
+                y = lo + h * np.arange(M + 1)
                 axes.append(y)
-                weights.append(piecewise_simpson_weights(y, _snap_edges(lo, h, M, b)))
-                mats.append(_kernel_matrix(
-                    M, m, n, *_image_kernels(hi - lo, h, M - 1, t, eps_image)))
-            return _separable(u0(*axes), *weights, *mats)
+                edges.append(_snap_edges(lo, h, M + 1, b))
+                *kern, delta = _dirichlet_kernels(hi - lo, t, M)
+                kerns.append(kern)
+                deltas.append(delta)
+            if dim == 1:
+                psi = _piece_weighted_values(u0, axes[0], edges[0], Hs[0] / m)
+                u, roundoff, method = _kernel_apply(psi, m, ns[0], *kerns[0],
+                                                    tol=quad_tol / 100.0)
+                # kernel errors e move each output by at most
+                # (|e_Toeplitz|_2 + |e_Hankel|_2) |psi|_2 <= 2 delta |psi|_2
+                kern_err = 2.0 * deltas[0] * float(np.linalg.norm(psi))
+                return u, roundoff + kern_err / (1.0 + float(np.min(np.abs(u)))), method
+            w0, w1 = (piecewise_simpson_weights(y, e) for y, e in zip(axes, edges))
+            return _separable(u0(*axes), w0, w1, *(
+                _kernel_matrix(y.size, m, n, *k) for y, n, k in zip(axes, ns, kerns)),
+                deltas)
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, cells)
@@ -769,8 +761,8 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     return GridFunction(values=vals, extent=extent,
                         growth_a=max(bound, 1e-300), growth_A=0.0,
                         value_error=(rec["quad_error"] + rec["roundoff_error"]
-                                     + floor + 1.5 * inherited),
-                        meta={"t": t, "representation": rep, **rec,
+                                     + tail + 1.5 * inherited),
+                        meta={"t": t, **rec, "tail_bound": tail,
                               "inherited_error": inherited})
 
 

@@ -108,6 +108,25 @@ def test_evolve_output_round_trips_and_is_deterministic(tmp_path):
     assert meta["results"][0]["t"] == 0.25
 
 
+def test_unconverged_evolution_warns_and_is_recorded(tmp_path, monkeypatch, capsys):
+    from heatconvex import heatflow
+
+    cfg = write_config(tmp_path, EVOLVE_CFG)
+    assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    assert "did not converge" not in capsys.readouterr().err
+    meta = json.loads((tmp_path / "ok" / "evolve_meta.json").read_text())
+    assert meta["results"][0]["converged"] is True
+
+    # no doubling fits: the first pass is kept with quad_error inf
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 1)
+    assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "capped")]) == 0
+    err = capsys.readouterr().err
+    assert "warning: t=0.25: evolution did not converge" in err
+    assert "quad_error inf" in err and "lattice_factor" in err
+    meta = json.loads((tmp_path / "capped" / "evolve_meta.json").read_text())
+    assert meta["results"][0]["converged"] is False
+
+
 def test_verify_clean_run_exits_zero(tmp_path):
     cfg = write_config(tmp_path, VERIFY_OK_CFG)
     out = tmp_path / "res"

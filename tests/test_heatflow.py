@@ -10,7 +10,8 @@ from heatconvex import (DomainSpec, EvaluationWindowError,
                         gauss_kernel, grid_nodes, heat_evolve_dirichlet,
                         heat_evolve_free, heatflow, hot_h,
                         lifted_evolution_identity, maximal_time_hint)
-from heatconvex.heatflow import _kernel_apply, _kernel_matrix
+from heatconvex.heatflow import _dirichlet_kernels, _kernel_apply, _kernel_matrix
+from heatconvex.numerics import DomainError
 
 
 def rel_err(got, want):
@@ -128,6 +129,18 @@ def test_2d_product_data_factorize():
     assert rel_err(u.values, exact) < 1e-8
 
 
+def test_2d_grid_data_evolve_to_the_gaussian_product():
+    s, t = 0.5, 0.1
+    x = grid_nodes(-6.0, 6.0, 1.0 / 16)
+    gf = GridFunction(values=np.outer(gauss_kernel(x, s), gauss_kernel(x, s)),
+                      extent=((-6.0, 6.0), (-6.0, 6.0)),
+                      growth_a=float(gauss_kernel(0.0, s)) ** 2)
+    u = heat_evolve_free(gf, t, ((-2.0, 2.0, 1.0 / 16), (-2.0, 2.0, 1.0 / 16)))
+    a, b = u.axes()
+    # the datum's interpolation error dominates; value_error leaves it out
+    assert rel_err(u.values, np.outer(gauss_kernel(a, s + t), gauss_kernel(b, s + t))) < 1e-6
+
+
 # -- Dirichlet ----------------------------------------------------------------
 
 
@@ -179,15 +192,73 @@ def test_dirichlet_rectangle_product_eigenfunction():
     assert np.max(np.abs(u.values - exact)) < 1e-8
 
 
-def test_dirichlet_interval_long_time_uses_sine_series():
-    """t >~ 300 L^2 needs over 200 images, so the interval switches to sines."""
+def test_dirichlet_interval_long_time_relaxes_to_the_boundary_value():
+    """t = 400 L^2: a few lattice cells span the whole period of the kernel."""
     dom = DomainSpec.interval(0.0, 0.1, ell=1.0)
     phi = InitialDatum(fn=lambda x: np.abs(x), growth_a=1.0, growth_A=0.0)
     u = heat_evolve_dirichlet(phi, dom, 4.0, (0.0, 0.1, 0.1 / 128))
     assert u.values.size == 129
-    assert u.meta["representation"] == "sine"
     assert u.values[0] == 1.0 and u.values[-1] == 1.0
     assert np.max(np.abs(u.values - 1.0)) <= u.value_error
+
+
+@pytest.mark.parametrize("L", [0.1, 1.0, 8.0])
+@pytest.mark.parametrize("t", [1e-4, 0.05, 4.0])
+def test_dirichlet_kernels_match_the_image_sum(L, t):
+    """Both kernels agree with sum_{|k| <= K} Gauss(s h - 2kL, t) within
+    their rounding bound, on the coarsest lattice the evolution admits
+    (h <= sqrt(t) / 8) and on one four times finer.  The image sum is taken
+    in extended precision, at the exact lattice points s L / M."""
+    ld = np.longdouble
+    M0 = int(np.ceil(8.0 * L / np.sqrt(t)))
+    for M in (M0, 4 * M0):
+        kern, kern_hankel, delta = _dirichlet_kernels(L, t, M)
+        # images up to far beyond exp(-60) of the peak, for x in [-2L, 2L]
+        K = int(np.ceil(np.sqrt(240.0 * t) / (2.0 * L))) + 2
+        shifts = 2 * ld(L) * np.arange(-K, K + 1, dtype=ld)
+        for got, s in ((kern, np.arange(-M, M + 1)), (kern_hankel, np.arange(2 * M + 1))):
+            x = s.astype(ld) * ld(L) / M
+            want = (np.exp(-(x[:, None] - shifts) ** 2 / (4 * ld(t))).sum(axis=1)
+                    / np.sqrt(4 * np.pi * ld(t)))
+            assert got.shape == s.shape
+            assert float(np.max(np.abs(got - want))) <= delta, (M, s.size)
+
+
+def test_rectangle_grid_data_evolve_to_the_sine_product():
+    t = 0.05
+    x, y = np.linspace(0.0, 2.0, 129), np.linspace(0.0, 1.0, 129)
+    gf = GridFunction(values=np.outer(np.sin(np.pi * x / 2), np.sin(np.pi * y)),
+                      extent=((0.0, 2.0), (0.0, 1.0)))
+    u = heat_evolve_dirichlet(gf, DomainSpec.rectangle(((0.0, 2.0), (0.0, 1.0))), t)
+    a, b = u.axes()
+    exact = np.exp(-1.25 * np.pi ** 2 * t) * np.outer(np.sin(np.pi * a / 2), np.sin(np.pi * b))
+    assert u.values.shape == (129, 129)
+    assert rel_err(u.values, exact) < 1e-7
+
+
+_UNIT_SQUARE = DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("domain, out_grid", [
+    (DomainSpec.interval(0.0, 1.0), (0.0, 0.5, 1.0 / 8)),
+    (_UNIT_SQUARE, ((0.0, 0.5, 1.0 / 8), (0.0, 1.0, 1.0 / 8))),
+    (_UNIT_SQUARE, ((0.0, 1.0, 1.0 / 8), (0.25, 3.0, 1.0 / 8))),
+], ids=["interval", "rectangle_axis_0", "rectangle_axis_1"])
+def test_box_out_grid_must_span_the_domain(domain, out_grid):
+    phi = _SIN if domain.n == 1 else _SIN2
+    with pytest.raises(ValueError, match="out_grid must span"):
+        heat_evolve_dirichlet(phi, domain, 0.05, out_grid)
+
+
+@pytest.mark.parametrize("domain, phi, out_grid", [
+    (DomainSpec.interval(0.0, 1.0),
+     InitialDatum(fn=lambda x: 1.0 / (x - 0.5)), (0.0, 1.0, 1.0 / 8)),
+    (_UNIT_SQUARE, InitialDatum(fn=lambda x, y: 1.0 / (x - 0.5) + 0.0 * y),
+     ((0.0, 1.0, 1.0 / 8), (0.0, 1.0, 1.0 / 8))),
+], ids=["interval", "rectangle"])
+def test_box_refuses_unbounded_data(domain, phi, out_grid):
+    with np.errstate(divide="ignore"), pytest.raises(DomainError, match="bounded"):
+        heat_evolve_dirichlet(phi, domain, 0.05, out_grid)
 
 
 # -- every path ---------------------------------------------------------------
@@ -200,30 +271,34 @@ _SIN2 = InitialDatum(fn=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
 _G8 = (0.0, 1.0, 1.0 / 8)
 
 
-@pytest.mark.parametrize("evolve, method", [
-    (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 16)), "direct"),
-    (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 2048)), "fft"),
-    (lambda: heat_evolve_free(_SIN2, 0.05, (_G8, _G8)), "matrix"),
-    (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 1.0), 0.05, _G8),
-     "direct"),
-    (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 1.0), 0.05,
-                                   (0.0, 1.0, 1.0 / 2048)), "fft"),
+_META_KEYS = {"t", "quad_error", "roundoff_error", "kernel_method", "lattice_factor",
+              "converged", "tail_bound", "inherited_error"}
+_BOX = DomainSpec.interval(0.0, 1.0)
+
+
+# kernel_rounds: the kernel samples carry a rounding bound (box domains)
+@pytest.mark.parametrize("evolve, method, kernel_rounds", [
+    (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 16)), "direct", False),
+    (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 2048)), "fft", False),
+    (lambda: heat_evolve_free(_SIN2, 0.05, (_G8, _G8)), "matrix", False),
+    (lambda: heat_evolve_dirichlet(_SIN, _BOX, 0.05, _G8), "direct", True),
+    (lambda: heat_evolve_dirichlet(_SIN, _BOX, 0.05, (0.0, 1.0, 1.0 / 2048)), "fft", True),
     (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 0.1), 4.0,
-                                   (0.0, 0.1, 0.1 / 16)), "sine"),
+                                   (0.0, 0.1, 0.1 / 16)), "direct", True),
     (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.half_line(), 0.05,
-                                   (0.0, 2.0, 1.0 / 8)), "direct"),
+                                   (0.0, 2.0, 1.0 / 8)), "direct", False),
     (lambda: heat_evolve_dirichlet(_SIN2, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))),
-                                   0.05, (_G8, _G8)), "matrix"),
+                                   0.05, (_G8, _G8)), "matrix", True),
 ], ids=["free_1d", "free_1d_fft", "free_2d", "interval", "interval_fft",
         "interval_sine", "half_line", "rectangle"])
-def test_every_path_records_the_same_meta(evolve, method):
+def test_every_path_records_the_same_meta(evolve, method, kernel_rounds):
     u = evolve()
-    assert {"t", "quad_error", "roundoff_error", "kernel_method", "lattice_factor",
-            "converged", "inherited_error"} <= set(u.meta)
+    assert set(u.meta) == _META_KEYS
     assert u.meta["t"] in (0.05, 4.0)
     assert u.meta["kernel_method"] == method
     assert u.meta["converged"]
-    assert (method in ("fft", "matrix")) == (u.meta["roundoff_error"] > 0)
+    assert (method in ("fft", "matrix") or kernel_rounds) == (u.meta["roundoff_error"] > 0)
+    assert (u.meta["tail_bound"] == 0.0) == kernel_rounds
     assert u.meta["quad_error"] + u.meta["roundoff_error"] <= u.value_error
     assert u.meta["lattice_factor"] >= 2
 
