@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heatflow import (GridFunction, InitialDatum, _truncation_radius,
+from .heatflow import (GridFunction, InitialDatum, _truncation_window,
                        fit_growth_envelope, heat_evolve_free)
 from .numerics import DomainError
 
@@ -412,7 +412,8 @@ def hunt_violation(F, phi, times, window, refine=3, plan=None, n_base=257,
     while genuine violations persist.  Returns (certificate, t_first) with
     t_first the earliest time whose violation is stable, else (worst
     certificate seen, None).  Pass a list as `history` to collect one record
-    per (time, refinement level) actually run.
+    per (time, refinement level) actually run, with the evolution's
+    converged, quad_error and lattice_factor.
     """
     if plan is None:
         plan = SamplingPlan()
@@ -427,7 +428,9 @@ def hunt_violation(F, phi, times, window, refine=3, plan=None, n_base=257,
             cert = check_F_convex(u, F, plan, significance_factor)
             if history is not None:
                 history.append({"t": float(t), "level": level, "h": h,
-                                "certificate": cert})
+                                "certificate": cert,
+                                **{k: u.meta[k] for k in
+                                   ("converged", "quad_error", "lattice_factor")}})
             if prev is not None:
                 same_sig = prev.significant == cert.significant
                 if same_sig and not cert.significant:
@@ -564,15 +567,12 @@ def check_envelope_comparison(F, phi, lam, t, window, h, eps_tail=1e-10):
         phi_d = InitialDatum(fn=phi, growth_a=a_fit, growth_A=A_fit)
 
     # W0 is defined by grid values, so its construction window must already
-    # cover the quadrature reach of the evolution to time t.  Replicate the
-    # evolver's truncation radius and pad by whole cells.
-    a_g, A_g = phi_d.growth_a, phi_d.growth_A
-    shrink = 1.0 - 4.0 * A_g * t
-    if shrink <= 0:
+    # cover the quadrature reach of the evolution to time t: the evolver's
+    # truncation radius, padded by whole cells.
+    if 4.0 * phi_d.growth_A * t >= 1.0:
         raise DomainError("growth certificate leaves no existence window at t")
-    x_max = max(abs(lo), abs(hi))
-    u_scale = a_g * shrink ** -0.5 * np.exp(min(700.0, A_g * x_max * x_max / shrink))
-    R = _truncation_radius(a_g, A_g, t, x_max, eps_tail * max(1.0, u_scale))
+    *_, R = _truncation_window(phi_d.growth_a, phi_d.growth_A, t,
+                               max(abs(lo), abs(hi)), 1, eps_tail)
     pad_cells = int(np.ceil(R / h)) + 2
     xp = np.linspace(lo - pad_cells * h, hi + pad_cells * h, n + 2 * pad_cells)
     inner = slice(pad_cells, pad_cells + n)

@@ -77,6 +77,15 @@ def _evolve(cfg, phi, t):
     return heat_evolve_dirichlet(phi, cfg.domain, t, (a, b, h))
 
 
+def _warn_unconverged(where, rec):
+    """stderr warning for an evolution whose refinement missed quad_tol;
+    rec is its meta or a hunt record, both carry the same three keys."""
+    if not rec["converged"]:
+        print(f"warning: {where}: evolution did not converge (quad_error "
+              f"{rec['quad_error']:.3g} at lattice_factor "
+              f"{rec['lattice_factor']})", file=sys.stderr)
+
+
 def _require_transforms(cfg):
     if not cfg.transforms:
         raise ConfigError("config lists no transforms")
@@ -114,10 +123,7 @@ def cmd_evolve(cfg):
                         "growth_a": u.growth_a, "growth_A": u.growth_A,
                         "converged": u.meta["converged"]})
         print(f"t={t:g}: wrote {fname} (value_error {u.value_error:.3g})")
-        if not u.meta["converged"]:
-            print(f"warning: t={t:g}: evolution did not converge (quad_error "
-                  f"{u.meta['quad_error']:.3g} at lattice_factor "
-                  f"{u.meta['lattice_factor']})", file=sys.stderr)
+        _warn_unconverged(f"t={t:g}", u.meta)
     _write_meta(cfg, "evolve", "evolve_meta.json", {"results": results})
     return EXIT_OK
 
@@ -139,6 +145,7 @@ def cmd_verify(cfg):
         _check_schedule(phi, cfg.times)
         for t in cfg.times:
             u = _evolve(cfg, phi, t)
+            _warn_unconverged(f"{F.label} t={t:g}", u.meta)
             cert = check_F_convex(u, F, cfg.plan, cfg.significance_factor)
             worst = cert.worst
             any_significant |= cert.significant
@@ -175,6 +182,7 @@ def cmd_hunt(cfg):
             significance_factor=cfg.significance_factor)
         lines = ["t,level,h,status,gap,noise_floor,significant"]
         for rec in history:
+            _warn_unconverged(f"{F.label} t={rec['t']:g} level {rec['level']}", rec)
             c = rec["certificate"]
             gap = c.worst.gap if c.worst is not None else np.nan
             lines.append(f"{rec['t']:.17g},{rec['level']},{rec['h']:.17g},"

@@ -6,10 +6,11 @@ Data are represented on uniform grids with a certified Gaussian growth bound
 
 Every evolution is one operation: Simpson-weighted samples of the datum on a
 lattice H/m (H the output spacing) are convolved with a sampled kernel and
-read off at every m-th node.  Free space uses the Gaussian heat kernel; the
-Dirichlet domains subtract a Hankel (reflected) term from a Toeplitz term,
-both sampled from the Gaussian on the half line and, on a box (interval or
-rectangle), from the periodic image sum, which one inverse FFT of its
+read off at every m-th node.  Free space uses the Gaussian heat kernel.  The
+Dirichlet domains reflect the samples instead of the kernel (the method of
+images): along each axis the samples from the wall are extended oddly across
+it and convolved with one kernel, the Gaussian on the half line and, on a box
+(interval or rectangle), the periodic image sum, which one inverse FFT of its
 closed-form spectrum gives per axis.  Long 1D convolutions run as blocked
 FFTs with a roundoff bound, short ones (and data whose bound is too large)
 as direct sums; 2D data apply the decimated operator matrix of each axis,
@@ -348,18 +349,26 @@ def _resolve_datum(phi, dim):
     raise TypeError("phi must be a GridFunction or an InitialDatum")
 
 
-def _truncation_radius(a, A, t, x_max, eps_abs):
-    """Radius R with the closed-form Gaussian tail of the convolution <= eps_abs."""
-    beta = 1.0 / (4.0 * t) - A
-    mu = A * x_max / beta
+def _truncation_window(a, A, t, x_max, dim, eps_tail):
+    """Growth and truncation of a free-space evolution to time t of data
+    |phi| <= a exp(A |x|^2), read off within |x| <= x_max.
+
+    Returns (shrink, gain, eps_abs, R): the evolved data are bounded by
+    gain exp(A |x|^2 / shrink), shrink = 1 - 4 A t; eps_abs is eps_tail
+    relative to that bound at x_max; and R is the radius where the
+    closed-form Gaussian tail of each axis' convolution drops below
+    eps_abs / dim, the tail budget split evenly between the axes.
+    """
+    shrink = 1.0 - 4.0 * A * t
+    gain = a * shrink ** -0.5 if dim == 1 else a / shrink  # a shrink^(-dim/2)
+    u_scale = gain * np.exp(min(700.0, dim * A * x_max * x_max / shrink))
+    eps_abs = eps_tail * max(1.0, u_scale)
+    eps_axis, beta = eps_abs / dim, 1.0 / (4.0 * t) - A
     pref = (a / np.sqrt(4 * np.pi * t) * np.sqrt(np.pi / beta)
             * np.exp(min(700.0, A * x_max * x_max * (1.0 + A / beta))))
-    if pref <= eps_abs:
-        u = 0.0
-    else:
-        u = np.sqrt(np.log(pref / eps_abs))
-    R = mu + u / np.sqrt(beta)
-    return max(R, 4.0 * np.sqrt(4.0 * t))
+    u = np.sqrt(np.log(pref / eps_axis)) if pref > eps_axis else 0.0
+    R = A * x_max / beta + u / np.sqrt(beta)
+    return shrink, gain, eps_abs, max(R, 4.0 * np.sqrt(4.0 * t))
 
 
 _EDGE_NUDGE = 1e-9
@@ -441,36 +450,30 @@ def _valid(f, g):
     return out.ravel()[:n_out], np.repeat(bound, B)[:n_out]
 
 
-def _kernel_apply(psi, m, n, kern, kern_hankel=None, tol=np.inf):
-    """n outputs, at every m-th node, of the valid sums sum_j kern[q - j] psi[j].
+def _kernel_apply(psi, m, kern, tol=np.inf):
+    """The valid sums sum_j kern[q - j] psi[j] at every m-th output q.
 
-    With a Hankel kernel the sums sum_j kern_hankel[q + j] psi[j] are
-    subtracted: the reflected images of a Dirichlet boundary.  Returns
-    (u, roundoff, method).  Long operands go through the blocked FFT, whose
-    roundoff is max(bound / (1 + |u|)) over the outputs; where that exceeds
-    tol, and for short operands, the sums are taken directly (roundoff 0:
-    the pointwise rounding of direct sums is the reference).
+    Free space and the Dirichlet domains both come here: a Dirichlet axis
+    passes its samples already reflected (odd), so its images need no
+    kernel of their own.  Returns (u, roundoff, method).  Long operands go
+    through the blocked FFT, whose roundoff is max(bound / (1 + |u|)) over
+    the outputs; where that exceeds tol, and for short operands, the sums
+    are taken directly (roundoff 0: the pointwise rounding of direct sums is
+    the reference).
     """
     if min(psi.size, kern.size) >= _FFT_MIN_LEN:
-        need = (n - 1) * m + 1
-        u, bound = _valid(psi, kern[:need + psi.size - 1])
-        if kern_hankel is not None:
-            u_h, bound_h = _valid(kern_hankel, psi[::-1])
-            u, bound = u - u_h, bound + bound_h
+        u, bound = _valid(psi, kern)
         u = u[::m]
         roundoff = float(np.max(bound[::m] / (1.0 + np.abs(u))))
         if roundoff <= tol:
             return u, roundoff, "fft"
-    u = np.convolve(psi, kern, mode="valid")[::m][:n]
-    if kern_hankel is not None:
-        u = u - np.correlate(kern_hankel, psi, mode="valid")[::m][:n]
-    return u, 0.0, "direct"
+    return np.convolve(psi, kern, mode="valid")[::m], 0.0, "direct"
 
 
-def _kernel_matrix(N, m, n, kern, kern_hankel=None):
+def _kernel_matrix(N, m, n, kern):
     """The n x N matrix of _kernel_apply on length-N data, already decimated:
-    Toeplitz rows kern[q + s - j] (s = min(N, K) - 1, K = kern.size) minus
-    Hankel rows kern_hankel[q + j], for q = 0, m, ..., (n - 1) m.
+    rows kern[q + s - j] (s = min(N, K) - 1, K = kern.size) for
+    q = 0, m, ..., (n - 1) m, as a strided view of one reversed kernel.
 
     Row i is a window of the reversed kernel placed at z0 = s + (n - 1) m,
     starting (n - 1 - i) m nodes in.
@@ -479,10 +482,7 @@ def _kernel_matrix(N, m, n, kern, kern_hankel=None):
     lo = max(0, z0 - kern.size + 1)
     rev = np.zeros((n - 1) * m + N)
     rev[lo:z0 + 1] = kern[z0 - lo::-1]
-    mat = sliding_window_view(rev, N)[(n - 1) * m::-m]
-    if kern_hankel is None:
-        return mat.copy()
-    return mat - sliding_window_view(kern_hankel, N)[::m][:n]
+    return sliding_window_view(rev, N)[(n - 1) * m::-m]
 
 
 def _separable(vals, w0, w1, mat0, mat1, kern_err=(0.0, 0.0)):
@@ -493,9 +493,10 @@ def _separable(vals, w0, w1, mat0, mat1, kern_err=(0.0, 0.0)):
     error of output (i, j) stays below gamma |A_i|_2 (|B| c)_j, A and B the
     weighted matrices and c the column norms of vals.  The factor 2 in gamma
     covers the direct sums this replaces.  kern_err bounds, per axis, the
-    error delta of each kernel sample; a row of A then errs by at most
-    d_0 = 2 delta_0 max|w0| in 2-norm (a Toeplitz and a Hankel window), one
-    of B by d_1, which adds d_0 (|B| c)_j + d_1 |A_i|_2 |c|_2 to first order.
+    error delta of each kernel sample; a row of a folded Dirichlet matrix
+    is the difference of two kernel windows, so a row of A errs by at most
+    d_0 = 2 delta_0 max|w0| in 2-norm, one of B by d_1, which adds
+    d_0 (|B| c)_j + d_1 |A_i|_2 |c|_2 to first order.
     """
     a0, a1 = mat0 * w0, mat1 * w1
     u = (a0 @ vals) @ a1.T
@@ -584,13 +585,8 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     grids = (out_grid,) if dim == 1 else tuple(out_grid)
     ns = [grid_nodes(lo, hi, h).size for lo, hi, h in grids]
     Hs = [(hi - lo) / (n - 1) for (lo, hi, _), n in zip(grids, ns)]
-    shrink = 1.0 - 4.0 * A * t
     x_max = max(max(abs(lo), abs(hi)) for lo, hi, _ in grids)
-    gain = a * shrink ** -0.5 if dim == 1 else a / shrink  # a shrink^(-dim/2)
-    u_scale = gain * np.exp(min(700.0, dim * A * x_max * x_max / shrink))
-    eps_abs = eps_tail * max(1.0, u_scale)
-    # the tail budget is split evenly between the axes
-    R = _truncation_radius(a, A, t, x_max, eps_abs / dim)
+    shrink, gain, eps_abs, R = _truncation_window(a, A, t, x_max, dim, eps_tail)
     margins = [int(np.ceil(R / H)) for H in Hs]
 
     def one_pass(m):
@@ -606,7 +602,7 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
             _check_window(axes, extent)
         if dim == 1:
             psi = _piece_weighted_values(sample, axes[0], edges[0], Hs[0] / m)
-            return _kernel_apply(psi, m, ns[0], kerns[0], tol=quad_tol / 100.0)
+            return _kernel_apply(psi, m, kerns[0], tol=quad_tol / 100.0)
         w0, w1 = (piecewise_simpson_weights(y, e) for y, e in zip(axes, edges))
         return _separable(sample(*axes), w0, w1, *(
             _kernel_matrix(y.size, m, n, k) for y, n, k in zip(axes, ns, kerns)))
@@ -630,29 +626,21 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
 
 
 def _dirichlet_kernels(L, t, M):
-    """Toeplitz (s = -M..M) and Hankel (s = 0..2M) samples Theta(s h),
-    h = L / M, of the 2L-periodic image sum Theta(x) = sum_k Gauss(x - 2kL, t),
-    and a bound delta on the error of each sample.
+    """Samples Theta(s h), s = -M..2M and h = L / M, of the 2L-periodic image
+    sum Theta(x) = sum_k Gauss(x - 2kL, t), and a bound delta on their error.
 
     By Poisson summation Theta(x) = sum_n exp(-t (pi n / L)^2)
     cos(pi n x / L) / (2L), so one inverse real FFT of length 2M of
     lambda_k = exp(-t (pi k / L)^2) / h, k = 0..M, samples a period.  The
     aliased terms |n| >= M are each below exp(-t pi^2 / h^2) / h, so below
     exp(-64 pi^2) / h, because _start_factor keeps h <= sqrt(t) / 8.
-    delta = eps log2(2M) |theta|_2 is the normwise rounding bound of the FFT.
+    delta = eps log2(2M) |theta|_2 is the normwise rounding bound of the FFT
+    over one period.
     """
     k = np.arange(M + 1)
     theta = np.fft.irfft(np.exp(-t * (np.pi * k / L) ** 2) / (L / M), 2 * M)
     delta = np.finfo(float).eps * np.log2(2 * M) * float(np.linalg.norm(theta))
-    return np.concatenate((theta[M:], theta[:M + 1])), np.append(theta, theta[0]), delta
-
-
-def _probe_bound(values):
-    """max |values|, refusing data that are unbounded on the domain."""
-    probe = np.abs(values)
-    if not np.all(np.isfinite(probe)):
-        raise DomainError("datum must be bounded on the domain")
-    return float(np.max(probe))
+    return np.concatenate((theta[M:], theta, theta[:1])), delta
 
 
 def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
@@ -660,15 +648,18 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     """Evolve phi holding the boundary at domain.ell, by the method of images.
 
     phi: GridFunction on the domain, or InitialDatum.  The complement
-    v0 = ell - phi has zero boundary data and is evolved with a Toeplitz
-    kernel minus its Hankel reflection: on the half line the Gaussian, cut
-    where its tail drops below eps_tail (tail_bound); on a box (interval or
-    rectangle) the periodic image sum of each axis (_dirichlet_kernels),
-    whose rounding joins roundoff_error (tail_bound 0).  out_grid is
-    (lo, hi, h) per axis; on a box it must span the domain, and grid data
-    may leave it None.  Data of the wrong dimension raise ValueError, data
-    unbounded on the domain DomainError.  Boundary nodes of the result are
-    exact.  Refinement, the node budget and meta are as in heat_evolve_free.
+    v0 = ell - phi has zero boundary data.  Along each axis its weighted
+    samples psi, taken on a lattice from the lower wall, are reflected
+    oddly across that wall (psi[-j] = -psi[j]; the wall sample, which
+    cancels against its own image, is 0) and convolved with one kernel: on
+    the half line the Gaussian, cut where its tail drops below eps_tail
+    (tail_bound); on a box (interval or rectangle) the periodic image sum
+    (_dirichlet_kernels), whose rounding joins roundoff_error (tail_bound
+    0).  out_grid is (lo, hi, h) per axis, from the lower wall to the upper
+    wall where that is finite; grid data on a box may leave it None.  Data
+    of the wrong dimension raise ValueError, data unbounded on the domain
+    DomainError.  Boundary nodes of the result are exact.  Refinement, the
+    node budget and meta are as in heat_evolve_free.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -682,80 +673,73 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
         return ell - sample(*ax)
 
     if out_grid is None:
-        if domain.kind == "half_line":
-            raise ValueError("out_grid required on the half line")
-        if not isinstance(phi, GridFunction):
-            raise ValueError("out_grid required for callable data")
-
-    if domain.kind == "half_line":
-        lo, hi, H_req = out_grid
-        if abs(lo) > 1e-12:
-            raise ValueError("half-line out_grid must start at 0")
-        x = grid_nodes(lo, hi, H_req)
-        Hs, extent, tail = (x[1] - x[0],), ((lo, hi),), eps_tail
-        u0_bound = _probe_bound(u0(np.linspace(0, hi + 8 * np.sqrt(t), 257)))
-        R = (2.0 * np.sqrt(t * np.log(max(u0_bound, 1.0) / eps_tail))
-             + 4 * np.sqrt(t))
-        # ceil(R / h) <= ceil(R / H) m bounds the lattice from above
-        cells = [x.size - 1 + int(np.ceil(R / Hs[0]))]
-
-        def one_pass(m):
-            h = Hs[0] / m
-            M = (x.size - 1) * m + int(np.ceil(R / h)) + 1
-            y = h * np.arange(M)
-            psi = _piece_weighted_values(u0, y, _snap_edges(0.0, h, M, brk[0]), h)
-            return _kernel_apply(
-                psi, m, x.size, gauss_kernel(h * np.arange(-(M - 1), M), t),
-                gauss_kernel(h * np.arange(0, (x.size - 1) * m + M), t),
-                tol=quad_tol / 100.0)
-
+        if domain.kind == "half_line" or not isinstance(phi, GridFunction):
+            raise ValueError("out_grid required on the half line and for callable data")
+        ns, extent = phi.values.shape, domain.bounds
     else:
-        extent, tail = domain.bounds, 0.0
-        if out_grid is None:
-            ns = phi.values.shape
-        else:
-            grids = (out_grid,) if dim == 1 else tuple(out_grid)
-            for (lo, hi, _), (a, b) in zip(grids, extent):
-                if abs(lo - a) > 1e-12 or abs(hi - b) > 1e-12:
-                    raise ValueError(f"out_grid must span the {domain.kind}")
-            ns = tuple(grid_nodes(*g).size for g in grids)
-        # a monotone-cubic interpolant stays within its data, so grid data
-        # are probed at their nodes, callables on 257 nodes per axis
-        _probe_bound(phi.values if isinstance(phi, GridFunction) else
-                     u0(*(np.linspace(lo, hi, 257) for lo, hi in extent)))
-        Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
-        cells = [n - 1 for n in ns]
+        grids = (out_grid,) if dim == 1 else tuple(out_grid)
+        for (lo, hi, _), (a, b) in zip(grids, domain.bounds):
+            if abs(lo - a) > 1e-12 or (np.isfinite(b) and abs(hi - b) > 1e-12):
+                raise ValueError(f"out_grid must span the {domain.kind}, from "
+                                 "its lower wall to its upper wall if finite")
+        ns = tuple(grid_nodes(*g).size for g in grids)
+        extent = tuple((a, b if np.isfinite(b) else g[1])
+                       for g, (a, b) in zip(grids, domain.bounds))
+    Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
+    walls = tuple(b for _, b in domain.bounds)
+    # a monotone-cubic interpolant stays within its data, so grid data are
+    # probed at their nodes, callables on 257 nodes per axis (on the half
+    # line out to 8 sqrt(t) beyond the last output)
+    probe = np.abs(ell - phi.values if isinstance(phi, GridFunction) else u0(*(
+        np.linspace(lo, hi if np.isfinite(b) else hi + 8 * np.sqrt(t), 257)
+        for (lo, hi), b in zip(extent, walls))))
+    if not np.all(np.isfinite(probe)):
+        raise DomainError("datum must be bounded on the domain")
+    if domain.kind == "half_line":
+        R = (2.0 * np.sqrt(t * np.log(max(float(np.max(probe)), 1.0) / eps_tail))
+             + 4 * np.sqrt(t))
+        # the lattice runs ceil(R / H) cells beyond the last output
+        margin, tail = int(np.ceil(R / Hs[0])), eps_tail
+    else:
+        margin, tail = 0, 0.0
 
-        def one_pass(m):
-            axes, edges, kerns, deltas = [], [], [], []
-            for (lo, hi), H, n, b in zip(extent, Hs, ns, brk):
-                h = H / m
-                M = (n - 1) * m
-                y = lo + h * np.arange(M + 1)
-                axes.append(y)
-                edges.append(_snap_edges(lo, h, M + 1, b))
-                *kern, delta = _dirichlet_kernels(hi - lo, t, M)
-                kerns.append(kern)
-                deltas.append(delta)
-            if dim == 1:
-                psi = _piece_weighted_values(u0, axes[0], edges[0], Hs[0] / m)
-                u, roundoff, method = _kernel_apply(psi, m, ns[0], *kerns[0],
-                                                    tol=quad_tol / 100.0)
-                # kernel errors e move each output by at most
-                # (|e_Toeplitz|_2 + |e_Hankel|_2) |psi|_2 <= 2 delta |psi|_2
-                kern_err = 2.0 * deltas[0] * float(np.linalg.norm(psi))
-                return u, roundoff + kern_err / (1.0 + float(np.min(np.abs(u)))), method
-            w0, w1 = (piecewise_simpson_weights(y, e) for y, e in zip(axes, edges))
-            return _separable(u0(*axes), w0, w1, *(
-                _kernel_matrix(y.size, m, n, *k) for y, n, k in zip(axes, ns, kerns)),
-                deltas)
+    def axis(m, lo, hi, wall, H, n, b):
+        """Lattice, snapped edges, kernel, delta and reflection length p."""
+        h = H / m
+        y = lo + h * np.arange((n - 1 + margin) * m + 1)
+        if np.isinf(wall):  # the Gaussian, reflected as far as it reaches
+            p = margin * m
+            kern, delta = gauss_kernel(h * np.arange(-p, p + 1), t), 0.0
+        else:  # the periodic image sum, reflected across the whole box
+            p = y.size - 1
+            kern, delta = _dirichlet_kernels(hi - lo, t, p)
+        return y, _snap_edges(lo, h, y.size, b), kern, delta, p
+
+    def one_pass(m):
+        axes, edges, kerns, deltas, refl = zip(*(
+            axis(m, lo, hi, *rest) for (lo, hi), *rest in zip(extent, walls, Hs, ns, brk)))
+        if dim == 1:
+            psi = _piece_weighted_values(u0, axes[0], edges[0], Hs[0] / m)
+            psi[0] = 0.0
+            psi = np.concatenate((-psi[refl[0]:0:-1], psi))
+            u, roundoff, method = _kernel_apply(psi, m, kerns[0], tol=quad_tol / 100.0)
+            # kernel errors e repeat with the period, and the images at +-p
+            # meet the same error with opposite signs, so each output moves
+            # by at most |e|_2 |psi|_2 <= delta |psi|_2 over one period
+            kern_err = deltas[0] * float(np.linalg.norm(psi))
+            return u, roundoff + kern_err / (1.0 + float(np.min(np.abs(u)))), method
+        w0, w1 = (piecewise_simpson_weights(y, e) for y, e in zip(axes, edges))
+        # the matrix on odd data, folded onto the samples from the wall
+        full = [_kernel_matrix(y.size + p, m, n, k)
+                for y, n, k, p in zip(axes, ns, kerns, refl)]
+        return _separable(u0(*axes), w0, w1, *(
+            f[:, p:] - f[:, p::-1] for f, p in zip(full, refl)), deltas)
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
-                     max_refine, cells)
+                     max_refine, [n - 1 + margin for n in ns])
     vals = ell - u
-    for k, (_, hi) in enumerate(domain.bounds):
-        ends = (0,) if np.isinf(hi) else (0, -1)
-        for e in ends:
+    for k, b in enumerate(walls):
+        for e in ((0,) if np.isinf(b) else (0, -1)):
             vals[(slice(None),) * k + (e,)] = ell
     bound = float(np.max(np.abs(vals)))
     return GridFunction(values=vals, extent=extent,

@@ -127,6 +127,24 @@ def test_unconverged_evolution_warns_and_is_recorded(tmp_path, monkeypatch, caps
     assert meta["results"][0]["converged"] is False
 
 
+def test_verify_and_hunt_warn_on_unconverged_evolutions(tmp_path, monkeypatch, capsys):
+    from heatconvex import heatflow
+
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 1)
+    cfg = write_config(tmp_path, VERIFY_OK_CFG)
+    assert entry(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    err = capsys.readouterr().err
+    assert "warning: power[0] t=0.05: evolution did not converge (quad_error inf" in err
+    assert "warning: power[0] t=0.1: evolution did not converge" in err
+
+    cfg = write_config(tmp_path, HUNT_CFG, name="hunt.cfg")
+    assert entry(["hunt", "--config", cfg, "--out", str(tmp_path / "h")]) == 0
+    err = capsys.readouterr().err
+    assert "warning: power[1.5] t=0.05 level 0: evolution did not converge" in err
+    assert "# no stable significant violation found" in (
+        tmp_path / "h" / "hunt_power_1.5.csv").read_text()
+
+
 def test_verify_clean_run_exits_zero(tmp_path):
     cfg = write_config(tmp_path, VERIFY_OK_CFG)
     out = tmp_path / "res"

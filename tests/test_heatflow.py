@@ -180,6 +180,30 @@ def test_dirichlet_half_line_odd_extension():
     assert np.max(np.abs(u.values - x)) < 1e-9
 
 
+def test_dirichlet_half_line_step_with_a_boundary_jump():
+    """ell - phi(0) = 1: the odd reflection of v0 = 1{x < 1} jumps at the wall."""
+    t = 0.05
+    phi = InitialDatum(fn=lambda x: (np.asarray(x, float) > 1.0).astype(float),
+                       breakpoints=(1.0,))
+    u = heat_evolve_dirichlet(phi, DomainSpec.half_line(ell=1.0), t, (0.0, 3.0, 1.0 / 64))
+    x, s = u.axes()[0], 2.0 * np.sqrt(t)
+    exact = (1.0 - 0.5 * (erf(x / s) - erf((x - 1.0) / s))
+             + 0.5 * (erf((x + 1.0) / s) - erf(x / s)))
+    assert u.values[0] == 1.0
+    assert rel_err(u.values, exact) < 1e-9
+
+
+def test_dirichlet_half_line_grid_data():
+    """x exp(-x^2 / 2) is odd, so the half line evolves it as free space does."""
+    t, t0 = 0.1, 0.5
+    xs = np.linspace(0.0, 10.0, 1281)
+    gf = GridFunction(values=xs * np.exp(-xs ** 2 / (4 * t0)), extent=((0.0, 10.0),))
+    u = heat_evolve_dirichlet(gf, DomainSpec.half_line(), t, (0.0, 4.0, 1.0 / 32))
+    x = u.axes()[0]
+    exact = x * (t0 / (t0 + t)) ** 1.5 * np.exp(-x ** 2 / (4 * (t0 + t)))
+    assert rel_err(u.values, exact) < 1e-8
+
+
 def test_dirichlet_rectangle_product_eigenfunction():
     dom = DomainSpec.rectangle(((0.0, np.pi), (0.0, np.pi)), ell=0.0)
     phi = InitialDatum(fn=lambda x, y: np.sin(x) * np.sin(y),
@@ -205,23 +229,53 @@ def test_dirichlet_interval_long_time_relaxes_to_the_boundary_value():
 @pytest.mark.parametrize("L", [0.1, 1.0, 8.0])
 @pytest.mark.parametrize("t", [1e-4, 0.05, 4.0])
 def test_dirichlet_kernels_match_the_image_sum(L, t):
-    """Both kernels agree with sum_{|k| <= K} Gauss(s h - 2kL, t) within
-    their rounding bound, on the coarsest lattice the evolution admits
+    """The kernel on s = -M..2M agrees with sum_{|k| <= K} Gauss(s h - 2kL, t)
+    within its rounding bound, on the coarsest lattice the evolution admits
     (h <= sqrt(t) / 8) and on one four times finer.  The image sum is taken
     in extended precision, at the exact lattice points s L / M."""
     ld = np.longdouble
     M0 = int(np.ceil(8.0 * L / np.sqrt(t)))
     for M in (M0, 4 * M0):
-        kern, kern_hankel, delta = _dirichlet_kernels(L, t, M)
-        # images up to far beyond exp(-60) of the peak, for x in [-2L, 2L]
+        kern, delta = _dirichlet_kernels(L, t, M)
+        # images up to far beyond exp(-60) of the peak, for x in [-L, 2L]
         K = int(np.ceil(np.sqrt(240.0 * t) / (2.0 * L))) + 2
         shifts = 2 * ld(L) * np.arange(-K, K + 1, dtype=ld)
-        for got, s in ((kern, np.arange(-M, M + 1)), (kern_hankel, np.arange(2 * M + 1))):
-            x = s.astype(ld) * ld(L) / M
-            want = (np.exp(-(x[:, None] - shifts) ** 2 / (4 * ld(t))).sum(axis=1)
-                    / np.sqrt(4 * np.pi * ld(t)))
-            assert got.shape == s.shape
-            assert float(np.max(np.abs(got - want))) <= delta, (M, s.size)
+        x = np.arange(-M, 2 * M + 1).astype(ld) * ld(L) / M
+        want = (np.exp(-(x[:, None] - shifts) ** 2 / (4 * ld(t))).sum(axis=1)
+                / np.sqrt(4 * np.pi * ld(t)))
+        assert kern.shape == (3 * M + 1,)
+        assert float(np.max(np.abs(kern - want))) <= delta, M
+
+
+@pytest.mark.parametrize("nodes, m", [(129, 1), (129, 16), (8193, 1), (8193, 16), (None, 1)],
+                         ids=["box_129_m1", "box_129_m16", "box_8193_m1", "box_8193_m16",
+                              "half_line"])
+def test_reflected_sums_equal_toeplitz_minus_hankel(nodes, m):
+    """One kernel on the oddly reflected samples gives the method of images
+    as a Toeplitz sum minus a Hankel sum over the samples from the wall,
+    sum_j psi_j (K(q - j) - K(q + j)), within the reported roundoff plus the
+    kernel's rounding term delta |psi_odd|_2."""
+    if nodes is None:  # half line: the Gaussian underflows to 0 within p nodes
+        h, t, p, n = 1.0 / 128, 0.05, 1600, 257
+        N = (n - 1) * m + p + 1
+        kern, delta = gauss_kernel(h * np.arange(-p, p + 1), t), 0.0
+        toeplitz = gauss_kernel(h * np.arange(-(N - 1), N), t)
+        hankel = gauss_kernel(h * np.arange((n - 1) * m + N), t)
+    else:  # box: the periodic image sum, reflected across the whole box
+        N = nodes
+        p, n = N - 1, (N - 1) // m + 1
+        kern, delta = _dirichlet_kernels(1.0, 0.05, p)
+        toeplitz, hankel = kern[:2 * p + 1], kern[p:]
+    psi = np.random.default_rng(5).standard_normal(N)
+    odd = np.concatenate((-psi[p:0:-1], [0.0], psi[1:]))
+    u, roundoff, method = _kernel_apply(odd, m, kern)
+    outs = (n - 1) * m + 1
+    ref = (np.convolve(psi, toeplitz, mode="valid")[:outs]
+           - np.correlate(hankel, psi, mode="valid"))[::m]
+    assert method == ("fft" if min(odd.size, kern.size) >= 2304 else "direct")
+    assert u.shape == ref.shape == (n,)
+    bound = roundoff * (1.0 + np.abs(u)) + delta * np.linalg.norm(odd)
+    assert np.all(np.abs(u - ref) <= bound)
 
 
 def test_rectangle_grid_data_evolve_to_the_sine_product():
@@ -306,43 +360,34 @@ def test_every_path_records_the_same_meta(evolve, method, kernel_rounds):
 # -- kernel operator -----------------------------------------------------------
 
 
-def _operator_case(N, K, m, n, hankel, seed=3):
-    """Random data psi of length N, a kernel of length K and, for Dirichlet
-    domains, a Hankel kernel long enough for n outputs at stride m."""
+def _operator_case(N, K, m, n, box, seed=3):
+    """Random data psi of length N and a kernel of length K, laid out for n
+    outputs at stride m."""
+    assert (K - N if box else N - K) == (n - 1) * m
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(N)
     kern = np.exp(-np.linspace(-3.0, 3.0, K) ** 2) + 0.1 * rng.random(K)
-    kh = rng.random((n - 1) * m + N) if hankel else None
-    return psi, kern, kh
+    return psi, kern
 
 
-def _direct(psi, m, n, kern, kh):
-    u = np.convolve(psi, kern, mode="valid")[::m][:n]
-    if kh is not None:
-        u = u - np.correlate(kh, psi, mode="valid")[::m][:n]
-    return u
-
-
-# (N, K, m, n, hankel): free space has N = K + (n - 1) m; the Dirichlet
-# Toeplitz kernels are longer than the data (K = 2N - 1, interval and
-# rectangle; the half line reads only its first outputs)
+# (N, K, m, n, box): free space has N = K + (n - 1) m; a Dirichlet box
+# applies a kernel longer than its (reflected) data, K = N + (n - 1) m
 _OPERATOR_CASES = [
     (2305 + 4096, 2305, 1, 4097, False),
     (4609 + 1024 * 4, 4609, 4, 1025, False),
     (6145 + 512 * 16, 6145, 16, 513, False),
     (4097, 8193, 1, 4097, True),
     (8193, 16385, 16, 513, True),
-    (6000, 11999, 2, 1500, True),
     (129, 257, 16, 9, True),
     (97 + 32 * 8, 97, 8, 33, False),
 ]
 
 
-@pytest.mark.parametrize("N, K, m, n, hankel", _OPERATOR_CASES)
-def test_fft_operator_stays_within_its_roundoff_bound(N, K, m, n, hankel):
-    psi, kern, kh = _operator_case(N, K, m, n, hankel)
-    u, roundoff, method = _kernel_apply(psi, m, n, kern, kh)
-    ref = _direct(psi, m, n, kern, kh)
+@pytest.mark.parametrize("N, K, m, n, box", _OPERATOR_CASES)
+def test_fft_operator_stays_within_its_roundoff_bound(N, K, m, n, box):
+    psi, kern = _operator_case(N, K, m, n, box)
+    u, roundoff, method = _kernel_apply(psi, m, kern)
+    ref = np.convolve(psi, kern, mode="valid")[::m]
     assert method == ("fft" if min(N, K) >= 2304 else "direct")
     assert u.shape == (n,)
     assert np.all(np.abs(u - ref) <= roundoff * (1.0 + np.abs(u)))
@@ -350,11 +395,11 @@ def test_fft_operator_stays_within_its_roundoff_bound(N, K, m, n, hankel):
         assert 0.0 < roundoff < 1e-9
 
 
-@pytest.mark.parametrize("N, K, m, n, hankel", _OPERATOR_CASES)
-def test_kernel_matrix_applies_the_operator(N, K, m, n, hankel):
-    psi, kern, kh = _operator_case(N, K, m, n, hankel)
-    u, _, _ = _kernel_apply(psi, m, n, kern, kh)
-    mat = _kernel_matrix(N, m, n, kern, kh)
+@pytest.mark.parametrize("N, K, m, n, box", _OPERATOR_CASES)
+def test_kernel_matrix_applies_the_operator(N, K, m, n, box):
+    psi, kern = _operator_case(N, K, m, n, box)
+    u, _, _ = _kernel_apply(psi, m, kern)
+    mat = _kernel_matrix(N, m, n, kern)
     assert mat.shape == (n, N)
     assert np.max(np.abs(mat @ psi - u) / (1.0 + np.abs(u))) < 1e-12
 
@@ -366,7 +411,7 @@ def test_fast_growing_data_fall_back_to_direct_sums():
     y = h * np.arange(-p, p + n)
     psi = h * np.exp(0.2 * y * y)
     kern = gauss_kernel(h * np.arange(-p, p + 1), 0.5)
-    u, roundoff, method = _kernel_apply(psi, 1, n, kern, tol=1e-11)
+    u, roundoff, method = _kernel_apply(psi, 1, kern, tol=1e-11)
     assert (method, roundoff) == ("direct", 0.0)
     assert np.array_equal(u, np.convolve(psi, kern, mode="valid"))
     A, t = 0.2, 0.5
