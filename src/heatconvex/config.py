@@ -10,14 +10,16 @@ describe a transform or a datum are a registry name followed by inline
     transform = hot a=1
     datum     = counterexample r0=1
     domain    = interval lo=0 hi=1 ell=1
-    grid.lo   = -8
-    grid.hi   = 8
+    grid.lo   = 0
+    grid.hi   = 1
     grid.h    = 0.015625
     flow.times = 0.05,0.1,0.2
     certify.lambda_set = 1/2,1/4
     out       = results
 
-Unknown keys are rejected so typos fail loudly.  Every effective value,
+Unknown keys are rejected so typos fail loudly, and so are ``grid.lo`` and
+``grid.hi`` values other than the walls of an interval domain, which is
+evolved from wall to wall.  Every effective value,
 defaults included, lands in the ``resolved`` mapping that the commands write
 into their metadata records, which keeps runs self-describing.
 """
@@ -324,6 +326,16 @@ def load_config(path, overrides=None):
 
     datum_spec = _inline(raw["datum"]) if "datum" in raw else None
 
+    domain = _build_domain(get("domain"))
+    if domain.kind == "interval":
+        # an interval evolves from wall to wall: a window set elsewhere
+        # would be written to the metadata but not used
+        (a, b), = domain.bounds
+        for key, value, wall in (("grid.lo", lo, a), ("grid.hi", hi, b)):
+            if key in raw and value != wall:
+                raise ConfigError(f"{key} = {value:g} differs from the wall "
+                                  f"{wall:g} of the interval domain")
+
     resolved = {key: get(key) for key in _DEFAULTS}
     resolved["transform"] = list(raw["transform"])
     resolved["datum"] = raw.get("datum", "")
@@ -336,7 +348,7 @@ def load_config(path, overrides=None):
     return ExperimentConfig(
         transforms=transforms,
         datum_spec=datum_spec,
-        domain=_build_domain(get("domain")),
+        domain=domain,
         grid=(lo, hi, h),
         times=tuple(sorted(float(t) for t in times)),
         eps_tail=float(get("flow.eps_tail")),

@@ -10,11 +10,13 @@ read off at every m-th node.  Free space uses the Gaussian heat kernel.  The
 Dirichlet domains reflect the samples instead of the kernel (the method of
 images): along each axis the samples from the wall are extended oddly across
 it and convolved with one kernel, the Gaussian on the half line and, on a box
-(interval or rectangle), the periodic image sum, which one inverse FFT of its
-closed-form spectrum gives per axis.  Long 1D convolutions run as blocked
-FFTs with a roundoff bound, short ones (and data whose bound is too large)
-as direct sums; 2D data apply the decimated operator matrix of each axis,
-as two matrix products.  One refinement loop doubles m until a
+(interval or rectangle), the periodic image sum, whose spectrum has a closed
+form.  The interval multiplies by that spectrum in one FFT of the odd
+period; the rectangle samples the sum per axis by one inverse FFT.  Other
+long 1D convolutions run as blocked FFTs, short ones (and data whose bound
+is too large) as direct sums, and every FFT carries a roundoff bound; 2D
+data apply the decimated operator matrix of each axis, as two matrix
+products.  One refinement loop doubles m until a
 two-grid Richardson comparison meets the requested tolerance or the lattice
 would pass a node budget, and the achieved estimate plus the roundoff bound
 is recorded on the result so downstream certification can build honest
@@ -54,6 +56,10 @@ __all__ = [
 
 EXISTENCE_MARGIN = 0.05
 
+# rows per % operation of GridFunction.to_csv, so the strings built at once
+# stay small on any grid
+_CSV_ROWS = 4096
+
 
 class ExistenceWindowError(ValueError):
     """Requested time is outside the guaranteed existence window 4*A*t < 1."""
@@ -92,6 +98,10 @@ class GridFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        # plain floats, so to_csv's headers read back through from_csv
+        self.growth_a = float(self.growth_a)
+        self.growth_A = float(self.growth_A)
+        self.value_error = float(self.value_error)
         self.extent = tuple((float(lo), float(hi)) for lo, hi in self.extent)
         if self.values.ndim != len(self.extent):
             raise ValueError("extent/values dimension mismatch")
@@ -144,7 +154,12 @@ class GridFunction:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self):
-        """CSV rows coordinate(s), value; metadata in comment headers."""
+        """CSV rows coordinate(s), value; metadata in comment headers.
+
+        Every float of a row is printed with %.17g, so the values read back
+        exactly and equal data give equal bytes.  Rows run in C order (axis
+        0 slowest); one % operation formats each block of _CSV_ROWS rows.
+        """
         out = io.StringIO()
         out.write(f"# dim={self.dim}\n")
         for (lo, hi), n in zip(self.extent, self.values.shape):
@@ -153,16 +168,13 @@ class GridFunction:
             f"# growth_a={self.growth_a!r} growth_A={self.growth_A!r}"
             f" value_error={self.value_error!r}\n"
         )
-        ax = self.axes()
-        if self.dim == 1:
-            out.write("x,value\n")
-            for x, v in zip(ax[0], self.values):
-                out.write(f"{x:.17g},{v:.17g}\n")
-        else:
-            out.write("x,y,value\n")
-            for i, x in enumerate(ax[0]):
-                for j, y in enumerate(ax[1]):
-                    out.write(f"{x:.17g},{y:.17g},{self.values[i, j]:.17g}\n")
+        out.write("x,value\n" if self.dim == 1 else "x,y,value\n")
+        cols = (*np.meshgrid(*self.axes(), indexing="ij"), self.values)
+        table = np.stack([c.ravel() for c in cols], axis=1)
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        for i in range(0, len(table), _CSV_ROWS):
+            block = table[i:i + _CSV_ROWS]
+            out.write(row * len(block) % tuple(block.ravel().tolist()))
         return out.getvalue()
 
     @classmethod
@@ -453,9 +465,9 @@ def _valid(f, g):
 def _kernel_apply(psi, m, kern, tol=np.inf):
     """The valid sums sum_j kern[q - j] psi[j] at every m-th output q.
 
-    Free space and the Dirichlet domains both come here: a Dirichlet axis
-    passes its samples already reflected (odd), so its images need no
-    kernel of their own.  Returns (u, roundoff, method).  Long operands go
+    Free space and the half line both come here: the half line passes its
+    samples already reflected (odd), so its images need no kernel of their
+    own.  Returns (u, roundoff, method).  Long operands go
     through the blocked FFT, whose roundoff is max(bound / (1 + |u|)) over
     the outputs; where that exceeds tol, and for short operands, the sums
     are taken directly (roundoff 0: the pointwise rounding of direct sums is
@@ -625,22 +637,81 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
 # -- Dirichlet evolution -----------------------------------------------------
 
 
-def _dirichlet_kernels(L, t, M):
-    """Samples Theta(s h), s = -M..2M and h = L / M, of the 2L-periodic image
-    sum Theta(x) = sum_k Gauss(x - 2kL, t), and a bound delta on their error.
+def _box_spectrum(L, t, M):
+    """lambda_k = exp(-t (pi k / L)^2) / h, k = 0..M and h = L / M, the
+    spectrum of the samples Theta(s h) of the 2L-periodic image sum
+    Theta(x) = sum_k Gauss(x - 2kL, t), and a bound d_k on its rounding.
 
     By Poisson summation Theta(x) = sum_n exp(-t (pi n / L)^2)
-    cos(pi n x / L) / (2L), so one inverse real FFT of length 2M of
-    lambda_k = exp(-t (pi k / L)^2) / h, k = 0..M, samples a period.  The
-    aliased terms |n| >= M are each below exp(-t pi^2 / h^2) / h, so below
-    exp(-64 pi^2) / h, because _start_factor keeps h <= sqrt(t) / 8.
-    delta = eps log2(2M) |theta|_2 is the normwise rounding bound of the FFT
-    over one period.
+    cos(pi n x / L) / (2L), so the DFT of 2M samples (one period) is lambda
+    plus the aliased terms |n| >= M, each below exp(-t pi^2 / h^2) / h, so
+    below exp(-64 pi^2) / h, because _start_factor keeps h <= sqrt(t) / 8.
+    The exponent is computed within 4 eps relative, exp and the division
+    by h add one eps each, so |d lambda_k| <= d_k = eps (2 + 4 t (pi k /
+    L)^2) lambda_k to first order.
     """
     k = np.arange(M + 1)
-    theta = np.fft.irfft(np.exp(-t * (np.pi * k / L) ** 2) / (L / M), 2 * M)
+    expo = t * (np.pi * k / L) ** 2
+    lam = np.exp(-expo) / (L / M)
+    return lam, np.finfo(float).eps * (2.0 + 4.0 * expo) * lam
+
+
+def _dirichlet_kernels(L, t, M):
+    """Samples Theta(s h), s = -M..2M and h = L / M, of the image sum of
+    _box_spectrum, from one inverse real FFT of its spectrum (one period),
+    and a bound delta on their error: delta = eps log2(2M) |theta|_2, the
+    normwise rounding bound of the FFT over one period.  The rectangle's
+    matrices are built from these; the interval applies the spectrum
+    itself (_box_apply).
+    """
+    theta = np.fft.irfft(_box_spectrum(L, t, M)[0], 2 * M)
     delta = np.finfo(float).eps * np.log2(2 * M) * float(np.linalg.norm(theta))
     return np.concatenate((theta[M:], theta, theta[:1])), delta
+
+
+def _box_apply(psi, m, L, t):
+    """The method of images on an interval of length L as one circular
+    convolution; returns (u, roundoff, "spectral"), u at every m-th node.
+
+    psi holds the weighted samples on the p + 1 lattice nodes from wall to
+    wall, psi[0] = 0.  Their odd reflection and the image sum Theta both
+    have period 2L = 2p h, so the Toeplitz sum of Theta over the reflected
+    samples is a circular convolution of period N = 2p: with x the odd
+    extension and lambda the spectrum (_box_spectrum), u = irfft(rfft(x)
+    lambda, N).  The upper-wall sample, like the lower, cancels against its
+    own image (x[p] and x[-p] are one node of the period), so x[p] = 0.
+
+    Roundoff.  An FFT of length N is taken, as in _valid, to err by at
+    most eps log2(N) times the 2-norm of its exact result, and each of its
+    outputs, a tree of log2(N) rounded sums, by at most eps log2(N) times
+    the sum of the magnitudes of its terms.  Norms are 2-norms over all N
+    frequencies or nodes; theta = irfft(lambda, N), so |lambda| = sqrt(N)
+    |theta| (Parseval), and X = rfft(x) has |X| = sqrt(N) |x|.  Every
+    output is the sum (1 / N) sum_k lambda_k X_k w^qk, |w| = 1, and
+    - the forward FFT errs by e, |e| <= eps log2(N) sqrt(N) |x|, which moves
+      an output by |sum_k lambda_k e_k w^qk| / N <= |lambda| |e| / N
+      = eps log2(N) |theta| |x| (Cauchy-Schwarz);
+    - the products and the inverse FFT round within eps (1 + log2 N) of
+      sum_k |lambda_k X_k| / N <= |theta| |x| (Cauchy-Schwarz);
+    - lambda's own rounding d moves an output by at most
+      sum_k d_k |X_k| / N <= |d| |x| / sqrt(N).
+    So each output errs by at most
+    eps (2 log2(N) + 1) |theta| |x| + |d| |x| / sqrt(N) to first order, one
+    bound for all outputs, returned relative to 1 + min |u|.
+    """
+    p = psi.size - 1
+    N = 2 * p
+    x = np.concatenate((psi[:p], [0.0], -psi[p - 1:0:-1]))
+    lam, d = _box_spectrum(L, t, p)
+    u = np.fft.irfft(np.fft.rfft(x) * lam, N)[:p + 1:m]
+    # 2-norms over all N frequencies: k and N - k coincide but for 0 and p
+    c = np.full(p + 1, 2.0)
+    c[0] = c[-1] = 1.0
+    theta_2, d_2 = (float(np.sqrt(np.dot(c, v * v) / N)) for v in (lam, d))
+    eps = np.finfo(float).eps
+    bound = ((eps * (2.0 * np.log2(N) + 1.0) * theta_2 + d_2)
+             * float(np.linalg.norm(x)))
+    return u, float(bound / (1.0 + np.min(np.abs(u)))), "spectral"
 
 
 def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
@@ -653,13 +724,16 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     oddly across that wall (psi[-j] = -psi[j]; the wall sample, which
     cancels against its own image, is 0) and convolved with one kernel: on
     the half line the Gaussian, cut where its tail drops below eps_tail
-    (tail_bound); on a box (interval or rectangle) the periodic image sum
-    (_dirichlet_kernels), whose rounding joins roundoff_error (tail_bound
-    0).  out_grid is (lo, hi, h) per axis, from the lower wall to the upper
-    wall where that is finite; grid data on a box may leave it None.  Data
-    of the wrong dimension raise ValueError, data unbounded on the domain
-    DomainError.  Boundary nodes of the result are exact.  Refinement, the
-    node budget and meta are as in heat_evolve_free.
+    (tail_bound); on a box the periodic image sum, whose rounding joins
+    roundoff_error (tail_bound 0).  The interval applies that sum as one
+    circular convolution with its closed-form spectrum (_box_apply,
+    kernel_method "spectral"), the rectangle as two matrix products of
+    its samples (_dirichlet_kernels).  out_grid is (lo, hi, h) per axis,
+    from the lower wall to the upper wall where that is finite; grid data
+    on a box may leave it None.  Data of the wrong dimension raise
+    ValueError, data unbounded on the domain DomainError.  Boundary nodes
+    of the result are exact.  Refinement, the node budget and meta are as
+    in heat_evolve_free.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -703,37 +777,36 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     else:
         margin, tail = 0, 0.0
 
-    def axis(m, lo, hi, wall, H, n, b):
-        """Lattice, snapped edges, kernel, delta and reflection length p."""
+    def lattice(m, lo, H, n, b):
+        """Lattice nodes from the lower wall and snapped piece edges."""
         h = H / m
         y = lo + h * np.arange((n - 1 + margin) * m + 1)
-        if np.isinf(wall):  # the Gaussian, reflected as far as it reaches
-            p = margin * m
-            kern, delta = gauss_kernel(h * np.arange(-p, p + 1), t), 0.0
-        else:  # the periodic image sum, reflected across the whole box
-            p = y.size - 1
-            kern, delta = _dirichlet_kernels(hi - lo, t, p)
-        return y, _snap_edges(lo, h, y.size, b), kern, delta, p
+        return y, _snap_edges(lo, h, y.size, b)
 
     def one_pass(m):
-        axes, edges, kerns, deltas, refl = zip(*(
-            axis(m, lo, hi, *rest) for (lo, hi), *rest in zip(extent, walls, Hs, ns, brk)))
-        if dim == 1:
-            psi = _piece_weighted_values(u0, axes[0], edges[0], Hs[0] / m)
-            psi[0] = 0.0
-            psi = np.concatenate((-psi[refl[0]:0:-1], psi))
-            u, roundoff, method = _kernel_apply(psi, m, kerns[0], tol=quad_tol / 100.0)
-            # kernel errors e repeat with the period, and the images at +-p
-            # meet the same error with opposite signs, so each output moves
-            # by at most |e|_2 |psi|_2 <= delta |psi|_2 over one period
-            kern_err = deltas[0] * float(np.linalg.norm(psi))
-            return u, roundoff + kern_err / (1.0 + float(np.min(np.abs(u)))), method
-        w0, w1 = (piecewise_simpson_weights(y, e) for y, e in zip(axes, edges))
-        # the matrix on odd data, folded onto the samples from the wall
-        full = [_kernel_matrix(y.size + p, m, n, k)
-                for y, n, k, p in zip(axes, ns, kerns, refl)]
-        return _separable(u0(*axes), w0, w1, *(
-            f[:, p:] - f[:, p::-1] for f, p in zip(full, refl)), deltas)
+        axes, edges = zip(*(lattice(m, lo, H, n, b)
+                            for (lo, _), H, n, b in zip(extent, Hs, ns, brk)))
+        if dim == 2:
+            # the matrix of the image sum on odd data, reflected across the
+            # whole box and folded onto the samples from the wall
+            kerns, deltas = zip(*(_dirichlet_kernels(hi - lo, t, y.size - 1)
+                                  for y, (lo, hi) in zip(axes, extent)))
+            w0, w1 = (piecewise_simpson_weights(y, e) for y, e in zip(axes, edges))
+            full = [_kernel_matrix(2 * y.size - 1, m, n, k)
+                    for y, n, k in zip(axes, ns, kerns)]
+            return _separable(u0(*axes), w0, w1, *(
+                f[:, y.size - 1:] - f[:, y.size - 1::-1]
+                for f, y in zip(full, axes)), deltas)
+        psi = _piece_weighted_values(u0, axes[0], edges[0], Hs[0] / m)
+        psi[0] = 0.0
+        if domain.kind == "interval":
+            (lo, hi), = extent
+            return _box_apply(psi, m, hi - lo, t)
+        # the Gaussian, reflected as far as it reaches
+        p = margin * m
+        kern = gauss_kernel(Hs[0] / m * np.arange(-p, p + 1), t)
+        return _kernel_apply(np.concatenate((-psi[p:0:-1], psi)), m, kern,
+                             tol=quad_tol / 100.0)
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [n - 1 + margin for n in ns])

@@ -108,6 +108,64 @@ def test_evolve_output_round_trips_and_is_deterministic(tmp_path):
     assert meta["results"][0]["t"] == 0.25
 
 
+INTERVAL_CFG = """
+domain = interval lo=0 hi=2
+grid.h = 0.015625
+flow.times = 0.05
+"""
+
+
+@pytest.mark.parametrize("first", [
+    "datum = abs center=0.5\ngrid.lo = -4\ngrid.hi = 4\ngrid.h = 0.0625\nflow.times = 0.05\n",
+    "datum = gaussian t0=0.5\n" + INTERVAL_CFG,
+], ids=["free_abs", "interval_gaussian"])
+def test_evolved_csv_reads_back_as_a_datum(tmp_path, first):
+    """Both runs report value_error as a numpy float; its header must still
+    parse when the file comes back as datum = csv."""
+    out = tmp_path / "first"
+    assert entry(["evolve", "--config", write_config(tmp_path, first, "first.cfg"),
+                  "--out", str(out)]) == 0
+    assert "np.float64" not in (out / "evolve_00.csv").read_text()
+    again = write_config(tmp_path, f"datum = csv path={out / 'evolve_00.csv'}\n"
+                         + INTERVAL_CFG, "again.cfg")
+    assert entry(["evolve", "--config", again, "--out", str(tmp_path / "again")]) == 0
+
+
+def test_interval_evolve_meets_the_sine_mode(tmp_path):
+    import numpy as np
+
+    x = np.linspace(0.0, 2.0, 2049)
+    datum = tmp_path / "sine.csv"
+    datum.write_text(GridFunction(values=np.sin(np.pi * x / 2), extent=((0.0, 2.0),)).to_csv())
+    cfg = write_config(tmp_path, f"datum = csv path={datum}\ngrid.lo = 0\ngrid.hi = 2\n"
+                       + INTERVAL_CFG.replace("0.05", "0.05,0.2"))
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "evolve_meta.json").read_text())
+    assert (meta["config"]["grid.lo"], meta["config"]["grid.hi"]) == (0.0, 2.0)
+    for i, t in enumerate((0.05, 0.2)):
+        u = GridFunction.from_csv((out / f"evolve_{i:02d}.csv").read_text())
+        assert u.extent == ((0.0, 2.0),) and u.values.size == 129
+        xs = u.axes()[0]
+        exact = np.exp(-np.pi ** 2 * t / 4) * np.sin(np.pi * xs / 2)
+        # the datum's interpolation error dominates; value_error leaves it out
+        assert np.max(np.abs(u.values - exact)) < 1e-11
+        assert u.values[0] == 0.0 and u.values[-1] == 0.0
+
+
+@pytest.mark.parametrize("window, flags", [
+    ("grid.lo = -8\ngrid.hi = 8\n", []),
+    ("grid.hi = 3\n", []),
+    ("", ["--grid-extent=-8,8"]),
+], ids=["both_keys", "upper_key", "extent_flag"])
+def test_interval_window_off_its_walls_is_a_config_error(tmp_path, capsys, window, flags):
+    cfg = write_config(tmp_path, "datum = gaussian t0=0.5\n" + window + INTERVAL_CFG)
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert "wall" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unconverged_evolution_warns_and_is_recorded(tmp_path, monkeypatch, capsys):
     from heatconvex import heatflow
 

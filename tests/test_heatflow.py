@@ -1,5 +1,7 @@
 """Evolution oracles: closed forms the quadrature must reproduce."""
 
+import io
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -10,7 +12,8 @@ from heatconvex import (DomainSpec, EvaluationWindowError,
                         gauss_kernel, grid_nodes, heat_evolve_dirichlet,
                         heat_evolve_free, heatflow, hot_h,
                         lifted_evolution_identity, maximal_time_hint)
-from heatconvex.heatflow import _dirichlet_kernels, _kernel_apply, _kernel_matrix
+from heatconvex.heatflow import (_box_apply, _dirichlet_kernels, _kernel_apply,
+                                 _kernel_matrix)
 from heatconvex.numerics import DomainError
 
 
@@ -278,6 +281,30 @@ def test_reflected_sums_equal_toeplitz_minus_hankel(nodes, m):
     assert np.all(np.abs(u - ref) <= bound)
 
 
+@pytest.mark.parametrize("nodes, m", [(129, 1), (129, 16), (8193, 1), (8193, 16)])
+def test_spectral_box_equals_the_reflected_toeplitz_sum(nodes, m):
+    """The interval's circular convolution with the spectrum of Theta gives
+    the Toeplitz sum of Theta over the oddly reflected samples, within both
+    roundoffs (the Toeplitz side's plus its kernel term delta |psi_odd|_2).
+    The samples do not vanish at the upper wall, whose image cancels them
+    in the Toeplitz sum and which the spectral side leaves out."""
+    L, t = 2.0, 0.05
+    p, n = (nodes - 1) * m, nodes
+    # weighted samples: lattice spacing times data of order one
+    psi = L / p * (1.0 + np.random.default_rng(7).random(p + 1))
+    psi[0] = 0.0
+    u, roundoff, method = _box_apply(psi, m, L, t)
+    kern, delta = _dirichlet_kernels(L, t, p)
+    odd = np.concatenate((-psi[p:0:-1], psi))
+    ref, ref_roundoff, _ = _kernel_apply(odd, m, kern)
+    assert method == "spectral"
+    assert u.shape == ref.shape == (n,)
+    assert 0.0 < roundoff < 1e-9
+    bound = (roundoff * (1.0 + float(np.min(np.abs(u))))
+             + ref_roundoff * (1.0 + np.abs(ref)) + delta * np.linalg.norm(odd))
+    assert np.all(np.abs(u - ref) <= bound)
+
+
 def test_rectangle_grid_data_evolve_to_the_sine_product():
     t = 0.05
     x, y = np.linspace(0.0, 2.0, 129), np.linspace(0.0, 1.0, 129)
@@ -335,10 +362,10 @@ _BOX = DomainSpec.interval(0.0, 1.0)
     (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 16)), "direct", False),
     (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 2048)), "fft", False),
     (lambda: heat_evolve_free(_SIN2, 0.05, (_G8, _G8)), "matrix", False),
-    (lambda: heat_evolve_dirichlet(_SIN, _BOX, 0.05, _G8), "direct", True),
-    (lambda: heat_evolve_dirichlet(_SIN, _BOX, 0.05, (0.0, 1.0, 1.0 / 2048)), "fft", True),
+    (lambda: heat_evolve_dirichlet(_SIN, _BOX, 0.05, _G8), "spectral", True),
+    (lambda: heat_evolve_dirichlet(_SIN, _BOX, 0.05, (0.0, 1.0, 1.0 / 2048)), "spectral", True),
     (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 0.1), 4.0,
-                                   (0.0, 0.1, 0.1 / 16)), "direct", True),
+                                   (0.0, 0.1, 0.1 / 16)), "spectral", True),
     (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.half_line(), 0.05,
                                    (0.0, 2.0, 1.0 / 8)), "direct", False),
     (lambda: heat_evolve_dirichlet(_SIN2, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))),
@@ -351,7 +378,8 @@ def test_every_path_records_the_same_meta(evolve, method, kernel_rounds):
     assert u.meta["t"] in (0.05, 4.0)
     assert u.meta["kernel_method"] == method
     assert u.meta["converged"]
-    assert (method in ("fft", "matrix") or kernel_rounds) == (u.meta["roundoff_error"] > 0)
+    assert (method in ("fft", "matrix", "spectral") or kernel_rounds) == (
+        u.meta["roundoff_error"] > 0)
     assert (u.meta["tail_bound"] == 0.0) == kernel_rounds
     assert u.meta["quad_error"] + u.meta["roundoff_error"] <= u.value_error
     assert u.meta["lattice_factor"] >= 2
@@ -508,6 +536,53 @@ def test_csv_round_trip_exact():
     assert np.array_equal(back.values, gf.values)
     assert back.extent == gf.extent
     assert back.value_error == gf.value_error
+
+
+def _per_row_csv(gf):
+    """GridFunction.to_csv as one f-string per row, the reference for the
+    blocked writer."""
+    out = io.StringIO()
+    out.write(f"# dim={gf.dim}\n")
+    for (lo, hi), n in zip(gf.extent, gf.values.shape):
+        out.write(f"# axis lo={lo!r} hi={hi!r} n={n}\n")
+    out.write(f"# growth_a={gf.growth_a!r} growth_A={gf.growth_A!r}"
+              f" value_error={gf.value_error!r}\n")
+    ax = gf.axes()
+    if gf.dim == 1:
+        out.write("x,value\n")
+        for x, v in zip(ax[0], gf.values):
+            out.write(f"{x:.17g},{v:.17g}\n")
+    else:
+        out.write("x,y,value\n")
+        for i, x in enumerate(ax[0]):
+            for j, y in enumerate(ax[1]):
+                out.write(f"{x:.17g},{y:.17g},{gf.values[i, j]:.17g}\n")
+    return out.getvalue()
+
+
+# nan, +-inf, -0.0, the smallest subnormal, huge and tiny exponents, and
+# numbers whose shortest round-trip form needs all 17 digits
+_ODD_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e-300,
+               0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, np.pi, 2.0 ** -1074 * 3, 1e300]
+
+
+@pytest.mark.parametrize("values, extent", [
+    (np.sin(np.linspace(-8.0, 8.0, 16385)) * np.exp(np.linspace(-30.0, 30.0, 16385)),
+     ((-8.0, 8.0),)),
+    (np.random.default_rng(2).standard_normal((33, 17)) * 1e-7,
+     ((-1.0, 1.0 / 3.0), (0.1, 2.7))),
+    (np.array(_ODD_VALUES), ((-0.0, 1.3),)),
+    (np.resize(_ODD_VALUES, (4, 7)), ((1e-300, 1.0), (-1e300, 1e300))),
+], ids=["1d_16385", "2d_33x17", "1d_odd_values", "2d_odd_values"])
+def test_to_csv_matches_the_per_row_writer(values, extent):
+    gf = GridFunction(values=values, extent=extent, growth_a=np.float64(2.5),
+                      growth_A=np.float64(0.1), value_error=np.float64(9.54e-10))
+    text = gf.to_csv()
+    assert text == _per_row_csv(gf)
+    assert "np.float64" not in text
+    back = GridFunction.from_csv(text)
+    assert (back.growth_a, back.growth_A, back.value_error) == (2.5, 0.1, 9.54e-10)
+    assert np.array_equal(back.values, gf.values, equal_nan=True)
 
 
 def test_gauss_kernel_unit_mass():
