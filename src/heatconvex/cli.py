@@ -3,9 +3,10 @@
 Subcommands: ``classify``, ``evolve``, ``verify``, ``hunt``.  Each takes a
 flat key=value config file (see :mod:`heatconvex.config`) plus optional
 overrides and writes plain CSV data files and a JSON metadata record into
-the output directory.  Exit codes: 0 ok, 2 config error, 3 inconclusive
-classification, 4 existence/evaluation window error, 5 significant
-violation found by verify.
+the output directory; ``hunt`` evolves in free space only and refuses any
+other ``domain`` (exit 2).  Exit codes: 0 ok, 2 config error, 3
+inconclusive classification, 4 existence/evaluation window error, 5
+significant violation found by verify.
 
 Outputs carry no timestamps and all floats are printed with %.17g, so the
 same config always produces bit-identical files.
@@ -86,6 +87,13 @@ def _warn_unconverged(where, rec):
               f"{rec['lattice_factor']})", file=sys.stderr)
 
 
+def _cert_fields(c):
+    """(gap, "status,gap,noise_floor,significant") of a certificate."""
+    gap = c.worst.gap if c.worst is not None else np.nan
+    return gap, (f"{c.status},{gap:.17g},{c.noise_floor:.17g},"
+                 f"{'true' if c.significant else 'false'}")
+
+
 def _require_transforms(cfg):
     if not cfg.transforms:
         raise ConfigError("config lists no transforms")
@@ -149,14 +157,10 @@ def cmd_verify(cfg):
             cert = check_F_convex(u, F, cfg.plan, cfg.significance_factor)
             worst = cert.worst
             any_significant |= cert.significant
-            if worst is None:
-                tail = ",,,"
-            else:
-                tail = (f"{worst.lam:.17g},{_fmt(worst.x0)},{_fmt(worst.x1)}")
-            gap = worst.gap if worst is not None else np.nan
-            rows.append(f"{F.label},{t:.17g},{cert.status},{gap:.17g},"
-                        f"{cert.noise_floor:.17g},"
-                        f"{'true' if cert.significant else 'false'},{tail}")
+            tail = (",,," if worst is None else
+                    f"{worst.lam:.17g},{_fmt(worst.x0)},{_fmt(worst.x1)}")
+            gap, fields = _cert_fields(cert)
+            rows.append(f"{F.label},{t:.17g},{fields},{tail}")
             print(f"{F.label} t={t:g}: {cert.status} gap={gap:.3g} "
                   f"noise={cert.noise_floor:.3g}"
                   + (" SIGNIFICANT" if cert.significant else ""))
@@ -167,8 +171,11 @@ def cmd_verify(cfg):
 
 
 def cmd_hunt(cfg):
-    """Refinement-driven violation search; writes history per transform."""
+    """Refinement-driven violation search; writes history per transform.
+    It evolves in free space only: another domain is a config error."""
     _require_transforms(cfg)
+    if cfg.domain.kind != "free_space":
+        raise ConfigError(f"hunt evolves in free space, not on a {cfg.domain.kind}")
     lo, hi, h = cfg.grid
     n_base = int(round((hi - lo) / h)) + 1
     summary = {}
@@ -183,11 +190,8 @@ def cmd_hunt(cfg):
         lines = ["t,level,h,status,gap,noise_floor,significant"]
         for rec in history:
             _warn_unconverged(f"{F.label} t={rec['t']:g} level {rec['level']}", rec)
-            c = rec["certificate"]
-            gap = c.worst.gap if c.worst is not None else np.nan
             lines.append(f"{rec['t']:.17g},{rec['level']},{rec['h']:.17g},"
-                         f"{c.status},{gap:.17g},{c.noise_floor:.17g},"
-                         f"{'true' if c.significant else 'false'}")
+                         + _cert_fields(rec["certificate"])[1])
         if t_first is not None and cert.worst is not None:
             lines.append(f"# earliest_significant_t={t_first:.17g}")
             lines.append(f"# worst lambda={cert.worst.lam:.17g} "
@@ -258,10 +262,7 @@ def entry(argv=None):
     try:
         cfg = load_config(args.config, overrides)
         return args.fn(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ExistenceWindowError, EvaluationWindowError) as exc:

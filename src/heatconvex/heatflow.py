@@ -12,19 +12,20 @@ images): along each axis the samples from the wall are extended oddly across
 it and convolved with one kernel, the Gaussian on the half line and, on a box
 (interval or rectangle), the periodic image sum, whose spectrum has a closed
 form.  The interval multiplies by that spectrum in one FFT of the odd
-period; the rectangle samples the sum per axis by one inverse FFT.  Other
-long 1D convolutions run as blocked FFTs, short ones (and data whose bound
-is too large) as direct sums, and every FFT carries a roundoff bound; 2D
-data apply the decimated operator matrix of each axis, as two matrix
-products.  One refinement loop doubles m until a
-two-grid Richardson comparison meets the requested tolerance or the lattice
-would pass a node budget, and the achieved estimate plus the roundoff bound
-is recorded on the result so downstream certification can build honest
-noise floors.
+period; a box of more axes samples the sum per axis by one inverse FFT.
+Other long 1D convolutions run as blocked FFTs, short ones (and data whose
+bound is too large) as direct sums, and every FFT carries a roundoff bound;
+data of two or more axes apply the decimated operator matrix of each axis
+along that axis; the same lines serve any number of axes.  One refinement
+loop doubles m until a two-grid Richardson comparison meets the requested
+tolerance or the lattice would pass a node budget, and the achieved
+estimate plus the roundoff bound is recorded on the result so downstream
+certification can build honest noise floors.
 """
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -77,12 +78,23 @@ def grid_nodes(lo, hi, h):
     return np.linspace(lo, hi, n + 1)
 
 
+def _axis_grids(out_grid):
+    """out_grid as one (lo, hi, h) triple per axis; a bare triple is one axis."""
+    return tuple(out_grid) if isinstance(out_grid[0], (tuple, list)) else (out_grid,)
+
+
+def _open_mesh(axes):
+    """The lattice axes[0] x axes[1] x ... as mutually broadcasting arrays."""
+    n = len(axes)
+    return [np.asarray(c)[(...,) + (None,) * (n - 1 - k)] for k, c in enumerate(axes)]
+
+
 @dataclass
 class GridFunction:
-    """Sampled function on a uniform 1D or 2D grid with growth metadata.
+    """Sampled function on a uniform n-axis grid with growth metadata.
 
-    values: shape (n,) for dim 1 or (n1, n2) for dim 2, C-order with axis 0
-    the first coordinate.  extent: ((lo, hi),) per axis.  The growth fields
+    values: shape (n1, ..., nd), C-order with axis 0 the first coordinate.
+    extent: (lo, hi) per axis.  The growth fields
     certify |phi| <= growth_a * exp(growth_A |x|^2) at every sampled node.
     value_error is the recorded max relative uncertainty |du|/(1+|u|) of the
     values (quadrature + roundoff + truncation for evolved data, 0 for exact
@@ -105,8 +117,6 @@ class GridFunction:
         self.extent = tuple((float(lo), float(hi)) for lo, hi in self.extent)
         if self.values.ndim != len(self.extent):
             raise ValueError("extent/values dimension mismatch")
-        if self.values.ndim not in (1, 2):
-            raise ValueError("only dim 1 or 2 supported")
 
     @property
     def dim(self):
@@ -131,25 +141,14 @@ class GridFunction:
         return bool(np.all(np.abs(self.values) <= bound * (1 + 1e-12) + 1e-300))
 
     def _radius_sq(self):
-        ax = self.axes()
-        if self.dim == 1:
-            return ax[0] ** 2
-        return ax[0][:, None] ** 2 + ax[1][None, :] ** 2
+        return sum(c ** 2 for c in _open_mesh(self.axes()))
 
-    def interpolator(self):
-        """Monotone-cubic interpolant (per axis for dim 2)."""
-        ax = self.axes()
-        if self.dim == 1:
-            return PchipInterpolator(ax[0], self.values, extrapolate=False)
-        raise ValueError("use interp_to_lattice for dim 2")
-
-    def interp_to_lattice(self, ax0, ax1=None):
-        """Values on a new lattice via successive monotone-cubic passes."""
-        if self.dim == 1:
-            return PchipInterpolator(self.axes()[0], self.values, extrapolate=False)(ax0)
-        a0, a1 = self.axes()
-        part = PchipInterpolator(a0, self.values, axis=0, extrapolate=False)(ax0)
-        return PchipInterpolator(a1, part, axis=1, extrapolate=False)(ax1)
+    def interp_to_lattice(self, *axes):
+        """Values on the lattice axes[0] x axes[1] x ..., by monotone cubics."""
+        vals = self.values
+        for k, (a, x) in enumerate(zip(self.axes(), axes)):
+            vals = PchipInterpolator(a, vals, axis=k, extrapolate=False)(x)
+        return vals
 
     # -- serialization ------------------------------------------------------
 
@@ -168,7 +167,8 @@ class GridFunction:
             f"# growth_a={self.growth_a!r} growth_A={self.growth_A!r}"
             f" value_error={self.value_error!r}\n"
         )
-        out.write("x,value\n" if self.dim == 1 else "x,y,value\n")
+        names = ["x", "y", "z"][:self.dim] + [f"x{k}" for k in range(4, self.dim + 1)]
+        out.write(",".join(names) + ",value\n")
         cols = (*np.meshgrid(*self.axes(), indexing="ij"), self.values)
         table = np.stack([c.ravel() for c in cols], axis=1)
         row = ",".join(["%.17g"] * len(cols)) + "\n"
@@ -179,7 +179,6 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, text):
-        dim = None
         axes = []
         growth = {"growth_a": 1.0, "growth_A": 0.0, "value_error": 0.0}
         vals = []
@@ -189,32 +188,26 @@ class GridFunction:
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
-                if body.startswith("dim="):
-                    dim = int(body[4:])
-                elif body.startswith("axis"):
+                if body.startswith("axis"):
                     kv = dict(p.split("=") for p in body.split()[1:])
                     axes.append((float(kv["lo"]), float(kv["hi"]), int(kv["n"])))
                 else:
-                    # other comment lines (e.g. a caller's t=... stamp) are
-                    # ignored except for the known growth keys
+                    # other comment lines (dim=..., a caller's t=... stamp)
+                    # are ignored except for the known growth keys
                     for part in body.split():
                         k, _, v = part.partition("=")
                         if k in growth:
                             growth[k] = float(v)
                 continue
             vals.append(float(line.split(",")[-1]))
-        shape = tuple(n for _, _, n in axes)
-        values = np.asarray(vals).reshape(shape)
-        return cls(
-            values=values,
-            extent=tuple((lo, hi) for lo, hi, _ in axes),
-            **growth,
-        )
+        return cls(values=np.asarray(vals).reshape(tuple(n for *_, n in axes)),
+                   extent=tuple((lo, hi) for lo, hi, _ in axes), **growth)
 
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Spatial domain: free space, half line, interval, or rectangle.
+    """Spatial domain: free space, half line, interval, or rectangle (a box
+    of any number of axes).
 
     ell is the boundary value held fixed by the Dirichlet evolution.
     """
@@ -240,20 +233,20 @@ class DomainSpec:
 
     @classmethod
     def rectangle(cls, bounds, ell=0.0):
-        (a1, b1), (a2, b2) = bounds
-        if not (b1 > a1 and b2 > a2):
+        """A box: bounds holds (lo, hi) of every axis."""
+        bounds = tuple((float(a), float(b)) for a, b in bounds)
+        if not all(b > a for a, b in bounds):
             raise ValueError("degenerate rectangle")
-        return cls(kind="rectangle", n=2,
-                   bounds=((float(a1), float(b1)), (float(a2), float(b2))),
-                   ell=ell)
+        return cls(kind="rectangle", n=len(bounds), bounds=bounds, ell=ell)
 
 
 @dataclass(frozen=True)
 class InitialDatum:
     """Callable initial datum with growth certificate and known kink positions.
 
-    breakpoints lists coordinates (along each axis for dim 2) where the datum
-    is not smooth; the quadrature splits Simpson pieces there.  For data with
+    breakpoints lists coordinates where the datum is not smooth, one tuple
+    per axis or one flat tuple for every axis; the quadrature splits Simpson
+    pieces there.  For data with
     jump discontinuities the integrand is sampled one-sidedly at piece edges,
     so indicators are integrated at full order.
     """
@@ -322,40 +315,28 @@ def _resolve_datum(phi, dim):
     """Normalize a datum for a dim-`dim` evolution.
 
     Returns (sample, a, A, breakpoints, extent, spacing, inherited_error).
-    sample(y) evaluates at points for dim 1, sample(ax0, ax1) on the lattice
-    ax0 x ax1 for dim 2, as float arrays; grid data are interpolated by
-    monotone cubics clamped to their extent.  breakpoints holds one tuple of
-    kink coordinates per axis.  extent and spacing (the finest grid spacing)
+    sample(*axes) evaluates on the lattice axes[0] x axes[1] x ... (one axis:
+    at points) as floats, grid data by monotone cubics clamped to their
+    extent.  breakpoints holds kink coordinates per axis (a datum's flat
+    tuple serves every axis).  extent and spacing (the finest grid spacing)
     are None for callable data.
     """
     if isinstance(phi, GridFunction):
         if phi.dim != dim:
             raise ValueError(f"dim-{phi.dim} grid data for a dim-{dim} evolution")
-        if dim == 1:
-            interp = phi.interpolator()
-            (lo, hi), = phi.extent
 
-            def sample(y):
-                return interp(np.clip(y, lo, hi))
-        else:
-            def sample(*ax):
-                return phi.interp_to_lattice(
-                    *(np.clip(c, lo, hi) for c, (lo, hi) in zip(ax, phi.extent)))
+        def sample(*axes):
+            return phi.interp_to_lattice(
+                *(np.clip(c, lo, hi) for c, (lo, hi) in zip(axes, phi.extent)))
         return (sample, phi.growth_a, phi.growth_A, ((),) * dim, phi.extent,
                 min(phi.spacing), phi.value_error)
     if isinstance(phi, InitialDatum):
         brk = tuple(phi.breakpoints)
-        if dim == 1:
-            brk = (brk,)
+        if not (brk and isinstance(brk[0], (tuple, list))):
+            brk = (brk,) * dim
 
-            def sample(y):
-                return np.asarray(phi.fn(y), dtype=float)
-        else:
-            if not (brk and isinstance(brk[0], (tuple, list))):
-                brk = (brk, brk)
-
-            def sample(ax0, ax1):
-                return np.asarray(phi.fn(ax0[:, None], ax1[None, :]), dtype=float)
+        def sample(*axes):
+            return np.asarray(phi.fn(*_open_mesh(axes)), dtype=float)
         return (sample, phi.growth_a, phi.growth_A, brk, None, None,
                 phi.value_error)
     raise TypeError("phi must be a GridFunction or an InitialDatum")
@@ -372,7 +353,7 @@ def _truncation_window(a, A, t, x_max, dim, eps_tail):
     eps_abs / dim, the tail budget split evenly between the axes.
     """
     shrink = 1.0 - 4.0 * A * t
-    gain = a * shrink ** -0.5 if dim == 1 else a / shrink  # a shrink^(-dim/2)
+    gain = a * shrink ** (-dim / 2)
     u_scale = gain * np.exp(min(700.0, dim * A * x_max * x_max / shrink))
     eps_abs = eps_tail * max(1.0, u_scale)
     eps_axis, beta = eps_abs / dim, 1.0 / (4.0 * t) - A
@@ -394,18 +375,13 @@ def _piece_weighted_values(fn, y, piece_edges, h):
     # interior piece edges: re-sample one-sidedly so jump data integrate cleanly
     nudge = _EDGE_NUDGE * h
     for a_idx, b_idx in zip(piece_edges[:-1], piece_edges[1:]):
-        if b_idx <= a_idx:
+        if b_idx <= a_idx or (a_idx == 0 and b_idx == len(y) - 1):
             continue
-        if a_idx == 0 and b_idx == len(y) - 1:
-            continue
-        wp = np.zeros_like(w)
-        wp[a_idx : b_idx + 1] = piecewise_simpson_weights(
-            y[a_idx : b_idx + 1], [0, b_idx - a_idx]
-        )
+        wp = piecewise_simpson_weights(y[a_idx:b_idx + 1], [0, b_idx - a_idx])
         if a_idx > 0:
-            psi[a_idx] += wp[a_idx] * (float(fn(y[a_idx] + nudge)) - vals[a_idx])
+            psi[a_idx] += wp[0] * (float(fn(y[a_idx] + nudge)) - vals[a_idx])
         if b_idx < len(y) - 1:
-            psi[b_idx] += wp[b_idx] * (float(fn(y[b_idx] - nudge)) - vals[b_idx])
+            psi[b_idx] += wp[-1] * (float(fn(y[b_idx] - nudge)) - vals[b_idx])
     return psi
 
 
@@ -419,7 +395,7 @@ def _snap_edges(y0, h, n_nodes, points):
     return sorted(idx)
 
 
-# shorter operand length from which the blocked FFT beats np.convolve
+# kernel length from which the blocked FFT beats np.convolve
 # (measured crossover on the reference machine: 2048 to 2560)
 _FFT_MIN_LEN = 2304
 # entries per batch of FFT segments, so work arrays stay small
@@ -430,9 +406,10 @@ _MAX_LATTICE_NODES = 2 ** 23
 
 
 def _valid(f, g):
-    """np.convolve(f, g, "valid") by overlap-save, with a roundoff bound.
+    """np.convolve(f, g, "valid") by overlap-save, with a roundoff bound;
+    the data f are at least as long as the kernel g.
 
-    The outputs are cut into blocks of K // 8 (K the shorter length), whose
+    The outputs are cut into blocks of K // 8 (K = g.size), whose
     segments go through batched real FFTs of length next_fast_len.  numpy's
     FFT keeps no plans between calls (scipy.fft caches 16, about 1 MB at
     these lengths), so a run's resident memory does not grow with it.  The
@@ -440,8 +417,6 @@ def _valid(f, g):
     its block, eps log2(nfft) |segment|_2 |g|_2: FFT roundoff is spread over
     the whole block, so short blocks keep it near the local data.
     """
-    if f.size < g.size:
-        f, g = g, f
     K = g.size
     n_out = f.size - K + 1
     B = max(1, K // 8)
@@ -463,17 +438,18 @@ def _valid(f, g):
 
 
 def _kernel_apply(psi, m, kern, tol=np.inf):
-    """The valid sums sum_j kern[q - j] psi[j] at every m-th output q.
+    """The valid sums sum_j kern[q - j] psi[j] at every m-th output q, psi
+    at least as long as kern.
 
     Free space and the half line both come here: the half line passes its
     samples already reflected (odd), so its images need no kernel of their
-    own.  Returns (u, roundoff, method).  Long operands go
+    own.  Returns (u, roundoff, method).  Long kernels go
     through the blocked FFT, whose roundoff is max(bound / (1 + |u|)) over
-    the outputs; where that exceeds tol, and for short operands, the sums
+    the outputs; where that exceeds tol, and for short kernels, the sums
     are taken directly (roundoff 0: the pointwise rounding of direct sums is
     the reference).
     """
-    if min(psi.size, kern.size) >= _FFT_MIN_LEN:
+    if kern.size >= _FFT_MIN_LEN:
         u, bound = _valid(psi, kern)
         u = u[::m]
         roundoff = float(np.max(bound[::m] / (1.0 + np.abs(u))))
@@ -484,11 +460,9 @@ def _kernel_apply(psi, m, kern, tol=np.inf):
 
 def _kernel_matrix(N, m, n, kern):
     """The n x N matrix of _kernel_apply on length-N data, already decimated:
-    rows kern[q + s - j] (s = min(N, K) - 1, K = kern.size) for
-    q = 0, m, ..., (n - 1) m, as a strided view of one reversed kernel.
-
-    Row i is a window of the reversed kernel placed at z0 = s + (n - 1) m,
-    starting (n - 1 - i) m nodes in.
+    rows kern[q + s - j] (s = min(N, K) - 1, K = kern.size) for q = 0, m,
+    ..., (n - 1) m, as a strided view of one reversed kernel: row i is its
+    window placed at z0 = s + (n - 1) m, starting (n - 1 - i) m nodes in.
     """
     z0 = min(N, kern.size) - 1 + (n - 1) * m
     lo = max(0, z0 - kern.size + 1)
@@ -497,27 +471,42 @@ def _kernel_matrix(N, m, n, kern):
     return sliding_window_view(rev, N)[(n - 1) * m::-m]
 
 
-def _separable(vals, w0, w1, mat0, mat1, kern_err=(0.0, 0.0)):
-    """Tensor quadrature (mat0 w0) vals (mat1 w1)^T of lattice values, with
-    its roundoff relative to direct sums.
+def _along(arr, mat, k):
+    """mat applied along axis k of arr: sum_l mat[i, l] arr[..., l, ...]."""
+    return np.moveaxis(np.tensordot(arr, mat, (k, 1)), -1, k)
 
-    Each product rounds within gamma_N |A| |B|; with Cauchy-Schwarz the
-    error of output (i, j) stays below gamma |A_i|_2 (|B| c)_j, A and B the
-    weighted matrices and c the column norms of vals.  The factor 2 in gamma
-    covers the direct sums this replaces.  kern_err bounds, per axis, the
-    error delta of each kernel sample; a row of a folded Dirichlet matrix
-    is the difference of two kernel windows, so a row of A errs by at most
-    d_0 = 2 delta_0 max|w0| in 2-norm, one of B by d_1, which adds
-    d_0 (|B| c)_j + d_1 |A_i|_2 |c|_2 to first order.
+
+def _separable(vals, weights, mats, kern_errs):
+    """Tensor quadrature of lattice values, A_k = mats[k] weights[k] applied
+    along each axis k, with its roundoff relative to direct sums.
+
+    Each product rounds within gamma_N of its magnitudes, and |A_0 V| <=
+    |A_0,i|_2 c (Cauchy-Schwarz, c the 2-norms of vals along axis 0), so
+    output (i, j) errs by at most gamma |A_0,i|_2 C_j, C = c with |A_1|,
+    ..., |A_n-1| applied along its axes, gamma = 2 eps sum_k N_k (the 2
+    covers the direct sums this replaces).  kern_errs bounds the error
+    delta_k of a kernel sample; a row of a folded Dirichlet matrix is the
+    difference of two kernel windows, so a row of A_k errs by at most d_k =
+    2 delta_k max|w_k| in 2-norm.  That adds d_0 C_j and, for k >= 1,
+    |A_0,i|_2 d_k |C_k|_2 carried through |A_k+1|, ..., where C_k is c with
+    |A_1|, ..., |A_k-1| applied (its full norm bounds the one along axis
+    k).  Two axes A, B give gamma |A_i|_2 (|B| c)_j + d_0 (|B| c)_j + d_1
+    |A_i|_2 |c|_2.
     """
-    a0, a1 = mat0 * w0, mat1 * w1
-    u = (a0 @ vals) @ a1.T
+    a = [mat * w for mat, w in zip(mats, weights)]
+    u = np.tensordot(a[0], vals, (1, 0))
+    for k, ak in enumerate(a[1:], 1):
+        u = _along(u, ak, k)
     gamma = 2.0 * np.finfo(float).eps * sum(vals.shape)
-    d0, d1 = (2.0 * d * float(np.max(np.abs(w))) for d, w in zip(kern_err, (w0, w1)))
-    c = np.sqrt(np.einsum("ij,ij->j", vals, vals))
-    cols, rows = np.abs(a1) @ c, np.linalg.norm(a0, axis=1)
-    bound = (gamma * np.outer(rows, cols) + d0 * cols
-             + (d1 * float(np.linalg.norm(c))) * rows[:, None])
+    d = [2.0 * dk * float(np.max(np.abs(w))) for dk, w in zip(kern_errs, weights)]
+    cols = np.sqrt(np.einsum("i...,i...->...", vals, vals))
+    extra = np.zeros_like(cols)
+    for k, (abs_k, dk) in enumerate(zip(map(np.abs, a[1:]), d[1:])):
+        extra = _along(extra, abs_k, k) + dk * float(np.linalg.norm(cols))
+        cols = _along(cols, abs_k, k)
+    rows = np.linalg.norm(a[0], axis=1)
+    bound = (gamma * np.multiply.outer(rows, cols) + d[0] * cols
+             + np.multiply.outer(rows, extra))
     return u, float(np.max(bound / (1.0 + np.abs(u)))), "matrix"
 
 
@@ -533,16 +522,23 @@ def _refine(one_pass, m, quad_tol, max_refine, cells):
 
     one_pass(m) returns (values, roundoff, kernel_method).  A lattice has
     c m + 1 nodes along an axis of c cells at m = 1 (cells lists c per
-    axis); doubling stops before the lattice would pass _MAX_LATTICE_NODES,
-    keeping the last finished pass.  The record holds quad_error, the
+    axis).  A first lattice above _MAX_LATTICE_NODES raises DomainError
+    before one_pass samples anything; doubling stops before the lattice
+    would pass it, keeping the last finished pass.  The record holds quad_error, the
     Richardson estimate |u_2m - u_m| / (15 (1 + |u_2m|)) of the last doubling
     (inf when none ran), the roundoff_error and kernel_method of the last
     pass, lattice_factor and converged (quad_error <= quad_tol).
     """
+    def nodes(m):
+        return math.prod(m * c + 1 for c in cells)
+
+    if nodes(m) > _MAX_LATTICE_NODES:
+        raise DomainError(f"the first lattice (factor {m}) has {nodes(m)} nodes, "
+                          f"above the budget of {_MAX_LATTICE_NODES}")
     u, roundoff, method = one_pass(m)
     est = np.inf
     for _ in range(max_refine):
-        if np.prod([2 * m * c + 1 for c in cells]) > _MAX_LATTICE_NODES:
+        if nodes(2 * m) > _MAX_LATTICE_NODES:
             break
         m *= 2
         u_next, roundoff, method = one_pass(m)
@@ -572,21 +568,25 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     """Evolve phi by the free-space heat semigroup to time t on out_grid.
 
     phi: GridFunction or InitialDatum (callable + growth certificate).
-    out_grid: (lo, hi, h) for dim 1 or a pair of such triples for dim 2;
-    grid data of the other dimension raise ValueError.
-    Raises ExistenceWindowError unless 4*growth_A*t < 1 - margin.  The
-    quadrature window is truncated where the closed-form Gaussian tail bound
-    (from the growth certificate) drops below eps_tail relative to the growth
-    scale of the result; composite Simpson quadrature is refined by doubling
-    until two-grid Richardson agreement reaches quad_tol (relative), or until
-    the next lattice would pass _MAX_LATTICE_NODES nodes.  The achieved
-    estimate plus the kernel operator's roundoff bound is recorded in
-    value_error; meta says how it was reached (quad_error, roundoff_error,
-    kernel_method, lattice_factor, converged, tail_bound, inherited_error).
+    out_grid: (lo, hi, h) for one axis or one such triple per axis; grid
+    data of another dimension raise ValueError.  One axis applies the kernel
+    as one convolution (_kernel_apply), more axes its decimated matrix along
+    each axis (_separable).  Raises ExistenceWindowError unless
+    4*growth_A*t < 1 - margin.  The quadrature window is truncated where the
+    closed-form Gaussian tail bound (from the growth certificate) drops
+    below eps_tail relative to the growth scale of the result; composite
+    Simpson quadrature is refined by doubling until two-grid Richardson
+    agreement reaches quad_tol (relative), or until the next lattice would
+    pass _MAX_LATTICE_NODES nodes (a first lattice above it raises
+    DomainError).  The achieved estimate plus the kernel operator's roundoff
+    bound is recorded in value_error; meta says how it was reached
+    (quad_error, roundoff_error, kernel_method, lattice_factor, converged,
+    tail_bound, inherited_error).
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    dim = 2 if isinstance(out_grid[0], (tuple, list)) else 1
+    grids = _axis_grids(out_grid)
+    dim = len(grids)
     sample, a, A, brk, extent, phi_h, inherited = _resolve_datum(phi, dim)
     if 4.0 * A * t >= 1.0 - EXISTENCE_MARGIN:
         admitted = (1.0 - EXISTENCE_MARGIN) / (4.0 * A) if A > 0 else np.inf
@@ -594,7 +594,6 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
             f"4*A*t = {4 * A * t:.4g} exceeds the margin; largest admitted "
             f"time for growth exponent {A:.6g} is {admitted:.6g}")
 
-    grids = (out_grid,) if dim == 1 else tuple(out_grid)
     ns = [grid_nodes(lo, hi, h).size for lo, hi, h in grids]
     Hs = [(hi - lo) / (n - 1) for (lo, hi, _), n in zip(grids, ns)]
     x_max = max(max(abs(lo), abs(hi)) for lo, hi, _ in grids)
@@ -615,23 +614,21 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
         if dim == 1:
             psi = _piece_weighted_values(sample, axes[0], edges[0], Hs[0] / m)
             return _kernel_apply(psi, m, kerns[0], tol=quad_tol / 100.0)
-        w0, w1 = (piecewise_simpson_weights(y, e) for y, e in zip(axes, edges))
-        return _separable(sample(*axes), w0, w1, *(
-            _kernel_matrix(y.size, m, n, k) for y, n, k in zip(axes, ns, kerns)))
+        return _separable(
+            sample(*axes),
+            [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
+            [_kernel_matrix(y.size, m, n, k) for y, n, k in zip(axes, ns, kerns)],
+            (0.0,) * dim)
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [2 * c + n - 1 for c, n in zip(margins, ns)])
     umax = float(np.max(np.abs(u)))
-    return GridFunction(
-        values=u,
-        extent=tuple((lo, hi) for lo, hi, _ in grids),
-        growth_a=gain,
-        growth_A=A / shrink,
-        value_error=(rec["quad_error"] + rec["roundoff_error"]
-                     + eps_abs / (1.0 + umax) + 1.5 * inherited),
-        meta={"t": t, **rec, "tail_bound": eps_abs,
-              "inherited_error": inherited},
-    )
+    return GridFunction(values=u, extent=tuple((lo, hi) for lo, hi, _ in grids),
+                        growth_a=gain, growth_A=A / shrink,
+                        value_error=(rec["quad_error"] + rec["roundoff_error"]
+                                     + eps_abs / (1.0 + umax) + 1.5 * inherited),
+                        meta={"t": t, **rec, "tail_bound": eps_abs,
+                              "inherited_error": inherited})
 
 
 # -- Dirichlet evolution -----------------------------------------------------
@@ -727,13 +724,13 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     (tail_bound); on a box the periodic image sum, whose rounding joins
     roundoff_error (tail_bound 0).  The interval applies that sum as one
     circular convolution with its closed-form spectrum (_box_apply,
-    kernel_method "spectral"), the rectangle as two matrix products of
-    its samples (_dirichlet_kernels).  out_grid is (lo, hi, h) per axis,
-    from the lower wall to the upper wall where that is finite; grid data
-    on a box may leave it None.  Data of the wrong dimension raise
-    ValueError, data unbounded on the domain DomainError.  Boundary nodes
-    of the result are exact.  Refinement, the node budget and meta are as
-    in heat_evolve_free.
+    kernel_method "spectral"), a box of more axes the matrix of its
+    samples (_dirichlet_kernels) along each axis.  out_grid is (lo, hi, h)
+    per axis, from the lower wall to the upper wall where that is finite;
+    grid data on a box may leave it None.  Data or grids of the wrong
+    dimension raise ValueError, data unbounded on the domain DomainError.
+    Boundary nodes of the result are exact.  Refinement, the node budget
+    and meta are as in heat_evolve_free.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -751,7 +748,9 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
             raise ValueError("out_grid required on the half line and for callable data")
         ns, extent = phi.values.shape, domain.bounds
     else:
-        grids = (out_grid,) if dim == 1 else tuple(out_grid)
+        grids = _axis_grids(out_grid)
+        if len(grids) != dim:
+            raise ValueError(f"{len(grids)} grid axes for a dim-{dim} domain")
         for (lo, hi, _), (a, b) in zip(grids, domain.bounds):
             if abs(lo - a) > 1e-12 or (np.isfinite(b) and abs(hi - b) > 1e-12):
                 raise ValueError(f"out_grid must span the {domain.kind}, from "
@@ -762,10 +761,11 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
     walls = tuple(b for _, b in domain.bounds)
     # a monotone-cubic interpolant stays within its data, so grid data are
-    # probed at their nodes, callables on 257 nodes per axis (on the half
-    # line out to 8 sqrt(t) beyond the last output)
+    # probed at their nodes, callables on at most 257^2 points, 257 per axis
+    # in 1D and 2D (on the half line out to 8 sqrt(t) beyond the last output)
     probe = np.abs(ell - phi.values if isinstance(phi, GridFunction) else u0(*(
-        np.linspace(lo, hi if np.isfinite(b) else hi + 8 * np.sqrt(t), 257)
+        np.linspace(lo, hi if np.isfinite(b) else hi + 8 * np.sqrt(t),
+                    int(257 ** (2 / max(2, dim))))
         for (lo, hi), b in zip(extent, walls))))
     if not np.all(np.isfinite(probe)):
         raise DomainError("datum must be bounded on the domain")
@@ -777,36 +777,34 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     else:
         margin, tail = 0, 0.0
 
-    def lattice(m, lo, H, n, b):
-        """Lattice nodes from the lower wall and snapped piece edges."""
-        h = H / m
-        y = lo + h * np.arange((n - 1 + margin) * m + 1)
-        return y, _snap_edges(lo, h, y.size, b)
-
     def one_pass(m):
-        axes, edges = zip(*(lattice(m, lo, H, n, b)
-                            for (lo, _), H, n, b in zip(extent, Hs, ns, brk)))
-        if dim == 2:
-            # the matrix of the image sum on odd data, reflected across the
-            # whole box and folded onto the samples from the wall
-            kerns, deltas = zip(*(_dirichlet_kernels(hi - lo, t, y.size - 1)
-                                  for y, (lo, hi) in zip(axes, extent)))
-            w0, w1 = (piecewise_simpson_weights(y, e) for y, e in zip(axes, edges))
-            full = [_kernel_matrix(2 * y.size - 1, m, n, k)
-                    for y, n, k in zip(axes, ns, kerns)]
-            return _separable(u0(*axes), w0, w1, *(
-                f[:, y.size - 1:] - f[:, y.size - 1::-1]
-                for f, y in zip(full, axes)), deltas)
-        psi = _piece_weighted_values(u0, axes[0], edges[0], Hs[0] / m)
-        psi[0] = 0.0
-        if domain.kind == "interval":
-            (lo, hi), = extent
-            return _box_apply(psi, m, hi - lo, t)
-        # the Gaussian, reflected as far as it reaches
-        p = margin * m
-        kern = gauss_kernel(Hs[0] / m * np.arange(-p, p + 1), t)
-        return _kernel_apply(np.concatenate((-psi[p:0:-1], psi)), m, kern,
-                             tol=quad_tol / 100.0)
+        # lattice nodes from the lower wall, and snapped piece edges
+        axes = [lo + H / m * np.arange((n - 1 + margin) * m + 1)
+                for (lo, _), H, n in zip(extent, Hs, ns)]
+        edges = [_snap_edges(lo, H / m, y.size, b)
+                 for (lo, _), H, y, b in zip(extent, Hs, axes, brk)]
+        if dim == 1:
+            psi = _piece_weighted_values(u0, axes[0], edges[0], Hs[0] / m)
+            psi[0] = 0.0
+            if domain.kind != "half_line":
+                (lo, hi), = extent
+                return _box_apply(psi, m, hi - lo, t)
+            # the Gaussian, reflected as far as it reaches
+            p = margin * m
+            kern = gauss_kernel(Hs[0] / m * np.arange(-p, p + 1), t)
+            return _kernel_apply(np.concatenate((-psi[p:0:-1], psi)), m, kern,
+                                 tol=quad_tol / 100.0)
+        # per axis, the matrix of the image sum on odd data, reflected
+        # across the whole box and folded onto the samples from the wall
+        kerns, deltas = zip(*(_dirichlet_kernels(hi - lo, t, y.size - 1)
+                              for y, (lo, hi) in zip(axes, extent)))
+        full = [_kernel_matrix(2 * y.size - 1, m, n, k)
+                for y, n, k in zip(axes, ns, kerns)]
+        return _separable(
+            u0(*axes),
+            [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
+            [f[:, y.size - 1:] - f[:, y.size - 1::-1] for f, y in zip(full, axes)],
+            deltas)
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [n - 1 + margin for n in ns])
@@ -853,25 +851,23 @@ def epsilon_quadratic_lift(phi, eps, *, min_growth_A=1e-3):
     """Datum phi + eps |x|^2 with an updated growth certificate."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    if not isinstance(phi, (GridFunction, InitialDatum)):
+        raise TypeError("phi must be GridFunction or InitialDatum")
+    A = max(phi.growth_A, min_growth_A if eps > 0 else phi.growth_A)
+    a = phi.growth_a + (eps / (np.e * A) if eps > 0 else 0.0)
     if isinstance(phi, GridFunction):
-        r2 = phi._radius_sq()
-        A = max(phi.growth_A, min_growth_A if eps > 0 else phi.growth_A)
-        a = phi.growth_a + (eps / (np.e * A) if eps > 0 else 0.0)
-        return replace(phi, values=phi.values + eps * r2, growth_a=a, growth_A=A)
-    if isinstance(phi, InitialDatum):
-        A = max(phi.growth_A, min_growth_A if eps > 0 else phi.growth_A)
-        a = phi.growth_a + (eps / (np.e * A) if eps > 0 else 0.0)
-        base = phi.fn
+        return replace(phi, values=phi.values + eps * phi._radius_sq(),
+                       growth_a=a, growth_A=A)
+    base = phi.fn
 
-        def lifted(*xs):
-            r2 = sum(np.asarray(c, dtype=float) ** 2 for c in xs)
-            return base(*xs) + eps * r2
+    def lifted(*xs):
+        r2 = sum(np.asarray(c, dtype=float) ** 2 for c in xs)
+        return base(*xs) + eps * r2
 
-        return InitialDatum(fn=lifted, growth_a=a, growth_A=A,
-                            breakpoints=phi.breakpoints,
-                            label=(phi.label + "+lift") if phi.label else "lifted",
-                            value_error=phi.value_error)
-    raise TypeError("phi must be GridFunction or InitialDatum")
+    return InitialDatum(fn=lifted, growth_a=a, growth_A=A,
+                        breakpoints=phi.breakpoints,
+                        label=(phi.label + "+lift") if phi.label else "lifted",
+                        value_error=phi.value_error)
 
 
 def lifted_evolution_identity(u, eps, t):

@@ -24,6 +24,7 @@ from heatconvex import (
     mixture_envelope,
     scale_shift,
 )
+from heatconvex.certify import _DIRECTIONS
 
 P0 = make_power_alpha(0.0)
 P05 = make_power_alpha(0.5)
@@ -60,7 +61,7 @@ def test_identity_transform_matches_raw_second_differences(fn, expect_violation)
     plan = SamplingPlan(max_stride=1)
     cert = check_F_convex(u, P1, plan)
     raw = raw_second_difference_gap(u.values)
-    assert cert.worst.gap == pytest.approx(raw, abs=1e-15)
+    assert cert.max_gap == pytest.approx(raw, abs=1e-15)
     assert (cert.status == "violation") == expect_violation
     assert (raw > cert.noise_floor) == expect_violation
 
@@ -74,6 +75,23 @@ def test_full_stride_scan_agrees_on_clear_cases():
     assert not convex.significant
     assert wiggly.status == "violation"
     assert wiggly.significant
+
+
+def test_the_triple_of_largest_margin_decides():
+    """A large gap where F(u) is noisy must not hide a smaller gap that
+    clears its own, much lower, noise floor: the scan used to keep the
+    largest raw gap (2.88e-5 against noise 3.59e-6, not significant)."""
+    x = np.linspace(-8.0, 8.0, 1025)
+    vals = np.exp(0.1 * (x + 8.0) ** 2 - 6.9 + 1.26e-3 * np.exp(-(x + 7.0) ** 2 / 0.01)
+                  + 1.2e-3 * np.exp(-x * x / 0.01))
+    u = GridFunction(values=vals, extent=((-8.0, 8.0),),
+                     growth_a=float(np.max(vals)) * 1.01, value_error=1e-9)
+    cert = check_F_convex(u, P0)
+    assert cert.significant
+    assert cert.worst.gap > 10.0 * cert.noise_floor
+    assert cert.worst.x0 == -cert.worst.x1 == -0.046875
+    assert cert.max_gap == pytest.approx(2.88e-5, rel=1e-3)
+    assert cert.max_gap > cert.worst.gap
 
 
 # -- relabeling invariance -----------------------------------------------------
@@ -478,6 +496,43 @@ def test_aligned_2d_scan_matches_enumeration(lam, p, q):
     assert cert.worst.x0 == (float(ax0[n0[0]]), float(ax1[n0[1]]))
     assert cert.worst.x1 == (float(ax0[n1[0]]), float(ax1[n1[1]]))
     assert cert.n_samples == count
+
+
+def test_directions_are_the_lattice_vectors_up_to_sign():
+    assert _DIRECTIONS[1] == ((1,),)
+    assert _DIRECTIONS[2] == ((0, 1), (1, 0), (1, 1), (1, -1))
+    dirs = _DIRECTIONS[3]
+    assert len(dirs) == len(set(dirs)) == 13
+    assert {tuple(-c for c in d) for d in dirs}.isdisjoint(dirs)
+
+
+def test_aligned_3d_scan_matches_enumeration():
+    """Every triple along the 13 directions, the pedestrian way; with
+    significance factor 0 the margin is the gap itself."""
+    rng = np.random.default_rng(11)
+    vals = rng.random((5, 6, 7)) + 0.5
+    u = GridFunction(values=vals, extent=((-1.0, 1.0), (0.0, 2.0), (-3.0, 0.0)),
+                     growth_a=2.0, growth_A=0.0)
+    cert = check_F_convex(u, P1, SamplingPlan(lambdas=(1 / 3,), max_stride=2),
+                          significance_factor=0.0)
+    v = np.asarray(P1(vals))
+    best, count = None, 0
+    for s in (1, 2):
+        for d in _DIRECTIONS[3]:
+            for i in np.ndindex(vals.shape):
+                end = tuple(a + 3 * s * c for a, c in zip(i, d))
+                if not all(0 <= e < n for e, n in zip(end, vals.shape)):
+                    continue
+                mid = tuple(a + s * c for a, c in zip(i, d))
+                gap = v[mid] - (2.0 / 3.0 * v[i] + 1.0 / 3.0 * v[end])
+                count += 1
+                if best is None or gap > best[0]:
+                    best = (gap, i, end)
+    axes = u.axes()
+    assert cert.n_samples == count
+    assert cert.worst.gap == cert.max_gap == best[0]
+    assert cert.worst.x0 == tuple(float(a[k]) for a, k in zip(axes, best[1]))
+    assert cert.worst.x1 == tuple(float(a[k]) for a, k in zip(axes, best[2]))
 
 
 @pytest.mark.parametrize("n_random", [0, -5])

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -166,9 +167,22 @@ def test_interval_window_off_its_walls_is_a_config_error(tmp_path, capsys, windo
     assert not out.exists()
 
 
-def test_unconverged_evolution_warns_and_is_recorded(tmp_path, monkeypatch, capsys):
+def _budget_at_the_first_lattice(monkeypatch):
+    """Set the node budget of every evolution to its first lattice, so the
+    first pass runs and no doubling fits."""
     from heatconvex import heatflow
 
+    refine = heatflow._refine
+
+    def capped(one_pass, m, quad_tol, max_refine, cells):
+        monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES",
+                            math.prod(m * c + 1 for c in cells))
+        return refine(one_pass, m, quad_tol, max_refine, cells)
+
+    monkeypatch.setattr(heatflow, "_refine", capped)
+
+
+def test_unconverged_evolution_warns_and_is_recorded(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, EVOLVE_CFG)
     assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
     assert "did not converge" not in capsys.readouterr().err
@@ -176,7 +190,7 @@ def test_unconverged_evolution_warns_and_is_recorded(tmp_path, monkeypatch, caps
     assert meta["results"][0]["converged"] is True
 
     # no doubling fits: the first pass is kept with quad_error inf
-    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 1)
+    _budget_at_the_first_lattice(monkeypatch)
     assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "capped")]) == 0
     err = capsys.readouterr().err
     assert "warning: t=0.25: evolution did not converge" in err
@@ -186,9 +200,7 @@ def test_unconverged_evolution_warns_and_is_recorded(tmp_path, monkeypatch, caps
 
 
 def test_verify_and_hunt_warn_on_unconverged_evolutions(tmp_path, monkeypatch, capsys):
-    from heatconvex import heatflow
-
-    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 1)
+    _budget_at_the_first_lattice(monkeypatch)
     cfg = write_config(tmp_path, VERIFY_OK_CFG)
     assert entry(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
     err = capsys.readouterr().err
@@ -249,6 +261,25 @@ def test_hunt_honours_the_significance_factor(tmp_path):
     assert "# no stable significant violation found" in text
     meta = json.loads((out / "hunt_meta.json").read_text())
     assert meta["earliest_significant_t"]["power[1.5]"] is None
+
+
+def test_hunt_refuses_a_dirichlet_domain(tmp_path, capsys):
+    """hunt evolves in free space only; an interval config used to write the
+    free-space history while its metadata recorded the interval."""
+    cfg = write_config(tmp_path, HUNT_CFG + "domain = interval lo=-6 hi=6 ell=5\n")
+    out = tmp_path / "res"
+    assert entry(["hunt", "--config", cfg, "--out", str(out)]) == 2
+    assert "free space" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_first_lattice_above_the_node_budget_exits_two(tmp_path, capsys):
+    """At t = 1e-12 the first lattice would need about 10^9 nodes."""
+    cfg = write_config(tmp_path, EVOLVE_CFG.replace("flow.times = 0.25", "flow.times = 1e-12"))
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert "budget of 8388608" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_key_is_a_config_error(tmp_path):
