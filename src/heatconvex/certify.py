@@ -323,12 +323,13 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
 
 def _running_min(vals, d):
     """Minimum over each node and every node before it along d, by window
-    doubling: the pass with stride k leaves the minimum over 2k nodes."""
+    doubling: the pass with stride k leaves the minimum over 2k nodes.
+    NaN nodes are skipped; the minimum is NaN only where all of them are."""
     run = vals.astype(float)
     k = 1
     while (slices := _line_slices(vals.shape, d, 0, k)) is not None:
         s0, _, s1 = slices
-        run[s1] = np.minimum(run[s1], run[s0])
+        run[s1] = np.fmin(run[s1], run[s0])
         k *= 2
     return run
 
@@ -351,11 +352,12 @@ def check_quasi_convex(u, n_levels=32):
     quasi-convex, else grid points (x0, x_mid, x1) on one line, x_mid at the
     largest excess of the first direction that has one and x0, x1 the
     smallest values before and after it (first in travel order on ties).
+    NaN nodes (outside the domain) are skipped: they are never a witness.
     n_levels has no effect (the line scan covers every level at once); it
     stays so that callers passing it keep working.
     """
     vals = u.values
-    tol = (4 * _EPS + u.value_error) * float(np.max(np.abs(vals)) + 1.0)
+    tol = (4 * _EPS + u.value_error) * float(np.nanmax(np.abs(vals)) + 1.0)
     for d in _DIRECTIONS[u.dim]:
         slices = _line_slices(vals.shape, d, 1, 2)
         if slices is None:
@@ -364,15 +366,15 @@ def check_quasi_convex(u, n_levels=32):
         s0, sm, s1 = slices
         excess = vals[sm] - np.maximum(_running_min(vals, d)[s0],
                                        _running_min(vals, back)[s1])
-        k = int(np.argmax(excess))
+        k = int(np.argmax(np.nan_to_num(excess, nan=-np.inf)))
         if excess.flat[k] <= tol:
             continue
         idx = np.unravel_index(k, excess.shape)
         j = tuple(i + sl.start for i, sl in zip(idx, sm))
         before = tuple(a[::-1] for a in _ray(j, back, vals.shape))
         after = _ray(j, d, vals.shape)
-        i0 = tuple(a[int(np.argmin(vals[before]))] for a in before)
-        i1 = tuple(a[int(np.argmin(vals[after]))] for a in after)
+        i0 = tuple(a[int(np.nanargmin(vals[before]))] for a in before)
+        i1 = tuple(a[int(np.nanargmin(vals[after]))] for a in after)
         return False, (_node_point(u, i0), _node_point(u, j), _node_point(u, i1))
     return True, None
 
@@ -424,7 +426,7 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
 
 
 def hunt_violation(F, phi, times, window, refine=3, plan=None, n_base=257,
-                   history=None, significance_factor=10.0):
+                   history=None, significance_factor=10.0, eps_tail=1e-10):
     """Search scheduled times for a grid-stable significant violation.
 
     For each time the datum is evolved on successively halved grids until the
@@ -434,7 +436,8 @@ def hunt_violation(F, phi, times, window, refine=3, plan=None, n_base=257,
     t_first the earliest time whose violation is stable, else (worst
     certificate seen, None).  Pass a list as `history` to collect one record
     per (time, refinement level) actually run, with the evolution's
-    converged, quad_error and lattice_factor.
+    converged, quad_error and lattice_factor.  eps_tail is passed on to
+    heat_evolve_free.
     """
     plan = plan or SamplingPlan()
     lo, hi = window
@@ -443,7 +446,7 @@ def hunt_violation(F, phi, times, window, refine=3, plan=None, n_base=257,
         h = (hi - lo) / (n_base - 1)
         prev = stable = None
         for level in range(refine + 1):
-            u = heat_evolve_free(phi, t, (lo, hi, h))
+            u = heat_evolve_free(phi, t, (lo, hi, h), eps_tail=eps_tail)
             cert = check_F_convex(u, F, plan, significance_factor)
             if history is not None:
                 history.append({"t": float(t), "level": level, "h": h,

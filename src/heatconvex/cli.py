@@ -157,7 +157,7 @@ def cmd_verify(cfg):
             cert = check_F_convex(u, F, cfg.plan, cfg.significance_factor)
             worst = cert.worst
             any_significant |= cert.significant
-            tail = (",,," if worst is None else
+            tail = (",," if worst is None else
                     f"{worst.lam:.17g},{_fmt(worst.x0)},{_fmt(worst.x1)}")
             gap, fields = _cert_fields(cert)
             rows.append(f"{F.label},{t:.17g},{fields},{tail}")
@@ -186,7 +186,7 @@ def cmd_hunt(cfg):
         cert, t_first = hunt_violation(
             F, phi, cfg.times, (lo, hi), refine=cfg.refine_levels,
             plan=cfg.plan, n_base=n_base, history=history,
-            significance_factor=cfg.significance_factor)
+            significance_factor=cfg.significance_factor, eps_tail=cfg.eps_tail)
         lines = ["t,level,h,status,gap,noise_floor,significant"]
         for rec in history:
             _warn_unconverged(f"{F.label} t={rec['t']:g} level {rec['level']}", rec)

@@ -291,26 +291,41 @@ def load_config(path, overrides=None):
     def get(key):
         return raw.get(key, _DEFAULTS[key])
 
-    lo = float(get("grid.lo"))
-    hi = float(get("grid.hi"))
-    h = float(get("grid.h"))
+    def number(key, cast, ok, what):
+        """get(key) cast to int or float; a ConfigError unless ok(value)."""
+        try:
+            val = cast(get(key))
+        except (TypeError, ValueError):
+            val = None
+        if val is None or not ok(val):
+            raise ConfigError(f"{key} must be {what}, got {get(key)!r}")
+        return val
+
+    lo, hi, h = (number(key, float, np.isfinite, "a finite number")
+                 for key in ("grid.lo", "grid.hi", "grid.h"))
     if not (hi > lo and 0 < h <= hi - lo):
         raise ConfigError(f"bad grid: lo={lo} hi={hi} h={h}")
     times = get("flow.times")
     if isinstance(times, str):
-        times = _float_list(times)
-    if not times or any(t <= 0 for t in times):
-        raise ConfigError("flow.times must list positive times")
+        try:
+            times = _float_list(times)
+        except ValueError:
+            times = ()
+    if not times or not all(0 < t < np.inf for t in times):
+        raise ConfigError("flow.times must list positive finite times, "
+                          f"got {get('flow.times')!r}")
     lambdas = get("certify.lambda_set")
     if isinstance(lambdas, str):
-        lambdas = tuple(_fraction(tok) for tok in lambdas.split(","))
+        try:
+            lambdas = tuple(_fraction(tok) for tok in lambdas.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"certify.lambda_set must list fractions, got {lambdas!r}")
     plan_kind = str(get("certify.plan"))
     if plan_kind not in ("aligned", "random"):
         raise ConfigError("certify.plan must be aligned or random")
-    n_random = int(get("certify.n_random"))
-    if n_random < 1:
-        raise ConfigError("certify.n_random must be a positive count of triples")
-    seed = int(get("seed"))
+    n_random = number("certify.n_random", int, lambda n: n >= 1,
+                      "a positive count of triples")
+    seed = number("seed", int, lambda n: n >= 0, "an integer >= 0")
     plan = SamplingPlan(kind=plan_kind, lambdas=tuple(lambdas),
                         n_random=n_random, seed=seed)
 
@@ -351,10 +366,13 @@ def load_config(path, overrides=None):
         domain=domain,
         grid=(lo, hi, h),
         times=tuple(sorted(float(t) for t in times)),
-        eps_tail=float(get("flow.eps_tail")),
+        eps_tail=number("flow.eps_tail", float, lambda e: 0 < e < 1,
+                        "a relative tolerance in (0, 1)"),
         plan=plan,
-        refine_levels=int(get("certify.refine_levels")),
-        significance_factor=float(get("certify.significance_factor")),
+        refine_levels=number("certify.refine_levels", int, lambda n: n >= 0,
+                             "a count >= 0"),
+        significance_factor=number("certify.significance_factor", float,
+                                   lambda c: 0 <= c < np.inf, "finite and >= 0"),
         seed=seed,
         out_dir=str(get("out")),
         resolved=resolved,

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp
+from scipy.special import dawsn, erfcx, log_ndtr, logsumexp
 
 from .heatflow import hot_h, hot_h_deriv, hot_H
 from .numerics import (
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def _as_float_array(x):
@@ -235,42 +236,31 @@ class GSpec:
         out = np.where(z_arr > zs[-1], gs[-1] + self.right_slope * (z_arr - zs[-1]), out)
         return _scalar_like(out, z)
 
+    def _pieces(self, base_z):
+        """Knots (breakpoints, base_z and the zeros of g), G and g there, and the
+        slope of g on each gap; gap i ends at knots[i], gaps 0 and -1 are tails.
+        G(base_z) = 0 (trapezoid sums, exact on linear g); g keeps its sign per gap."""
+        zs, gs = (np.array(c, dtype=float) for c in zip(*self.points))
+        slopes = np.array(self.slopes(), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.r_[zs[:1], zs] - np.r_[gs[:1], gs] / slopes
+        inside = (roots > np.r_[-np.inf, zs]) & (roots < np.r_[zs, np.inf])
+        knots = np.unique(np.r_[zs, float(base_z), roots[inside]])
+        gap_slope = slopes[np.searchsorted(zs, np.r_[-np.inf, knots], side="right")]
+        gk = self(knots)
+        Gk = np.r_[0.0, np.cumsum(0.5 * (gk[1:] + gk[:-1]) * np.diff(knots))]
+        return knots, Gk - Gk[np.searchsorted(knots, base_z)], gk, gap_slope
+
     def antiderivative_from(self, base_z):
         """Closed-form G with G(base_z) = 0, G' = g (piecewise quadratic)."""
-        zs = [p[0] for p in self.points]
-        knots = sorted(set(zs + [float(base_z)]))
-
-        def seg_integral(z1, z2):
-            # exact integral of the piecewise-linear g over [z1, z2]
-            return 0.5 * (self(z1) + self(z2)) * (z2 - z1) if z2 >= z1 else \
-                -seg_integral(z2, z1)
-
-        def integral(a, b):
-            if b < a:
-                return -integral(b, a)
-            cuts = [a] + [z for z in zs if a < z < b] + [b]
-            return sum(seg_integral(c1, c2) for c1, c2 in zip(cuts, cuts[1:]))
-
-        cum = {k: integral(base_z, k) for k in knots}
-        knots_arr = np.array(knots)
-        cum_arr = np.array([cum[k] for k in knots])
-        g_at = np.array([self(k) for k in knots])
-        slopes_right = np.array(
-            [ (self(k2) - self(k1)) / (k2 - k1) for k1, k2 in zip(knots, knots[1:]) ]
-            + [self.right_slope])
-        left_slope = self.left_slope
+        knots, Gk, gk, gap_slope = self._pieces(base_z)
 
         def G(z):
             z_arr = _as_float_array(z)
-            idx = np.clip(np.searchsorted(knots_arr, z_arr, side="right") - 1,
-                          -1, len(knots) - 1)
-            below = idx < 0
-            idx_c = np.where(below, 0, idx)
-            dz = z_arr - knots_arr[idx_c]
-            slope = np.where(below, left_slope, slopes_right[idx_c])
-            out = cum_arr[idx_c] + g_at[idx_c] * dz + 0.5 * slope * dz * dz
-            return _scalar_like(out, z)
-
+            i = np.searchsorted(knots, z_arr, side="right")
+            k = np.maximum(i - 1, 0)
+            d = z_arr - knots[k]
+            return _scalar_like(Gk[k] + gk[k] * d + 0.5 * gap_slope[i] * d * d, z)
         return G
 
 
@@ -481,176 +471,113 @@ def scale_shift(F, A, B):
     )
 
 
-def make_from_g(g, base_z, base_value, base_slope, *, table_tol=1e-10,
-                z_table_hi=80.0, left_reach=400.0):
+def _log_piece(z, za, Ga, ga, s):
+    """log |int_za^z exp(G)| where G'' = s and G' keeps one sign; Ga, ga at za.
+
+    exp(G) Psi(G') is a primitive of +-exp(G): Psi(g) = 1/|g| for s = 0, else
+    sqrt(2/|s|) psi(|g|/sqrt(2|s|)), psi Dawson's integral (s > 0) or sqrt(pi)/2
+    erfcx (s < 0).  Where the exponent moves by less than 1 the primitives
+    would cancel; a Gauss-Legendre rule is exact to roundoff there instead."""
+    d = z - za
+    u = np.multiply.outer(d, 0.5 * (1.0 + _GL_NODES))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rise = d * (ga + 0.5 * s * d)  # G(z) - G(za), signed right at d = +-inf
+        g_ends = np.abs(np.broadcast_arrays(ga, ga + s * d))
+        root = np.sqrt(2.0 * np.abs(s))
+        psi = np.where(s > 0, dawsn(g_ends / root),
+                       0.5 * math.sqrt(math.pi) * erfcx(g_ends / root))
+        lp0, lp1 = np.where(s == 0, -np.log(g_ends), np.log(2.0 * psi / root))
+        far = np.maximum(rise + lp1, lp0) + np.log(
+            -np.expm1(-np.abs(rise + (lp1 - lp0))))
+        q = np.asarray(ga)[..., None] * u + 0.5 * np.asarray(s)[..., None] * u * u
+        near = np.log(0.5 * np.abs(d)) + logsumexp(q, axis=-1, b=_GL_WEIGHTS)
+        return Ga + np.where(np.abs(ga * d) + np.abs(s) * d * d <= 1.0, near, far)
+
+
+def _log_mass(g, base):
+    """z -> log |int_base^z exp(G)| for G' = g, G(base) = 0.  At z = +-inf
+    this is the mass of a whole tail: nan or inf where that diverges."""
+    knots, Gk, gk, sg = g._pieces(base)
+    m = _log_piece(knots[1:], knots[:-1], Gk[:-1], gk[:-1], sg[1:-1])
+    ib = int(np.searchsorted(knots, base))
+    # log mass between base and each knot, accumulated outward from base
+    cum = np.r_[np.logaddexp.accumulate(m[:ib][::-1])[::-1], -np.inf,
+                np.logaddexp.accumulate(m[ib:])]
+
+    def log_int(z):
+        z = _as_float_array(z)
+        i = np.searchsorted(knots, z, side="right")
+        k = np.where(z >= base, i - 1, i)  # the gap's end nearer base
+        return np.logaddexp(cum[k], _log_piece(z, knots[k], Gk[k], gk[k], sg[i]))
+
+    return log_int
+
+
+def _doubling_reach(h, z0, step):
+    """z0 + step * 2**k for the least k >= 0 with h(z) <= 0."""
+    while h(z0 + step) > 0:
+        step *= 2.0
+    return z0 + step
+
+
+def make_from_g(g, base_z, base_value, base_slope):
     """Reconstruct a transform whose curvature profile equals a given g.
 
-    Builds f(z) = base_value + base_slope * int_{base_z}^{z} exp(G(s)) ds with
-    G the closed-form antiderivative of the piecewise-linear convex g, then
-    returns F = f^{-1}.  The inner integral is exact per piece; the outer one
-    is tabulated in log space on a node set that doubles until cumulative
-    values are stable to table_tol (relative), so the construction survives
-    f growing past the floating-point range.  The domain's left end is the
-    zero crossing of f (values below it would be negative).
+    F = f^{-1} for f(z) = base_value + base_slope * int_{base_z}^{z} exp(G) with
+    G' = g, in closed form to roundoff however far f grows (_log_mass).  J starts
+    at the zero of f, or at -inf when the left mass of exp(G) cannot reach
+    base_value/base_slope.  A bounded f is refused.
     """
-    if base_slope <= 0:
-        raise DomainError("base_slope must be positive")
-    if base_value < 0:
-        raise DomainError("base_value must be nonnegative")
-    base_z = float(base_z)
+    if not (base_slope > 0 and base_value >= 0):
+        raise DomainError("need base_slope > 0 and base_value >= 0")
+    params = {"points": g.points, "left_slope": g.left_slope,
+              "right_slope": g.right_slope, "base_z": float(base_z),
+              "base_value": base_value, "base_slope": base_slope}
     G = g.antiderivative_from(base_z)
-
-    def mass(a_z, b_z, n=33):
-        # int_a^b exp(G), small windows only (overflow means "plenty")
-        nodes = np.linspace(a_z, b_z, n)
-        w = simpson_weights(n, nodes[1] - nodes[0])
-        with np.errstate(over="ignore"):
-            return float(np.sum(w * np.exp(G(nodes))))
-
-    # locate the left end: f(z) = base_value - base_slope * int_z^{base_z} exp(G)
-    # hits zero at j_lo; leftward mass may instead converge short of the target
-    if base_value == 0.0:
-        j_lo, t_lo, f_t_lo = base_z, base_z, 0.0
-    else:
-        target = base_value / base_slope
-        j_lo = -np.inf
-        got = 0.0
-        z_edge = base_z
-        while z_edge > base_z - left_reach:
-            z_next = z_edge - 1.0
-            inc = mass(z_next, z_edge)
-            if got + inc >= target:
-                lo_z, hi_z = z_next, z_edge
-                for _ in range(80):
-                    mid = 0.5 * (lo_z + hi_z)
-                    if got + mass(mid, z_edge) >= target:
-                        lo_z = mid
-                    else:
-                        hi_z = mid
-                j_lo = 0.5 * (lo_z + hi_z)
-                break
-            got += inc
-            z_edge = z_next
-            if inc < 1e-17 * (got + target):
-                break
-        if np.isfinite(j_lo):
-            t_lo, f_t_lo = j_lo, 0.0
-        else:
-            # f never vanishes: the table starts where the march stopped and
-            # the attainable values start at f(t_lo) > 0
-            t_lo = z_edge
-            f_t_lo = max(base_value - base_slope * got, 0.0)
-
-    # cumulative log integral table on [t_lo, z_table_hi], refined by doubling
-    knots = sorted({t_lo, z_table_hi, base_z}
-                   | {p[0] for p in g.points if t_lo < p[0] < z_table_hi})
-
-    def build(n_per_unit):
-        zs = [np.array([t_lo])]
-        for k1, k2 in zip(knots, knots[1:]):
-            m = max(2, int(np.ceil((k2 - k1) * n_per_unit)))
-            m += m % 2  # even panel count per section keeps Simpson clean
-            zs.append(np.linspace(k1, k2, m + 1)[1:])
-        z_nodes = np.concatenate(zs)
-        # per-gap 5-node Simpson of exp(G), all in log space
-        a, b = z_nodes[:-1], z_nodes[1:]
-        sub = a + (b - a) * np.linspace(0.0, 1.0, 5)[:, None]
-        w = np.array([1.0, 4.0, 2.0, 4.0, 1.0])[:, None] * ((b - a) / 12.0)
-        vals = G(sub) + np.log(w)
-        peak = np.max(vals, axis=0)
-        piece = peak + np.log(np.sum(np.exp(vals - peak), axis=0))
-        log_cum = np.concatenate([[-np.inf], np.logaddexp.accumulate(piece)])
-        return z_nodes, log_cum
-
-    knots_arr = np.array(knots)
-    n_per_unit = 4
-    z_nodes, log_cum = build(n_per_unit)
-    for _ in range(8):
-        n_per_unit *= 2
-        z2, c2 = build(n_per_unit)
-        # section boundaries are shared by every build, so compare there
-        i_old = np.searchsorted(z_nodes, knots_arr[1:])
-        i_new = np.searchsorted(z2, knots_arr[1:])
-        diff = np.max(np.abs(c2[i_new] - log_cum[i_old]))
-        z_nodes, log_cum = z2, c2
-        if diff <= table_tol:
-            break
-
-    log_slope = math.log(base_slope)
-    # direct-value table capped well below the float range: the spline's
-    # slope arithmetic overflows otherwise, and values that large are only
-    # ever touched through the log table anyway
-    with np.errstate(over="ignore"):
-        f_nodes = f_t_lo + np.exp(log_slope + log_cum)
-    finite = f_nodes <= 1e100
-    f_direct_z = z_nodes[finite]
-    f_direct_v = f_nodes[finite]
-
-    from scipy.interpolate import PchipInterpolator
-
-    f_interp = PchipInterpolator(f_direct_z, f_direct_v, extrapolate=False)
-    # log f table skips the left node, where the cumulative integral is empty
-    logf_z = z_nodes[1:]
-    tail = log_slope + log_cum[1:]
-    logf_v = tail if f_t_lo == 0.0 else np.logaddexp(math.log(f_t_lo), tail)
-    logf_interp = PchipInterpolator(logf_z, logf_v, extrapolate=False)
-    z_direct_hi = float(f_direct_z[-1])
-    f_cap = float(f_direct_v[-1])
-
-    def inv(z):
-        z_arr = _as_float_array(z)
-        out = np.empty_like(z_arr, dtype=float)
-        low = z_arr <= f_direct_z[0]
-        direct = (~low) & (z_arr <= z_direct_hi)
-        high = z_arr > z_direct_hi
-        out[low] = f_direct_v[0]
-        out[direct] = f_interp(z_arr[direct])
-        if np.any(high):
-            with np.errstate(over="ignore"):
-                out[high] = np.exp(logf_interp(np.minimum(z_arr[high],
-                                                          logf_z[-1])))
-        return out
+    log_fprime = lambda z: math.log(base_slope) + G(z)
+    log_int = _log_mass(g, float(base_z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        left_mass, right_mass = np.nan_to_num(
+            base_slope * np.exp(log_int([-np.inf, np.inf])), nan=np.inf)
+    if np.isfinite(right_mass):
+        raise DomainError(f"f is bounded: sup f = {base_value + right_mass:.6g}")
+    lower_a, j_lo, log_scale = base_value - left_mass, -np.inf, math.log(base_slope)
+    if lower_a >= 0 and base_value > 0:
+        log_value = math.log(base_value)
+    else:  # f has a zero: measure from it, so f is a sum of positive masses
+        f_below = lambda z: base_value - base_slope * np.exp(log_int(z))
+        j_lo = float(base_z) if base_value == 0 else invert_monotone(
+            f_below, 0.0, _doubling_reach(f_below, base_z, -1.0), base_z,
+            deriv=lambda z: np.exp(log_fprime(z)))
+        lower_a, log_value, base_z = 0.0, -np.inf, j_lo
+        log_scale += float(G(j_lo))
+        log_int = _log_mass(g, j_lo)
 
     def log_inv(z):
-        z_arr = np.clip(_as_float_array(z), logf_z[0], logf_z[-1])
-        return logf_interp(z_arr)
-
-    def inv_deriv(z):
-        z_arr = _as_float_array(z)
-        with np.errstate(over="ignore"):
-            return np.exp(log_slope + G(z_arr))
+        mass = log_scale + log_int(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            below = log_value + np.log(-np.expm1(mass - log_value))
+        return np.where(z >= base_z, np.logaddexp(log_value, mass), below)
 
     def ev(r):
-        r_arr = _as_float_array(r)
-        if np.any(r_arr > f_cap):
-            raise DomainError(
-                f"constructed transform tabulated only up to f = {f_cap:.3g}")
-        out = np.full_like(r_arr, t_lo)
-        pos = r_arr > f_direct_v[0]
+        r = _as_float_array(r)
+        out = np.where(r > lower_a, np.inf, j_lo)
+        pos = (r > lower_a) & np.isfinite(r)
         if np.any(pos):
-            out[pos] = invert_monotone(
-                f_interp, r_arr[pos], f_direct_z[0], z_direct_hi,
-                deriv=inv_deriv)
+            t = np.log(r[pos])
+            lo = j_lo if np.isfinite(j_lo) else _doubling_reach(
+                lambda z: log_inv(z) - t.min(), base_z, -1.0)
+            hi = _doubling_reach(lambda z: t.max() - log_inv(z), base_z, 1.0)
+            out[pos] = invert_monotone(log_inv, t, lo, hi, deriv=lambda z: np.exp(
+                log_fprime(z) - log_inv(z)))
         return out
-
-    def log_fprime(z):
-        return log_slope + G(_as_float_array(z))
 
     F = FTransform(
         kind_tag="g_constructed", domain_kind="half_line_nonneg",
-        lower_a=f_t_lo, upper_ell=np.inf, j_lo=float(j_lo), j_hi=np.inf,
-        label="from_g", params={
-            "points": g.points, "left_slope": g.left_slope,
-            "right_slope": g.right_slope, "base_z": base_z,
-            "base_value": base_value, "base_slope": base_slope,
-        },
-        _eval=ev,
-        _inverse=inv,
-        _deriv=None,
-        _inverse_deriv=inv_deriv,
-        _log_inverse=log_inv,
-        _g_closed=None,
-    )
+        lower_a=float(lower_a), upper_ell=np.inf, j_lo=float(j_lo), j_hi=np.inf,
+        label="from_g", params=params, _eval=ev, _log_inverse=log_inv,
+        _inverse=lambda z: np.exp(log_inv(z)),
+        _inverse_deriv=lambda z: np.exp(log_fprime(z)))
     # exact log-slope profile: g comes back by finite differences, so the
     # construction is cross-checked rather than echoed
     object.__setattr__(F, "_log_fprime_exact", log_fprime)

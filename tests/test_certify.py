@@ -393,6 +393,26 @@ def test_quasi_convex_2d():
     assert_line_witness(u, witness)
 
 
+def test_quasi_convex_skips_nan_nodes():
+    """A paraboloid masked to the triangle y <= x (NaN outside) used to be
+    refuted through the NaN nodes; a masked saddle is still refuted, with
+    every witness node inside the triangle."""
+    x = np.linspace(-1.0, 1.0, 17)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+
+    def masked(vals):
+        return GridFunction(values=np.where(Y > X, np.nan, vals),
+                            extent=((-1.0, 1.0), (-1.0, 1.0)),
+                            growth_a=2.0, growth_A=0.0)
+
+    assert check_quasi_convex(masked(X * X + Y * Y)) == (True, None)
+    saddle = masked(X * X - Y * Y)
+    ok, witness = check_quasi_convex(saddle)
+    assert not ok
+    assert all(y <= x for x, y in witness)
+    assert_line_witness(saddle, witness)
+
+
 def _quadratic(X, Y, c, w):
     return (w[0] * (X - c[0]) ** 2 + 2 * w[1] * (X - c[0]) * (Y - c[1])
             + w[2] * (Y - c[1]) ** 2)

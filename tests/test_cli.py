@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import csv
 import json
 import math
 import subprocess
@@ -261,6 +262,61 @@ def test_hunt_honours_the_significance_factor(tmp_path):
     assert "# no stable significant violation found" in text
     meta = json.loads((out / "hunt_meta.json").read_text())
     assert meta["earliest_significant_t"]["power[1.5]"] is None
+
+
+def test_hunt_honours_eps_tail(tmp_path):
+    """hunt used to evolve at the default tail tolerance whatever the config
+    said, so a loose flow.eps_tail left its history unchanged."""
+    texts = []
+    for name, extra in (("default", ""), ("loose", "flow.eps_tail = 1e-3\n")):
+        cfg = write_config(tmp_path, HUNT_CFG + extra, name=f"{name}.cfg")
+        assert entry(["hunt", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        texts.append((tmp_path / name / "hunt_power_1.5.csv").read_text())
+    assert texts[0] != texts[1]
+
+
+def _replace_keys(text, *lines):
+    """text without the keys that `lines` set, followed by those lines."""
+    keys = {line.split("=")[0].strip() for line in lines}
+    kept = [ln for ln in text.splitlines() if ln.split("=")[0].strip() not in keys]
+    return "\n".join(kept + list(lines)) + "\n"
+
+
+def test_every_verify_row_matches_the_header(tmp_path):
+    """A two-node grid holds no testable triple; its row used to carry one
+    field more than the header."""
+    for name, lines in (("fine", ()), ("bare", ("grid.lo = -1", "grid.hi = 1",
+                                                "grid.h = 2"))):
+        cfg = write_config(tmp_path, _replace_keys(VERIFY_OK_CFG, *lines),
+                           name=f"{name}.cfg")
+        out = tmp_path / name
+        assert entry(["verify", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "verify.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), rows
+
+
+@pytest.mark.parametrize("command,line", [
+    ("hunt", "certify.refine_levels = -1"),
+    ("verify", "flow.eps_tail = 0"),
+    ("verify", "flow.eps_tail = -1"),
+    ("evolve", "flow.times = nan"),
+    ("verify", "flow.times = nan"),
+    ("verify", "certify.significance_factor = nan"),
+    ("verify", "grid.h = abc"),
+    ("evolve", "flow.times = 0.05,x"),
+    ("verify", "certify.lambda_set = 1/0"),
+    ("verify", "seed = -1"),
+])
+def test_invalid_config_values_are_config_errors(tmp_path, capsys, command, line):
+    """Each value used to crash the command (exit 1, a traceback) or, for
+    the NaN significance factor, let the power-2 wedge verify exit 0, not 5."""
+    base = HUNT_CFG if command == "hunt" else VERIFY_BAD_CFG
+    cfg = write_config(tmp_path, _replace_keys(base, line))
+    out = tmp_path / "res"
+    assert entry([command, "--config", cfg, "--out", str(out)]) == 2
+    assert line.split("=")[0].strip() in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_hunt_refuses_a_dirichlet_domain(tmp_path, capsys):

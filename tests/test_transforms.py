@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from heatconvex import (DomainError, abs_kink_generator, builtin_transforms,
+from heatconvex import (DomainError, GSpec, abs_kink_generator, builtin_transforms,
                         check_admissible, check_curvature_criterion,
                         check_gaussian_integrability, classify,
                         compare_strength, default_j_window, make_affine,
@@ -174,6 +174,60 @@ def test_from_g_with_positive_base_value():
     assert float(F.inverse(0.0)) == pytest.approx(1.0, rel=1e-6)
     oracle = 1.0 + float(np.sqrt(np.pi / 2.0) * erf(np.sqrt(0.5)))
     assert float(F.inverse(1.0)) == pytest.approx(oracle, rel=1e-6)
+
+
+def test_from_g_matches_mpmath_oracle():
+    """f of the kink generator at 40 digits: f(z) = sqrt(pi/2) erf(z/sqrt 2)
+    for z <= 1; beyond, g(s) = s - 2 and G(s) = (s - 2)^2/2 - 1 add
+    e^-1 sqrt(pi/2) (erfi((z - 2)/sqrt 2) - erfi(-1/sqrt 2))."""
+    mp = pytest.importorskip("mpmath")
+
+    def kink_f(z):
+        z, c, s2 = mp.mpf(float(z)), mp.sqrt(mp.pi / 2), mp.sqrt(2)
+        if z <= 1:
+            return c * mp.erf(z / s2)
+        return c * (mp.erf(1 / s2) + mp.exp(-1) * (mp.erfi((z - 2) / s2)
+                                                   - mp.erfi(-1 / s2)))
+
+    F = BUILTINS["from_g_kink"]
+    with mp.workdps(40):
+        z = np.r_[np.geomspace(1e-6, 1.0, 25), np.linspace(1.0, 37.0, 145)[1:]]
+        ref = np.array([float(kink_f(v)) for v in z])
+        np.testing.assert_allclose(F.inverse(z), ref, rtol=1e-12, atol=0)
+        z = np.r_[np.geomspace(1e-6, 1.0, 13), np.linspace(1.0, 79.0, 157)[1:]]
+        ref = np.array([float(mp.log(kink_f(v))) for v in z])
+        np.testing.assert_allclose(F.log_inverse(z), ref, rtol=1e-13, atol=0)
+        oracle = 1.0 + float(kink_f(1.0))
+    F1 = make_from_g(abs_kink_generator(), 0.0, 1.0, 1.0)
+    assert abs(float(F1.inverse(1.0)) - oracle) <= 1e-13
+
+
+def test_from_g_round_trips_far_out():
+    """Values far beyond any fixed table: f grows like exp(z^2/2)."""
+    F = BUILTINS["from_g_kink"]
+    r = np.array([1e-8, 0.3, 20.0, 1e6, 1e50, 1e300])
+    np.testing.assert_allclose(F.inverse(F(r)), r, rtol=1e-12)
+
+
+def test_from_g_left_end_at_minus_infinity():
+    """With base_value 2 the left mass sqrt(pi/2) of exp(-s^2/2) falls short,
+    so f never vanishes: J starts at -inf and f(-inf) = 2 - sqrt(pi/2)."""
+    F = make_from_g(abs_kink_generator(), 0.0, 2.0, 1.0)
+    c = np.sqrt(np.pi / 2.0)
+    assert F.j_lo == -np.inf
+    assert F.lower_a == pytest.approx(2.0 - c, rel=1e-14)
+    z = np.array([-6.0, -3.0, -0.5])
+    f = 2.0 - c * erf(-z / np.sqrt(2.0))
+    np.testing.assert_allclose(F.inverse(z), f, rtol=1e-14)
+    np.testing.assert_allclose(F(f), z, rtol=1e-9)
+
+
+def test_from_g_refuses_a_bounded_f():
+    """exp(G) decays on both sides here, so f is bounded and the class would
+    be trivial; the transform used to claim an unbounded domain."""
+    g = GSpec(((0.0, 0.0),), left_slope=-2.0, right_slope=-1.0)
+    with pytest.raises(DomainError, match=r"sup f = 1\.7533"):
+        make_from_g(g, 0.0, 0.5, 1.0)
 
 
 def test_gspec_antiderivative_is_exact():
