@@ -24,9 +24,8 @@ import numpy as np
 
 from .certify import check_F_convex, hunt_violation
 from .config import ConfigError, load_config
-from .heatflow import (EXISTENCE_MARGIN, EvaluationWindowError,
-                       ExistenceWindowError, heat_evolve_dirichlet,
-                       heat_evolve_free, maximal_time_hint)
+from .heatflow import (EvaluationWindowError, ExistenceWindowError,
+                       check_existence, heat_evolve_dirichlet, heat_evolve_free)
 from .numerics import DomainError
 from .transforms import ClassReport, classify
 
@@ -57,17 +56,6 @@ def _write_meta(cfg, command, name, extra):
     record = {"command": command, "config": cfg.resolved}
     record.update(extra)
     _write(cfg.out_dir, name, json.dumps(record, sort_keys=True, indent=2) + "\n")
-
-
-def _check_schedule(phi, times):
-    """ExistenceWindowError before any file is written, not halfway through."""
-    A = float(getattr(phi, "growth_A", 0.0))
-    t_max = max(times)
-    if 4.0 * A * t_max >= 1.0 - EXISTENCE_MARGIN:
-        raise ExistenceWindowError(
-            f"t={t_max:g} exceeds the existence window for growth exponent "
-            f"A={A:.6g}; largest admitted time is about "
-            f"{maximal_time_hint(A):.6g}")
 
 
 def _evolve(cfg, phi, t):
@@ -121,7 +109,8 @@ def cmd_evolve(cfg):
     """Write u(.,t) for each scheduled t plus a metadata record."""
     F_ctx = cfg.transforms[0] if cfg.transforms else None
     phi = cfg.datum(F_ctx)
-    _check_schedule(phi, cfg.times)
+    # the whole schedule, before any file is written
+    check_existence(phi.growth_A, max(cfg.times))
     results = []
     for i, t in enumerate(cfg.times):
         u = _evolve(cfg, phi, t)
@@ -150,7 +139,7 @@ def cmd_verify(cfg):
             print(f"warning: {F.label} classifies as {report.verdict}, "
                   "not preserved; verifying anyway", file=sys.stderr)
         phi = cfg.datum(F)
-        _check_schedule(phi, cfg.times)
+        check_existence(phi.growth_A, max(cfg.times))
         for t in cfg.times:
             u = _evolve(cfg, phi, t)
             _warn_unconverged(f"{F.label} t={t:g}", u.meta)
@@ -181,7 +170,7 @@ def cmd_hunt(cfg):
     summary = {}
     for F in cfg.transforms:
         phi = cfg.datum(F)
-        _check_schedule(phi, cfg.times)
+        check_existence(phi.growth_A, max(cfg.times))
         history = []
         cert, t_first = hunt_violation(
             F, phi, cfg.times, (lo, hi), refine=cfg.refine_levels,

@@ -46,6 +46,7 @@ __all__ = [
     "gauss_kernel",
     "fit_growth_envelope",
     "maximal_time_hint",
+    "check_existence",
     "heat_evolve_free",
     "heat_evolve_dirichlet",
     "hot_h",
@@ -306,6 +307,15 @@ def maximal_time_hint(growth_A):
     if growth_A <= 0:
         return np.inf
     return 1.0 / (4.0 * growth_A)
+
+
+def check_existence(A, t):
+    """ExistenceWindowError unless 4*A*t < 1 - EXISTENCE_MARGIN."""
+    if 4.0 * A * t >= 1.0 - EXISTENCE_MARGIN:
+        admitted = (1.0 - EXISTENCE_MARGIN) / (4.0 * A) if A > 0 else np.inf
+        raise ExistenceWindowError(
+            f"4*A*t = {4 * A * t:.4g} exceeds the margin; largest admitted "
+            f"time for growth exponent {A:.6g} is {admitted:.6g}")
 
 
 # -- evolution engine --------------------------------------------------------
@@ -588,11 +598,7 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     grids = _axis_grids(out_grid)
     dim = len(grids)
     sample, a, A, brk, extent, phi_h, inherited = _resolve_datum(phi, dim)
-    if 4.0 * A * t >= 1.0 - EXISTENCE_MARGIN:
-        admitted = (1.0 - EXISTENCE_MARGIN) / (4.0 * A) if A > 0 else np.inf
-        raise ExistenceWindowError(
-            f"4*A*t = {4 * A * t:.4g} exceeds the margin; largest admitted "
-            f"time for growth exponent {A:.6g} is {admitted:.6g}")
+    check_existence(A, t)
 
     ns = [grid_nodes(lo, hi, h).size for lo, hi, h in grids]
     Hs = [(hi - lo) / (n - 1) for (lo, hi, _), n in zip(grids, ns)]

@@ -17,7 +17,7 @@ Extended-real conventions: endpoint values map to -inf/+inf (e.g. log 0 =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import dawsn, erfcx, log_ndtr, logsumexp
@@ -80,22 +80,22 @@ class FTransform:
     'bounded_above' (values in [lower_a, upper_ell] with F(upper_ell) = inf).
     (j_lo, j_hi) bound the open image interval J of the domain interior;
     inverse/log_inverse/g are defined there.  All callables are vectorized.
+    _log_inverse_deriv, when given, is log f_F' exactly; g then differentiates
+    it instead of the log of _inverse_deriv, which overflows first.
     """
 
-    kind_tag: str
     domain_kind: str
     lower_a: float
     upper_ell: float
     j_lo: float
     j_hi: float
     label: str
-    params: dict = field(default_factory=dict)
     _eval: object = None
     _inverse: object = None
-    _deriv: object = None
     _inverse_deriv: object = None
     _log_inverse: object = None
     _g_closed: object = None
+    _log_inverse_deriv: object = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -115,14 +115,6 @@ class FTransform:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = self._inverse(arr)
         return _scalar_like(out, z)
-
-    def deriv(self, r):
-        arr = _as_float_array(r)
-        if self._deriv is not None:
-            with np.errstate(divide="ignore", over="ignore"):
-                return _scalar_like(self._deriv(arr), r)
-        h = fd_step(arr)
-        return _scalar_like((self(arr + h) - self(arr - h)) / (2 * h), r)
 
     def inverse_deriv(self, z):
         arr = self._check_j(z, slack=0.0)
@@ -166,9 +158,8 @@ class FTransform:
         return vals, noise
 
     def _log_fprime(self, z):
-        exact = getattr(self, "_log_fprime_exact", None)
-        if exact is not None:
-            return exact(z)
+        if self._log_inverse_deriv is not None:
+            return self._log_inverse_deriv(z)
         if self._inverse_deriv is not None:
             with np.errstate(divide="ignore"):
                 return np.log(self._inverse_deriv(z))
@@ -280,12 +271,11 @@ def make_power_alpha(alpha):
         raise DomainError("alpha must be finite")
     if alpha == 0.0:
         return FTransform(
-            kind_tag="log", domain_kind="half_line_nonneg",
+            domain_kind="half_line_nonneg",
             lower_a=0.0, upper_ell=np.inf, j_lo=-np.inf, j_hi=np.inf,
-            label="power[0]", params={"alpha": 0.0},
+            label="power[0]",
             _eval=lambda r: np.log(r),
             _inverse=np.exp,
-            _deriv=lambda r: 1.0 / r,
             _inverse_deriv=np.exp,
             _log_inverse=lambda z: _as_float_array(z) + 0.0,
             _g_closed=lambda z: np.ones_like(_as_float_array(z)),
@@ -306,12 +296,11 @@ def make_power_alpha(alpha):
         return np.power(np.maximum(alpha * z + 1.0, 0.0), 1.0 / alpha)
 
     return FTransform(
-        kind_tag="power_alpha", domain_kind="half_line_nonneg",
+        domain_kind="half_line_nonneg",
         lower_a=0.0, upper_ell=np.inf, j_lo=j_lo, j_hi=j_hi,
-        label=f"power[{alpha:g}]", params={"alpha": alpha},
+        label=f"power[{alpha:g}]",
         _eval=ev,
         _inverse=inv,
-        _deriv=lambda r: np.power(r, alpha - 1.0),
         _inverse_deriv=lambda z: np.power(alpha * _as_float_array(z) + 1.0,
                                           1.0 / alpha - 1.0),
         _log_inverse=lambda z: np.log(alpha * _as_float_array(z) + 1.0) / alpha,
@@ -331,12 +320,11 @@ def make_affine(A, B, domain_kind="whole_line"):
     else:
         raise DomainError("affine transform: unsupported domain kind")
     return FTransform(
-        kind_tag="affine", domain_kind=domain_kind,
+        domain_kind=domain_kind,
         lower_a=lower, upper_ell=np.inf, j_lo=j_lo, j_hi=np.inf,
-        label=f"affine[{A:g},{B:g}]", params={"A": A, "B": B},
+        label=f"affine[{A:g},{B:g}]",
         _eval=lambda r: A * _as_float_array(r) + B,
         _inverse=lambda z: (_as_float_array(z) - B) / A,
-        _deriv=lambda r: np.full_like(_as_float_array(r), A),
         _inverse_deriv=lambda z: np.full_like(_as_float_array(z), 1.0 / A),
         _log_inverse=lambda z: np.log(np.abs(_as_float_array(z) - B)) - np.log(A),
         _g_closed=lambda z: np.zeros_like(_as_float_array(z)),
@@ -346,12 +334,11 @@ def make_affine(A, B, domain_kind="whole_line"):
 def make_exp():
     """Whole-line transform F(r) = e^r (inverse log; the standard non-affine probe)."""
     return FTransform(
-        kind_tag="custom", domain_kind="whole_line",
+        domain_kind="whole_line",
         lower_a=-np.inf, upper_ell=np.inf, j_lo=0.0, j_hi=np.inf,
-        label="exp", params={},
+        label="exp",
         _eval=lambda r: np.exp(_as_float_array(r)),
         _inverse=lambda z: np.log(_as_float_array(z)),
-        _deriv=lambda r: np.exp(_as_float_array(r)),
         _inverse_deriv=lambda z: 1.0 / _as_float_array(z),
         _log_inverse=lambda z: np.log(np.abs(np.log(_as_float_array(z)))),
         _g_closed=lambda z: -1.0 / _as_float_array(z),
@@ -381,17 +368,12 @@ def make_hot(a):
         out = np.where(ratio >= 1.0, np.inf, out)
         return out
 
-    def deriv(r):
-        r = _as_float_array(r)
-        return 1.0 / (a * hot_h_deriv(ev(r)))
-
     return FTransform(
-        kind_tag="hot", domain_kind="bounded_above",
+        domain_kind="bounded_above",
         lower_a=0.0, upper_ell=a, j_lo=-np.inf, j_hi=np.inf,
-        label=f"hot[{a:g}]", params={"a": a},
+        label=f"hot[{a:g}]",
         _eval=ev,
         _inverse=lambda z: a * hot_h(_as_float_array(z)),
-        _deriv=deriv,
         _inverse_deriv=lambda z: a * hot_h_deriv(_as_float_array(z)),
         _log_inverse=lambda z: np.log(a) + log_ndtr(_as_float_array(z) / np.sqrt(2.0)),
         _g_closed=lambda z: -0.5 * _as_float_array(z),
@@ -411,12 +393,11 @@ def make_neglog(a, ell):
             return -np.log(ell - r)
 
     return FTransform(
-        kind_tag="neglog", domain_kind="bounded_above",
+        domain_kind="bounded_above",
         lower_a=float(a), upper_ell=ell, j_lo=j_lo, j_hi=np.inf,
-        label=f"neglog[{a:g},{ell:g}]", params={"a": float(a), "ell": ell},
+        label=f"neglog[{a:g},{ell:g}]",
         _eval=ev,
         _inverse=lambda z: ell - np.exp(-_as_float_array(z)),
-        _deriv=lambda r: 1.0 / (ell - _as_float_array(r)),
         _inverse_deriv=lambda z: np.exp(-_as_float_array(z)),
         _log_inverse=lambda z: np.log(np.abs(
             ell - np.exp(-_as_float_array(z)))),
@@ -425,14 +406,14 @@ def make_neglog(a, ell):
 
 
 def make_custom(eval_fn, inverse_fn, domain_kind, lower_a, upper_ell,
-                j_lo, j_hi, label="custom", deriv_fn=None,
-                inverse_deriv_fn=None, log_inverse_fn=None):
+                j_lo, j_hi, label="custom", inverse_deriv_fn=None,
+                log_inverse_fn=None):
     """Wrap user callables as a transform; derivatives fall back to differences."""
     return FTransform(
-        kind_tag="custom", domain_kind=domain_kind,
+        domain_kind=domain_kind,
         lower_a=float(lower_a), upper_ell=float(upper_ell),
-        j_lo=float(j_lo), j_hi=float(j_hi), label=label, params={},
-        _eval=eval_fn, _inverse=inverse_fn, _deriv=deriv_fn,
+        j_lo=float(j_lo), j_hi=float(j_hi), label=label,
+        _eval=eval_fn, _inverse=inverse_fn,
         _inverse_deriv=inverse_deriv_fn, _log_inverse=log_inverse_fn,
     )
 
@@ -443,31 +424,22 @@ def scale_shift(F, A, B):
     if A <= 0:
         raise DomainError("scale_shift needs A > 0")
 
-    def shift(z):
-        return (_as_float_array(z) - B) / A
+    def pull(fn, post=lambda v: v):
+        """z -> post(fn((z - B)/A)), or None when F lacks fn."""
+        return None if fn is None else lambda z: post(fn((_as_float_array(z) - B) / A))
 
-    g_closed = None
-    if F._g_closed is not None:
-        g_closed = lambda z: F._g_closed(shift(z)) / A
-    log_inv = None
-    if F._log_inverse is not None:
-        log_inv = lambda z: F._log_inverse(shift(z))
-    inv_deriv = None
-    if F._inverse_deriv is not None:
-        inv_deriv = lambda z: F._inverse_deriv(shift(z)) / A
     return FTransform(
-        kind_tag="custom", domain_kind=F.domain_kind,
+        domain_kind=F.domain_kind,
         lower_a=F.lower_a, upper_ell=F.upper_ell,
         j_lo=A * F.j_lo + B if np.isfinite(F.j_lo) else F.j_lo,
         j_hi=A * F.j_hi + B if np.isfinite(F.j_hi) else F.j_hi,
         label=f"{A:g}*{F.label}+{B:g}",
-        params={"A": A, "B": B, "base": F.label},
         _eval=lambda r: A * np.asarray(F(r), dtype=float) + B,
-        _inverse=lambda z: F._inverse(shift(z)),
-        _deriv=(lambda r: A * np.asarray(F.deriv(r), dtype=float)),
-        _inverse_deriv=inv_deriv,
-        _log_inverse=log_inv,
-        _g_closed=g_closed,
+        _inverse=pull(F._inverse),
+        _inverse_deriv=pull(F._inverse_deriv, lambda v: v / A),
+        _log_inverse=pull(F._log_inverse),
+        _g_closed=pull(F._g_closed, lambda v: v / A),
+        _log_inverse_deriv=pull(F._log_inverse_deriv, lambda v: v - math.log(A)),
     )
 
 
@@ -530,9 +502,6 @@ def make_from_g(g, base_z, base_value, base_slope):
     """
     if not (base_slope > 0 and base_value >= 0):
         raise DomainError("need base_slope > 0 and base_value >= 0")
-    params = {"points": g.points, "left_slope": g.left_slope,
-              "right_slope": g.right_slope, "base_z": float(base_z),
-              "base_value": base_value, "base_slope": base_slope}
     G = g.antiderivative_from(base_z)
     log_fprime = lambda z: math.log(base_slope) + G(z)
     log_int = _log_mass(g, float(base_z))
@@ -555,7 +524,7 @@ def make_from_g(g, base_z, base_value, base_slope):
 
     def log_inv(z):
         mass = log_scale + log_int(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             below = log_value + np.log(-np.expm1(mass - log_value))
         return np.where(z >= base_z, np.logaddexp(log_value, mass), below)
 
@@ -572,16 +541,15 @@ def make_from_g(g, base_z, base_value, base_slope):
                 log_fprime(z) - log_inv(z)))
         return out
 
-    F = FTransform(
-        kind_tag="g_constructed", domain_kind="half_line_nonneg",
+    # the exact log-slope profile: g comes back from it by finite
+    # differences, so the construction is cross-checked rather than echoed
+    return FTransform(
+        domain_kind="half_line_nonneg",
         lower_a=float(lower_a), upper_ell=np.inf, j_lo=float(j_lo), j_hi=np.inf,
-        label="from_g", params=params, _eval=ev, _log_inverse=log_inv,
+        label="from_g", _eval=ev, _log_inverse=log_inv,
         _inverse=lambda z: np.exp(log_inv(z)),
-        _inverse_deriv=lambda z: np.exp(log_fprime(z)))
-    # exact log-slope profile: g comes back by finite differences, so the
-    # construction is cross-checked rather than echoed
-    object.__setattr__(F, "_log_fprime_exact", log_fprime)
-    return F
+        _inverse_deriv=lambda z: np.exp(log_fprime(z)),
+        _log_inverse_deriv=log_fprime)
 
 
 def builtin_transforms():
@@ -605,8 +573,6 @@ def builtin_transforms():
 class AdmissibilityReport:
     admissible: bool
     first_violation: object = None     # (r, reason) or None
-    bounded_image: bool = False        # finite sup of F: the class is trivial
-    notes: str = ""
 
     def __bool__(self):
         return self.admissible
@@ -619,10 +585,10 @@ def _domain_samples(F, n):
     if F.domain_kind == "bounded_above":
         left = lo if np.isfinite(F(lo)) else lo + (hi - lo) * 1e-9
         return np.linspace(left, hi - (hi - lo) * 1e-9, n)
-    # half line: mix a linear head with a geometric tail
+    # half line: a linear head and a geometric tail above lower_a
     head = np.linspace(1e-8, 2.0, n // 2)
     tail = np.geomspace(2.0, 1e6, n - n // 2 + 1)[1:]
-    return np.concatenate([head, tail])
+    return lo + np.concatenate([head, tail])
 
 
 def check_admissible(F, n_samples=201):
@@ -647,10 +613,7 @@ def check_admissible(F, n_samples=201):
             if np.max(np.diff(sv)) > 0.8 * dv[i]:
                 return AdmissibilityReport(
                     False, (float(r[i]), "discontinuity (jump under refinement)"))
-
-    bounded = np.isfinite(F.j_hi)
-    notes = "image bounded above: convexity class is trivial" if bounded else ""
-    return AdmissibilityReport(True, None, bounded, notes)
+    return AdmissibilityReport(True)
 
 
 # -- Gaussian integrability of the inverse transform -------------------------
@@ -658,40 +621,35 @@ def check_admissible(F, n_samples=201):
 
 @dataclass(frozen=True)
 class GaussianIntegrability:
-    """Evidence about int e^{-A z^2} |f_F(z)| dz over the image interval.
+    """The least Gaussian order making int e^{-A z^2} |f_F(z)| dz finite.
 
-    status: 'finite' / 'divergent' / 'inconclusive' for the A that was probed.
-    a_star: estimated least Gaussian order making the integral finite
-    (0 when every positive order works, inf when none does, nan when the
-    window fits disagree).
+    a_star: 0 when every positive order works; inf when none does (a tail of
+    J grows super-Gaussian, or |f_F| is not integrable at the finite lower
+    end of J); nan when the two window fits of a tail disagree or that end
+    is inconclusive.  fit_coeffs: the two fits of each infinite tail, the
+    upper tail first.  endpoint_status: 'none' when no finite end was
+    probed, else 'integrable' / 'divergent' / 'inconclusive'.
     """
 
-    status: str
     a_star: float
-    a_probed: float
-    log_increments: tuple
     fit_coeffs: tuple
-    fit_windows: tuple
     endpoint_status: str = "none"
-    notes: str = ""
 
 
-def _log_window_integral(F, lo, hi, A, n=513):
-    z = np.linspace(lo, hi, n)
-    w = simpson_weights(n, z[1] - z[0])
+def _log_window_integral(F, lo, hi):
+    z = np.linspace(lo, hi, 65)
+    w = simpson_weights(z.size, z[1] - z[0])
     with np.errstate(divide="ignore"):
-        vals = np.asarray(F.log_inverse(z), dtype=float) - A * z * z + np.log(w)
-    vals = vals[np.isfinite(vals) | (vals == -np.inf)]
-    return logsumexp(vals[np.isfinite(vals)]) if np.any(np.isfinite(vals)) else -np.inf
+        vals = np.asarray(F.log_inverse(z), dtype=float) + np.log(w)
+    vals = vals[np.isfinite(vals)]
+    return logsumexp(vals) if vals.size else -np.inf
 
 
-def _tail_fit_a_star(F, direction, j_cap):
-    """Quadratic growth order of log |f_F| on two disjoint windows."""
-    w1, w2 = (8.0, 16.0), (32.0, 64.0)
-    if np.isfinite(j_cap):
-        return np.nan, (np.nan, np.nan), (w1, w2)  # no infinite tail to fit
+def _tail_fit_a_star(F, direction):
+    """Quadratic growth order of log |f_F| on the windows 8..16 and 32..64
+    of the infinite tail of J in direction +-1, and the two fits."""
     coeffs = []
-    for lo, hi in (w1, w2):
+    for lo, hi in ((8.0, 16.0), (32.0, 64.0)):
         z = direction * np.linspace(lo, hi, 129)
         y = np.asarray(F.log_inverse(z), dtype=float)
         keep = np.isfinite(y)
@@ -699,30 +657,24 @@ def _tail_fit_a_star(F, direction, j_cap):
     c1, c2 = coeffs
     small = 0.02
     if max(abs(c1), abs(c2)) < small:
-        return 0.0, (c1, c2), (w1, w2)
+        return 0.0, (c1, c2)
     if abs(c1 - c2) <= 0.2 * max(abs(c1), abs(c2)) and c1 > 0 and c2 > 0:
-        return 0.5 * (c1 + c2), (c1, c2), (w1, w2)
+        return 0.5 * (c1 + c2), (c1, c2)
     if c1 > small and c2 >= 1.25 * c1:
-        return np.inf, (c1, c2), (w1, w2)
-    return np.nan, (c1, c2), (w1, w2)
+        return np.inf, (c1, c2)
+    return np.nan, (c1, c2)
 
 
-def _endpoint_integrable(F, endpoint, side):
-    """Evidence that |f_F| is integrable approaching a finite J endpoint.
+def _endpoint_integrable(F, endpoint):
+    """Evidence that |f_F| is integrable approaching the finite lower end of J.
 
-    side +1 means approach from the right (endpoint is the lower end).
     Window integrals over geometrically shrinking bands must decay.
     """
     ratios = []
     prev = None
     for k in range(2, 22):
         d_hi = 2.0 ** (-k)
-        d_lo = d_hi / 2.0
-        lo = endpoint + side * d_lo
-        hi = endpoint + side * d_hi
-        if side < 0:
-            lo, hi = hi, lo
-        val = _log_window_integral(F, lo, hi, 0.0, n=65)
+        val = _log_window_integral(F, endpoint + d_hi / 2.0, endpoint + d_hi)
         if prev is not None and np.isfinite(prev) and np.isfinite(val):
             ratios.append(np.exp(val - prev))
         prev = val
@@ -736,80 +688,40 @@ def _endpoint_integrable(F, endpoint, side):
     return "inconclusive"
 
 
-def check_gaussian_integrability(F, A=1.0, z_max_schedule=(8.0, 16.0, 32.0, 64.0)):
-    """Probe whether e^{-A z^2} |f_F| has finite integral over the image.
+def check_gaussian_integrability(F):
+    """Estimate the least Gaussian order a_star that makes e^{-A z^2} |f_F|
+    integrable over the image interval J (any A > a_star does).
 
-    Integrates over a doubling window schedule and inspects tail increments:
-    geometric decay counts as finite, growth as divergent, anything else is
-    inconclusive.  Independently fits the quadratic growth order of
-    log |f_F| on two disjoint windows; the fits must agree within 20% to
-    report a_star (the least sufficient Gaussian order).
+    Each infinite tail of J is probed by fitting the quadratic growth order
+    of log |f_F| on two disjoint windows, which must agree within 20%: the
+    upper tail on the half line (toward j_lo, f_F stays bounded),
+    both tails on the whole line.  A finite lower end of a whole-line J is
+    probed for integrability of |f_F| instead.
     """
-    if A <= 0:
-        raise DomainError("A must be positive")
     if F.domain_kind == "bounded_above":
         raise DomainError("integrability probe applies to unbounded-value domains")
     if np.isfinite(F.j_hi):
         raise DomainError("vacuous: transform image is bounded above")
-
-    if F.domain_kind == "half_line_nonneg":
-        z0 = float(F(1.0))
-        schedule = [s for s in z_max_schedule if s > z0]
-        logs = []
-        prev = z0
-        for s in schedule:
-            logs.append(_log_window_integral(F, prev, s, A))
-            prev = s
-        a_star, coeffs, wins = _tail_fit_a_star(F, +1.0, F.j_hi)
-        endpoint = "none"
-    else:
-        # whole line: both tails plus any finite endpoint of the image
-        logs = []
-        endpoint = "none"
-        a_candidates = []
-        for direction, j_end in ((+1.0, F.j_hi), (-1.0, F.j_lo)):
-            if np.isfinite(j_end):
-                endpoint = _endpoint_integrable(
-                    F, j_end, -direction)
-                continue
-            prev = 0.0 if F.j_lo < 0.0 < F.j_hi else (
-                F.j_lo + 1.0 if direction > 0 else F.j_hi - 1.0)
-            for s in z_max_schedule:
-                zz = direction * s
-                lo, hi = (prev, zz) if direction > 0 else (zz, prev)
-                logs.append(_log_window_integral(F, lo, hi, A))
-                prev = zz
-            a_dir, coeffs, wins = _tail_fit_a_star(F, direction, j_end)
-            a_candidates.append(a_dir)
-        a_star = max(a_candidates) if a_candidates else 0.0
-        if endpoint == "divergent":
-            a_star = np.inf
-        elif endpoint == "inconclusive":
-            a_star = np.nan
-        if not a_candidates:
-            coeffs, wins = (np.nan, np.nan), ((8.0, 16.0), (32.0, 64.0))
-
-    finite_logs = [v for v in logs if np.isfinite(v)]
-    if len(finite_logs) < 2:
-        status = "finite"  # increments below the floating-point floor
-    else:
-        deltas = np.diff(finite_logs[-3:]) if len(finite_logs) >= 3 \
-            else np.diff(finite_logs)
-        if np.all(deltas <= -np.log(4.0)):
-            status = "finite"
-        elif np.all(deltas >= np.log(2.0)):
-            status = "divergent"
+    tails, endpoint = [1.0], "none"
+    if F.domain_kind != "half_line_nonneg":
+        if np.isfinite(F.j_lo):
+            endpoint = _endpoint_integrable(F, F.j_lo)
         else:
-            status = "inconclusive"
-    if endpoint == "divergent":
-        status = "divergent"
-
+            tails.append(-1.0)
+    orders, coeffs = [], []
+    for direction in tails:
+        order, fits = _tail_fit_a_star(F, direction)
+        orders.append(order)
+        coeffs.extend(fits)
+    if endpoint == "divergent" or np.inf in orders:
+        a_star = np.inf
+    elif endpoint == "inconclusive" or np.isnan(orders).any():
+        a_star = np.nan
+    else:
+        a_star = max(orders)
     return GaussianIntegrability(
-        status=status, a_star=float(a_star) if not np.isnan(a_star) else np.nan,
-        a_probed=float(A),
-        log_increments=tuple(float(v) for v in logs),
-        fit_coeffs=tuple(float(c) for c in np.atleast_1d(coeffs)),
-        fit_windows=wins, endpoint_status=endpoint)
+        a_star=float(a_star), fit_coeffs=tuple(float(c) for c in coeffs),
+        endpoint_status=endpoint)
 
 
 # -- curvature criterion ------------------------------------------------------
@@ -951,7 +863,7 @@ _RULES = {
 }
 
 
-def classify(F, *, z_grid=None, a_probe=1.0):
+def classify(F, *, z_grid=None):
     """Route a transform through the preservation rules for its domain kind.
 
     Half-line values: a bounded image is only trivially preserved; otherwise
@@ -975,7 +887,7 @@ def classify(F, *, z_grid=None, a_probe=1.0):
                        f"bounded-image rule ({where}): {trivial}")
     order = {}
     if F.domain_kind != "bounded_above":
-        integ = check_gaussian_integrability(F, A=a_probe)
+        integ = check_gaussian_integrability(F)
         if np.isinf(integ.a_star):
             return _report(F, "only_trivially_preserved",
                            f"gaussian-divergence rule ({where}): inverse grows "

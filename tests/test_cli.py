@@ -88,6 +88,14 @@ def test_classify_writes_table_and_metadata(tmp_path):
     assert meta["config"]["flow.times"] == [0.05, 0.1, 0.2]
 
 
+def test_classify_from_g_that_never_vanishes(tmp_path):
+    # base_value 2 exceeds the left mass sqrt(pi/2): f stays above 0.747
+    cfg = write_config(tmp_path, "transform = from_g base_value=2\n")
+    r = run_cli("classify", "--config", cfg, "--out", str(tmp_path / "res"))
+    assert r.returncode == 0, r.stderr
+    assert "from_g: preserved" in r.stdout
+
+
 def test_evolve_output_round_trips_and_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, EVOLVE_CFG)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -377,10 +385,12 @@ def test_schedule_beyond_existence_window_exits_four(tmp_path):
     datum_file = tmp_path / "datum.csv"
     datum_file.write_text(u0.to_csv())
     cfg = write_config(
-        tmp_path, f"datum = csv path={datum_file}\nflow.times = 0.3\n")
+        tmp_path, f"datum = csv path={datum_file}\nflow.times = 0.24\n")
     r = run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "res"))
     assert r.returncode == 4
     assert "window error" in r.stderr
+    # (1 - EXISTENCE_MARGIN) / (4 A), as heat_evolve_free itself admits
+    assert "0.2375" in r.stderr
 
 
 def test_inconclusive_classification_exits_three(tmp_path, monkeypatch):

