@@ -56,7 +56,6 @@ from .heatflow import (
     hot_h,
     hot_h_deriv,
     lifted_evolution_identity,
-    maximal_time_hint,
 )
 from .certify import (
     Certificate,
@@ -123,7 +122,6 @@ __all__ = [
     "make_hot",
     "make_neglog",
     "make_power_alpha",
-    "maximal_time_hint",
     "mixture_envelope",
     "scale_shift",
     "__version__",

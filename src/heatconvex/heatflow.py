@@ -30,9 +30,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import next_fast_len
-from scipy.interpolate import PchipInterpolator
-from scipy.special import erf
 
 from .numerics import DomainError, invert_monotone, piecewise_simpson_weights
 
@@ -45,7 +42,6 @@ __all__ = [
     "grid_nodes",
     "gauss_kernel",
     "fit_growth_envelope",
-    "maximal_time_hint",
     "check_existence",
     "heat_evolve_free",
     "heat_evolve_dirichlet",
@@ -88,6 +84,42 @@ def _open_mesh(axes):
     """The lattice axes[0] x axes[1] x ... as mutually broadcasting arrays."""
     n = len(axes)
     return [np.asarray(c)[(...,) + (None,) * (n - 1 - k)] for k, c in enumerate(axes)]
+
+
+def _pchip(x, y, xq):
+    """Monotone cubic interpolant of y along axis 0 at the points xq, NaN
+    outside [x[0], x[-1]].
+
+    Fritsch-Carlson slopes: the weighted harmonic mean of the two chords
+    inside (0 where they differ in sign or one is 0), Moler's shape-keeping
+    one-sided estimate at the ends, the chord itself for two nodes.  Every
+    operation is scipy's PchipInterpolator(x, y, extrapolate=False), down to
+    its cell coefficients c0..c3 and its power sum, so the values are its
+    values bit for bit.
+    """
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    m = np.diff(y, axis=0) / h
+    if len(x) == 2:
+        d = np.concatenate([m, m])
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        # both ends at once: row 0 looks right from x[0], row 1 left from x[-1]
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        e = np.where(np.sign(e) != np.sign(m0), 0.0, e)
+        e = np.where((np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0)), 3.0 * m0, e)
+        d = np.concatenate([e[:1], inner, e[1:]])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+    s = (xq - x[i]).reshape((-1,) + h.shape[1:])
+    # the sum starts from 0.0 as scipy's does, so a -0.0 node value reads 0.0
+    out = 0.0 + c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+    out[~((xq >= x[0]) & (xq <= x[-1]))] = np.nan
+    return out
 
 
 @dataclass
@@ -147,8 +179,10 @@ class GridFunction:
     def interp_to_lattice(self, *axes):
         """Values on the lattice axes[0] x axes[1] x ..., by monotone cubics."""
         vals = self.values
+        if not np.isfinite(vals).all():
+            raise DomainError("grid data to interpolate must be finite")
         for k, (a, x) in enumerate(zip(self.axes(), axes)):
-            vals = PchipInterpolator(a, vals, axis=k, extrapolate=False)(x)
+            vals = np.moveaxis(_pchip(a, np.moveaxis(vals, k, 0), x), 0, k)
         return vals
 
     # -- serialization ------------------------------------------------------
@@ -296,19 +330,6 @@ def fit_growth_envelope(fn, window, n_samples=801):
     return max(a, 1e-300), A
 
 
-def maximal_time_hint(growth_A):
-    """Sufficient existence window 1/(4A) for growth exponent A (inf for A<=0).
-
-    This quantifies when the convolution integral is guaranteed to converge;
-    it is a sufficient bound, not the exact maximal existence time.  The
-    evolution routines additionally refuse the last 5% of the window, where
-    the integrand's Gaussian decay degenerates.
-    """
-    if growth_A <= 0:
-        return np.inf
-    return 1.0 / (4.0 * growth_A)
-
-
 def check_existence(A, t):
     """ExistenceWindowError unless 4*A*t < 1 - EXISTENCE_MARGIN."""
     if 4.0 * A * t >= 1.0 - EXISTENCE_MARGIN:
@@ -415,23 +436,36 @@ _BATCH = 2 ** 17
 _MAX_LATTICE_NODES = 2 ** 23
 
 
+def _fast_len(n):
+    """The smallest 2^a 3^b 5^c >= n, a length the real FFT does fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
 def _valid(f, g):
     """np.convolve(f, g, "valid") by overlap-save, with a roundoff bound;
     the data f are at least as long as the kernel g.
 
-    The outputs are cut into blocks of K // 8 (K = g.size), whose
-    segments go through batched real FFTs of length next_fast_len.  numpy's
-    FFT keeps no plans between calls (scipy.fft caches 16, about 1 MB at
-    these lengths), so a run's resident memory does not grow with it.  The
-    second array bounds the error of each output by the normwise bound of
-    its block, eps log2(nfft) |segment|_2 |g|_2: FFT roundoff is spread over
-    the whole block, so short blocks keep it near the local data.
+    The outputs are cut into blocks of K // 8 (K = g.size), whose segments
+    go through batched real FFTs of the smallest 5-smooth length that holds
+    one (_fast_len).  numpy's FFT keeps no plans between calls, so a run's
+    resident memory does not grow with it.  The second array bounds the
+    error of each output by the normwise bound of its block,
+    eps log2(nfft) |segment|_2 |g|_2: FFT roundoff is spread over the whole
+    block, so short blocks keep it near the local data.
     """
     K = g.size
     n_out = f.size - K + 1
     B = max(1, K // 8)
     nb = -(-n_out // B)
-    nfft = next_fast_len(B + K - 1, real=True)
+    nfft = _fast_len(B + K - 1)
     fp = np.zeros(nb * B + K - 1)
     fp[:f.size] = f
     seg = sliding_window_view(fp, B + K - 1)[::B]
@@ -832,6 +866,8 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
 
 def hot_h(z):
     """Unit-time heat evolution of the unit step: (1 + erf(z/2)) / 2."""
+    from scipy.special import erf  # loaded at first use: a CLI start skips it
+
     z = np.asarray(z, dtype=float)
     out = 0.5 * (1.0 + erf(0.5 * z))
     return float(out) if out.ndim == 0 else out

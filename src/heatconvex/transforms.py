@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn, erfcx, log_ndtr, logsumexp
 
 from .heatflow import hot_h, hot_h_deriv, hot_H
 from .numerics import (
@@ -368,6 +367,11 @@ def make_hot(a):
         out = np.where(ratio >= 1.0, np.inf, out)
         return out
 
+    def log_inv(z):
+        from scipy.special import log_ndtr
+
+        return np.log(a) + log_ndtr(_as_float_array(z) / np.sqrt(2.0))
+
     return FTransform(
         domain_kind="bounded_above",
         lower_a=0.0, upper_ell=a, j_lo=-np.inf, j_hi=np.inf,
@@ -375,7 +379,7 @@ def make_hot(a):
         _eval=ev,
         _inverse=lambda z: a * hot_h(_as_float_array(z)),
         _inverse_deriv=lambda z: a * hot_h_deriv(_as_float_array(z)),
-        _log_inverse=lambda z: np.log(a) + log_ndtr(_as_float_array(z) / np.sqrt(2.0)),
+        _log_inverse=log_inv,
         _g_closed=lambda z: -0.5 * _as_float_array(z),
     )
 
@@ -450,6 +454,8 @@ def _log_piece(z, za, Ga, ga, s):
     sqrt(2/|s|) psi(|g|/sqrt(2|s|)), psi Dawson's integral (s > 0) or sqrt(pi)/2
     erfcx (s < 0).  Where the exponent moves by less than 1 the primitives
     would cancel; a Gauss-Legendre rule is exact to roundoff there instead."""
+    from scipy.special import dawsn, erfcx, logsumexp
+
     d = z - za
     u = np.multiply.outer(d, 0.5 * (1.0 + _GL_NODES))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -637,6 +643,8 @@ class GaussianIntegrability:
 
 
 def _log_window_integral(F, lo, hi):
+    from scipy.special import logsumexp
+
     z = np.linspace(lo, hi, 65)
     w = simpson_weights(z.size, z[1] - z[0])
     with np.errstate(divide="ignore"):

@@ -407,13 +407,36 @@ def test_inconclusive_classification_exits_three(tmp_path, monkeypatch):
     assert entry(["classify", "--config", cfg]) == 3
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    """scipy.signal would add about 0.6 s to every CLI start; the FFT kernel
-    operator needs only numpy.fft and scipy.fft.next_fast_len, which the
-    other imports already load."""
+def test_cli_import_loads_no_scipy():
+    """numpy is the only import-time dependency: scipy's subpackages would
+    add most of a second to every CLI start."""
     r = subprocess.run(
         [sys.executable, "-c", "import heatconvex.cli, sys; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"],
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_grid_evolve_loads_neither_scipy_interpolate_nor_fft(tmp_path):
+    """Grid data go through the monotone-cubic interpolant, and at this
+    spacing the kernel through the blocked FFT; both are numpy alone."""
+    import numpy as np
+
+    x = np.linspace(-6.0, 6.0, 97)
+    datum = tmp_path / "gauss.csv"
+    datum.write_text(GridFunction(values=np.exp(-x * x), extent=((-6.0, 6.0),)).to_csv())
+    cfg = write_config(tmp_path, f"datum = csv path={datum}\ngrid.lo = -2\n"
+                       "grid.hi = 2\ngrid.h = 0.00390625\nflow.times = 0.1\n"
+                       "transform = power alpha=1.5\n")
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys; from heatconvex.cli import entry; "
+         f"rc = entry(['evolve', '--config', {cfg!r}, '--out', {str(tmp_path / 'res')!r}]); "
+         "print(sorted(m for m in sys.modules if m.startswith(('scipy.interpolate', "
+         "'scipy.fft')))); sys.exit(rc)"],
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().splitlines()[-1] == "[]"
+    u = GridFunction.from_csv((tmp_path / "res" / "evolve_00.csv").read_text())
+    assert u.values.size == 1025
+    assert np.max(np.abs(u.values - np.exp(-u.axes()[0] ** 2 / 1.4) / np.sqrt(1.4))) < 1e-4

@@ -11,9 +11,10 @@ from heatconvex import (DomainSpec, EvaluationWindowError,
                         epsilon_quadratic_lift, fit_growth_envelope,
                         gauss_kernel, grid_nodes, heat_evolve_dirichlet,
                         heat_evolve_free, heatflow, hot_h,
-                        lifted_evolution_identity, maximal_time_hint)
-from heatconvex.heatflow import (_box_apply, _dirichlet_kernels, _kernel_apply,
-                                 _kernel_matrix)
+                        lifted_evolution_identity)
+from heatconvex.heatflow import (_box_apply, _dirichlet_kernels, _fast_len,
+                                 _kernel_apply, _kernel_matrix, _pchip,
+                                 check_existence)
 from heatconvex.numerics import DomainError
 
 
@@ -97,8 +98,69 @@ def test_existence_window_refused():
     phi = InitialDatum(fn=lambda x: np.exp(x * x), growth_a=1.0, growth_A=1.0)
     with pytest.raises(ExistenceWindowError):
         heat_evolve_free(phi, 0.3, (-1.0, 1.0, 0.125))
-    assert maximal_time_hint(1.0) == pytest.approx(0.25)
-    assert maximal_time_hint(0.0) == np.inf
+    # at A = 1 the admitted times end just below 0.95 / 4 = 0.2375
+    check_existence(1.0, 0.237)
+    for t in (0.2375, 0.24):
+        with pytest.raises(ExistenceWindowError):
+            check_existence(1.0, t)
+    check_existence(0.0, 1e12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 40])
+@pytest.mark.parametrize("cols", [(), (1,), (3,)])
+def test_monotone_cubic_equals_scipy_pchip(n, cols):
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(10 * n + len(cols))
+    x = np.cumsum(rng.uniform(0.05, 1.5, n))
+    y = rng.normal(size=(n,) + cols)
+    # whole numbers give flat runs, zero slopes and sign changes
+    y = np.where(rng.random(y.shape) < 0.6, np.round(y), y)
+    xq = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200),
+                         [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)]])
+    got = _pchip(x, y, xq)
+    want = PchipInterpolator(x, y, axis=0, extrapolate=False)(xq)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[(xq < x[0]) | (xq > x[-1])]).all()
+    assert not np.isnan(got[(xq >= x[0]) & (xq <= x[-1])]).any()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (9, 2), (2, 12), (13, 17)])
+def test_grid_interpolation_equals_scipy_pchip_axis_by_axis(shape):
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(sum(shape))
+    values = rng.normal(size=shape)
+    values = np.where(rng.random(shape) < 0.5, np.round(values), values)
+    gf = GridFunction(values=values, extent=((-1.0, 2.0), (0.5, 1.5)))
+    knots = gf.axes()
+    # knots and ends on both axes; points outside on the last axis only,
+    # since scipy refuses the NaN rows they would leave for a later axis
+    queries = (np.sort(np.concatenate([knots[0], rng.uniform(-1.0, 2.0, 7)])),
+               np.sort(np.concatenate([knots[1], rng.uniform(0.3, 1.7, 9)])))
+    want = values
+    for k, (a, q) in enumerate(zip(knots, queries)):
+        want = PchipInterpolator(a, want, axis=k, extrapolate=False)(q)
+    got = gf.interp_to_lattice(*queries)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+def test_grid_data_that_are_not_finite_are_refused():
+    x = grid_nodes(-6.0, 6.0, 0.125)
+    values = np.exp(-x * x)
+    values[40] = np.nan
+    gf = GridFunction(values=values, extent=((-6.0, 6.0),))
+    with pytest.raises(DomainError, match="finite"):
+        heat_evolve_free(gf, 0.1, (-2.0, 2.0, 0.0625))
+
+
+def test_fast_length_equals_scipys_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    ns = [*range(1, 2 ** 16 + 1), *(2 ** 23 + d for d in (-1, 0, 1, 7)),
+          *(3 * 2 ** 20 + d for d in (-1, 0, 1, 7))]
+    assert [_fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
 
 
 def test_grid_datum_needs_wide_enough_extent():
