@@ -18,6 +18,7 @@ minima on both sides for quasi-convexity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_BLOCK = 1 << 16  # triples per numpy pass of a midpoint scan
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,11 @@ class SamplingPlan:
 
     kind 'aligned' scans every grid-aligned triple (along every direction
     of the scan table) for each weight; 'random' draws n_random triples
-    (a positive count, ValueError otherwise) with weights chosen from
-    lambdas, snapped to the grid.  Weights must be rationals p/q with q <= 8
-    so midpoints are grid-exact.
+    (a positive count) with weights chosen from lambdas, snapped to the
+    grid.  Weights must be rationals p/q with q <= 8 so midpoints are
+    grid-exact; max_stride, None or a positive integer, caps the strides.
+    A plan that would scan nothing, or an unknown kind, is a DomainError
+    (a ValueError).
     """
 
     kind: str = "aligned"
@@ -73,9 +77,17 @@ class SamplingPlan:
     max_stride: object = None
 
     def __post_init__(self):
+        if self.kind not in ("aligned", "random"):
+            raise DomainError(f"unknown sampling plan kind {self.kind!r}")
+        if len(self.lambdas) == 0:
+            raise DomainError("lambdas must list at least one weight")
         if self.n_random < 1:
-            raise ValueError(
+            raise DomainError(
                 f"n_random must be a positive count of triples, got {self.n_random}")
+        cap = self.max_stride
+        if cap is not None and not (isinstance(cap, (int, np.integer)) and cap >= 1):
+            raise DomainError(
+                f"max_stride must be None or a positive integer, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -176,69 +188,150 @@ def _fields(v, spread, factor, lam):
                 pair((1.0 - lam) * v, (1.0 - lam) * ends), pair(lam * v, lam * ends))
 
 
-def _keep_worst(best, fields, parts, nodes, lam):
-    """Fold the triples with ends parts[0], parts[2] and middles parts[1]
-    (slices or index arrays) into the record (margin, gap, noise, i0, im,
-    i1, lhs, rhs, lam, max_gap) of the largest margin gap - f noise (a
-    strictly larger one replaces it) and the largest gap; returns it and
-    the count of triples.  nodes(k) gives (i0, im, i1) of flat entry k.
-    NaN gaps (opposite infinite endpoints) are not triples, and a NaN
-    margin (infinite noise) counts as -inf.
+def _block_winner(gap, margin, count, inside=None):
+    """(k, margin[k], max gap, count) of a block of triples with gaps gap
+    and margins margin, k the flat index of the largest margin (the first on
+    ties), or None when the block holds no triple.  count is the block's
+    triple count when no entry is NaN.  NaN gaps (opposite infinite
+    endpoints) are not triples, and a NaN margin (infinite noise) counts as
+    -inf.  inside(), when given, masks the entries that are triples: the
+    others are padding, whose gaps and margins are -inf or NaN, so they
+    matter only when no margin beats -inf.
     """
-    v, spread, mid, end0, end1 = fields
-    s0, sm, s1 = parts
-    with np.errstate(invalid="ignore"):
-        both = end0[s0] + end1[s1]
-        gap, margin = np.subtract(mid[sm], both, out=both).real, both.imag
-    k, g_max, count = margin.argmax(), gap.max(), gap.size
-    if margin.flat[k] != margin.flat[k] or g_max != g_max:  # NaN: non-finite values
-        valid = ~np.isnan(gap)
-        count = int(np.count_nonzero(valid))
-        if count == 0:
-            return best, 0
-        margin = np.where(valid & ~np.isnan(margin), margin, -np.inf)
-        k = margin.argmax()
-        if not valid.flat[k]:  # every margin is -inf: the first triple decides
-            k = valid.argmax()
-        g_max = np.nanmax(gap)
-    g_max = float(g_max if best is None else max(g_max, best[-1]))
-    if best is not None and not margin.flat[k] > best[0]:
-        return best[:-1] + (g_max,), count
-    i0, im, i1 = nodes(int(k))
+    k = int(margin.argmax())
+    m, g_max = margin.flat[k], gap.max()
+    if m == m and g_max == g_max and (inside is None or m > -np.inf):
+        return k, m, float(g_max), count
+    valid = ~np.isnan(gap)
+    if inside is not None:
+        valid &= inside()
+    count = int(np.count_nonzero(valid))
+    if count == 0:
+        return None
+    margin = np.where(valid & ~np.isnan(margin), margin, -np.inf)
+    k = int(margin.argmax())
+    if not valid.flat[k]:  # every margin is -inf: the first triple decides
+        k = int(valid.argmax())
+    return k, margin.flat[k], float(np.nanmax(gap)), count
+
+
+def _fold(best, fields, lam, margin, gap, g_max, nodes):
+    """Fold a triple (margin, gap, nodes (i0, im, i1)) and a block's largest
+    gap into the record (margin, gap, noise, i0, im, i1, lhs, rhs, lam,
+    max_gap) of the largest margin: a strictly larger one replaces it."""
+    if best is not None:
+        g_max = max(g_max, best[-1])
+        if not margin > best[0]:
+            return best[:-1] + (g_max,)
+    v, spread, _, end0, end1 = fields
+    i0, im, i1 = nodes
     noise = (1.0 - lam) * spread[i0] + lam * spread[i1] + spread[im]
-    return (float(margin.flat[k]), float(gap.flat[k]), float(noise), i0, im, i1,
-            float(v[im]), float(end0[i0].real + end1[i1].real), lam, g_max), count
+    return (float(margin), float(gap), float(noise), i0, im, i1,
+            float(v[im]), float(end0[i0].real + end1[i1].real), lam, g_max)
 
 
 def _scan_aligned(best, fields, p, q, lam, max_stride):
-    """Worst margin over all grid-aligned stride triples for one weight."""
-    v, count = fields[0], 0
-    s_cap = (max(v.shape) - 1) // q
-    if max_stride is not None:
-        s_cap = min(s_cap, int(max_stride))
-    for s in range(1, s_cap + 1):
-        for d in _DIRECTIONS[v.ndim]:
-            slices = _line_slices(v.shape, d, p * s, q * s)
-            if slices is None:
+    """Worst margin over all grid-aligned stride triples for one weight.
+
+    Strides go in blocks of as many as fill _BLOCK triples at the block's
+    first (largest) start region; one numpy pass per block and direction
+    reads each triple member through one strided view of the real or the
+    imaginary plane of its field, copied apart (so a view's rows are
+    contiguous) and padded past the grid's far corner by q (B - 1) sentinel
+    nodes (B the longest block): ends +inf, middles -inf, so a triple with
+    a padded member is never counted and never decides.  Gaps and margins
+    land in two buffers reused by every pass.  On an axis stepping back the
+    start region is indexed from the far end, so every member lies at a
+    nonnegative multiple of the stride: (0, p, q) along a step, (q, q - p,
+    0) against.
+    """
+    v, _, mid, end0, end1 = fields
+    shape, dirs = v.shape, _DIRECTIONS[v.ndim]
+    caps = [min((n - 1) // q for n, step in zip(shape, d) if step) for d in dirs]
+    s_cap = max(caps) if max_stride is None else min(max(caps), max_stride)
+
+    def region(d, s):
+        return tuple(n - q * s if step else n for n, step in zip(shape, d))
+
+    blocks, s = [], 1
+    while s <= s_cap:
+        size = max(math.prod(region(d, s)) for d, cap in zip(dirs, caps) if cap >= s)
+        b = max(1, min(_BLOCK // size, s_cap - s + 1))
+        blocks.append((s, b, size))
+        s += b
+    if not blocks:
+        return best, 0
+    pad = q * (max(b for _, b, _ in blocks) - 1)
+    n_buf = max(b * size for _, b, size in blocks)
+    gap_buf, margin_buf = np.empty(n_buf), np.empty(n_buf)
+
+    def planes(a, fill):
+        out = np.full((2, *(n + pad for n in shape)), fill)
+        out[(slice(None), *(slice(0, n) for n in shape))] = a.real, a.imag
+        return out
+
+    members = planes(end0, np.inf), planes(mid, -np.inf), planes(end1, np.inf)
+    plane, *strides = members[0].strides
+    mults = [tuple((0, p, q) if step > 0 else (q, q - p, 0) if step < 0 else (0, 0, 0)
+                   for step in d) for d in dirs]
+    count = 0
+    for s, b, _ in blocks:
+        cands = []
+        for j, (d, cap) in enumerate(zip(dirs, caps)):
+            if cap < s:
                 continue
-            shape = v[slices[0]].shape
+            bd, reg = min(b, cap - s + 1), region(d, s)
+            shape_b = (bd, *reg)
+            gap = gap_buf[:math.prod(shape_b)].reshape(shape_b)
+            margin = margin_buf[:gap.size].reshape(shape_b)
+            views = []
+            for arr, c in zip(members, zip(*mults[j])):
+                step_b = sum(ci * st for ci, st in zip(c, strides))
+                views.append(tuple(np.ndarray(shape_b, float, arr, part + s * step_b,
+                                              (step_b, *strides))
+                                   for part in (0, plane)))
+            (e0_re, e0_im), (m_re, m_im), (e1_re, e1_im) = views
+            with np.errstate(invalid="ignore"):
+                np.subtract(m_re, np.add(e0_re, e1_re, out=gap), out=gap)
+                np.subtract(m_im, np.add(e0_im, e1_im, out=margin), out=margin)
+            starts = [n - q * np.arange(s, s + bd) for n, step in zip(shape, d) if step]
+            n_triples = int(np.sum(np.prod(starts, axis=0))) * math.prod(
+                n for n, step in zip(shape, d) if not step)
 
-            def nodes(k):
-                idx = np.unravel_index(k, shape)
-                return tuple(tuple(i + sl.start for i, sl in zip(idx, part))
-                             for part in slices)
+            def inside():
+                # the start index lies below n - q s on every stepping axis
+                lead, *idx = np.ogrid[tuple(slice(0, m) for m in shape_b)]
+                mask = True
+                for i, n, step in zip(idx, shape, d):
+                    if step:
+                        mask = mask & (i < n - q * (s + lead))
+                return mask
 
-            best, cnt = _keep_worst(best, fields, slices, nodes, lam)
-            count += cnt
+            won = _block_winner(gap, margin, n_triples, inside)
+            if won is not None:
+                k, m_k, g_max, cnt = won
+                count += cnt
+                kb, rest = divmod(k, math.prod(reg))
+                cands.append(((-m_k, kb, j), gap.flat[k], g_max,
+                              np.unravel_index(rest, reg)))
+        if not cands:
+            continue
+        # ties go to the smaller stride, then the earlier direction: scan order
+        (neg_m, kb, j), g, _, idx = min(cands, key=lambda c: c[0])
+        sk, d = s + kb, dirs[j]
+        x = tuple(int(i) + (q * sk if step < 0 else 0) for i, step in zip(idx, d))
+        nodes = tuple(tuple(a + o * sk * step for a, step in zip(x, d))
+                      for o in (0, p, q))
+        best = _fold(best, fields, lam, -neg_m, g, max(c[2] for c in cands), nodes)
     return best, count
 
 
 def _scan_random(best, fields, triples_per_lam, rng, p, q, lam, max_stride):
     """Worst margin over triples_per_lam random grid-aligned triples, drawn
     direction per triple (where there is more than one), then per direction
-    strides, then starts."""
-    v, count = fields[0], 0
-    dirs = _DIRECTIONS[v.ndim]
+    strides, then starts; evaluated _BLOCK triples at a time."""
+    v, _, mid, end0, end1 = fields
+    dirs, count = _DIRECTIONS[v.ndim], 0
     pick = rng.integers(0, len(dirs), size=triples_per_lam) if len(dirs) > 1 else None
     for j, d in enumerate(dirs):
         m = triples_per_lam if pick is None else int(np.count_nonzero(pick == j))
@@ -246,20 +339,27 @@ def _scan_random(best, fields, triples_per_lam, rng, p, q, lam, max_stride):
             continue
         s_hi = min((n - 1) // q for n, step in zip(v.shape, d) if step)
         if max_stride is not None:
-            s_hi = min(s_hi, int(max_stride))
+            s_hi = min(s_hi, max_stride)
         if s_hi < 1:
             continue
         s = rng.integers(1, s_hi + 1, size=m)
         i0 = tuple(rng.integers(*_starts(n, step, q * s), size=m)
                    for n, step in zip(v.shape, d))
-        im = tuple(i + p * s * step for i, step in zip(i0, d))
-        i1 = tuple(i + q * s * step for i, step in zip(i0, d))
-
-        def nodes(k):
-            return tuple(tuple(int(a[k]) for a in ix) for ix in (i0, im, i1))
-
-        best, cnt = _keep_worst(best, fields, (i0, im, i1), nodes, lam)
-        count += cnt
+        for a in range(0, m, _BLOCK):
+            sc = s[a:a + _BLOCK]
+            x0 = tuple(i[a:a + _BLOCK] for i in i0)
+            xm, x1 = (tuple(i + o * sc * step for i, step in zip(x0, d))
+                      for o in (p, q))
+            with np.errstate(invalid="ignore"):
+                both = end0[x0] + end1[x1]
+                np.subtract(mid[xm], both, out=both)
+            won = _block_winner(both.real, both.imag, both.size)
+            if won is None:
+                continue
+            k, m_k, g_max, cnt = won
+            count += cnt
+            nodes = tuple(tuple(int(i[k]) for i in ix) for ix in (x0, xm, x1))
+            best = _fold(best, fields, lam, m_k, both.real[k], g_max, nodes)
     return best, count
 
 
@@ -291,12 +391,10 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
         fields = _fields(v, spread, significance_factor, lam_f)
         if plan.kind == "aligned":
             best, cnt = _scan_aligned(best, fields, p, q, lam_f, plan.max_stride)
-        elif plan.kind == "random":
+        else:
             per = max(1, plan.n_random // len(plan.lambdas))
             best, cnt = _scan_random(best, fields, per, rng, p, q, lam_f,
                                      plan.max_stride)
-        else:
-            raise DomainError(f"unknown sampling plan kind {plan.kind!r}")
         total += cnt
 
     note = ("midpoints are grid-exact; continuity of the data upgrades "

@@ -132,6 +132,7 @@ def cmd_verify(cfg):
     """Certificate table across the schedule; exit 5 on significant violation."""
     _require_transforms(cfg)
     rows = [_VERIFY_HEADER]
+    scans = []
     any_significant = False
     for F in cfg.transforms:
         report = classify(F)
@@ -150,12 +151,14 @@ def cmd_verify(cfg):
                     f"{worst.lam:.17g},{_fmt(worst.x0)},{_fmt(worst.x1)}")
             gap, fields = _cert_fields(cert)
             rows.append(f"{F.label},{t:.17g},{fields},{tail}")
+            scans.append({"transform": F.label, "t": t, "n_samples": cert.n_samples,
+                          "max_gap": cert.max_gap if cert.n_samples else None})
             print(f"{F.label} t={t:g}: {cert.status} gap={gap:.3g} "
                   f"noise={cert.noise_floor:.3g}"
                   + (" SIGNIFICANT" if cert.significant else ""))
     _write(cfg.out_dir, "verify.csv", "\n".join(rows) + "\n")
     _write_meta(cfg, "verify", "verify_meta.json",
-                {"significant_violation": any_significant})
+                {"significant_violation": any_significant, "scans": scans})
     return EXIT_VIOLATION if any_significant else EXIT_OK
 
 

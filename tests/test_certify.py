@@ -24,7 +24,8 @@ from heatconvex import (
     mixture_envelope,
     scale_shift,
 )
-from heatconvex.certify import _DIRECTIONS
+from heatconvex import certify
+from heatconvex.certify import _DIRECTIONS, _as_fraction, _starts, _transform_values
 
 P0 = make_power_alpha(0.0)
 P05 = make_power_alpha(0.5)
@@ -566,6 +567,158 @@ def test_unknown_plan_kind_rejected():
     u = grid_1d(lambda x: x * x)
     with pytest.raises(DomainError):
         check_F_convex(u, P1, SamplingPlan(kind="sobol"))
+
+
+@pytest.mark.parametrize("fields", [
+    {"max_stride": 0}, {"max_stride": -3}, {"max_stride": 1.7},
+    {"lambdas": ()}, {"kind": "sobol", "lambdas": ()},
+])
+def test_plan_that_scans_nothing_is_refused(fields):
+    """Each plan used to certify the strictly concave 2 - x^2 as
+    no_violation_found from 0 triples (max_stride 1.7 was cut to 1)."""
+    with pytest.raises(ValueError):
+        SamplingPlan(**fields)
+
+
+# -- the blocked scans against the pedestrian scan ----------------------------
+
+
+def fold_triples(u, F, triples, factor):
+    """Fold (i0, im, i1, lam) triples in scan order the pedestrian way: the
+    first of largest margin gap - factor noise decides, NaN gaps are not
+    triples, a NaN margin counts as -inf.  Returns ((margin, (i0, i1, lam,
+    lhs, gap), noise) of the deciding triple, the largest gap, the count)."""
+    v, spread = _transform_values(u, F)
+    best, g_max, count = None, -np.inf, 0
+    with np.errstate(invalid="ignore"):
+        for i0, im, i1, lam in triples:
+            gap = v[im] - ((1.0 - lam) * v[i0] + lam * v[i1])
+            if np.isnan(gap):
+                continue
+            count += 1
+            g_max = max(g_max, gap)
+            margin = (v[im] - factor * spread[im]) - (
+                (1.0 - lam) * (v[i0] + factor * spread[i0])
+                + lam * (v[i1] + factor * spread[i1]))
+            if np.isnan(margin):
+                margin = -np.inf
+            if best is None or margin > best[0]:
+                noise = (1.0 - lam) * spread[i0] + lam * spread[i1] + spread[im]
+                best = (margin, (i0, i1, lam, v[im], gap), noise)
+    return best, g_max, count
+
+
+def aligned_triples(shape, lams, max_stride=None):
+    """Every aligned triple in scan order: weight, stride, direction, start."""
+    for lam in lams:
+        p, q, lam = _as_fraction(lam)
+        s_cap = (max(shape) - 1) // q
+        for s in range(1, s_cap + 1 if max_stride is None else max_stride + 1):
+            for d in _DIRECTIONS[len(shape)]:
+                for i0 in np.ndindex(shape):
+                    i1 = tuple(a + q * s * c for a, c in zip(i0, d))
+                    if all(0 <= a < n for a, n in zip(i1, shape)):
+                        yield (i0, tuple(a + p * s * c for a, c in zip(i0, d)), i1, lam)
+
+
+def assert_certificate_matches(u, cert, expected):
+    best, g_max, count = expected
+    _, (i0, i1, lam, lhs, gap), noise = best
+    axes = u.axes()
+    point = [tuple(float(a[k]) for a, k in zip(axes, i)) for i in (i0, i1)]
+    if u.dim == 1:
+        point = [x for x, in point]
+    assert (cert.worst.x0, cert.worst.x1, cert.worst.lam) == (*point, lam)
+    assert cert.worst.gap == gap and cert.worst.lhs == lhs
+    assert cert.max_gap == g_max
+    assert cert.noise_floor == noise
+    assert cert.n_samples == count
+
+
+def scan_grid(shape, values, seed):
+    """A grid function of the given shape: 'random' values, 'rounded'
+    values (ties across strides and directions), a 'constant' grid (all
+    ties), 'inf' values with nodes at 0 and +inf, whose log is -inf and +inf
+    (NaN triples), or 'infinite' values, every node 0 or +inf (no margin
+    beats -inf, so the first triple decides)."""
+    rng = np.random.default_rng(seed)
+    vals = rng.random(shape) + 0.5
+    if values == "rounded":
+        vals = np.round(vals, 1)
+    elif values == "constant":
+        vals = np.full(shape, 1.25)
+    elif values == "inf":
+        flat = vals.reshape(-1)
+        k = rng.choice(flat.size, size=max(2, flat.size // 12), replace=False)
+        flat[k] = rng.choice([0.0, np.inf], size=k.size)
+    elif values == "infinite":
+        vals = rng.choice([0.0, np.inf], size=shape)
+    extent = tuple((-1.0, 1.0 + k) for k in range(len(shape)))
+    return GridFunction(values=vals, extent=extent, growth_a=10.0, growth_A=0.0,
+                        value_error=1e-9)
+
+
+@pytest.mark.parametrize("block", [1 << 16, 300, 41])
+@pytest.mark.parametrize("values", ["random", "rounded", "constant", "inf", "infinite"])
+@pytest.mark.parametrize("shape", [(203,), (17, 23), (6, 7, 5)], ids=["1d", "2d", "3d"])
+def test_aligned_scan_matches_enumeration_over_all_strides(monkeypatch, shape, values,
+                                                           block):
+    """No stride cap, three weights; a small block constant makes blocks
+    span several strides and end mid-range."""
+    monkeypatch.setattr(certify, "_BLOCK", block)
+    u = scan_grid(shape, values, seed=len(shape))
+    lams = (0.5, 1 / 3, 3 / 8)
+    cert = check_F_convex(u, P0, SamplingPlan(lambdas=lams))
+    expected = fold_triples(u, P0, aligned_triples(shape, lams), 10.0)
+    assert_certificate_matches(u, cert, expected)
+
+
+@pytest.mark.parametrize("values", ["random", "inf"])
+def test_aligned_scan_matches_enumeration_with_a_stride_cap(monkeypatch, values):
+    monkeypatch.setattr(certify, "_BLOCK", 53)
+    u = scan_grid((11, 13), values, seed=4)
+    plan = SamplingPlan(lambdas=(0.5, 1 / 4), max_stride=3)
+    cert = check_F_convex(u, P0, plan, significance_factor=3.0)
+    assert_certificate_matches(
+        u, cert, fold_triples(u, P0, aligned_triples((11, 13), plan.lambdas, 3), 3.0))
+
+
+def random_triples(shape, plan):
+    """The random plan's triples, replaying its generator calls: per weight
+    the direction of each triple, then per direction strides and starts."""
+    rng = np.random.default_rng(plan.seed)
+    dirs = _DIRECTIONS[len(shape)]
+    for lam in plan.lambdas:
+        p, q, lam = _as_fraction(lam)
+        per = max(1, plan.n_random // len(plan.lambdas))
+        pick = rng.integers(0, len(dirs), size=per) if len(dirs) > 1 else None
+        for j, d in enumerate(dirs):
+            m = per if pick is None else int(np.count_nonzero(pick == j))
+            s_hi = min((n - 1) // q for n, c in zip(shape, d) if c)
+            if plan.max_stride is not None:
+                s_hi = min(s_hi, plan.max_stride)
+            if m == 0 or s_hi < 1:
+                continue
+            s = rng.integers(1, s_hi + 1, size=m)
+            i0 = [rng.integers(*_starts(n, c, q * s), size=m) for n, c in zip(shape, d)]
+            for k in range(m):
+                x = tuple(int(a[k]) for a in i0)
+                yield (x, tuple(a + p * int(s[k]) * c for a, c in zip(x, d)),
+                       tuple(a + q * int(s[k]) * c for a, c in zip(x, d)), lam)
+
+
+@pytest.mark.parametrize("values", ["random", "rounded", "inf", "infinite"])
+@pytest.mark.parametrize("shape", [(203,), (17, 23)], ids=["1d", "2d"])
+def test_random_scan_matches_a_replay_of_its_draws(monkeypatch, shape, values):
+    """Evaluated in chunks of a small block constant, the random scan keeps
+    every generator call and so every certificate."""
+    monkeypatch.setattr(certify, "_BLOCK", 97)
+    u = scan_grid(shape, values, seed=9)
+    plan = SamplingPlan(kind="random", lambdas=(0.5, 1 / 3, 3 / 8), n_random=3000,
+                        seed=3)
+    cert = check_F_convex(u, P0, plan)
+    expected = fold_triples(u, P0, random_triples(shape, plan), 10.0)
+    assert_certificate_matches(u, cert, expected)
 
 
 # -- Dirichlet preservation ----------------------------------------------------

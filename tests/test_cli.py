@@ -304,6 +304,30 @@ def test_every_verify_row_matches_the_header(tmp_path):
         assert rows and all(len(row) == len(header) for row in rows), rows
 
 
+def test_verify_meta_records_each_scan(tmp_path):
+    """One record per (transform, t): the triples scanned and the largest
+    raw gap, which a grid without a triple does not have."""
+    for name, lines, n_samples in (
+            ("fine", (), sum(257 - 2 * s for s in range(1, 129))),
+            ("bare", ("grid.lo = -1", "grid.hi = 1", "grid.h = 2"), 0)):
+        cfg = write_config(tmp_path, _replace_keys(VERIFY_OK_CFG, *lines),
+                           name=f"{name}.cfg")
+        out = tmp_path / name
+        assert entry(["verify", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "verify.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        scans = json.loads((out / "verify_meta.json").read_text())["scans"]
+        assert [(r["transform"], r["t"]) for r in scans] == [
+            (row["transform"], float(row["t"])) for row in rows]
+        assert len(scans) == 2
+        for rec, row in zip(scans, rows):
+            assert rec["n_samples"] == n_samples
+            if n_samples:
+                assert rec["max_gap"] >= float(row["gap"])
+            else:
+                assert rec["max_gap"] is None
+
+
 @pytest.mark.parametrize("command,line", [
     ("hunt", "certify.refine_levels = -1"),
     ("verify", "flow.eps_tail = 0"),
