@@ -487,8 +487,13 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
     vector along `direction` (dim entries, in 1D also a signed number; the
     first axis by default); in transform coordinates the profile is a
     symmetric wedge with vertex value r0, so the midpoint inequality holds
-    with equality along it.  Returns an InitialDatum with a growth
-    certificate fitted along the first axis and the kink as a breakpoint.
+    with equality along it.  Returns an InitialDatum with the kink as a
+    breakpoint and a growth certificate fitted to the profile s -> phi(s d)
+    along the direction: phi(x) is that profile at s = d . x, and |d . x|
+    <= |x|, so |phi(s d)| <= a exp(A s^2) gives |phi(x)| <= a exp(A |x|^2).
+    fn is a ridge: it reads only the axes d crosses and returns an array
+    spanning those (one line of an open mesh for an axis-aligned wedge), so
+    an evolution evaluates F^-1 once per distinct value and broadcasts it.
     """
     r0 = float(r0)
     if not (F.lower_a < r0 < F.upper_ell):
@@ -507,8 +512,11 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
     d = d / norm
 
     def fn(*xs):
-        # updated in place: on a lattice every temporary is a full lattice
-        xi = np.asarray(sum(dk * np.asarray(x, dtype=float) for dk, x in zip(d, xs)))
+        # a ridge: xi reads only the axes d crosses, so on an open mesh it
+        # spans those axes alone (one line for an axis-aligned wedge) and the
+        # caller broadcasts it; updated in place, no temporary is larger
+        xi = np.asarray(sum(dk * np.asarray(x, dtype=float)
+                            for dk, x in zip(d, xs) if dk), dtype=float)
         xi -= z0
         np.abs(xi, out=xi)
         xi += z0
@@ -517,8 +525,7 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
     axis = np.flatnonzero(d)
     breakpoints = _bare(tuple((z0 / d[k],) if axis.size == 1 and k == axis[0] else ()
                               for k in range(dim)))
-    a, A = fit_growth_envelope(
-        lambda x: fn(x, *[np.zeros_like(x)] * (dim - 1)), fit_window)
+    a, A = fit_growth_envelope(lambda s: fn(*(dk * s for dk in d)), fit_window)
     return InitialDatum(fn=fn, growth_a=a, growth_A=A, breakpoints=breakpoints,
                         label=f"wedge[{F.label},r0={r0:g}]")
 

@@ -82,6 +82,13 @@ def _cert_fields(c):
                  f"{'true' if c.significant else 'false'}")
 
 
+def _scan_record(cert, **where):
+    """where plus the certificate's triple count and largest raw gap (None
+    when it scanned no triple), for the *_meta.json scan lists."""
+    return {**where, "n_samples": cert.n_samples,
+            "max_gap": cert.max_gap if cert.n_samples else None}
+
+
 def _require_transforms(cfg):
     if not cfg.transforms:
         raise ConfigError("config lists no transforms")
@@ -118,7 +125,8 @@ def cmd_evolve(cfg):
         _write(cfg.out_dir, fname, f"# t={t!r}\n" + u.to_csv())
         results.append({"file": fname, "t": t, "value_error": u.value_error,
                         "growth_a": u.growth_a, "growth_A": u.growth_A,
-                        "converged": u.meta["converged"]})
+                        "converged": u.meta["converged"],
+                        "refine_history": u.meta["refine_history"]})
         print(f"t={t:g}: wrote {fname} (value_error {u.value_error:.3g})")
         _warn_unconverged(f"t={t:g}", u.meta)
     _write_meta(cfg, "evolve", "evolve_meta.json", {"results": results})
@@ -151,8 +159,7 @@ def cmd_verify(cfg):
                     f"{worst.lam:.17g},{_fmt(worst.x0)},{_fmt(worst.x1)}")
             gap, fields = _cert_fields(cert)
             rows.append(f"{F.label},{t:.17g},{fields},{tail}")
-            scans.append({"transform": F.label, "t": t, "n_samples": cert.n_samples,
-                          "max_gap": cert.max_gap if cert.n_samples else None})
+            scans.append(_scan_record(cert, transform=F.label, t=t))
             print(f"{F.label} t={t:g}: {cert.status} gap={gap:.3g} "
                   f"noise={cert.noise_floor:.3g}"
                   + (" SIGNIFICANT" if cert.significant else ""))
@@ -170,7 +177,7 @@ def cmd_hunt(cfg):
         raise ConfigError(f"hunt evolves in free space, not on a {cfg.domain.kind}")
     lo, hi, h = cfg.grid
     n_base = int(round((hi - lo) / h)) + 1
-    summary = {}
+    summary, scans = {}, {}
     for F in cfg.transforms:
         phi = cfg.datum(F)
         check_existence(phi.growth_A, max(cfg.times))
@@ -198,8 +205,10 @@ def cmd_hunt(cfg):
         fname = f"hunt_{_slug(F.label)}.csv"
         _write(cfg.out_dir, fname, "\n".join(lines) + "\n")
         summary[F.label] = t_first
+        scans[F.label] = [_scan_record(rec["certificate"], t=rec["t"], level=rec["level"])
+                          for rec in history]
     _write_meta(cfg, "hunt", "hunt_meta.json",
-                {"earliest_significant_t": summary})
+                {"earliest_significant_t": summary, "scans": scans})
     return EXIT_OK
 
 

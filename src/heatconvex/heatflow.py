@@ -279,6 +279,10 @@ class DomainSpec:
 class InitialDatum:
     """Callable initial datum with growth certificate and known kink positions.
 
+    fn(x_0, ..., x_{n-1}) receives the coordinates as mutually broadcasting
+    arrays (on a lattice, the open mesh) and may return any array that
+    broadcasts against them: a datum that ignores an axis may return a
+    line, a constant a scalar; the evolution fills the lattice from it.
     breakpoints lists coordinates where the datum is not smooth, one tuple
     per axis or one flat tuple for every axis; the quadrature splits Simpson
     pieces there.  For data with
@@ -348,9 +352,10 @@ def _resolve_datum(phi, dim):
     Returns (sample, a, A, breakpoints, extent, spacing, inherited_error).
     sample(*axes) evaluates on the lattice axes[0] x axes[1] x ... (one axis:
     at points) as floats, grid data by monotone cubics clamped to their
-    extent.  breakpoints holds kink coordinates per axis (a datum's flat
-    tuple serves every axis).  extent and spacing (the finest grid spacing)
-    are None for callable data.
+    extent.  A callable's result is broadcast to the lattice, so a datum
+    that reads some axes only is evaluated on those only.  breakpoints holds
+    kink coordinates per axis (a datum's flat tuple serves every axis).
+    extent and spacing (the finest grid spacing) are None for callable data.
     """
     if isinstance(phi, GridFunction):
         if phi.dim != dim:
@@ -367,7 +372,10 @@ def _resolve_datum(phi, dim):
             brk = (brk,) * dim
 
         def sample(*axes):
-            return np.asarray(phi.fn(*_open_mesh(axes)), dtype=float)
+            mesh = _open_mesh(axes)
+            vals = np.asarray(phi.fn(*mesh), dtype=float)
+            shape = np.broadcast_shapes(*(c.shape for c in mesh))
+            return vals if vals.shape == shape else np.broadcast_to(vals, shape).copy()
         return (sample, phi.growth_a, phi.growth_A, brk, None, None,
                 phi.value_error)
     raise TypeError("phi must be a GridFunction or an InitialDatum")
@@ -571,7 +579,9 @@ def _refine(one_pass, m, quad_tol, max_refine, cells):
     would pass it, keeping the last finished pass.  The record holds quad_error, the
     Richardson estimate |u_2m - u_m| / (15 (1 + |u_2m|)) of the last doubling
     (inf when none ran), the roundoff_error and kernel_method of the last
-    pass, lattice_factor and converged (quad_error <= quad_tol).
+    pass, lattice_factor, converged (quad_error <= quad_tol) and
+    refine_history, one [lattice_factor, estimate] per pass (estimate None
+    for the first).
     """
     def nodes(m):
         return math.prod(m * c + 1 for c in cells)
@@ -581,18 +591,20 @@ def _refine(one_pass, m, quad_tol, max_refine, cells):
                           f"above the budget of {_MAX_LATTICE_NODES}")
     u, roundoff, method = one_pass(m)
     est = np.inf
+    history = [[m, None]]
     for _ in range(max_refine):
         if nodes(2 * m) > _MAX_LATTICE_NODES:
             break
         m *= 2
         u_next, roundoff, method = one_pass(m)
         est = float(np.max(np.abs(u_next - u) / (1.0 + np.abs(u_next)))) / 15.0
+        history.append([m, est])
         u = u_next
         if est <= quad_tol:
             break
     return u, {"quad_error": est, "roundoff_error": roundoff,
                "kernel_method": method, "lattice_factor": m,
-               "converged": est <= quad_tol}
+               "converged": est <= quad_tol, "refine_history": history}
 
 
 def _check_window(axes, extent):
@@ -625,7 +637,7 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     DomainError).  The achieved estimate plus the kernel operator's roundoff
     bound is recorded in value_error; meta says how it was reached
     (quad_error, roundoff_error, kernel_method, lattice_factor, converged,
-    tail_bound, inherited_error).
+    refine_history, tail_bound, inherited_error).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -869,7 +881,11 @@ def hot_h(z):
     from scipy.special import erf  # loaded at first use: a CLI start skips it
 
     z = np.asarray(z, dtype=float)
-    out = 0.5 * (1.0 + erf(0.5 * z))
+    # 0.5 (1 + erf(0.5 z)) in one buffer, the same operations in order
+    out = np.multiply(z, 0.5, out=np.empty_like(z))
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
     return float(out) if out.ndim == 0 else out
 
 

@@ -174,8 +174,18 @@ class FTransform:
         return d1, noise
 
     def _check_j(self, z, slack):
+        """z as floats; DomainError unless every entry that is not NaN lies
+        in J shrunk by slack.  A scalar slack tests the extremes (fmin and
+        fmax skip NaN), so a large array needs no boolean temporaries."""
         arr = _as_float_array(z)
-        if np.any(arr <= self.j_lo + slack) or np.any(arr >= self.j_hi - slack):
+        if np.ndim(slack) == 0:
+            lo = hi = np.nan
+            if arr.size:
+                lo, hi = np.fmin.reduce(arr, axis=None), np.fmax.reduce(arr, axis=None)
+            outside = lo <= self.j_lo + slack or hi >= self.j_hi - slack
+        else:
+            outside = np.any(arr <= self.j_lo + slack) or np.any(arr >= self.j_hi - slack)
+        if outside:
             raise DomainError(
                 f"{self.label}: argument outside the image interval "
                 f"({self.j_lo}, {self.j_hi})")
@@ -291,8 +301,13 @@ def make_power_alpha(alpha):
         return out
 
     def inv(z):
+        # (max(alpha z + 1, 0))^(1/alpha) in one buffer, the same operations
         z = _as_float_array(z)
-        return np.power(np.maximum(alpha * z + 1.0, 0.0), 1.0 / alpha)
+        out = np.multiply(z, alpha, out=np.empty_like(z))
+        out += 1.0
+        np.maximum(out, 0.0, out=out)
+        np.power(out, 1.0 / alpha, out=out)
+        return out if out.ndim else out[()]
 
     return FTransform(
         domain_kind="half_line_nonneg",

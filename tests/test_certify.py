@@ -1,5 +1,7 @@
 """Midpoint certificates, envelopes, hunts, and the class hierarchy."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from heatconvex import (
     mixture_envelope,
     scale_shift,
 )
-from heatconvex import certify
+from heatconvex import certify, heatflow
 from heatconvex.certify import _DIRECTIONS, _as_fraction, _starts, _transform_values
 
 P0 = make_power_alpha(0.0)
@@ -183,6 +185,87 @@ def test_wedge_2d_direction_and_breakpoints():
                       growth_a=d.growth_a, growth_A=d.growth_A)
     cert = check_F_convex(u0, P2)
     assert cert.status == "no_violation_found"
+
+
+def test_ridge_values_broadcast_to_the_lattice():
+    """On an open mesh the (0, 1) wedge returns one line; broadcast, it is the
+    wedge on the full lattice, which certifies F-convex."""
+    d = counterexample_datum(P2, 1.0, direction=(0.0, 1.0), dim=2)
+    x = np.linspace(-2.0, 2.0, 65)
+    mesh = (x[:, None], x[None, :])
+    line, full = d.fn(*mesh), d.fn(*np.broadcast_arrays(*mesh))
+    assert line.shape == (1, 65) and full.shape == (65, 65)
+    assert np.array_equal(np.broadcast_to(line, full.shape), full)
+    u0 = GridFunction(values=full, extent=((-2.0, 2.0), (-2.0, 2.0)),
+                      growth_a=d.growth_a, growth_A=d.growth_A)
+    cert = check_F_convex(u0, P2)
+    assert cert.status == "no_violation_found" and cert.n_samples > 0
+
+
+def _on_full_lattice(datum):
+    """datum with its fn called on the full broadcast lattice, the sampling
+    a ridge saves."""
+    return replace(datum, fn=lambda *xs: datum.fn(*np.broadcast_arrays(*xs)))
+
+
+@pytest.mark.parametrize("F, direction", [
+    (P2, (1.0, 0.0)), (make_hot(1.0), (0.0, 1.0)), (P0, (0.0, 0.0, 1.0)),
+], ids=["pow2_x", "hot_y", "pow0_z"])
+def test_axis_aligned_wedge_evolves_as_on_the_full_lattice(F, direction, monkeypatch):
+    """A ridge samples F^-1 on one line and broadcasts it; the evolution is
+    the one of the same fn on the full lattice, bit for bit."""
+    dim = len(direction)
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 2 ** 25)
+    w = counterexample_datum(F, float(F.inverse(0.0)), direction=direction, dim=dim,
+                             fit_window=(-2.0, 2.0))
+    g = (-2.0, 2.0, 0.5) if dim == 2 else (-1.0 / 16, 1.0 / 16, 1.0 / 16)
+    kw = {"max_refine": 2} if dim == 2 else {"max_refine": 1, "eps_tail": 1e-6}
+    u = heat_evolve_free(w, 0.05, (g,) * dim, **kw)
+    ref = heat_evolve_free(_on_full_lattice(w), 0.05, (g,) * dim, **kw)
+    assert np.array_equal(u.values, ref.values)
+    assert u.value_error == ref.value_error and u.meta == ref.meta
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0)])
+def test_axis_aligned_wedge_inverts_one_lattice_line(direction):
+    sizes, shapes = [], []
+
+    def inverse(z):
+        sizes.append(np.size(z))
+        return P2._inverse(z)
+
+    F = replace(P2, _inverse=inverse)
+    w = counterexample_datum(F, 1.0, direction=direction, dim=2, fit_window=(-2.0, 2.0))
+
+    def fn(*xs):
+        shapes.append(np.broadcast(*xs).shape)
+        return w.fn(*xs)
+
+    del sizes[:]
+    g = (-2.0, 2.0, 0.125)
+    u = heat_evolve_free(replace(w, fn=fn), 0.1, (g, g))
+    lattice = max(shapes, key=np.prod)
+    assert u.meta["lattice_factor"] >= 2 and min(lattice) > 33
+    assert sizes and max(sizes) <= max(lattice)
+    assert len(sizes) == len(shapes)
+
+
+@pytest.mark.parametrize("F", [P0, P2, make_hot(1.0)], ids=["pow0", "pow2", "hot"])
+def test_wedge_growth_is_fitted_along_its_direction(F):
+    """(a, A) does not depend on the direction, and it bounds the datum off
+    the first axis too."""
+    r0 = float(F.inverse(0.0))
+    ref = counterexample_datum(F, r0, direction=(1.0, 0.0), dim=2)
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-5.0, 5.0, (2, 400))
+    for direction in ((0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (0.0, 0.0, 1.0)):
+        dim = len(direction)
+        w = counterexample_datum(F, r0, direction=direction, dim=dim)
+        assert w.growth_a == pytest.approx(ref.growth_a, rel=1e-12, abs=0.0)
+        assert w.growth_A == pytest.approx(ref.growth_A, rel=1e-12, abs=1e-300)
+        pts = (x, y) if dim == 2 else (x, np.zeros_like(x), y)
+        r2 = sum(c * c for c in pts)
+        assert np.all(np.abs(w.fn(*pts)) <= w.growth_a * np.exp(w.growth_A * r2) * (1 + 1e-6))
 
 
 # -- the hunt dichotomy --------------------------------------------------------

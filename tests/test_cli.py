@@ -328,6 +328,36 @@ def test_verify_meta_records_each_scan(tmp_path):
                 assert rec["max_gap"] is None
 
 
+def test_evolve_meta_records_the_refinement_history(tmp_path):
+    cfg = write_config(tmp_path, EVOLVE_CFG.replace("flow.times = 0.25", "flow.times = 0.1,0.25"))
+    assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+    results = json.loads((tmp_path / "res" / "evolve_meta.json").read_text())["results"]
+    assert len(results) == 2
+    for rec in results:
+        (m0, first), *rest = rec["refine_history"]
+        assert first is None and rest
+        assert [m for m, _ in rest] == [m0 * 2 ** k for k in range(1, len(rest) + 1)]
+        assert rec["converged"] == (rest[-1][1] <= 1e-9)
+
+
+def test_hunt_meta_records_each_scan(tmp_path):
+    """One record per transform and hunt level, in the order of its CSV rows."""
+    cfg = write_config(tmp_path, HUNT_CFG + "transform = power alpha=1\n")
+    out = tmp_path / "res"
+    assert entry(["hunt", "--config", cfg, "--out", str(out)]) == 0
+    scans = json.loads((out / "hunt_meta.json").read_text())["scans"]
+    files = {"power[1.5]": "hunt_power_1.5.csv", "power[1]": "hunt_power_1.csv"}
+    assert set(scans) == set(files)
+    for label, recs in scans.items():
+        with open(out / files[label], newline="") as fh:
+            rows = list(csv.DictReader(r for r in fh if not r.startswith("#")))
+        assert [(r["t"], r["level"]) for r in recs] == [
+            (float(row["t"]), int(row["level"])) for row in rows]
+        for rec, row in zip(recs, rows):
+            assert set(rec) == {"t", "level", "n_samples", "max_gap"}
+            assert rec["n_samples"] > 0 and rec["max_gap"] >= float(row["gap"])
+
+
 @pytest.mark.parametrize("command,line", [
     ("hunt", "certify.refine_levels = -1"),
     ("verify", "flow.eps_tail = 0"),

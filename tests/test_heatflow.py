@@ -418,7 +418,7 @@ _G8 = (0.0, 1.0, 1.0 / 8)
 
 
 _META_KEYS = {"t", "quad_error", "roundoff_error", "kernel_method", "lattice_factor",
-              "converged", "tail_bound", "inherited_error"}
+              "converged", "refine_history", "tail_bound", "inherited_error"}
 _BOX = DomainSpec.interval(0.0, 1.0)
 
 
@@ -622,6 +622,61 @@ def test_3d_box_meets_the_sine_product():
              * np.sin(np.pi * z / L[2]))
     assert u.meta["converged"] and u.values.shape == (9, 7, 5)
     assert rel_err(u.values, exact) <= u.value_error < 1e-12
+
+
+# -- data that read some axes only ---------------------------------------------
+
+
+def test_free_datum_that_ignores_an_axis_matches_the_1d_flow():
+    """A datum may return a line of the open mesh: every row of the 2D flow
+    of exp(-x^2) is its 1D flow."""
+    g = (-1.0, 1.0, 1.0 / 8)
+    u2 = heat_evolve_free(InitialDatum(fn=lambda x, y: np.exp(-x ** 2)), 0.05, (g, g))
+    u1 = heat_evolve_free(InitialDatum(fn=lambda x: np.exp(-x ** 2)), 0.05, g)
+    assert u2.values.shape == (17, 17)
+    assert rel_err(u2.values, u1.values[:, None]) <= u2.value_error + u1.value_error
+    x = u1.axes()[0]
+    exact = np.exp(-x ** 2 / 1.2) / np.sqrt(1.2)
+    assert rel_err(u2.values, exact[:, None]) <= u2.value_error < 1e-8
+
+
+def test_rectangle_datum_that_ignores_an_axis():
+    """sin(pi x) on the unit square is the product of the 1D interval flows
+    of sin(pi x) and of 1; the constant ell is held exactly."""
+    phi = InitialDatum(fn=lambda x, y: np.sin(np.pi * x))
+    u = heat_evolve_dirichlet(phi, _UNIT_SQUARE, 0.05, (_G8, _G8))
+    ux = heat_evolve_dirichlet(_SIN, _BOX, 0.05, _G8)
+    uy = heat_evolve_dirichlet(InitialDatum(fn=lambda y: np.ones_like(y)), _BOX, 0.05, _G8)
+    assert rel_err(u.values, ux.values[:, None] * uy.values) <= (
+        u.value_error + ux.value_error + uy.value_error)
+    one = heat_evolve_dirichlet(InitialDatum(fn=lambda x, y: 1.0),
+                                DomainSpec.rectangle(((0.0, 1.0), (0.0, 2.0)), ell=1.0),
+                                0.05, (_G8, (0.0, 2.0, 1.0 / 8)))
+    assert one.values.shape == (9, 17) and np.all(one.values == 1.0)
+
+
+def test_3d_datum_that_reads_y_only(monkeypatch):
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 2 ** 25)
+    s, t = 0.25, 0.25
+    phi = InitialDatum(fn=lambda x, y, z: gauss_kernel(y, s),
+                       growth_a=float(gauss_kernel(0.0, s)))
+    g = (-1.0 / 16, 1.0 / 16, 1.0 / 16)
+    u = heat_evolve_free(phi, t, (g, g, g), eps_tail=1e-6, quad_tol=1e-6)
+    y = u.axes()[1]
+    assert u.meta["converged"] and u.values.shape == (3, 3, 3)
+    assert rel_err(u.values, gauss_kernel(y, s + t)[:, None]) <= u.value_error < 1e-5
+
+
+def test_refine_history_records_every_pass():
+    u = heat_evolve_free(_SIN2, 0.05, (_G8, _G8), quad_tol=1e-30, max_refine=3)
+    hist = u.meta["refine_history"]
+    m0 = hist[0][0]
+    assert hist[0][1] is None and len(hist) == 4
+    assert [m for m, _ in hist] == [m0, 2 * m0, 4 * m0, 8 * m0]
+    assert hist[-1] == [u.meta["lattice_factor"], u.meta["quad_error"]]
+    one = heat_evolve_free(_SIN2, 0.05, (_G8, _G8), max_refine=0)
+    assert one.meta["refine_history"] == [[one.meta["lattice_factor"], None]]
+    assert one.meta["quad_error"] == np.inf
 
 
 _GRID_1D = GridFunction(values=np.zeros(9), extent=((0.0, 1.0),))

@@ -13,6 +13,7 @@ from heatconvex import (DomainError, GSpec, abs_kink_generator, builtin_transfor
                         compare_strength, default_j_window, make_affine,
                         make_custom, make_exp, make_from_g, make_hot,
                         make_neglog, make_power_alpha, scale_shift)
+from heatconvex.heatflow import hot_h
 
 BUILTINS = builtin_transforms()
 
@@ -25,6 +26,56 @@ def test_power_zero_is_log():
     r = np.array([0.5, 1.0, np.e, 10.0])
     np.testing.assert_allclose(F(r), np.log(r), rtol=1e-14)
     np.testing.assert_allclose(F.inverse(np.log(r)), r, rtol=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0])
+def test_power_inverse_in_place_meets_the_closed_form(alpha):
+    """One buffer, the same operations: equal to the closed form on arrays,
+    0-d arrays and scalars, the clamp region alpha z + 1 <= 0 included,
+    and the input is left as it was."""
+    F = make_power_alpha(alpha)
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.uniform(-4.0, 4.0, 200), [-1.0 / alpha, 0.0, -0.0, np.nan]])
+    for arg in (z, z.reshape(17, 12), np.array(0.3), 0.3, -2.0 / alpha):
+        before = np.array(arg, copy=True)
+        with np.errstate(divide="ignore"):
+            got = F._inverse(arg)
+            want = np.power(np.maximum(alpha * np.asarray(arg, float) + 1.0, 0.0),
+                            1.0 / alpha)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.asarray(arg), before, equal_nan=True)
+        assert np.ndim(got) == np.ndim(arg)
+    assert isinstance(F._inverse(0.3), float) and isinstance(F.inverse(0.3), float)
+
+
+def test_hot_h_in_place_meets_the_closed_form():
+    z = np.random.default_rng(12).uniform(-30.0, 30.0, (9, 11))
+    before = z.copy()
+    assert np.array_equal(hot_h(z), 0.5 * (1.0 + erf(0.5 * z)))
+    assert np.array_equal(z, before)
+    assert isinstance(hot_h(0.7), float) and hot_h(0.7) == 0.5 * (1.0 + erf(0.35))
+    assert isinstance(hot_h(np.array(0.7)), float)
+
+
+def test_image_interval_check_keeps_its_nan_rules():
+    """NaN entries pass; one value outside J fails the array whatever NaN it
+    holds; an endpoint at infinity is open, so +-inf there fails too."""
+    F = make_power_alpha(2.0)  # J = (-1/2, inf)
+    for bad in ([np.nan, -0.7, 0.1], [[0.1, np.nan], [np.nan, -0.5]], [np.nan, np.inf],
+                np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            F.inverse(np.array(bad))
+    assert np.all(np.isnan(F.inverse(np.full((2, 3), np.nan))))
+    assert F.inverse(np.array([])).shape == (0,)
+    assert F.inverse(np.empty((0, 4))).shape == (0, 4)
+    P0 = make_power_alpha(0.0)  # J = (-inf, inf)
+    for end in (np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            P0.inverse(np.array([0.0, end]))
+    # an array slack (g's finite-difference stencil) still tests elementwise
+    with pytest.raises(DomainError):
+        F.g(np.array([np.nan, -0.5 + 1e-12, 1.0]))
+    assert np.isfinite(F.g(np.array([np.nan, -0.4, 1.0]))[1:]).all()
 
 
 def test_power_alpha_closed_form():
