@@ -15,6 +15,7 @@ same config always produces bit-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -223,7 +224,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process and shared by every entry()
+    call: parse_args leaves it unchanged, and each build leaves a few
+    hundred argparse objects in reference cycles that only the cyclic
+    garbage collector frees, whose full passes then pause later work."""
     parser = argparse.ArgumentParser(
         prog="heatconvex",
         description="Heat-flow convexity experiments driven by config files.")

@@ -494,3 +494,33 @@ def test_grid_evolve_loads_neither_scipy_interpolate_nor_fft(tmp_path):
     u = GridFunction.from_csv((tmp_path / "res" / "evolve_00.csv").read_text())
     assert u.values.size == 1025
     assert np.max(np.abs(u.values - np.exp(-u.axes()[0] ** 2 / 1.4) / np.sqrt(1.4))) < 1e-4
+
+
+def test_repeated_entry_reuses_one_parser_and_leaves_no_argparse_cycles(tmp_path):
+    """A process running many commands builds the parser once; a rebuild
+    per call left ~250 argparse objects per command for the cyclic
+    collector, whose full passes then paused later work.  Flags of one
+    call do not leak into the next."""
+    import gc
+
+    import heatconvex.cli as cli_mod
+
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    cfg = write_config(tmp_path, CLASSIFY_CFG + f"out = {tmp_path / 'cfg_out'}\n")
+    assert entry(["classify", "--config", cfg, "--out", str(tmp_path / "flag_out")]) == 0
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert entry(["classify", "--config", cfg]) == 0
+        gc.collect()
+        leaked = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == []
+    assert (tmp_path / "flag_out" / "classify.csv").is_file()
+    assert (tmp_path / "cfg_out" / "classify.csv").is_file()
