@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .heatflow import (GridFunction, InitialDatum, _truncation_window,
-                       fit_growth_envelope, heat_evolve_free)
+                       check_existence, fit_growth_envelope, heat_evolve_free)
 from .numerics import DomainError
 
 __all__ = [
@@ -98,7 +98,9 @@ class Certificate:
     factor times its noise_floor, the propagated value-error spread there
     (value errors are two-grid estimates, so this is a discretization noise
     estimate); significant says that the gap clears factor times the floor.
-    max_gap is the largest raw gap of the scan, for display.
+    max_gap is the largest raw gap of the scan, for display.  Midpoints are
+    grid-exact, and continuity of the data upgrades midpoint convexity to
+    convexity.
     """
 
     status: str
@@ -106,7 +108,6 @@ class Certificate:
     noise_floor: float
     significant: bool
     n_samples: int = 0
-    note: str = ""
     max_gap: float = float("nan")
 
 
@@ -133,10 +134,12 @@ def _transform_values(u, F):
             f"grid values exit the domain of {F.label} beyond tolerance")
     clipped = np.clip(vals, lo, hi)
     v = np.asarray(F(clipped), dtype=float)
-    delta = u.value_error * scale
-    v_hi = np.asarray(F(np.clip(clipped + delta, lo, hi)), dtype=float)
-    v_lo = np.asarray(F(np.clip(clipped - delta, lo, hi)), dtype=float)
+    # an infinite node value makes its spread NaN (inf - inf), read as
+    # infinite noise
     with np.errstate(invalid="ignore"):
+        delta = u.value_error * scale
+        v_hi = np.asarray(F(np.clip(clipped + delta, lo, hi)), dtype=float)
+        v_lo = np.asarray(F(np.clip(clipped - delta, lo, hi)), dtype=float)
         spread = v_hi - v_lo
     spread = np.where(np.isnan(spread), np.inf, spread)
     spread = spread + 4 * _EPS * (1.0 + np.abs(np.where(np.isfinite(v), v, 0.0)))
@@ -397,12 +400,9 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
                                      plan.max_stride)
         total += cnt
 
-    note = ("midpoints are grid-exact; continuity of the data upgrades "
-            "midpoint convexity to convexity")
     if best is None:
         return Certificate(status="no_violation_found", worst=None,
-                           noise_floor=0.0, significant=False,
-                           n_samples=0, note=note + "; no testable triples")
+                           noise_floor=0.0, significant=False)
     _, gap, noise, i0, im, i1, lhs, rhs, lam_f, max_gap = best
     worst = MidpointSample(
         x0=_node_point(u, i0), x1=_node_point(u, i1), lam=lam_f,
@@ -412,8 +412,7 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
     status = "violation" if gap > noise else "no_violation_found"
     significant = bool(gap > significance_factor * noise)
     return Certificate(status=status, worst=worst, noise_floor=noise,
-                       significant=significant, n_samples=total, note=note,
-                       max_gap=max_gap)
+                       significant=significant, n_samples=total, max_gap=max_gap)
 
 
 # -- quasi-convexity ----------------------------------------------------------
@@ -661,36 +660,33 @@ class EnvelopeComparison:
 def check_envelope_comparison(F, phi, lam, t, window, h, eps_tail=1e-10):
     """Evolved mixture envelope stays below the mixed evolved values.
 
-    Builds W0 = F^{-1}(envelope of F(phi)) on the window, evolves both W0 and
-    phi to time t, and checks evolve(W0) at each decomposition midpoint
-    against F^{-1}((1-lam) F(u(x0)) + lam F(u(x1))), within three combined
-    noise floors.  The sample of largest gap - 3 noise decides (worst_x,
+    phi is an InitialDatum (else TypeError) and t lies in its existence
+    window (else ExistenceWindowError, as in heat_evolve_free).  Builds W0 =
+    F^{-1}(envelope of F(phi)) on the window, evolves both W0 and phi to
+    time t, and checks evolve(W0) at each decomposition midpoint against
+    F^{-1}((1-lam) F(u(x0)) + lam F(u(x1))), within three combined noise
+    floors.  The sample of largest gap - 3 noise decides (worst_x,
     noise_floor); max_gap is the largest raw gap.  Nodes relying on flagged
     envelope values make a failed comparison inconclusive, not a violation.
     """
+    if not isinstance(phi, InitialDatum):
+        raise TypeError("phi must be an InitialDatum")
+    check_existence(phi.growth_A, t)
     p, q, lam_f = _as_fraction(lam)
     lo, hi = window
     n = int(round((hi - lo) / h)) + 1
     x = np.linspace(lo, hi, n)
 
-    if isinstance(phi, InitialDatum):
-        phi_d = phi
-    else:
-        a_fit, A_fit = fit_growth_envelope(phi, window)
-        phi_d = InitialDatum(fn=phi, growth_a=a_fit, growth_A=A_fit)
-
     # W0 is defined by grid values, so its construction window must already
     # cover the quadrature reach of the evolution to time t: the evolver's
     # truncation radius, padded by whole cells.
-    if 4.0 * phi_d.growth_A * t >= 1.0:
-        raise DomainError("growth certificate leaves no existence window at t")
-    *_, R = _truncation_window(phi_d.growth_a, phi_d.growth_A, t,
+    *_, R = _truncation_window(phi.growth_a, phi.growth_A, t,
                                max(abs(lo), abs(hi)), 1, eps_tail)
     pad_cells = int(np.ceil(R / h)) + 2
     xp = np.linspace(lo - pad_cells * h, hi + pad_cells * h, n + 2 * pad_cells)
     inner = slice(pad_cells, pad_cells + n)
 
-    u0 = np.asarray(phi_d(xp), dtype=float)
+    u0 = np.asarray(phi(xp), dtype=float)
     scale = 1.0 + np.abs(u0)
     if np.any(u0 < F.lower_a - 1e-9 * scale) or np.any(u0 > F.upper_ell + 1e-9 * scale):
         raise DomainError("datum exits the transform's domain")
@@ -709,11 +705,11 @@ def check_envelope_comparison(F, phi, lam, t, window, h, eps_tail=1e-10):
     w0[interior] = np.asarray(F.inverse(env.values[interior]), dtype=float)
     w0[~interior] = F.lower_a
     w0_gf = GridFunction(values=w0, extent=((xp[0], xp[-1]),),
-                         growth_a=phi_d.growth_a, growth_A=phi_d.growth_A,
-                         value_error=phi_d.value_error)
+                         growth_a=phi.growth_a, growth_A=phi.growth_A,
+                         value_error=phi.value_error)
 
     uW = heat_evolve_free(w0_gf, t, (lo, hi, h), eps_tail=eps_tail)
-    u = heat_evolve_free(phi_d, t, (lo, hi, h), eps_tail=eps_tail)
+    u = heat_evolve_free(phi, t, (lo, hi, h), eps_tail=eps_tail)
 
     vu, spread = _transform_values(u, F)
     uW_err = uW.value_error * (1.0 + np.abs(uW.values))

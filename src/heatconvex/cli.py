@@ -48,9 +48,13 @@ def _slug(label):
 
 
 def _write(out_dir, name, text):
+    # a new file: truncating an old one makes the filesystem flush its
+    # pending data first, which costs far more than the write
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
+    path = out / name
+    path.unlink(missing_ok=True)
+    path.write_text(text)
 
 
 def _write_meta(cfg, command, name, extra):

@@ -231,10 +231,9 @@ def build_datum(name, params, F=None, window=(-8.0, 8.0)):
         if not isinstance(path, str):
             raise ConfigError("datum 'csv' needs path=<file>")
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            return GridFunction.from_csv(Path(path).read_text())
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read datum file {path!r}: {exc}")
-        return GridFunction.from_csv(text)
     raise ConfigError(f"unknown datum kind {name!r}")
 
 
@@ -265,7 +264,6 @@ class ExperimentConfig:
     plan: SamplingPlan
     refine_levels: int
     significance_factor: float
-    seed: int
     out_dir: str
     resolved: dict = field(default_factory=dict)
 
@@ -373,7 +371,6 @@ def load_config(path, overrides=None):
                              "a count >= 0"),
         significance_factor=number("certify.significance_factor", float,
                                    lambda c: 0 <= c < np.inf, "finite and >= 0"),
-        seed=seed,
         out_dir=str(get("out")),
         resolved=resolved,
     )

@@ -126,9 +126,9 @@ def _pchip(x, y, xq):
 class GridFunction:
     """Sampled function on a uniform n-axis grid with growth metadata.
 
-    values: shape (n1, ..., nd), C-order with axis 0 the first coordinate.
-    extent: (lo, hi) per axis.  The growth fields
-    certify |phi| <= growth_a * exp(growth_A |x|^2) at every sampled node.
+    values: shape (n1, ..., nd), each n_k >= 2 (else DomainError), C-order
+    with axis 0 the first coordinate.  extent: (lo, hi) per axis.  The growth
+    fields certify |phi| <= growth_a * exp(growth_A |x|^2) at every node.
     value_error is the recorded max relative uncertainty |du|/(1+|u|) of the
     values (quadrature + roundoff + truncation for evolved data, 0 for exact
     data).
@@ -150,6 +150,9 @@ class GridFunction:
         self.extent = tuple((float(lo), float(hi)) for lo, hi in self.extent)
         if self.values.ndim != len(self.extent):
             raise ValueError("extent/values dimension mismatch")
+        if min(self.values.shape, default=2) < 2:
+            raise DomainError(f"grid data need two nodes per axis, got shape "
+                              f"{self.values.shape}")
 
     @property
     def dim(self):
@@ -214,6 +217,7 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, text):
+        """to_csv's grid function; DomainError unless rows fill the axes."""
         axes = []
         growth = {"growth_a": 1.0, "growth_A": 0.0, "value_error": 0.0}
         vals = []
@@ -235,7 +239,11 @@ class GridFunction:
                             growth[k] = float(v)
                 continue
             vals.append(float(line.split(",")[-1]))
-        return cls(values=np.asarray(vals).reshape(tuple(n for *_, n in axes)),
+        shape = tuple(n for *_, n in axes)
+        if len(vals) != math.prod(shape):
+            raise DomainError(f"{len(vals)} value rows for axis headers of "
+                              f"shape {shape}")
+        return cls(values=np.asarray(vals).reshape(shape),
                    extent=tuple((lo, hi) for lo, hi, _ in axes), **growth)
 
 
@@ -244,27 +252,32 @@ class DomainSpec:
     """Spatial domain: free space, half line, interval, or rectangle (a box
     of any number of axes).
 
-    ell is the boundary value held fixed by the Dirichlet evolution.
+    bounds holds (lo, hi) per axis, none for free space; ell is the boundary
+    value held fixed by the Dirichlet evolution.
     """
 
     kind: str
-    n: int = 1
     bounds: tuple = ()
     ell: float = 0.0
 
+    @property
+    def n(self):
+        """The number of bounded axes: 0 for free space."""
+        return len(self.bounds)
+
     @classmethod
-    def free_space(cls, n=1):
-        return cls(kind="free_space", n=n)
+    def free_space(cls):
+        return cls(kind="free_space")
 
     @classmethod
     def half_line(cls, ell=0.0):
-        return cls(kind="half_line", n=1, bounds=((0.0, np.inf),), ell=ell)
+        return cls(kind="half_line", bounds=((0.0, np.inf),), ell=ell)
 
     @classmethod
     def interval(cls, a, b, ell=0.0):
         if not b > a:
             raise ValueError("need b > a")
-        return cls(kind="interval", n=1, bounds=((float(a), float(b)),), ell=ell)
+        return cls(kind="interval", bounds=((float(a), float(b)),), ell=ell)
 
     @classmethod
     def rectangle(cls, bounds, ell=0.0):
@@ -272,7 +285,7 @@ class DomainSpec:
         bounds = tuple((float(a), float(b)) for a, b in bounds)
         if not all(b > a for a, b in bounds):
             raise ValueError("degenerate rectangle")
-        return cls(kind="rectangle", n=len(bounds), bounds=bounds, ell=ell)
+        return cls(kind="rectangle", bounds=bounds, ell=ell)
 
 
 @dataclass(frozen=True)
@@ -301,24 +314,24 @@ class InitialDatum:
         return self.fn(*xs)
 
 
-def gauss_kernel(x, t, n=1):
-    """Heat kernel (4 pi t)^(-n/2) exp(-|x|^2 / (4t)); x is distance."""
+def gauss_kernel(x, t):
+    """1D heat kernel (4 pi t)^(-1/2) exp(-x^2 / (4t)); x is distance."""
     x = np.asarray(x, dtype=float)
     if t <= 0:
         raise ValueError("t must be positive")
-    return (4 * np.pi * t) ** (-n / 2) * np.exp(-(x * x) / (4 * t))
+    return (4 * np.pi * t) ** -0.5 * np.exp(-(x * x) / (4 * t))
 
 
-def fit_growth_envelope(fn, window, n_samples=801):
+def fit_growth_envelope(fn, window):
     """Certified Gaussian envelope (a, A) for fn on a symmetric 1D window.
 
-    A is the least-squares slope of log|fn| against x^2 over the outer half of
-    the window (clamped to >= 0); a is then the smallest constant making the
-    bound hold at every sample.  The certificate is exact at the samples and
-    assumed to extend beyond the window.
+    A is the least-squares slope of log|fn| against x^2 over the outer half
+    of 801 even samples of the window (clamped to >= 0); a is then the least
+    constant making the bound hold at every sample.  The certificate is
+    exact at the samples and assumed to extend beyond the window.
     """
     lo, hi = window
-    x = np.linspace(lo, hi, n_samples)
+    x = np.linspace(lo, hi, 801)
     vals = np.abs(np.asarray(fn(x), dtype=float))
     outer = np.abs(x) >= 0.5 * max(abs(lo), abs(hi))
     pos = outer & (vals > 0)
@@ -763,7 +776,7 @@ def _box_apply(psi, m, L, t):
     return u, float(bound / (1.0 + np.min(np.abs(u)))), "spectral"
 
 
-def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
+def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
                           eps_tail=1e-12, max_refine=6):
     """Evolve phi holding the boundary at domain.ell, by the method of images.
 
@@ -778,9 +791,8 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     circular convolution with its closed-form spectrum (_box_apply,
     kernel_method "spectral"), a box of more axes the matrix of its
     samples (_dirichlet_kernels) along each axis.  out_grid is (lo, hi, h)
-    per axis, from the lower wall to the upper wall where that is finite;
-    grid data on a box may leave it None.  Data or grids of the wrong
-    dimension raise ValueError, data unbounded on the domain DomainError.
+    per axis, from the lower wall to the upper wall where that is finite.  Data
+    or grids of the wrong dimension raise ValueError, unbounded data DomainError.
     Boundary nodes of the result are exact.  Refinement, the node budget
     and meta are as in heat_evolve_free.
     """
@@ -795,21 +807,16 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid=None, *, quad_tol=1e-9,
     def u0(*ax):
         return ell - sample(*ax)
 
-    if out_grid is None:
-        if domain.kind == "half_line" or not isinstance(phi, GridFunction):
-            raise ValueError("out_grid required on the half line and for callable data")
-        ns, extent = phi.values.shape, domain.bounds
-    else:
-        grids = _axis_grids(out_grid)
-        if len(grids) != dim:
-            raise ValueError(f"{len(grids)} grid axes for a dim-{dim} domain")
-        for (lo, hi, _), (a, b) in zip(grids, domain.bounds):
-            if abs(lo - a) > 1e-12 or (np.isfinite(b) and abs(hi - b) > 1e-12):
-                raise ValueError(f"out_grid must span the {domain.kind}, from "
-                                 "its lower wall to its upper wall if finite")
-        ns = tuple(grid_nodes(*g).size for g in grids)
-        extent = tuple((a, b if np.isfinite(b) else g[1])
-                       for g, (a, b) in zip(grids, domain.bounds))
+    grids = _axis_grids(out_grid)
+    if len(grids) != dim:
+        raise ValueError(f"{len(grids)} grid axes for a dim-{dim} domain")
+    for (lo, hi, _), (a, b) in zip(grids, domain.bounds):
+        if abs(lo - a) > 1e-12 or (np.isfinite(b) and abs(hi - b) > 1e-12):
+            raise ValueError(f"out_grid must span the {domain.kind}, from "
+                             "its lower wall to its upper wall if finite")
+    ns = tuple(grid_nodes(*g).size for g in grids)
+    extent = tuple((a, b if np.isfinite(b) else g[1])
+                   for g, (a, b) in zip(grids, domain.bounds))
     Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
     walls = tuple(b for _, b in domain.bounds)
     # a monotone-cubic interpolant stays within its data, so grid data are
@@ -905,14 +912,19 @@ def hot_H(r):
 # -- quadratic lift ----------------------------------------------------------
 
 
-def epsilon_quadratic_lift(phi, eps, *, min_growth_A=1e-3):
+def _lift_growth(a, A, eps):
+    """(a, A) bounding a exp(A |x|^2) + eps |x|^2: |x|^2 <= exp(A |x|^2) / (e A)."""
+    A = max(A, 1e-3) if eps > 0 else A
+    return a + (eps / (np.e * A) if eps > 0 else 0.0), A
+
+
+def epsilon_quadratic_lift(phi, eps):
     """Datum phi + eps |x|^2 with an updated growth certificate."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if not isinstance(phi, (GridFunction, InitialDatum)):
         raise TypeError("phi must be GridFunction or InitialDatum")
-    A = max(phi.growth_A, min_growth_A if eps > 0 else phi.growth_A)
-    a = phi.growth_a + (eps / (np.e * A) if eps > 0 else 0.0)
+    a, A = _lift_growth(phi.growth_a, phi.growth_A, eps)
     if isinstance(phi, GridFunction):
         return replace(phi, values=phi.values + eps * phi._radius_sq(),
                        growth_a=a, growth_A=A)
@@ -929,10 +941,9 @@ def epsilon_quadratic_lift(phi, eps, *, min_growth_A=1e-3):
 
 
 def lifted_evolution_identity(u, eps, t):
-    """Exact evolution of the lift: u + eps (|x|^2 + 2 n t) on u's grid."""
+    """Exact evolution of the lift: u + eps (|x|^2 + 2 n t) on u's grid,
+    certified as epsilon_quadratic_lift certifies the lift plus 2 n t eps."""
     n = u.dim
-    r2 = u._radius_sq()
-    A = max(u.growth_A, 1e-3 if eps > 0 else u.growth_A)
-    a = u.growth_a + (eps / (np.e * A) if eps > 0 else 0.0) + 2 * n * t * eps
-    return replace(u, values=u.values + eps * (r2 + 2.0 * n * t),
-                   growth_a=a, growth_A=A)
+    a, A = _lift_growth(u.growth_a, u.growth_A, eps)
+    return replace(u, values=u.values + eps * (u._radius_sq() + 2.0 * n * t),
+                   growth_a=a + 2 * n * t * eps, growth_A=A)

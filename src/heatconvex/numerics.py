@@ -24,11 +24,11 @@ def fd_step(z):
     return np.maximum(1e-5, 1e-5 * np.abs(z))
 
 
-def invert_monotone(f, target, lo, hi, deriv=None, newton_steps=4):
+def invert_monotone(f, target, lo, hi, deriv=None):
     """Solve f(z) = target for strictly increasing f by bracketing bisection.
 
-    Bisects to width 1e-12*(1+|z|), then polishes with up to `newton_steps`
-    Newton iterations when `deriv` is given.  Vectorized over `target`.
+    Bisects to width 1e-12*(1+|z|), then polishes with 4 Newton iterations,
+    kept inside the bracket, when `deriv` is given.  Vectorized over `target`.
     """
     t = np.asarray(target, dtype=float)
     scalar = t.ndim == 0
@@ -53,7 +53,7 @@ def invert_monotone(f, target, lo, hi, deriv=None, newton_steps=4):
             break
     z = 0.5 * (a + b)
     if deriv is not None:
-        for _ in range(newton_steps):
+        for _ in range(4):
             dz = (np.asarray(f(z), dtype=float) - t) / np.asarray(deriv(z), dtype=float)
             dz = np.where(np.isfinite(dz), dz, 0.0)
             z = np.clip(z - dz, a, b)

@@ -79,8 +79,9 @@ class FTransform:
     'bounded_above' (values in [lower_a, upper_ell] with F(upper_ell) = inf).
     (j_lo, j_hi) bound the open image interval J of the domain interior;
     inverse/log_inverse/g are defined there.  All callables are vectorized.
-    _log_inverse_deriv, when given, is log f_F' exactly; g then differentiates
-    it instead of the log of _inverse_deriv, which overflows first.
+    g is _g_closed when given; else it differentiates _log_inverse_deriv,
+    log f_F' exactly, when given, and otherwise the log of central
+    differences of _inverse.
     """
 
     domain_kind: str
@@ -159,9 +160,6 @@ class FTransform:
     def _log_fprime(self, z):
         if self._log_inverse_deriv is not None:
             return self._log_inverse_deriv(z)
-        if self._inverse_deriv is not None:
-            with np.errstate(divide="ignore"):
-                return np.log(self._inverse_deriv(z))
         h = fd_step(z)
         return np.log((self._inverse(z + h) - self._inverse(z - h)) / (2 * h))
 
@@ -425,15 +423,14 @@ def make_neglog(a, ell):
 
 
 def make_custom(eval_fn, inverse_fn, domain_kind, lower_a, upper_ell,
-                j_lo, j_hi, label="custom", inverse_deriv_fn=None,
-                log_inverse_fn=None):
-    """Wrap user callables as a transform; derivatives fall back to differences."""
+                j_lo, j_hi, label="custom"):
+    """Wrap user callables as a transform: f_F', log |f_F| and g come from
+    inverse_fn alone, the derivatives by central differences."""
     return FTransform(
         domain_kind=domain_kind,
         lower_a=float(lower_a), upper_ell=float(upper_ell),
         j_lo=float(j_lo), j_hi=float(j_hi), label=label,
         _eval=eval_fn, _inverse=inverse_fn,
-        _inverse_deriv=inverse_deriv_fn, _log_inverse=log_inverse_fn,
     )
 
 
@@ -595,12 +592,10 @@ class AdmissibilityReport:
     admissible: bool
     first_violation: object = None     # (r, reason) or None
 
-    def __bool__(self):
-        return self.admissible
 
-
-def _domain_samples(F, n):
-    lo, hi = F.lower_a, F.upper_ell
+def _domain_samples(F):
+    """201 sample points of the domain of F, inside its ends."""
+    n, lo, hi = 201, F.lower_a, F.upper_ell
     if F.domain_kind == "whole_line":
         return np.linspace(-30.0, 30.0, n)
     if F.domain_kind == "bounded_above":
@@ -612,11 +607,10 @@ def _domain_samples(F, n):
     return lo + np.concatenate([head, tail])
 
 
-def check_admissible(F, n_samples=201):
-    """Sampled admissibility: strict increase, continuity, endpoint limits."""
-    if n_samples < 3:
-        raise DomainError("need at least 3 samples")
-    r = _domain_samples(F, n_samples)
+def check_admissible(F):
+    """Sampled admissibility on 201 points of the domain: strict increase,
+    continuity, endpoint limits."""
+    r = _domain_samples(F)
     v = np.asarray(F(r), dtype=float)
     dv = np.diff(v)
     bad = np.where(~(dv > 0))[0]
@@ -763,34 +757,30 @@ class CurvatureCriterion:
         yield self.curvature_convex
 
 
-def default_j_window(F, span=16.0, margin=0.1):
-    """A compact working window inside the image interval J."""
-    lo = F.j_lo + margin if np.isfinite(F.j_lo) else -span / 2.0
-    hi = lo + span
+def default_j_window(F):
+    """The working window inside the image interval J: 16 long, from 0.1
+    inside a finite end of J, else centred on 0; squeezed between both ends
+    when both are finite."""
+    lo = F.j_lo + 0.1 if np.isfinite(F.j_lo) else -8.0
+    hi = lo + 16.0
     if np.isfinite(F.j_hi):
-        hi = F.j_hi - margin
+        hi = F.j_hi - 0.1
         if not np.isfinite(F.j_lo):
-            lo = hi - span
+            lo = hi - 16.0
     if not hi > lo:
         raise DomainError("image interval too narrow for the default window")
     return lo, hi
 
 
-def check_curvature_criterion(F, z_grid=None):
+def check_curvature_criterion(F):
     """Sampled preservation criterion: F' > 0 and g convex on the image.
 
-    Returns flags (deriv_positive, curvature_convex); convexity uses divided
-    second differences of g against a tolerance of 100x the propagated noise
-    of the g evaluation, and reports the most violating grid point.
+    Samples 257 points of default_j_window(F).  Returns flags
+    (deriv_positive, curvature_convex); convexity uses divided second
+    differences of g against a tolerance of 100x the propagated noise of
+    the g evaluation, and reports the most violating grid point.
     """
-    if z_grid is None:
-        lo, hi = default_j_window(F)
-        z_grid = np.linspace(lo, hi, 257)
-    z_grid = _as_float_array(z_grid)
-    if z_grid.size < 5:
-        raise DomainError("need at least 5 grid points")
-    if z_grid[0] <= F.j_lo or z_grid[-1] >= F.j_hi:
-        raise DomainError("grid exits the image interval")
+    z_grid = np.linspace(*default_j_window(F), 257)
 
     fprime = np.asarray(F.inverse_deriv(z_grid), dtype=float)
     deriv_positive = bool(np.all(fprime > 0))
@@ -886,7 +876,7 @@ _RULES = {
 }
 
 
-def classify(F, *, z_grid=None):
+def classify(F):
     """Route a transform through the preservation rules for its domain kind.
 
     Half-line values: a bounded image is only trivially preserved; otherwise
@@ -921,7 +911,7 @@ def classify(F, *, z_grid=None):
                            notes=f"window fits {integ.fit_coeffs}")
         order = {"gaussian_order": integ.a_star}
 
-    crit = check_curvature_criterion(F, z_grid=z_grid)
+    crit = check_curvature_criterion(F)
     found = dict(order, deriv_positive=crit.deriv_positive,
                  curvature_convex=crit.curvature_convex)
     if F.domain_kind == "whole_line":
@@ -984,26 +974,24 @@ def _composition_convex(F_outer, F_inner, z_grid):
     return bool(rel[i] >= -1.0), float(z[1 + i]), float(d2[i])
 
 
-def compare_strength(F1, F2, z_grid=None):
+def compare_strength(F1, F2):
     """Order two transforms by containment of their convexity classes.
 
     F1_weaker means every F2-convex function is F1-convex (F1 o f_{F2} is
     convex); F1_stronger is the reverse; equivalent when F1 is an affine
     positive rescaling of F2; neither when both composition tests fail.
+    Each composition is sampled on 257 points of default_j_window of its
+    inner transform.
     """
-    if z_grid is None:
-        lo, hi = default_j_window(F2)
-        z_grid = np.linspace(lo, hi, 257)
-    z_grid = _as_float_array(z_grid)
+    z_grid = np.linspace(*default_j_window(F2), 257)
 
     try:
         c12, worst12, _ = _composition_convex(F1, F2, z_grid)
     except DomainError:
         c12, worst12 = False, np.nan
     try:
-        lo1, hi1 = default_j_window(F1)
-        z_grid1 = np.linspace(lo1, hi1, z_grid.size)
-        c21, worst21, _ = _composition_convex(F2, F1, z_grid1)
+        c21, worst21, _ = _composition_convex(
+            F2, F1, np.linspace(*default_j_window(F1), 257))
     except DomainError:
         c21, worst21 = False, np.nan
 

@@ -1,5 +1,6 @@
 """Midpoint certificates, envelopes, hunts, and the class hierarchy."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from heatconvex import (
     DomainError,
     DomainSpec,
+    ExistenceWindowError,
     GridFunction,
     InitialDatum,
     SamplingPlan,
@@ -180,7 +182,7 @@ def test_wedge_2d_direction_and_breakpoints():
     d = counterexample_datum(P2, 1.0, direction=(0.0, 1.0), dim=2)
     assert d.breakpoints == ((), (0.0,))
     x = np.linspace(-2.0, 2.0, 65)
-    vals = d.fn(x[:, None], x[None, :])
+    vals = d.fn(*np.broadcast_arrays(x[:, None], x[None, :]))
     u0 = GridFunction(values=vals, extent=((-2.0, 2.0), (-2.0, 2.0)),
                       growth_a=d.growth_a, growth_A=d.growth_A)
     cert = check_F_convex(u0, P2)
@@ -413,6 +415,26 @@ def test_envelope_comparison_affine_datum_gap_is_dust():
     assert rep.max_gap <= 1e-8
 
 
+@pytest.mark.parametrize("four_A_t", [0.97, 1.2])
+def test_envelope_comparison_checks_the_existence_window_first(four_A_t, monkeypatch):
+    """4 A t = 0.97 lies past the margin that heat_evolve_free admits, 1.2
+    past the window itself: both are an ExistenceWindowError before any
+    envelope is built."""
+    def no_envelope(*args):
+        raise AssertionError("envelope built outside the existence window")
+
+    monkeypatch.setattr(certify, "mixture_envelope", no_envelope)
+    phi = InitialDatum(fn=lambda x: np.exp(np.abs(x)), growth_a=float(np.e),
+                       growth_A=0.25, breakpoints=(0.0,))
+    with pytest.raises(ExistenceWindowError):
+        check_envelope_comparison(P0, phi, 0.5, four_A_t, (-3.0, 3.0), 1 / 32)
+
+
+def test_envelope_comparison_needs_an_initial_datum():
+    with pytest.raises(TypeError, match="InitialDatum"):
+        check_envelope_comparison(P1, np.abs, 0.5, 0.1, (-4.0, 4.0), 1 / 32)
+
+
 # -- quasi-convexity -----------------------------------------------------------
 
 
@@ -535,15 +557,21 @@ def test_increasing_functions_of_convex_bases_are_quasi_convex(
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.integers(0, 14),
        st.sampled_from([0.0, 1e-3, 0.5]))
 def test_every_refutation_carries_a_line_witness(seed, n0, n1, step):
-    # n1 == 0 draws a 1D field; step > 0 rounds values so ties are common
+    # n1 == 0 draws a 1D field; step > 0 rounds values so ties are common;
+    # an axis of one node is refused
     rng = np.random.default_rng(seed)
     shape = (n0,) if n1 == 0 else (n0, n1)
     vals = np.cumsum(rng.standard_normal(shape), axis=0)
     if step:
         vals = np.round(vals / step) * step
     extent = ((-1.0, 1.0),) if n1 == 0 else ((-1.0, 1.0), (0.0, 2.0))
-    u = GridFunction(values=vals, extent=extent,
-                     growth_a=float(np.max(np.abs(vals))) + 1.0, growth_A=0.0)
+    grid = dict(values=vals, extent=extent,
+                growth_a=float(np.max(np.abs(vals))) + 1.0, growth_A=0.0)
+    if min(shape) < 2:
+        with pytest.raises(DomainError, match="two nodes per axis"):
+            GridFunction(**grid)
+        return
+    u = GridFunction(**grid)
     ok, witness = check_quasi_convex(u)
     if ok:
         assert witness is None
@@ -661,6 +689,22 @@ def test_plan_that_scans_nothing_is_refused(fields):
     no_violation_found from 0 triples (max_stride 1.7 was cut to 1)."""
     with pytest.raises(ValueError):
         SamplingPlan(**fields)
+
+
+@pytest.mark.parametrize("value_error", [0.0, 1e-9])
+def test_infinite_node_values_certify_without_warnings(value_error):
+    """Under power alpha = 0 the nodes at +inf have an undefined noise spread
+    (inf - inf, or 0 inf), read as infinite noise without a RuntimeWarning."""
+    vals = np.array([0.0, 1.0, np.inf, 2.0, 0.5, 0.0, np.inf, 3.0, 1.0])
+    u = GridFunction(values=vals, extent=((-1.0, 1.0),), value_error=value_error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = check_F_convex(u, P0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = check_F_convex(u, P0)
+    assert repr(strict) == repr(quiet)
+    assert strict.n_samples > 0
 
 
 # -- the blocked scans against the pedestrian scan ----------------------------

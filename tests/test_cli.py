@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -116,6 +117,23 @@ def test_evolve_output_round_trips_and_is_deterministic(tmp_path):
 
     meta = json.loads((out_a / "evolve_meta.json").read_text())
     assert meta["results"][0]["t"] == 0.25
+
+
+def test_rerun_replaces_each_file_by_an_identical_new_one(tmp_path):
+    """A rerun into the same directory writes the same bytes to new files:
+    the old ones are unlinked, not truncated, so a hard link keeps them."""
+    cfg = write_config(tmp_path, EVOLVE_CFG)
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(first) == {"evolve_00.csv", "evolve_meta.json"}
+    for name in first:
+        os.link(out / name, tmp_path / f"old_{name}")
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    for name in first:
+        assert not os.path.samefile(out / name, tmp_path / f"old_{name}")
+        assert (tmp_path / f"old_{name}").read_bytes() == first[name]
 
 
 INTERVAL_CFG = """
@@ -445,6 +463,27 @@ def test_schedule_beyond_existence_window_exits_four(tmp_path):
     assert "window error" in r.stderr
     # (1 - EXISTENCE_MARGIN) / (4 A), as heat_evolve_free itself admits
     assert "0.2375" in r.stderr
+
+
+_CSV_HEAD = "# dim=1\n# axis lo=-1.0 hi=1.0 n={n}\n# growth_a=1.0 growth_A=0.0 value_error=0.0\nx,value\n"
+
+
+@pytest.mark.parametrize("text, why", [
+    (_CSV_HEAD.format(n=1) + "0,1\n", "two nodes per axis"),
+    (_CSV_HEAD.format(n=5) + "-1,1\n-0.5,1\n0,1\n", "3 value rows"),
+    (_CSV_HEAD.format(n=2) + "-1,1\n1,one\n", "could not convert"),
+], ids=["one_node_axis", "short_file", "non_numeric_row"])
+def test_malformed_csv_datum_is_a_config_error(tmp_path, capsys, text, why):
+    """A one-node axis, too few rows and a non-number are each refused
+    before anything is evolved or written."""
+    datum = tmp_path / "datum.csv"
+    datum.write_text(text)
+    cfg = write_config(tmp_path, f"datum = csv path={datum}\n")
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and why in err
+    assert not out.exists()
 
 
 def test_inconclusive_classification_exits_three(tmp_path, monkeypatch):

@@ -375,7 +375,8 @@ def test_rectangle_grid_data_evolve_to_the_sine_product():
     x, y = np.linspace(0.0, 2.0, 129), np.linspace(0.0, 1.0, 129)
     gf = GridFunction(values=np.outer(np.sin(np.pi * x / 2), np.sin(np.pi * y)),
                       extent=((0.0, 2.0), (0.0, 1.0)))
-    u = heat_evolve_dirichlet(gf, DomainSpec.rectangle(((0.0, 2.0), (0.0, 1.0))), t)
+    u = heat_evolve_dirichlet(gf, DomainSpec.rectangle(((0.0, 2.0), (0.0, 1.0))), t,
+                              ((0.0, 2.0, 2.0 / 128), (0.0, 1.0, 1.0 / 128)))
     a, b = u.axes()
     exact = np.exp(-1.25 * np.pi ** 2 * t) * np.outer(np.sin(np.pi * a / 2), np.sin(np.pi * b))
     assert u.values.shape == (129, 129)
@@ -684,10 +685,11 @@ _GRID_2D = GridFunction(values=np.zeros((9, 9)), extent=((0.0, 1.0), (0.0, 1.0))
 
 
 @pytest.mark.parametrize("evolve, data_dim, flow_dim", [
-    (lambda: heat_evolve_dirichlet(_GRID_2D, DomainSpec.interval(0.0, 1.0), 0.05), 2, 1),
+    (lambda: heat_evolve_dirichlet(
+        _GRID_2D, DomainSpec.interval(0.0, 1.0), 0.05, _G8), 2, 1),
     (lambda: heat_evolve_free(_GRID_1D, 0.05, (_G8, _G8)), 1, 2),
     (lambda: heat_evolve_dirichlet(
-        _GRID_1D, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))), 0.05), 1, 2),
+        _GRID_1D, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))), 0.05, (_G8, _G8)), 1, 2),
 ], ids=["2d_data_on_interval", "1d_data_2d_grid", "1d_data_on_rectangle"])
 def test_grid_data_of_the_wrong_dimension_are_refused(evolve, data_dim, flow_dim):
     with pytest.raises(ValueError,
@@ -699,11 +701,26 @@ def test_grid_data_of_the_wrong_dimension_are_refused(evolve, data_dim, flow_dim
 
 
 
+@pytest.mark.parametrize("shape", [(1,), (0,), (1, 65), (65, 1)])
+def test_grid_data_need_two_nodes_per_axis(shape):
+    """An axis of one node (or none) has no spacing."""
+    extent = ((-2.0, 2.0),) * len(shape)
+    with pytest.raises(DomainError, match="two nodes per axis"):
+        GridFunction(values=np.ones(shape), extent=extent)
+
+
+def test_csv_rows_must_fill_the_axis_headers():
+    text = GridFunction(values=np.arange(5.0), extent=((0.0, 1.0),)).to_csv()
+    assert GridFunction.from_csv(text).values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    short = "".join(text.splitlines(keepends=True)[:-2])
+    with pytest.raises(DomainError, match="3 value rows for axis headers of shape"):
+        GridFunction.from_csv(short)
+
+
 def test_fit_growth_envelope_certifies_samples():
     # the certificate is exact at the fitting samples; off-sample points may
     # exceed it only by the local interpolation slack
-    a, A = fit_growth_envelope(lambda x: np.exp(np.abs(x)), (-8.0, 8.0),
-                               n_samples=801)
+    a, A = fit_growth_envelope(lambda x: np.exp(np.abs(x)), (-8.0, 8.0))
     x = np.linspace(-8, 8, 801)
     assert np.all(np.exp(np.abs(x)) <= a * np.exp(A * x * x) * (1 + 1e-12))
     assert A > 0
