@@ -329,40 +329,60 @@ def _scan_aligned(best, fields, p, q, lam, max_stride):
     return best, count
 
 
-def _scan_random(best, fields, triples_per_lam, rng, p, q, lam, max_stride):
+def _scan_random(best, fields, triples_per_lam, rng, p, q, lam, max_stride, bufs):
     """Worst margin over triples_per_lam random grid-aligned triples, drawn
     direction per triple (where there is more than one), then per direction
-    strides, then starts; evaluated _BLOCK triples at a time."""
+    strides, then starts axis by axis.  The last axis's starts are drawn
+    _BLOCK triples at a time as the blocks are scanned, which leaves the
+    generator's stream as one draw would.  A block reads its triples through
+    flat node indices and gathers into bufs (three index and two complex
+    buffers of at least _BLOCK entries, or of triples_per_lam if fewer),
+    reused by every block."""
     v, _, mid, end0, end1 = fields
-    dirs, count = _DIRECTIONS[v.ndim], 0
+    shape, dirs, count = v.shape, _DIRECTIONS[v.ndim], 0
+    flat = [math.prod(shape[k + 1:]) for k in range(v.ndim)]  # C-order strides
+    mid, end0, end1 = (a.reshape(-1) for a in (mid, end0, end1))
     pick = rng.integers(0, len(dirs), size=triples_per_lam) if len(dirs) > 1 else None
     for j, d in enumerate(dirs):
         m = triples_per_lam if pick is None else int(np.count_nonzero(pick == j))
         if m == 0:
             continue
-        s_hi = min((n - 1) // q for n, step in zip(v.shape, d) if step)
+        s_hi = min((n - 1) // q for n, step in zip(shape, d) if step)
         if max_stride is not None:
             s_hi = min(s_hi, max_stride)
         if s_hi < 1:
             continue
         s = rng.integers(1, s_hi + 1, size=m)
-        i0 = tuple(rng.integers(*_starts(n, step, q * s), size=m)
-                   for n, step in zip(v.shape, d))
+        lead = [rng.integers(*_starts(n, step, q * s), size=m)
+                for n, step in zip(shape[:-1], d[:-1])]
+        step_flat = sum(step * f for step, f in zip(d, flat))
         for a in range(0, m, _BLOCK):
             sc = s[a:a + _BLOCK]
-            x0 = tuple(i[a:a + _BLOCK] for i in i0)
-            xm, x1 = (tuple(i + o * sc * step for i, step in zip(x0, d))
-                      for o in (p, q))
+            xm, x1, tmp, c0, c1 = (buf[:sc.size] for buf in bufs)
+            qs = np.multiply(sc, q, out=tmp)
+            if d[-1] > 0:  # _starts's bound n - q s, in place: no fresh array
+                x0 = rng.integers(0, np.subtract(shape[-1], qs, out=qs), size=sc.size)
+            else:
+                x0 = rng.integers(*_starts(shape[-1], d[-1], qs), size=sc.size)
+            for i, f in zip(lead, flat):
+                x0 += np.multiply(i[a:a + _BLOCK], f, out=tmp)
+            np.add(x0, np.multiply(sc, p * step_flat, out=tmp), out=xm)
+            np.add(x0, np.multiply(sc, q * step_flat, out=tmp), out=x1)
+            # every index is a node, so no mode needs its bounds check (the
+            # default, "raise", would gather into a temporary)
+            np.take(end0, x0, out=c0, mode="wrap")
+            np.take(end1, x1, out=c1, mode="wrap")
             with np.errstate(invalid="ignore"):
-                both = end0[x0] + end1[x1]
-                np.subtract(mid[xm], both, out=both)
-            won = _block_winner(both.real, both.imag, both.size)
+                np.add(c0, c1, out=c0)
+                np.subtract(np.take(mid, xm, out=c1, mode="wrap"), c0, out=c0)
+            won = _block_winner(c0.real, c0.imag, c0.size)
             if won is None:
                 continue
             k, m_k, g_max, cnt = won
             count += cnt
-            nodes = tuple(tuple(int(i[k]) for i in ix) for ix in (x0, xm, x1))
-            best = _fold(best, fields, lam, m_k, both.real[k], g_max, nodes)
+            nodes = tuple(tuple(map(int, np.unravel_index(int(ix[k]), shape)))
+                          for ix in (x0, xm, x1))
+            best = _fold(best, fields, lam, m_k, c0.real[k], g_max, nodes)
     return best, count
 
 
@@ -388,6 +408,11 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
     plan = plan or SamplingPlan()
     v, spread = _transform_values(u, F)
     rng = np.random.default_rng(plan.seed)
+    per = max(1, plan.n_random // len(plan.lambdas))
+    if plan.kind == "random":
+        size = min(per, _BLOCK)
+        bufs = (*(np.empty(size, np.intp) for _ in range(3)),
+                *(np.empty(size, complex) for _ in range(2)))
     best, total = None, 0
     for lam in plan.lambdas:
         p, q, lam_f = _as_fraction(lam)
@@ -395,9 +420,8 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
         if plan.kind == "aligned":
             best, cnt = _scan_aligned(best, fields, p, q, lam_f, plan.max_stride)
         else:
-            per = max(1, plan.n_random // len(plan.lambdas))
             best, cnt = _scan_random(best, fields, per, rng, p, q, lam_f,
-                                     plan.max_stride)
+                                     plan.max_stride, bufs)
         total += cnt
 
     if best is None:
@@ -598,27 +622,24 @@ def mixture_envelope(v, lam):
     n = w.size
     env = w.copy()
     arg_edge = np.zeros(n, dtype=bool)
-    idx = np.arange(n)
-    # s > 0 puts x0 on the left; negative strides are the mirrored pairs.
-    # Improvements below the roundoff scale are ignored so that a convex v
-    # reproduces itself exactly.
-    for s in range(1, (n - 1) // min(p, q - p) + 1):
-        any_ok = False
-        for sign in (1, -1):
-            d0, d1 = -sign * p * s, sign * (q - p) * s
-            i0, i1 = idx + d0, idx + d1
-            ok = (i0 >= 0) & (i0 < n) & (i1 >= 0) & (i1 < n)
-            if not np.any(ok):
-                continue
-            any_ok = True
-            cand = np.full(n, np.inf)
-            cand[ok] = (1.0 - lam_f) * w[i0[ok]] + lam_f * w[i1[ok]]
-            better = cand < env - 4 * _EPS * (1.0 + np.abs(cand))
-            env = np.where(better, cand, env)
-            at_edge = ok & ((i0 == 0) | (i0 == n - 1) | (i1 == 0) | (i1 == n - 1))
-            arg_edge = np.where(better, at_edge, arg_edge)
-        if not any_ok:
-            break
+    # Stride s pairs x0 = x - p s with x1 = x + (q - p) s, and mirrored, x0 =
+    # x + p s with x1 = x - (q - p) s; both ends lie on the grid for the n -
+    # q s middles x of one slice, and only its first and last pairs have an
+    # end at the window edge.  At lam = 1/2 the mirrored pairs repeat the
+    # same sums, so they cannot improve on them.  Improvements below the
+    # roundoff scale are ignored so that a convex v reproduces itself exactly.
+    orients = ((p, 0, q), (q - p, q, 0))[:1 if 2 * p == q else 2]
+    for s in range(1, (n - 1) // q + 1):
+        k = n - q * s
+        for mid, end0, end1 in orients:
+            lo, a0, a1 = mid * s, end0 * s, end1 * s
+            cand = (1.0 - lam_f) * w[a0:a0 + k] + lam_f * w[a1:a1 + k]
+            cur, edge = env[lo:lo + k], arg_edge[lo:lo + k]
+            better = cand < cur - 4 * _EPS * (1.0 + np.abs(cand))
+            np.copyto(cur, cand, where=better)
+            np.copyto(edge, False, where=better)
+            edge[0] |= better[0]
+            edge[-1] |= better[-1]
 
     # can the first decomposition past the window undercut the computed value?
     x_lo, h = v.axes()[0][0], v.spacing[0]
@@ -630,7 +651,7 @@ def mixture_envelope(v, lam):
         return np.where((i >= 0) & (i < n), w[np.clip(i, 0, n - 1)],
                         -v.growth_a * np.exp(v.growth_A * x * x))
 
-    flagged = arg_edge.copy()
+    flagged, idx = arg_edge.copy(), np.arange(n)
     for d0, d1 in ((-p, q - p), (p, -(q - p))):
         cap0 = idx // (-d0) if d0 < 0 else (n - 1 - idx) // d0
         cap1 = idx // (-d1) if d1 < 0 else (n - 1 - idx) // d1

@@ -130,8 +130,8 @@ def cmd_evolve(cfg):
         _write(cfg.out_dir, fname, f"# t={t!r}\n" + u.to_csv())
         results.append({"file": fname, "t": t, "value_error": u.value_error,
                         "growth_a": u.growth_a, "growth_A": u.growth_A,
-                        "converged": u.meta["converged"],
-                        "refine_history": u.meta["refine_history"]})
+                        **{k: u.meta[k] for k in ("converged", "refine_history",
+                                                  "truncation_radius", "kernel_len")}})
         print(f"t={t:g}: wrote {fname} (value_error {u.value_error:.3g})")
         _warn_unconverged(f"t={t:g}", u.meta)
     _write_meta(cfg, "evolve", "evolve_meta.json", {"results": results})

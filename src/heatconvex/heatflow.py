@@ -57,6 +57,10 @@ EXISTENCE_MARGIN = 0.05
 # rows per % operation of GridFunction.to_csv, so the strings built at once
 # stay small on any grid
 _CSV_ROWS = 4096
+# spacings by which a coordinate read from CSV may miss its node: to_csv's
+# %.17g reads back exactly, and a rounded hand-written coordinate passes
+# while one a node (or any visible part of a cell) away does not
+_CSV_COORD_TOL = 1e-3
 
 
 class ExistenceWindowError(ValueError):
@@ -217,10 +221,12 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, text):
-        """to_csv's grid function; DomainError unless rows fill the axes."""
+        """to_csv's grid function; DomainError unless rows fill the axes
+        with one coordinate per axis and a value each, every coordinate
+        within _CSV_COORD_TOL spacings of its node (to_csv's are exact)."""
         axes = []
         growth = {"growth_a": 1.0, "growth_A": 0.0, "value_error": 0.0}
-        vals = []
+        rows = []
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("x,"):
@@ -238,13 +244,29 @@ class GridFunction:
                         if k in growth:
                             growth[k] = float(v)
                 continue
-            vals.append(float(line.split(",")[-1]))
+            row = [float(c) for c in line.split(",")]
+            if len(row) != len(axes) + 1:
+                raise DomainError(f"row {len(rows) + 1} has {len(row)} columns, not "
+                                  f"{len(axes)} coordinates and a value")
+            rows.append(row)
+        if not axes:
+            raise DomainError("no '# axis lo= hi= n=' header line")
         shape = tuple(n for *_, n in axes)
-        if len(vals) != math.prod(shape):
-            raise DomainError(f"{len(vals)} value rows for axis headers of "
+        if len(rows) != math.prod(shape):
+            raise DomainError(f"{len(rows)} value rows for axis headers of "
                               f"shape {shape}")
-        return cls(values=np.asarray(vals).reshape(shape),
-                   extent=tuple((lo, hi) for lo, hi, _ in axes), **growth)
+        table = np.asarray(rows)
+        gf = cls(values=table[:, -1].reshape(shape),
+                 extent=tuple((lo, hi) for lo, hi, _ in axes), **growth)
+        for k, (nodes, h) in enumerate(zip(np.meshgrid(*gf.axes(), indexing="ij"),
+                                           gf.spacing)):
+            off = np.abs(table[:, k] - nodes.ravel()) > _CSV_COORD_TOL * abs(h)
+            if np.any(off):
+                r = int(np.argmax(off))
+                raise DomainError(
+                    f"row {r + 1} puts axis {k} at {float(table[r, k])!r}, off its "
+                    f"node {float(nodes.flat[r])!r} of the axis headers")
+        return gf
 
 
 @dataclass(frozen=True)
@@ -585,14 +607,14 @@ def _start_factor(spacings, t, datum_h):
 def _refine(one_pass, m, quad_tol, max_refine, cells):
     """Double m until two passes agree to quad_tol; returns (values, record).
 
-    one_pass(m) returns (values, roundoff, kernel_method).  A lattice has
+    one_pass(m) returns (values, roundoff, kernel_method, kernel_len).  A lattice has
     c m + 1 nodes along an axis of c cells at m = 1 (cells lists c per
     axis).  A first lattice above _MAX_LATTICE_NODES raises DomainError
     before one_pass samples anything; doubling stops before the lattice
     would pass it, keeping the last finished pass.  The record holds quad_error, the
     Richardson estimate |u_2m - u_m| / (15 (1 + |u_2m|)) of the last doubling
-    (inf when none ran), the roundoff_error and kernel_method of the last
-    pass, lattice_factor, converged (quad_error <= quad_tol) and
+    (inf when none ran), the roundoff_error, kernel_method and kernel_len of
+    the last pass, lattice_factor, converged (quad_error <= quad_tol) and
     refine_history, one [lattice_factor, estimate] per pass (estimate None
     for the first).
     """
@@ -602,21 +624,21 @@ def _refine(one_pass, m, quad_tol, max_refine, cells):
     if nodes(m) > _MAX_LATTICE_NODES:
         raise DomainError(f"the first lattice (factor {m}) has {nodes(m)} nodes, "
                           f"above the budget of {_MAX_LATTICE_NODES}")
-    u, roundoff, method = one_pass(m)
+    u, roundoff, method, taps = one_pass(m)
     est = np.inf
     history = [[m, None]]
     for _ in range(max_refine):
         if nodes(2 * m) > _MAX_LATTICE_NODES:
             break
         m *= 2
-        u_next, roundoff, method = one_pass(m)
+        u_next, roundoff, method, taps = one_pass(m)
         est = float(np.max(np.abs(u_next - u) / (1.0 + np.abs(u_next)))) / 15.0
         history.append([m, est])
         u = u_next
         if est <= quad_tol:
             break
     return u, {"quad_error": est, "roundoff_error": roundoff,
-               "kernel_method": method, "lattice_factor": m,
+               "kernel_method": method, "kernel_len": taps, "lattice_factor": m,
                "converged": est <= quad_tol, "refine_history": history}
 
 
@@ -649,8 +671,9 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     pass _MAX_LATTICE_NODES nodes (a first lattice above it raises
     DomainError).  The achieved estimate plus the kernel operator's roundoff
     bound is recorded in value_error; meta says how it was reached
-    (quad_error, roundoff_error, kernel_method, lattice_factor, converged,
-    refine_history, tail_bound, inherited_error).
+    (quad_error, roundoff_error, kernel_method, kernel_len, the kernel taps
+    per axis, lattice_factor, converged, refine_history, tail_bound,
+    truncation_radius R, inherited_error).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -676,14 +699,15 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
             kerns.append(gauss_kernel(h * np.arange(-p, p + 1), t))
         if extent is not None:
             _check_window(axes, extent)
+        taps = [k.size for k in kerns]
         if dim == 1:
             psi = _piece_weighted_values(sample, axes[0], edges[0], Hs[0] / m)
-            return _kernel_apply(psi, m, kerns[0], tol=quad_tol / 100.0)
-        return _separable(
+            return (*_kernel_apply(psi, m, kerns[0], tol=quad_tol / 100.0), taps)
+        return (*_separable(
             sample(*axes),
             [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
             [_kernel_matrix(y.size, m, n, k) for y, n, k in zip(axes, ns, kerns)],
-            (0.0,) * dim)
+            (0.0,) * dim), taps)
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [2 * c + n - 1 for c, n in zip(margins, ns)])
@@ -693,6 +717,7 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
                         value_error=(rec["quad_error"] + rec["roundoff_error"]
                                      + eps_abs / (1.0 + umax) + 1.5 * inherited),
                         meta={"t": t, **rec, "tail_bound": eps_abs,
+                              "truncation_radius": float(R),
                               "inherited_error": inherited})
 
 
@@ -794,7 +819,8 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
     per axis, from the lower wall to the upper wall where that is finite.  Data
     or grids of the wrong dimension raise ValueError, unbounded data DomainError.
     Boundary nodes of the result are exact.  Refinement, the node budget
-    and meta are as in heat_evolve_free.
+    and meta are as in heat_evolve_free; a box has truncation_radius None,
+    and the interval's kernel_len is its circular period.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -829,12 +855,12 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
     if not np.all(np.isfinite(probe)):
         raise DomainError("datum must be bounded on the domain")
     if domain.kind == "half_line":
-        R = (2.0 * np.sqrt(t * np.log(max(float(np.max(probe)), 1.0) / eps_tail))
-             + 4 * np.sqrt(t))
+        R = float(2.0 * np.sqrt(t * np.log(max(float(np.max(probe)), 1.0) / eps_tail))
+                  + 4 * np.sqrt(t))
         # the lattice runs ceil(R / H) cells beyond the last output
         margin, tail = int(np.ceil(R / Hs[0])), eps_tail
     else:
-        margin, tail = 0, 0.0
+        R, margin, tail = None, 0, 0.0
 
     def one_pass(m):
         # lattice nodes from the lower wall, and snapped piece edges
@@ -847,23 +873,24 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
             psi[0] = 0.0
             if domain.kind != "half_line":
                 (lo, hi), = extent
-                return _box_apply(psi, m, hi - lo, t)
+                # one circular convolution of period 2 (psi.size - 1)
+                return (*_box_apply(psi, m, hi - lo, t), [2 * (psi.size - 1)])
             # the Gaussian, reflected as far as it reaches
             p = margin * m
             kern = gauss_kernel(Hs[0] / m * np.arange(-p, p + 1), t)
-            return _kernel_apply(np.concatenate((-psi[p:0:-1], psi)), m, kern,
-                                 tol=quad_tol / 100.0)
+            return (*_kernel_apply(np.concatenate((-psi[p:0:-1], psi)), m, kern,
+                                   tol=quad_tol / 100.0), [kern.size])
         # per axis, the matrix of the image sum on odd data, reflected
         # across the whole box and folded onto the samples from the wall
         kerns, deltas = zip(*(_dirichlet_kernels(hi - lo, t, y.size - 1)
                               for y, (lo, hi) in zip(axes, extent)))
         full = [_kernel_matrix(2 * y.size - 1, m, n, k)
                 for y, n, k in zip(axes, ns, kerns)]
-        return _separable(
+        return (*_separable(
             u0(*axes),
             [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
             [f[:, y.size - 1:] - f[:, y.size - 1::-1] for f, y in zip(full, axes)],
-            deltas)
+            deltas), [k.size for k in kerns])
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [n - 1 + margin for n in ns])
@@ -877,7 +904,7 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
                         value_error=(rec["quad_error"] + rec["roundoff_error"]
                                      + tail + 1.5 * inherited),
                         meta={"t": t, **rec, "tail_bound": tail,
-                              "inherited_error": inherited})
+                              "truncation_radius": R, "inherited_error": inherited})
 
 
 # -- heat-evolved step function and its inverse ------------------------------

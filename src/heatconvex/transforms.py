@@ -471,8 +471,10 @@ def _log_piece(z, za, Ga, ga, s):
     d = z - za
     u = np.multiply.outer(d, 0.5 * (1.0 + _GL_NODES))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rise = d * (ga + 0.5 * s * d)  # G(z) - G(za), signed right at d = +-inf
-        g_ends = np.abs(np.broadcast_arrays(ga, ga + s * d))
+        # s d is 0 on a flat piece (G' constant) even at d = +-inf, not nan
+        flat = s == 0
+        rise = d * (ga + np.where(flat, 0.0, 0.5 * s * d))  # G(z) - G(za), signed
+        g_ends = np.abs(np.broadcast_arrays(ga, ga + np.where(flat, 0.0, s * d)))
         root = np.sqrt(2.0 * np.abs(s))
         psi = np.where(s > 0, dawsn(g_ends / root),
                        0.5 * math.sqrt(math.pi) * erfcx(g_ends / root))
@@ -525,7 +527,7 @@ def make_from_g(g, base_z, base_value, base_slope):
     log_int = _log_mass(g, float(base_z))
     with np.errstate(over="ignore", invalid="ignore"):
         left_mass, right_mass = np.nan_to_num(
-            base_slope * np.exp(log_int([-np.inf, np.inf])), nan=np.inf)
+            base_slope * np.exp(log_int([-np.inf, np.inf])), nan=np.inf, posinf=np.inf)
     if np.isfinite(right_mass):
         raise DomainError(f"f is bounded: sup f = {base_value + right_mass:.6g}")
     lower_a, j_lo, log_scale = base_value - left_mass, -np.inf, math.log(base_slope)

@@ -375,6 +375,75 @@ def test_envelope_matches_brute_force(lam, p, q):
     assert np.all(env.values <= v.values)
 
 
+def loop_envelope(v, lam):
+    """The envelope and flags as once computed, stride by stride over full
+    index arrays with masks: the reference for the sliced loop."""
+    p, q, lam_f = _as_fraction(lam)
+    w = v.values
+    n = w.size
+    env = w.copy()
+    arg_edge = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
+    for s in range(1, (n - 1) // min(p, q - p) + 1):
+        any_ok = False
+        for sign in (1, -1):
+            d0, d1 = -sign * p * s, sign * (q - p) * s
+            i0, i1 = idx + d0, idx + d1
+            ok = (i0 >= 0) & (i0 < n) & (i1 >= 0) & (i1 < n)
+            if not np.any(ok):
+                continue
+            any_ok = True
+            cand = np.full(n, np.inf)
+            cand[ok] = (1.0 - lam_f) * w[i0[ok]] + lam_f * w[i1[ok]]
+            better = cand < env - 4 * np.finfo(float).eps * (1.0 + np.abs(cand))
+            env = np.where(better, cand, env)
+            at_edge = ok & ((i0 == 0) | (i0 == n - 1) | (i1 == 0) | (i1 == n - 1))
+            arg_edge = np.where(better, at_edge, arg_edge)
+        if not any_ok:
+            break
+    x_lo, h = v.axes()[0][0], v.spacing[0]
+    tol = (v.value_error + 4 * np.finfo(float).eps) * (1.0 + np.max(np.abs(w)))
+
+    def side(i):
+        x = x_lo + i * h
+        return np.where((i >= 0) & (i < n), w[np.clip(i, 0, n - 1)],
+                        -v.growth_a * np.exp(v.growth_A * x * x))
+
+    flagged = arg_edge.copy()
+    for d0, d1 in ((-p, q - p), (p, -(q - p))):
+        cap0 = idx // (-d0) if d0 < 0 else (n - 1 - idx) // d0
+        cap1 = idx // (-d1) if d1 < 0 else (n - 1 - idx) // d1
+        s_exit = np.minimum(cap0, cap1) + 1
+        cand = (1.0 - lam_f) * side(idx + d0 * s_exit) + lam_f * side(idx + d1 * s_exit)
+        flagged |= cand < env - tol
+    return env, flagged
+
+
+@pytest.mark.parametrize("lam", [0.5, 1 / 3, 3 / 8, 1 / 4])
+@pytest.mark.parametrize("shape", ["walk", "rounded", "convex", "edge_kink", "constant"])
+def test_sliced_envelope_matches_the_masked_loop(shape, lam):
+    """Values and flags equal to the last bit, over grids of 2 to 300 nodes;
+    rounded walks tie across strides, convex data reproduce themselves, and
+    a kink next to the window edge makes minimizers touch it.  A loose
+    growth certificate flags most nodes from past the window; data below -1
+    with growth_a = 0 leave the flags of minimizers at the edge to show."""
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 101, 150, 257, 300):
+        x = np.linspace(-3.0, 3.0, n)
+        walk = np.cumsum(rng.standard_normal(n)) * 0.3
+        vals = {"walk": walk, "rounded": np.round(walk, 1), "convex": x * x - 2.0,
+                "edge_kink": -np.abs(x - x[min(1, n - 1)]) + 0.1 * walk,
+                "constant": np.full(n, 0.75)}[shape]
+        for vals, a, A in ((vals, float(np.max(np.abs(vals))) + 0.5, 0.2),
+                           (vals - np.max(vals) - 1.0, 0.0, 0.0)):
+            v = GridFunction(values=vals, extent=((-3.0, 3.0),), growth_a=a,
+                             growth_A=A, value_error=1e-12)
+            env = mixture_envelope(v, lam)
+            ref_values, ref_flagged = loop_envelope(v, lam)
+            assert np.array_equal(env.values, ref_values), (n, a)
+            assert np.array_equal(env.meta["flagged"], ref_flagged), (n, a)
+
+
 def test_envelope_rejects_bad_weights_and_2d():
     x = np.linspace(-1.0, 1.0, 11)
     v = GridFunction(values=x * x, extent=((-1.0, 1.0),), growth_a=1.0)
@@ -834,11 +903,17 @@ def random_triples(shape, plan):
                        tuple(a + q * int(s[k]) * c for a, c in zip(x, d)), lam)
 
 
+_SHAPES = pytest.mark.parametrize("shape", [(203,), (17, 23), (6, 7, 5)],
+                                  ids=["1d", "2d", "3d"])
+
+
 @pytest.mark.parametrize("values", ["random", "rounded", "inf", "infinite"])
-@pytest.mark.parametrize("shape", [(203,), (17, 23)], ids=["1d", "2d"])
+@_SHAPES
 def test_random_scan_matches_a_replay_of_its_draws(monkeypatch, shape, values):
-    """Evaluated in chunks of a small block constant, the random scan keeps
-    every generator call and so every certificate."""
+    """Drawing its last axis's starts and evaluating its triples a block of a
+    small block constant (97, which divides no per-direction count here) at
+    a time, the random scan keeps every generator call and so every
+    certificate."""
     monkeypatch.setattr(certify, "_BLOCK", 97)
     u = scan_grid(shape, values, seed=9)
     plan = SamplingPlan(kind="random", lambdas=(0.5, 1 / 3, 3 / 8), n_random=3000,
@@ -846,6 +921,31 @@ def test_random_scan_matches_a_replay_of_its_draws(monkeypatch, shape, values):
     cert = check_F_convex(u, P0, plan)
     expected = fold_triples(u, P0, random_triples(shape, plan), 10.0)
     assert_certificate_matches(u, cert, expected)
+
+
+@pytest.mark.parametrize("values", ["random", "inf"])
+@_SHAPES
+def test_random_scan_with_a_stride_cap_matches_a_replay(monkeypatch, shape, values):
+    monkeypatch.setattr(certify, "_BLOCK", 97)
+    u = scan_grid(shape, values, seed=10)
+    plan = SamplingPlan(kind="random", lambdas=(0.5, 1 / 4), n_random=2500, seed=6,
+                        max_stride=2)
+    cert = check_F_convex(u, P0, plan, significance_factor=3.0)
+    expected = fold_triples(u, P0, random_triples(shape, plan), 3.0)
+    assert_certificate_matches(u, cert, expected)
+
+
+@pytest.mark.parametrize("shape", [(4097,), (61, 67), (13, 11, 17)],
+                         ids=["1d", "2d", "3d"])
+def test_random_certificate_does_not_depend_on_the_block_size(monkeypatch, shape):
+    u = scan_grid(shape, "random", seed=5)
+    plan = SamplingPlan(kind="random", lambdas=(1 / 3, 0.5), n_random=200_000, seed=8)
+    certs = []
+    for block in (97, 1 << 16):
+        monkeypatch.setattr(certify, "_BLOCK", block)
+        certs.append(check_F_convex(u, P0, plan))
+    assert repr(certs[0]) == repr(certs[1])
+    assert certs[0].n_samples == 200_000
 
 
 # -- Dirichlet preservation ----------------------------------------------------

@@ -117,6 +117,12 @@ def test_evolve_output_round_trips_and_is_deterministic(tmp_path):
 
     meta = json.loads((out_a / "evolve_meta.json").read_text())
     assert meta["results"][0]["t"] == 0.25
+    # how the free-space evolution was computed: the Gaussian reaches R to
+    # either side of the 257 outputs, at lattice factor m
+    rec, m = meta["results"][0], meta["results"][0]["refine_history"][-1][0]
+    R = rec["truncation_radius"]
+    assert R >= 4.0 * 0.25 ** 0.5
+    assert rec["kernel_len"] == [2 * math.ceil(R / 0.03125) * m + 1]
 
 
 def test_rerun_replaces_each_file_by_an_identical_new_one(tmp_path):
@@ -171,6 +177,10 @@ def test_interval_evolve_meets_the_sine_mode(tmp_path):
     assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 0
     meta = json.loads((out / "evolve_meta.json").read_text())
     assert (meta["config"]["grid.lo"], meta["config"]["grid.hi"]) == (0.0, 2.0)
+    for rec in meta["results"]:
+        # a box needs no truncation; its circular period spans 2 x 128 cells
+        m = rec["refine_history"][-1][0]
+        assert rec["truncation_radius"] is None and rec["kernel_len"] == [2 * 128 * m]
     for i, t in enumerate((0.05, 0.2)):
         u = GridFunction.from_csv((out / f"evolve_{i:02d}.csv").read_text())
         assert u.extent == ((0.0, 2.0),) and u.values.size == 129
@@ -472,9 +482,13 @@ _CSV_HEAD = "# dim=1\n# axis lo=-1.0 hi=1.0 n={n}\n# growth_a=1.0 growth_A=0.0 v
     (_CSV_HEAD.format(n=1) + "0,1\n", "two nodes per axis"),
     (_CSV_HEAD.format(n=5) + "-1,1\n-0.5,1\n0,1\n", "3 value rows"),
     (_CSV_HEAD.format(n=2) + "-1,1\n1,one\n", "could not convert"),
-], ids=["one_node_axis", "short_file", "non_numeric_row"])
+    (_CSV_HEAD.format(n=3) + "5,1\n7,2\n9,3\n", "row 1 puts axis 0 at 5.0"),
+    ("x,value\n5\n", "no '# axis"),
+], ids=["one_node_axis", "short_file", "non_numeric_row", "coordinates_off_the_axis",
+        "no_axis_header"])
 def test_malformed_csv_datum_is_a_config_error(tmp_path, capsys, text, why):
-    """A one-node axis, too few rows and a non-number are each refused
+    """A one-node axis, too few rows, a non-number, coordinates that
+    contradict the axis header and a file without one are each refused
     before anything is evolved or written."""
     datum = tmp_path / "datum.csv"
     datum.write_text(text)

@@ -418,29 +418,53 @@ _SIN2 = InitialDatum(fn=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
 _G8 = (0.0, 1.0, 1.0 / 8)
 
 
-_META_KEYS = {"t", "quad_error", "roundoff_error", "kernel_method", "lattice_factor",
-              "converged", "refine_history", "tail_bound", "inherited_error"}
+_META_KEYS = {"t", "quad_error", "roundoff_error", "kernel_method", "kernel_len",
+              "lattice_factor", "converged", "refine_history", "tail_bound",
+              "truncation_radius", "inherited_error"}
 _BOX = DomainSpec.interval(0.0, 1.0)
 
 
-# kernel_rounds: the kernel samples carry a rounding bound (box domains)
-@pytest.mark.parametrize("evolve, method, kernel_rounds", [
-    (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 16)), "direct", False),
-    (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 2048)), "fft", False),
-    (lambda: heat_evolve_free(_SIN2, 0.05, (_G8, _G8)), "matrix", False),
-    (lambda: heat_evolve_dirichlet(_SIN, _BOX, 0.05, _G8), "spectral", True),
-    (lambda: heat_evolve_dirichlet(_SIN, _BOX, 0.05, (0.0, 1.0, 1.0 / 2048)), "spectral", True),
+def _gauss_taps(H, dim=1):
+    """Free space and the half line: the Gaussian reaches R (rounded up to
+    whole output cells H) to either side, m lattice nodes a cell."""
+    return lambda m, R: [2 * int(np.ceil(R / H)) * m + 1] * dim
+
+
+# kernel_rounds: the kernel samples carry a rounding bound (box domains);
+# taps(m, R): the expected kernel_len at lattice factor m, radius R
+@pytest.mark.parametrize("evolve, method, kernel_rounds, taps", [
+    (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 16)), "direct", False,
+     _gauss_taps(1.0 / 16)),
+    (lambda: heat_evolve_free(_SIN, 0.05, (-1.0, 1.0, 1.0 / 2048)), "fft", False,
+     _gauss_taps(1.0 / 2048)),
+    (lambda: heat_evolve_free(_SIN2, 0.05, (_G8, _G8)), "matrix", False,
+     _gauss_taps(1.0 / 8, dim=2)),
+    # the interval's circular period, twice its lattice cells
+    (lambda: heat_evolve_dirichlet(_SIN, _BOX, 0.05, _G8), "spectral", True,
+     lambda m, R: [2 * 8 * m]),
+    (lambda: heat_evolve_dirichlet(_SIN, _BOX, 0.05, (0.0, 1.0, 1.0 / 2048)), "spectral", True,
+     lambda m, R: [2 * 2048 * m]),
     (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 0.1), 4.0,
-                                   (0.0, 0.1, 0.1 / 16)), "spectral", True),
+                                   (0.0, 0.1, 0.1 / 16)), "spectral", True,
+     lambda m, R: [2 * 16 * m]),
     (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.half_line(), 0.05,
-                                   (0.0, 2.0, 1.0 / 8)), "direct", False),
+                                   (0.0, 2.0, 1.0 / 8)), "direct", False,
+     _gauss_taps(1.0 / 8)),
+    # the image sum's samples over one and a half periods
     (lambda: heat_evolve_dirichlet(_SIN2, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))),
-                                   0.05, (_G8, _G8)), "matrix", True),
+                                   0.05, (_G8, _G8)), "matrix", True,
+     lambda m, R: [3 * 8 * m + 1] * 2),
 ], ids=["free_1d", "free_1d_fft", "free_2d", "interval", "interval_fft",
         "interval_sine", "half_line", "rectangle"])
-def test_every_path_records_the_same_meta(evolve, method, kernel_rounds):
+def test_every_path_records_the_same_meta(evolve, method, kernel_rounds, taps):
     u = evolve()
     assert set(u.meta) == _META_KEYS
+    R = u.meta["truncation_radius"]
+    # boxes need no truncation; free space and the half line reach past
+    # 4 sqrt(4 t)
+    assert (R is None) == kernel_rounds
+    assert R is None or R >= 4.0 * np.sqrt(4.0 * u.meta["t"])
+    assert u.meta["kernel_len"] == taps(u.meta["lattice_factor"], R)
     assert u.meta["t"] in (0.05, 4.0)
     assert u.meta["kernel_method"] == method
     assert u.meta["converged"]
@@ -715,6 +739,33 @@ def test_csv_rows_must_fill_the_axis_headers():
     short = "".join(text.splitlines(keepends=True)[:-2])
     with pytest.raises(DomainError, match="3 value rows for axis headers of shape"):
         GridFunction.from_csv(short)
+
+
+def test_csv_coordinates_must_sit_on_the_axis_nodes():
+    """Rows whose coordinates contradict the axis headers are refused, not
+    read onto the headers' grid; coordinates within a small fraction of a
+    spacing, and every file to_csv writes, read back."""
+    head = "# dim=1\n# axis lo=-1.0 hi=1.0 n=3\nx,value\n"
+    with pytest.raises(DomainError, match="row 1 puts axis 0 at 5.0"):
+        GridFunction.from_csv(head + "5,1\n7,2\n9,3\n")
+    with pytest.raises(DomainError, match="row 3 puts axis 0 at 1.01"):
+        GridFunction.from_csv(head + "-1,1\n0,2\n1.01,3\n")
+    with pytest.raises(DomainError, match="row 2 has 1 columns"):
+        GridFunction.from_csv(head + "-1,1\n2\n1,3\n")
+    near = GridFunction.from_csv(head + "-1,1\n1e-7,2\n0.9999999,3\n")
+    assert near.values.tolist() == [1.0, 2.0, 3.0] and near.extent == ((-1.0, 1.0),)
+    x, y = np.linspace(-1.0, 2.0, 7), np.linspace(0.1, 0.7, 5)
+    gf = GridFunction(values=np.add.outer(np.sin(x), y * y),
+                      extent=((-1.0, 2.0), (0.1, 0.7)))
+    text = gf.to_csv()
+    assert np.array_equal(GridFunction.from_csv(text).values, gf.values)
+    # the y column of one row moved by a node
+    lines = text.splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.startswith("x,")) + 8
+    xs, _, v = lines[k].split(",")
+    lines[k] = ",".join((xs, repr(float(y[4])), v))
+    with pytest.raises(DomainError, match="row 8 puts axis 1 at 0.7"):
+        GridFunction.from_csv("".join(lines))
 
 
 def test_fit_growth_envelope_certifies_samples():

@@ -303,6 +303,30 @@ def test_from_g_refuses_a_bounded_f():
         make_from_g(g, 0.0, 0.5, 1.0)
 
 
+def test_from_g_refuses_a_bounded_f_with_flat_tails():
+    """g = -1 with flat tails: exp(G) = exp(-z) has mass 1 on the right, so
+    sup f = 1.  The tail's mass was nan (0 * inf in a flat piece), read as
+    unbounded, and classify then overflowed."""
+    g = GSpec(((0.0, -1.0),), left_slope=0.0, right_slope=0.0)
+    with pytest.raises(DomainError, match=r"f is bounded: sup f = 1$"):
+        make_from_g(g, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("g_value", [1.0, 0.0])
+def test_from_g_with_flat_tails_and_unbounded_f_classifies(g_value):
+    """g = +1 (f = e^z - 1 from its zero) and g = 0 (f linear) grow without
+    bound: both build and classify, without a warning."""
+    g = GSpec(((0.0, g_value),), left_slope=0.0, right_slope=0.0)
+    F = make_from_g(g, 0.0, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = classify(F)
+    assert rep.verdict == "preserved", rep.basis
+    assert F.j_lo == 0.0 and F.lower_a == 0.0
+    z = np.array([0.5, 2.0, 6.0])
+    np.testing.assert_allclose(F.inverse(z), np.expm1(z) if g_value else z, rtol=1e-12)
+
+
 def test_gspec_antiderivative_is_exact():
     g = abs_kink_generator()
     base = -2.0
