@@ -24,8 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heatflow import (GridFunction, InitialDatum, _truncation_window,
-                       check_existence, fit_growth_envelope, heat_evolve_free)
+from .heatflow import GridFunction, InitialDatum, fit_growth_envelope, heat_evolve_free
 from .numerics import DomainError
 
 __all__ = [
@@ -678,13 +677,14 @@ class EnvelopeComparison:
     n_samples: int
 
 
-def check_envelope_comparison(F, phi, lam, t, window, h, eps_tail=1e-10):
+def check_envelope_comparison(F, phi, lam, t, window, h):
     """Evolved mixture envelope stays below the mixed evolved values.
 
     phi is an InitialDatum (else TypeError) and t lies in its existence
-    window (else ExistenceWindowError, as in heat_evolve_free).  Builds W0 =
-    F^{-1}(envelope of F(phi)) on the window, evolves both W0 and phi to
-    time t, and checks evolve(W0) at each decomposition midpoint against
+    window (else ExistenceWindowError, from heat_evolve_free).  Evolves phi
+    to time t, builds W0 = F^{-1}(envelope of F(phi)) on the window padded
+    by that evolution's truncation radius, evolves W0 likewise, and checks
+    evolve(W0) at each decomposition midpoint against
     F^{-1}((1-lam) F(u(x0)) + lam F(u(x1))), within three combined noise
     floors.  The sample of largest gap - 3 noise decides (worst_x,
     noise_floor); max_gap is the largest raw gap.  Nodes relying on flagged
@@ -692,18 +692,17 @@ def check_envelope_comparison(F, phi, lam, t, window, h, eps_tail=1e-10):
     """
     if not isinstance(phi, InitialDatum):
         raise TypeError("phi must be an InitialDatum")
-    check_existence(phi.growth_A, t)
-    p, q, lam_f = _as_fraction(lam)
     lo, hi = window
+    u = heat_evolve_free(phi, t, (lo, hi, h))
+    p, q, lam_f = _as_fraction(lam)
     n = int(round((hi - lo) / h)) + 1
     x = np.linspace(lo, hi, n)
 
     # W0 is defined by grid values, so its construction window must already
-    # cover the quadrature reach of the evolution to time t: the evolver's
-    # truncation radius, padded by whole cells.
-    *_, R = _truncation_window(phi.growth_a, phi.growth_A, t,
-                               max(abs(lo), abs(hi)), 1, eps_tail)
-    pad_cells = int(np.ceil(R / h)) + 2
+    # cover the quadrature reach of its evolution to time t.  W0 carries
+    # phi's growth certificate, so that reach is the truncation radius of
+    # phi's evolution, padded here by whole cells.
+    pad_cells = int(np.ceil(u.meta["truncation_radius"] / h)) + 2
     xp = np.linspace(lo - pad_cells * h, hi + pad_cells * h, n + 2 * pad_cells)
     inner = slice(pad_cells, pad_cells + n)
 
@@ -726,11 +725,8 @@ def check_envelope_comparison(F, phi, lam, t, window, h, eps_tail=1e-10):
     w0[interior] = np.asarray(F.inverse(env.values[interior]), dtype=float)
     w0[~interior] = F.lower_a
     w0_gf = GridFunction(values=w0, extent=((xp[0], xp[-1]),),
-                         growth_a=phi.growth_a, growth_A=phi.growth_A,
-                         value_error=phi.value_error)
-
-    uW = heat_evolve_free(w0_gf, t, (lo, hi, h), eps_tail=eps_tail)
-    u = heat_evolve_free(phi, t, (lo, hi, h), eps_tail=eps_tail)
+                         growth_a=phi.growth_a, growth_A=phi.growth_A)
+    uW = heat_evolve_free(w0_gf, t, (lo, hi, h))
 
     vu, spread = _transform_values(u, F)
     uW_err = uW.value_error * (1.0 + np.abs(uW.values))

@@ -9,7 +9,8 @@ inconclusive classification, 4 existence/evaluation window error, 5
 significant violation found by verify.
 
 Outputs carry no timestamps and all floats are printed with %.17g, so the
-same config always produces bit-identical files.
+same config always produces bit-identical files.  _cell formats every
+cell of the CSV tables, so each row parses to its header's width.
 """
 
 from __future__ import annotations
@@ -37,10 +38,21 @@ EXIT_WINDOW = 4
 EXIT_VIOLATION = 5
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def _cell(val):
+    """One CSV cell: floats as %.17g, booleans true/false, None empty, and
+    text holding a comma, a quote or a newline quoted."""
+    if val is None:
+        return ""
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    text = f"{val:.17g}" if isinstance(val, float) else str(val)
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _row(*vals):
+    return ",".join(map(_cell, vals))
 
 
 def _slug(label):
@@ -64,11 +76,16 @@ def _write_meta(cfg, command, name, extra):
 
 
 def _evolve(cfg, phi, t):
-    lo, hi, h = cfg.grid
     if cfg.domain.kind == "free_space":
-        return heat_evolve_free(phi, t, (lo, hi, h), eps_tail=cfg.eps_tail)
-    (a, b), = cfg.domain.bounds
-    return heat_evolve_dirichlet(phi, cfg.domain, t, (a, b, h))
+        return heat_evolve_free(phi, t, cfg.grid, eps_tail=cfg.eps_tail)
+    return heat_evolve_dirichlet(phi, cfg.domain, t, cfg.grid)
+
+
+def _check_schedule(cfg, phi):
+    """The whole schedule's existence window, before any file is written;
+    only free space evolves by the datum's growth certificate."""
+    if cfg.domain.kind == "free_space":
+        check_existence(phi.growth_A, max(cfg.times))
 
 
 def _warn_unconverged(where, rec):
@@ -81,10 +98,10 @@ def _warn_unconverged(where, rec):
 
 
 def _cert_fields(c):
-    """(gap, "status,gap,noise_floor,significant") of a certificate."""
-    gap = c.worst.gap if c.worst is not None else np.nan
-    return gap, (f"{c.status},{gap:.17g},{c.noise_floor:.17g},"
-                 f"{'true' if c.significant else 'false'}")
+    """status, gap, noise_floor, significant of a certificate; the gap is
+    nan when it scanned no triple."""
+    return (c.status, c.worst.gap if c.worst is not None else np.nan,
+            c.noise_floor, c.significant)
 
 
 def _scan_record(cert, **where):
@@ -106,7 +123,8 @@ def cmd_classify(cfg):
     """Classify every configured transform; exit 3 on any inconclusive."""
     _require_transforms(cfg)
     reports = [classify(F) for F in cfg.transforms]
-    lines = [ClassReport.csv_header()] + [r.to_csv_row() for r in reports]
+    lines = [_row(*ClassReport.FIELDS)] + [
+        _row(*(getattr(r, name) for name in ClassReport.FIELDS)) for r in reports]
     _write(cfg.out_dir, "classify.csv", "\n".join(lines) + "\n")
     _write_meta(cfg, "classify", "classify_meta.json",
                 {"verdicts": {r.label: r.verdict for r in reports}})
@@ -121,8 +139,7 @@ def cmd_evolve(cfg):
     """Write u(.,t) for each scheduled t plus a metadata record."""
     F_ctx = cfg.transforms[0] if cfg.transforms else None
     phi = cfg.datum(F_ctx)
-    # the whole schedule, before any file is written
-    check_existence(phi.growth_A, max(cfg.times))
+    _check_schedule(cfg, phi)
     results = []
     for i, t in enumerate(cfg.times):
         u = _evolve(cfg, phi, t)
@@ -153,19 +170,18 @@ def cmd_verify(cfg):
             print(f"warning: {F.label} classifies as {report.verdict}, "
                   "not preserved; verifying anyway", file=sys.stderr)
         phi = cfg.datum(F)
-        check_existence(phi.growth_A, max(cfg.times))
+        _check_schedule(cfg, phi)
         for t in cfg.times:
             u = _evolve(cfg, phi, t)
             _warn_unconverged(f"{F.label} t={t:g}", u.meta)
             cert = check_F_convex(u, F, cfg.plan, cfg.significance_factor)
             worst = cert.worst
             any_significant |= cert.significant
-            tail = (",," if worst is None else
-                    f"{worst.lam:.17g},{_fmt(worst.x0)},{_fmt(worst.x1)}")
-            gap, fields = _cert_fields(cert)
-            rows.append(f"{F.label},{t:.17g},{fields},{tail}")
+            fields = _cert_fields(cert)
+            rows.append(_row(F.label, t, *fields, *(
+                (None,) * 3 if worst is None else (worst.lam, worst.x0, worst.x1))))
             scans.append(_scan_record(cert, transform=F.label, t=t))
-            print(f"{F.label} t={t:g}: {cert.status} gap={gap:.3g} "
+            print(f"{F.label} t={t:g}: {cert.status} gap={fields[1]:.3g} "
                   f"noise={cert.noise_floor:.3g}"
                   + (" SIGNIFICANT" if cert.significant else ""))
     _write(cfg.out_dir, "verify.csv", "\n".join(rows) + "\n")
@@ -185,7 +201,7 @@ def cmd_hunt(cfg):
     summary, scans = {}, {}
     for F in cfg.transforms:
         phi = cfg.datum(F)
-        check_existence(phi.growth_A, max(cfg.times))
+        _check_schedule(cfg, phi)
         history = []
         cert, t_first = hunt_violation(
             F, phi, cfg.times, (lo, hi), refine=cfg.refine_levels,
@@ -194,12 +210,12 @@ def cmd_hunt(cfg):
         lines = ["t,level,h,status,gap,noise_floor,significant"]
         for rec in history:
             _warn_unconverged(f"{F.label} t={rec['t']:g} level {rec['level']}", rec)
-            lines.append(f"{rec['t']:.17g},{rec['level']},{rec['h']:.17g},"
-                         + _cert_fields(rec["certificate"])[1])
+            lines.append(_row(rec["t"], rec["level"], rec["h"],
+                              *_cert_fields(rec["certificate"])))
         if t_first is not None and cert.worst is not None:
             lines.append(f"# earliest_significant_t={t_first:.17g}")
             lines.append(f"# worst lambda={cert.worst.lam:.17g} "
-                         f"x0={_fmt(cert.worst.x0)} x1={_fmt(cert.worst.x1)} "
+                         f"x0={cert.worst.x0:.17g} x1={cert.worst.x1:.17g} "
                          f"gap={cert.worst.gap:.17g} "
                          f"noise_floor={cert.noise_floor:.17g}")
             print(f"{F.label}: significant violation at t={t_first:g} "

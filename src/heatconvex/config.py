@@ -19,7 +19,8 @@ describe a transform or a datum are a registry name followed by inline
 
 Unknown keys are rejected so typos fail loudly, and so are ``grid.lo`` and
 ``grid.hi`` values other than the walls of an interval domain, which is
-evolved from wall to wall.  Every effective value,
+evolved from wall to wall: its window resolves to the walls, and
+``grid.h`` must fit between them.  Every effective value,
 defaults included, lands in the ``resolved`` mapping that the commands write
 into their metadata records, which keeps runs self-describing.
 """
@@ -258,7 +259,7 @@ class ExperimentConfig:
     transforms: list            # list of FTransform
     datum_spec: object          # (name, params) or None
     domain: DomainSpec
-    grid: tuple                 # (lo, hi, h)
+    grid: tuple                 # (lo, hi, h); lo, hi the walls of an interval
     times: tuple
     eps_tail: float
     plan: SamplingPlan
@@ -301,6 +302,16 @@ def load_config(path, overrides=None):
 
     lo, hi, h = (number(key, float, np.isfinite, "a finite number")
                  for key in ("grid.lo", "grid.hi", "grid.h"))
+    domain = _build_domain(get("domain"))
+    if domain.kind == "interval":
+        # an interval evolves from wall to wall, so its window is the walls:
+        # one set elsewhere would be written to the metadata but not used
+        (a, b), = domain.bounds
+        for key, value, wall in (("grid.lo", lo, a), ("grid.hi", hi, b)):
+            if key in raw and value != wall:
+                raise ConfigError(f"{key} = {value:g} differs from the wall "
+                                  f"{wall:g} of the interval domain")
+        lo, hi = a, b
     if not (hi > lo and 0 < h <= hi - lo):
         raise ConfigError(f"bad grid: lo={lo} hi={hi} h={h}")
     times = get("flow.times")
@@ -338,16 +349,6 @@ def load_config(path, overrides=None):
             raise ConfigError(f"cannot build transform {spec!r}: {exc}")
 
     datum_spec = _inline(raw["datum"]) if "datum" in raw else None
-
-    domain = _build_domain(get("domain"))
-    if domain.kind == "interval":
-        # an interval evolves from wall to wall: a window set elsewhere
-        # would be written to the metadata but not used
-        (a, b), = domain.bounds
-        for key, value, wall in (("grid.lo", lo, a), ("grid.hi", hi, b)):
-            if key in raw and value != wall:
-                raise ConfigError(f"{key} = {value:g} differs from the wall "
-                                  f"{wall:g} of the interval domain")
 
     resolved = {key: get(key) for key in _DEFAULTS}
     resolved["transform"] = list(raw["transform"])

@@ -298,7 +298,7 @@ class DomainSpec:
     @classmethod
     def interval(cls, a, b, ell=0.0):
         if not b > a:
-            raise ValueError("need b > a")
+            raise DomainError(f"an interval needs b > a, got a={a!r} b={b!r}")
         return cls(kind="interval", bounds=((float(a), float(b)),), ell=ell)
 
     @classmethod
@@ -306,7 +306,7 @@ class DomainSpec:
         """A box: bounds holds (lo, hi) of every axis."""
         bounds = tuple((float(a), float(b)) for a, b in bounds)
         if not all(b > a for a, b in bounds):
-            raise ValueError("degenerate rectangle")
+            raise DomainError(f"degenerate rectangle {bounds!r}: each axis needs hi > lo")
         return cls(kind="rectangle", bounds=bounds, ell=ell)
 
 
@@ -330,7 +330,6 @@ class InitialDatum:
     growth_A: float = 0.0
     breakpoints: tuple = ()
     label: str = ""
-    value_error: float = 0.0
 
     def __call__(self, *xs):
         return self.fn(*xs)
@@ -384,23 +383,30 @@ def check_existence(A, t):
 def _resolve_datum(phi, dim):
     """Normalize a datum for a dim-`dim` evolution.
 
-    Returns (sample, a, A, breakpoints, extent, spacing, inherited_error).
+    Returns (sample, a, A, breakpoints, spacing, inherited_error).
     sample(*axes) evaluates on the lattice axes[0] x axes[1] x ... (one axis:
-    at points) as floats, grid data by monotone cubics clamped to their
-    extent.  A callable's result is broadcast to the lattice, so a datum
-    that reads some axes only is evaluated on those only.  breakpoints holds
-    kink coordinates per axis (a datum's flat tuple serves every axis).
-    extent and spacing (the finest grid spacing) are None for callable data.
+    at points) as floats.  Grid data raise EvaluationWindowError where a
+    lattice axis leaves their extent by more than roundoff (1e-9 relative),
+    and are read by monotone cubics clamped to it.  A callable's result is
+    broadcast to the lattice, so a datum that reads some axes only is
+    evaluated on those only.  breakpoints holds kink coordinates per axis
+    (a datum's flat tuple serves every axis).  spacing (the finest grid
+    spacing) is None for callable data.
     """
     if isinstance(phi, GridFunction):
         if phi.dim != dim:
             raise ValueError(f"dim-{phi.dim} grid data for a dim-{dim} evolution")
 
         def sample(*axes):
+            for y, (lo, hi) in zip(axes, phi.extent):
+                if y[0] < lo - 1e-9 * (1 + abs(lo)) or y[-1] > hi + 1e-9 * (1 + abs(hi)):
+                    raise EvaluationWindowError(
+                        f"datum known on {(lo, hi)} but integration window is "
+                        f"[{y[0]}, {y[-1]}]")
             return phi.interp_to_lattice(
                 *(np.clip(c, lo, hi) for c, (lo, hi) in zip(axes, phi.extent)))
-        return (sample, phi.growth_a, phi.growth_A, ((),) * dim, phi.extent,
-                min(phi.spacing), phi.value_error)
+        return (sample, phi.growth_a, phi.growth_A, ((),) * dim, min(phi.spacing),
+                phi.value_error)
     if isinstance(phi, InitialDatum):
         brk = tuple(phi.breakpoints)
         if not (brk and isinstance(brk[0], (tuple, list))):
@@ -411,8 +417,7 @@ def _resolve_datum(phi, dim):
             vals = np.asarray(phi.fn(*mesh), dtype=float)
             shape = np.broadcast_shapes(*(c.shape for c in mesh))
             return vals if vals.shape == shape else np.broadcast_to(vals, shape).copy()
-        return (sample, phi.growth_a, phi.growth_A, brk, None, None,
-                phi.value_error)
+        return sample, phi.growth_a, phi.growth_A, brk, None, 0.0
     raise TypeError("phi must be a GridFunction or an InitialDatum")
 
 
@@ -642,15 +647,6 @@ def _refine(one_pass, m, quad_tol, max_refine, cells):
                "converged": est <= quad_tol, "refine_history": history}
 
 
-def _check_window(axes, extent):
-    """EvaluationWindowError unless grid data cover every lattice axis."""
-    for y, (lo, hi) in zip(axes, extent):
-        if y[0] < lo - 1e-9 * (1 + abs(lo)) or y[-1] > hi + 1e-9 * (1 + abs(hi)):
-            raise EvaluationWindowError(
-                f"datum known on {(lo, hi)} but integration window is "
-                f"[{y[0]}, {y[-1]}]")
-
-
 # -- free-space evolution ----------------------------------------------------
 
 
@@ -660,7 +656,8 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
 
     phi: GridFunction or InitialDatum (callable + growth certificate).
     out_grid: (lo, hi, h) for one axis or one such triple per axis; grid
-    data of another dimension raise ValueError.  One axis applies the kernel
+    data of another dimension raise ValueError, grid data short of the
+    quadrature window EvaluationWindowError.  One axis applies the kernel
     as one convolution (_kernel_apply), more axes its decimated matrix along
     each axis (_separable).  Raises ExistenceWindowError unless
     4*growth_A*t < 1 - margin.  The quadrature window is truncated where the
@@ -679,7 +676,7 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
         raise ValueError("t must be positive")
     grids = _axis_grids(out_grid)
     dim = len(grids)
-    sample, a, A, brk, extent, phi_h, inherited = _resolve_datum(phi, dim)
+    sample, a, A, brk, phi_h, inherited = _resolve_datum(phi, dim)
     check_existence(A, t)
 
     ns = [grid_nodes(lo, hi, h).size for lo, hi, h in grids]
@@ -697,8 +694,6 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
             axes.append(y)
             edges.append(_snap_edges(y[0], h, y.size, b))
             kerns.append(gauss_kernel(h * np.arange(-p, p + 1), t))
-        if extent is not None:
-            _check_window(axes, extent)
         taps = [k.size for k in kerns]
         if dim == 1:
             psi = _piece_weighted_values(sample, axes[0], edges[0], Hs[0] / m)
@@ -817,7 +812,9 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
     kernel_method "spectral"), a box of more axes the matrix of its
     samples (_dirichlet_kernels) along each axis.  out_grid is (lo, hi, h)
     per axis, from the lower wall to the upper wall where that is finite.  Data
-    or grids of the wrong dimension raise ValueError, unbounded data DomainError.
+    or grids of the wrong dimension raise ValueError, unbounded data
+    DomainError, grid data short of the lattice (on the half line, R beyond
+    the last output) EvaluationWindowError.
     Boundary nodes of the result are exact.  Refinement, the node budget
     and meta are as in heat_evolve_free; a box has truncation_radius None,
     and the interval's kernel_len is its circular period.
@@ -827,7 +824,7 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
     if domain.kind not in ("half_line", "interval", "rectangle"):
         raise ValueError(f"unsupported domain kind {domain.kind!r} for Dirichlet flow")
     dim = domain.n
-    sample, _, _, brk, _, phi_h, inherited = _resolve_datum(phi, dim)
+    sample, _, _, brk, phi_h, inherited = _resolve_datum(phi, dim)
     ell = domain.ell
 
     def u0(*ax):
@@ -963,8 +960,7 @@ def epsilon_quadratic_lift(phi, eps):
 
     return InitialDatum(fn=lifted, growth_a=a, growth_A=A,
                         breakpoints=phi.breakpoints,
-                        label=(phi.label + "+lift") if phi.label else "lifted",
-                        value_error=phi.value_error)
+                        label=(phi.label + "+lift") if phi.label else "lifted")
 
 
 def lifted_evolution_identity(u, eps, t):

@@ -817,40 +817,10 @@ class ClassReport:
     basis: str
     notes: str = ""
 
+    # the columns of the command line's classify.csv, in order
     FIELDS = ("label", "admissible", "limit_at_sup", "gaussian_divergent",
               "gaussian_order", "deriv_positive", "curvature_convex",
               "verdict", "basis")
-
-    def to_record(self):
-        parts = []
-        for name in self.FIELDS:
-            val = getattr(self, name)
-            parts.append(f"{name}={_fmt_field(val)}")
-        return "\n".join(parts)
-
-    def to_csv_row(self):
-        return ",".join(_csv_cell(_fmt_field(getattr(self, name)))
-                        for name in self.FIELDS)
-
-    @classmethod
-    def csv_header(cls):
-        return ",".join(cls.FIELDS)
-
-
-def _fmt_field(val):
-    if val is None:
-        return ""
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    if isinstance(val, float):
-        return f"{val:.17g}"
-    return str(val)
-
-
-def _csv_cell(text):
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _report(F, verdict, basis, **fields):
@@ -904,9 +874,12 @@ def classify(F):
     if F.domain_kind != "bounded_above":
         integ = check_gaussian_integrability(F)
         if np.isinf(integ.a_star):
+            why = (f"inverse is not integrable at the lower end {F.j_lo:g} of J, "
+                   "so no nontrivial datum can evolve"
+                   if integ.endpoint_status == "divergent" else
+                   "inverse grows too fast for any nontrivial datum to evolve")
             return _report(F, "only_trivially_preserved",
-                           f"gaussian-divergence rule ({where}): inverse grows "
-                           "too fast for any nontrivial datum to evolve",
+                           f"gaussian-divergence rule ({where}): {why}",
                            gaussian_divergent=True, gaussian_order=np.inf)
         if np.isnan(integ.a_star):
             return _report(F, "inconclusive", "integrability probe inconclusive",

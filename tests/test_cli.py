@@ -77,7 +77,7 @@ def test_classify_writes_table_and_metadata(tmp_path):
     assert "power[2]: not_preserved" in r.stdout
 
     table = (out / "classify.csv").read_text().splitlines()
-    assert table[0] == ClassReport.csv_header()
+    assert table[0] == ",".join(ClassReport.FIELDS)
     assert len(table) == 4
 
     meta = json.loads((out / "classify_meta.json").read_text())
@@ -202,6 +202,86 @@ def test_interval_window_off_its_walls_is_a_config_error(tmp_path, capsys, windo
     assert entry(["evolve", "--config", cfg, "--out", str(out), *flags]) == 2
     assert "wall" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_interval_window_resolves_to_its_walls(tmp_path):
+    """An interval run used to record the default window, grid.lo = -8 and
+    grid.hi = 8, in its metadata while it evolved from wall to wall."""
+    cfg = write_config(tmp_path, "datum = gaussian t0=0.5\n" + INTERVAL_CFG)
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "evolve_meta.json").read_text())
+    assert (meta["config"]["grid.lo"], meta["config"]["grid.hi"]) == (0.0, 2.0)
+    u = GridFunction.from_csv((out / "evolve_00.csv").read_text())
+    assert u.extent == ((0.0, 2.0),) and u.values.size == 129
+
+
+def test_grid_spacing_wider_than_the_interval_is_a_config_error(tmp_path, capsys):
+    """grid.h = 2 on the unit interval used to become one cell: the run
+    exited 0 and wrote two nodes."""
+    cfg = write_config(tmp_path, "datum = gaussian t0=0.5\ndomain = interval lo=0 hi=1\n"
+                       "grid.h = 2\nflow.times = 0.05\n")
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert "bad grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("domain", ["interval lo=1 hi=0", "interval lo=0 hi=0"])
+def test_degenerate_interval_is_a_config_error(tmp_path, domain):
+    """It used to end in a ValueError traceback, exit 1."""
+    cfg = write_config(tmp_path, f"datum = gaussian t0=0.5\ndomain = {domain}\n")
+    r = run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "res"))
+    assert r.returncode == 2
+    assert "config error" in r.stderr and "b > a" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_csv_datum_short_of_the_interval_exits_four(tmp_path, capsys):
+    """Grid data covering half the interval used to be extended by their
+    edge value: the run exited 0."""
+    import numpy as np
+
+    x = np.linspace(0.0, 1.0, 65)
+    datum = tmp_path / "half.csv"
+    datum.write_text(GridFunction(values=np.sin(np.pi * x / 2), extent=((0.0, 1.0),)).to_csv())
+    cfg = write_config(tmp_path, f"datum = csv path={datum}\n" + INTERVAL_CFG)
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 4
+    assert "window error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_COMMA_LABELS_CFG = """
+transform = affine A=3 B=2
+transform = neglog a=-1 ell=1
+datum = counterexample r0=0
+grid.lo = -2
+grid.hi = 2
+grid.h = 0.0625
+flow.times = 0.05
+"""
+
+
+def test_labels_with_commas_are_quoted_in_every_table(tmp_path):
+    """verify.csv used to write affine[3,2] and neglog[-1,1] bare, so
+    csv.reader read ten fields under its nine-column header."""
+    cfg = write_config(tmp_path, _COMMA_LABELS_CFG)
+    out = tmp_path / "res"
+    for command, name in (("classify", "classify.csv"), ("verify", "verify.csv")):
+        assert entry([command, "--config", cfg, "--out", str(out)]) == 0
+        with open(out / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [row[0] for row in rows] == ["affine[3,2]", "neglog[-1,1]"], name
+        assert all(len(row) == len(header) for row in rows), (name, rows)
+
+
+def test_one_formatter_writes_every_cell():
+    from heatconvex.cli import _cell
+
+    assert [_cell(v) for v in (0.1, 2, True, False, None, "plain")] == [
+        "0.10000000000000001", "2", "true", "false", "", "plain"]
+    assert _cell('a,"b"\nc') == '"a,""b""\nc"'
 
 
 def _budget_at_the_first_lattice(monkeypatch):

@@ -408,6 +408,47 @@ def test_box_refuses_unbounded_data(domain, phi, out_grid):
         heat_evolve_dirichlet(phi, domain, 0.05, out_grid)
 
 
+def _sine_grid(*his):
+    """sin(pi x) sin(pi y) ... on [0, hi] per axis, 33 nodes each."""
+    axes = [np.linspace(0.0, hi, 33) for hi in his]
+    vals = np.prod(np.meshgrid(*(np.sin(np.pi * a) for a in axes), indexing="ij"), axis=0)
+    return GridFunction(values=vals, extent=tuple((0.0, hi) for hi in his))
+
+
+@pytest.mark.parametrize("phi, domain, out_grid", [
+    # the lattice runs R beyond the last output, past the datum's 4
+    (_sine_grid(4.0), DomainSpec.half_line(), (0.0, 3.5, 1.0 / 8)),
+    (_sine_grid(0.5), DomainSpec.interval(0.0, 1.0), (0.0, 1.0, 1.0 / 8)),
+    (_sine_grid(1.0, 0.5), _UNIT_SQUARE, ((0.0, 1.0, 1.0 / 8),) * 2),
+], ids=["half_line", "interval", "rectangle"])
+def test_dirichlet_refuses_grid_data_short_of_the_lattice(phi, domain, out_grid):
+    """Grid data used to be extended past their extent by the edge value:
+    33 nodes on (0, 0.5) evolved on the unit interval returned values with
+    a value_error of 7e-10."""
+    with pytest.raises(EvaluationWindowError, match="integration window"):
+        heat_evolve_dirichlet(phi, domain, 0.05, out_grid)
+
+
+def test_grid_data_within_roundoff_of_the_walls_still_evolve():
+    """The window admits a lattice that misses the extent by 1e-9 relative."""
+    gf = _sine_grid(1.0 - 1e-10)
+    u = heat_evolve_dirichlet(gf, DomainSpec.interval(0.0, 1.0), 0.05, (0.0, 1.0, 1.0 / 8))
+    assert np.all(np.isfinite(u.values)) and u.values.size == 9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DomainSpec.interval(1.0, 0.0),
+    lambda: DomainSpec.interval(0.0, 0.0),
+    lambda: DomainSpec.interval(0.0, np.nan),
+    lambda: DomainSpec.rectangle(((0.0, 1.0), (2.0, 2.0))),
+], ids=["interval_reversed", "interval_empty", "interval_nan", "rectangle_flat_axis"])
+def test_degenerate_domains_raise_a_typed_error(make):
+    """A DomainError, which is still a ValueError for library callers."""
+    with pytest.raises(DomainError) as info:
+        make()
+    assert isinstance(info.value, ValueError)
+
+
 # -- every path ---------------------------------------------------------------
 
 

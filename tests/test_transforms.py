@@ -398,6 +398,27 @@ def test_whole_line_tail_with_disagreeing_fits_is_inconclusive():
     assert classify(F).verdict == "inconclusive"
 
 
+def test_whole_line_inverse_divergent_at_the_lower_end_of_J():
+    """f = z - 1/z on J = (0, inf) is not integrable at 0: the only finite
+    end of J decides, and the basis names it rather than the growth."""
+    def ev(r):
+        r = np.asarray(r, dtype=float)
+        return 0.5 * (r + np.sqrt(r * r + 4.0))
+
+    def inv(z):
+        z = np.asarray(z, dtype=float)
+        return z - 1.0 / z
+
+    F = make_custom(ev, inv, "whole_line", -np.inf, np.inf, 0.0, np.inf,
+                    label="recip")
+    integ = check_gaussian_integrability(F)
+    assert integ.endpoint_status == "divergent" and integ.a_star == np.inf
+    rep = classify(F)
+    assert rep.verdict == "only_trivially_preserved" and rep.gaussian_divergent
+    assert "not integrable at the lower end 0 of J" in rep.basis
+    assert "grows too fast" not in rep.basis
+
+
 def test_gaussian_integrability_rejects_bounded_image():
     with pytest.raises(DomainError):
         check_gaussian_integrability(make_power_alpha(-1.0))
@@ -444,12 +465,51 @@ def test_classify_is_relabeling_invariant():
 
 
 def test_classify_report_serialization():
-    rep = classify(make_power_alpha(1.0))
-    row = rep.to_csv_row()
+    """FIELDS, the columns the command line writes, each name a field of
+    the report; the cells themselves are the command line's to format."""
+    import dataclasses
+
     from heatconvex.transforms import ClassReport
-    assert len(row.split(",")) >= len(ClassReport.FIELDS)
-    assert "label" in ClassReport.csv_header()
-    assert "verdict=preserved" in rep.to_record()
+    rep = classify(make_power_alpha(1.0))
+    names = [f.name for f in dataclasses.fields(ClassReport)]
+    assert set(ClassReport.FIELDS) <= set(names) and ClassReport.FIELDS[0] == "label"
+    assert [getattr(rep, k) for k in ("label", "verdict")] == ["power[1]", "preserved"]
+
+
+def _custom_power(alpha):
+    """make_power_alpha(alpha) rebuilt from its eval and inverse alone, so
+    f_F', log |f_F| and g come from central differences."""
+    P = make_power_alpha(alpha)
+    return P, make_custom(
+        lambda r: (np.power(np.asarray(r, dtype=float), alpha) - 1.0) / alpha,
+        lambda z: np.power(alpha * np.asarray(z, dtype=float) + 1.0, 1.0 / alpha),
+        "half_line_nonneg", 0.0, np.inf, P.j_lo, P.j_hi, label=f"custom[{alpha:g}]")
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_finite_difference_fallbacks_match_the_closed_forms(alpha):
+    """On the 257 points the curvature criterion samples: f_F' within 2e-9
+    relative (1e-10 from z = 0 on), log |f_F| within
+    roundoff, g within 3e-6 (its second differences of a differenced log)."""
+    from heatconvex.transforms import default_j_window
+
+    P, F = _custom_power(alpha)
+    z = np.linspace(*default_j_window(P), 257)
+    want = P.inverse_deriv(z)
+    assert np.max(np.abs(F.inverse_deriv(z) / want - 1.0)) < 2e-9
+    assert np.max(np.abs(F.inverse_deriv(z[z >= 0]) / want[z >= 0] - 1.0)) < 1e-10
+    want = P.log_inverse(z)
+    assert np.all(np.abs(F.log_inverse(z) - want) <= 4e-16 * (1.0 + np.abs(want)))
+    assert np.max(np.abs(F.g(z) - P.g(z))) < 3e-6
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_custom_power_classifies_as_the_closed_form(alpha):
+    P, F = _custom_power(alpha)
+    got, want = classify(F), classify(P)
+    assert (got.verdict, got.deriv_positive, got.curvature_convex) == (
+        want.verdict, want.deriv_positive, want.curvature_convex)
+    assert got.gaussian_order == want.gaussian_order
 
 
 # -- strength comparison ---------------------------------------------------------
