@@ -24,6 +24,7 @@ certification can build honest noise floors.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -55,12 +56,29 @@ __all__ = [
 EXISTENCE_MARGIN = 0.05
 
 # rows per % operation of GridFunction.to_csv, so the strings built at once
-# stay small on any grid
+# stay small on any grid; the row templates of the last _CSV_BLOCKS blocks
+# written (coordinates printed, a slot per value: about 80 KB for a 1D
+# block) are kept, so a later file on the same grid formats only its values
 _CSV_ROWS = 4096
+_CSV_BLOCKS = 32
 # spacings by which a coordinate read from CSV may miss its node: to_csv's
 # %.17g reads back exactly, and a rounded hand-written coordinate passes
 # while one a node (or any visible part of a cell) away does not
 _CSV_COORD_TOL = 1e-3
+
+
+@functools.lru_cache(maxsize=_CSV_BLOCKS)
+def _csv_rows(extent, shape, start):
+    """Rows start, start+1, ... (at most _CSV_ROWS) of the CSV table of a
+    grid: every coordinate printed with %.17g and a %.17g slot for the
+    value.  extent holds float.hex() of each bound, since -0.0 and 0.0 hash
+    equal but print differently."""
+    axes = [np.linspace(float.fromhex(lo), float.fromhex(hi), n)
+            for (lo, hi), n in zip(extent, shape)]
+    index = np.unravel_index(np.arange(start, min(start + _CSV_ROWS, math.prod(shape))), shape)
+    coords = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+    row = "%.17g," * len(shape) + "%%.17g\n"
+    return row * len(coords) % tuple(coords.ravel().tolist())
 
 
 class ExistenceWindowError(ValueError):
@@ -199,7 +217,8 @@ class GridFunction:
 
         Every float of a row is printed with %.17g, so the values read back
         exactly and equal data give equal bytes.  Rows run in C order (axis
-        0 slowest); one % operation formats each block of _CSV_ROWS rows.
+        0 slowest); one % operation fills the values into each cached block
+        of _CSV_ROWS rows (_csv_rows).
         """
         out = io.StringIO()
         out.write(f"# dim={self.dim}\n")
@@ -211,12 +230,11 @@ class GridFunction:
         )
         names = ["x", "y", "z"][:self.dim] + [f"x{k}" for k in range(4, self.dim + 1)]
         out.write(",".join(names) + ",value\n")
-        cols = (*np.meshgrid(*self.axes(), indexing="ij"), self.values)
-        table = np.stack([c.ravel() for c in cols], axis=1)
-        row = ",".join(["%.17g"] * len(cols)) + "\n"
-        for i in range(0, len(table), _CSV_ROWS):
-            block = table[i:i + _CSV_ROWS]
-            out.write(row * len(block) % tuple(block.ravel().tolist()))
+        extent = tuple((lo.hex(), hi.hex()) for lo, hi in self.extent)
+        values = self.values.ravel()
+        for i in range(0, values.size, _CSV_ROWS):
+            rows = _csv_rows(extent, self.values.shape, i)
+            out.write(rows % tuple(values[i:i + _CSV_ROWS].tolist()))
         return out.getvalue()
 
     @classmethod

@@ -143,7 +143,9 @@ class FTransform:
 
         Closed forms carry roundoff-level noise.  Transforms without a closed
         form differentiate log f_F' centrally; the noise estimate compares
-        steps h and 2h, which picks up the O(h) error near slope kinks.
+        steps h and 2h, which picks up the O(h) error near slope kinks, and
+        adds the rounding of the differenced log f_F' samples over 2h (of
+        order eps/h^2 when f_F' is itself a central difference).
         """
         arr = self._check_j(z, slack=2 * fd_step(_as_float_array(z)))
         scalar = np.ndim(z) == 0
@@ -158,17 +160,25 @@ class FTransform:
         return vals, noise
 
     def _log_fprime(self, z):
+        """log f_F' and its rounding: 0 for the closed form; for the central
+        difference (f(z+h) - f(z-h))/(2h), two ulps of each f value over
+        their difference plus the rounding of z +- h against 2h."""
         if self._log_inverse_deriv is not None:
-            return self._log_inverse_deriv(z)
+            return self._log_inverse_deriv(z), 0.0
         h = fd_step(z)
-        return np.log((self._inverse(z + h) - self._inverse(z - h)) / (2 * h))
+        up, down = self._inverse(z + h), self._inverse(z - h)
+        diff = up - down
+        rounding = (2 * _EPS * (np.abs(up) + np.abs(down)) / np.abs(diff)
+                    + _EPS * (np.abs(z) + h) / (2 * h))
+        return np.log(diff / (2 * h)), rounding
 
     def _g_fd(self, z):
         h = fd_step(z)
-        d1 = (self._log_fprime(z + h) - self._log_fprime(z - h)) / (2 * h)
-        d2 = (self._log_fprime(z + 2 * h) - self._log_fprime(z - 2 * h)) / (4 * h)
-        scale = np.abs(self._log_fprime(z)) + 1.0
-        noise = np.abs(d1 - d2) / 3.0 + 4 * _EPS * scale / h
+        (up, rho_up), (down, rho_down) = self._log_fprime(z + h), self._log_fprime(z - h)
+        d1 = (up - down) / (2 * h)
+        d2 = (self._log_fprime(z + 2 * h)[0] - self._log_fprime(z - 2 * h)[0]) / (4 * h)
+        scale = np.abs(self._log_fprime(z)[0]) + 1.0
+        noise = np.abs(d1 - d2) / 3.0 + 4 * _EPS * scale / h + (rho_up + rho_down) / (2 * h)
         return d1, noise
 
     def _check_j(self, z, slack):

@@ -142,6 +142,23 @@ def test_rerun_replaces_each_file_by_an_identical_new_one(tmp_path):
         assert (tmp_path / f"old_{name}").read_bytes() == first[name]
 
 
+def test_each_scheduled_file_equals_a_single_time_run(tmp_path):
+    """One evolve writes its three files on one 8193-node grid (three CSV
+    blocks), the later ones from cached coordinate rows; each equals, byte
+    for byte, the file of a run of its time alone in a fresh process."""
+    grid = "datum = gaussian t0=0.5\ngrid.lo = -4\ngrid.hi = 4\ngrid.h = 0.0009765625\n"
+    times = ("0.05", "0.1", "0.2")
+    cfg = write_config(tmp_path, grid + f"flow.times = {','.join(times)}\n")
+    assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "all")]) == 0
+    for i, t in enumerate(times):
+        one = write_config(tmp_path, grid + f"flow.times = {t}\n", f"t{i}.cfg")
+        r = run_cli("evolve", "--config", one, "--out", str(tmp_path / f"t{i}"))
+        assert r.returncode == 0, r.stderr
+        got = (tmp_path / "all" / f"evolve_{i:02d}.csv").read_bytes()
+        assert got == (tmp_path / f"t{i}" / "evolve_00.csv").read_bytes()
+        assert got.startswith(f"# t={t}\n".encode()) and got.count(b"\n") == 8193 + 5
+
+
 INTERVAL_CFG = """
 domain = interval lo=0 hi=2
 grid.h = 0.015625

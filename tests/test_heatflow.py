@@ -1,6 +1,7 @@
 """Evolution oracles: closed forms the quadrature must reproduce."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from heatconvex import (DomainSpec, EvaluationWindowError,
                         gauss_kernel, grid_nodes, heat_evolve_dirichlet,
                         heat_evolve_free, heatflow, hot_h,
                         lifted_evolution_identity)
-from heatconvex.heatflow import (_box_apply, _dirichlet_kernels, _fast_len,
+from heatconvex.heatflow import (_CSV_BLOCKS, _CSV_ROWS, _box_apply, _csv_rows,
+                                 _dirichlet_kernels, _fast_len,
                                  _kernel_apply, _kernel_matrix, _pchip,
                                  check_existence)
 from heatconvex.numerics import DomainError
@@ -840,15 +842,10 @@ def _per_row_csv(gf):
     out.write(f"# growth_a={gf.growth_a!r} growth_A={gf.growth_A!r}"
               f" value_error={gf.value_error!r}\n")
     ax = gf.axes()
-    if gf.dim == 1:
-        out.write("x,value\n")
-        for x, v in zip(ax[0], gf.values):
-            out.write(f"{x:.17g},{v:.17g}\n")
-    else:
-        out.write("x,y,value\n")
-        for i, x in enumerate(ax[0]):
-            for j, y in enumerate(ax[1]):
-                out.write(f"{x:.17g},{y:.17g},{gf.values[i, j]:.17g}\n")
+    out.write(",".join(["x", "y", "z", "x4"][:gf.dim]) + ",value\n")
+    for idx in np.ndindex(gf.values.shape):
+        coords = "".join(f"{ax[k][i]:.17g}," for k, i in enumerate(idx))
+        out.write(f"{coords}{gf.values[idx]:.17g}\n")
     return out.getvalue()
 
 
@@ -875,6 +872,41 @@ def test_to_csv_matches_the_per_row_writer(values, extent):
     back = GridFunction.from_csv(text)
     assert (back.growth_a, back.growth_A, back.value_error) == (2.5, 0.1, 9.54e-10)
     assert np.array_equal(back.values, gf.values, equal_nan=True)
+
+
+def _grid(shape, extent, seed=0):
+    values = np.random.default_rng(seed).standard_normal(shape) * 10.0 ** (seed % 7 - 3)
+    return GridFunction(values=values, extent=extent)
+
+
+_ABOVE_THE_CACHE = [_grid((3 + k,), ((-1.0, 1.0 + k),), k) for k in range(_CSV_BLOCKS + 1)]
+
+
+@pytest.mark.parametrize("grids, hits", [
+    ([_grid((4097,), ((-8.0, 8.0),), 1), _grid((4097,), ((-8.0, 8.0),), 2)], 2),
+    ([_grid((3,), ((-1.0, 0.0),)), _grid((3,), ((-1.0, -0.0),)), _grid((3,), ((-1.0, 0.0),), 1)], 1),
+    ([_grid((3,), ((-1.0, -0.0),)), _grid((3,), ((-1.0, 0.0),)), _grid((3,), ((-1.0, -0.0),), 1)], 1),
+    ([_grid((5, 3), ((-2.0, -0.0), (-0.0, 1.0))), _grid((5, 3), ((-2.0, 0.0), (0.0, 1.0)))], 0),
+    ([_grid((7, 5, 3), ((-1.0, 1.0), (0.0, 2.5), (-3.0, 1e-300)), 3),
+      _grid((7, 5, 3), ((-1.0, 1.0), (0.0, 2.5), (-3.0, 1e-300)), 4)], 1),
+    ([_grid((3, 4, 2, 5), ((0.1, 0.7), (-1.0, 2.0), (-0.0, 3.0), (1e300, 1e301)), 5)] * 2, 1),
+    ([_grid((n,), ((-8.0, 8.0),), n) for n in (4095, 4096, 4097, 8193, 4097, 4096, 4095)], 4),
+    ([_grid((5,), ((-1.0, 1.0),), 9), *_ABOVE_THE_CACHE, _grid((5,), ((-1.0, 1.0),), 10)], 0),
+], ids=["same_grid_twice", "zero_then_negative_zero", "negative_zero_then_zero",
+        "2d_signed_zeros", "3d_twice", "4d_twice", "rows_around_the_block",
+        "more_blocks_than_the_cache"])
+def test_to_csv_in_sequence_matches_the_per_row_writer(grids, hits):
+    """Writes in sequence share the cached coordinate rows of _csv_rows: a
+    block is reused only for the same bounds (-0.0 is not 0.0), shape and
+    first row, the cache never holds more than _CSV_BLOCKS blocks, and
+    every file equals the per-row writer's."""
+    _csv_rows.cache_clear()
+    for gf in grids:
+        assert gf.to_csv() == _per_row_csv(gf)
+    info = _csv_rows.cache_info()
+    blocks = sum(math.ceil(gf.values.size / _CSV_ROWS) for gf in grids)
+    assert (info.hits, info.misses) == (hits, blocks - hits)
+    assert info.currsize == min(blocks - hits, _CSV_BLOCKS)
 
 
 def test_gauss_kernel_unit_mass():

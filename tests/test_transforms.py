@@ -490,7 +490,9 @@ def _custom_power(alpha):
 def test_finite_difference_fallbacks_match_the_closed_forms(alpha):
     """On the 257 points the curvature criterion samples: f_F' within 2e-9
     relative (1e-10 from z = 0 on), log |f_F| within
-    roundoff, g within 3e-6 (its second differences of a differenced log)."""
+    roundoff, g within 3e-6 (its second differences of a differenced log)
+    and, at every point, within its own reported noise (of order eps/h^2,
+    since f_F' under the differenced log is itself a central difference)."""
     from heatconvex.transforms import default_j_window
 
     P, F = _custom_power(alpha)
@@ -500,7 +502,9 @@ def test_finite_difference_fallbacks_match_the_closed_forms(alpha):
     assert np.max(np.abs(F.inverse_deriv(z[z >= 0]) / want[z >= 0] - 1.0)) < 1e-10
     want = P.log_inverse(z)
     assert np.all(np.abs(F.log_inverse(z) - want) <= 4e-16 * (1.0 + np.abs(want)))
-    assert np.max(np.abs(F.g(z) - P.g(z))) < 3e-6
+    g, noise = F.g_with_noise(z)
+    assert np.max(np.abs(g - P.g(z))) < 3e-6
+    assert np.all(np.abs(g - P.g(z)) <= noise)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
