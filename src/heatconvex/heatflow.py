@@ -24,9 +24,9 @@ certification can build honest noise floors.
 """
 from __future__ import annotations
 
-import functools
 import io
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,29 +56,47 @@ __all__ = [
 EXISTENCE_MARGIN = 0.05
 
 # rows per % operation of GridFunction.to_csv, so the strings built at once
-# stay small on any grid; the row templates of the last _CSV_BLOCKS blocks
-# written (coordinates printed, a slot per value: about 80 KB for a 1D
-# block) are kept, so a later file on the same grid formats only its values
+# stay small on any grid
 _CSV_ROWS = 4096
+# blocks of rows whose row templates (coordinates printed, a slot per value:
+# about 80 KB for a 1D block) _csv_templates keeps, so a later file on the
+# same grid formats only its values
 _CSV_BLOCKS = 32
+# (grid, first row) -> row template, or None for a block written once; the
+# least recently written block first
+_csv_templates = OrderedDict()
 # spacings by which a coordinate read from CSV may miss its node: to_csv's
 # %.17g reads back exactly, and a rounded hand-written coordinate passes
 # while one a node (or any visible part of a cell) away does not
 _CSV_COORD_TOL = 1e-3
 
 
-@functools.lru_cache(maxsize=_CSV_BLOCKS)
-def _csv_rows(extent, shape, start):
-    """Rows start, start+1, ... (at most _CSV_ROWS) of the CSV table of a
-    grid: every coordinate printed with %.17g and a %.17g slot for the
-    value.  extent holds float.hex() of each bound, since -0.0 and 0.0 hash
-    equal but print differently."""
-    axes = [np.linspace(float.fromhex(lo), float.fromhex(hi), n)
-            for (lo, hi), n in zip(extent, shape)]
-    index = np.unravel_index(np.arange(start, min(start + _CSV_ROWS, math.prod(shape))), shape)
-    coords = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
-    row = "%.17g," * len(shape) + "%%.17g\n"
-    return row * len(coords) % tuple(coords.ravel().tolist())
+def _csv_template(grid, start, table):
+    """Row template of the to_csv block of rows start, start+1, ... (at
+    most _CSV_ROWS) of grid: every coordinate printed with %.17g and a
+    %.17g slot for the value, built on the block's second write.  None on
+    its first write, which is printed directly (filling a template copies
+    its coordinate text once more), and for a grid of more blocks than the
+    cache holds, which would drop each block before writing it again.
+
+    grid is (float.hex() of each bound, shape), since -0.0 and 0.0 hash
+    equal but print differently; table() gives the grid's rows of
+    coordinates and value.  At most _CSV_BLOCKS blocks are kept, the least
+    recently written dropped first."""
+    if math.prod(grid[1]) > _CSV_ROWS * _CSV_BLOCKS:
+        return None
+    key = grid, start
+    if key not in _csv_templates:
+        _csv_templates[key] = None
+        if len(_csv_templates) > _CSV_BLOCKS:
+            _csv_templates.popitem(last=False)
+        return None
+    _csv_templates.move_to_end(key)
+    if _csv_templates[key] is None:
+        coords = table()[start:start + _CSV_ROWS, :-1]
+        row = "%.17g," * coords.shape[1] + "%%.17g\n"
+        _csv_templates[key] = row * len(coords) % tuple(coords.ravel().tolist())
+    return _csv_templates[key]
 
 
 class ExistenceWindowError(ValueError):
@@ -217,8 +235,9 @@ class GridFunction:
 
         Every float of a row is printed with %.17g, so the values read back
         exactly and equal data give equal bytes.  Rows run in C order (axis
-        0 slowest); one % operation fills the values into each cached block
-        of _CSV_ROWS rows (_csv_rows).
+        0 slowest); one % operation prints each block of _CSV_ROWS rows, or
+        fills its values into the block's row template (_csv_template) when
+        the block was written before.
         """
         out = io.StringIO()
         out.write(f"# dim={self.dim}\n")
@@ -230,12 +249,24 @@ class GridFunction:
         )
         names = ["x", "y", "z"][:self.dim] + [f"x{k}" for k in range(4, self.dim + 1)]
         out.write(",".join(names) + ",value\n")
-        extent = tuple((lo.hex(), hi.hex()) for lo, hi in self.extent)
         values = self.values.ravel()
+        grid = tuple((lo.hex(), hi.hex()) for lo, hi in self.extent), self.values.shape
+        table = None
+        row = "%.17g," * self.dim + "%.17g\n"
         for i in range(0, values.size, _CSV_ROWS):
-            rows = _csv_rows(extent, self.values.shape, i)
-            out.write(rows % tuple(values[i:i + _CSV_ROWS].tolist()))
+            rows = _csv_template(grid, i, self._csv_table)
+            if rows is None:
+                table = self._csv_table() if table is None else table
+                block = table[i:i + _CSV_ROWS]
+                out.write(row * len(block) % tuple(block.ravel().tolist()))
+            else:
+                out.write(rows % tuple(values[i:i + _CSV_ROWS].tolist()))
         return out.getvalue()
+
+    def _csv_table(self):
+        """to_csv's table: a row of coordinates and value per node."""
+        return np.stack([*(c.ravel() for c in np.meshgrid(*self.axes(), indexing="ij")),
+                         self.values.ravel()], axis=1)
 
     @classmethod
     def from_csv(cls, text):

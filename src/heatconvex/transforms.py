@@ -159,25 +159,29 @@ class FTransform:
             return float(vals[0]), float(noise[0])
         return vals, noise
 
-    def _log_fprime(self, z):
-        """log f_F' and its rounding: 0 for the closed form; for the central
-        difference (f(z+h) - f(z-h))/(2h), two ulps of each f value over
-        their difference plus the rounding of z +- h against 2h."""
+    def _log_fprime(self, z, rounding=False):
+        """log f_F' at z; with rounding, also its rounding error: 0 for the
+        closed form, and for the central difference (f(z+h) - f(z-h))/(2h)
+        two ulps of each f value over their difference plus the rounding
+        of z +- h against 2h."""
         if self._log_inverse_deriv is not None:
-            return self._log_inverse_deriv(z), 0.0
+            log_fprime = self._log_inverse_deriv(z)
+            return (log_fprime, 0.0) if rounding else log_fprime
         h = fd_step(z)
         up, down = self._inverse(z + h), self._inverse(z - h)
-        diff = up - down
-        rounding = (2 * _EPS * (np.abs(up) + np.abs(down)) / np.abs(diff)
-                    + _EPS * (np.abs(z) + h) / (2 * h))
-        return np.log(diff / (2 * h)), rounding
+        log_fprime = np.log((up - down) / (2 * h))
+        if not rounding:
+            return log_fprime
+        return log_fprime, (2 * _EPS * (np.abs(up) + np.abs(down)) / np.abs(up - down)
+                            + _EPS * (np.abs(z) + h) / (2 * h))
 
     def _g_fd(self, z):
         h = fd_step(z)
-        (up, rho_up), (down, rho_down) = self._log_fprime(z + h), self._log_fprime(z - h)
+        up, rho_up = self._log_fprime(z + h, rounding=True)
+        down, rho_down = self._log_fprime(z - h, rounding=True)
         d1 = (up - down) / (2 * h)
-        d2 = (self._log_fprime(z + 2 * h)[0] - self._log_fprime(z - 2 * h)[0]) / (4 * h)
-        scale = np.abs(self._log_fprime(z)[0]) + 1.0
+        d2 = (self._log_fprime(z + 2 * h) - self._log_fprime(z - 2 * h)) / (4 * h)
+        scale = np.abs(self._log_fprime(z)) + 1.0
         noise = np.abs(d1 - d2) / 3.0 + 4 * _EPS * scale / h + (rho_up + rho_down) / (2 * h)
         return d1, noise
 

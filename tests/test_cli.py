@@ -144,7 +144,8 @@ def test_rerun_replaces_each_file_by_an_identical_new_one(tmp_path):
 
 def test_each_scheduled_file_equals_a_single_time_run(tmp_path):
     """One evolve writes its three files on one 8193-node grid (three CSV
-    blocks), the later ones from cached coordinate rows; each equals, byte
+    blocks): the first printed directly, the second through the row
+    templates it builds, the third from those templates; each equals, byte
     for byte, the file of a run of its time alone in a fresh process."""
     grid = "datum = gaussian t0=0.5\ngrid.lo = -4\ngrid.hi = 4\ngrid.h = 0.0009765625\n"
     times = ("0.05", "0.1", "0.2")

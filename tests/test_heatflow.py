@@ -1,7 +1,6 @@
 """Evolution oracles: closed forms the quadrature must reproduce."""
 
 import io
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from heatconvex import (DomainSpec, EvaluationWindowError,
                         gauss_kernel, grid_nodes, heat_evolve_dirichlet,
                         heat_evolve_free, heatflow, hot_h,
                         lifted_evolution_identity)
-from heatconvex.heatflow import (_CSV_BLOCKS, _CSV_ROWS, _box_apply, _csv_rows,
+from heatconvex.heatflow import (_CSV_BLOCKS, _CSV_ROWS, _box_apply, _csv_templates,
                                  _dirichlet_kernels, _fast_len,
                                  _kernel_apply, _kernel_matrix, _pchip,
                                  check_existence)
@@ -880,33 +879,40 @@ def _grid(shape, extent, seed=0):
 
 
 _ABOVE_THE_CACHE = [_grid((3 + k,), ((-1.0, 1.0 + k),), k) for k in range(_CSV_BLOCKS + 1)]
+_LARGER_THAN_THE_CACHE = (_CSV_ROWS * _CSV_BLOCKS + 1,)
 
 
-@pytest.mark.parametrize("grids, hits", [
-    ([_grid((4097,), ((-8.0, 8.0),), 1), _grid((4097,), ((-8.0, 8.0),), 2)], 2),
-    ([_grid((3,), ((-1.0, 0.0),)), _grid((3,), ((-1.0, -0.0),)), _grid((3,), ((-1.0, 0.0),), 1)], 1),
-    ([_grid((3,), ((-1.0, -0.0),)), _grid((3,), ((-1.0, 0.0),)), _grid((3,), ((-1.0, -0.0),), 1)], 1),
-    ([_grid((5, 3), ((-2.0, -0.0), (-0.0, 1.0))), _grid((5, 3), ((-2.0, 0.0), (0.0, 1.0)))], 0),
+@pytest.mark.parametrize("grids, keys, templates", [
+    ([_grid((4097,), ((-8.0, 8.0),), seed) for seed in (1, 2, 3)], 2, 2),
+    ([_grid((3,), ((-1.0, 0.0),)), _grid((3,), ((-1.0, -0.0),)), _grid((3,), ((-1.0, 0.0),), 1)], 2, 1),
+    ([_grid((3,), ((-1.0, -0.0),)), _grid((3,), ((-1.0, 0.0),)), _grid((3,), ((-1.0, -0.0),), 1)], 2, 1),
+    ([_grid((5, 3), ((-2.0, -0.0), (-0.0, 1.0))), _grid((5, 3), ((-2.0, 0.0), (0.0, 1.0))),
+      _grid((5, 3), ((-2.0, -0.0), (-0.0, 1.0)), 1)], 2, 1),
     ([_grid((7, 5, 3), ((-1.0, 1.0), (0.0, 2.5), (-3.0, 1e-300)), 3),
-      _grid((7, 5, 3), ((-1.0, 1.0), (0.0, 2.5), (-3.0, 1e-300)), 4)], 1),
-    ([_grid((3, 4, 2, 5), ((0.1, 0.7), (-1.0, 2.0), (-0.0, 3.0), (1e300, 1e301)), 5)] * 2, 1),
-    ([_grid((n,), ((-8.0, 8.0),), n) for n in (4095, 4096, 4097, 8193, 4097, 4096, 4095)], 4),
-    ([_grid((5,), ((-1.0, 1.0),), 9), *_ABOVE_THE_CACHE, _grid((5,), ((-1.0, 1.0),), 10)], 0),
-], ids=["same_grid_twice", "zero_then_negative_zero", "negative_zero_then_zero",
+      _grid((7, 5, 3), ((-1.0, 1.0), (0.0, 2.5), (-3.0, 1e-300)), 4)], 1, 1),
+    ([_grid((3, 4, 2, 5), ((0.1, 0.7), (-1.0, 2.0), (-0.0, 3.0), (1e300, 1e301)), 5)] * 2, 1, 1),
+    ([_grid((n,), ((-8.0, 8.0),), n) for n in (4095, 4096, 4097, 8193, 4097, 4096, 4095)], 7, 4),
+    ([_grid((5,), ((-1.0, 1.0),), 9), *_ABOVE_THE_CACHE, _grid((5,), ((-1.0, 1.0),), 10)],
+     _CSV_BLOCKS, 0),
+    ([_grid((5,), ((-1.0, 1.0),), 9), *_ABOVE_THE_CACHE[:-2], _grid((5,), ((-1.0, 1.0),), 10),
+      _ABOVE_THE_CACHE[-2], _grid((5,), ((-1.0, 1.0),), 11)], _CSV_BLOCKS, 1),
+    ([_grid((5,), ((-1.0, 1.0),), 11), _grid(_LARGER_THAN_THE_CACHE, ((-8.0, 8.0),), 12),
+      _grid(_LARGER_THAN_THE_CACHE, ((-8.0, 8.0),), 13), _grid((5,), ((-1.0, 1.0),), 14)], 1, 1),
+], ids=["same_grid_three_times", "zero_then_negative_zero", "negative_zero_then_zero",
         "2d_signed_zeros", "3d_twice", "4d_twice", "rows_around_the_block",
-        "more_blocks_than_the_cache"])
-def test_to_csv_in_sequence_matches_the_per_row_writer(grids, hits):
-    """Writes in sequence share the cached coordinate rows of _csv_rows: a
-    block is reused only for the same bounds (-0.0 is not 0.0), shape and
-    first row, the cache never holds more than _CSV_BLOCKS blocks, and
-    every file equals the per-row writer's."""
-    _csv_rows.cache_clear()
+        "more_blocks_than_the_cache", "written_again_stays", "grid_larger_than_the_cache"])
+def test_to_csv_in_sequence_matches_the_per_row_writer(grids, keys, templates):
+    """Writes in sequence share the row templates of _csv_template: a block
+    is printed directly on its first write and gets a template on its
+    second, for the same bounds (-0.0 is not 0.0), shape and first row
+    only; the cache never holds more than _CSV_BLOCKS blocks and drops the
+    least recently written first, a grid of more blocks never enters it,
+    and every file equals the per-row writer's."""
+    _csv_templates.clear()
     for gf in grids:
         assert gf.to_csv() == _per_row_csv(gf)
-    info = _csv_rows.cache_info()
-    blocks = sum(math.ceil(gf.values.size / _CSV_ROWS) for gf in grids)
-    assert (info.hits, info.misses) == (hits, blocks - hits)
-    assert info.currsize == min(blocks - hits, _CSV_BLOCKS)
+    assert len(_csv_templates) == keys
+    assert sum(rows is not None for rows in _csv_templates.values()) == templates
 
 
 def test_gauss_kernel_unit_mass():
