@@ -41,8 +41,8 @@ def main():
     F = make_power_alpha(2.0)
     history = []
     cert, t_first = hunt_violation(F, counterexample_datum(F, 1.0),
-                                   times=(0.05, 0.1, 0.2), window=WINDOW,
-                                   n_base=129, history=history)
+                                   times=(0.05, 0.1, 0.2),
+                                   grid=(*WINDOW, 2 * H), history=history)
     for rec in history:
         c = rec["certificate"]
         print(f"    t = {rec['t']:4.2f}  level {rec['level']}  "

@@ -552,25 +552,26 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
                         label=f"wedge[{F.label},r0={r0:g}]")
 
 
-def hunt_violation(F, phi, times, window, refine=3, plan=None, n_base=257,
-                   history=None, significance_factor=10.0, eps_tail=1e-10):
+def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,
+                   significance_factor=10.0, eps_tail=1e-10):
     """Search scheduled times for a grid-stable significant violation.
 
-    For each time the datum is evolved on successively halved grids until the
-    significance verdict repeats and the worst gap has converged (or `refine`
-    doublings are exhausted); discrete artifacts vanish under refinement
-    while genuine violations persist.  Returns (certificate, t_first) with
-    t_first the earliest time whose violation is stable, else (worst
-    certificate seen, None).  Pass a list as `history` to collect one record
-    per (time, refinement level) actually run, with the evolution's
-    converged, quad_error and lattice_factor.  eps_tail is passed on to
-    heat_evolve_free.
+    For each time the datum is evolved on grid = (lo, hi, h), h snapped to
+    fit, then on halved spacings until the significance verdict repeats and
+    the worst gap has converged (or `refine` doublings are exhausted);
+    discrete artifacts vanish under refinement while genuine violations
+    persist.  Returns (certificate, t_first) with t_first the earliest time
+    whose violation is stable, else (worst certificate seen, None).  Pass a
+    list as `history` to collect one record per (time, refinement level)
+    actually run, with the evolution's converged, quad_error and
+    lattice_factor.  eps_tail is passed on to heat_evolve_free.
     """
     plan = plan or SamplingPlan()
-    lo, hi = window
+    lo, hi, h0 = grid
+    h0 = (hi - lo) / max(1, round((hi - lo) / h0))
     overall = None
     for t in sorted(times):
-        h = (hi - lo) / (n_base - 1)
+        h = h0
         prev = stable = None
         for level in range(refine + 1):
             u = heat_evolve_free(phi, t, (lo, hi, h), eps_tail=eps_tail)
@@ -682,9 +683,9 @@ def check_envelope_comparison(F, phi, lam, t, window, h):
 
     phi is an InitialDatum (else TypeError) and t lies in its existence
     window (else ExistenceWindowError, from heat_evolve_free).  Evolves phi
-    to time t, builds W0 = F^{-1}(envelope of F(phi)) on the window padded
-    by that evolution's truncation radius, evolves W0 likewise, and checks
-    evolve(W0) at each decomposition midpoint against
+    to time t on (lo, hi, h), builds W0 = F^{-1}(envelope of F(phi)) on the
+    window padded by that evolution's truncation radius, evolves W0 likewise,
+    and checks evolve(W0) at each decomposition midpoint of u's nodes against
     F^{-1}((1-lam) F(u(x0)) + lam F(u(x1))), within three combined noise
     floors.  The sample of largest gap - 3 noise decides (worst_x,
     noise_floor); max_gap is the largest raw gap.  Nodes relying on flagged
@@ -695,8 +696,8 @@ def check_envelope_comparison(F, phi, lam, t, window, h):
     lo, hi = window
     u = heat_evolve_free(phi, t, (lo, hi, h))
     p, q, lam_f = _as_fraction(lam)
-    n = int(round((hi - lo) / h)) + 1
-    x = np.linspace(lo, hi, n)
+    x, = u.axes()
+    n, h = x.size, u.spacing[0]
 
     # W0 is defined by grid values, so its construction window must already
     # cover the quadrature reach of its evolution to time t.  W0 carries

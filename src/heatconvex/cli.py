@@ -196,16 +196,14 @@ def cmd_hunt(cfg):
     _require_transforms(cfg)
     if cfg.domain.kind != "free_space":
         raise ConfigError(f"hunt evolves in free space, not on a {cfg.domain.kind}")
-    lo, hi, h = cfg.grid
-    n_base = int(round((hi - lo) / h)) + 1
     summary, scans = {}, {}
     for F in cfg.transforms:
         phi = cfg.datum(F)
         _check_schedule(cfg, phi)
         history = []
         cert, t_first = hunt_violation(
-            F, phi, cfg.times, (lo, hi), refine=cfg.refine_levels,
-            plan=cfg.plan, n_base=n_base, history=history,
+            F, phi, cfg.times, cfg.grid, refine=cfg.refine_levels,
+            plan=cfg.plan, history=history,
             significance_factor=cfg.significance_factor, eps_tail=cfg.eps_tail)
         lines = ["t,level,h,status,gap,noise_floor,significant"]
         for rec in history:

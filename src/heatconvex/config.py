@@ -19,10 +19,10 @@ describe a transform or a datum are a registry name followed by inline
 
 Unknown keys are rejected so typos fail loudly, and so are ``grid.lo`` and
 ``grid.hi`` values other than the walls of an interval domain, which is
-evolved from wall to wall: its window resolves to the walls, and
-``grid.h`` must fit between them.  Every effective value,
-defaults included, lands in the ``resolved`` mapping that the commands write
-into their metadata records, which keeps runs self-describing.
+evolved from wall to wall (its window resolves to the walls, and ``grid.h``
+must fit between them) and truncates nothing (``flow.eps_tail`` is refused).
+Every effective value, parsed and defaults included, lands in the
+``resolved`` mapping that the commands write into their metadata records.
 """
 
 from __future__ import annotations
@@ -290,14 +290,18 @@ def load_config(path, overrides=None):
     def get(key):
         return raw.get(key, _DEFAULTS[key])
 
+    # every key's value as the run uses it, whether the file set it or not
+    resolved = {key: get(key) for key in _DEFAULTS}
+
     def number(key, cast, ok, what):
-        """get(key) cast to int or float; a ConfigError unless ok(value)."""
+        """get(key) cast to int or float, resolved; ConfigError unless ok."""
         try:
             val = cast(get(key))
         except (TypeError, ValueError):
             val = None
         if val is None or not ok(val):
             raise ConfigError(f"{key} must be {what}, got {get(key)!r}")
+        resolved[key] = val
         return val
 
     lo, hi, h = (number(key, float, np.isfinite, "a finite number")
@@ -312,6 +316,9 @@ def load_config(path, overrides=None):
                 raise ConfigError(f"{key} = {value:g} differs from the wall "
                                   f"{wall:g} of the interval domain")
         lo, hi = a, b
+        if "flow.eps_tail" in raw:
+            raise ConfigError("flow.eps_tail does not apply to an interval "
+                              "domain, whose evolution has no truncated tail")
     if not (hi > lo and 0 < h <= hi - lo):
         raise ConfigError(f"bad grid: lo={lo} hi={hi} h={h}")
     times = get("flow.times")
@@ -349,15 +356,9 @@ def load_config(path, overrides=None):
             raise ConfigError(f"cannot build transform {spec!r}: {exc}")
 
     datum_spec = _inline(raw["datum"]) if "datum" in raw else None
-
-    resolved = {key: get(key) for key in _DEFAULTS}
-    resolved["transform"] = list(raw["transform"])
-    resolved["datum"] = raw.get("datum", "")
-    resolved["grid.lo"], resolved["grid.hi"], resolved["grid.h"] = lo, hi, h
-    resolved["flow.times"] = list(times)
-    resolved["certify.lambda_set"] = list(lambdas)
-    resolved["certify.plan"] = plan_kind
-    resolved["seed"] = seed
+    resolved.update({"transform": list(raw["transform"]), "datum": raw.get("datum", ""),
+                     "grid.lo": lo, "grid.hi": hi, "flow.times": list(times),
+                     "certify.lambda_set": list(lambdas), "certify.plan": plan_kind})
 
     return ExperimentConfig(
         transforms=transforms,

@@ -7,23 +7,23 @@ Data are represented on uniform grids with a certified Gaussian growth bound
 Every evolution is one operation: Simpson-weighted samples of the datum on a
 lattice H/m (H the output spacing) are convolved with a sampled kernel and
 read off at every m-th node.  Free space uses the Gaussian heat kernel.  The
-Dirichlet domains reflect the samples instead of the kernel (the method of
-images): along each axis the samples from the wall are extended oddly across
-it and convolved with one kernel, the Gaussian on the half line and, on a box
-(interval or rectangle), the periodic image sum, whose spectrum has a closed
-form.  The interval multiplies by that spectrum in one FFT of the odd
-period; a box of more axes samples the sum per axis by one inverse FFT.
-Other long 1D convolutions run as blocked FFTs, short ones (and data whose
-bound is too large) as direct sums, and every FFT carries a roundoff bound;
-data of two or more axes apply the decimated operator matrix of each axis
-along that axis; the same lines serve any number of axes.  One refinement
-loop doubles m until a two-grid Richardson comparison meets the requested
-tolerance or the lattice would pass a node budget, and the achieved
-estimate plus the roundoff bound is recorded on the result so downstream
-certification can build honest noise floors.
+half line is free space on the odd extension sign(x) (ell - phi(|x|)) (the
+method of images), truncated by the same rule.  A box (interval or
+rectangle) reflects the samples oddly across each wall and convolves them
+with the periodic image sum, whose spectrum has a closed form: the interval
+multiplies by it in one FFT of the odd period, a box of more axes samples
+the sum per axis by one inverse FFT.  Other long 1D convolutions run as
+blocked FFTs, short ones (and data whose bound is too large) as direct sums,
+and every FFT carries a roundoff bound; data of two or more axes apply the
+decimated operator matrix of each axis along that axis.  One refinement
+loop refuses a first pass that is not finite, then doubles m until a
+two-grid Richardson comparison meets the requested tolerance or the lattice
+would pass a node budget; the achieved estimate plus the roundoff bound is
+recorded on the result so certificates can build honest noise floors.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 from collections import OrderedDict
@@ -222,8 +222,6 @@ class GridFunction:
     def interp_to_lattice(self, *axes):
         """Values on the lattice axes[0] x axes[1] x ..., by monotone cubics."""
         vals = self.values
-        if not np.isfinite(vals).all():
-            raise DomainError("grid data to interpolate must be finite")
         for k, (a, x) in enumerate(zip(self.axes(), axes)):
             vals = np.moveaxis(_pchip(a, np.moveaxis(vals, k, 0), x), 0, k)
         return vals
@@ -251,13 +249,13 @@ class GridFunction:
         out.write(",".join(names) + ",value\n")
         values = self.values.ravel()
         grid = tuple((lo.hex(), hi.hex()) for lo, hi in self.extent), self.values.shape
-        table = None
+        # built at most once, for the blocks printed and the templates built
+        table = functools.cache(self._csv_table)
         row = "%.17g," * self.dim + "%.17g\n"
         for i in range(0, values.size, _CSV_ROWS):
-            rows = _csv_template(grid, i, self._csv_table)
+            rows = _csv_template(grid, i, table)
             if rows is None:
-                table = self._csv_table() if table is None else table
-                block = table[i:i + _CSV_ROWS]
+                block = table()[i:i + _CSV_ROWS]
                 out.write(row * len(block) % tuple(block.ravel().tolist()))
             else:
                 out.write(rows % tuple(values[i:i + _CSV_ROWS].tolist()))
@@ -434,7 +432,7 @@ def _resolve_datum(phi, dim):
 
     Returns (sample, a, A, breakpoints, spacing, inherited_error).
     sample(*axes) evaluates on the lattice axes[0] x axes[1] x ... (one axis:
-    at points) as floats.  Grid data raise EvaluationWindowError where a
+    at points, in any order) as floats.  Grid data raise EvaluationWindowError where a
     lattice axis leaves their extent by more than roundoff (1e-9 relative),
     and are read by monotone cubics clamped to it.  A callable's result is
     broadcast to the lattice, so a datum that reads some axes only is
@@ -448,10 +446,11 @@ def _resolve_datum(phi, dim):
 
         def sample(*axes):
             for y, (lo, hi) in zip(axes, phi.extent):
-                if y[0] < lo - 1e-9 * (1 + abs(lo)) or y[-1] > hi + 1e-9 * (1 + abs(hi)):
+                y_lo, y_hi = np.min(y), np.max(y)
+                if y_lo < lo - 1e-9 * (1 + abs(lo)) or y_hi > hi + 1e-9 * (1 + abs(hi)):
                     raise EvaluationWindowError(
                         f"datum known on {(lo, hi)} but integration window is "
-                        f"[{y[0]}, {y[-1]}]")
+                        f"[{y_lo}, {y_hi}]")
             return phi.interp_to_lattice(
                 *(np.clip(c, lo, hi) for c, (lo, hi) in zip(axes, phi.extent)))
         return (sample, phi.growth_a, phi.growth_A, ((),) * dim, min(phi.spacing),
@@ -582,9 +581,9 @@ def _kernel_apply(psi, m, kern, tol=np.inf):
     """The valid sums sum_j kern[q - j] psi[j] at every m-th output q, psi
     at least as long as kern.
 
-    Free space and the half line both come here: the half line passes its
-    samples already reflected (odd), so its images need no kernel of their
-    own.  Returns (u, roundoff, method).  Long kernels go
+    Free space and the half line both come here: the half line is the free
+    flow of its odd extension, so its images need no kernel of their own.
+    Returns (u, roundoff, method).  Long kernels go
     through the blocked FFT, whose roundoff is max(bound / (1 + |u|)) over
     the outputs; where that exceeds tol, and for short kernels, the sums
     are taken directly (roundoff 0: the pointwise rounding of direct sums is
@@ -661,11 +660,12 @@ def _start_factor(spacings, t, datum_h):
 def _refine(one_pass, m, quad_tol, max_refine, cells):
     """Double m until two passes agree to quad_tol; returns (values, record).
 
-    one_pass(m) returns (values, roundoff, kernel_method, kernel_len).  A lattice has
-    c m + 1 nodes along an axis of c cells at m = 1 (cells lists c per
-    axis).  A first lattice above _MAX_LATTICE_NODES raises DomainError
-    before one_pass samples anything; doubling stops before the lattice
-    would pass it, keeping the last finished pass.  The record holds quad_error, the
+    one_pass(m) returns (values, roundoff, kernel_method, kernel_len).  A
+    lattice has c m + 1 nodes along an axis of c cells at m = 1 (cells lists
+    c per axis).  DomainError for a first lattice above _MAX_LATTICE_NODES,
+    before one_pass samples anything, and for a first pass that is not
+    finite (data unbounded on the lattice); doubling stops short of the
+    budget, keeping the last finished pass.  The record holds quad_error, the
     Richardson estimate |u_2m - u_m| / (15 (1 + |u_2m|)) of the last doubling
     (inf when none ran), the roundoff_error, kernel_method and kernel_len of
     the last pass, lattice_factor, converged (quad_error <= quad_tol) and
@@ -679,6 +679,9 @@ def _refine(one_pass, m, quad_tol, max_refine, cells):
         raise DomainError(f"the first lattice (factor {m}) has {nodes(m)} nodes, "
                           f"above the budget of {_MAX_LATTICE_NODES}")
     u, roundoff, method, taps = one_pass(m)
+    if not np.all(np.isfinite(u)):
+        raise DomainError(f"datum must be bounded: the first pass (lattice factor "
+                          f"{m}) is not finite")
     est = np.inf
     history = [[m, None]]
     for _ in range(max_refine):
@@ -706,26 +709,29 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     phi: GridFunction or InitialDatum (callable + growth certificate).
     out_grid: (lo, hi, h) for one axis or one such triple per axis; grid
     data of another dimension raise ValueError, grid data short of the
-    quadrature window EvaluationWindowError.  One axis applies the kernel
-    as one convolution (_kernel_apply), more axes its decimated matrix along
-    each axis (_separable).  Raises ExistenceWindowError unless
-    4*growth_A*t < 1 - margin.  The quadrature window is truncated where the
-    closed-form Gaussian tail bound (from the growth certificate) drops
-    below eps_tail relative to the growth scale of the result; composite
-    Simpson quadrature is refined by doubling until two-grid Richardson
-    agreement reaches quad_tol (relative), or until the next lattice would
-    pass _MAX_LATTICE_NODES nodes (a first lattice above it raises
-    DomainError).  The achieved estimate plus the kernel operator's roundoff
-    bound is recorded in value_error; meta says how it was reached
-    (quad_error, roundoff_error, kernel_method, kernel_len, the kernel taps
-    per axis, lattice_factor, converged, refine_history, tail_bound,
-    truncation_radius R, inherited_error).
+    quadrature window EvaluationWindowError, and 4*growth_A*t >= 1 - margin
+    ExistenceWindowError.  One axis applies the kernel as one convolution
+    (_kernel_apply), more axes its decimated matrix along each axis
+    (_separable).  The window is truncated where the closed-form Gaussian
+    tail bound of the growth certificate drops below eps_tail relative to
+    the result's growth scale (_truncation_window); _refine doubles the
+    Simpson lattice until quad_tol or its node budget.  value_error adds the
+    estimate, the kernel operator's roundoff bound, the tail and the
+    inherited error; meta says how it was reached (_refine's record,
+    tail_bound, truncation_radius R, inherited_error).
     """
     if t <= 0:
         raise ValueError("t must be positive")
     grids = _axis_grids(out_grid)
+    return _free_flow(_resolve_datum(phi, len(grids)), t, grids, eps_tail,
+                      quad_tol, max_refine)
+
+
+def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
+    """heat_evolve_free of a datum as _resolve_datum returns it, on the
+    per-axis grids."""
     dim = len(grids)
-    sample, a, A, brk, phi_h, inherited = _resolve_datum(phi, dim)
+    sample, a, A, brk, phi_h, inherited = datum
     check_existence(A, t)
 
     ns = [grid_nodes(lo, hi, h).size for lo, hi, h in grids]
@@ -845,87 +851,80 @@ def _box_apply(psi, m, L, t):
     return u, float(bound / (1.0 + np.min(np.abs(u)))), "spectral"
 
 
+# the half line's tail tolerance, tighter than free space's default eps_tail
+_HALF_LINE_EPS_TAIL = 1e-12
+
+
+def _half_line_flow(phi, ell, t, out_grid, quad_tol, max_refine):
+    """ell minus the free flow of w(y) = sign(y) (ell - phi(|y|)), of
+    certificate (|ell| + a, A) and breakpoints 0 and +-b, with the wall node
+    ell.  Errors relative to 1 + |w| grow by at most 1 + |ell| relative to
+    1 + |ell - w|, for the datum's own as for the flow's."""
+    grids = _axis_grids(out_grid)
+    if len(grids) != 1 or abs(grids[0][0]) > 1e-12:
+        raise ValueError("out_grid must span the half_line from its wall 0 on")
+    sample, a, A, (brk,), phi_h, inherited = _resolve_datum(phi, 1)
+    scale = 1.0 + abs(ell)
+
+    def odd(y):
+        return np.sign(y) * (ell - sample(np.abs(y)).reshape(np.shape(y)))
+
+    w = _free_flow((odd, abs(ell) + a, A, ((0.0, *brk, *(-b for b in brk)),),
+                    phi_h, scale * inherited), t, grids, _HALF_LINE_EPS_TAIL,
+                   quad_tol, max_refine)
+    w.values[:] = ell - w.values
+    w.values[0] = ell
+    return replace(w, growth_a=abs(ell) + w.growth_a, value_error=scale * w.value_error)
+
+
 def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
-                          eps_tail=1e-12, max_refine=6):
+                          max_refine=6):
     """Evolve phi holding the boundary at domain.ell, by the method of images.
 
-    phi: GridFunction on the domain, or InitialDatum.  The complement
-    v0 = ell - phi has zero boundary data.  Along each axis its weighted
-    samples psi, taken on a lattice from the lower wall, are reflected
-    oddly across that wall (psi[-j] = -psi[j]; the wall sample, which
-    cancels against its own image, is 0) and convolved with one kernel: on
-    the half line the Gaussian, cut where its tail drops below eps_tail
-    (tail_bound); on a box the periodic image sum, whose rounding joins
-    roundoff_error (tail_bound 0).  The interval applies that sum as one
-    circular convolution with its closed-form spectrum (_box_apply,
-    kernel_method "spectral"), a box of more axes the matrix of its
-    samples (_dirichlet_kernels) along each axis.  out_grid is (lo, hi, h)
-    per axis, from the lower wall to the upper wall where that is finite.  Data
-    or grids of the wrong dimension raise ValueError, unbounded data
-    DomainError, grid data short of the lattice (on the half line, R beyond
-    the last output) EvaluationWindowError.
-    Boundary nodes of the result are exact.  Refinement, the node budget
-    and meta are as in heat_evolve_free; a box has truncation_radius None,
-    and the interval's kernel_len is its circular period.
+    phi: GridFunction on the domain, or InitialDatum; out_grid: (lo, hi, h)
+    per axis, from the lower wall (to the upper wall on a box).  The half
+    line is the free flow of its odd extension (_half_line_flow).  On a box
+    the weighted samples psi of v0 = ell - phi, on a lattice from wall to
+    wall, are reflected oddly across the lower wall along each axis (the
+    wall sample cancels against its own image: 0) and convolved with the
+    periodic image sum, whose rounding joins roundoff_error (tail_bound 0):
+    on the interval in one circular convolution with its closed-form
+    spectrum (_box_apply, kernel_method "spectral", kernel_len the period),
+    on more axes by the matrix of its samples (_dirichlet_kernels).  Data or
+    grids of the wrong dimension raise ValueError, grid data short of the
+    lattice EvaluationWindowError.  Boundary nodes of the result are exact.
+    Refinement and meta are as in heat_evolve_free (truncation_radius None).
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if domain.kind not in ("half_line", "interval", "rectangle"):
-        raise ValueError(f"unsupported domain kind {domain.kind!r} for Dirichlet flow")
-    dim = domain.n
-    sample, _, _, brk, phi_h, inherited = _resolve_datum(phi, dim)
-    ell = domain.ell
-
-    def u0(*ax):
-        return ell - sample(*ax)
-
-    grids = _axis_grids(out_grid)
-    if len(grids) != dim:
-        raise ValueError(f"{len(grids)} grid axes for a dim-{dim} domain")
-    for (lo, hi, _), (a, b) in zip(grids, domain.bounds):
-        if abs(lo - a) > 1e-12 or (np.isfinite(b) and abs(hi - b) > 1e-12):
-            raise ValueError(f"out_grid must span the {domain.kind}, from "
-                             "its lower wall to its upper wall if finite")
-    ns = tuple(grid_nodes(*g).size for g in grids)
-    extent = tuple((a, b if np.isfinite(b) else g[1])
-                   for g, (a, b) in zip(grids, domain.bounds))
-    Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
-    walls = tuple(b for _, b in domain.bounds)
-    # a monotone-cubic interpolant stays within its data, so grid data are
-    # probed at their nodes, callables on at most 257^2 points, 257 per axis
-    # in 1D and 2D (on the half line out to 8 sqrt(t) beyond the last output)
-    probe = np.abs(ell - phi.values if isinstance(phi, GridFunction) else u0(*(
-        np.linspace(lo, hi if np.isfinite(b) else hi + 8 * np.sqrt(t),
-                    int(257 ** (2 / max(2, dim))))
-        for (lo, hi), b in zip(extent, walls))))
-    if not np.all(np.isfinite(probe)):
-        raise DomainError("datum must be bounded on the domain")
     if domain.kind == "half_line":
-        R = float(2.0 * np.sqrt(t * np.log(max(float(np.max(probe)), 1.0) / eps_tail))
-                  + 4 * np.sqrt(t))
-        # the lattice runs ceil(R / H) cells beyond the last output
-        margin, tail = int(np.ceil(R / Hs[0])), eps_tail
-    else:
-        R, margin, tail = None, 0, 0.0
+        return _half_line_flow(phi, domain.ell, t, out_grid, quad_tol, max_refine)
+    if domain.kind not in ("interval", "rectangle"):
+        raise ValueError(f"unsupported domain kind {domain.kind!r} for Dirichlet flow")
+    dim, ell = domain.n, domain.ell
+    sample, _, _, brk, phi_h, inherited = _resolve_datum(phi, dim)
+    grids = _axis_grids(out_grid)
+    if len(grids) != dim or any(abs(lo - a) > 1e-12 or abs(hi - b) > 1e-12 for
+                                (lo, hi, _), (a, b) in zip(grids, domain.bounds)):
+        raise ValueError(f"out_grid must span the {domain.kind} from wall to wall, "
+                         f"one (lo, hi, h) per axis")
+    ns = tuple(grid_nodes(*g).size for g in grids)
+    extent = domain.bounds
+    Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
 
     def one_pass(m):
-        # lattice nodes from the lower wall, and snapped piece edges
-        axes = [lo + H / m * np.arange((n - 1 + margin) * m + 1)
+        # lattice nodes from wall to wall, and snapped piece edges
+        axes = [lo + H / m * np.arange((n - 1) * m + 1)
                 for (lo, _), H, n in zip(extent, Hs, ns)]
         edges = [_snap_edges(lo, H / m, y.size, b)
                  for (lo, _), H, y, b in zip(extent, Hs, axes, brk)]
         if dim == 1:
-            psi = _piece_weighted_values(u0, axes[0], edges[0], Hs[0] / m)
+            psi = _piece_weighted_values(lambda y: ell - sample(y), axes[0],
+                                         edges[0], Hs[0] / m)
             psi[0] = 0.0
-            if domain.kind != "half_line":
-                (lo, hi), = extent
-                # one circular convolution of period 2 (psi.size - 1)
-                return (*_box_apply(psi, m, hi - lo, t), [2 * (psi.size - 1)])
-            # the Gaussian, reflected as far as it reaches
-            p = margin * m
-            kern = gauss_kernel(Hs[0] / m * np.arange(-p, p + 1), t)
-            return (*_kernel_apply(np.concatenate((-psi[p:0:-1], psi)), m, kern,
-                                   tol=quad_tol / 100.0), [kern.size])
+            (lo, hi), = extent
+            # one circular convolution of period 2 (psi.size - 1)
+            return (*_box_apply(psi, m, hi - lo, t), [2 * (psi.size - 1)])
         # per axis, the matrix of the image sum on odd data, reflected
         # across the whole box and folded onto the samples from the wall
         kerns, deltas = zip(*(_dirichlet_kernels(hi - lo, t, y.size - 1)
@@ -933,24 +932,23 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
         full = [_kernel_matrix(2 * y.size - 1, m, n, k)
                 for y, n, k in zip(axes, ns, kerns)]
         return (*_separable(
-            u0(*axes),
+            ell - sample(*axes),
             [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
             [f[:, y.size - 1:] - f[:, y.size - 1::-1] for f, y in zip(full, axes)],
             deltas), [k.size for k in kerns])
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
-                     max_refine, [n - 1 + margin for n in ns])
+                     max_refine, [n - 1 for n in ns])
     vals = ell - u
-    for k, b in enumerate(walls):
-        for e in ((0,) if np.isinf(b) else (0, -1)):
-            vals[(slice(None),) * k + (e,)] = ell
+    for k in range(dim):
+        vals[(slice(None),) * k + ([0, -1],)] = ell
     bound = float(np.max(np.abs(vals)))
     return GridFunction(values=vals, extent=extent,
                         growth_a=max(bound, 1e-300), growth_A=0.0,
                         value_error=(rec["quad_error"] + rec["roundoff_error"]
-                                     + tail + 1.5 * inherited),
-                        meta={"t": t, **rec, "tail_bound": tail,
-                              "truncation_radius": R, "inherited_error": inherited})
+                                     + 1.5 * inherited),
+                        meta={"t": t, **rec, "tail_bound": 0.0,
+                              "truncation_radius": None, "inherited_error": inherited})
 
 
 # -- heat-evolved step function and its inverse ------------------------------

@@ -107,7 +107,7 @@ def test_criterion_03_destruction_suite():
         F = make_power_alpha(alpha)
         phi = counterexample_datum(F, 1.0)
         cert, t_first = hunt_violation(F, phi, times=(0.05, 0.1, 0.2),
-                                       window=(-8.0, 8.0), n_base=257)
+                                       grid=(-8.0, 8.0, 16.0 / 256))
         good = (t_first is not None and t_first <= 0.2 and cert.significant)
         ok &= good
         if good:

@@ -284,7 +284,7 @@ def test_hunt_dichotomy(alpha, destroyed):
     F = make_power_alpha(alpha)
     phi = counterexample_datum(F, 1.0)
     cert, t_first = hunt_violation(F, phi, times=(0.05, 0.1),
-                                   window=(-6.0, 6.0), refine=2, n_base=129)
+                                   grid=(-6.0, 6.0, 12.0 / 128), refine=2)
     if destroyed:
         assert t_first is not None
         assert cert.significant
@@ -299,8 +299,8 @@ def test_hunt_history_records_refinement_passes():
     F = make_power_alpha(2.0)
     phi = counterexample_datum(F, 1.0)
     history = []
-    cert, t_first = hunt_violation(F, phi, times=(0.05,), window=(-6.0, 6.0),
-                                   refine=2, n_base=129, history=history)
+    cert, t_first = hunt_violation(F, phi, times=(0.05,), grid=(-6.0, 6.0, 12.0 / 128),
+                                   refine=2, history=history)
     assert t_first == 0.05
     assert len(history) >= 2
     levels = [rec["level"] for rec in history]

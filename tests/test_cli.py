@@ -234,6 +234,34 @@ def test_interval_window_resolves_to_its_walls(tmp_path):
     assert u.extent == ((0.0, 2.0),) and u.values.size == 129
 
 
+def test_tail_tolerance_on_an_interval_is_a_config_error(tmp_path, capsys):
+    """The interval truncates nothing: flow.eps_tail = 1e-3 used to exit 0,
+    with "1e-3" recorded in evolve_meta.json and no effect on the run."""
+    cfg = write_config(tmp_path, "datum = gaussian t0=0.5\nflow.eps_tail = 1e-3\n"
+                       + INTERVAL_CFG)
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert "flow.eps_tail does not apply to an interval" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_meta_records_the_parsed_value_of_every_key(tmp_path):
+    """Keys set in the file used to be recorded as the strings written there
+    ("flow.eps_tail": "1e-3"), defaults as numbers."""
+    set_keys = ("flow.eps_tail = 1e-3\ncertify.n_random = 800\n"
+                "certify.refine_levels = 2\ncertify.significance_factor = 5\n")
+    configs = []
+    for name, extra in (("default", ""), ("set", set_keys)):
+        cfg = write_config(tmp_path, EVOLVE_CFG + extra, name=f"{name}.cfg")
+        assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        configs.append(json.loads((tmp_path / name / "evolve_meta.json").read_text())["config"])
+    default, given = configs
+    assert {k: type(v) for k, v in default.items()} == {k: type(v) for k, v in given.items()}
+    assert (given["flow.eps_tail"], given["certify.n_random"], given["certify.refine_levels"],
+            given["certify.significance_factor"]) == (1e-3, 800, 2, 5.0)
+    assert (default["flow.eps_tail"], default["certify.n_random"]) == (1e-10, 4000)
+
+
 def test_grid_spacing_wider_than_the_interval_is_a_config_error(tmp_path, capsys):
     """grid.h = 2 on the unit interval used to become one cell: the run
     exited 0 and wrote two nodes."""

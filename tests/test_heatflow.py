@@ -270,6 +270,56 @@ def test_dirichlet_half_line_grid_data():
     assert rel_err(u.values, exact) < 1e-8
 
 
+def test_half_line_is_the_free_flow_of_the_odd_extension():
+    """sin(pi x) is its own odd extension: the half line's record is the free
+    path's at the half line's tail tolerance, with 0 as a breakpoint."""
+    free = heat_evolve_free(InitialDatum(fn=_SIN.fn, breakpoints=(0.0,)), 0.05,
+                            (0.0, 2.0, 1.0 / 8), eps_tail=heatflow._HALF_LINE_EPS_TAIL)
+    u = heat_evolve_dirichlet(_SIN, DomainSpec.half_line(), 0.05, (0.0, 2.0, 1.0 / 8))
+    assert u.values[0] == 0.0 and abs(free.values[0]) <= free.value_error
+    assert np.max(np.abs(u.values[1:] - free.values[1:])) <= 1e-15
+    assert u.value_error == free.value_error
+    assert (u.growth_a, u.growth_A) == (free.growth_a, free.growth_A)
+    for key in ("truncation_radius", "tail_bound", "kernel_len", "lattice_factor"):
+        assert u.meta[key] == free.meta[key], key
+
+
+def test_half_line_sizes_its_window_by_the_growth_certificate():
+    """exp(3 x^2), certificate (1, 3): the half line used to size its window
+    by probing the datum near the outputs, and erred by 4.6e-4 with a
+    value_error of 1.3e-8.  With beta = 1/(4t) - 3 the image integral
+    int_0^inf (G(x - y) - G(x + y)) exp(3 y^2) dy is
+    exp(3 x^2 / (4 t beta)) erf(x / (4 t sqrt(beta))) / sqrt(4 t beta);
+    mpmath evaluates it at 40 digits, checked against its quadrature."""
+    mp = pytest.importorskip("mpmath")
+    t, A = 0.05, 3.0
+    phi = InitialDatum(fn=lambda x: np.exp(A * np.asarray(x, float) ** 2),
+                       growth_a=1.0, growth_A=A)
+    u = heat_evolve_dirichlet(phi, DomainSpec.half_line(), t, (0.0, 2.0, 1.0 / 32))
+    x, vals = u.axes()[0][::2], u.values[::2]
+    with mp.workdps(40):
+        T = mp.mpf(t)
+        beta = 1 / (4 * T) - A
+        g = lambda z: mp.exp(-z ** 2 / (4 * T)) / mp.sqrt(4 * mp.pi * T)
+
+        def closed(v):
+            v = mp.mpf(float(v))
+            return (mp.exp(A * v ** 2 / (4 * T * beta)) * mp.erf(v / (4 * T * mp.sqrt(beta)))
+                    / mp.sqrt(4 * T * beta))
+
+        def images(v):
+            v, c = mp.mpf(float(v)), mp.mpf(float(v)) / (4 * T * beta)
+            return mp.quad(lambda y: (g(v - y) - g(v + y)) * mp.exp(A * y ** 2),
+                           [0, c, c + 2, mp.inf])
+
+        for v in (0.25, 1.0, 2.0):
+            assert abs(closed(v) - images(v)) <= mp.mpf(10) ** -30 * abs(closed(v))
+        oracle = np.array([float(closed(v)) for v in x])
+    assert x.size == 33 and u.meta["converged"]
+    assert np.all(np.abs(vals - oracle) <= u.value_error * (1.0 + np.abs(vals)))
+    assert u.value_error < 1e-9
+
+
 def test_dirichlet_rectangle_product_eigenfunction():
     dom = DomainSpec.rectangle(((0.0, np.pi), (0.0, np.pi)), ell=0.0)
     phi = InitialDatum(fn=lambda x, y: np.sin(x) * np.sin(y),
@@ -405,8 +455,24 @@ def test_box_out_grid_must_span_the_domain(domain, out_grid):
      ((0.0, 1.0, 1.0 / 8), (0.0, 1.0, 1.0 / 8))),
 ], ids=["interval", "rectangle"])
 def test_box_refuses_unbounded_data(domain, phi, out_grid):
-    with np.errstate(divide="ignore"), pytest.raises(DomainError, match="bounded"):
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            DomainError, match="bounded"):
         heat_evolve_dirichlet(phi, domain, 0.05, out_grid)
+
+
+@pytest.mark.parametrize("evolve", [
+    lambda phi: heat_evolve_free(phi, 0.05, (-1.0, 1.0, 1.0 / 16)),
+    lambda phi: heat_evolve_dirichlet(phi, DomainSpec.half_line(), 0.05, (0.0, 1.0, 1.0 / 16)),
+], ids=["free_space", "half_line"])
+def test_a_pole_is_refused_after_the_first_pass(evolve):
+    """1/|x - 0.5| is infinite at a lattice node: its values came back inf,
+    with quad_error NaN, after six doublings to lattice factor 192."""
+    phi, calls = _counting(InitialDatum(fn=lambda x: 1.0 / np.abs(x - 0.5)))
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            DomainError, match="bounded: the first pass"):
+        evolve(phi)
+    # one lattice, then the one-sided samples at the half line's wall
+    assert sum(np.size(xs[0]) > 1 for xs in calls) == 1
 
 
 def _sine_grid(*his):
@@ -655,8 +721,7 @@ def test_first_lattice_above_the_budget_is_refused_before_sampling(monkeypatch):
         phi, calls = _counting(_SIN2)
         with pytest.raises(DomainError, match="budget of 1000"):
             evolve(phi)
-        # the rectangle probes its datum for boundedness, never a lattice
-        assert all(np.broadcast(*xs).size <= 257 ** 2 for xs in calls)
+        assert calls == []
 
 
 def test_3d_gaussian_product_meets_the_closed_form(monkeypatch):
@@ -913,6 +978,19 @@ def test_to_csv_in_sequence_matches_the_per_row_writer(grids, keys, templates):
         assert gf.to_csv() == _per_row_csv(gf)
     assert len(_csv_templates) == keys
     assert sum(rows is not None for rows in _csv_templates.values()) == templates
+
+
+def test_each_write_builds_the_coordinate_table_at_most_once(monkeypatch):
+    """The second write of a 16385-node grid builds templates for its 5
+    blocks; it used to build the whole table once per block."""
+    gf = _grid((16385,), ((-8.0, 8.0),), 15)
+    builds, build = [], GridFunction._csv_table
+    monkeypatch.setattr(GridFunction, "_csv_table", lambda self: builds.append(1) or build(self))
+    _csv_templates.clear()
+    for want in (1, 1, 0):
+        del builds[:]
+        assert gf.to_csv() == _per_row_csv(gf)
+        assert len(builds) == want
 
 
 def test_gauss_kernel_unit_mass():
