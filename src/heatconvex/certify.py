@@ -24,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heatflow import GridFunction, InitialDatum, fit_growth_envelope, heat_evolve_free
+from .heatflow import (GridFunction, InitialDatum, fit_growth_envelope, grid_nodes,
+                       heat_evolve_free)
 from .numerics import DomainError
 
 __all__ = [
@@ -556,19 +557,19 @@ def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,
                    significance_factor=10.0, eps_tail=1e-10):
     """Search scheduled times for a grid-stable significant violation.
 
-    For each time the datum is evolved on grid = (lo, hi, h), h snapped to
-    fit, then on halved spacings until the significance verdict repeats and
-    the worst gap has converged (or `refine` doublings are exhausted);
-    discrete artifacts vanish under refinement while genuine violations
-    persist.  Returns (certificate, t_first) with t_first the earliest time
-    whose violation is stable, else (worst certificate seen, None).  Pass a
-    list as `history` to collect one record per (time, refinement level)
-    actually run, with the evolution's converged, quad_error and
+    For each time the datum is evolved on grid = (lo, hi, h), h snapped by
+    grid_nodes, then on halved spacings until the significance verdict
+    repeats and the worst gap has converged (or `refine` doublings are
+    exhausted): discrete artifacts vanish under refinement, genuine
+    violations persist.  Returns (certificate, t_first), t_first the
+    earliest time whose violation is stable, else (worst certificate seen,
+    None).  A list passed as `history` collects one record per (time,
+    refinement level) run, with the evolution's converged, quad_error and
     lattice_factor.  eps_tail is passed on to heat_evolve_free.
     """
     plan = plan or SamplingPlan()
     lo, hi, h0 = grid
-    h0 = (hi - lo) / max(1, round((hi - lo) / h0))
+    h0 = (hi - lo) / (grid_nodes(lo, hi, h0).size - 1)
     overall = None
     for t in sorted(times):
         h = h0

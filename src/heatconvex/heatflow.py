@@ -432,13 +432,13 @@ def _resolve_datum(phi, dim):
 
     Returns (sample, a, A, breakpoints, spacing, inherited_error).
     sample(*axes) evaluates on the lattice axes[0] x axes[1] x ... (one axis:
-    at points, in any order) as floats.  Grid data raise EvaluationWindowError where a
-    lattice axis leaves their extent by more than roundoff (1e-9 relative),
-    and are read by monotone cubics clamped to it.  A callable's result is
-    broadcast to the lattice, so a datum that reads some axes only is
-    evaluated on those only.  breakpoints holds kink coordinates per axis
-    (a datum's flat tuple serves every axis).  spacing (the finest grid
-    spacing) is None for callable data.
+    at points, in any order) as floats.  Grid data raise
+    EvaluationWindowError where a lattice axis leaves their extent by more
+    than roundoff (1e-9 relative), and are read by monotone cubics clamped
+    to it.  A callable's result is broadcast to the lattice, so a datum that
+    reads some axes only is evaluated on those only.  breakpoints holds kink
+    coordinates per axis (a datum's flat tuple serves every axis).  spacing
+    (the finest grid spacing) is None for callable data.
     """
     if isinstance(phi, GridFunction):
         if phi.dim != dim:
