@@ -555,6 +555,8 @@ def _gauss_taps(H, dim=1):
     (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 0.1), 4.0,
                                    (0.0, 0.1, 0.1 / 16)), "spectral", True,
      lambda m, R: [2 * 16 * m]),
+    # the free path's record: the half line is the free flow of its odd
+    # extension, with a tail bound and a truncation radius of its own
     (lambda: heat_evolve_dirichlet(_SIN, DomainSpec.half_line(), 0.05,
                                    (0.0, 2.0, 1.0 / 8)), "direct", False,
      _gauss_taps(1.0 / 8)),
