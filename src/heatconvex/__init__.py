@@ -32,7 +32,6 @@ from .transforms import (
     compare_strength,
     default_j_window,
     make_affine,
-    make_custom,
     make_exp,
     make_from_g,
     make_hot,
@@ -46,7 +45,6 @@ from .heatflow import (
     ExistenceWindowError,
     GridFunction,
     InitialDatum,
-    epsilon_quadratic_lift,
     fit_growth_envelope,
     gauss_kernel,
     grid_nodes,
@@ -55,7 +53,6 @@ from .heatflow import (
     hot_H,
     hot_h,
     hot_h_deriv,
-    lifted_evolution_identity,
 )
 from .certify import (
     Certificate,
@@ -103,7 +100,6 @@ __all__ = [
     "counterexample_datum",
     "default_j_window",
     "discrete_convexity_defect",
-    "epsilon_quadratic_lift",
     "fit_growth_envelope",
     "gauss_kernel",
     "grid_nodes",
@@ -114,9 +110,7 @@ __all__ = [
     "hot_h_deriv",
     "hunt_violation",
     "invert_monotone",
-    "lifted_evolution_identity",
     "make_affine",
-    "make_custom",
     "make_exp",
     "make_from_g",
     "make_hot",

@@ -49,8 +49,6 @@ __all__ = [
     "hot_h",
     "hot_h_deriv",
     "hot_H",
-    "epsilon_quadratic_lift",
-    "lifted_evolution_identity",
 ]
 
 EXISTENCE_MARGIN = 0.05
@@ -978,42 +976,3 @@ def hot_H(r):
     if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
         raise DomainError("hot_H needs arguments strictly inside (0, 1)")
     return invert_monotone(hot_h, r, -75.0, 75.0, deriv=hot_h_deriv)
-
-
-# -- quadratic lift ----------------------------------------------------------
-
-
-def _lift_growth(a, A, eps):
-    """(a, A) bounding a exp(A |x|^2) + eps |x|^2: |x|^2 <= exp(A |x|^2) / (e A)."""
-    A = max(A, 1e-3) if eps > 0 else A
-    return a + (eps / (np.e * A) if eps > 0 else 0.0), A
-
-
-def epsilon_quadratic_lift(phi, eps):
-    """Datum phi + eps |x|^2 with an updated growth certificate."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if not isinstance(phi, (GridFunction, InitialDatum)):
-        raise TypeError("phi must be GridFunction or InitialDatum")
-    a, A = _lift_growth(phi.growth_a, phi.growth_A, eps)
-    if isinstance(phi, GridFunction):
-        return replace(phi, values=phi.values + eps * phi._radius_sq(),
-                       growth_a=a, growth_A=A)
-    base = phi.fn
-
-    def lifted(*xs):
-        r2 = sum(np.asarray(c, dtype=float) ** 2 for c in xs)
-        return base(*xs) + eps * r2
-
-    return InitialDatum(fn=lifted, growth_a=a, growth_A=A,
-                        breakpoints=phi.breakpoints,
-                        label=(phi.label + "+lift") if phi.label else "lifted")
-
-
-def lifted_evolution_identity(u, eps, t):
-    """Exact evolution of the lift: u + eps (|x|^2 + 2 n t) on u's grid,
-    certified as epsilon_quadratic_lift certifies the lift plus 2 n t eps."""
-    n = u.dim
-    a, A = _lift_growth(u.growth_a, u.growth_A, eps)
-    return replace(u, values=u.values + eps * (u._radius_sq() + 2.0 * n * t),
-                   growth_a=a + 2 * n * t * eps, growth_A=A)

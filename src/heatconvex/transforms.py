@@ -45,7 +45,6 @@ __all__ = [
     "make_hot",
     "make_neglog",
     "make_from_g",
-    "make_custom",
     "scale_shift",
     "abs_kink_generator",
     "builtin_transforms",
@@ -78,10 +77,10 @@ class FTransform:
     domain_kind: 'half_line_nonneg' (values r >= 0), 'whole_line', or
     'bounded_above' (values in [lower_a, upper_ell] with F(upper_ell) = inf).
     (j_lo, j_hi) bound the open image interval J of the domain interior;
-    inverse/log_inverse/g are defined there.  All callables are vectorized.
-    g is _g_closed when given; else it differentiates _log_inverse_deriv,
-    log f_F' exactly, when given, and otherwise the log of central
-    differences of _inverse.
+    inverse/log_inverse/g are defined there.  All callables are vectorized,
+    and f_F, f_F' and log |f_F| are closed forms.  g is _g_closed when
+    given; else it central-differences _log_inverse_deriv, the closed-form
+    log f_F'.
     """
 
     domain_kind: str
@@ -90,10 +89,10 @@ class FTransform:
     j_lo: float
     j_hi: float
     label: str
-    _eval: object = None
-    _inverse: object = None
-    _inverse_deriv: object = None
-    _log_inverse: object = None
+    _eval: object
+    _inverse: object
+    _inverse_deriv: object
+    _log_inverse: object
     _g_closed: object = None
     _log_inverse_deriv: object = None
 
@@ -118,21 +117,14 @@ class FTransform:
 
     def inverse_deriv(self, z):
         arr = self._check_j(z, slack=0.0)
-        if self._inverse_deriv is not None:
-            with np.errstate(divide="ignore", over="ignore"):
-                return _scalar_like(self._inverse_deriv(arr), z)
-        h = fd_step(arr)
-        return _scalar_like(
-            (self.inverse(arr + h) - self.inverse(arr - h)) / (2 * h), z)
+        with np.errstate(divide="ignore", over="ignore"):
+            return _scalar_like(self._inverse_deriv(arr), z)
 
     def log_inverse(self, z):
         """log |f_F(z)|, stable where f_F itself would overflow."""
         arr = self._check_j(z, slack=0.0)
-        if self._log_inverse is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return _scalar_like(self._log_inverse(arr), z)
-        with np.errstate(divide="ignore", over="ignore"):
-            return _scalar_like(np.log(np.abs(self._inverse(arr))), z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _scalar_like(self._log_inverse(arr), z)
 
     def g(self, z):
         """Curvature profile (log f_F')' at z in J."""
@@ -141,11 +133,10 @@ class FTransform:
     def g_with_noise(self, z):
         """g values plus a per-point absolute noise estimate.
 
-        Closed forms carry roundoff-level noise.  Transforms without a closed
-        form differentiate log f_F' centrally; the noise estimate compares
-        steps h and 2h, which picks up the O(h) error near slope kinks, and
-        adds the rounding of the differenced log f_F' samples over 2h (of
-        order eps/h^2 when f_F' is itself a central difference).
+        A closed-form g carries roundoff-level noise.  Without one, g is the
+        central difference of the closed-form log f_F'; the noise estimate
+        compares steps h and 2h, which picks up the O(h) error near slope
+        kinks, and adds the rounding of log f_F' over h.
         """
         arr = self._check_j(z, slack=2 * fd_step(_as_float_array(z)))
         scalar = np.ndim(z) == 0
@@ -159,30 +150,12 @@ class FTransform:
             return float(vals[0]), float(noise[0])
         return vals, noise
 
-    def _log_fprime(self, z, rounding=False):
-        """log f_F' at z; with rounding, also its rounding error: 0 for the
-        closed form, and for the central difference (f(z+h) - f(z-h))/(2h)
-        two ulps of each f value over their difference plus the rounding
-        of z +- h against 2h."""
-        if self._log_inverse_deriv is not None:
-            log_fprime = self._log_inverse_deriv(z)
-            return (log_fprime, 0.0) if rounding else log_fprime
-        h = fd_step(z)
-        up, down = self._inverse(z + h), self._inverse(z - h)
-        log_fprime = np.log((up - down) / (2 * h))
-        if not rounding:
-            return log_fprime
-        return log_fprime, (2 * _EPS * (np.abs(up) + np.abs(down)) / np.abs(up - down)
-                            + _EPS * (np.abs(z) + h) / (2 * h))
-
     def _g_fd(self, z):
-        h = fd_step(z)
-        up, rho_up = self._log_fprime(z + h, rounding=True)
-        down, rho_down = self._log_fprime(z - h, rounding=True)
-        d1 = (up - down) / (2 * h)
-        d2 = (self._log_fprime(z + 2 * h) - self._log_fprime(z - 2 * h)) / (4 * h)
-        scale = np.abs(self._log_fprime(z)) + 1.0
-        noise = np.abs(d1 - d2) / 3.0 + 4 * _EPS * scale / h + (rho_up + rho_down) / (2 * h)
+        log_fprime, h = self._log_inverse_deriv, fd_step(z)
+        d1 = (log_fprime(z + h) - log_fprime(z - h)) / (2 * h)
+        d2 = (log_fprime(z + 2 * h) - log_fprime(z - 2 * h)) / (4 * h)
+        scale = np.abs(log_fprime(z)) + 1.0
+        noise = np.abs(d1 - d2) / 3.0 + 4 * _EPS * scale / h
         return d1, noise
 
     def _check_j(self, z, slack):
@@ -436,18 +409,6 @@ def make_neglog(a, ell):
     )
 
 
-def make_custom(eval_fn, inverse_fn, domain_kind, lower_a, upper_ell,
-                j_lo, j_hi, label="custom"):
-    """Wrap user callables as a transform: f_F', log |f_F| and g come from
-    inverse_fn alone, the derivatives by central differences."""
-    return FTransform(
-        domain_kind=domain_kind,
-        lower_a=float(lower_a), upper_ell=float(upper_ell),
-        j_lo=float(j_lo), j_hi=float(j_hi), label=label,
-        _eval=eval_fn, _inverse=inverse_fn,
-    )
-
-
 def scale_shift(F, A, B):
     """The transform A*F + B (A > 0), which defines the same convexity class."""
     A, B = float(A), float(B)
@@ -519,6 +480,28 @@ def _log_mass(g, base):
     return log_int
 
 
+def _log_left_mass(g, base):
+    """z -> log int_{-inf}^z exp(G) for G' = g, G(base) = 0, where the left
+    tail's mass is finite: the gaps left of z accumulated from -inf plus z's
+    own piece, which in the first gap is integrated from z out to -inf."""
+    knots, Gk, gk, sg = g._pieces(base)
+    G = g.antiderivative_from(base)
+    # whole gaps: the first from knots[0] out to -inf, gap i from knots[i-1]
+    k = np.maximum(np.arange(knots.size) - 1, 0)
+    m = _log_piece(np.r_[-np.inf, knots[1:]], knots[k], Gk[k], gk[k], sg[:-1])
+    cum = np.logaddexp.accumulate(m)  # log mass left of each knot
+
+    def log_int(z):
+        z = _as_float_array(z)
+        i = np.searchsorted(knots, z, side="right")
+        k = np.maximum(i - 1, 0)
+        head = _log_piece(-np.inf, z, G(z), g(z), sg[0])
+        return np.where(i == 0, head,
+                        np.logaddexp(cum[k], _log_piece(z, knots[k], Gk[k], gk[k], sg[i])))
+
+    return log_int
+
+
 def _doubling_reach(h, z0, step):
     """z0 + step * 2**k for the least k >= 0 with h(z) <= 0."""
     while h(z0 + step) > 0:
@@ -532,7 +515,10 @@ def make_from_g(g, base_z, base_value, base_slope):
     F = f^{-1} for f(z) = base_value + base_slope * int_{base_z}^{z} exp(G) with
     G' = g, in closed form to roundoff however far f grows (_log_mass).  J starts
     at the zero of f, or at -inf when the left mass of exp(G) cannot reach
-    base_value/base_slope.  A bounded f is refused.
+    base_value/base_slope; there f tends to lower_a, which is 0 when the left
+    mass reaches it to within rounding.  An unbounded f gives a half-line
+    transform; a bounded one a bounded-above transform with upper_ell = sup f,
+    which F maps to +inf.
     """
     if not (base_slope > 0 and base_value >= 0):
         raise DomainError("need base_slope > 0 and base_value >= 0")
@@ -542,11 +528,13 @@ def make_from_g(g, base_z, base_value, base_slope):
     with np.errstate(over="ignore", invalid="ignore"):
         left_mass, right_mass = np.nan_to_num(
             base_slope * np.exp(log_int([-np.inf, np.inf])), nan=np.inf, posinf=np.inf)
-    if np.isfinite(right_mass):
-        raise DomainError(f"f is bounded: sup f = {base_value + right_mass:.6g}")
+    upper_ell = base_value + right_mass
     lower_a, j_lo, log_scale = base_value - left_mass, -np.inf, math.log(base_slope)
+    if abs(lower_a) <= 4 * _EPS * base_value:
+        lower_a = 0.0  # f tends to 0 with no zero: rounding must not place one
     if lower_a >= 0 and base_value > 0:
-        log_value = math.log(base_value)
+        log_value, log_left = math.log(base_value), _log_left_mass(g, float(base_z))
+        log_lower = math.log(lower_a) if lower_a > 0 else -np.inf
     else:  # f has a zero: measure from it, so f is a sum of positive masses
         f_below = lambda z: base_value - base_slope * np.exp(log_int(z))
         j_lo = float(base_z) if base_value == 0 else invert_monotone(
@@ -557,17 +545,23 @@ def make_from_g(g, base_z, base_value, base_slope):
         log_int = _log_mass(g, j_lo)
 
     def log_inv(z):
-        mass = log_scale + log_int(z)
+        mass = np.logaddexp(log_value, log_scale + log_int(z))
+        if np.isfinite(j_lo):  # J starts at base_z
+            return mass
+        # below base_z, f is lower_a plus the left tail's mass up to z
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            below = log_value + np.log(-np.expm1(mass - log_value))
-        return np.where(z >= base_z, np.logaddexp(log_value, mass), below)
+            below = np.logaddexp(log_lower, log_scale + log_left(z))
+        return np.where(z >= base_z, mass, below)
+
+    # log f at sup f: the values within rounding of upper_ell map far out
+    log_sup = float(log_inv(np.inf)) if np.isfinite(upper_ell) else np.inf
 
     def ev(r):
         r = _as_float_array(r)
         out = np.where(r > lower_a, np.inf, j_lo)
-        pos = (r > lower_a) & np.isfinite(r)
+        pos = (r > lower_a) & (r < upper_ell)
         if np.any(pos):
-            t = np.log(r[pos])
+            t = np.minimum(np.log(r[pos]), log_sup)
             lo = j_lo if np.isfinite(j_lo) else _doubling_reach(
                 lambda z: log_inv(z) - t.min(), base_z, -1.0)
             hi = _doubling_reach(lambda z: t.max() - log_inv(z), base_z, 1.0)
@@ -578,8 +572,8 @@ def make_from_g(g, base_z, base_value, base_slope):
     # the exact log-slope profile: g comes back from it by finite
     # differences, so the construction is cross-checked rather than echoed
     return FTransform(
-        domain_kind="half_line_nonneg",
-        lower_a=float(lower_a), upper_ell=np.inf, j_lo=float(j_lo), j_hi=np.inf,
+        domain_kind="bounded_above" if np.isfinite(upper_ell) else "half_line_nonneg",
+        lower_a=float(lower_a), upper_ell=float(upper_ell), j_lo=float(j_lo), j_hi=np.inf,
         label="from_g", _eval=ev, _log_inverse=log_inv,
         _inverse=lambda z: np.exp(log_inv(z)),
         _inverse_deriv=lambda z: np.exp(log_fprime(z)),
@@ -610,11 +604,13 @@ class AdmissibilityReport:
 
 
 def _domain_samples(F):
-    """201 sample points of the domain of F, inside its ends."""
+    """201 sample points of the domain of F, inside its ends; a window 60
+    long below upper_ell when the values reach down to -inf."""
     n, lo, hi = 201, F.lower_a, F.upper_ell
     if F.domain_kind == "whole_line":
         return np.linspace(-30.0, 30.0, n)
     if F.domain_kind == "bounded_above":
+        lo = lo if np.isfinite(lo) else hi - 60.0
         left = lo if np.isfinite(F(lo)) else lo + (hi - lo) * 1e-9
         return np.linspace(left, hi - (hi - lo) * 1e-9, n)
     # half line: a linear head and a geometric tail above lower_a

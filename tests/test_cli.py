@@ -97,6 +97,15 @@ def test_classify_from_g_that_never_vanishes(tmp_path):
     assert "from_g: preserved" in r.stdout
 
 
+def test_classify_neglog_down_to_minus_infinity(tmp_path):
+    cfg = write_config(tmp_path, "transform = neglog a=-inf ell=1\n")
+    out = tmp_path / "res"
+    r = run_cli("classify", "--config", cfg, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    row = (out / "classify.csv").read_text().splitlines()[1]
+    assert row.startswith('"neglog[-inf,1]",true,inf,false,nan,true,true,preserved,')
+
+
 def test_evolve_output_round_trips_and_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, EVOLVE_CFG)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

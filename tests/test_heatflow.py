@@ -8,10 +8,8 @@ from scipy.special import erf
 
 from heatconvex import (DomainSpec, EvaluationWindowError,
                         ExistenceWindowError, GridFunction, InitialDatum,
-                        epsilon_quadratic_lift, fit_growth_envelope,
-                        gauss_kernel, grid_nodes, heat_evolve_dirichlet,
-                        heat_evolve_free, heatflow, hot_h,
-                        lifted_evolution_identity)
+                        fit_growth_envelope, gauss_kernel, grid_nodes,
+                        heat_evolve_dirichlet, heat_evolve_free, heatflow, hot_h)
 from heatconvex.heatflow import (_CSV_BLOCKS, _CSV_ROWS, _box_apply, _csv_templates,
                                  _dirichlet_kernels, _fast_len,
                                  _kernel_apply, _kernel_matrix, _pchip,
@@ -81,18 +79,6 @@ def test_reported_value_error_is_honest():
     x = u.axes()[0]
     actual = np.abs(u.values - gauss_kernel(x, s + t))
     assert np.all(actual <= u.value_error * (1.0 + np.abs(u.values)) + 1e-15)
-
-
-def test_quadratic_lift_identity():
-    """Evolving phi + eps|x|^2 equals the lifted evolution of phi."""
-    eps, t = 0.05, 0.25
-    phi = InitialDatum(fn=lambda x: np.abs(x), growth_a=1.5, growth_A=0.05,
-                       breakpoints=(0.0,))
-    lifted = epsilon_quadratic_lift(phi, eps)
-    direct = heat_evolve_free(lifted, t, (-3.0, 3.0, 1.0 / 32))
-    base = heat_evolve_free(phi, t, (-3.0, 3.0, 1.0 / 32))
-    via_identity = lifted_evolution_identity(base, eps, t)
-    assert rel_err(direct.values, via_identity.values) < 1e-8
 
 
 def test_existence_window_refused():

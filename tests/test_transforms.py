@@ -7,15 +7,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from heatconvex import (DomainError, GSpec, abs_kink_generator, builtin_transforms,
-                        check_admissible, check_curvature_criterion,
-                        check_gaussian_integrability, classify,
-                        compare_strength, default_j_window, make_affine,
-                        make_custom, make_exp, make_from_g, make_hot,
-                        make_neglog, make_power_alpha, scale_shift)
-from heatconvex.heatflow import hot_h
+from heatconvex import (DomainError, FTransform, GSpec, abs_kink_generator,
+                        builtin_transforms, check_admissible,
+                        check_curvature_criterion, check_gaussian_integrability,
+                        classify, compare_strength, default_j_window, make_affine,
+                        make_exp, make_from_g, make_hot, make_neglog,
+                        make_power_alpha, scale_shift)
+from heatconvex.heatflow import hot_h, hot_h_deriv
 
 BUILTINS = builtin_transforms()
+
+
+def _closed_form(label, domain_kind, j_lo, ev, inv, dinv, log_inv, g):
+    """A test-local transform on values (-inf or 0, inf) from closed forms of
+    F, f_F, f_F', log |f_F| and g."""
+    lower = 0.0 if domain_kind == "half_line_nonneg" else -np.inf
+    return FTransform(domain_kind=domain_kind, lower_a=lower, upper_ell=np.inf,
+                      j_lo=j_lo, j_hi=np.inf, label=label, _eval=ev, _inverse=inv,
+                      _inverse_deriv=dinv, _log_inverse=log_inv, _g_closed=g)
+
+
+def _assert_preserved(F):
+    """classify(F) reads preserved on both curvature flags, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = classify(F)
+    assert (rep.verdict, rep.deriv_positive, rep.curvature_convex) == (
+        "preserved", True, True), rep.basis
 
 
 # -- power family ------------------------------------------------------------
@@ -145,6 +163,14 @@ def test_neglog_blows_up_at_ell():
     vals = F(np.array([0.1, 0.5, 0.9, 0.99]))
     assert np.all(np.diff(vals) > 0)
     assert F(1.0 - 1e-12) > 20.0
+
+
+def test_neglog_with_values_down_to_minus_infinity_classifies():
+    """a = -inf: admissibility samples a window below ell instead of
+    linspace(nan, ...), which once read 'not strictly increasing'."""
+    F = make_neglog(-np.inf, 1.0)
+    assert F.j_lo == -np.inf and check_admissible(F).admissible
+    _assert_preserved(F)
 
 
 def test_affine_and_scale_shift_roundtrip():
@@ -295,21 +321,58 @@ def test_scale_shift_keeps_the_exact_log_slope_of_from_g():
     np.testing.assert_allclose(2.5 * G.g(2.5 * z - 1.0), F.g(z), rtol=1e-6)
 
 
-def test_from_g_refuses_a_bounded_f():
-    """exp(G) decays on both sides here, so f is bounded and the class would
-    be trivial; the transform used to claim an unbounded domain."""
+def test_from_g_builds_a_bounded_f_as_bounded_values():
+    """exp(G) decays on both sides here: f rises from its zero to
+    sup f = 0.5 + sqrt(pi/2), which F maps to +inf."""
     g = GSpec(((0.0, 0.0),), left_slope=-2.0, right_slope=-1.0)
-    with pytest.raises(DomainError, match=r"sup f = 1\.7533"):
-        make_from_g(g, 0.0, 0.5, 1.0)
+    F = make_from_g(g, 0.0, 0.5, 1.0)
+    assert F.domain_kind == "bounded_above" and F.lower_a == 0.0
+    assert F.upper_ell == pytest.approx(0.5 + np.sqrt(np.pi / 2.0), rel=1e-15)
+    assert F.upper_ell == pytest.approx(1.7533, abs=5e-5)
+    assert F(F.upper_ell) == np.inf
+    r = np.array([0.1, 1.0, 1.7])
+    np.testing.assert_allclose(F.inverse(F(r)), r, rtol=1e-12)
+    _assert_preserved(F)
 
 
-def test_from_g_refuses_a_bounded_f_with_flat_tails():
-    """g = -1 with flat tails: exp(G) = exp(-z) has mass 1 on the right, so
-    sup f = 1.  The tail's mass was nan (0 * inf in a flat piece), read as
-    unbounded, and classify then overflowed."""
+def test_from_g_with_flat_tails_rebuilds_neglog():
+    """g = -1 with flat tails: f = 1 - exp(-z) from its zero at 0, so
+    sup f = 1 and the transform is neglog(0, 1).  The tail's mass was once
+    nan (0 * inf in a flat piece), read as unbounded."""
     g = GSpec(((0.0, -1.0),), left_slope=0.0, right_slope=0.0)
-    with pytest.raises(DomainError, match=r"f is bounded: sup f = 1$"):
-        make_from_g(g, 0.0, 0.0, 1.0)
+    F, N = make_from_g(g, 0.0, 0.0, 1.0), make_neglog(0.0, 1.0)
+    assert (F.domain_kind, F.lower_a, F.upper_ell, F.j_lo) == ("bounded_above", 0.0, 1.0, 0.0)
+    z = np.linspace(0.05, 40.0, 800)
+    assert np.max(np.abs(F.inverse(z) - N.inverse(z))) <= 1e-12
+    assert np.max(np.abs(F.g(z) - N.g(z))) <= 1e-9
+    r = np.array([0.0, 0.1, 0.5, 0.99, 1.0])
+    np.testing.assert_allclose(F(r), N(r), rtol=1e-10)
+    _assert_preserved(F)
+
+
+def test_from_g_rebuilds_hot():
+    """g = -z/2 with f(0) = 1/2 and f'(0) = hot_h'(0) is hot(1): the left
+    mass is exactly 1/2, so f tends to 0 with no zero and J is all of R."""
+    g = GSpec(((0.0, 0.0),), left_slope=-0.5, right_slope=-0.5)
+    F, H = make_from_g(g, 0.0, 0.5, float(hot_h_deriv(0.0))), make_hot(1.0)
+    assert (F.domain_kind, F.lower_a, F.j_lo) == ("bounded_above", 0.0, -np.inf)
+    assert F.upper_ell == pytest.approx(1.0, rel=1e-15)
+    z = np.linspace(-30.0, 30.0, 601)
+    assert np.max(np.abs(F.log_inverse(z) - H.log_inverse(z))) <= 1e-12
+    assert np.max(np.abs(F.inverse(z) - H.inverse(z))) <= 1e-12
+    assert np.max(np.abs(F.g(z) - H.g(z))) <= 1e-9
+    _assert_preserved(F)
+
+
+def test_from_g_keeps_a_left_tail_that_tends_to_zero():
+    """g = 1 with flat tails and f(0) = f'(0) = 1 is f = e^z: the left mass
+    cancels base_value to within rounding, and f is measured from -inf
+    rather than as 1 minus that mass."""
+    g = GSpec(((0.0, 1.0),), left_slope=0.0, right_slope=0.0)
+    F = make_from_g(g, 0.0, 1.0, 1.0)
+    assert (F.domain_kind, F.lower_a, F.j_lo) == ("half_line_nonneg", 0.0, -np.inf)
+    z = np.linspace(-40.0, 10.0, 501)
+    np.testing.assert_allclose(F.inverse(z), np.exp(z), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("g_value", [1.0, 0.0])
@@ -355,8 +418,10 @@ def test_check_admissible_flags_jump():
         z = np.asarray(z, dtype=float)
         return np.where(z < 1.0, z, z - 1.0)
 
-    F = make_custom(ev, inv, "half_line_nonneg", 0.0, np.inf, 0.0, np.inf,
-                    label="jumpy")
+    F = _closed_form("jumpy", "half_line_nonneg", 0.0, ev, inv,
+                     lambda z: np.ones_like(np.asarray(z, dtype=float)),
+                     lambda z: np.log(np.abs(inv(z))),
+                     lambda z: np.zeros_like(np.asarray(z, dtype=float)))
     rep = check_admissible(F)
     assert not rep.admissible
 
@@ -381,9 +446,24 @@ def test_whole_line_tail_with_disagreeing_fits_is_inconclusive():
     def q(z):
         return np.where(np.abs(z) <= 24.0, 0.1 * z * z, 57.6 + 0.02 * (z * z - 576.0))
 
+    def dq(z):
+        return np.where(np.abs(z) <= 24.0, 0.2 * z, 0.04 * z)
+
     def inv(z):
         z = np.asarray(z, dtype=float)
         return np.where(z >= 0.0, z - 1.0, -np.exp(q(z)))
+
+    def dinv(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(z >= 0.0, 1.0, -dq(z) * np.exp(q(z)))
+
+    def log_inv(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(z >= 0.0, np.log(np.abs(z - 1.0)), q(z))
+
+    def g(z):  # (log f')' = q''/q' + q' below 0
+        z = np.asarray(z, dtype=float)
+        return np.where(z >= 0.0, 0.0, 1.0 / z + dq(z))
 
     def ev(r):
         r = np.asarray(r, dtype=float)
@@ -392,8 +472,7 @@ def test_whole_line_tail_with_disagreeing_fits_is_inconclusive():
                          np.sqrt(576.0 + (L - 57.6) / 0.02))
         return np.where(r >= -1.0, r + 1.0, -depth)
 
-    F = make_custom(ev, inv, "whole_line", -np.inf, np.inf, -np.inf, np.inf,
-                    label="two_slope")
+    F = _closed_form("two_slope", "whole_line", -np.inf, ev, inv, dinv, log_inv, g)
     assert np.isnan(check_gaussian_integrability(F).a_star)
     assert classify(F).verdict == "inconclusive"
 
@@ -409,8 +488,10 @@ def test_whole_line_inverse_divergent_at_the_lower_end_of_J():
         z = np.asarray(z, dtype=float)
         return z - 1.0 / z
 
-    F = make_custom(ev, inv, "whole_line", -np.inf, np.inf, 0.0, np.inf,
-                    label="recip")
+    F = _closed_form("recip", "whole_line", 0.0, ev, inv,
+                     lambda z: 1.0 + 1.0 / np.asarray(z, dtype=float) ** 2,
+                     lambda z: np.log(np.abs(inv(z))),
+                     lambda z: -2.0 / (np.asarray(z, dtype=float) ** 3 + z))
     integ = check_gaussian_integrability(F)
     assert integ.endpoint_status == "divergent" and integ.a_star == np.inf
     rep = classify(F)
@@ -474,46 +555,6 @@ def test_classify_report_serialization():
     names = [f.name for f in dataclasses.fields(ClassReport)]
     assert set(ClassReport.FIELDS) <= set(names) and ClassReport.FIELDS[0] == "label"
     assert [getattr(rep, k) for k in ("label", "verdict")] == ["power[1]", "preserved"]
-
-
-def _custom_power(alpha):
-    """make_power_alpha(alpha) rebuilt from its eval and inverse alone, so
-    f_F', log |f_F| and g come from central differences."""
-    P = make_power_alpha(alpha)
-    return P, make_custom(
-        lambda r: (np.power(np.asarray(r, dtype=float), alpha) - 1.0) / alpha,
-        lambda z: np.power(alpha * np.asarray(z, dtype=float) + 1.0, 1.0 / alpha),
-        "half_line_nonneg", 0.0, np.inf, P.j_lo, P.j_hi, label=f"custom[{alpha:g}]")
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-def test_finite_difference_fallbacks_match_the_closed_forms(alpha):
-    """On the 257 points the curvature criterion samples: f_F' within 2e-9
-    relative (1e-10 from z = 0 on), log |f_F| within
-    roundoff, g within 3e-6 (its second differences of a differenced log)
-    and, at every point, within its own reported noise (of order eps/h^2,
-    since f_F' under the differenced log is itself a central difference)."""
-    from heatconvex.transforms import default_j_window
-
-    P, F = _custom_power(alpha)
-    z = np.linspace(*default_j_window(P), 257)
-    want = P.inverse_deriv(z)
-    assert np.max(np.abs(F.inverse_deriv(z) / want - 1.0)) < 2e-9
-    assert np.max(np.abs(F.inverse_deriv(z[z >= 0]) / want[z >= 0] - 1.0)) < 1e-10
-    want = P.log_inverse(z)
-    assert np.all(np.abs(F.log_inverse(z) - want) <= 4e-16 * (1.0 + np.abs(want)))
-    g, noise = F.g_with_noise(z)
-    assert np.max(np.abs(g - P.g(z))) < 3e-6
-    assert np.all(np.abs(g - P.g(z)) <= noise)
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-def test_custom_power_classifies_as_the_closed_form(alpha):
-    P, F = _custom_power(alpha)
-    got, want = classify(F), classify(P)
-    assert (got.verdict, got.deriv_positive, got.curvature_convex) == (
-        want.verdict, want.deriv_positive, want.curvature_convex)
-    assert got.gaussian_order == want.gaussian_order
 
 
 # -- strength comparison ---------------------------------------------------------
