@@ -2,14 +2,17 @@
 
 The family (r^alpha - 1)/alpha interpolates between log (alpha = 0) and
 stronger-than-convex requirements as alpha drops; the heat flow keeps the
-associated convexity exactly up to alpha = 1 and destroys it beyond.  Run:
+associated convexity exactly up to alpha = 1 and destroys it beyond.  The
+tent generators g = |z - c| - 1 give preserved classes of Gaussian order 1/2
+wherever their kink c lies.  Run:
 
     python3 demos/classify_sweep.py
 """
 
 import numpy as np
 
-from heatconvex import builtin_transforms, classify, make_power_alpha
+from heatconvex import (abs_kink_generator, builtin_transforms, classify, make_from_g,
+                        make_power_alpha)
 
 
 def main():
@@ -28,6 +31,14 @@ def main():
         rep = classify(F)
         order = "n/a" if np.isnan(rep.gaussian_order) else f"{rep.gaussian_order:.3f}"
         print(f"  {name:12s} ->  {rep.verdict:26s}  gaussian order {order}")
+
+    print()
+    print("tent generators g = |z - c| - 1, f(0) = 0, f'(0) = 1")
+    print("-" * 72)
+    for center in (1.0, 12.0, 40.0):
+        rep = classify(make_from_g(abs_kink_generator(center=center), 0.0, 0.0, 1.0))
+        print(f"  c = {center:4g}     ->  {rep.verdict:26s}  "
+              f"gaussian order {rep.gaussian_order:.3f}")
 
 
 if __name__ == "__main__":

@@ -21,13 +21,11 @@ from .transforms import (
     CurvatureCriterion,
     FTransform,
     GSpec,
-    GaussianIntegrability,
     StrengthComparison,
     abs_kink_generator,
     builtin_transforms,
     check_admissible,
     check_curvature_criterion,
-    check_gaussian_integrability,
     classify,
     compare_strength,
     default_j_window,
@@ -81,7 +79,6 @@ __all__ = [
     "ExistenceWindowError",
     "FTransform",
     "GSpec",
-    "GaussianIntegrability",
     "GridFunction",
     "InitialDatum",
     "MidpointSample",
@@ -93,7 +90,6 @@ __all__ = [
     "check_admissible",
     "check_curvature_criterion",
     "check_envelope_comparison",
-    "check_gaussian_integrability",
     "check_quasi_convex",
     "classify",
     "compare_strength",

@@ -853,26 +853,32 @@ def _box_apply(psi, m, L, t):
 _HALF_LINE_EPS_TAIL = 1e-12
 
 
+def _wall_error(ell, error):
+    """An error relative to 1 + |v| as one relative to 1 + |ell - v|, at most
+    1 + |ell| times as large: Dirichlet flows evolve v = ell - phi and return
+    ell minus the result, so the datum's error and the flow's pass here."""
+    return (1.0 + abs(ell)) * error
+
+
 def _half_line_flow(phi, ell, t, out_grid, quad_tol, max_refine):
     """ell minus the free flow of w(y) = sign(y) (ell - phi(|y|)), of
     certificate (|ell| + a, A) and breakpoints 0 and +-b, with the wall node
-    ell.  Errors relative to 1 + |w| grow by at most 1 + |ell| relative to
-    1 + |ell - w|, for the datum's own as for the flow's."""
+    ell; errors as _wall_error says."""
     grids = _axis_grids(out_grid)
     if len(grids) != 1 or abs(grids[0][0]) > 1e-12:
         raise ValueError("out_grid must span the half_line from its wall 0 on")
     sample, a, A, (brk,), phi_h, inherited = _resolve_datum(phi, 1)
-    scale = 1.0 + abs(ell)
 
     def odd(y):
         return np.sign(y) * (ell - sample(np.abs(y)).reshape(np.shape(y)))
 
     w = _free_flow((odd, abs(ell) + a, A, ((0.0, *brk, *(-b for b in brk)),),
-                    phi_h, scale * inherited), t, grids, _HALF_LINE_EPS_TAIL,
+                    phi_h, _wall_error(ell, inherited)), t, grids, _HALF_LINE_EPS_TAIL,
                    quad_tol, max_refine)
     w.values[:] = ell - w.values
     w.values[0] = ell
-    return replace(w, growth_a=abs(ell) + w.growth_a, value_error=scale * w.value_error)
+    return replace(w, growth_a=abs(ell) + w.growth_a,
+                   value_error=_wall_error(ell, w.value_error))
 
 
 def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
@@ -891,7 +897,8 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
     on more axes by the matrix of its samples (_dirichlet_kernels).  Data or
     grids of the wrong dimension raise ValueError, grid data short of the
     lattice EvaluationWindowError.  Boundary nodes of the result are exact.
-    Refinement and meta are as in heat_evolve_free (truncation_radius None).
+    Refinement and meta are as in heat_evolve_free (truncation_radius None);
+    the errors of ell - phi and of its flow pass through _wall_error.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -901,6 +908,7 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
         raise ValueError(f"unsupported domain kind {domain.kind!r} for Dirichlet flow")
     dim, ell = domain.n, domain.ell
     sample, _, _, brk, phi_h, inherited = _resolve_datum(phi, dim)
+    inherited = _wall_error(ell, inherited)  # v0 = ell - phi's
     grids = _axis_grids(out_grid)
     if len(grids) != dim or any(abs(lo - a) > 1e-12 or abs(hi - b) > 1e-12 for
                                 (lo, hi, _), (a, b) in zip(grids, domain.bounds)):
@@ -941,10 +949,10 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
     for k in range(dim):
         vals[(slice(None),) * k + ([0, -1],)] = ell
     bound = float(np.max(np.abs(vals)))
+    err = rec["quad_error"] + rec["roundoff_error"] + 1.5 * inherited
     return GridFunction(values=vals, extent=extent,
                         growth_a=max(bound, 1e-300), growth_A=0.0,
-                        value_error=(rec["quad_error"] + rec["roundoff_error"]
-                                     + 1.5 * inherited),
+                        value_error=_wall_error(ell, err),
                         meta={"t": t, **rec, "tail_bound": 0.0,
                               "truncation_radius": None, "inherited_error": inherited})
 

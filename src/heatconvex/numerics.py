@@ -7,7 +7,6 @@ __all__ = [
     "DomainError",
     "fd_step",
     "invert_monotone",
-    "quadratic_leading_fit",
     "affine_fit",
     "simpson_weights",
     "piecewise_simpson_weights",
@@ -58,15 +57,6 @@ def invert_monotone(f, target, lo, hi, deriv=None):
             dz = np.where(np.isfinite(dz), dz, 0.0)
             z = np.clip(z - dz, a, b)
     return float(z[0]) if scalar else z
-
-
-def quadratic_leading_fit(z, y):
-    """Leading coefficient c of the least-squares fit y ~ c z^2 + b z + d."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    A = np.column_stack([z * z, z, np.ones_like(z)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0])
 
 
 def affine_fit(x, y):

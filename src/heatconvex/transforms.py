@@ -7,8 +7,8 @@ f_F = F^{-1} on the image interval J_F: a bounded image makes the class
 trivial, super-Gaussian growth of f_F kills all nontrivial evolving data, and
 otherwise preservation is equivalent to positivity of F' together with
 convexity of the curvature profile g = (log f_F')'.  This module builds the
-standard families, estimates those conditions numerically, and assembles the
-verdict.
+standard families, each with its Gaussian order in closed form, samples the
+curvature conditions, and assembles the verdict.
 
 Extended-real conventions: endpoint values map to -inf/+inf (e.g. log 0 =
 -inf, and a transform that blows up at a finite right endpoint evaluates to
@@ -28,15 +28,12 @@ from .numerics import (
     discrete_convexity_defect,
     fd_step,
     invert_monotone,
-    quadratic_leading_fit,
-    simpson_weights,
 )
 
 __all__ = [
     "FTransform",
     "GSpec",
     "AdmissibilityReport",
-    "GaussianIntegrability",
     "CurvatureCriterion",
     "ClassReport",
     "make_power_alpha",
@@ -49,7 +46,6 @@ __all__ = [
     "abs_kink_generator",
     "builtin_transforms",
     "check_admissible",
-    "check_gaussian_integrability",
     "check_curvature_criterion",
     "classify",
     "compare_strength",
@@ -80,7 +76,8 @@ class FTransform:
     inverse/log_inverse/g are defined there.  All callables are vectorized,
     and f_F, f_F' and log |f_F| are closed forms.  g is _g_closed when
     given; else it central-differences _log_inverse_deriv, the closed-form
-    log f_F'.
+    log f_F'.  gaussian_order is the least A >= 0 making e^{-A z^2} |f_F|
+    integrable over J (inf when none does), stated by each constructor.
     """
 
     domain_kind: str
@@ -93,6 +90,7 @@ class FTransform:
     _inverse: object
     _inverse_deriv: object
     _log_inverse: object
+    gaussian_order: float
     _g_closed: object = None
     _log_inverse_deriv: object = None
 
@@ -206,8 +204,6 @@ class GSpec:
             raise DomainError("GSpec slopes must be non-decreasing (convexity)")
 
     def slopes(self):
-        zs = [p[0] for p in self.points]
-        gs = [p[1] for p in self.points]
         mids = [(g2 - g1) / (z2 - z1)
                 for (z1, g1), (z2, g2) in zip(self.points, self.points[1:])]
         return [self.left_slope] + mids + [self.right_slope]
@@ -259,7 +255,11 @@ def abs_kink_generator(center=1.0, drop=1.0):
 
 
 def make_power_alpha(alpha):
-    """Power-family transform: (r^alpha - 1)/alpha on [0, inf); log r at 0."""
+    """Power-family transform: (r^alpha - 1)/alpha on [0, inf); log r at 0.
+
+    Gaussian order 0, except for -1 <= alpha < 0, where f_F blows up like
+    (1 + alpha z)^(1/alpha) at the top of J, unintegrably: inf.
+    """
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError("alpha must be finite")
@@ -272,6 +272,7 @@ def make_power_alpha(alpha):
             _inverse=np.exp,
             _inverse_deriv=np.exp,
             _log_inverse=lambda z: _as_float_array(z) + 0.0,
+            gaussian_order=0.0,
             _g_closed=lambda z: np.ones_like(_as_float_array(z)),
         )
     j_lo = -1.0 / alpha if alpha > 0 else -np.inf
@@ -303,6 +304,7 @@ def make_power_alpha(alpha):
         _inverse_deriv=lambda z: np.power(alpha * _as_float_array(z) + 1.0,
                                           1.0 / alpha - 1.0),
         _log_inverse=lambda z: np.log(alpha * _as_float_array(z) + 1.0) / alpha,
+        gaussian_order=np.inf if -1.0 <= alpha < 0.0 else 0.0,
         _g_closed=lambda z: (1.0 - alpha) / (alpha * _as_float_array(z) + 1.0),
     )
 
@@ -326,6 +328,7 @@ def make_affine(A, B, domain_kind="whole_line"):
         _inverse=lambda z: (_as_float_array(z) - B) / A,
         _inverse_deriv=lambda z: np.full_like(_as_float_array(z), 1.0 / A),
         _log_inverse=lambda z: np.log(np.abs(_as_float_array(z) - B)) - np.log(A),
+        gaussian_order=0.0,
         _g_closed=lambda z: np.zeros_like(_as_float_array(z)),
     )
 
@@ -340,6 +343,7 @@ def make_exp():
         _inverse=lambda z: np.log(_as_float_array(z)),
         _inverse_deriv=lambda z: 1.0 / _as_float_array(z),
         _log_inverse=lambda z: np.log(np.abs(np.log(_as_float_array(z)))),
+        gaussian_order=0.0,  # log z is integrable at the finite end 0 of J
         _g_closed=lambda z: -1.0 / _as_float_array(z),
     )
 
@@ -380,6 +384,7 @@ def make_hot(a):
         _inverse=lambda z: a * hot_h(_as_float_array(z)),
         _inverse_deriv=lambda z: a * hot_h_deriv(_as_float_array(z)),
         _log_inverse=log_inv,
+        gaussian_order=0.0,
         _g_closed=lambda z: -0.5 * _as_float_array(z),
     )
 
@@ -405,12 +410,17 @@ def make_neglog(a, ell):
         _inverse_deriv=lambda z: np.exp(-_as_float_array(z)),
         _log_inverse=lambda z: np.log(np.abs(
             ell - np.exp(-_as_float_array(z)))),
+        gaussian_order=0.0,
         _g_closed=lambda z: -np.ones_like(_as_float_array(z)),
     )
 
 
 def scale_shift(F, A, B):
-    """The transform A*F + B (A > 0), which defines the same convexity class."""
+    """The transform A*F + B (A > 0), which defines the same convexity class.
+
+    Its inverse at z is f_F((z - B)/A), so its Gaussian order is that of F
+    over A^2.
+    """
     A, B = float(A), float(B)
     if A <= 0:
         raise DomainError("scale_shift needs A > 0")
@@ -429,6 +439,7 @@ def scale_shift(F, A, B):
         _inverse=pull(F._inverse),
         _inverse_deriv=pull(F._inverse_deriv, lambda v: v / A),
         _log_inverse=pull(F._log_inverse),
+        gaussian_order=F.gaussian_order / (A * A),
         _g_closed=pull(F._g_closed, lambda v: v / A),
         _log_inverse_deriv=pull(F._log_inverse_deriv, lambda v: v - math.log(A)),
     )
@@ -480,23 +491,30 @@ def _log_mass(g, base):
     return log_int
 
 
-def _log_left_mass(g, base):
-    """z -> log int_{-inf}^z exp(G) for G' = g, G(base) = 0, where the left
-    tail's mass is finite: the gaps left of z accumulated from -inf plus z's
-    own piece, which in the first gap is integrated from z out to -inf."""
+def _log_tail_mass(g, base, side):
+    """z -> log of the mass of exp(G) (G' = g, G(base) = 0) on the side of z
+    toward side * inf: from -inf up to z for side -1, from z out to +inf for
+    side +1, where that tail's mass is finite.  The whole gaps beyond z are
+    accumulated from the far end, plus z's own piece, which in the tail's
+    gap is integrated from z out to side * inf."""
     knots, Gk, gk, sg = g._pieces(base)
     G = g.antiderivative_from(base)
-    # whole gaps: the first from knots[0] out to -inf, gap i from knots[i-1]
-    k = np.maximum(np.arange(knots.size) - 1, 0)
-    m = _log_piece(np.r_[-np.inf, knots[1:]], knots[k], Gk[k], gk[k], sg[:-1])
-    cum = np.logaddexp.accumulate(m)  # log mass left of each knot
+    end = 0 if side < 0 else -1  # the knot that bounds the tail's gap
+    gaps = _log_piece(knots[1:], knots[:-1], Gk[:-1], gk[:-1], sg[1:-1])
+    tail = _log_piece(side * np.inf, knots[end], Gk[end], gk[end], sg[end])
+    if side < 0:  # log mass left of each knot
+        cum = np.logaddexp.accumulate(np.r_[tail, gaps])
+    else:  # log mass right of each knot
+        cum = np.logaddexp.accumulate(np.r_[gaps, tail][::-1])[::-1]
 
     def log_int(z):
         z = _as_float_array(z)
         i = np.searchsorted(knots, z, side="right")
-        k = np.maximum(i - 1, 0)
-        head = _log_piece(-np.inf, z, G(z), g(z), sg[0])
-        return np.where(i == 0, head,
+        k = i - 1 if side < 0 else i  # the end of z's gap toward the tail
+        in_tail = (k < 0) | (k >= knots.size)
+        k = np.clip(k, 0, knots.size - 1)
+        head = _log_piece(side * np.inf, z, G(z), g(z), sg[end])
+        return np.where(in_tail, head,
                         np.logaddexp(cum[k], _log_piece(z, knots[k], Gk[k], gk[k], sg[i])))
 
     return log_int
@@ -517,8 +535,11 @@ def make_from_g(g, base_z, base_value, base_slope):
     at the zero of f, or at -inf when the left mass of exp(G) cannot reach
     base_value/base_slope; there f tends to lower_a, which is 0 when the left
     mass reaches it to within rounding.  An unbounded f gives a half-line
-    transform; a bounded one a bounded-above transform with upper_ell = sup f,
-    which F maps to +inf.
+    transform, of Gaussian order right_slope/2 (log f grows like
+    right_slope z^2 / 2); a bounded one a bounded-above transform with
+    upper_ell = sup f, which F maps to +inf, and order 0.  Above sup f / 2, F
+    inverts log(sup f - f), the right tail's own mass, which keeps the
+    digits that 1 - f / sup f would cancel.
     """
     if not (base_slope > 0 and base_value >= 0):
         raise DomainError("need base_slope > 0 and base_value >= 0")
@@ -533,7 +554,7 @@ def make_from_g(g, base_z, base_value, base_slope):
     if abs(lower_a) <= 4 * _EPS * base_value:
         lower_a = 0.0  # f tends to 0 with no zero: rounding must not place one
     if lower_a >= 0 and base_value > 0:
-        log_value, log_left = math.log(base_value), _log_left_mass(g, float(base_z))
+        log_value, log_left = math.log(base_value), _log_tail_mass(g, float(base_z), -1)
         log_lower = math.log(lower_a) if lower_a > 0 else -np.inf
     else:  # f has a zero: measure from it, so f is a sum of positive masses
         f_below = lambda z: base_value - base_slope * np.exp(log_int(z))
@@ -543,6 +564,8 @@ def make_from_g(g, base_z, base_value, base_slope):
         lower_a, log_value, base_z = 0.0, -np.inf, j_lo
         log_scale += float(G(j_lo))
         log_int = _log_mass(g, j_lo)
+    bounded = np.isfinite(upper_ell)
+    log_right = _log_tail_mass(g, float(base_z), 1) if bounded else None
 
     def log_inv(z):
         mass = np.logaddexp(log_value, log_scale + log_int(z))
@@ -553,30 +576,39 @@ def make_from_g(g, base_z, base_value, base_slope):
             below = np.logaddexp(log_lower, log_scale + log_left(z))
         return np.where(z >= base_z, mass, below)
 
-    # log f at sup f: the values within rounding of upper_ell map far out
-    log_sup = float(log_inv(np.inf)) if np.isfinite(upper_ell) else np.inf
+    def neg_log_gap(z):  # -log(sup f - f(z)), increasing
+        return -(log_scale + log_right(z))
+
+    def solve(fn, t, deriv):
+        """z with fn(z) = t, for fn increasing on J, bracketed from base_z."""
+        lo = j_lo if np.isfinite(j_lo) else _doubling_reach(
+            lambda z: fn(z) - t.min(), base_z, -1.0)
+        hi = _doubling_reach(lambda z: t.max() - fn(z), base_z, 1.0)
+        return invert_monotone(fn, t, lo, hi, deriv=deriv)
 
     def ev(r):
         r = _as_float_array(r)
         out = np.where(r > lower_a, np.inf, j_lo)
         pos = (r > lower_a) & (r < upper_ell)
-        if np.any(pos):
-            t = np.minimum(np.log(r[pos]), log_sup)
-            lo = j_lo if np.isfinite(j_lo) else _doubling_reach(
-                lambda z: log_inv(z) - t.min(), base_z, -1.0)
-            hi = _doubling_reach(lambda z: t.max() - log_inv(z), base_z, 1.0)
-            out[pos] = invert_monotone(log_inv, t, lo, hi, deriv=lambda z: np.exp(
-                log_fprime(z) - log_inv(z)))
+        top = pos & (r > 0.5 * upper_ell)  # where upper_ell - r is exact
+        low = pos & ~top
+        if np.any(low):
+            out[low] = solve(log_inv, np.log(r[low]),
+                             lambda z: np.exp(log_fprime(z) - log_inv(z)))
+        if np.any(top):
+            out[top] = solve(neg_log_gap, -np.log(upper_ell - r[top]),
+                             lambda z: np.exp(log_fprime(z) + neg_log_gap(z)))
         return out
 
     # the exact log-slope profile: g comes back from it by finite
     # differences, so the construction is cross-checked rather than echoed
     return FTransform(
-        domain_kind="bounded_above" if np.isfinite(upper_ell) else "half_line_nonneg",
+        domain_kind="bounded_above" if bounded else "half_line_nonneg",
         lower_a=float(lower_a), upper_ell=float(upper_ell), j_lo=float(j_lo), j_hi=np.inf,
         label="from_g", _eval=ev, _log_inverse=log_inv,
         _inverse=lambda z: np.exp(log_inv(z)),
         _inverse_deriv=lambda z: np.exp(log_fprime(z)),
+        gaussian_order=0.0 if bounded else 0.5 * float(g.right_slope),
         _log_inverse_deriv=log_fprime)
 
 
@@ -641,116 +673,6 @@ def check_admissible(F):
                 return AdmissibilityReport(
                     False, (float(r[i]), "discontinuity (jump under refinement)"))
     return AdmissibilityReport(True)
-
-
-# -- Gaussian integrability of the inverse transform -------------------------
-
-
-@dataclass(frozen=True)
-class GaussianIntegrability:
-    """The least Gaussian order making int e^{-A z^2} |f_F(z)| dz finite.
-
-    a_star: 0 when every positive order works; inf when none does (a tail of
-    J grows super-Gaussian, or |f_F| is not integrable at the finite lower
-    end of J); nan when the two window fits of a tail disagree or that end
-    is inconclusive.  fit_coeffs: the two fits of each infinite tail, the
-    upper tail first.  endpoint_status: 'none' when no finite end was
-    probed, else 'integrable' / 'divergent' / 'inconclusive'.
-    """
-
-    a_star: float
-    fit_coeffs: tuple
-    endpoint_status: str = "none"
-
-
-def _log_window_integral(F, lo, hi):
-    from scipy.special import logsumexp
-
-    z = np.linspace(lo, hi, 65)
-    w = simpson_weights(z.size, z[1] - z[0])
-    with np.errstate(divide="ignore"):
-        vals = np.asarray(F.log_inverse(z), dtype=float) + np.log(w)
-    vals = vals[np.isfinite(vals)]
-    return logsumexp(vals) if vals.size else -np.inf
-
-
-def _tail_fit_a_star(F, direction):
-    """Quadratic growth order of log |f_F| on the windows 8..16 and 32..64
-    of the infinite tail of J in direction +-1, and the two fits."""
-    coeffs = []
-    for lo, hi in ((8.0, 16.0), (32.0, 64.0)):
-        z = direction * np.linspace(lo, hi, 129)
-        y = np.asarray(F.log_inverse(z), dtype=float)
-        keep = np.isfinite(y)
-        coeffs.append(quadratic_leading_fit(z[keep], y[keep]))
-    c1, c2 = coeffs
-    small = 0.02
-    if max(abs(c1), abs(c2)) < small:
-        return 0.0, (c1, c2)
-    if abs(c1 - c2) <= 0.2 * max(abs(c1), abs(c2)) and c1 > 0 and c2 > 0:
-        return 0.5 * (c1 + c2), (c1, c2)
-    if c1 > small and c2 >= 1.25 * c1:
-        return np.inf, (c1, c2)
-    return np.nan, (c1, c2)
-
-
-def _endpoint_integrable(F, endpoint):
-    """Evidence that |f_F| is integrable approaching the finite lower end of J.
-
-    Window integrals over geometrically shrinking bands must decay.
-    """
-    ratios = []
-    prev = None
-    for k in range(2, 22):
-        d_hi = 2.0 ** (-k)
-        val = _log_window_integral(F, endpoint + d_hi / 2.0, endpoint + d_hi)
-        if prev is not None and np.isfinite(prev) and np.isfinite(val):
-            ratios.append(np.exp(val - prev))
-        prev = val
-    if len(ratios) < 4:
-        return "integrable"  # integrand vanished below floor: no mass there
-    q = float(np.mean(ratios[-5:]))
-    if q <= 0.9:
-        return "integrable"
-    if q >= 1.0:
-        return "divergent"
-    return "inconclusive"
-
-
-def check_gaussian_integrability(F):
-    """Estimate the least Gaussian order a_star that makes e^{-A z^2} |f_F|
-    integrable over the image interval J (any A > a_star does).
-
-    Each infinite tail of J is probed by fitting the quadratic growth order
-    of log |f_F| on two disjoint windows, which must agree within 20%: the
-    upper tail on the half line (toward j_lo, f_F stays bounded),
-    both tails on the whole line.  A finite lower end of a whole-line J is
-    probed for integrability of |f_F| instead.
-    """
-    if F.domain_kind == "bounded_above":
-        raise DomainError("integrability probe applies to unbounded-value domains")
-    if np.isfinite(F.j_hi):
-        raise DomainError("vacuous: transform image is bounded above")
-    tails, endpoint = [1.0], "none"
-    if F.domain_kind != "half_line_nonneg":
-        if np.isfinite(F.j_lo):
-            endpoint = _endpoint_integrable(F, F.j_lo)
-        else:
-            tails.append(-1.0)
-    orders, coeffs = [], []
-    for direction in tails:
-        order, fits = _tail_fit_a_star(F, direction)
-        orders.append(order)
-        coeffs.extend(fits)
-    if endpoint == "divergent" or np.inf in orders:
-        a_star = np.inf
-    elif endpoint == "inconclusive" or np.isnan(orders).any():
-        a_star = np.nan
-    else:
-        a_star = max(orders)
-    return GaussianIntegrability(
-        a_star=float(a_star), fit_coeffs=tuple(float(c) for c in coeffs),
-        endpoint_status=endpoint)
 
 
 # -- curvature criterion ------------------------------------------------------
@@ -862,7 +784,7 @@ def classify(F):
     """Route a transform through the preservation rules for its domain kind.
 
     Half-line values: a bounded image is only trivially preserved; otherwise
-    super-Gaussian growth of the inverse rules out nontrivial evolving data;
+    an infinite F.gaussian_order rules out nontrivial evolving data;
     otherwise preservation is equivalent to the curvature criterion.  Whole
     line: same gates, then (under integrability of the inverse) preserved
     exactly for affine transforms.  Bounded-above values (Dirichlet setting):
@@ -882,20 +804,13 @@ def classify(F):
                        f"bounded-image rule ({where}): {trivial}")
     order = {}
     if F.domain_kind != "bounded_above":
-        integ = check_gaussian_integrability(F)
-        if np.isinf(integ.a_star):
-            why = (f"inverse is not integrable at the lower end {F.j_lo:g} of J, "
-                   "so no nontrivial datum can evolve"
-                   if integ.endpoint_status == "divergent" else
-                   "inverse grows too fast for any nontrivial datum to evolve")
+        if np.isinf(F.gaussian_order):
             return _report(F, "only_trivially_preserved",
-                           f"gaussian-divergence rule ({where}): {why}",
+                           f"gaussian-divergence rule ({where}): no Gaussian weight "
+                           "makes the inverse integrable over J, so no nontrivial "
+                           "datum can evolve",
                            gaussian_divergent=True, gaussian_order=np.inf)
-        if np.isnan(integ.a_star):
-            return _report(F, "inconclusive", "integrability probe inconclusive",
-                           notes=f"window fits {integ.fit_coeffs}")
-        order = {"gaussian_order": integ.a_star}
-
+        order = {"gaussian_order": F.gaussian_order}
     crit = check_curvature_criterion(F)
     found = dict(order, deriv_positive=crit.deriv_positive,
                  curvature_convex=crit.curvature_convex)

@@ -97,6 +97,18 @@ def test_classify_from_g_that_never_vanishes(tmp_path):
     assert "from_g: preserved" in r.stdout
 
 
+def test_classify_from_g_with_its_kink_far_out(tmp_path):
+    """The tent's kink at z = 12 lies past where a fitted order was read:
+    that fit made the class inconclusive (exit 3); the stated order is 1/2."""
+    cfg = write_config(tmp_path, "transform = from_g center=12\n")
+    out = tmp_path / "res"
+    r = run_cli("classify", "--config", cfg, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert "from_g: preserved" in r.stdout
+    row = (out / "classify.csv").read_text().splitlines()[1]
+    assert row.startswith("from_g,true,inf,false,0.5,true,true,preserved,")
+
+
 def test_classify_neglog_down_to_minus_infinity(tmp_path):
     cfg = write_config(tmp_path, "transform = neglog a=-inf ell=1\n")
     out = tmp_path / "res"

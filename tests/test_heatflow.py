@@ -328,6 +328,23 @@ def test_dirichlet_interval_long_time_relaxes_to_the_boundary_value():
     assert np.max(np.abs(u.values - 1.0)) <= u.value_error
 
 
+@pytest.mark.parametrize("ell, A", [(0.0, 10.0), (10.0, 10.0), (100.0, 100.0)])
+def test_box_value_error_carries_the_wall_value(ell, A):
+    """ell minus a tent of height A on (0, 1): the box evolves the tent and
+    returns ell minus it, so an error relative to 1 + |tent| can be 1 + |ell|
+    times as large relative to 1 + |u|.  Without that factor ell = A = 10
+    erred by 1.6e-9 against a value_error of 2.6e-10.  The oracle is the
+    tent's sine series."""
+    t = 1e-3
+    phi = InitialDatum(fn=lambda x: ell - A * (1.0 - 2.0 * np.abs(np.asarray(x, float) - 0.5)),
+                       growth_a=ell + A, growth_A=0.0, breakpoints=(0.5,))
+    u = heat_evolve_dirichlet(phi, DomainSpec.interval(0.0, 1.0, ell), t, (0.0, 1.0, 1.0 / 64))
+    k = np.arange(1, 2001)
+    coef = 8.0 / (k * np.pi) ** 2 * np.sin(k * np.pi / 2) * np.exp(-(k * np.pi) ** 2 * t)
+    exact = ell - A * np.sin(np.pi * np.outer(u.axes()[0], k)) @ coef
+    assert rel_err(u.values, exact) <= u.value_error
+
+
 @pytest.mark.parametrize("L", [0.1, 1.0, 8.0])
 @pytest.mark.parametrize("t", [1e-4, 0.05, 4.0])
 def test_dirichlet_kernels_match_the_image_sum(L, t):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from heatconvex.numerics import (DomainError, affine_fit,
                                  discrete_convexity_defect, fd_step,
                                  invert_monotone, piecewise_simpson_weights,
-                                 quadratic_leading_fit, simpson_weights)
+                                 simpson_weights)
 
 
 def test_invert_monotone_erf():
@@ -51,12 +51,6 @@ def test_affine_fit_recovers_line():
     assert abs(A - 2.5) < 1e-12
     assert abs(B + 1.0) < 1e-12
     assert resid < 1e-12
-
-
-def test_quadratic_leading_fit():
-    z = np.linspace(1.0, 9.0, 200)
-    c = quadratic_leading_fit(z, 0.75 * z ** 2 + 3 * z - 2)
-    assert abs(c - 0.75) < 1e-10
 
 
 def test_convexity_defect_sign():

@@ -9,8 +9,7 @@ from scipy.special import erf
 
 from heatconvex import (DomainError, FTransform, GSpec, abs_kink_generator,
                         builtin_transforms, check_admissible,
-                        check_curvature_criterion, check_gaussian_integrability,
-                        classify, compare_strength, default_j_window, make_affine,
+                        check_curvature_criterion, classify, compare_strength, default_j_window, make_affine,
                         make_exp, make_from_g, make_hot, make_neglog,
                         make_power_alpha, scale_shift)
 from heatconvex.heatflow import hot_h, hot_h_deriv
@@ -18,13 +17,14 @@ from heatconvex.heatflow import hot_h, hot_h_deriv
 BUILTINS = builtin_transforms()
 
 
-def _closed_form(label, domain_kind, j_lo, ev, inv, dinv, log_inv, g):
+def _closed_form(label, domain_kind, j_lo, ev, inv, dinv, log_inv, g, order=0.0):
     """A test-local transform on values (-inf or 0, inf) from closed forms of
-    F, f_F, f_F', log |f_F| and g."""
+    F, f_F, f_F', log |f_F| and g, and its Gaussian order."""
     lower = 0.0 if domain_kind == "half_line_nonneg" else -np.inf
     return FTransform(domain_kind=domain_kind, lower_a=lower, upper_ell=np.inf,
                       j_lo=j_lo, j_hi=np.inf, label=label, _eval=ev, _inverse=inv,
-                      _inverse_deriv=dinv, _log_inverse=log_inv, _g_closed=g)
+                      _inverse_deriv=dinv, _log_inverse=log_inv, gaussian_order=order,
+                      _g_closed=g)
 
 
 def _assert_preserved(F):
@@ -350,6 +350,18 @@ def test_from_g_with_flat_tails_rebuilds_neglog():
     _assert_preserved(F)
 
 
+def test_from_g_rebuild_of_neglog_keeps_its_digits_near_the_supremum():
+    """Above sup f / 2, F inverts log(sup f - f), the right tail's own mass;
+    inverting log f lost 1 - f / sup f there, to 1.1e-2 relative at the
+    largest double below 1."""
+    g = GSpec(((0.0, -1.0),), left_slope=0.0, right_slope=0.0)
+    F, N = make_from_g(g, 0.0, 0.0, 1.0), make_neglog(0.0, 1.0)
+    top = np.array([1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, np.nextafter(1.0, 0.0)])
+    np.testing.assert_allclose(F(top), N(top), rtol=1e-12)
+    r = np.linspace(0.01, 0.5, 50)
+    np.testing.assert_allclose(F(r), N(r), rtol=1e-14)
+
+
 def test_from_g_rebuilds_hot():
     """g = -z/2 with f(0) = 1/2 and f'(0) = hot_h'(0) is hot(1): the left
     mass is exactly 1/2, so f tends to 0 with no zero and J is all of R."""
@@ -426,60 +438,9 @@ def test_check_admissible_flags_jump():
     assert not rep.admissible
 
 
-def test_gaussian_integrability_orders():
-    # sub-Gaussian inverse growth: threshold order 0
-    assert check_gaussian_integrability(make_power_alpha(1.0)).a_star == 0.0
-    assert check_gaussian_integrability(make_power_alpha(2.0)).a_star == 0.0
-    # exp(z) inverse: still order 0 under the e^{A z^2} gauge
-    assert check_gaussian_integrability(make_power_alpha(0.0)).a_star == 0.0
-
-
-def test_gaussian_integrability_kink_order_half():
-    integ = check_gaussian_integrability(BUILTINS["from_g_kink"])
-    assert 0.4 <= integ.a_star <= 0.6
-
-
-def test_whole_line_tail_with_disagreeing_fits_is_inconclusive():
-    """f = z - 1 above 0 and -exp(q) below, q = 0.1 z^2 out to |z| = 24 and
-    slope 0.02 z^2 beyond: the lower tail's window fits (0.1, 0.02) disagree,
-    so its order is unknown whatever the upper tail says."""
-    def q(z):
-        return np.where(np.abs(z) <= 24.0, 0.1 * z * z, 57.6 + 0.02 * (z * z - 576.0))
-
-    def dq(z):
-        return np.where(np.abs(z) <= 24.0, 0.2 * z, 0.04 * z)
-
-    def inv(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z >= 0.0, z - 1.0, -np.exp(q(z)))
-
-    def dinv(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z >= 0.0, 1.0, -dq(z) * np.exp(q(z)))
-
-    def log_inv(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z >= 0.0, np.log(np.abs(z - 1.0)), q(z))
-
-    def g(z):  # (log f')' = q''/q' + q' below 0
-        z = np.asarray(z, dtype=float)
-        return np.where(z >= 0.0, 0.0, 1.0 / z + dq(z))
-
-    def ev(r):
-        r = np.asarray(r, dtype=float)
-        L = np.log(np.maximum(-r, 1.0))
-        depth = np.where(L <= 57.6, np.sqrt(10.0 * L),
-                         np.sqrt(576.0 + (L - 57.6) / 0.02))
-        return np.where(r >= -1.0, r + 1.0, -depth)
-
-    F = _closed_form("two_slope", "whole_line", -np.inf, ev, inv, dinv, log_inv, g)
-    assert np.isnan(check_gaussian_integrability(F).a_star)
-    assert classify(F).verdict == "inconclusive"
-
-
 def test_whole_line_inverse_divergent_at_the_lower_end_of_J():
-    """f = z - 1/z on J = (0, inf) is not integrable at 0: the only finite
-    end of J decides, and the basis names it rather than the growth."""
+    """f = z - 1/z on J = (0, inf) is not integrable at 0, so no Gaussian
+    weight helps: the stated order inf decides before the curvature."""
     def ev(r):
         r = np.asarray(r, dtype=float)
         return 0.5 * (r + np.sqrt(r * r + 4.0))
@@ -491,18 +452,12 @@ def test_whole_line_inverse_divergent_at_the_lower_end_of_J():
     F = _closed_form("recip", "whole_line", 0.0, ev, inv,
                      lambda z: 1.0 + 1.0 / np.asarray(z, dtype=float) ** 2,
                      lambda z: np.log(np.abs(inv(z))),
-                     lambda z: -2.0 / (np.asarray(z, dtype=float) ** 3 + z))
-    integ = check_gaussian_integrability(F)
-    assert integ.endpoint_status == "divergent" and integ.a_star == np.inf
+                     lambda z: -2.0 / (np.asarray(z, dtype=float) ** 3 + z),
+                     order=np.inf)
     rep = classify(F)
     assert rep.verdict == "only_trivially_preserved" and rep.gaussian_divergent
-    assert "not integrable at the lower end 0 of J" in rep.basis
-    assert "grows too fast" not in rep.basis
-
-
-def test_gaussian_integrability_rejects_bounded_image():
-    with pytest.raises(DomainError):
-        check_gaussian_integrability(make_power_alpha(-1.0))
+    assert rep.gaussian_order == np.inf and rep.deriv_positive is None
+    assert rep.basis.startswith("gaussian-divergence rule (whole line)")
 
 
 # -- classification -------------------------------------------------------------
@@ -522,6 +477,42 @@ EXPECTED_VERDICTS = {
     "exp": "not_preserved",
     "from_g_kink": "preserved",
 }
+
+
+EXPECTED_ORDERS = dict.fromkeys(EXPECTED_VERDICTS, 0.0) | {
+    "power_-1": np.inf, "from_g_kink": 0.5}
+
+
+def test_stated_gaussian_orders():
+    """Each constructor states its order in closed form, and A*F + B, whose
+    inverse is f_F((z - B)/A), has F's order over A^2."""
+    for name, F in BUILTINS.items():
+        assert F.gaussian_order == EXPECTED_ORDERS[name], name
+        assert scale_shift(F, 2.0, -1.0).gaussian_order == EXPECTED_ORDERS[name] / 4.0
+    for alpha, order in ((-2.0, 0.0), (-1.0, np.inf), (-0.5, np.inf), (3.0, 0.0)):
+        assert make_power_alpha(alpha).gaussian_order == order, alpha
+    bounded = make_from_g(GSpec(((0.0, 0.0),), -2.0, -1.0), 0.0, 0.5, 1.0)
+    assert bounded.domain_kind == "bounded_above" and bounded.gaussian_order == 0.0
+
+
+_SWEEP = [pytest.param(abs_kink_generator(center=c), v, id=f"tent-center{c}-base{v}")
+          for c in (1.0, 8.0, 10.0, 12.0, 40.0) for v in (0.0, 1.0)] + [
+    pytest.param(GSpec(((0.0, 0.0), (30.0, 3.0)), 0.1, 0.5), 0.0, id="two-knots")]
+
+
+@pytest.mark.parametrize("g, base_value", _SWEEP)
+def test_from_g_sweep_classifies_with_its_stated_order(g, base_value):
+    """log f grows like right_slope z^2 / 2 wherever the kinks lie.  A fit
+    of log f on z in [8, 16] and [32, 64] read centre 10 and the two knots
+    as divergent, and centres 12 and 40 as inconclusive.  The oracle for
+    the order is log f itself, far out."""
+    F = make_from_g(g, 0.0, base_value, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = classify(F)
+    assert rep.verdict == "preserved", rep.basis
+    assert rep.gaussian_order == F.gaussian_order == 0.5 * g.right_slope
+    assert abs(F.log_inverse(1e5) / 1e10 - rep.gaussian_order) <= 1e-3
 
 
 def test_classify_builtin_verdicts():
