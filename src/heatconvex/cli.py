@@ -147,8 +147,10 @@ def cmd_evolve(cfg):
         _write(cfg.out_dir, fname, f"# t={t!r}\n" + u.to_csv())
         results.append({"file": fname, "t": t, "value_error": u.value_error,
                         "growth_a": u.growth_a, "growth_A": u.growth_A,
-                        **{k: u.meta[k] for k in ("converged", "refine_history",
-                                                  "truncation_radius", "kernel_len")}})
+                        **{k: u.meta[k] for k in (
+                            "converged", "refine_history", "truncation_radius",
+                            "kernel_len", "kernel_method", "roundoff_error",
+                            "lattice_factor", "fft_block")}})
         print(f"t={t:g}: wrote {fname} (value_error {u.value_error:.3g})")
         _warn_unconverged(f"t={t:g}", u.meta)
     _write_meta(cfg, "evolve", "evolve_meta.json", {"results": results})

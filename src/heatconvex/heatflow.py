@@ -13,13 +13,15 @@ rectangle) reflects the samples oddly across each wall and convolves them
 with the periodic image sum, whose spectrum has a closed form: the interval
 multiplies by it in one FFT of the odd period, a box of more axes samples
 the sum per axis by one inverse FFT.  Other long 1D convolutions run as
-blocked FFTs, short ones (and data whose bound is too large) as direct sums,
-and every FFT carries a roundoff bound; data of two or more axes apply the
-decimated operator matrix of each axis along that axis.  One refinement
-loop refuses a first pass that is not finite, then doubles m until a
-two-grid Richardson comparison meets the requested tolerance or the lattice
-would pass a node budget; the achieved estimate plus the roundoff bound is
-recorded on the result so certificates can build honest noise floors.
+blocked FFTs (blocks of half the kernel where the roundoff bound is within
+a hundredth of the tolerance, else of an eighth within it), short ones (and
+data whose bound is too large) as direct sums, and every FFT carries a
+roundoff bound; data of two or more axes apply the decimated operator
+matrix of each axis along that axis.  One refinement loop refuses a first
+pass that is not finite, then doubles m until a two-grid Richardson
+comparison meets the requested tolerance or the lattice would pass a node
+budget; the achieved estimate plus the roundoff bound is recorded on the
+result so certificates can build honest noise floors.
 """
 from __future__ import annotations
 
@@ -520,9 +522,12 @@ def _snap_edges(y0, h, n_nodes, points):
     return sorted(idx)
 
 
-# kernel length from which the blocked FFT beats np.convolve
-# (measured crossover on the reference machine: 2048 to 2560)
-_FFT_MIN_LEN = 2304
+# kernel length from which _kernel_apply's long-block FFT beats np.convolve
+# (measured crossover on the reference machine: K = 897 to 1025 at 1025
+# outputs, 385 at 4097, 385 to 513 at 16385)
+_FFT_MIN_LEN = 1024
+# _valid's output blocks as fractions 1 / frac of the kernel length
+_LONG_BLOCK, _SHORT_BLOCK = 2, 8
 # entries per batch of FFT segments, so work arrays stay small
 _BATCH = 2 ** 17
 
@@ -543,21 +548,22 @@ def _fast_len(n):
     return best
 
 
-def _valid(f, g):
-    """np.convolve(f, g, "valid") by overlap-save, with a roundoff bound;
-    the data f are at least as long as the kernel g.
+def _valid(f, g, B):
+    """np.convolve(f, g, "valid") by overlap-save over output blocks of
+    length B, with a roundoff bound; the data f are at least as long as the
+    kernel g.
 
-    The outputs are cut into blocks of K // 8 (K = g.size), whose segments
-    go through batched real FFTs of the smallest 5-smooth length that holds
-    one (_fast_len).  numpy's FFT keeps no plans between calls, so a run's
+    Each block's segment of B + K - 1 data (K = g.size) goes through
+    batched real FFTs of the smallest 5-smooth length that holds it
+    (_fast_len).  numpy's FFT keeps no plans between calls, so a run's
     resident memory does not grow with it.  The second array bounds the
     error of each output by the normwise bound of its block,
     eps log2(nfft) |segment|_2 |g|_2: FFT roundoff is spread over the whole
-    block, so short blocks keep it near the local data.
+    segment, so short blocks keep it nearer the local data and long ones
+    transform less overlap.
     """
     K = g.size
     n_out = f.size - K + 1
-    B = max(1, K // 8)
     nb = -(-n_out // B)
     nfft = _fast_len(B + K - 1)
     fp = np.zeros(nb * B + K - 1)
@@ -575,25 +581,32 @@ def _valid(f, g):
     return out.ravel()[:n_out], np.repeat(bound, B)[:n_out]
 
 
-def _kernel_apply(psi, m, kern, tol=np.inf):
+def _kernel_apply(psi, m, kern, tol=np.inf, long_blocks=True):
     """The valid sums sum_j kern[q - j] psi[j] at every m-th output q, psi
     at least as long as kern.
 
     Free space and the half line both come here: the half line is the free
     flow of its odd extension, so its images need no kernel of their own.
-    Returns (u, roundoff, method).  Long kernels go
-    through the blocked FFT, whose roundoff is max(bound / (1 + |u|)) over
-    the outputs; where that exceeds tol, and for short kernels, the sums
-    are taken directly (roundoff 0: the pointwise rounding of direct sums is
-    the reference).
+    Returns (u, roundoff, method, block).  Long kernels go through _valid,
+    whose roundoff is max(bound / (1 + |u|)) over the outputs: first over
+    blocks of K // _LONG_BLOCK (K = kern.size; unless not long_blocks),
+    kept within tol / 100, then of K // _SHORT_BLOCK, kept within tol.  A
+    long block's segment makes a third of each transform output, a short
+    one's a ninth, but spreads roundoff over more data, so fast-growing
+    data keep the short blocks.  Where neither holds, and for short
+    kernels, the sums are taken directly (roundoff 0: the pointwise
+    rounding of direct sums is the reference; block None).
     """
-    if kern.size >= _FFT_MIN_LEN:
-        u, bound = _valid(psi, kern)
-        u = u[::m]
-        roundoff = float(np.max(bound[::m] / (1.0 + np.abs(u))))
-        if roundoff <= tol:
-            return u, roundoff, "fft"
-    return np.convolve(psi, kern, mode="valid")[::m], 0.0, "direct"
+    K = kern.size
+    if K >= _FFT_MIN_LEN:
+        tries = ((_LONG_BLOCK, tol / 100.0), (_SHORT_BLOCK, tol))
+        for frac, tol_b in tries[not long_blocks:]:
+            u, bound = _valid(psi, kern, K // frac)
+            u = u[::m]
+            roundoff = float(np.max(bound[::m] / (1.0 + np.abs(u))))
+            if roundoff <= tol_b:
+                return u, roundoff, "fft", K // frac
+    return np.convolve(psi, kern, mode="valid")[::m], 0.0, "direct", None
 
 
 def _kernel_matrix(N, m, n, kern):
@@ -658,17 +671,18 @@ def _start_factor(spacings, t, datum_h):
 def _refine(one_pass, m, quad_tol, max_refine, cells):
     """Double m until two passes agree to quad_tol; returns (values, record).
 
-    one_pass(m) returns (values, roundoff, kernel_method, kernel_len).  A
-    lattice has c m + 1 nodes along an axis of c cells at m = 1 (cells lists
-    c per axis).  DomainError for a first lattice above _MAX_LATTICE_NODES,
-    before one_pass samples anything, and for a first pass that is not
-    finite (data unbounded on the lattice); doubling stops short of the
-    budget, keeping the last finished pass.  The record holds quad_error, the
-    Richardson estimate |u_2m - u_m| / (15 (1 + |u_2m|)) of the last doubling
-    (inf when none ran), the roundoff_error, kernel_method and kernel_len of
-    the last pass, lattice_factor, converged (quad_error <= quad_tol) and
-    refine_history, one [lattice_factor, estimate] per pass (estimate None
-    for the first).
+    one_pass(m) returns (values, roundoff, kernel_method, fft_block,
+    kernel_len).  A lattice has c m + 1 nodes along an axis of c cells at
+    m = 1 (cells lists c per axis).  DomainError for a first lattice above
+    _MAX_LATTICE_NODES, before one_pass samples anything, and for a first
+    pass that is not finite (data unbounded on the lattice); doubling stops
+    short of the budget, keeping the last finished pass.  The record holds
+    quad_error, the Richardson estimate |u_2m - u_m| / (15 (1 + |u_2m|)) of
+    the last doubling (inf when none ran), the roundoff_error,
+    kernel_method, fft_block (the block length of an FFT pass, else None)
+    and kernel_len of the last pass, lattice_factor, converged (quad_error
+    <= quad_tol) and refine_history, one [lattice_factor, estimate] per pass
+    (estimate None for the first).
     """
     def nodes(m):
         return math.prod(m * c + 1 for c in cells)
@@ -676,7 +690,7 @@ def _refine(one_pass, m, quad_tol, max_refine, cells):
     if nodes(m) > _MAX_LATTICE_NODES:
         raise DomainError(f"the first lattice (factor {m}) has {nodes(m)} nodes, "
                           f"above the budget of {_MAX_LATTICE_NODES}")
-    u, roundoff, method, taps = one_pass(m)
+    u, roundoff, method, block, taps = one_pass(m)
     if not np.all(np.isfinite(u)):
         raise DomainError(f"datum must be bounded: the first pass (lattice factor "
                           f"{m}) is not finite")
@@ -686,15 +700,16 @@ def _refine(one_pass, m, quad_tol, max_refine, cells):
         if nodes(2 * m) > _MAX_LATTICE_NODES:
             break
         m *= 2
-        u_next, roundoff, method, taps = one_pass(m)
+        u_next, roundoff, method, block, taps = one_pass(m)
         est = float(np.max(np.abs(u_next - u) / (1.0 + np.abs(u_next)))) / 15.0
         history.append([m, est])
         u = u_next
         if est <= quad_tol:
             break
     return u, {"quad_error": est, "roundoff_error": roundoff,
-               "kernel_method": method, "kernel_len": taps, "lattice_factor": m,
-               "converged": est <= quad_tol, "refine_history": history}
+               "kernel_method": method, "fft_block": block, "kernel_len": taps,
+               "lattice_factor": m, "converged": est <= quad_tol,
+               "refine_history": history}
 
 
 # -- free-space evolution ----------------------------------------------------
@@ -737,8 +752,10 @@ def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
     x_max = max(max(abs(lo), abs(hi)) for lo, hi, _ in grids)
     shrink, gain, eps_abs, R = _truncation_window(a, A, t, x_max, dim, eps_tail)
     margins = [int(np.ceil(R / H)) for H in Hs]
+    long_blocks = True  # False once a pass refused long FFT blocks
 
     def one_pass(m):
+        nonlocal long_blocks
         axes, kerns, edges = [], [], []
         for (lo, _, _), H, n, b, c in zip(grids, Hs, ns, brk, margins):
             h = H / m
@@ -750,12 +767,15 @@ def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
         taps = [k.size for k in kerns]
         if dim == 1:
             psi = _piece_weighted_values(sample, axes[0], edges[0], Hs[0] / m)
-            return (*_kernel_apply(psi, m, kerns[0], tol=quad_tol / 100.0), taps)
+            u, roundoff, method, block = _kernel_apply(psi, m, kerns[0], quad_tol / 100.0,
+                                                       long_blocks)
+            long_blocks = taps[0] < _FFT_MIN_LEN or block == taps[0] // _LONG_BLOCK
+            return u, roundoff, method, block, taps
         return (*_separable(
             sample(*axes),
             [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
             [_kernel_matrix(y.size, m, n, k) for y, n, k in zip(axes, ns, kerns)],
-            (0.0,) * dim), taps)
+            (0.0,) * dim), None, taps)
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [2 * c + n - 1 for c, n in zip(margins, ns)])
@@ -930,7 +950,7 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
             psi[0] = 0.0
             (lo, hi), = extent
             # one circular convolution of period 2 (psi.size - 1)
-            return (*_box_apply(psi, m, hi - lo, t), [2 * (psi.size - 1)])
+            return (*_box_apply(psi, m, hi - lo, t), None, [2 * (psi.size - 1)])
         # per axis, the matrix of the image sum on odd data, reflected
         # across the whole box and folded onto the samples from the wall
         kerns, deltas = zip(*(_dirichlet_kernels(hi - lo, t, y.size - 1)
@@ -941,7 +961,7 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
             ell - sample(*axes),
             [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
             [f[:, y.size - 1:] - f[:, y.size - 1::-1] for f, y in zip(full, axes)],
-            deltas), [k.size for k in kerns])
+            deltas), None, [k.size for k in kerns])
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [n - 1 for n in ns])

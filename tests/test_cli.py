@@ -515,6 +515,24 @@ def test_evolve_meta_records_the_refinement_history(tmp_path):
         assert rec["converged"] == (rest[-1][1] <= 1e-9)
 
 
+@pytest.mark.parametrize("h, method", [("0.03125", "direct"), ("0.0009765625", "fft")])
+def test_evolve_meta_records_how_the_kernel_sums_were_taken(tmp_path, h, method):
+    """257 nodes sum directly; 16385 nodes on (-8, 8) take the long FFT
+    blocks, half the kernel, with a roundoff bound."""
+    cfg = write_config(tmp_path, EVOLVE_CFG.replace("grid.lo = -4", "grid.lo = -8")
+                       .replace("grid.hi = 4", "grid.hi = 8")
+                       .replace("grid.h  = 0.03125", f"grid.h  = {h}"))
+    assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+    (rec,) = json.loads((tmp_path / "res" / "evolve_meta.json").read_text())["results"]
+    (K,) = rec["kernel_len"]
+    assert rec["kernel_method"] == method
+    assert rec["lattice_factor"] == rec["refine_history"][-1][0]
+    if method == "fft":
+        assert rec["fft_block"] == K // 2 and 0.0 < rec["roundoff_error"] < 1e-13
+    else:
+        assert rec["fft_block"] is None and rec["roundoff_error"] == 0.0
+
+
 def test_hunt_meta_records_each_scan(tmp_path):
     """One record per transform and hunt level, in the order of its CSV rows."""
     cfg = write_config(tmp_path, HUNT_CFG + "transform = power alpha=1\n")

@@ -12,7 +12,7 @@ from heatconvex import (DomainSpec, EvaluationWindowError,
                         heat_evolve_dirichlet, heat_evolve_free, heatflow, hot_h)
 from heatconvex.heatflow import (_CSV_BLOCKS, _CSV_ROWS, _box_apply, _csv_templates,
                                  _dirichlet_kernels, _fast_len,
-                                 _kernel_apply, _kernel_matrix, _pchip,
+                                 _kernel_apply, _kernel_matrix, _pchip, _valid,
                                  check_existence)
 from heatconvex.numerics import DomainError
 
@@ -389,11 +389,11 @@ def test_reflected_sums_equal_toeplitz_minus_hankel(nodes, m):
     odd = np.concatenate((-psi[p:0:-1], [0.0], psi[1:]))
     # the valid sums are symmetric in their operands: the longer one is data
     data, short = sorted((odd, kern), key=np.size, reverse=True)
-    u, roundoff, method = _kernel_apply(data, m, short)
+    u, roundoff, method, _ = _kernel_apply(data, m, short)
     outs = (n - 1) * m + 1
     ref = (np.convolve(psi, toeplitz, mode="valid")[:outs]
            - np.correlate(hankel, psi, mode="valid"))[::m]
-    assert method == ("fft" if min(odd.size, kern.size) >= 2304 else "direct")
+    assert method == ("fft" if min(odd.size, kern.size) >= heatflow._FFT_MIN_LEN else "direct")
     assert u.shape == ref.shape == (n,)
     bound = roundoff * (1.0 + np.abs(u)) + delta * np.linalg.norm(odd)
     assert np.all(np.abs(u - ref) <= bound)
@@ -415,7 +415,7 @@ def test_spectral_box_equals_the_reflected_toeplitz_sum(nodes, m):
     kern, delta = _dirichlet_kernels(L, t, p)
     odd = np.concatenate((-psi[p:0:-1], psi))
     # the kernel is the longer operand of the symmetric valid sums
-    ref, ref_roundoff, _ = _kernel_apply(kern, m, odd)
+    ref, ref_roundoff, *_ = _kernel_apply(kern, m, odd)
     assert method == "spectral"
     assert u.shape == ref.shape == (n,)
     assert 0.0 < roundoff < 1e-9
@@ -529,8 +529,8 @@ _SIN2 = InitialDatum(fn=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
 _G8 = (0.0, 1.0, 1.0 / 8)
 
 
-_META_KEYS = {"t", "quad_error", "roundoff_error", "kernel_method", "kernel_len",
-              "lattice_factor", "converged", "refine_history", "tail_bound",
+_META_KEYS = {"t", "quad_error", "roundoff_error", "kernel_method", "fft_block",
+              "kernel_len", "lattice_factor", "converged", "refine_history", "tail_bound",
               "truncation_radius", "inherited_error"}
 _BOX = DomainSpec.interval(0.0, 1.0)
 
@@ -580,6 +580,8 @@ def test_every_path_records_the_same_meta(evolve, method, kernel_rounds, taps):
     assert u.meta["kernel_len"] == taps(u.meta["lattice_factor"], R)
     assert u.meta["t"] in (0.05, 4.0)
     assert u.meta["kernel_method"] == method
+    K = u.meta["kernel_len"][0]
+    assert u.meta["fft_block"] == (K // heatflow._LONG_BLOCK if method == "fft" else None)
     assert u.meta["converged"]
     assert (method in ("fft", "matrix", "spectral") or kernel_rounds) == (
         u.meta["roundoff_error"] > 0)
@@ -617,12 +619,20 @@ _OPERATOR_CASES = [
 
 @pytest.mark.parametrize("N, K, m, n, box", [c for c in _OPERATOR_CASES if not c[-1]])
 def test_fft_operator_stays_within_its_roundoff_bound(N, K, m, n, box):
+    """Overlap-save over long and over short blocks each meets the direct
+    sums within its own bound at every output; _kernel_apply, with no
+    tolerance, keeps the long blocks of long kernels."""
     psi, kern = _operator_case(N, K, m, n, box)
-    u, roundoff, method = _kernel_apply(psi, m, kern)
-    ref = np.convolve(psi, kern, mode="valid")[::m]
-    assert method == ("fft" if min(N, K) >= 2304 else "direct")
+    ref = np.convolve(psi, kern, mode="valid")
+    for B in (K // heatflow._LONG_BLOCK, K // heatflow._SHORT_BLOCK):
+        u, bound = _valid(psi, kern, B)
+        assert u.shape == bound.shape == ref.shape
+        assert np.all(np.abs(u - ref) <= bound)
+    u, roundoff, method, block = _kernel_apply(psi, m, kern)
+    fft = min(N, K) >= heatflow._FFT_MIN_LEN
+    assert (method, block) == (("fft", K // heatflow._LONG_BLOCK) if fft else ("direct", None))
     assert u.shape == (n,)
-    assert np.all(np.abs(u - ref) <= roundoff * (1.0 + np.abs(u)))
+    assert np.all(np.abs(u - ref[::m]) <= roundoff * (1.0 + np.abs(u)))
     if method == "fft":
         assert 0.0 < roundoff < 1e-9
 
@@ -643,8 +653,8 @@ def test_fast_growing_data_fall_back_to_direct_sums():
     y = h * np.arange(-p, p + n)
     psi = h * np.exp(0.2 * y * y)
     kern = gauss_kernel(h * np.arange(-p, p + 1), 0.5)
-    u, roundoff, method = _kernel_apply(psi, 1, kern, tol=1e-11)
-    assert (method, roundoff) == ("direct", 0.0)
+    u, roundoff, method, block = _kernel_apply(psi, 1, kern, tol=1e-11)
+    assert (method, roundoff, block) == ("direct", 0.0, None)
     assert np.array_equal(u, np.convolve(psi, kern, mode="valid"))
     A, t = 0.2, 0.5
     phi = InitialDatum(fn=lambda x: np.exp(A * x * x), growth_a=1.0, growth_A=A)
@@ -667,6 +677,51 @@ def test_fft_evolution_of_exp_abs_meets_the_closed_form():
              + np.exp(-x + t) * ndtr((-x + 2.0 * t) / s))
     assert u.meta["kernel_method"] == "fft"
     assert rel_err(u.values, exact) <= min(u.value_error, 1e-13)
+
+
+def _spy_valid(monkeypatch):
+    """Every _valid call of the evolutions that follow, as (f, g, B)."""
+    calls = []
+    valid = heatflow._valid
+
+    def spy(f, g, B):
+        calls.append((f, g, B))
+        return valid(f, g, B)
+
+    monkeypatch.setattr(heatflow, "_valid", spy)
+    return calls
+
+
+def test_fft_evolution_of_a_gaussian_keeps_the_long_blocks(monkeypatch):
+    """The Gaussian's long-block bound stays within tol / 100 on every pass,
+    and the result meets the heat kernel at t0 + t within value_error."""
+    calls = _spy_valid(monkeypatch)
+    t0, t = 0.5, 0.1
+    phi = InitialDatum(fn=lambda x: gauss_kernel(x, t0), growth_a=1.0)
+    u = heat_evolve_free(phi, t, (-8.0, 8.0, 1.0 / 1024))
+    (K,) = u.meta["kernel_len"]
+    assert u.values.shape == (16385,)
+    assert (u.meta["kernel_method"], u.meta["fft_block"]) == ("fft", K // 2)
+    assert [B for _, g, B in calls] == [g.size // 2 for _, g, _ in calls]
+    assert rel_err(u.values, gauss_kernel(u.axes()[0], t0 + t)) <= u.value_error
+
+
+def test_fft_evolution_of_exp_abs_keeps_the_short_blocks(monkeypatch):
+    """exp |x| spans too many decades for long blocks: the first pass tries
+    them and falls back to blocks of K // 8, the doubling starts there, and
+    the values are the decimated K // 8 overlap-save sums bit for bit."""
+    calls = _spy_valid(monkeypatch)
+    phi = InitialDatum(fn=lambda x: np.exp(np.abs(x)), growth_a=np.e,
+                       growth_A=0.25, breakpoints=(0.0,))
+    u = heat_evolve_free(phi, 0.1, (-8.0, 8.0, 1.0 / 1024))
+    (K,) = u.meta["kernel_len"]
+    m = u.meta["lattice_factor"]
+    assert (u.meta["kernel_method"], u.meta["fft_block"]) == ("fft", K // 8)
+    assert [g.size // B for _, g, B in calls] == [2, 8] + [8] * (len(calls) - 2)
+    (f, g, _), (f_first, g_first, B_long) = calls[-1], calls[0]
+    long, bound = _valid(f_first, g_first, B_long)
+    assert np.max(bound / (1.0 + np.abs(long))) > 1e-13
+    assert np.array_equal(u.values, _valid(f, g, K // 8)[0][::m])
 
 
 @pytest.mark.parametrize("evolve", [
