@@ -65,16 +65,14 @@ class SamplingPlan:
     of the scan table) for each weight; 'random' draws n_random triples
     (a positive count) with weights chosen from lambdas, snapped to the
     grid.  Weights must be rationals p/q with q <= 8 so midpoints are
-    grid-exact; max_stride, None or a positive integer, caps the strides.
-    A plan that would scan nothing, or an unknown kind, is a DomainError
-    (a ValueError).
+    grid-exact.  A plan that would scan nothing, or an unknown kind, is a
+    DomainError (a ValueError).
     """
 
     kind: str = "aligned"
     lambdas: tuple = (0.5,)
     n_random: int = 4000
     seed: int = 0
-    max_stride: object = None
 
     def __post_init__(self):
         if self.kind not in ("aligned", "random"):
@@ -84,10 +82,6 @@ class SamplingPlan:
         if self.n_random < 1:
             raise DomainError(
                 f"n_random must be a positive count of triples, got {self.n_random}")
-        cap = self.max_stride
-        if cap is not None and not (isinstance(cap, (int, np.integer)) and cap >= 1):
-            raise DomainError(
-                f"max_stride must be None or a positive integer, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,7 @@ def _fold(best, fields, lam, margin, gap, g_max, nodes):
             float(v[im]), float(end0[i0].real + end1[i1].real), lam, g_max)
 
 
-def _scan_aligned(best, fields, p, q, lam, max_stride):
+def _scan_aligned(best, fields, p, q, lam):
     """Worst margin over all grid-aligned stride triples for one weight.
 
     Strides go in blocks of as many as fill _BLOCK triples at the block's
@@ -251,7 +245,7 @@ def _scan_aligned(best, fields, p, q, lam, max_stride):
     v, _, mid, end0, end1 = fields
     shape, dirs = v.shape, _DIRECTIONS[v.ndim]
     caps = [min((n - 1) // q for n, step in zip(shape, d) if step) for d in dirs]
-    s_cap = max(caps) if max_stride is None else min(max(caps), max_stride)
+    s_cap = max(caps)
 
     def region(d, s):
         return tuple(n - q * s if step else n for n, step in zip(shape, d))
@@ -329,7 +323,7 @@ def _scan_aligned(best, fields, p, q, lam, max_stride):
     return best, count
 
 
-def _scan_random(best, fields, triples_per_lam, rng, p, q, lam, max_stride, bufs):
+def _scan_random(best, fields, triples_per_lam, rng, p, q, lam, bufs):
     """Worst margin over triples_per_lam random grid-aligned triples, drawn
     direction per triple (where there is more than one), then per direction
     strides, then starts axis by axis.  The last axis's starts are drawn
@@ -348,8 +342,6 @@ def _scan_random(best, fields, triples_per_lam, rng, p, q, lam, max_stride, bufs
         if m == 0:
             continue
         s_hi = min((n - 1) // q for n, step in zip(shape, d) if step)
-        if max_stride is not None:
-            s_hi = min(s_hi, max_stride)
         if s_hi < 1:
             continue
         s = rng.integers(1, s_hi + 1, size=m)
@@ -418,10 +410,9 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
         p, q, lam_f = _as_fraction(lam)
         fields = _fields(v, spread, significance_factor, lam_f)
         if plan.kind == "aligned":
-            best, cnt = _scan_aligned(best, fields, p, q, lam_f, plan.max_stride)
+            best, cnt = _scan_aligned(best, fields, p, q, lam_f)
         else:
-            best, cnt = _scan_random(best, fields, per, rng, p, q, lam_f,
-                                     plan.max_stride, bufs)
+            best, cnt = _scan_random(best, fields, per, rng, p, q, lam_f, bufs)
         total += cnt
 
     if best is None:

@@ -211,14 +211,6 @@ class GridFunction:
             for (lo, hi), n in zip(self.extent, self.values.shape)
         )
 
-    def growth_certified(self):
-        """Check the declared growth bound at all sampled nodes."""
-        bound = self.growth_a * np.exp(self.growth_A * self._radius_sq())
-        return bool(np.all(np.abs(self.values) <= bound * (1 + 1e-12) + 1e-300))
-
-    def _radius_sq(self):
-        return sum(c ** 2 for c in _open_mesh(self.axes()))
-
     def interp_to_lattice(self, *axes):
         """Values on the lattice axes[0] x axes[1] x ..., by monotone cubics."""
         vals = self.values

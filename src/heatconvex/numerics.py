@@ -1,11 +1,10 @@
-"""Shared numerical helpers: finite differences, monotone inversion, fits, quadrature."""
+"""Shared numerical helpers: monotone inversion, fits, quadrature, convexity defects."""
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
     "DomainError",
-    "fd_step",
     "invert_monotone",
     "affine_fit",
     "simpson_weights",
@@ -16,11 +15,6 @@ __all__ = [
 
 class DomainError(ValueError):
     """Argument left the mathematical domain of an operation."""
-
-
-def fd_step(z):
-    """Central-difference step, relative with an absolute floor."""
-    return np.maximum(1e-5, 1e-5 * np.abs(z))
 
 
 def invert_monotone(f, target, lo, hi, deriv=None):
@@ -118,18 +112,15 @@ def discrete_convexity_defect(y, spacing, value_noise):
 
     Returns (defect, tol, argmin_index): defect is min over interior nodes of
     (y[i-1]-2y[i]+y[i+1])/spacing^2; tol is 100x the stencil noise implied by
-    `value_noise` (per-sample absolute uncertainty).  y is convex on the grid
-    within noise iff defect >= -tol.
+    `value_noise`, the absolute uncertainty of a sample (a scalar, or one per
+    sample, of which the largest counts).  y is convex on the grid within
+    noise iff defect >= -tol.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 3:
         return 0.0, np.inf, 0
     d2 = (y[:-2] - 2 * y[1:-1] + y[2:]) / (spacing * spacing)
     i = int(np.argmin(d2))
-    noise = np.asarray(value_noise, dtype=float)
-    if noise.ndim == 0:
-        stencil_noise = 4.0 * float(noise) / (spacing * spacing)
-    else:
-        stencil_noise = 4.0 * float(np.max(noise)) / (spacing * spacing)
+    stencil_noise = 4.0 * float(np.max(value_noise)) / (spacing * spacing)
     tol = 100.0 * max(stencil_noise, np.finfo(float).eps)
     return float(d2[i]), tol, i + 1

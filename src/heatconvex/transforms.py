@@ -26,7 +26,6 @@ from .numerics import (
     DomainError,
     affine_fit,
     discrete_convexity_defect,
-    fd_step,
     invert_monotone,
 )
 
@@ -74,9 +73,8 @@ class FTransform:
     'bounded_above' (values in [lower_a, upper_ell] with F(upper_ell) = inf).
     (j_lo, j_hi) bound the open image interval J of the domain interior;
     inverse/log_inverse/g are defined there.  All callables are vectorized,
-    and f_F, f_F' and log |f_F| are closed forms.  g is _g_closed when
-    given; else it central-differences _log_inverse_deriv, the closed-form
-    log f_F'.  gaussian_order is the least A >= 0 making e^{-A z^2} |f_F|
+    and f_F, f_F', log |f_F| and the curvature profile g = (log f_F')' are
+    closed forms.  gaussian_order is the least A >= 0 making e^{-A z^2} |f_F|
     integrable over J (inf when none does), stated by each constructor.
     """
 
@@ -91,8 +89,7 @@ class FTransform:
     _inverse_deriv: object
     _log_inverse: object
     gaussian_order: float
-    _g_closed: object = None
-    _log_inverse_deriv: object = None
+    _g_closed: object
 
     # -- evaluation ---------------------------------------------------------
 
@@ -108,78 +105,39 @@ class FTransform:
         return _scalar_like(out, r)
 
     def inverse(self, z):
-        arr = self._check_j(z, slack=0.0)
+        arr = self._check_j(z)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = self._inverse(arr)
         return _scalar_like(out, z)
 
     def inverse_deriv(self, z):
-        arr = self._check_j(z, slack=0.0)
+        arr = self._check_j(z)
         with np.errstate(divide="ignore", over="ignore"):
             return _scalar_like(self._inverse_deriv(arr), z)
 
     def log_inverse(self, z):
         """log |f_F(z)|, stable where f_F itself would overflow."""
-        arr = self._check_j(z, slack=0.0)
+        arr = self._check_j(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             return _scalar_like(self._log_inverse(arr), z)
 
     def g(self, z):
         """Curvature profile (log f_F')' at z in J."""
-        return self.g_with_noise(z)[0]
+        return _scalar_like(self._g_closed(self._check_j(z)), z)
 
-    def g_with_noise(self, z):
-        """g values plus a per-point absolute noise estimate.
-
-        A closed-form g carries roundoff-level noise.  Without one, g is the
-        central difference of the closed-form log f_F'; the noise estimate
-        compares steps h and 2h, which picks up the O(h) error near slope
-        kinks, and adds the rounding of log f_F' over h.
-        """
-        arr = self._check_j(z, slack=2 * fd_step(_as_float_array(z)))
-        scalar = np.ndim(z) == 0
-        arr = np.atleast_1d(arr)
-        if self._g_closed is not None:
-            vals = np.asarray(self._g_closed(arr), dtype=float)
-            noise = 4 * _EPS * (1.0 + np.abs(vals))
-        else:
-            vals, noise = self._g_fd(arr)
-        if scalar:
-            return float(vals[0]), float(noise[0])
-        return vals, noise
-
-    def _g_fd(self, z):
-        log_fprime, h = self._log_inverse_deriv, fd_step(z)
-        d1 = (log_fprime(z + h) - log_fprime(z - h)) / (2 * h)
-        d2 = (log_fprime(z + 2 * h) - log_fprime(z - 2 * h)) / (4 * h)
-        scale = np.abs(log_fprime(z)) + 1.0
-        noise = np.abs(d1 - d2) / 3.0 + 4 * _EPS * scale / h
-        return d1, noise
-
-    def _check_j(self, z, slack):
+    def _check_j(self, z):
         """z as floats; DomainError unless every entry that is not NaN lies
-        in J shrunk by slack.  A scalar slack tests the extremes (fmin and
-        fmax skip NaN), so a large array needs no boolean temporaries."""
+        in J.  fmin and fmax find the extremes and skip NaN, so a large array
+        needs no boolean temporaries."""
         arr = _as_float_array(z)
-        if np.ndim(slack) == 0:
-            lo = hi = np.nan
-            if arr.size:
-                lo, hi = np.fmin.reduce(arr, axis=None), np.fmax.reduce(arr, axis=None)
-            outside = lo <= self.j_lo + slack or hi >= self.j_hi - slack
-        else:
-            outside = np.any(arr <= self.j_lo + slack) or np.any(arr >= self.j_hi - slack)
-        if outside:
+        lo = hi = np.nan
+        if arr.size:
+            lo, hi = np.fmin.reduce(arr, axis=None), np.fmax.reduce(arr, axis=None)
+        if lo <= self.j_lo or hi >= self.j_hi:
             raise DomainError(
                 f"{self.label}: argument outside the image interval "
                 f"({self.j_lo}, {self.j_hi})")
         return arr
-
-    def round_trip_error(self, z):
-        """|F(f_F(z)) - z| at points of J (identity check)."""
-        arr = np.atleast_1d(self._check_j(z, slack=0.0))
-        r = self._inverse(arr)
-        back = np.asarray(self(r), dtype=float)
-        return _scalar_like(np.abs(back - arr), z)
 
 
 @dataclass(frozen=True)
@@ -419,15 +377,15 @@ def scale_shift(F, A, B):
     """The transform A*F + B (A > 0), which defines the same convexity class.
 
     Its inverse at z is f_F((z - B)/A), so its Gaussian order is that of F
-    over A^2.
+    over A^2, and its f_F' and g are F's over A.
     """
     A, B = float(A), float(B)
     if A <= 0:
         raise DomainError("scale_shift needs A > 0")
 
     def pull(fn, post=lambda v: v):
-        """z -> post(fn((z - B)/A)), or None when F lacks fn."""
-        return None if fn is None else lambda z: post(fn((_as_float_array(z) - B) / A))
+        """z -> post(fn((z - B)/A))."""
+        return lambda z: post(fn((_as_float_array(z) - B) / A))
 
     return FTransform(
         domain_kind=F.domain_kind,
@@ -441,7 +399,6 @@ def scale_shift(F, A, B):
         _log_inverse=pull(F._log_inverse),
         gaussian_order=F.gaussian_order / (A * A),
         _g_closed=pull(F._g_closed, lambda v: v / A),
-        _log_inverse_deriv=pull(F._log_inverse_deriv, lambda v: v - math.log(A)),
     )
 
 
@@ -472,50 +429,36 @@ def _log_piece(z, za, Ga, ga, s):
         return Ga + np.where(np.abs(ga * d) + np.abs(s) * d * d <= 1.0, near, far)
 
 
-def _log_mass(g, base):
-    """z -> log |int_base^z exp(G)| for G' = g, G(base) = 0.  At z = +-inf
-    this is the mass of a whole tail: nan or inf where that diverges."""
+def _log_mass(g, base, side=0):
+    """z -> log |int_a^z exp(G)| for G' = g, G(base) = 0, from the anchor a =
+    base (side 0) or a = side * inf, where that tail's mass is finite.
+    Anchored at base, z = +-inf gives the mass of a whole tail: nan or inf
+    where that diverges.  The gap masses between knots accumulate outward
+    from the anchor; z's own piece is added on top, and in the tail on the
+    anchor's side it is integrated from z outward."""
     knots, Gk, gk, sg = g._pieces(base)
-    m = _log_piece(knots[1:], knots[:-1], Gk[:-1], gk[:-1], sg[1:-1])
-    ib = int(np.searchsorted(knots, base))
-    # log mass between base and each knot, accumulated outward from base
-    cum = np.r_[np.logaddexp.accumulate(m[:ib][::-1])[::-1], -np.inf,
-                np.logaddexp.accumulate(m[ib:])]
-
-    def log_int(z):
-        z = _as_float_array(z)
-        i = np.searchsorted(knots, z, side="right")
-        k = np.where(z >= base, i - 1, i)  # the gap's end nearer base
-        return np.logaddexp(cum[k], _log_piece(z, knots[k], Gk[k], gk[k], sg[i]))
-
-    return log_int
-
-
-def _log_tail_mass(g, base, side):
-    """z -> log of the mass of exp(G) (G' = g, G(base) = 0) on the side of z
-    toward side * inf: from -inf up to z for side -1, from z out to +inf for
-    side +1, where that tail's mass is finite.  The whole gaps beyond z are
-    accumulated from the far end, plus z's own piece, which in the tail's
-    gap is integrated from z out to side * inf."""
-    knots, Gk, gk, sg = g._pieces(base)
+    ends = np.r_[-np.inf, knots, np.inf]
+    # knot data indexed like ends, each outer knot repeated for the +-inf next to it
+    kx, Gx, gx = (np.r_[a[:1], a, a[-1:]] for a in (knots, Gk, gk))
+    # masses of the gaps between consecutive ends, the tails included
+    gaps = _log_piece(np.r_[-np.inf, ends[2:]], kx[:-1], Gx[:-1], gx[:-1], sg)
+    anchor = side * np.inf if side else base
+    ia = int(np.searchsorted(ends, anchor))
     G = g.antiderivative_from(base)
-    end = 0 if side < 0 else -1  # the knot that bounds the tail's gap
-    gaps = _log_piece(knots[1:], knots[:-1], Gk[:-1], gk[:-1], sg[1:-1])
-    tail = _log_piece(side * np.inf, knots[end], Gk[end], gk[end], sg[end])
-    if side < 0:  # log mass left of each knot
-        cum = np.logaddexp.accumulate(np.r_[tail, gaps])
-    else:  # log mass right of each knot
-        cum = np.logaddexp.accumulate(np.r_[gaps, tail][::-1])[::-1]
+    # log mass between the anchor and each end; past a divergent tail it is
+    # nan or inf, an entry that no z reads
+    with np.errstate(invalid="ignore"):
+        cum = np.r_[np.logaddexp.accumulate(gaps[:ia][::-1])[::-1], -np.inf,
+                    np.logaddexp.accumulate(gaps[ia:])]
 
     def log_int(z):
         z = _as_float_array(z)
         i = np.searchsorted(knots, z, side="right")
-        k = i - 1 if side < 0 else i  # the end of z's gap toward the tail
-        in_tail = (k < 0) | (k >= knots.size)
-        k = np.clip(k, 0, knots.size - 1)
-        head = _log_piece(side * np.inf, z, G(z), g(z), sg[end])
-        return np.where(in_tail, head,
-                        np.logaddexp(cum[k], _log_piece(z, knots[k], Gk[k], gk[k], sg[i])))
+        e = np.where(z >= anchor, i, i + 1)  # the end of z's gap nearer the anchor
+        piece = _log_piece(z, kx[e], Gx[e], gx[e], sg[i])
+        if side:  # in the anchor's tail, z's piece runs from z out to the anchor
+            piece = np.where(e == ia, _log_piece(anchor, z, G(z), g(z), sg[i]), piece)
+        return np.logaddexp(cum[e], piece)
 
     return log_int
 
@@ -539,7 +482,8 @@ def make_from_g(g, base_z, base_value, base_slope):
     right_slope z^2 / 2); a bounded one a bounded-above transform with
     upper_ell = sup f, which F maps to +inf, and order 0.  Above sup f / 2, F
     inverts log(sup f - f), the right tail's own mass, which keeps the
-    digits that 1 - f / sup f would cancel.
+    digits that 1 - f / sup f would cancel.  The curvature profile is g
+    itself.
     """
     if not (base_slope > 0 and base_value >= 0):
         raise DomainError("need base_slope > 0 and base_value >= 0")
@@ -554,7 +498,7 @@ def make_from_g(g, base_z, base_value, base_slope):
     if abs(lower_a) <= 4 * _EPS * base_value:
         lower_a = 0.0  # f tends to 0 with no zero: rounding must not place one
     if lower_a >= 0 and base_value > 0:
-        log_value, log_left = math.log(base_value), _log_tail_mass(g, float(base_z), -1)
+        log_value, log_left = math.log(base_value), _log_mass(g, float(base_z), -1)
         log_lower = math.log(lower_a) if lower_a > 0 else -np.inf
     else:  # f has a zero: measure from it, so f is a sum of positive masses
         f_below = lambda z: base_value - base_slope * np.exp(log_int(z))
@@ -565,7 +509,7 @@ def make_from_g(g, base_z, base_value, base_slope):
         log_scale += float(G(j_lo))
         log_int = _log_mass(g, j_lo)
     bounded = np.isfinite(upper_ell)
-    log_right = _log_tail_mass(g, float(base_z), 1) if bounded else None
+    log_right = _log_mass(g, float(base_z), 1) if bounded else None
 
     def log_inv(z):
         mass = np.logaddexp(log_value, log_scale + log_int(z))
@@ -588,7 +532,8 @@ def make_from_g(g, base_z, base_value, base_slope):
 
     def ev(r):
         r = _as_float_array(r)
-        out = np.where(r > lower_a, np.inf, j_lo)
+        # NaN is neither above nor at lower_a, and stays NaN
+        out = np.where(r > lower_a, np.inf, np.where(r <= lower_a, j_lo, np.nan))
         pos = (r > lower_a) & (r < upper_ell)
         top = pos & (r > 0.5 * upper_ell)  # where upper_ell - r is exact
         low = pos & ~top
@@ -600,8 +545,6 @@ def make_from_g(g, base_z, base_value, base_slope):
                              lambda z: np.exp(log_fprime(z) + neg_log_gap(z)))
         return out
 
-    # the exact log-slope profile: g comes back from it by finite
-    # differences, so the construction is cross-checked rather than echoed
     return FTransform(
         domain_kind="bounded_above" if bounded else "half_line_nonneg",
         lower_a=float(lower_a), upper_ell=float(upper_ell), j_lo=float(j_lo), j_hi=np.inf,
@@ -609,7 +552,7 @@ def make_from_g(g, base_z, base_value, base_slope):
         _inverse=lambda z: np.exp(log_inv(z)),
         _inverse_deriv=lambda z: np.exp(log_fprime(z)),
         gaussian_order=0.0 if bounded else 0.5 * float(g.right_slope),
-        _log_inverse_deriv=log_fprime)
+        _g_closed=g)
 
 
 def builtin_transforms():
@@ -711,17 +654,19 @@ def check_curvature_criterion(F):
 
     Samples 257 points of default_j_window(F).  Returns flags
     (deriv_positive, curvature_convex); convexity uses divided second
-    differences of g against a tolerance of 100x the propagated noise of
-    the g evaluation, and reports the most violating grid point.
+    differences of the closed-form g against a tolerance of 100x the
+    propagated noise of its roundoff, 4 eps (1 + max |g|) per sample, and
+    reports the most violating grid point.
     """
     z_grid = np.linspace(*default_j_window(F), 257)
 
     fprime = np.asarray(F.inverse_deriv(z_grid), dtype=float)
     deriv_positive = bool(np.all(fprime > 0))
 
-    g_vals, g_noise = F.g_with_noise(z_grid)
+    g_vals = F.g(z_grid)
     h = float(z_grid[1] - z_grid[0])
-    defect, tol, idx = discrete_convexity_defect(g_vals, h, np.max(g_noise))
+    noise = 4 * _EPS * (1.0 + np.max(np.abs(g_vals)))  # roundoff of the closed form
+    defect, tol, idx = discrete_convexity_defect(g_vals, h, noise)
     return CurvatureCriterion(
         deriv_positive=deriv_positive,
         curvature_convex=bool(defect >= -tol),

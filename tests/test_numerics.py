@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from heatconvex.numerics import (DomainError, affine_fit,
-                                 discrete_convexity_defect, fd_step,
+                                 discrete_convexity_defect,
                                  invert_monotone, piecewise_simpson_weights,
                                  simpson_weights)
 
@@ -70,10 +69,3 @@ def test_convexity_defect_noise_floor():
     y = x ** 2 + noise * rng.uniform(-1, 1, x.size)
     defect, tol, _ = discrete_convexity_defect(y, h, noise)
     assert defect >= -tol
-
-
-@given(st.floats(min_value=-30.0, max_value=30.0))
-def test_fd_step_scales_with_magnitude(z):
-    h = fd_step(z)
-    assert h >= 1e-5
-    assert h <= 1e-5 * (abs(z) + 1.0) + 1e-15
