@@ -4,7 +4,10 @@ The family (r^alpha - 1)/alpha interpolates between log (alpha = 0) and
 stronger-than-convex requirements as alpha drops; the heat flow keeps the
 associated convexity exactly up to alpha = 1 and destroys it beyond.  The
 tent generators g = |z - c| - 1 give preserved classes of Gaussian order 1/2
-wherever their kink c lies.  Run:
+wherever their kink c lies; so do two tent families that a sampled
+admissibility and slope probe once misread: a deep drop, where F is steep
+but continuous, and a base far right of the kink, where f_F' underflows to 0
+on the classifier's window.  Run:
 
     python3 demos/classify_sweep.py
 """
@@ -35,8 +38,23 @@ def main():
     print()
     print("tent generators g = |z - c| - 1, f(0) = 0, f'(0) = 1")
     print("-" * 72)
-    for center in (1.0, 12.0, 40.0):
-        rep = classify(make_from_g(abs_kink_generator(center=center), 0.0, 0.0, 1.0))
+    tent_rows(1.0, 0.0, 0.0, (1.0, 12.0, 40.0))
+
+    print()
+    print("deep tents g = |z - c| - 20, f(0) = 1, f'(0) = 1 (once read inconclusive)")
+    print("-" * 72)
+    tent_rows(20.0, 0.0, 1.0, (0.0, 1.0, 12.0))
+
+    print()
+    print("tents g = |z - c| - 1 based at f(50) = 1, f'(50) = 1 (once read not_preserved)")
+    print("-" * 72)
+    tent_rows(1.0, 50.0, 1.0, (-50.0, 0.0, 12.0))
+
+
+def tent_rows(drop, base_z, base_value, centers):
+    for center in centers:
+        g = abs_kink_generator(center=center, drop=drop)
+        rep = classify(make_from_g(g, base_z, base_value, 1.0))
         print(f"  c = {center:4g}     ->  {rep.verdict:26s}  "
               f"gaussian order {rep.gaussian_order:.3f}")
 

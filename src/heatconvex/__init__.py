@@ -16,7 +16,6 @@ which transforms keep that structure under the heat semigroup.  Four layers:
 
 from .numerics import DomainError, discrete_convexity_defect, invert_monotone
 from .transforms import (
-    AdmissibilityReport,
     ClassReport,
     CurvatureCriterion,
     FTransform,
@@ -24,7 +23,6 @@ from .transforms import (
     StrengthComparison,
     abs_kink_generator,
     builtin_transforms,
-    check_admissible,
     check_curvature_criterion,
     classify,
     compare_strength,
@@ -68,7 +66,6 @@ from .certify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityReport",
     "Certificate",
     "ClassReport",
     "CurvatureCriterion",
@@ -87,7 +84,6 @@ __all__ = [
     "abs_kink_generator",
     "builtin_transforms",
     "check_F_convex",
-    "check_admissible",
     "check_curvature_criterion",
     "check_envelope_comparison",
     "check_quasi_convex",

@@ -4,9 +4,11 @@ Subcommands: ``classify``, ``evolve``, ``verify``, ``hunt``.  Each takes a
 flat key=value config file (see :mod:`heatconvex.config`) plus optional
 overrides and writes plain CSV data files and a JSON metadata record into
 the output directory; ``hunt`` evolves in free space only and refuses any
-other ``domain`` (exit 2).  Exit codes: 0 ok, 2 config error, 3
-inconclusive classification, 4 existence/evaluation window error, 5
-significant violation found by verify.
+other ``domain`` (exit 2).  Exit codes: 0 ok, 2 config error (a
+transform or datum parameter its constructor refuses included), 4
+existence/evaluation window error, 5 significant violation found by
+verify.  Every transform is admissible once built, so ``classify`` always
+reaches a verdict.
 
 Outputs carry no timestamps and all floats are printed with %.17g, so the
 same config always produces bit-identical files.  _cell formats every
@@ -33,7 +35,6 @@ from .transforms import ClassReport, classify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_INCONCLUSIVE = 3
 EXIT_WINDOW = 4
 EXIT_VIOLATION = 5
 
@@ -120,7 +121,7 @@ def _require_transforms(cfg):
 
 
 def cmd_classify(cfg):
-    """Classify every configured transform; exit 3 on any inconclusive."""
+    """Classify every configured transform."""
     _require_transforms(cfg)
     reports = [classify(F) for F in cfg.transforms]
     lines = [_row(*ClassReport.FIELDS)] + [
@@ -130,8 +131,6 @@ def cmd_classify(cfg):
                 {"verdicts": {r.label: r.verdict for r in reports}})
     for r in reports:
         print(f"{r.label}: {r.verdict} [{r.basis}]")
-    if any(r.verdict == "inconclusive" for r in reports):
-        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 

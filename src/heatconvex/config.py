@@ -158,8 +158,12 @@ def build_datum(name, params, F=None, window=(-8.0, 8.0)):
     """Named initial-datum generators used by evolve/verify/hunt.
 
     F is the transform under test, needed only by the 'counterexample'
-    generator; window sizes the fitted growth certificates.
+    generator; window sizes the fitted growth certificates.  A non-finite
+    numeric parameter, or a Gaussian's t0 <= 0, is a ConfigError.
     """
+    for key, val in params.items():
+        if isinstance(val, float) and not np.isfinite(val):
+            raise ConfigError(f"datum parameter {key!r} must be finite, got {val!r}")
     if name == "const":
         c = _num(params, "c", 1.0)
         return InitialDatum(fn=lambda x: np.full_like(np.asarray(x, float), c),
@@ -187,6 +191,8 @@ def build_datum(name, params, F=None, window=(-8.0, 8.0)):
                             breakpoints=(0.0,), label="exp_abs")
     if name == "gaussian":
         t0 = _num(params, "t0", 0.5)
+        if not t0 > 0:
+            raise ConfigError(f"datum 'gaussian' needs t0 > 0, got {t0!r}")
         return InitialDatum(fn=lambda x: gauss_kernel(x, t0),
                             growth_a=float(gauss_kernel(0.0, t0)), growth_A=0.0,
                             label=f"gaussian[t0={t0:g}]")

@@ -389,6 +389,7 @@ def fit_growth_envelope(fn, window):
     of 801 even samples of the window (clamped to >= 0); a is then the least
     constant making the bound hold at every sample.  The certificate is
     exact at the samples and assumed to extend beyond the window.
+    DomainError when no sample is finite.
     """
     lo, hi = window
     x = np.linspace(lo, hi, 801)
@@ -403,7 +404,10 @@ def fit_growth_envelope(fn, window):
         A = 0.0
     with np.errstate(over="ignore"):
         ratio = vals * np.exp(-A * x * x)
-    a = float(np.max(ratio[np.isfinite(ratio)])) * (1 + 1e-9)
+    finite = ratio[np.isfinite(ratio)]
+    if not finite.size:
+        raise DomainError(f"no finite sample of the datum on the window {window!r}")
+    a = float(np.max(finite)) * (1 + 1e-9)
     return max(a, 1e-300), A
 
 

@@ -33,9 +33,10 @@ def invert_monotone(f, target, lo, hi, deriv=None):
     if np.any(fa > t) or np.any(fb < t):
         bad = (fa > t) | (fb < t)
         raise DomainError(f"target not bracketed by [{lo}, {hi}] for {t[bad][:3]}")
-    # bisection; iteration count set by the bracket width and tolerance
+    # bisection; iteration count set by the bracket width and tolerance,
+    # in logs so that a bracket wider than 1e296 does not overflow
     width = float(hi) - float(lo)
-    n_iter = int(np.ceil(np.log2(max(2.0, width / 1e-12)))) + 2
+    n_iter = int(np.ceil(np.log2(max(width, 2e-12)) - np.log2(1e-12))) + 2
     for _ in range(n_iter):
         m = 0.5 * (a + b)
         fm = np.asarray(f(m), dtype=float)
@@ -47,7 +48,8 @@ def invert_monotone(f, target, lo, hi, deriv=None):
     z = 0.5 * (a + b)
     if deriv is not None:
         for _ in range(4):
-            dz = (np.asarray(f(z), dtype=float) - t) / np.asarray(deriv(z), dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):  # no step where f' is 0 or inf
+                dz = (np.asarray(f(z), dtype=float) - t) / np.asarray(deriv(z), dtype=float)
             dz = np.where(np.isfinite(dz), dz, 0.0)
             z = np.clip(z - dz, a, b)
     return float(z[0]) if scalar else z

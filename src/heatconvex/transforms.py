@@ -5,10 +5,11 @@ function f is F-convex when F o f is convex.  Whether the heat semigroup
 preserves F-convexity is decided by properties of the inverse transform
 f_F = F^{-1} on the image interval J_F: a bounded image makes the class
 trivial, super-Gaussian growth of f_F kills all nontrivial evolving data, and
-otherwise preservation is equivalent to positivity of F' together with
-convexity of the curvature profile g = (log f_F')'.  This module builds the
-standard families, each with its Gaussian order in closed form, samples the
-curvature conditions, and assembles the verdict.
+otherwise preservation is equivalent to convexity of the curvature profile
+g = (log f_F')'.  This module builds the standard families, each admissible by
+construction (its constructor refuses parameters that would not give a
+strictly increasing, continuous F) and each with its Gaussian order and g in
+closed form; classify reads only those and the image interval.
 
 Extended-real conventions: endpoint values map to -inf/+inf (e.g. log 0 =
 -inf, and a transform that blows up at a finite right endpoint evaluates to
@@ -32,7 +33,6 @@ from .numerics import (
 __all__ = [
     "FTransform",
     "GSpec",
-    "AdmissibilityReport",
     "CurvatureCriterion",
     "ClassReport",
     "make_power_alpha",
@@ -44,7 +44,6 @@ __all__ = [
     "scale_shift",
     "abs_kink_generator",
     "builtin_transforms",
-    "check_admissible",
     "check_curvature_criterion",
     "classify",
     "compare_strength",
@@ -68,6 +67,10 @@ def _scalar_like(out, template):
 @dataclass(frozen=True)
 class FTransform:
     """Immutable admissible transform with inverse and curvature access.
+
+    Admissible by construction: each constructor validates its parameters
+    (DomainError otherwise), so F is strictly increasing and continuous on
+    its domain, with f_F' > 0 on J.
 
     domain_kind: 'half_line_nonneg' (values r >= 0), 'whole_line', or
     'bounded_above' (values in [lower_a, upper_ell] with F(upper_ell) = inf).
@@ -146,7 +149,8 @@ class GSpec:
 
     points: ((z, g(z)), ...) sorted by z; the graph is linear between points
     and extends with left_slope/right_slope beyond the first/last point.
-    Slopes must be non-decreasing left to right (convexity).
+    Every point and both slopes must be finite, and the slopes
+    non-decreasing left to right (convexity); DomainError otherwise.
     """
 
     points: tuple
@@ -154,6 +158,9 @@ class GSpec:
     right_slope: float
 
     def __post_init__(self):
+        values = [v for p in self.points for v in p] + [self.left_slope, self.right_slope]
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError("GSpec needs finite points and slopes")
         zs = [p[0] for p in self.points]
         if not zs or sorted(zs) != zs or len(set(zs)) != len(zs):
             raise DomainError("GSpec needs distinct sorted breakpoints")
@@ -268,10 +275,10 @@ def make_power_alpha(alpha):
 
 
 def make_affine(A, B, domain_kind="whole_line"):
-    """Affine transform A*r + B (A > 0)."""
+    """Affine transform A*r + B; DomainError unless A > 0 and B are finite."""
     A, B = float(A), float(B)
-    if A <= 0:
-        raise DomainError("affine transform needs positive slope")
+    if not (0 < A < np.inf and math.isfinite(B)):
+        raise DomainError("affine transform needs a finite slope A > 0 and a finite B")
     if domain_kind == "whole_line":
         lower, j_lo = -np.inf, -np.inf
     elif domain_kind == "half_line_nonneg":
@@ -310,7 +317,8 @@ def make_hot(a):
     """Heat-step transform H_a(r) = H(r/a) on [0, a] (log r when a = inf).
 
     H is the inverse of the unit-time heat evolution of the unit step; its
-    image is all of R, with H_a(0) = -inf and H_a(a) = +inf.
+    image is all of R, with H_a(0) = -inf and H_a(a) = +inf.  DomainError
+    unless a > 0.
     """
     if not a > 0:
         raise DomainError("make_hot needs a > 0")
@@ -348,10 +356,13 @@ def make_hot(a):
 
 
 def make_neglog(a, ell):
-    """Transform -log(ell - r) on [a, ell], +inf at ell (inverse ell - e^{-z})."""
+    """Transform -log(ell - r) on [a, ell], +inf at ell (inverse ell - e^{-z}).
+
+    DomainError unless ell is finite and a < ell; a may be -inf.
+    """
     ell = float(ell)
-    if not a < ell:
-        raise DomainError("make_neglog needs a < ell")
+    if not (math.isfinite(ell) and a < ell):
+        raise DomainError("make_neglog needs a finite ell and a < ell")
     j_lo = -np.inf if np.isneginf(a) else -np.log(ell - a)
 
     def ev(r):
@@ -374,14 +385,15 @@ def make_neglog(a, ell):
 
 
 def scale_shift(F, A, B):
-    """The transform A*F + B (A > 0), which defines the same convexity class.
+    """The transform A*F + B, which defines the same convexity class.
 
     Its inverse at z is f_F((z - B)/A), so its Gaussian order is that of F
-    over A^2, and its f_F' and g are F's over A.
+    over A^2, and its f_F' and g are F's over A.  DomainError unless A > 0
+    and B are finite.
     """
     A, B = float(A), float(B)
-    if A <= 0:
-        raise DomainError("scale_shift needs A > 0")
+    if not (0 < A < np.inf and math.isfinite(B)):
+        raise DomainError("scale_shift needs a finite A > 0 and a finite B")
 
     def pull(fn, post=lambda v: v):
         """z -> post(fn((z - B)/A))."""
@@ -464,9 +476,12 @@ def _log_mass(g, base, side=0):
 
 
 def _doubling_reach(h, z0, step):
-    """z0 + step * 2**k for the least k >= 0 with h(z) <= 0."""
+    """z0 + step * 2**k for the least k >= 0 with h(z) <= 0; DomainError
+    when that lies beyond the doubles."""
     while h(z0 + step) > 0:
         step *= 2.0
+        if not math.isfinite(z0 + step):
+            raise DomainError("make_from_g: f reaches a value too far out for the doubles")
     return z0 + step
 
 
@@ -483,17 +498,24 @@ def make_from_g(g, base_z, base_value, base_slope):
     upper_ell = sup f, which F maps to +inf, and order 0.  Above sup f / 2, F
     inverts log(sup f - f), the right tail's own mass, which keeps the
     digits that 1 - f / sup f would cancel.  The curvature profile is g
-    itself.
+    itself.  DomainError unless base_z, base_value >= 0 and base_slope > 0
+    are finite (g, a GSpec, checks its own numbers), and where f cannot be
+    sampled in doubles: a sup f that overflows, or a zero of f at |z| >= 2^48.
     """
-    if not (base_slope > 0 and base_value >= 0):
-        raise DomainError("need base_slope > 0 and base_value >= 0")
+    if not (math.isfinite(base_z) and 0 <= base_value < np.inf
+            and 0 < base_slope < np.inf):
+        raise DomainError("make_from_g needs a finite base_z, a finite "
+                          "base_value >= 0 and a finite base_slope > 0")
     G = g.antiderivative_from(base_z)
     log_fprime = lambda z: math.log(base_slope) + G(z)
     log_int = _log_mass(g, float(base_z))
     with np.errstate(over="ignore", invalid="ignore"):
+        log_tails = log_int([-np.inf, np.inf])
         left_mass, right_mass = np.nan_to_num(
-            base_slope * np.exp(log_int([-np.inf, np.inf])), nan=np.inf, posinf=np.inf)
+            base_slope * np.exp(log_tails), nan=np.inf, posinf=np.inf)
     upper_ell = base_value + right_mass
+    if np.isfinite(log_tails[1]) and np.isinf(upper_ell):
+        raise DomainError("make_from_g: f is bounded, but sup f overflows a double")
     lower_a, j_lo, log_scale = base_value - left_mass, -np.inf, math.log(base_slope)
     if abs(lower_a) <= 4 * _EPS * base_value:
         lower_a = 0.0  # f tends to 0 with no zero: rounding must not place one
@@ -502,9 +524,13 @@ def make_from_g(g, base_z, base_value, base_slope):
         log_lower = math.log(lower_a) if lower_a > 0 else -np.inf
     else:  # f has a zero: measure from it, so f is a sum of positive masses
         f_below = lambda z: base_value - base_slope * np.exp(log_int(z))
-        j_lo = float(base_z) if base_value == 0 else invert_monotone(
-            f_below, 0.0, _doubling_reach(f_below, base_z, -1.0), base_z,
-            deriv=lambda z: np.exp(log_fprime(z)))
+        with np.errstate(over="ignore"):  # a mass that overflows lies past the zero
+            j_lo = float(base_z) if base_value == 0 else invert_monotone(
+                f_below, 0.0, _doubling_reach(f_below, base_z, -1.0), base_z,
+                deriv=lambda z: np.exp(log_fprime(z)))
+        if abs(j_lo) >= 2.0 ** 48:  # the doubles there are too coarse for any window
+            raise DomainError(f"make_from_g: f vanishes at z = {j_lo:.6g}, too far out "
+                              "to sample J")
         lower_a, log_value, base_z = 0.0, -np.inf, j_lo
         log_scale += float(G(j_lo))
         log_int = _log_mass(g, j_lo)
@@ -569,69 +595,15 @@ def builtin_transforms():
     return out
 
 
-# -- admissibility -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    first_violation: object = None     # (r, reason) or None
-
-
-def _domain_samples(F):
-    """201 sample points of the domain of F, inside its ends; a window 60
-    long below upper_ell when the values reach down to -inf."""
-    n, lo, hi = 201, F.lower_a, F.upper_ell
-    if F.domain_kind == "whole_line":
-        return np.linspace(-30.0, 30.0, n)
-    if F.domain_kind == "bounded_above":
-        lo = lo if np.isfinite(lo) else hi - 60.0
-        left = lo if np.isfinite(F(lo)) else lo + (hi - lo) * 1e-9
-        return np.linspace(left, hi - (hi - lo) * 1e-9, n)
-    # half line: a linear head and a geometric tail above lower_a
-    head = np.linspace(1e-8, 2.0, n // 2)
-    tail = np.geomspace(2.0, 1e6, n - n // 2 + 1)[1:]
-    return lo + np.concatenate([head, tail])
-
-
-def check_admissible(F):
-    """Sampled admissibility on 201 points of the domain: strict increase,
-    continuity, endpoint limits."""
-    r = _domain_samples(F)
-    v = np.asarray(F(r), dtype=float)
-    dv = np.diff(v)
-    bad = np.where(~(dv > 0))[0]
-    if bad.size:
-        i = int(bad[0])
-        return AdmissibilityReport(False, (float(r[i + 1]), "not strictly increasing"))
-
-    # continuity: a jump shows as a gap that refinement cannot split
-    scale = np.nanmax(np.abs(v[np.isfinite(v)])) + 1.0
-    for i in range(1, len(dv) - 1):
-        neighbors = dv[i - 1] + dv[i + 1]
-        if np.isfinite(dv[i]) and dv[i] > 10 * neighbors + 1e-7 * scale:
-            sub = np.linspace(r[i], r[i + 1], 17)
-            sv = np.asarray(F(sub), dtype=float)
-            if np.max(np.diff(sv)) > 0.8 * dv[i]:
-                return AdmissibilityReport(
-                    False, (float(r[i]), "discontinuity (jump under refinement)"))
-    return AdmissibilityReport(True)
-
-
 # -- curvature criterion ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CurvatureCriterion:
-    deriv_positive: bool
     curvature_convex: bool
     worst_z: float
     defect: float
     tol: float
-
-    def __iter__(self):  # unpacks like the (bool, bool) pair it reports
-        yield self.deriv_positive
-        yield self.curvature_convex
 
 
 def default_j_window(F):
@@ -649,26 +621,27 @@ def default_j_window(F):
     return lo, hi
 
 
-def check_curvature_criterion(F):
-    """Sampled preservation criterion: F' > 0 and g convex on the image.
-
-    Samples 257 points of default_j_window(F).  Returns flags
-    (deriv_positive, curvature_convex); convexity uses divided second
-    differences of the closed-form g against a tolerance of 100x the
-    propagated noise of its roundoff, 4 eps (1 + max |g|) per sample, and
-    reports the most violating grid point.
-    """
+def _sampled_g(F):
+    """257 points of default_j_window(F), the closed-form g there, and the
+    roundoff of that closed form, 4 eps (1 + max |g|) per sample."""
     z_grid = np.linspace(*default_j_window(F), 257)
-
-    fprime = np.asarray(F.inverse_deriv(z_grid), dtype=float)
-    deriv_positive = bool(np.all(fprime > 0))
-
     g_vals = F.g(z_grid)
-    h = float(z_grid[1] - z_grid[0])
-    noise = 4 * _EPS * (1.0 + np.max(np.abs(g_vals)))  # roundoff of the closed form
-    defect, tol, idx = discrete_convexity_defect(g_vals, h, noise)
+    return z_grid, g_vals, 4 * _EPS * (1.0 + np.max(np.abs(g_vals)))
+
+
+def check_curvature_criterion(F):
+    """Sampled preservation criterion: g convex on the image.
+
+    f_F' > 0 holds by construction, so convexity of the curvature profile
+    is all that is left to check.  It reads only the closed-form g on the
+    257 points of _sampled_g: divided second differences against a
+    tolerance of 100x the propagated noise of its roundoff, and the most
+    violating grid point.
+    """
+    z_grid, g_vals, noise = _sampled_g(F)
+    defect, tol, idx = discrete_convexity_defect(
+        g_vals, float(z_grid[1] - z_grid[0]), noise)
     return CurvatureCriterion(
-        deriv_positive=deriv_positive,
         curvature_convex=bool(defect >= -tol),
         worst_z=float(z_grid[idx]),
         defect=float(defect),
@@ -681,30 +654,32 @@ def check_curvature_criterion(F):
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Preservation classification of one transform under the heat flow."""
+    """Preservation classification of one transform under the heat flow.
+
+    verdict is preserved, not_preserved or only_trivially_preserved;
+    limit_at_sup is the top of J; gaussian_order is nan where no rule read
+    it (bounded values, bounded image) and curvature_convex None where no
+    rule reached the curvature criterion.
+    """
 
     label: str
-    admissible: bool
     limit_at_sup: float
     gaussian_divergent: bool
     gaussian_order: float          # least sufficient Gaussian weight order
-    deriv_positive: object         # bool, or None when not evaluated
-    curvature_convex: object
+    curvature_convex: object       # bool, or None when not evaluated
     verdict: str
     basis: str
     notes: str = ""
 
     # the columns of the command line's classify.csv, in order
-    FIELDS = ("label", "admissible", "limit_at_sup", "gaussian_divergent",
-              "gaussian_order", "deriv_positive", "curvature_convex",
-              "verdict", "basis")
+    FIELDS = ("label", "limit_at_sup", "gaussian_divergent", "gaussian_order",
+              "curvature_convex", "verdict", "basis")
 
 
 def _report(F, verdict, basis, **fields):
-    """ClassReport of F; fields override the defaults of an admissible F."""
-    row = dict(admissible=True, limit_at_sup=F.j_hi, gaussian_divergent=False,
-               gaussian_order=np.nan, deriv_positive=None,
-               curvature_convex=None, notes="")
+    """ClassReport of F; fields override the defaults."""
+    row = dict(limit_at_sup=F.j_hi, gaussian_divergent=False,
+               gaussian_order=np.nan, curvature_convex=None, notes="")
     row.update(fields)
     return ClassReport(label=F.label, verdict=verdict, basis=basis, **row)
 
@@ -728,18 +703,18 @@ _RULES = {
 def classify(F):
     """Route a transform through the preservation rules for its domain kind.
 
-    Half-line values: a bounded image is only trivially preserved; otherwise
-    an infinite F.gaussian_order rules out nontrivial evolving data;
-    otherwise preservation is equivalent to the curvature criterion.  Whole
-    line: same gates, then (under integrability of the inverse) preserved
-    exactly for affine transforms.  Bounded-above values (Dirichlet setting):
-    preserved iff the transform blows up at the right endpoint and the
-    curvature criterion holds on the image of the interior.
+    F is admissible by construction, so the rules read only F.j_hi,
+    F.gaussian_order and the closed-form g; F, f_F, f_F' and log |f_F|
+    are never evaluated.  Half-line values: a bounded image is only
+    trivially preserved; otherwise an infinite F.gaussian_order rules out
+    nontrivial evolving data; otherwise preservation is equivalent to the
+    curvature criterion.  Whole line: same gates, then (under integrability
+    of the inverse) preserved exactly for affine transforms, which are those
+    with f_F' constant: g = 0 on the criterion's window, to within its
+    roundoff.  Bounded-above values (Dirichlet setting): preserved iff the
+    transform blows up at the right endpoint and the curvature criterion
+    holds on the image of the interior.
     """
-    adm = check_admissible(F)
-    if not adm.admissible:
-        return _report(F, "inconclusive", "not admissible", admissible=False,
-                       limit_at_sup=np.nan, notes=str(adm.first_violation))
     if F.domain_kind not in _RULES:
         raise DomainError(f"unknown domain kind {F.domain_kind!r}")
     where, trivial, curvature_basis = _RULES[F.domain_kind]
@@ -757,20 +732,19 @@ def classify(F):
                            gaussian_divergent=True, gaussian_order=np.inf)
         order = {"gaussian_order": F.gaussian_order}
     crit = check_curvature_criterion(F)
-    found = dict(order, deriv_positive=crit.deriv_positive,
-                 curvature_convex=crit.curvature_convex)
+    found = dict(order, curvature_convex=crit.curvature_convex)
     if F.domain_kind == "whole_line":
-        r = np.linspace(-8.0, 8.0, 161)
-        v = np.asarray(F(r), dtype=float)
-        A_fit, B_fit, resid = affine_fit(r, v)
-        if A_fit > 0 and resid <= 1e-8 * (np.max(np.abs(v)) + 1.0):
+        _, g_vals, noise = _sampled_g(F)
+        g_max = float(np.max(np.abs(g_vals)))
+        if g_max <= noise:
             return _report(F, "preserved", "affine rule (whole line): transform "
                            "is affine, the class is plain convexity",
-                           notes=f"affine fit A={A_fit:.6g} B={B_fit:.6g}", **found)
+                           notes=f"max |g| {g_max:.3g} within roundoff {noise:.3g}",
+                           **found)
         return _report(F, "not_preserved", "affine-only rule (whole line): under "
                        "integrability of the inverse, only affine transforms "
-                       "preserve", notes=f"affine fit residual {resid:.3g}", **found)
-    if crit.deriv_positive and crit.curvature_convex:
+                       "preserve", notes=f"max |g| {g_max:.3g}", **found)
+    if crit.curvature_convex:
         return _report(F, "preserved", curvature_basis, **found)
     return _report(F, "not_preserved", f"curvature rule ({where}): criterion fails",
                    notes=f"worst z={crit.worst_z:.6g} defect={crit.defect:.3g}",

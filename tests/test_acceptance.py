@@ -121,17 +121,17 @@ def test_criterion_03_destruction_suite():
 def test_criterion_04_kink_generator_construction():
     t0 = time.monotonic()
     F = make_from_g(abs_kink_generator(center=1.0, drop=1.0), 0.0, 0.0, 1.0)
-    crit = tuple(check_curvature_criterion(F))
+    crit = check_curvature_criterion(F)
     report = classify(F)
     cmp_ = compare_strength(make_power_alpha(1.0), F)
-    ok = (crit == (True, True)
+    ok = (crit.curvature_convex
           and 0.4 <= report.gaussian_order <= 0.6
           and cmp_.relation != "F1_weaker"
           and not cmp_.comp12_convex
           and 0.5 <= cmp_.worst_z <= 1.5)
     el = _budget(4, t0, 30)
     _report(4, ok,
-            f"criterion=(True,True), gaussian order {report.gaussian_order:.3f}, "
+            f"curvature convex, gaussian order {report.gaussian_order:.3f}, "
             f"plain convexity not weaker (relation {cmp_.relation}, "
             f"non-convexity near z={cmp_.worst_z:.2f}) ({el:.1f}s)")
 

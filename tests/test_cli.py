@@ -106,7 +106,7 @@ def test_classify_from_g_with_its_kink_far_out(tmp_path):
     assert r.returncode == 0, r.stderr
     assert "from_g: preserved" in r.stdout
     row = (out / "classify.csv").read_text().splitlines()[1]
-    assert row.startswith("from_g,true,inf,false,0.5,true,true,preserved,")
+    assert row.startswith("from_g,inf,false,0.5,true,preserved,")
 
 
 def test_classify_neglog_down_to_minus_infinity(tmp_path):
@@ -115,7 +115,7 @@ def test_classify_neglog_down_to_minus_infinity(tmp_path):
     r = run_cli("classify", "--config", cfg, "--out", str(out))
     assert r.returncode == 0, r.stderr
     row = (out / "classify.csv").read_text().splitlines()[1]
-    assert row.startswith('"neglog[-inf,1]",true,inf,false,nan,true,true,preserved,')
+    assert row.startswith('"neglog[-inf,1]",inf,false,nan,true,preserved,')
 
 
 def test_evolve_output_round_trips_and_is_deterministic(tmp_path):
@@ -665,18 +665,31 @@ def test_malformed_csv_datum_is_a_config_error(tmp_path, capsys, text, why):
     assert not out.exists()
 
 
-def test_inconclusive_classification_exits_three(tmp_path, monkeypatch):
-    import heatconvex.cli as cli_mod
+@pytest.mark.parametrize("datum", ["gaussian t0=0", "gaussian t0=-1", "abs scale=nan",
+                                   "exp_abs scale=nan", "abs center=inf"])
+def test_bad_datum_parameters_are_a_config_error(tmp_path, capsys, datum):
+    """A Gaussian of t0 <= 0 and a non-finite parameter are refused when the
+    datum is built; they once escaped as a ValueError traceback (exit 1)."""
+    cfg = write_config(tmp_path, EVOLVE_CFG.replace("gaussian t0=0.5", datum))
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
-    real = ClassReport
-    stub = real(label="stub", admissible=True, limit_at_sup=True,
-                gaussian_divergent=True, gaussian_order=0.0,
-                deriv_positive=None, curvature_convex=None,
-                verdict="inconclusive", basis="stubbed for the exit code")
-    monkeypatch.setattr(cli_mod, "classify", lambda F: stub)
-    cfg = write_config(tmp_path, "transform = power alpha=1\n")
-    monkeypatch.chdir(tmp_path)
-    assert entry(["classify", "--config", cfg]) == 3
+
+@pytest.mark.parametrize("command", ["classify", "verify", "hunt"])
+@pytest.mark.parametrize("transform", ["affine A=nan", "affine B=inf", "neglog ell=inf",
+                                       "from_g drop=nan", "from_g base_z=inf",
+                                       "from_g base_slope=inf"])
+def test_bad_transform_parameters_are_a_config_error(tmp_path, capsys, command, transform):
+    """Each constructor refuses the parameters that would not build an
+    admissible transform, before any command runs; verify and hunt once ran
+    an affine A=nan to exit 0, and from_g base_z=inf ended in a NameError."""
+    cfg = write_config(tmp_path, f"transform = {transform}\n" + EVOLVE_CFG)
+    out = tmp_path / "res"
+    assert entry([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

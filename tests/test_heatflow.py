@@ -947,6 +947,12 @@ def test_fit_growth_envelope_certifies_samples():
     assert a <= np.exp(1.0 / (4.0 * A)) * (1 + 1e-9)
 
 
+def test_fit_growth_envelope_without_a_finite_sample_is_a_domain_error():
+    """It once took the max of an empty array (a bare ValueError)."""
+    with pytest.raises(DomainError, match="no finite sample"):
+        fit_growth_envelope(lambda x: np.full_like(x, np.nan), (-2.0, 2.0))
+
+
 def test_csv_round_trip_exact():
     x = grid_nodes(-2.0, 2.0, 0.25)
     gf = GridFunction(values=np.sin(x), extent=((-2.0, 2.0),),

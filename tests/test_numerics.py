@@ -24,6 +24,13 @@ def test_invert_monotone_rejects_bad_bracket():
         invert_monotone(np.exp, 100.0, 0.0, 1.0)
 
 
+def test_invert_monotone_over_a_bracket_near_the_top_of_the_doubles():
+    """Its iteration count, log2(width / 1e-12), once overflowed for a
+    bracket wider than 1e296."""
+    z = invert_monotone(lambda z: z, 1e297, -1e300, 1e300)
+    assert abs(z - 1e297) <= 1e-12 * 1e297
+
+
 def test_simpson_exact_on_cubics():
     # composite Simpson integrates cubics exactly
     n, h = 9, 0.25

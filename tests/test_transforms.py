@@ -4,11 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erf
 
 from heatconvex import (DomainError, FTransform, GSpec, GridFunction, abs_kink_generator,
-                        builtin_transforms, check_admissible, check_F_convex,
+                        builtin_transforms, check_F_convex,
                         check_curvature_criterion, classify, compare_strength, default_j_window, make_affine,
                         make_exp, make_from_g, make_hot, make_neglog,
                         make_power_alpha, scale_shift)
@@ -28,12 +28,12 @@ def _closed_form(label, domain_kind, j_lo, ev, inv, dinv, log_inv, g, order=0.0)
 
 
 def _assert_preserved(F):
-    """classify(F) reads preserved on both curvature flags, with no warning."""
+    """classify(F) reads preserved on a convex curvature profile, with no
+    warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = classify(F)
-    assert (rep.verdict, rep.deriv_positive, rep.curvature_convex) == (
-        "preserved", True, True), rep.basis
+    assert (rep.verdict, rep.curvature_convex) == ("preserved", True), rep.basis
 
 
 # -- power family ------------------------------------------------------------
@@ -162,10 +162,10 @@ def test_neglog_blows_up_at_ell():
 
 
 def test_neglog_with_values_down_to_minus_infinity_classifies():
-    """a = -inf: admissibility samples a window below ell instead of
-    linspace(nan, ...), which once read 'not strictly increasing'."""
+    """a = -inf: J is all of R below +inf.  A sampled admissibility probe
+    once read linspace(nan, ...) here as 'not strictly increasing'."""
     F = make_neglog(-np.inf, 1.0)
-    assert F.j_lo == -np.inf and check_admissible(F).admissible
+    assert F.j_lo == -np.inf
     _assert_preserved(F)
 
 
@@ -238,7 +238,7 @@ def test_curvature_criterion_dichotomy():
     """g is convex exactly for alpha <= 1 in the power family."""
     for alpha in (-1.0, 0.0, 0.25, 0.5, 1.0):
         crit = check_curvature_criterion(make_power_alpha(alpha))
-        assert crit.deriv_positive and crit.curvature_convex, alpha
+        assert crit.curvature_convex, alpha
     for alpha in (1.25, 1.5, 2.0, 3.0):
         crit = check_curvature_criterion(make_power_alpha(alpha))
         assert not crit.curvature_convex, alpha
@@ -348,8 +348,8 @@ def test_from_g_left_end_at_minus_infinity():
 
 @pytest.mark.parametrize("base_value", [2.0, 5.0])
 def test_from_g_that_never_vanishes_classifies(base_value):
-    """f stays above lower_a = base_value - sqrt(pi/2) > 0: admissibility
-    samples the half line from lower_a, and the far tail stays quiet."""
+    """f stays above lower_a = base_value - sqrt(pi/2) > 0, and the far
+    tail stays quiet."""
     F = make_from_g(abs_kink_generator(), 0.0, base_value, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -457,30 +457,66 @@ def test_gspec_antiderivative_is_exact():
         assert float(G(z)) == pytest.approx(val, abs=1e-13)
 
 
-# -- admissibility and integrability --------------------------------------------
+# -- admissibility by construction and integrability ------------------------------
 
 
-def test_check_admissible_accepts_builtins():
+def test_builtins_round_trip_and_increase():
+    """Each builtin is admissible as built: on default_j_window, f_F and F
+    strictly increase, f_F' is positive, and F takes each value back to
+    its z."""
     for name, F in BUILTINS.items():
-        rep = check_admissible(F)
-        assert rep.admissible, name
+        z = np.linspace(*default_j_window(F), 2049)
+        r = F.inverse(z)
+        assert np.all(np.diff(r) > 0) and np.all(F.inverse_deriv(z) > 0), name
+        back = F(r)
+        assert np.all(np.diff(back) > 0), name
+        np.testing.assert_allclose(back, z, rtol=1e-9, atol=1e-9, err_msg=name)
 
 
-def test_check_admissible_flags_jump():
-    def ev(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < 1.0, r, r + 1.0)
+_BAD_PARAMETERS = {
+    "affine A=nan": lambda: make_affine(np.nan, 0.0),
+    "affine A=0": lambda: make_affine(0.0, 0.0),
+    "affine A=inf": lambda: make_affine(np.inf, 0.0),
+    "affine B=inf": lambda: make_affine(1.0, np.inf),
+    "neglog ell=inf": lambda: make_neglog(0.0, np.inf),
+    "neglog a=nan": lambda: make_neglog(np.nan, 1.0),
+    "hot a=nan": lambda: make_hot(np.nan),
+    "power alpha=inf": lambda: make_power_alpha(np.inf),
+    "GSpec point nan": lambda: GSpec(((0.0, np.nan),), -1.0, 1.0),
+    "GSpec slope inf": lambda: GSpec(((0.0, 0.0),), -1.0, np.inf),
+    "tent drop=nan": lambda: abs_kink_generator(drop=np.nan),
+    "tent center=inf": lambda: abs_kink_generator(center=np.inf),
+    "from_g base_z=inf": lambda: make_from_g(abs_kink_generator(), np.inf, 1.0, 1.0),
+    "from_g base_value=inf": lambda: make_from_g(abs_kink_generator(), 0.0, np.inf, 1.0),
+    "from_g base_slope=inf": lambda: make_from_g(abs_kink_generator(), 0.0, 1.0, np.inf),
+    "from_g base_slope=nan": lambda: make_from_g(abs_kink_generator(), 0.0, 1.0, np.nan),
+    "scale_shift A=nan": lambda: scale_shift(BUILTINS["exp"], np.nan, 0.0),
+    "scale_shift A=-1": lambda: scale_shift(BUILTINS["exp"], -1.0, 0.0),
+    "scale_shift B=inf": lambda: scale_shift(BUILTINS["exp"], 1.0, np.inf),
+}
 
-    def inv(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z < 1.0, z, z - 1.0)
 
-    F = _closed_form("jumpy", "half_line_nonneg", 0.0, ev, inv,
-                     lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                     lambda z: np.log(np.abs(inv(z))),
-                     lambda z: np.zeros_like(np.asarray(z, dtype=float)))
-    rep = check_admissible(F)
-    assert not rep.admissible
+@pytest.mark.parametrize("build", _BAD_PARAMETERS.values(), ids=list(_BAD_PARAMETERS))
+def test_constructors_refuse_parameters_that_break_admissibility(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def _raise(*args):
+    raise AssertionError("classify evaluated F, f_F, f_F' or log |f_F|")
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_classify_never_evaluates_the_transform(name):
+    """The verdict reads only J, the stated Gaussian order and g: with F,
+    f_F, f_F' and log |f_F| replaced by callables that raise, the builtin
+    and its A*F + B give the same reports."""
+    import dataclasses
+
+    for F in (BUILTINS[name], scale_shift(BUILTINS[name], 2.5, -1.0)):
+        blind = dataclasses.replace(F, _eval=_raise, _inverse=_raise,
+                                    _inverse_deriv=_raise, _log_inverse=_raise)
+        assert repr(classify(blind)) == repr(classify(F)), name
 
 
 def test_whole_line_inverse_divergent_at_the_lower_end_of_J():
@@ -501,7 +537,7 @@ def test_whole_line_inverse_divergent_at_the_lower_end_of_J():
                      order=np.inf)
     rep = classify(F)
     assert rep.verdict == "only_trivially_preserved" and rep.gaussian_divergent
-    assert rep.gaussian_order == np.inf and rep.deriv_positive is None
+    assert rep.gaussian_order == np.inf and rep.curvature_convex is None
     assert rep.basis.startswith("gaussian-divergence rule (whole line)")
 
 
@@ -558,6 +594,56 @@ def test_from_g_sweep_classifies_with_its_stated_order(g, base_value):
     assert rep.verdict == "preserved", rep.basis
     assert rep.gaussian_order == F.gaussian_order == 0.5 * g.right_slope
     assert abs(F.log_inverse(1e5) / 1e10 - rep.gaussian_order) <= 1e-3
+
+
+_BOX = dict(allow_nan=False, allow_infinity=False)
+# a slope below 1e-300 in magnitude puts a zero of g near 1e308, as a knot
+# whose G overflows; such slopes are left out
+_SLOPE = st.floats(-2.0, 2.0, **_BOX).filter(lambda s: s == 0.0 or abs(s) >= 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(center=st.floats(-60.0, 60.0, **_BOX), value=st.floats(-25.0, 5.0, **_BOX),
+       slopes=st.lists(_SLOPE, min_size=2, max_size=2).map(sorted),
+       base_z=st.floats(-60.0, 60.0, **_BOX), base_value=st.floats(0.0, 5.0, **_BOX),
+       base_slope=st.floats(1e-3, 1e3, **_BOX))
+@example(center=-50.0, value=-1.0, slopes=[-1.0, 1.0], base_z=50.0, base_value=1.0,
+         base_slope=1.0)  # f_F' = e^G underflows to 0 on the window
+@example(center=0.0, value=-20.0, slopes=[-1.0, 1.0], base_z=0.0, base_value=1.0,
+         base_slope=1.0)  # F steep but continuous: read as a jump
+@example(center=1.0, value=1.0, slopes=[2.0 ** -8, 1.0], base_z=0.0, base_value=2.0,
+         base_slope=0.5)  # the search for the zero of f overflows exp on its way
+@example(center=0.0, value=1.0, slopes=[2.0 ** -52, 1.0], base_z=0.0, base_value=2.0,
+         base_slope=1.0)  # f' underflows to 0 where Newton polishes the zero of f
+@example(center=-37.0, value=0.0, slopes=[0.0, 1.0], base_z=0.0, base_value=1.0,
+         base_slope=1.0)  # f vanishes near z = -1e297: refused
+@example(center=-38.0, value=0.0, slopes=[0.0, 1.0], base_z=0.0, base_value=1.0,
+         base_slope=1.0)  # f vanishes beyond the doubles: refused
+@example(center=33.0, value=5.0, slopes=[-1.0, -1.0], base_z=0.0, base_value=0.0,
+         base_slope=1.0)  # sup f = e^722 overflows: refused
+def test_from_g_of_a_convex_kink_is_preserved(center, value, slopes, base_z, base_value,
+                                              base_slope):
+    """Every convex single-kink generator builds a preserved class, whose
+    order is right_slope / 2 when f is unbounded and 0 when it is bounded.
+    f is bounded exactly when the right tail of e^G has finite mass: g
+    tends to -inf there, or stays at a negative constant.  The refusals are
+    an f that the doubles cannot sample: its supremum overflows, or its
+    zero lies beyond 2^48."""
+    g = GSpec(((center, value),), *slopes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            F = make_from_g(g, base_z, base_value, base_slope)
+        except DomainError as exc:
+            assert "sup f overflows" in str(exc) or "too far out" in str(exc)
+            return
+        rep = classify(F)
+    assert rep.verdict == "preserved", (rep.basis, rep.notes)
+    bounded = slopes[1] < 0 or (slopes[1] == 0 and value < 0)
+    assert F.domain_kind == ("bounded_above" if bounded else "half_line_nonneg")
+    assert F.gaussian_order == (0.0 if bounded else 0.5 * slopes[1])
+    if not bounded:
+        assert rep.gaussian_order == F.gaussian_order
 
 
 def test_classify_builtin_verdicts():
