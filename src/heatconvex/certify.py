@@ -502,12 +502,12 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
     first axis by default); in transform coordinates the profile is a
     symmetric wedge with vertex value r0, so the midpoint inequality holds
     with equality along it.  Returns an InitialDatum with the kink as a
-    breakpoint and a growth certificate fitted to the profile s -> phi(s d)
-    along the direction: phi(x) is that profile at s = d . x, and |d . x|
-    <= |x|, so |phi(s d)| <= a exp(A s^2) gives |phi(x)| <= a exp(A |x|^2).
-    fn is a ridge: it reads only the axes d crosses and returns an array
-    spanning those (one line of an open mesh for an axis-aligned wedge), so
-    an evolution evaluates F^-1 once per distinct value and broadcasts it.
+    breakpoint and a growth certificate fitted to the profile
+    s -> f_F(z0 + |s - z0|); |d . x| <= |x|, so |phi(s d)| <= a exp(A s^2)
+    gives |phi(x)| <= a exp(A |x|^2).  For dim >= 2 the datum is a ridge
+    (InitialDatum.direction = d): fn is the profile of xi and its breakpoint
+    z0 lies along xi, so a free-space evolution can take the 1D flow of the
+    profile.  In 1D fn(x) is the profile at d x, with the kink at z0 / d.
     """
     r0 = float(r0)
     if not (F.lower_a < r0 < F.upper_ell):
@@ -525,23 +525,17 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
         raise DomainError("direction must be a nonzero vector")
     d = d / norm
 
-    def fn(*xs):
-        # a ridge: xi reads only the axes d crosses, so on an open mesh it
-        # spans those axes alone (one line for an axis-aligned wedge) and the
-        # caller broadcasts it; updated in place, no temporary is larger
-        xi = np.asarray(sum(dk * np.asarray(x, dtype=float)
-                            for dk, x in zip(d, xs) if dk), dtype=float)
-        xi -= z0
-        np.abs(xi, out=xi)
-        xi += z0
-        return F.inverse(xi)
+    def profile(xi):
+        return F.inverse(z0 + np.abs(np.asarray(xi, dtype=float) - z0))
 
-    axis = np.flatnonzero(d)
-    breakpoints = _bare(tuple((z0 / d[k],) if axis.size == 1 and k == axis[0] else ()
-                              for k in range(dim)))
-    a, A = fit_growth_envelope(lambda s: fn(*(dk * s for dk in d)), fit_window)
-    return InitialDatum(fn=fn, growth_a=a, growth_A=A, breakpoints=breakpoints,
-                        label=f"wedge[{F.label},r0={r0:g}]")
+    a, A = fit_growth_envelope(profile, fit_window)
+    label = f"wedge[{F.label},r0={r0:g}]"
+    if dim >= 2:
+        return InitialDatum(fn=profile, growth_a=a, growth_A=A, breakpoints=(z0,),
+                            label=label, direction=tuple(d))
+    d0 = float(d[0])
+    return InitialDatum(fn=lambda x: profile(d0 * np.asarray(x, dtype=float)),
+                        growth_a=a, growth_A=A, breakpoints=(z0 / d0,), label=label)
 
 
 def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,

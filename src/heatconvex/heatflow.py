@@ -17,11 +17,15 @@ blocked FFTs (blocks of half the kernel where the roundoff bound is within
 a hundredth of the tolerance, else of an eighth within it), short ones (and
 data whose bound is too large) as direct sums, and every FFT carries a
 roundoff bound; data of two or more axes apply the decimated operator
-matrix of each axis along that axis.  One refinement loop refuses a first
-pass that is not finite, then doubles m until a two-grid Richardson
-comparison meets the requested tolerance or the lattice would pass a node
-budget; the achieved estimate plus the roundoff bound is recorded on the
-result so certificates can build honest noise floors.
+matrix of each axis along that axis.  The heat kernel is rotation
+invariant, so a ridge, a datum that reads x only through xi = d . x,
+evolves as the 1D flow of its profile: where the output nodes fill one
+uniform line of xi, free space takes that flow once on the line, with the
+profile's certificate, and gathers the grid from it.  One refinement loop
+refuses a first pass that is not finite, then doubles m until a two-grid
+Richardson comparison meets the requested tolerance or the lattice would
+pass a node budget; the achieved estimate plus the roundoff bound is
+recorded on the result so certificates can build honest noise floors.
 """
 from __future__ import annotations
 
@@ -362,6 +366,13 @@ class InitialDatum:
     pieces there.  For data with
     jump discontinuities the integrand is sampled one-sidedly at piece edges,
     so indicators are integrated at full order.
+
+    A ridge sets direction, a unit vector d (one entry per axis; DomainError
+    unless finite with |d| = 1 within 1e-12): the datum depends on x only
+    through xi = d . x, fn(xi) is its profile, breakpoints (one flat tuple)
+    the profile's kinks along xi, and the growth certificate the profile's,
+    which bounds the datum too because |d . x| <= |x|.  Calling the datum
+    at x evaluates the profile at d . x, over the axes d crosses only.
     """
 
     fn: object
@@ -369,9 +380,25 @@ class InitialDatum:
     growth_A: float = 0.0
     breakpoints: tuple = ()
     label: str = ""
+    direction: tuple = None
+
+    def __post_init__(self):
+        if self.direction is not None:
+            d = tuple(float(v) for v in np.ravel(self.direction))
+            if not (d and all(map(math.isfinite, d))
+                    and abs(math.hypot(*d) - 1.0) <= 1e-12):
+                raise DomainError(f"a ridge direction must be a finite unit vector, "
+                                  f"got {self.direction!r}")
+            object.__setattr__(self, "direction", d)
 
     def __call__(self, *xs):
-        return self.fn(*xs)
+        if self.direction is None:
+            return self.fn(*xs)
+        # xi reads only the axes d crosses, so on an open mesh it spans those
+        # alone (one line for an axis-aligned ridge) and the caller broadcasts
+        return self.fn(np.asarray(sum(dk * np.asarray(x, dtype=float)
+                                      for dk, x in zip(self.direction, xs) if dk),
+                                  dtype=float))
 
 
 def gauss_kernel(x, t):
@@ -433,8 +460,10 @@ def _resolve_datum(phi, dim):
     than roundoff (1e-9 relative), and are read by monotone cubics clamped
     to it.  A callable's result is broadcast to the lattice, so a datum that
     reads some axes only is evaluated on those only.  breakpoints holds kink
-    coordinates per axis (a datum's flat tuple serves every axis).  spacing
-    (the finest grid spacing) is None for callable data.
+    coordinates per axis (a datum's flat tuple serves every axis; a ridge's
+    kink b lies on the axis d crosses, at b / d_k, when it crosses one, and
+    on no lattice line otherwise).  spacing (the finest grid spacing) is None
+    for callable data.  A ridge of another dimension raises ValueError.
     """
     if isinstance(phi, GridFunction):
         if phi.dim != dim:
@@ -453,12 +482,19 @@ def _resolve_datum(phi, dim):
                 phi.value_error)
     if isinstance(phi, InitialDatum):
         brk = tuple(phi.breakpoints)
-        if not (brk and isinstance(brk[0], (tuple, list))):
+        d = phi.direction
+        if d is not None:
+            if len(d) != dim:
+                raise ValueError(f"a ridge along {len(d)} axes for a dim-{dim} evolution")
+            crossed = [k for k, dk in enumerate(d) if dk]
+            brk = tuple(tuple(b / d[k] for b in brk) if crossed == [k] else ()
+                        for k in range(dim))
+        elif not (brk and isinstance(brk[0], (tuple, list))):
             brk = (brk,) * dim
 
         def sample(*axes):
             mesh = _open_mesh(axes)
-            vals = np.asarray(phi.fn(*mesh), dtype=float)
+            vals = np.asarray(phi(*mesh), dtype=float)
             shape = np.broadcast_shapes(*(c.shape for c in mesh))
             return vals if vals.shape == shape else np.broadcast_to(vals, shape).copy()
         return sample, phi.growth_a, phi.growth_A, brk, None, 0.0
@@ -728,12 +764,55 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     estimate, the kernel operator's roundoff bound, the tail and the
     inherited error; meta says how it was reached (_refine's record,
     tail_bound, truncation_radius R, inherited_error).
+
+    The heat kernel is rotation invariant, so a ridge (an InitialDatum with
+    a direction d) evolves as the 1D flow of its profile, read at xi = d . x.
+    Where the output nodes fill one uniform line of xi (_ridge_line), that
+    flow is taken once on the line, with the datum's own certificate, and
+    gathered onto the grid; its value_error and growth certificate hold
+    there, and meta adds ridge = {direction, line}, the line as (lo, hi, h).
     """
     if t <= 0:
         raise ValueError("t must be positive")
     grids = _axis_grids(out_grid)
-    return _free_flow(_resolve_datum(phi, len(grids)), t, grids, eps_tail,
-                      quad_tol, max_refine)
+    datum = _resolve_datum(phi, len(grids))  # a ridge of another dimension raises
+    line = _ridge_line(phi, grids)
+    if line is None:
+        return _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine)
+    xi_grid, idx = line
+    w = _free_flow(_resolve_datum(replace(phi, direction=None), 1), t, (xi_grid,),
+                   eps_tail, quad_tol, max_refine)
+    return replace(w, values=w.values[idx],
+                   extent=tuple((lo, hi) for lo, hi, _ in grids),
+                   meta={**w.meta, "ridge": {"direction": list(phi.direction),
+                                             "line": list(xi_grid)}})
+
+
+def _ridge_line(phi, grids):
+    """The line that xi = d . x fills over the output nodes of a ridge, as
+    (lo, hi, h) and the index of each output node on it, or None (no ridge,
+    or no uniform line).
+
+    Where |d_k| H_k is one spacing c on every axis d crosses (within 1e-12
+    relative; H_k the snapped output spacing), xi at node (i_0, i_1, ...)
+    is lo + c j, j = offset + sum_k sign(d_k) i_k: a node of one line of
+    sum (n_k - 1) cells over the crossed axes, from lo = sum_k d_k (lo_k if
+    d_k > 0 else hi_k) to its mirror hi; offset = sum (n_k - 1) over d_k < 0.
+    """
+    d = phi.direction if isinstance(phi, InitialDatum) else None
+    if d is None:
+        return None
+    ns = [grid_nodes(lo, hi, h).size for lo, hi, h in grids]
+    cs = [abs(dk) * (hi - lo) / (n - 1) for dk, (lo, hi, _), n in zip(d, grids, ns) if dk]
+    if max(cs) - min(cs) > 1e-12 * max(cs):
+        return None
+    lo = sum(dk * (g_lo if dk > 0 else g_hi) for dk, (g_lo, g_hi, _) in zip(d, grids) if dk)
+    hi = sum(dk * (g_hi if dk > 0 else g_lo) for dk, (g_lo, g_hi, _) in zip(d, grids) if dk)
+    steps = [int(np.sign(dk)) for dk in d]
+    cells = sum(n - 1 for s, n in zip(steps, ns) if s)
+    idx = (sum(n - 1 for s, n in zip(steps, ns) if s < 0)
+           + sum(_open_mesh([s * np.arange(n) for s, n in zip(steps, ns)])))
+    return (lo, hi, (hi - lo) / cells), np.broadcast_to(idx, ns)
 
 
 def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):

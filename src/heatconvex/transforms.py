@@ -185,12 +185,20 @@ class GSpec:
     def _pieces(self, base_z):
         """Knots (breakpoints, base_z and the zeros of g), G and g there, and the
         slope of g on each gap; gap i ends at knots[i], gaps 0 and -1 are tails.
-        G(base_z) = 0 (trapezoid sums, exact on linear g); g keeps its sign per gap."""
+        G(base_z) = 0 (trapezoid sums, exact on linear g); g keeps its sign per gap.
+        DomainError for a zero of g at |z| >= 2^48 (a slope below about
+        1e-300 puts one near 1e308, or past the doubles), where G overflows
+        and the doubles are too coarse for any window, as for a zero of f."""
         zs, gs = (np.array(c, dtype=float) for c in zip(*self.points))
         slopes = np.array(self.slopes(), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             roots = np.r_[zs[:1], zs] - np.r_[gs[:1], gs] / slopes
-        inside = (roots > np.r_[-np.inf, zs]) & (roots < np.r_[zs, np.inf])
+        left, right = np.r_[-np.inf, zs], np.r_[zs, np.inf]
+        far = (slopes != 0) & (np.abs(roots) >= 2.0 ** 48) & (roots >= left) & (roots <= right)
+        if np.any(far):
+            raise DomainError(f"GSpec: g vanishes at z = {roots[far][0]:.6g}, beyond "
+                              "2^48: too far out to sample")
+        inside = (roots > left) & (roots < right)
         knots = np.unique(np.r_[zs, float(base_z), roots[inside]])
         gap_slope = slopes[np.searchsorted(zs, np.r_[-np.inf, knots], side="right")]
         gk = self(knots)

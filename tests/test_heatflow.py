@@ -860,6 +860,41 @@ def test_3d_datum_that_reads_y_only(monkeypatch):
     assert rel_err(u.values, gauss_kernel(y, s + t)[:, None]) <= u.value_error < 1e-5
 
 
+@pytest.mark.parametrize("direction", [(1.0, 1.0), (0.0, 0.0), (np.nan, 1.0), ()])
+def test_a_ridge_direction_must_be_a_finite_unit_vector(direction):
+    with pytest.raises(DomainError):
+        InitialDatum(fn=np.abs, direction=direction)
+
+
+def test_a_ridge_of_another_dimension_is_refused():
+    phi = InitialDatum(fn=np.abs, direction=(0.6, 0.8))
+    with pytest.raises(ValueError):
+        heat_evolve_free(phi, 0.1, (-1.0, 1.0, 0.25))
+    with pytest.raises(ValueError):
+        heat_evolve_dirichlet(phi, _BOX, 0.05, _G8)
+
+
+def test_a_ridge_on_a_box_reads_its_profile_at_d_dot_x():
+    """A box takes no ridge path: it samples the profile at d . x, bit for
+    bit as a datum that computes d . x itself."""
+    ridge = InitialDatum(fn=lambda xi: np.sin(np.pi * xi), direction=(0.6, 0.8))
+    plain = InitialDatum(fn=lambda x, y: np.sin(np.pi * (0.6 * x + 0.8 * y)))
+    u, ref = (heat_evolve_dirichlet(phi, _UNIT_SQUARE, 0.05, (_G8, _G8))
+              for phi in (ridge, plain))
+    assert np.array_equal(u.values, ref.values) and u.meta == ref.meta
+
+
+def test_a_ridge_in_1d_evolves_on_its_mirrored_line():
+    """direction (-1,) reads the profile at -x: the ridge path runs the line
+    from -hi to -lo and gathers it backwards."""
+    ridge = InitialDatum(fn=lambda xi: np.exp(-(xi - 0.5) ** 2), direction=(-1.0,))
+    u = heat_evolve_free(ridge, 0.05, (-1.0, 2.0, 1.0 / 16))
+    assert u.meta["ridge"] == {"direction": [-1.0], "line": [-2.0, 1.0, 1.0 / 16]}
+    x = u.axes()[0]
+    exact = np.exp(-(x + 0.5) ** 2 / 1.2) / np.sqrt(1.2)
+    assert rel_err(u.values, exact) <= u.value_error < 1e-8
+
+
 def test_refine_history_records_every_pass():
     u = heat_evolve_free(_SIN2, 0.05, (_G8, _G8), quad_tol=1e-30, max_refine=3)
     hist = u.meta["refine_history"]
