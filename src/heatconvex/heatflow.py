@@ -5,26 +5,28 @@ Data are represented on uniform grids with a certified Gaussian growth bound
 (4 A t < 1) and the truncation radius of the free-space quadrature.
 
 Every evolution is one operation: Simpson-weighted samples of the datum on a
-lattice H/m (H the output spacing) are convolved with a sampled kernel and
-read off at every m-th node.  Free space uses the Gaussian heat kernel.  The
-half line is free space on the odd extension sign(x) (ell - phi(|x|)) (the
-method of images), truncated by the same rule.  A box (interval or
-rectangle) reflects the samples oddly across each wall and convolves them
-with the periodic image sum, whose spectrum has a closed form: the interval
+lattice H_k/m_k along each axis k (H_k the output spacing, m_k its own
+lattice factor) are convolved with a sampled kernel and read off at every
+m_k-th node.  Free space uses the Gaussian heat kernel.  The half line is
+free space on the odd extension sign(x) (ell - phi(|x|)) (the method of
+images), truncated by the same rule.  A box (interval or rectangle)
+reflects the samples oddly across each wall and convolves them with the
+periodic image sum, whose spectrum has a closed form: the interval
 multiplies by it in one FFT of the odd period, a box of more axes samples
 the sum per axis by one inverse FFT.  Other long 1D convolutions run as
 blocked FFTs (blocks of half the kernel where the roundoff bound is within
 a hundredth of the tolerance, else of an eighth within it), short ones (and
 data whose bound is too large) as direct sums, and every FFT carries a
 roundoff bound; data of two or more axes apply the decimated operator
-matrix of each axis along that axis.  The heat kernel is rotation
+matrix of each axis along that axis, the first (a band on free space) by
+blocks of output rows over their own band.  The heat kernel is rotation
 invariant, so a ridge, a datum that reads x only through xi = d . x,
 evolves as the 1D flow of its profile: where the output nodes fill one
 uniform line of xi, free space takes that flow once on the line, with the
 profile's certificate, and gathers the grid from it.  One refinement loop
-refuses a first pass that is not finite, then doubles m until a two-grid
-Richardson comparison meets the requested tolerance or the lattice would
-pass a node budget; the achieved estimate plus the roundoff bound is
+refuses a first pass that is not finite, then doubles every m_k until a
+two-grid Richardson comparison meets the requested tolerance or the lattice
+would pass a node budget; the achieved estimate plus the roundoff bound is
 recorded on the result so certificates can build honest noise floors.
 """
 from __future__ import annotations
@@ -462,8 +464,9 @@ def _resolve_datum(phi, dim):
     reads some axes only is evaluated on those only.  breakpoints holds kink
     coordinates per axis (a datum's flat tuple serves every axis; a ridge's
     kink b lies on the axis d crosses, at b / d_k, when it crosses one, and
-    on no lattice line otherwise).  spacing (the finest grid spacing) is None
-    for callable data.  A ridge of another dimension raises ValueError.
+    on no lattice line otherwise).  spacing (grid data's spacing per axis)
+    is None for callable data.  A ridge of another dimension raises
+    ValueError.
     """
     if isinstance(phi, GridFunction):
         if phi.dim != dim:
@@ -478,7 +481,7 @@ def _resolve_datum(phi, dim):
                         f"[{y_lo}, {y_hi}]")
             return phi.interp_to_lattice(
                 *(np.clip(c, lo, hi) for c, (lo, hi) in zip(axes, phi.extent)))
-        return (sample, phi.growth_a, phi.growth_A, ((),) * dim, min(phi.spacing),
+        return (sample, phi.growth_a, phi.growth_A, ((),) * dim, phi.spacing,
                 phi.value_error)
     if isinstance(phi, InitialDatum):
         brk = tuple(phi.breakpoints)
@@ -565,6 +568,10 @@ _BATCH = 2 ** 17
 
 # lattice nodes a refinement may not pass: 2**23 doubles are 64 MiB per array
 _MAX_LATTICE_NODES = 2 ** 23
+# output rows per block of _separable's banded first contraction (measured
+# at N = 1353, K = 585, m = 4, single-thread BLAS: 8 rows take 5.85 ms, 16
+# 4.40, 32 3.88, 64 4.22, the dense product 6.83)
+_BAND_ROWS = 32
 
 
 def _fast_len(n):
@@ -659,89 +666,112 @@ def _along(arr, mat, k):
     return np.moveaxis(np.tensordot(arr, mat, (k, 1)), -1, k)
 
 
-def _separable(vals, weights, mats, kern_errs):
+def _separable(vals, weights, mats, kern_errs, step=0):
     """Tensor quadrature of lattice values, A_k = mats[k] weights[k] applied
     along each axis k, with its roundoff relative to direct sums.
+
+    Row i of mats[0] vanishes outside the band of columns [i step, i step +
+    N_0 - (n_0 - 1) step) (step the lattice factor of axis 0's free-space
+    kernel matrix; 0 for the dense box matrices, whose band is every
+    column).  So axis 0 is applied by blocks of _BAND_ROWS output rows, each
+    block weighted and multiplied over its own band only; a dense matrix is
+    one block, the whole product.  The other axes apply A_k along axis k.
 
     Each product rounds within gamma_N of its magnitudes, and |A_0 V| <=
     |A_0,i|_2 c (Cauchy-Schwarz, c the 2-norms of vals along axis 0), so
     output (i, j) errs by at most gamma |A_0,i|_2 C_j, C = c with |A_1|,
     ..., |A_n-1| applied along its axes, gamma = 2 eps sum_k N_k (the 2
-    covers the direct sums this replaces).  kern_errs bounds the error
-    delta_k of a kernel sample; a row of a folded Dirichlet matrix is the
-    difference of two kernel windows, so a row of A_k errs by at most d_k =
-    2 delta_k max|w_k| in 2-norm.  That adds d_0 C_j and, for k >= 1,
-    |A_0,i|_2 d_k |C_k|_2 carried through |A_k+1|, ..., where C_k is c with
-    |A_1|, ..., |A_k-1| applied (its full norm bounds the one along axis
-    k).  Two axes A, B give gamma |A_i|_2 (|B| c)_j + d_0 (|B| c)_j + d_1
-    |A_i|_2 |c|_2.
+    covers the direct sums this replaces; a band's sums are shorter still).
+    kern_errs bounds the error delta_k of a kernel sample; a row of a folded
+    Dirichlet matrix is the difference of two kernel windows, so a row of
+    A_k errs by at most d_k = 2 delta_k max|w_k| in 2-norm.  That adds d_0
+    C_j and, for k >= 1, |A_0,i|_2 d_k |C_k|_2 carried through |A_k+1|,
+    ..., where C_k is c with |A_1|, ..., |A_k-1| applied (its full norm
+    bounds the one along axis k).  Two axes A, B give gamma |A_i|_2 (|B|
+    c)_j + d_0 (|B| c)_j + d_1 |A_i|_2 |c|_2.
     """
-    a = [mat * w for mat, w in zip(mats, weights)]
-    u = np.tensordot(a[0], vals, (1, 0))
-    for k, ak in enumerate(a[1:], 1):
+    n0, N0 = mats[0].shape
+    width, block = N0 - (n0 - 1) * step, _BAND_ROWS if step else n0
+    u, rows = np.empty((n0,) + vals.shape[1:]), np.empty(n0)
+    flat, out = vals.reshape(N0, -1), u.reshape(n0, -1)
+    for i0 in range(0, n0, block):
+        i1 = min(n0, i0 + block)
+        c0, c1 = i0 * step, (i1 - 1) * step + width
+        a0 = mats[0][i0:i1, c0:c1] * weights[0][c0:c1]
+        np.dot(a0, flat[c0:c1], out=out[i0:i1])
+        rows[i0:i1] = np.linalg.norm(a0, axis=1)
+    a = [mat * w for mat, w in zip(mats[1:], weights[1:])]
+    for k, ak in enumerate(a, 1):
         u = _along(u, ak, k)
     gamma = 2.0 * np.finfo(float).eps * sum(vals.shape)
     d = [2.0 * dk * float(np.max(np.abs(w))) for dk, w in zip(kern_errs, weights)]
     cols = np.sqrt(np.einsum("i...,i...->...", vals, vals))
     extra = np.zeros_like(cols)
-    for k, (abs_k, dk) in enumerate(zip(map(np.abs, a[1:]), d[1:])):
+    for k, (abs_k, dk) in enumerate(zip(map(np.abs, a), d[1:])):
         extra = _along(extra, abs_k, k) + dk * float(np.linalg.norm(cols))
         cols = _along(cols, abs_k, k)
-    rows = np.linalg.norm(a[0], axis=1)
     bound = (gamma * np.multiply.outer(rows, cols) + d[0] * cols
              + np.multiply.outer(rows, extra))
     return u, float(np.max(bound / (1.0 + np.abs(u)))), "matrix"
 
 
-def _start_factor(spacings, t, datum_h):
-    """First lattice factor m: H/m resolves the output grid, sqrt(t)/8 and
-    the spacing of grid data."""
-    h_target = min(*spacings, np.sqrt(t) / 8.0, *([datum_h] if datum_h else []))
-    return max(1, int(np.ceil(max(spacings) / h_target - 1e-12)))
+def _start_factor(spacings, t, datum_hs):
+    """First lattice factor m_k of each axis k: H_k / m_k resolves H_k,
+    sqrt(t)/8 and the spacing of grid data along axis k (datum_hs, None for
+    callable data), so every lattice spacing h_k stays <= sqrt(t)/8."""
+    h_t = np.sqrt(t) / 8.0
+    return tuple(max(1, int(np.ceil(H / min(H, h_t, dh or np.inf) - 1e-12)))
+                 for H, dh in zip(spacings, datum_hs or (None,) * len(spacings)))
 
 
-def _refine(one_pass, m, quad_tol, max_refine, cells):
-    """Double m until two passes agree to quad_tol; returns (values, record).
+def _refine(one_pass, ms, quad_tol, max_refine, cells):
+    """Double every lattice factor until two passes agree to quad_tol;
+    returns (values, record).
 
-    one_pass(m) returns (values, roundoff, kernel_method, fft_block,
-    kernel_len).  A lattice has c m + 1 nodes along an axis of c cells at
-    m = 1 (cells lists c per axis).  DomainError for a first lattice above
+    one_pass(ms) returns (values, roundoff, kernel_method, fft_block,
+    kernel_len) for the lattice factors ms, one per axis.  A lattice has
+    m_k c_k + 1 nodes along an axis of c_k cells at factor 1 (cells lists
+    c_k per axis).  DomainError for a first lattice above
     _MAX_LATTICE_NODES, before one_pass samples anything, and for a first
     pass that is not finite (data unbounded on the lattice); doubling stops
-    short of the budget, keeping the last finished pass.  The record holds
-    quad_error, the Richardson estimate |u_2m - u_m| / (15 (1 + |u_2m|)) of
-    the last doubling (inf when none ran), the roundoff_error,
+    short of the budget, keeping the last finished pass.  Every factor
+    doubles at once, so each doubling halves every spacing and the record
+    holds quad_error, the Richardson estimate |u_2m - u_m| / (15 (1 +
+    |u_2m|)) of the last doubling (inf when none ran), the roundoff_error,
     kernel_method, fft_block (the block length of an FFT pass, else None)
-    and kernel_len of the last pass, lattice_factor, converged (quad_error
-    <= quad_tol) and refine_history, one [lattice_factor, estimate] per pass
-    (estimate None for the first).
+    and kernel_len of the last pass, its lattice_factors (m_k per axis) and
+    lattice_factor (the largest), converged (quad_error <= quad_tol) and
+    refine_history, one [lattice_factor, estimate] per pass (estimate None
+    for the first).
     """
-    def nodes(m):
-        return math.prod(m * c + 1 for c in cells)
+    def nodes(ms):
+        return math.prod(m * c + 1 for m, c in zip(ms, cells))
 
-    if nodes(m) > _MAX_LATTICE_NODES:
-        raise DomainError(f"the first lattice (factor {m}) has {nodes(m)} nodes, "
+    factor = "x".join(map(str, ms))
+    if nodes(ms) > _MAX_LATTICE_NODES:
+        raise DomainError(f"the first lattice (factor {factor}) has {nodes(ms)} nodes, "
                           f"above the budget of {_MAX_LATTICE_NODES}")
-    u, roundoff, method, block, taps = one_pass(m)
+    u, roundoff, method, block, taps = one_pass(ms)
     if not np.all(np.isfinite(u)):
         raise DomainError(f"datum must be bounded: the first pass (lattice factor "
-                          f"{m}) is not finite")
+                          f"{factor}) is not finite")
     est = np.inf
-    history = [[m, None]]
+    history = [[max(ms), None]]
     for _ in range(max_refine):
-        if nodes(2 * m) > _MAX_LATTICE_NODES:
+        doubled = tuple(2 * m for m in ms)
+        if nodes(doubled) > _MAX_LATTICE_NODES:
             break
-        m *= 2
-        u_next, roundoff, method, block, taps = one_pass(m)
+        ms = doubled
+        u_next, roundoff, method, block, taps = one_pass(ms)
         est = float(np.max(np.abs(u_next - u) / (1.0 + np.abs(u_next)))) / 15.0
-        history.append([m, est])
+        history.append([max(ms), est])
         u = u_next
         if est <= quad_tol:
             break
     return u, {"quad_error": est, "roundoff_error": roundoff,
                "kernel_method": method, "fft_block": block, "kernel_len": taps,
-               "lattice_factor": m, "converged": est <= quad_tol,
-               "refine_history": history}
+               "lattice_factor": max(ms), "lattice_factors": list(ms),
+               "converged": est <= quad_tol, "refine_history": history}
 
 
 # -- free-space evolution ----------------------------------------------------
@@ -829,10 +859,10 @@ def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
     margins = [int(np.ceil(R / H)) for H in Hs]
     long_blocks = True  # False once a pass refused long FFT blocks
 
-    def one_pass(m):
+    def one_pass(ms):
         nonlocal long_blocks
         axes, kerns, edges = [], [], []
-        for (lo, _, _), H, n, b, c in zip(grids, Hs, ns, brk, margins):
+        for (lo, _, _), H, n, b, c, m in zip(grids, Hs, ns, brk, margins, ms):
             h = H / m
             p = c * m
             y = lo - p * h + h * np.arange(2 * p + (n - 1) * m + 1)
@@ -841,6 +871,7 @@ def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
             kerns.append(gauss_kernel(h * np.arange(-p, p + 1), t))
         taps = [k.size for k in kerns]
         if dim == 1:
+            m, = ms
             psi = _piece_weighted_values(sample, axes[0], edges[0], Hs[0] / m)
             u, roundoff, method, block = _kernel_apply(psi, m, kerns[0], quad_tol / 100.0,
                                                        long_blocks)
@@ -849,8 +880,8 @@ def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
         return (*_separable(
             sample(*axes),
             [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
-            [_kernel_matrix(y.size, m, n, k) for y, n, k in zip(axes, ns, kerns)],
-            (0.0,) * dim), None, taps)
+            [_kernel_matrix(y.size, m, n, k) for y, m, n, k in zip(axes, ms, ns, kerns)],
+            (0.0,) * dim, ms[0]), None, taps)
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [2 * c + n - 1 for c, n in zip(margins, ns)])
@@ -875,7 +906,8 @@ def _box_spectrum(L, t, M):
     By Poisson summation Theta(x) = sum_n exp(-t (pi n / L)^2)
     cos(pi n x / L) / (2L), so the DFT of 2M samples (one period) is lambda
     plus the aliased terms |n| >= M, each below exp(-t pi^2 / h^2) / h, so
-    below exp(-64 pi^2) / h, because _start_factor keeps h <= sqrt(t) / 8.
+    below exp(-64 pi^2) / h, because _start_factor keeps the spacing h_k
+    of every axis k <= sqrt(t) / 8.
     The exponent is computed within 4 eps relative, exp and the division
     by h add one eps each, so |d lambda_k| <= d_k = eps (2 + 4 t (pi k /
     L)^2) lambda_k to first order.
@@ -1013,25 +1045,25 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
     extent = domain.bounds
     Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
 
-    def one_pass(m):
+    def one_pass(ms):
         # lattice nodes from wall to wall, and snapped piece edges
         axes = [lo + H / m * np.arange((n - 1) * m + 1)
-                for (lo, _), H, n in zip(extent, Hs, ns)]
+                for (lo, _), H, n, m in zip(extent, Hs, ns, ms)]
         edges = [_snap_edges(lo, H / m, y.size, b)
-                 for (lo, _), H, y, b in zip(extent, Hs, axes, brk)]
+                 for (lo, _), H, m, y, b in zip(extent, Hs, ms, axes, brk)]
         if dim == 1:
             psi = _piece_weighted_values(lambda y: ell - sample(y), axes[0],
-                                         edges[0], Hs[0] / m)
+                                         edges[0], Hs[0] / ms[0])
             psi[0] = 0.0
             (lo, hi), = extent
             # one circular convolution of period 2 (psi.size - 1)
-            return (*_box_apply(psi, m, hi - lo, t), None, [2 * (psi.size - 1)])
+            return (*_box_apply(psi, ms[0], hi - lo, t), None, [2 * (psi.size - 1)])
         # per axis, the matrix of the image sum on odd data, reflected
         # across the whole box and folded onto the samples from the wall
         kerns, deltas = zip(*(_dirichlet_kernels(hi - lo, t, y.size - 1)
                               for y, (lo, hi) in zip(axes, extent)))
         full = [_kernel_matrix(2 * y.size - 1, m, n, k)
-                for y, n, k in zip(axes, ns, kerns)]
+                for y, m, n, k in zip(axes, ms, ns, kerns)]
         return (*_separable(
             ell - sample(*axes),
             [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],

@@ -358,10 +358,10 @@ def _budget_at_the_first_lattice(monkeypatch):
 
     refine = heatflow._refine
 
-    def capped(one_pass, m, quad_tol, max_refine, cells):
+    def capped(one_pass, ms, quad_tol, max_refine, cells):
         monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES",
-                            math.prod(m * c + 1 for c in cells))
-        return refine(one_pass, m, quad_tol, max_refine, cells)
+                            math.prod(m * c + 1 for m, c in zip(ms, cells)))
+        return refine(one_pass, ms, quad_tol, max_refine, cells)
 
     monkeypatch.setattr(heatflow, "_refine", capped)
 

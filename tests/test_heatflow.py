@@ -10,11 +10,11 @@ from heatconvex import (DomainSpec, EvaluationWindowError,
                         ExistenceWindowError, GridFunction, InitialDatum,
                         fit_growth_envelope, gauss_kernel, grid_nodes,
                         heat_evolve_dirichlet, heat_evolve_free, heatflow, hot_h)
-from heatconvex.heatflow import (_CSV_BLOCKS, _CSV_ROWS, _box_apply, _csv_templates,
-                                 _dirichlet_kernels, _fast_len,
-                                 _kernel_apply, _kernel_matrix, _pchip, _valid,
-                                 check_existence)
-from heatconvex.numerics import DomainError
+from heatconvex.heatflow import (_BAND_ROWS, _CSV_BLOCKS, _CSV_ROWS, _box_apply,
+                                 _csv_templates, _dirichlet_kernels, _fast_len,
+                                 _kernel_apply, _kernel_matrix, _pchip, _resolve_datum,
+                                 _separable, _start_factor, _valid, check_existence)
+from heatconvex.numerics import DomainError, piecewise_simpson_weights
 
 
 def rel_err(got, want):
@@ -531,8 +531,8 @@ _G8 = (0.0, 1.0, 1.0 / 8)
 
 
 _META_KEYS = {"t", "quad_error", "roundoff_error", "kernel_method", "fft_block",
-              "kernel_len", "lattice_factor", "converged", "refine_history", "tail_bound",
-              "truncation_radius", "inherited_error"}
+              "kernel_len", "lattice_factor", "lattice_factors", "converged",
+              "refine_history", "tail_bound", "truncation_radius", "inherited_error"}
 _BOX = DomainSpec.interval(0.0, 1.0)
 
 
@@ -589,6 +589,8 @@ def test_every_path_records_the_same_meta(evolve, method, kernel_rounds, taps):
     assert (u.meta["tail_bound"] == 0.0) == kernel_rounds
     assert u.meta["quad_error"] + u.meta["roundoff_error"] <= u.value_error
     assert u.meta["lattice_factor"] >= 2
+    # one factor per axis; these grids space every axis alike
+    assert u.meta["lattice_factors"] == [u.meta["lattice_factor"]] * len(u.meta["kernel_len"])
 
 
 # -- kernel operator -----------------------------------------------------------
@@ -645,6 +647,58 @@ def test_kernel_matrix_applies_the_operator(N, K, m, n, box):
     mat = _kernel_matrix(N, m, n, kern)
     assert mat.shape == (n, N)
     assert np.max(np.abs(mat @ psi - u) / (1.0 + np.abs(u))) < 1e-12
+
+
+def _dense_separable(vals, weights, mats):
+    """The n-axis operator as one dense product of each axis' weighted matrix."""
+    u = np.tensordot(mats[0] * weights[0], vals, (1, 0))
+    for k, (mat, w) in enumerate(zip(mats[1:], weights[1:]), 1):
+        u = heatflow._along(u, mat * w, k)
+    return u
+
+
+# (K, m, n) per axis of a free lattice, N = K + (n - 1) m nodes: flow-2d's
+# 193^2 Gaussian; n = 33 one row past a block at m = 1; one block; and a 3D
+# lattice whose n = 70 is no multiple of the block height
+@pytest.mark.parametrize("axes", [
+    ((585, 4, 193), (585, 4, 193)),
+    ((65, 1, 33), (33, 2, 17)),
+    ((49, 3, 9), (17, 1, 5)),
+    ((33, 2, 70), (9, 1, 3), (17, 2, 4)),
+], ids=["flow_2d_gaussian", "m1_one_row_past_a_block", "one_block", "3d"])
+def test_banded_contraction_meets_the_dense_product(axes):
+    """Axis 0 applied by blocks of _BAND_ROWS rows over their bands meets
+    the dense product of the whole kernel matrix within _separable's own
+    roundoff bound."""
+    rng = np.random.default_rng(5)
+    mats, weights = [], []
+    for K, m, n in axes:
+        kern = gauss_kernel(np.linspace(-4.0, 4.0, K), 1.0) * (1.0 + 0.1 * rng.random(K))
+        N = K + (n - 1) * m
+        mats.append(_kernel_matrix(N, m, n, kern))
+        weights.append(piecewise_simpson_weights(np.linspace(0.0, 1.0, N), [0, N - 1]))
+    vals = rng.standard_normal([K + (n - 1) * m for K, m, n in axes])
+    u, roundoff, method = _separable(vals, weights, mats, (0.0,) * len(axes), axes[0][1])
+    ref = _dense_separable(vals, weights, mats)
+    assert method == "matrix" and u.shape == ref.shape == tuple(n for *_, n in axes)
+    assert 0.0 < roundoff < 1e-11
+    assert np.all(np.abs(u - ref) <= roundoff * (1.0 + np.abs(u)))
+
+
+def test_box_matrices_take_one_block_bit_for_bit():
+    """A folded box matrix is dense: its band is every column, so axis 0 is
+    one block, the dense product bit for bit, even past _BAND_ROWS rows."""
+    t, ms, ns, Ls = 0.05, (2, 3), (2 * _BAND_ROWS + 9, 9), (2.0, 1.0)
+    axes = [np.linspace(0.0, L, (n - 1) * m + 1) for L, m, n in zip(Ls, ms, ns)]
+    kerns, deltas = zip(*(_dirichlet_kernels(L, t, y.size - 1) for L, y in zip(Ls, axes)))
+    full = [_kernel_matrix(2 * y.size - 1, m, n, k)
+            for y, m, n, k in zip(axes, ms, ns, kerns)]
+    mats = [f[:, y.size - 1:] - f[:, y.size - 1::-1] for f, y in zip(full, axes)]
+    weights = [piecewise_simpson_weights(y, [0, y.size - 1]) for y in axes]
+    vals = np.random.default_rng(7).standard_normal([y.size for y in axes])
+    u, roundoff, _ = _separable(vals, weights, mats, deltas)
+    assert u.shape == ns and roundoff > 0.0
+    assert np.array_equal(u, _dense_separable(vals, weights, mats))
 
 
 def test_fast_growing_data_fall_back_to_direct_sums():
@@ -725,35 +779,132 @@ def test_fft_evolution_of_exp_abs_keeps_the_short_blocks(monkeypatch):
     assert np.array_equal(u.values, _valid(f, g, K // 8)[0][::m])
 
 
+def _spy_lattices(monkeypatch):
+    """The lattice shape of every n-axis pass of the evolutions that follow."""
+    shapes = []
+    separable = heatflow._separable
+
+    def spy(vals, *args):
+        shapes.append(vals.shape)
+        return separable(vals, *args)
+
+    monkeypatch.setattr(heatflow, "_separable", spy)
+    return shapes
+
+
 @pytest.mark.parametrize("evolve", [
     lambda **kw: heat_evolve_free(_SIN2, 0.05, (_G8, _G8), **kw),
     lambda **kw: heat_evolve_dirichlet(
         _SIN2, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))), 0.05, (_G8, _G8), **kw),
 ], ids=["free_2d", "rectangle"])
 def test_node_budget_keeps_the_last_finished_pass(evolve, monkeypatch):
-    lattices = []
-    separable = heatflow._separable
-
-    def spy(vals, *args):
-        lattices.append(vals.size)
-        return separable(vals, *args)
-
-    monkeypatch.setattr(heatflow, "_separable", spy)
+    lattices = _spy_lattices(monkeypatch)
     full = evolve(quad_tol=1e-30, max_refine=3)
     assert len(lattices) == 4 and not full.meta["converged"]
     one = evolve(quad_tol=1e-30, max_refine=1)
     # room for the lattice of the first doubling, not for the second
-    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", lattices[1])
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", int(np.prod(lattices[1])))
     del lattices[:]
     capped = evolve(quad_tol=1e-30, max_refine=3)
     assert len(lattices) == 2
     assert capped.meta["lattice_factor"] == one.meta["lattice_factor"]
     assert capped.meta["lattice_factor"] * 4 == full.meta["lattice_factor"]
+    assert capped.meta["lattice_factors"] == one.meta["lattice_factors"]
+    assert [4 * m for m in capped.meta["lattice_factors"]] == full.meta["lattice_factors"]
     assert not capped.meta["converged"]
     assert np.array_equal(capped.values, one.values)
     assert capped.value_error == one.value_error
     assert (capped.meta["quad_error"] + capped.meta["roundoff_error"]
             <= capped.value_error < 1e-3)
+
+
+# -- per-axis lattice factors -----------------------------------------------
+
+
+@pytest.mark.parametrize("spacings, t, datum_hs", [
+    ((1.0 / 16,), 0.05, None),
+    ((1.0 / 1024,), 0.1, None),
+    ((0.5,), 1e-4, (0.01,)),
+    ((1.0 / 8, 1.0 / 8), 0.05, None),
+    ((8.0 / 192, 8.0 / 192), 0.1, None),
+    ((0.125,) * 3, 0.25, (0.01,) * 3),
+])
+def test_one_axis_and_equal_spacings_keep_one_lattice_factor(spacings, t, datum_hs):
+    """Where every axis, and every axis of grid data, is spaced alike, each
+    axis gets the one factor of the finest spacing: max H over min(H,
+    sqrt(t)/8, datum spacing), rounded up."""
+    h = min(*spacings, np.sqrt(t) / 8.0, *(datum_hs or ()))
+    m = max(1, int(np.ceil(max(spacings) / h - 1e-12)))
+    assert _start_factor(spacings, t, datum_hs) == (m,) * len(spacings)
+
+
+def test_rectangle_of_unequal_spacings_refines_each_axis_on_its_own(monkeypatch):
+    """On (0, 2) x (0, 1), 193^2, both spacings resolve sqrt(t)/8 = 0.028:
+    the lattices are 193^2 and 385^2, not the 385^2 and 769^2 of refining
+    both axes to the finer spacing.  The node budget counts that lattice."""
+    t = 0.05
+    phi = InitialDatum(fn=lambda x, y: np.sin(np.pi * x / 2) * np.sin(np.pi * y))
+    rect = DomainSpec.rectangle(((0.0, 2.0), (0.0, 1.0)))
+    grids = ((0.0, 2.0, 2.0 / 192), (0.0, 1.0, 1.0 / 192))
+    shapes = _spy_lattices(monkeypatch)
+    u = heat_evolve_dirichlet(phi, rect, t, grids)
+    assert shapes == [(193, 193), (385, 385)]
+    assert u.meta["lattice_factors"] == [2, 2] and u.meta["lattice_factor"] == 2
+    assert [m for m, _ in u.meta["refine_history"]] == [1, 2]
+    a, b = u.axes()
+    exact = np.exp(-1.25 * np.pi ** 2 * t) * np.outer(np.sin(np.pi * a / 2), np.sin(np.pi * b))
+    assert u.meta["converged"]
+    assert rel_err(u.values, exact) <= u.value_error < 1e-12
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 385 ** 2)
+    fits = heat_evolve_dirichlet(phi, rect, t, grids)
+    assert np.array_equal(fits.values, u.values) and fits.meta == u.meta
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 385 ** 2 - 1)
+    first = heat_evolve_dirichlet(phi, rect, t, grids)
+    assert first.meta["lattice_factors"] == [1, 1] and not first.meta["converged"]
+
+
+def test_free_gaussian_product_on_unequal_axes(monkeypatch):
+    """H = 1/8 along x needs factor 4 to reach sqrt(t)/8 = 0.0395, H = 1/32
+    along y none; every doubling doubles both."""
+    s, t = 0.25, 0.1
+    phi = InitialDatum(fn=lambda x, y: gauss_kernel(x, s) * gauss_kernel(y, s),
+                       growth_a=float(gauss_kernel(0.0, s)) ** 2)
+    shapes = _spy_lattices(monkeypatch)
+    u = heat_evolve_free(phi, t, ((-4.0, 4.0, 1.0 / 8), (-2.0, 2.0, 1.0 / 32)))
+    m0, m1 = u.meta["lattice_factors"]
+    assert m0 == 4 * m1 and u.meta["lattice_factor"] == m0
+    assert u.meta["refine_history"][0][0] == 4 and len(shapes) == len(u.meta["refine_history"])
+    # each axis: 2 margins of ceil(R / H) cells and n - 1 output cells, m_k nodes a cell
+    R = u.meta["truncation_radius"]
+    assert shapes[-1] == tuple((2 * int(np.ceil(R / H)) + n - 1) * m + 1
+                               for H, n, m in ((1.0 / 8, 65, m0), (1.0 / 32, 129, m1)))
+    x, y = u.axes()
+    exact = np.outer(gauss_kernel(x, s + t), gauss_kernel(y, s + t))
+    assert u.meta["converged"]
+    assert rel_err(u.values, exact) <= u.value_error < 1e-9
+
+
+def test_grid_data_of_unequal_spacings_set_each_axis_factor(monkeypatch):
+    """Grid data spaced 0.1 along x and 0.025 along y, on outputs spaced
+    1/8: x needs factor 2 (sqrt(t)/8 = 0.0625), y factor 5 (its datum's
+    spacing).  xy is linear along each axis, so the monotone cubics read it
+    exactly, and its heat flow is xy itself."""
+    x, y = np.linspace(-6.0, 6.0, 121), np.linspace(-6.0, 6.0, 481)
+    gf = GridFunction(values=np.outer(x, y), extent=((-6.0, 6.0), (-6.0, 6.0)),
+                      growth_a=36.0)
+    assert _resolve_datum(gf, 2)[4] == gf.spacing
+    shapes = _spy_lattices(monkeypatch)
+    g = (-1.0, 1.0, 1.0 / 8)
+    u = heat_evolve_free(gf, 0.25, (g, g))
+    m0, m1 = u.meta["lattice_factors"]
+    assert 5 * m0 == 2 * m1 and u.meta["refine_history"][0][0] == 5
+    # both axes: 2 margins of ceil(R / H) cells and 16 output cells
+    cells = 2 * int(np.ceil(u.meta["truncation_radius"] * 8)) + 16
+    assert shapes[0] == (2 * cells + 1, 5 * cells + 1)
+    a, b = u.axes()
+    assert u.meta["converged"]
+    # growth_a = 36 sets the tail bound, 3.6e-9
+    assert rel_err(u.values, np.outer(a, b)) <= u.value_error < 1e-8
 
 
 def _counting(datum):
