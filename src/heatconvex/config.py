@@ -360,6 +360,11 @@ def load_config(path, overrides=None):
             raise
         except Exception as exc:
             raise ConfigError(f"cannot build transform {spec!r}: {exc}")
+    labels = [F.label for F in transforms]
+    for label in labels:
+        if labels.count(label) > 1:  # outputs are keyed by label
+            raise ConfigError(f"two transform lines build {label!r}: each "
+                              "transform's label must differ")
 
     datum_spec = _inline(raw["datum"]) if "datum" in raw else None
     resolved.update({"transform": list(raw["transform"]), "datum": raw.get("datum", ""),

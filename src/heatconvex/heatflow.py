@@ -34,13 +34,12 @@ from __future__ import annotations
 import functools
 import io
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import DomainError, invert_monotone, piecewise_simpson_weights
+from .numerics import DomainError, piecewise_simpson_weights
 
 __all__ = [
     "ExistenceWindowError",
@@ -64,45 +63,29 @@ EXISTENCE_MARGIN = 0.05
 # rows per % operation of GridFunction.to_csv, so the strings built at once
 # stay small on any grid
 _CSV_ROWS = 4096
-# blocks of rows whose row templates (coordinates printed, a slot per value:
-# about 80 KB for a 1D block) _csv_templates keeps, so a later file on the
-# same grid formats only its values
-_CSV_BLOCKS = 32
-# (grid, first row) -> row template, or None for a block written once; the
-# least recently written block first
-_csv_templates = OrderedDict()
 # spacings by which a coordinate read from CSV may miss its node: to_csv's
 # %.17g reads back exactly, and a rounded hand-written coordinate passes
 # while one a node (or any visible part of a cell) away does not
 _CSV_COORD_TOL = 1e-3
 
 
-def _csv_template(grid, start, table):
+@functools.lru_cache(maxsize=32)
+def _row_template(bounds, shape, start):
     """Row template of the to_csv block of rows start, start+1, ... (at
-    most _CSV_ROWS) of grid: every coordinate printed with %.17g and a
-    %.17g slot for the value, built on the block's second write.  None on
-    its first write, which is printed directly (filling a template copies
-    its coordinate text once more), and for a grid of more blocks than the
-    cache holds, which would drop each block before writing it again.
+    most _CSV_ROWS) of the grid of this shape: each row's coordinates
+    printed with %.17g, then a %.17g slot for its value.  Only the block's
+    own coordinates are computed, as GridFunction.axes() places them.
 
-    grid is (float.hex() of each bound, shape), since -0.0 and 0.0 hash
-    equal but print differently; table() gives the grid's rows of
-    coordinates and value.  At most _CSV_BLOCKS blocks are kept, the least
-    recently written dropped first."""
-    if math.prod(grid[1]) > _CSV_ROWS * _CSV_BLOCKS:
-        return None
-    key = grid, start
-    if key not in _csv_templates:
-        _csv_templates[key] = None
-        if len(_csv_templates) > _CSV_BLOCKS:
-            _csv_templates.popitem(last=False)
-        return None
-    _csv_templates.move_to_end(key)
-    if _csv_templates[key] is None:
-        coords = table()[start:start + _CSV_ROWS, :-1]
-        row = "%.17g," * coords.shape[1] + "%%.17g\n"
-        _csv_templates[key] = row * len(coords) % tuple(coords.ravel().tolist())
-    return _csv_templates[key]
+    bounds holds float.hex() of each axis's (lo, hi), since -0.0 and 0.0
+    hash equal but print differently.  Built on a block's first write and
+    kept for the 32 blocks written last, so a later file on the same grid
+    formats only its values."""
+    stop = min(start + _CSV_ROWS, math.prod(shape))
+    index = np.unravel_index(np.arange(start, stop), shape)
+    coords = np.stack([np.linspace(float.fromhex(lo), float.fromhex(hi), n)[i]
+                       for (lo, hi), n, i in zip(bounds, shape, index)], axis=1)
+    row = "%.17g," * len(shape) + "%%.17g\n"
+    return row * len(coords) % tuple(coords.ravel().tolist())
 
 
 class ExistenceWindowError(ValueError):
@@ -231,9 +214,9 @@ class GridFunction:
 
         Every float of a row is printed with %.17g, so the values read back
         exactly and equal data give equal bytes.  Rows run in C order (axis
-        0 slowest); one % operation prints each block of _CSV_ROWS rows, or
-        fills its values into the block's row template (_csv_template) when
-        the block was written before.
+        0 slowest); each block of _CSV_ROWS rows fills its values into the
+        block's row template (_row_template), which a block's first write
+        builds and later writes on the same grid reuse.
         """
         out = io.StringIO()
         out.write(f"# dim={self.dim}\n")
@@ -246,23 +229,11 @@ class GridFunction:
         names = ["x", "y", "z"][:self.dim] + [f"x{k}" for k in range(4, self.dim + 1)]
         out.write(",".join(names) + ",value\n")
         values = self.values.ravel()
-        grid = tuple((lo.hex(), hi.hex()) for lo, hi in self.extent), self.values.shape
-        # built at most once, for the blocks printed and the templates built
-        table = functools.cache(self._csv_table)
-        row = "%.17g," * self.dim + "%.17g\n"
+        bounds = tuple((lo.hex(), hi.hex()) for lo, hi in self.extent)
         for i in range(0, values.size, _CSV_ROWS):
-            rows = _csv_template(grid, i, table)
-            if rows is None:
-                block = table()[i:i + _CSV_ROWS]
-                out.write(row * len(block) % tuple(block.ravel().tolist()))
-            else:
-                out.write(rows % tuple(values[i:i + _CSV_ROWS].tolist()))
+            rows = _row_template(bounds, self.values.shape, i)
+            out.write(rows % tuple(values[i:i + _CSV_ROWS].tolist()))
         return out.getvalue()
-
-    def _csv_table(self):
-        """to_csv's table: a row of coordinates and value per node."""
-        return np.stack([*(c.ravel() for c in np.meshgrid(*self.axes(), indexing="ij")),
-                         self.values.ravel()], axis=1)
 
     @classmethod
     def from_csv(cls, text):
@@ -1088,14 +1059,24 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
 
 
 def hot_h(z):
-    """Unit-time heat evolution of the unit step: (1 + erf(z/2)) / 2."""
-    from scipy.special import erf  # loaded at first use: a CLI start skips it
+    """Unit-time heat evolution of the unit step, (1 + erf(z/2)) / 2, as
+    erfc(-z/2) / 2, which keeps its relative digits in the lower tail, where
+    1 + erf(z/2) cancels.  There (z < -1) it is erfcx(x) exp(-x^2) / 2 at
+    x = -z/2 with x^2 = s + e split exactly (Dekker), since erfc rounds x^2
+    before its exponential and so loses about x^2 ulps."""
+    from scipy.special import erfc, erfcx  # loaded at first use: a CLI start skips them
 
-    z = np.asarray(z, dtype=float)
-    # 0.5 (1 + erf(0.5 z)) in one buffer, the same operations in order
-    out = np.multiply(z, 0.5, out=np.empty_like(z))
-    erf(out, out=out)
-    out += 1.0
+    x = np.multiply(np.asarray(z, dtype=float), -0.5)
+    out = erfc(x, out=np.empty_like(x))
+    tail = (x > 0.5) & (x < 27.0)  # beyond 27, erfc(x) < 1e-318
+    if np.any(tail):
+        x = x[tail]
+        c = 134217729.0 * x  # 2^27 + 1: x = hi + lo, 26 bits each
+        hi = c - (c - x)
+        lo = x - hi
+        s = x * x
+        e = ((hi * hi - s) + 2.0 * hi * lo) + lo * lo
+        out[tail] = erfcx(x) * np.exp(-s) * (1.0 - e)
     out *= 0.5
     return float(out) if out.ndim == 0 else out
 
@@ -1106,8 +1087,12 @@ def hot_h_deriv(z):
 
 
 def hot_H(r):
-    """Monotone inverse of hot_h on (0, 1), by bracketing bisection + Newton."""
+    """Monotone inverse of hot_h on (0, 1): sqrt(2) ndtri(r), the inverse
+    normal CDF, accurate in both tails.  DomainError outside (0, 1)."""
+    from scipy.special import ndtri  # loaded at first use: a CLI start skips it
+
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
         raise DomainError("hot_H needs arguments strictly inside (0, 1)")
-    return invert_monotone(hot_h, r, -75.0, 75.0, deriv=hot_h_deriv)
+    out = math.sqrt(2.0) * ndtri(r_arr)
+    return float(out) if out.ndim == 0 else out

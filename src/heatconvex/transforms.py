@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heatflow import hot_h, hot_h_deriv, hot_H
+from .heatflow import hot_h, hot_h_deriv
 from .numerics import (
     DomainError,
     affine_fit,
@@ -335,15 +335,9 @@ def make_hot(a):
     a = float(a)
 
     def ev(r):
-        r = _as_float_array(r)
-        ratio = r / a
-        out = np.full_like(ratio, np.nan)
-        interior = (ratio > 0.0) & (ratio < 1.0)
-        if np.any(interior):
-            out[interior] = hot_H(ratio[interior])
-        out = np.where(ratio <= 0.0, -np.inf, out)
-        out = np.where(ratio >= 1.0, np.inf, out)
-        return out
+        from scipy.special import ndtri  # hot_H without its domain check
+
+        return math.sqrt(2.0) * ndtri(_as_float_array(r) / a)
 
     def log_inv(z):
         from scipy.special import log_ndtr
@@ -436,7 +430,7 @@ def _log_piece(z, za, Ga, ga, s):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # s d is 0 on a flat piece (G' constant) even at d = +-inf, not nan
         flat = s == 0
-        rise = d * (ga + np.where(flat, 0.0, 0.5 * s * d))  # G(z) - G(za), signed
+        rise = d * (ga + np.where(flat, 0.0, s * (0.5 * d)))  # G(z) - G(za), signed
         g_ends = np.abs(np.broadcast_arrays(ga, ga + np.where(flat, 0.0, s * d)))
         root = np.sqrt(2.0 * np.abs(s))
         psi = np.where(s > 0, dawsn(g_ends / root),
@@ -506,7 +500,9 @@ def make_from_g(g, base_z, base_value, base_slope):
     upper_ell = sup f, which F maps to +inf, and order 0.  Above sup f / 2, F
     inverts log(sup f - f), the right tail's own mass, which keeps the
     digits that 1 - f / sup f would cancel.  The curvature profile is g
-    itself.  DomainError unless base_z, base_value >= 0 and base_slope > 0
+    itself.  The label names g's points and slopes and the base (base_z,
+    base_value, base_slope), so distinct transforms read apart in every
+    output.  DomainError unless base_z, base_value >= 0 and base_slope > 0
     are finite (g, a GSpec, checks its own numbers), and where f cannot be
     sampled in doubles: a sup f that overflows, or a zero of f at |z| >= 2^48.
     """
@@ -514,6 +510,9 @@ def make_from_g(g, base_z, base_value, base_slope):
             and 0 < base_slope < np.inf):
         raise DomainError("make_from_g needs a finite base_z, a finite "
                           "base_value >= 0 and a finite base_slope > 0")
+    label = (f"from_g[points={''.join(f'({z:g},{v:g})' for z, v in g.points)},"
+             f"slopes=({g.left_slope:g},{g.right_slope:g}),"
+             f"base=({base_z:g},{base_value:g},{base_slope:g})]")
     G = g.antiderivative_from(base_z)
     log_fprime = lambda z: math.log(base_slope) + G(z)
     log_int = _log_mass(g, float(base_z))
@@ -582,7 +581,7 @@ def make_from_g(g, base_z, base_value, base_slope):
     return FTransform(
         domain_kind="bounded_above" if bounded else "half_line_nonneg",
         lower_a=float(lower_a), upper_ell=float(upper_ell), j_lo=float(j_lo), j_hi=np.inf,
-        label="from_g", _eval=ev, _log_inverse=log_inv,
+        label=label, _eval=ev, _log_inverse=log_inv,
         _inverse=lambda z: np.exp(log_inv(z)),
         _inverse_deriv=lambda z: np.exp(log_fprime(z)),
         gaussian_order=0.0 if bounded else 0.5 * float(g.right_slope),

@@ -100,6 +100,20 @@ def test_the_triple_of_largest_margin_decides():
     assert cert.max_gap > cert.worst.gap
 
 
+def test_exactly_hot_convex_grid_is_not_refuted():
+    """u = h(x^2 - 14) is hot-convex exactly (F(u) = x^2 - 14).  With
+    h = (1 + erf(z/2)) / 2 and H bisected against it, the lower tail of u
+    lost its digits and F of it erred, which read a significant violation
+    of gap 0.020 against a noise floor of 2.2e-14."""
+    x = np.linspace(-5.0, 5.0, 201)
+    u = GridFunction(values=hot_h(x * x - 14.0), extent=((-5.0, 5.0),))
+    F = make_hot(1.0)
+    low = x * x < 14.0  # u < 1/2, where a double of u keeps its relative digits
+    np.testing.assert_allclose(F(u.values[low]), x[low] ** 2 - 14.0, rtol=1e-14)
+    cert = check_F_convex(u, F)
+    assert cert.status == "no_violation_found" and not cert.significant
+
+
 # -- relabeling invariance -----------------------------------------------------
 
 

@@ -94,7 +94,7 @@ def test_classify_from_g_that_never_vanishes(tmp_path):
     cfg = write_config(tmp_path, "transform = from_g base_value=2\n")
     r = run_cli("classify", "--config", cfg, "--out", str(tmp_path / "res"))
     assert r.returncode == 0, r.stderr
-    assert "from_g: preserved" in r.stdout
+    assert "from_g[points=(1,-1),slopes=(-1,1),base=(0,2,1)]: preserved" in r.stdout
 
 
 def test_classify_from_g_with_its_kink_far_out(tmp_path):
@@ -104,9 +104,41 @@ def test_classify_from_g_with_its_kink_far_out(tmp_path):
     out = tmp_path / "res"
     r = run_cli("classify", "--config", cfg, "--out", str(out))
     assert r.returncode == 0, r.stderr
-    assert "from_g: preserved" in r.stdout
+    label = "from_g[points=(12,-1),slopes=(-1,1),base=(0,1,1)]"
+    assert f"{label}: preserved" in r.stdout
     row = (out / "classify.csv").read_text().splitlines()[1]
-    assert row.startswith("from_g,inf,false,0.5,true,preserved,")
+    assert row.startswith(f'"{label}",inf,false,0.5,true,preserved,')
+
+
+TWO_FROM_G = """
+transform = from_g center=1 drop=1
+transform = from_g center=2 drop=3 base_value=2
+"""
+
+
+def test_distinct_from_g_transforms_keep_their_own_outputs(tmp_path):
+    """Every from_g transform was labelled 'from_g', so the second's verdict
+    and hunt file replaced the first's."""
+    cfg = write_config(tmp_path, TWO_FROM_G + HUNT_CFG.replace("transform = power alpha=1.5\n", ""))
+    out = tmp_path / "res"
+    assert entry(["classify", "--config", cfg, "--out", str(out)]) == 0
+    verdicts = json.loads((out / "classify_meta.json").read_text())["verdicts"]
+    assert sorted(verdicts) == ["from_g[points=(1,-1),slopes=(-1,1),base=(0,1,1)]",
+                                "from_g[points=(2,-3),slopes=(-1,1),base=(0,2,1)]"]
+    assert entry(["hunt", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("hunt_*.csv")) == [
+        "hunt_from_g_points_1_-1_slopes_-1_1_base_0_1_1.csv",
+        "hunt_from_g_points_2_-3_slopes_-1_1_base_0_2_1.csv"]
+    meta = json.loads((out / "hunt_meta.json").read_text())
+    assert sorted(meta["scans"]) == sorted(verdicts)
+
+
+def test_transforms_that_share_a_label_are_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "transform = power alpha=1\n" * 2 + EVOLVE_CFG)
+    out = tmp_path / "res"
+    assert entry(["classify", "--config", cfg, "--out", str(out)]) == 2
+    assert "power[1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_classify_neglog_down_to_minus_infinity(tmp_path):

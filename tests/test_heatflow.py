@@ -10,10 +10,10 @@ from heatconvex import (DomainSpec, EvaluationWindowError,
                         ExistenceWindowError, GridFunction, InitialDatum,
                         fit_growth_envelope, gauss_kernel, grid_nodes,
                         heat_evolve_dirichlet, heat_evolve_free, heatflow, hot_h)
-from heatconvex.heatflow import (_BAND_ROWS, _CSV_BLOCKS, _CSV_ROWS, _box_apply,
-                                 _csv_templates, _dirichlet_kernels, _fast_len,
-                                 _kernel_apply, _kernel_matrix, _pchip, _resolve_datum,
-                                 _separable, _start_factor, _valid, check_existence)
+from heatconvex.heatflow import (_BAND_ROWS, _CSV_ROWS, _box_apply, _dirichlet_kernels,
+                                 _fast_len, _kernel_apply, _kernel_matrix, _pchip,
+                                 _resolve_datum, _row_template, _separable, _start_factor,
+                                 _valid, check_existence)
 from heatconvex.numerics import DomainError, piecewise_simpson_weights
 
 
@@ -1196,54 +1196,59 @@ def _grid(shape, extent, seed=0):
     return GridFunction(values=values, extent=extent)
 
 
-_ABOVE_THE_CACHE = [_grid((3 + k,), ((-1.0, 1.0 + k),), k) for k in range(_CSV_BLOCKS + 1)]
-_LARGER_THAN_THE_CACHE = (_CSV_ROWS * _CSV_BLOCKS + 1,)
+# blocks whose row templates _row_template keeps
+_KEPT = _row_template.cache_info().maxsize
+_ABOVE_THE_CACHE = [_grid((3 + k,), ((-1.0, 1.0 + k),), k) for k in range(_KEPT + 1)]
+_LARGER_THAN_THE_CACHE = (_CSV_ROWS * _KEPT + 1,)
 
 
-@pytest.mark.parametrize("grids, keys, templates", [
+@pytest.mark.parametrize("grids, entries, misses", [
     ([_grid((4097,), ((-8.0, 8.0),), seed) for seed in (1, 2, 3)], 2, 2),
-    ([_grid((3,), ((-1.0, 0.0),)), _grid((3,), ((-1.0, -0.0),)), _grid((3,), ((-1.0, 0.0),), 1)], 2, 1),
-    ([_grid((3,), ((-1.0, -0.0),)), _grid((3,), ((-1.0, 0.0),)), _grid((3,), ((-1.0, -0.0),), 1)], 2, 1),
+    ([_grid((3,), ((-1.0, 0.0),)), _grid((3,), ((-1.0, -0.0),)), _grid((3,), ((-1.0, 0.0),), 1)], 2, 2),
+    ([_grid((3,), ((-1.0, -0.0),)), _grid((3,), ((-1.0, 0.0),)), _grid((3,), ((-1.0, -0.0),), 1)], 2, 2),
     ([_grid((5, 3), ((-2.0, -0.0), (-0.0, 1.0))), _grid((5, 3), ((-2.0, 0.0), (0.0, 1.0))),
-      _grid((5, 3), ((-2.0, -0.0), (-0.0, 1.0)), 1)], 2, 1),
+      _grid((5, 3), ((-2.0, -0.0), (-0.0, 1.0)), 1)], 2, 2),
     ([_grid((7, 5, 3), ((-1.0, 1.0), (0.0, 2.5), (-3.0, 1e-300)), 3),
       _grid((7, 5, 3), ((-1.0, 1.0), (0.0, 2.5), (-3.0, 1e-300)), 4)], 1, 1),
     ([_grid((3, 4, 2, 5), ((0.1, 0.7), (-1.0, 2.0), (-0.0, 3.0), (1e300, 1e301)), 5)] * 2, 1, 1),
-    ([_grid((n,), ((-8.0, 8.0),), n) for n in (4095, 4096, 4097, 8193, 4097, 4096, 4095)], 7, 4),
+    ([_grid((n,), ((-8.0, 8.0),), n) for n in (4095, 4096, 4097, 8193, 4097, 4096, 4095)], 7, 7),
     ([_grid((5,), ((-1.0, 1.0),), 9), *_ABOVE_THE_CACHE, _grid((5,), ((-1.0, 1.0),), 10)],
-     _CSV_BLOCKS, 0),
+     _KEPT, _KEPT + 3),
     ([_grid((5,), ((-1.0, 1.0),), 9), *_ABOVE_THE_CACHE[:-2], _grid((5,), ((-1.0, 1.0),), 10),
-      _ABOVE_THE_CACHE[-2], _grid((5,), ((-1.0, 1.0),), 11)], _CSV_BLOCKS, 1),
+      _ABOVE_THE_CACHE[-2], _grid((5,), ((-1.0, 1.0),), 11)], _KEPT, _KEPT + 1),
     ([_grid((5,), ((-1.0, 1.0),), 11), _grid(_LARGER_THAN_THE_CACHE, ((-8.0, 8.0),), 12),
-      _grid(_LARGER_THAN_THE_CACHE, ((-8.0, 8.0),), 13), _grid((5,), ((-1.0, 1.0),), 14)], 1, 1),
+      _grid(_LARGER_THAN_THE_CACHE, ((-8.0, 8.0),), 13), _grid((5,), ((-1.0, 1.0),), 14)],
+     _KEPT, 2 * _KEPT + 4),
 ], ids=["same_grid_three_times", "zero_then_negative_zero", "negative_zero_then_zero",
         "2d_signed_zeros", "3d_twice", "4d_twice", "rows_around_the_block",
         "more_blocks_than_the_cache", "written_again_stays", "grid_larger_than_the_cache"])
-def test_to_csv_in_sequence_matches_the_per_row_writer(grids, keys, templates):
-    """Writes in sequence share the row templates of _csv_template: a block
-    is printed directly on its first write and gets a template on its
-    second, for the same bounds (-0.0 is not 0.0), shape and first row
-    only; the cache never holds more than _CSV_BLOCKS blocks and drops the
-    least recently written first, a grid of more blocks never enters it,
-    and every file equals the per-row writer's."""
-    _csv_templates.clear()
+def test_to_csv_in_sequence_matches_the_per_row_writer(grids, entries, misses):
+    """Writes in sequence share the row templates of _row_template: a block
+    gets its template on its first write and reuses it for the same bounds
+    (-0.0 is not 0.0), shape and first row only; the cache keeps the _KEPT
+    blocks written last, so a block written again stays while a block
+    written before it is dropped, a grid of more blocks than that misses on
+    every block of every write, and every file equals the per-row writer's."""
+    _row_template.cache_clear()
     for gf in grids:
         assert gf.to_csv() == _per_row_csv(gf)
-    assert len(_csv_templates) == keys
-    assert sum(rows is not None for rows in _csv_templates.values()) == templates
+    info = _row_template.cache_info()
+    assert (info.currsize, info.misses) == (entries, misses)
 
 
-def test_each_write_builds_the_coordinate_table_at_most_once(monkeypatch):
-    """The second write of a 16385-node grid builds templates for its 5
-    blocks; it used to build the whole table once per block."""
+def test_each_block_is_formatted_once_per_cache_miss(monkeypatch):
+    """The first write of a 16385-node grid formats the coordinates of its 5
+    blocks, each block's own rows only; later writes format none."""
     gf = _grid((16385,), ((-8.0, 8.0),), 15)
-    builds, build = [], GridFunction._csv_table
-    monkeypatch.setattr(GridFunction, "_csv_table", lambda self: builds.append(1) or build(self))
-    _csv_templates.clear()
-    for want in (1, 1, 0):
-        del builds[:]
-        assert gf.to_csv() == _per_row_csv(gf)
-        assert len(builds) == want
+    want_text = _per_row_csv(gf)
+    rows, unravel = [], np.unravel_index
+    monkeypatch.setattr(np, "unravel_index", lambda i, shape: rows.append(len(i)) or unravel(i, shape))
+    _row_template.cache_clear()
+    for want in ([_CSV_ROWS] * 4 + [1], [], []):
+        del rows[:]
+        assert gf.to_csv() == want_text
+        assert rows == want
+        assert _row_template.cache_info().misses == 5
 
 
 def test_gauss_kernel_unit_mass():

@@ -1,5 +1,6 @@
 """Transform layer: construction, round trips, curvature, classification."""
 
+import math
 import warnings
 
 import numpy as np
@@ -66,13 +67,60 @@ def test_power_inverse_in_place_meets_the_closed_form(alpha):
     assert isinstance(F._inverse(0.3), float) and isinstance(F.inverse(0.3), float)
 
 
+def _relative_ulps(got, exact, mp):
+    """Largest |got - exact| / |exact| over the points, in units of 2^-52."""
+    return max(float(abs((mp.mpf(float(g)) - e) / e)) for g, e in zip(got, exact)) / 2.0 ** -52
+
+
 def test_hot_h_in_place_meets_the_closed_form():
+    """hot_h is (1 + erf(z/2)) / 2 to a few ulps relative on [-40, 40] (40
+    digits of mpmath); 1 + erf(z/2) read 0.0 at z = -12 for 1.08e-17 and
+    erred by 1.5e-5 relative at z = -10.  z is left as it was."""
+    mp = pytest.importorskip("mpmath")
     z = np.random.default_rng(12).uniform(-30.0, 30.0, (9, 11))
     before = z.copy()
-    assert np.array_equal(hot_h(z), 0.5 * (1.0 + erf(0.5 * z)))
+    got = hot_h(z)
     assert np.array_equal(z, before)
-    assert isinstance(hot_h(0.7), float) and hot_h(0.7) == 0.5 * (1.0 + erf(0.35))
+    zs = np.r_[z.ravel(), np.linspace(-40.0, 40.0, 161), -12.0, -10.0]
+    with mp.workdps(40):
+        exact = [mp.erfc(-mp.mpf(float(v)) / 2) / 2 for v in zs]
+        assert _relative_ulps(np.r_[got.ravel(), hot_h(zs[z.size:])], exact, mp) <= 4.0
+    assert isinstance(hot_h(0.7), float) and hot_h(0.7) == float(hot_h(np.array([0.7]))[0])
     assert isinstance(hot_h(np.array(0.7)), float)
+
+
+def test_hot_H_meets_the_inverse_normal_cdf():
+    """hot_H(r) = sqrt(2) Phi^-1(r) to a few ulps relative for r from 1e-300
+    to 1 - 2^-53 (Phi solved at 40 digits); bisecting against an erf-based
+    hot_h gave -11.84 at r = 1e-20 for -13.10."""
+    from heatconvex import hot_H
+    mp = pytest.importorskip("mpmath")
+    r = np.r_[np.geomspace(1e-300, 0.4, 61), 0.45, 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53, 0.55,
+              1.0 - np.geomspace(0.4, 2.0 ** -53, 31)]
+
+    def oracle(v):
+        tail = min(v, 1.0 - v)  # exact in doubles
+        x0 = float(hot_H(tail)) / math.sqrt(2.0)
+        x = mp.findroot(lambda x: mp.log(mp.ncdf(x)) - mp.log(tail), x0)
+        return mp.sqrt(2) * (x if v < 0.5 else -x)
+
+    with mp.workdps(40):
+        exact = [oracle(float(v)) for v in r]
+        assert _relative_ulps(hot_H(r), exact, mp) <= 4.0
+    assert hot_H(0.5) == 0.0 and isinstance(hot_H(0.5), float)
+
+
+def test_hot_transform_keeps_both_tails():
+    """F of hot_1 is sqrt(2) Phi^-1 itself: it once returned 0.0 for
+    F.inverse(-13.1) and so -inf after the round trip, and erred by 1.1e-6
+    at r = 1e-12 and 1.8e-7 at r = 1 - 1e-10."""
+    from heatconvex import hot_H
+    F = make_hot(1.0)
+    assert F(F.inverse(-13.1)) == pytest.approx(-13.1, rel=1e-14)
+    r = np.array([1e-300, 1e-12, 0.3, 1.0 - 1e-10])
+    np.testing.assert_array_equal(F(r), hot_H(r))
+    assert (F(0.0), F(1.0)) == (-np.inf, np.inf)
+    assert F(np.array(0.25)) == make_hot(2.0)(0.5)
 
 
 def test_image_interval_check_keeps_its_nan_rules():
@@ -622,6 +670,8 @@ _BOX = dict(allow_nan=False, allow_infinity=False)
          base_value=0.0, base_slope=1.0)  # g vanishes near z = 1.3e308: refused
 @example(center=0.0, value=-3.0, slopes=[0.0, 5e-324], base_z=0.0, base_value=0.0,
          base_slope=1.0)  # g vanishes past the doubles: refused
+@example(center=0.0, value=0.0, slopes=[-1.0, -5e-324], base_z=0.0, base_value=0.0,
+         base_slope=1.0)  # s / 2 underflowed to -0.0 in the right tail: read unbounded
 def test_from_g_of_a_convex_kink_is_preserved(center, value, slopes, base_z, base_value,
                                               base_slope):
     """Every convex single-kink generator builds a preserved class, whose
