@@ -10,13 +10,18 @@ import numpy as np
 
 from heatconvex import (
     DomainSpec,
+    GridFunction,
     InitialDatum,
     check_F_convex,
+    grid_nodes,
     heat_evolve_dirichlet,
     hot_h,
     make_hot,
     make_neglog,
 )
+
+
+GRID = (0.0, 1.0, 1 / 256)
 
 
 def sketch(u, width=64):
@@ -46,13 +51,11 @@ def main():
     for title, F, phi in cases:
         print(f"{title}: datum '{phi.label}'")
         for t in (0.0, 0.01, 0.05, 0.1):
-            if t == 0.0:
-                x = np.linspace(0.0, 1.0, 257)
-                from heatconvex import GridFunction
-                u = GridFunction(values=phi.fn(x), extent=((0.0, 1.0),),
+            if t == 0.0:  # the datum on the nodes of the flow's grid
+                u = GridFunction(values=phi.fn(grid_nodes(*GRID)), extent=((0.0, 1.0),),
                                  growth_a=1.0, growth_A=0.0)
             else:
-                u = heat_evolve_dirichlet(phi, dom, t, (0.0, 1.0, 1 / 256))
+                u = heat_evolve_dirichlet(phi, dom, t, GRID)
             cert = check_F_convex(u, F)
             print(f"  t = {t:4.2f}  |{sketch(u)}|  {cert.status}")
         print()

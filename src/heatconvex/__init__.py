@@ -46,9 +46,7 @@ from .heatflow import (
     grid_nodes,
     heat_evolve_dirichlet,
     heat_evolve_free,
-    hot_H,
     hot_h,
-    hot_h_deriv,
 )
 from .certify import (
     Certificate,
@@ -97,9 +95,7 @@ __all__ = [
     "grid_nodes",
     "heat_evolve_dirichlet",
     "heat_evolve_free",
-    "hot_H",
     "hot_h",
-    "hot_h_deriv",
     "hunt_violation",
     "invert_monotone",
     "make_affine",

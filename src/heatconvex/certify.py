@@ -24,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heatflow import (GridFunction, InitialDatum, fit_growth_envelope, grid_nodes,
+from .heatflow import (GridFunction, InitialDatum, _grid_size, fit_growth_envelope,
                        heat_evolve_free)
-from .numerics import DomainError
+from .numerics import DomainError, param_text
 
 __all__ = [
     "MidpointSample",
@@ -504,10 +504,10 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
     with equality along it.  Returns an InitialDatum with the kink as a
     breakpoint and a growth certificate fitted to the profile
     s -> f_F(z0 + |s - z0|); |d . x| <= |x|, so |phi(s d)| <= a exp(A s^2)
-    gives |phi(x)| <= a exp(A |x|^2).  For dim >= 2 the datum is a ridge
-    (InitialDatum.direction = d): fn is the profile of xi and its breakpoint
-    z0 lies along xi, so a free-space evolution can take the 1D flow of the
-    profile.  In 1D fn(x) is the profile at d x, with the kink at z0 / d.
+    gives |phi(x)| <= a exp(A |x|^2).  In every dimension, 1D included, the
+    datum is a ridge (InitialDatum.direction = d): fn is the profile of xi
+    and its breakpoint z0 lies along xi, so a free-space evolution takes the
+    1D flow of the profile.
     """
     r0 = float(r0)
     if not (F.lower_a < r0 < F.upper_ell):
@@ -529,23 +529,20 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
         return F.inverse(z0 + np.abs(np.asarray(xi, dtype=float) - z0))
 
     a, A = fit_growth_envelope(profile, fit_window)
-    label = f"wedge[{F.label},r0={r0:g}]"
-    if dim >= 2:
-        return InitialDatum(fn=profile, growth_a=a, growth_A=A, breakpoints=(z0,),
-                            label=label, direction=tuple(d))
-    d0 = float(d[0])
-    return InitialDatum(fn=lambda x: profile(d0 * np.asarray(x, dtype=float)),
-                        growth_a=a, growth_A=A, breakpoints=(z0 / d0,), label=label)
+    return InitialDatum(fn=profile, growth_a=a, growth_A=A, breakpoints=(z0,),
+                        label=f"wedge[{F.label},r0={param_text(r0)}]",
+                        direction=tuple(d))
 
 
 def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,
                    significance_factor=10.0, eps_tail=1e-10):
     """Search scheduled times for a grid-stable significant violation.
 
-    For each time the datum is evolved on grid = (lo, hi, h), h snapped by
-    grid_nodes, then on halved spacings until the significance verdict
-    repeats and the worst gap has converged (or `refine` doublings are
-    exhausted): discrete artifacts vanish under refinement, genuine
+    For each time the datum is evolved on grid = (lo, hi, h), h snapped as
+    by every evolution (which refuses a grid above the node budget), then on
+    halved spacings until the significance verdict repeats and the worst
+    gap has converged (or `refine` doublings are exhausted): discrete
+    artifacts vanish under refinement, genuine
     violations persist.  Returns (certificate, t_first), t_first the
     earliest time whose violation is stable, else (worst certificate seen,
     None).  A list passed as `history` collects one record per (time,
@@ -553,13 +550,13 @@ def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,
     lattice_factor.  eps_tail is passed on to heat_evolve_free.
     """
     plan = plan or SamplingPlan()
-    lo, hi, h0 = grid
-    h0 = (hi - lo) / (grid_nodes(lo, hi, h0).size - 1)
+    lo, hi, _ = grid
+    _, (h0,) = _grid_size((grid,))
     overall = None
     for t in sorted(times):
-        h = h0
         prev = stable = None
         for level in range(refine + 1):
+            h = h0 / 2 ** level
             u = heat_evolve_free(phi, t, (lo, hi, h), eps_tail=eps_tail)
             cert = check_F_convex(u, F, plan, significance_factor)
             if history is not None:
@@ -574,7 +571,6 @@ def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,
                 stable = cert
                 break
             prev = cert
-            h /= 2.0
         result = stable if stable is not None else prev
         if overall is None or (result.worst is not None and
                                (overall.worst is None or

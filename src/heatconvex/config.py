@@ -35,6 +35,7 @@ import numpy as np
 
 from .certify import SamplingPlan, counterexample_datum
 from .heatflow import DomainSpec, GridFunction, InitialDatum, fit_growth_envelope, gauss_kernel, hot_h
+from .numerics import param_text
 from .transforms import (abs_kink_generator, make_affine, make_exp,
                          make_from_g, make_hot, make_neglog, make_power_alpha)
 
@@ -168,7 +169,7 @@ def build_datum(name, params, F=None, window=(-8.0, 8.0)):
         c = _num(params, "c", 1.0)
         return InitialDatum(fn=lambda x: np.full_like(np.asarray(x, float), c),
                             growth_a=abs(c) + 1e-300, growth_A=0.0,
-                            label=f"const[{c:g}]")
+                            label=f"const[{param_text(c)}]")
     if name == "abs":
         scale = _num(params, "scale", 1.0)
         shift = _num(params, "shift", 0.0)
@@ -195,7 +196,7 @@ def build_datum(name, params, F=None, window=(-8.0, 8.0)):
             raise ConfigError(f"datum 'gaussian' needs t0 > 0, got {t0!r}")
         return InitialDatum(fn=lambda x: gauss_kernel(x, t0),
                             growth_a=float(gauss_kernel(0.0, t0)), growth_A=0.0,
-                            label=f"gaussian[t0={t0:g}]")
+                            label=f"gaussian[t0={param_text(t0)}]")
     if name == "gauss_bump":
         return InitialDatum(fn=lambda x: np.exp(-np.asarray(x, float) ** 2),
                             growth_a=1.0, growth_A=0.0, label="gauss_bump")
@@ -224,7 +225,7 @@ def build_datum(name, params, F=None, window=(-8.0, 8.0)):
             return hot_h(v)
 
         return InitialDatum(fn=bowl, growth_a=1.0, growth_A=0.0,
-                            label=f"hot_bowl[depth={depth:g}]")
+                            label=f"hot_bowl[depth={param_text(depth)}]")
     if name == "neglog_bowl":
 
         def cup(x):
@@ -319,8 +320,8 @@ def load_config(path, overrides=None):
         (a, b), = domain.bounds
         for key, value, wall in (("grid.lo", lo, a), ("grid.hi", hi, b)):
             if key in raw and value != wall:
-                raise ConfigError(f"{key} = {value:g} differs from the wall "
-                                  f"{wall:g} of the interval domain")
+                raise ConfigError(f"{key} = {param_text(value)} differs from the "
+                                  f"wall {param_text(wall)} of the interval domain")
         lo, hi = a, b
         if "flow.eps_tail" in raw:
             raise ConfigError("flow.eps_tail does not apply to an interval "

@@ -2,7 +2,9 @@
 
 Data are represented on uniform grids with a certified Gaussian growth bound
 |phi(x)| <= a * exp(A |x|^2); the bound controls both the existence window
-(4 A t < 1) and the truncation radius of the free-space quadrature.
+(4 A t < 1) and the truncation radius of the free-space quadrature.  Every
+output grid is sized by one rule (_grid_size), which refuses a grid above
+the node budget before any array exists.
 
 Every evolution is one operation: Simpson-weighted samples of the datum on a
 lattice H_k/m_k along each axis k (H_k the output spacing, m_k its own
@@ -54,8 +56,6 @@ __all__ = [
     "heat_evolve_free",
     "heat_evolve_dirichlet",
     "hot_h",
-    "hot_h_deriv",
-    "hot_H",
 ]
 
 EXISTENCE_MARGIN = 0.05
@@ -97,11 +97,24 @@ class EvaluationWindowError(ValueError):
 
 
 def grid_nodes(lo, hi, h):
-    """Uniform nodes on [lo, hi] with spacing adjusted to fit exactly."""
-    if not hi > lo:
+    """Uniform nodes on [lo, hi], as many as _grid_size says."""
+    return np.linspace(lo, hi, _grid_size(((lo, hi, h),))[0][0])
+
+
+def _grid_size(grids):
+    """Lists of the node count n_k = max(1, round((hi - lo) / h)) + 1 and the
+    snapped spacing (hi - lo) / (n_k - 1) of each (lo, hi, h) axis of an
+    output grid; ValueError for an empty extent, DomainError before any array
+    exists for more than _MAX_LATTICE_NODES nodes, which no lattice fits."""
+    if not all(hi > lo for lo, hi, _ in grids):
         raise ValueError("empty grid extent")
-    n = max(1, round((hi - lo) / h))
-    return np.linspace(lo, hi, n + 1)
+    # cells past the budget, or an overflowed quotient, count as the budget
+    ns = [max(1, round(min((hi - lo) / h, _MAX_LATTICE_NODES))) + 1 for lo, hi, h in grids]
+    if math.prod(ns) > _MAX_LATTICE_NODES:
+        raise DomainError("the output grid of " + " x ".join(
+            f"{(hi - lo) / h + 1:.6g}" for lo, hi, h in grids)
+            + f" nodes is above the budget of {_MAX_LATTICE_NODES}")
+    return ns, [(hi - lo) / (n - 1) for (lo, hi, _), n in zip(grids, ns)]
 
 
 def _axis_grids(out_grid):
@@ -251,6 +264,8 @@ class GridFunction:
                 body = line[1:].strip()
                 if body.startswith("axis"):
                     kv = dict(p.split("=") for p in body.split()[1:])
+                    if missing := sorted({"lo", "hi", "n"} - kv.keys()):
+                        raise DomainError(f"axis header {line!r} has no {missing[0]}=")
                     axes.append((float(kv["lo"]), float(kv["hi"]), int(kv["n"])))
                 else:
                     # other comment lines (dim=..., a caller's t=... stamp)
@@ -803,8 +818,8 @@ def _ridge_line(phi, grids):
     d = phi.direction if isinstance(phi, InitialDatum) else None
     if d is None:
         return None
-    ns = [grid_nodes(lo, hi, h).size for lo, hi, h in grids]
-    cs = [abs(dk) * (hi - lo) / (n - 1) for dk, (lo, hi, _), n in zip(d, grids, ns) if dk]
+    ns, Hs = _grid_size(grids)
+    cs = [abs(dk) * H for dk, H in zip(d, Hs) if dk]
     if max(cs) - min(cs) > 1e-12 * max(cs):
         return None
     lo = sum(dk * (g_lo if dk > 0 else g_hi) for dk, (g_lo, g_hi, _) in zip(d, grids) if dk)
@@ -823,8 +838,7 @@ def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
     sample, a, A, brk, phi_h, inherited = datum
     check_existence(A, t)
 
-    ns = [grid_nodes(lo, hi, h).size for lo, hi, h in grids]
-    Hs = [(hi - lo) / (n - 1) for (lo, hi, _), n in zip(grids, ns)]
+    ns, Hs = _grid_size(grids)
     x_max = max(max(abs(lo), abs(hi)) for lo, hi, _ in grids)
     shrink, gain, eps_abs, R = _truncation_window(a, A, t, x_max, dim, eps_tail)
     margins = [int(np.ceil(R / H)) for H in Hs]
@@ -1012,9 +1026,8 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
                                 (lo, hi, _), (a, b) in zip(grids, domain.bounds)):
         raise ValueError(f"out_grid must span the {domain.kind} from wall to wall, "
                          f"one (lo, hi, h) per axis")
-    ns = tuple(grid_nodes(*g).size for g in grids)
     extent = domain.bounds
-    Hs = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(extent, ns))
+    ns, Hs = _grid_size([(lo, hi, h) for (lo, hi), (_, _, h) in zip(extent, grids)])
 
     def one_pass(ms):
         # lattice nodes from wall to wall, and snapped piece edges
@@ -1055,7 +1068,7 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
                               "truncation_radius": None, "inherited_error": inherited})
 
 
-# -- heat-evolved step function and its inverse ------------------------------
+# -- heat-evolved step function ----------------------------------------------
 
 
 def hot_h(z):
@@ -1078,21 +1091,4 @@ def hot_h(z):
         e = ((hi * hi - s) + 2.0 * hi * lo) + lo * lo
         out[tail] = erfcx(x) * np.exp(-s) * (1.0 - e)
     out *= 0.5
-    return float(out) if out.ndim == 0 else out
-
-
-def hot_h_deriv(z):
-    """Derivative of hot_h, the time-1 heat kernel."""
-    return gauss_kernel(np.asarray(z, dtype=float), 1.0)
-
-
-def hot_H(r):
-    """Monotone inverse of hot_h on (0, 1): sqrt(2) ndtri(r), the inverse
-    normal CDF, accurate in both tails.  DomainError outside (0, 1)."""
-    from scipy.special import ndtri  # loaded at first use: a CLI start skips it
-
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
-        raise DomainError("hot_H needs arguments strictly inside (0, 1)")
-    out = math.sqrt(2.0) * ndtri(r_arr)
     return float(out) if out.ndim == 0 else out

@@ -1,4 +1,4 @@
-"""Shared numerical helpers: monotone inversion, fits, quadrature, convexity defects."""
+"""Shared numerical helpers: monotone inversion, fits, quadrature, convexity defects, label text."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,11 +10,19 @@ __all__ = [
     "simpson_weights",
     "piecewise_simpson_weights",
     "discrete_convexity_defect",
+    "param_text",
 ]
 
 
 class DomainError(ValueError):
     """Argument left the mathematical domain of an operation."""
+
+
+def param_text(*xs):
+    """A label's text for the numbers xs, comma-separated: each one's %g text
+    where that reads back as it, else the shortest text that does (repr), so
+    distinct parameters label apart and short ones keep their short text."""
+    return ",".join(f"{x:g}" if float(f"{x:g}") == x else repr(x) for x in map(float, xs))
 
 
 def invert_monotone(f, target, lo, hi, deriv=None):

@@ -9,7 +9,8 @@ otherwise preservation is equivalent to convexity of the curvature profile
 g = (log f_F')'.  This module builds the standard families, each admissible by
 construction (its constructor refuses parameters that would not give a
 strictly increasing, continuous F) and each with its Gaussian order and g in
-closed form; classify reads only those and the image interval.
+closed form; classify reads only those and the image interval.  Labels,
+which key every output, print each parameter by numerics.param_text.
 
 Extended-real conventions: endpoint values map to -inf/+inf (e.g. log 0 =
 -inf, and a transform that blows up at a finite right endpoint evaluates to
@@ -22,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heatflow import hot_h, hot_h_deriv
+from .heatflow import gauss_kernel, hot_h
 from .numerics import (
     DomainError,
     affine_fit,
     discrete_convexity_defect,
     invert_monotone,
+    param_text,
 )
 
 __all__ = [
@@ -271,7 +273,7 @@ def make_power_alpha(alpha):
     return FTransform(
         domain_kind="half_line_nonneg",
         lower_a=0.0, upper_ell=np.inf, j_lo=j_lo, j_hi=j_hi,
-        label=f"power[{alpha:g}]",
+        label=f"power[{param_text(alpha)}]",
         _eval=ev,
         _inverse=inv,
         _inverse_deriv=lambda z: np.power(alpha * _as_float_array(z) + 1.0,
@@ -296,7 +298,7 @@ def make_affine(A, B, domain_kind="whole_line"):
     return FTransform(
         domain_kind=domain_kind,
         lower_a=lower, upper_ell=np.inf, j_lo=j_lo, j_hi=np.inf,
-        label=f"affine[{A:g},{B:g}]",
+        label=f"affine[{param_text(A, B)}]",
         _eval=lambda r: A * _as_float_array(r) + B,
         _inverse=lambda z: (_as_float_array(z) - B) / A,
         _inverse_deriv=lambda z: np.full_like(_as_float_array(z), 1.0 / A),
@@ -335,7 +337,7 @@ def make_hot(a):
     a = float(a)
 
     def ev(r):
-        from scipy.special import ndtri  # hot_H without its domain check
+        from scipy.special import ndtri  # loaded at first use: a CLI start skips it
 
         return math.sqrt(2.0) * ndtri(_as_float_array(r) / a)
 
@@ -347,10 +349,10 @@ def make_hot(a):
     return FTransform(
         domain_kind="bounded_above",
         lower_a=0.0, upper_ell=a, j_lo=-np.inf, j_hi=np.inf,
-        label=f"hot[{a:g}]",
+        label=f"hot[{param_text(a)}]",
         _eval=ev,
         _inverse=lambda z: a * hot_h(_as_float_array(z)),
-        _inverse_deriv=lambda z: a * hot_h_deriv(_as_float_array(z)),
+        _inverse_deriv=lambda z: a * gauss_kernel(_as_float_array(z), 1.0),
         _log_inverse=log_inv,
         gaussian_order=0.0,
         _g_closed=lambda z: -0.5 * _as_float_array(z),
@@ -375,7 +377,7 @@ def make_neglog(a, ell):
     return FTransform(
         domain_kind="bounded_above",
         lower_a=float(a), upper_ell=ell, j_lo=j_lo, j_hi=np.inf,
-        label=f"neglog[{a:g},{ell:g}]",
+        label=f"neglog[{param_text(a, ell)}]",
         _eval=ev,
         _inverse=lambda z: ell - np.exp(-_as_float_array(z)),
         _inverse_deriv=lambda z: np.exp(-_as_float_array(z)),
@@ -406,7 +408,7 @@ def scale_shift(F, A, B):
         lower_a=F.lower_a, upper_ell=F.upper_ell,
         j_lo=A * F.j_lo + B if np.isfinite(F.j_lo) else F.j_lo,
         j_hi=A * F.j_hi + B if np.isfinite(F.j_hi) else F.j_hi,
-        label=f"{A:g}*{F.label}+{B:g}",
+        label=f"{param_text(A)}*{F.label}+{param_text(B)}",
         _eval=lambda r: A * np.asarray(F(r), dtype=float) + B,
         _inverse=pull(F._inverse),
         _inverse_deriv=pull(F._inverse_deriv, lambda v: v / A),
@@ -510,9 +512,9 @@ def make_from_g(g, base_z, base_value, base_slope):
             and 0 < base_slope < np.inf):
         raise DomainError("make_from_g needs a finite base_z, a finite "
                           "base_value >= 0 and a finite base_slope > 0")
-    label = (f"from_g[points={''.join(f'({z:g},{v:g})' for z, v in g.points)},"
-             f"slopes=({g.left_slope:g},{g.right_slope:g}),"
-             f"base=({base_z:g},{base_value:g},{base_slope:g})]")
+    label = (f"from_g[points={''.join(f'({param_text(z, v)})' for z, v in g.points)},"
+             f"slopes=({param_text(g.left_slope, g.right_slope)}),"
+             f"base=({param_text(base_z, base_value, base_slope)})]")
     G = g.antiderivative_from(base_z)
     log_fprime = lambda z: math.log(base_slope) + G(z)
     log_int = _log_mass(g, float(base_z))

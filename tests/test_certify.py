@@ -188,6 +188,38 @@ def test_wedge_is_exactly_F_convex_at_time_zero(F):
     assert not cert.significant
 
 
+@pytest.mark.parametrize("direction, sign", [(None, 1.0), (2.0, 1.0), (-1.0, -1.0),
+                                             ((-3.0,), -1.0)],
+                         ids=["default", "scaled", "negative", "negative_tuple"])
+def test_1d_wedge_is_a_ridge(direction, sign):
+    """In 1D the wedge is a ridge along (+-1,) as in n dimensions: its fn is
+    the profile, its kink z0 lies along xi, and free space evolves it on its
+    line; along (1,) that is the flow of the plain datum bit for bit, along
+    (-1,) on a symmetric window its mirror image."""
+    w = counterexample_datum(P2, 1.5, direction=direction)
+    z0 = float(P2(1.5))
+    assert w.direction == (sign,) and w.breakpoints == (z0,)
+    x = np.linspace(-3.0, 3.0, 61)
+    assert np.array_equal(w(x), w.fn(sign * x))
+    assert np.array_equal(w.fn(x), P2.inverse(z0 + np.abs(x - z0)))
+    u = heat_evolve_free(w, 0.05, (-4.0, 4.0, 1.0 / 16))
+    assert u.meta["ridge"] == {"direction": [sign], "line": [-4.0, 4.0, 1.0 / 16]}
+    plain = InitialDatum(fn=w.fn, growth_a=w.growth_a, growth_A=w.growth_A,
+                         breakpoints=w.breakpoints)
+    ref = heat_evolve_free(plain, 0.05, (-4.0, 4.0, 1.0 / 16))
+    assert np.array_equal(u.values, ref.values[::int(sign)])
+    assert u.value_error == ref.value_error
+
+
+def test_wedge_and_datum_labels_print_parameters_that_read_back():
+    from heatconvex.config import build_datum
+    assert counterexample_datum(P1, 1.0).label == "wedge[power[1],r0=1]"
+    assert counterexample_datum(P1, 1.0000001).label == "wedge[power[1],r0=1.0000001]"
+    assert build_datum("gaussian", {"t0": 0.5000001}).label == "gaussian[t0=0.5000001]"
+    assert build_datum("const", {"c": 2}).label == "const[2]"
+    assert build_datum("hot_bowl", {}).label == "hot_bowl[depth=6]"
+
+
 def test_wedge_rejects_exterior_vertex_value():
     with pytest.raises(DomainError):
         counterexample_datum(P1, -0.5)
@@ -365,6 +397,16 @@ def test_wedge_growth_is_fitted_along_its_direction(F):
         pts = (x, y) if dim == 2 else (x, np.zeros_like(x), y)
         r2 = sum(c * c for c in pts)
         assert np.all(np.abs(w(*pts)) <= w.growth_a * np.exp(w.growth_A * r2) * (1 + 1e-6))
+
+
+def test_hunt_sizes_its_grid_before_any_evolution():
+    """A base grid above the node budget is refused by its count, before the
+    datum is evaluated."""
+    calls = []
+    phi = InitialDatum(fn=lambda x: calls.append(x) or np.abs(x), breakpoints=(0.0,))
+    with pytest.raises(DomainError, match="output grid of 1.6e\\+10 nodes"):
+        hunt_violation(P1, phi, (0.1,), (-8.0, 8.0, 1e-9))
+    assert calls == []
 
 
 # -- the hunt dichotomy --------------------------------------------------------
@@ -700,7 +742,7 @@ INCREASING = {"identity": lambda t: t, "tanh": np.tanh, "arctan": np.arctan,
               "log1p": np.log1p, "sqrt": np.sqrt}
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(QUASI_BASES)), st.sampled_from(sorted(INCREASING)),
        st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
        st.tuples(st.floats(0.1, 3.0), st.floats(-1.0, 1.0), st.floats(0.1, 3.0)),
@@ -719,7 +761,7 @@ def test_increasing_functions_of_convex_bases_are_quasi_convex(
     assert ok and witness is None
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.integers(0, 14),
        st.sampled_from([0.0, 1e-3, 0.5]))
 def test_every_refutation_carries_a_line_witness(seed, n0, n1, step):

@@ -141,6 +141,41 @@ def test_transforms_that_share_a_label_are_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_transforms_that_agree_to_six_digits_keep_their_own_labels(tmp_path, capsys):
+    """Labels print a parameter with %g only where that reads back as it:
+    alpha = 1.0000001 is power[1.0000001], apart from power[1], and past
+    alpha = 1 its verdict differs."""
+    cfg = write_config(tmp_path, "transform = power alpha=1\n"
+                                 "transform = power alpha=1.0000001\n")
+    out = tmp_path / "res"
+    assert entry(["classify", "--config", cfg, "--out", str(out)]) == 0
+    verdicts = json.loads((out / "classify_meta.json").read_text())["verdicts"]
+    assert verdicts == {"power[1]": "preserved", "power[1.0000001]": "not_preserved"}
+    assert "power[1.0000001]: not_preserved" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify", "hunt"])
+def test_output_grid_above_the_node_budget_exits_two(tmp_path, capsys, command):
+    """grid.h = 1e-9 on the default window (-8, 8) asks for 1.6e10 nodes: it
+    is refused by its count, before any array is built or file written."""
+    import time
+    import tracemalloc
+
+    cfg = write_config(tmp_path, "transform = power alpha=1\n"
+                                 "datum = counterexample r0=1\ngrid.h = 1e-9\n")
+    out = tmp_path / "res"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = entry([command, "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and time.perf_counter() - start < 5.0
+    assert "output grid of 1.6e+10 nodes is above the budget" in capsys.readouterr().err
+    assert peak < 2 ** 24 and not out.exists()
+
+
 def test_classify_neglog_down_to_minus_infinity(tmp_path):
     cfg = write_config(tmp_path, "transform = neglog a=-inf ell=1\n")
     out = tmp_path / "res"
@@ -681,8 +716,9 @@ _CSV_HEAD = "# dim=1\n# axis lo=-1.0 hi=1.0 n={n}\n# growth_a=1.0 growth_A=0.0 v
     (_CSV_HEAD.format(n=2) + "-1,1\n1,one\n", "could not convert"),
     (_CSV_HEAD.format(n=3) + "5,1\n7,2\n9,3\n", "row 1 puts axis 0 at 5.0"),
     ("x,value\n5\n", "no '# axis"),
+    ("# dim=1\n# axis lo=0 n=3\nx,value\n0,1\n0.5,2\n1,3\n", "has no hi="),
 ], ids=["one_node_axis", "short_file", "non_numeric_row", "coordinates_off_the_axis",
-        "no_axis_header"])
+        "no_axis_header", "axis_header_without_hi"])
 def test_malformed_csv_datum_is_a_config_error(tmp_path, capsys, text, why):
     """A one-node axis, too few rows, a non-number, coordinates that
     contradict the axis header and a file without one are each refused

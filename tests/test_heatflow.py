@@ -1,6 +1,7 @@
 """Evolution oracles: closed forms the quadrature must reproduce."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -936,6 +937,57 @@ def test_first_lattice_above_the_budget_is_refused_before_sampling(monkeypatch):
         assert calls == []
 
 
+_G33 = (-2.0, 2.0, 0.125)  # 33 nodes
+
+
+@pytest.mark.parametrize("evolve, datum", [
+    (lambda d: heat_evolve_free(d, 0.05, (_G33, _G33)),
+     InitialDatum(fn=lambda x, y: np.exp(-x * x - y * y))),
+    (lambda d: heat_evolve_free(d, 0.05, (_G33, _G33)),
+     InitialDatum(fn=lambda xi: np.exp(-xi * xi), direction=(1.0, 0.0))),
+    (lambda d: heat_evolve_free(d, 0.05, (_G33, _G33)),
+     InitialDatum(fn=lambda xi: np.exp(-xi * xi), direction=(0.6, 0.8))),
+    (lambda d: heat_evolve_dirichlet(d, DomainSpec.rectangle(((-2.0, 2.0),) * 2), 0.05,
+                                     (_G33, _G33)),
+     InitialDatum(fn=lambda x, y: np.cos(np.pi * x / 4) * np.cos(np.pi * y / 4))),
+], ids=["plain", "axis_ridge", "oblique_ridge", "rectangle"])
+def test_output_grid_above_the_budget_is_refused_before_the_datum_is_called(
+        evolve, datum, monkeypatch):
+    """33 x 33 outputs against a budget of 1000 nodes: every path sizes the
+    grid first, the ridge that gathers its line onto the grid included."""
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 1000)
+    calls = []
+
+    def fn(*xs):
+        calls.append(xs)
+        return datum.fn(*xs)
+
+    with pytest.raises(DomainError, match="output grid of 33 x 33 nodes is above the "
+                                          "budget of 1000"):
+        evolve(replace(datum, fn=fn))
+    assert calls == []
+
+
+def test_grid_sizes_are_counted_not_built(monkeypatch):
+    """A spacing of 1e-9 on (-8, 8), or one whose cell count overflows, is
+    refused by its count; a grid at the budget is built."""
+    for grid in ((-8.0, 8.0, 1e-9), (0.0, 1.0, 5e-324), (-1e308, 1e308, 1.0)):
+        with pytest.raises(DomainError, match="above the budget of 8388608"):
+            grid_nodes(*grid)
+        with pytest.raises(DomainError, match="above the budget of 8388608"):
+            heat_evolve_free(InitialDatum(fn=np.cos), 0.1, grid)
+    with pytest.raises(DomainError, match="output grid of 1.6e\\+10 nodes"):
+        grid_nodes(-8.0, 8.0, 1e-9)
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 1000)
+    assert grid_nodes(0.0, 1.0, 1.0 / 999).size == 1000
+    with pytest.raises(DomainError, match="output grid of 1001 nodes"):
+        grid_nodes(0.0, 1.0, 1.0 / 1000)
+    with pytest.raises(ValueError, match="empty grid extent"):
+        grid_nodes(1.0, 1.0, 0.1)
+    assert grid_nodes(0.0, 1.0, 0.3).tolist() == [0.0, 1.0 / 3, 2.0 / 3, 1.0]
+    assert grid_nodes(0.0, 1.0, 5.0).tolist() == [0.0, 1.0]
+
+
 def test_3d_gaussian_product_meets_the_closed_form(monkeypatch):
     """The same lines evolve three axes.  In free space the first lattice
     spans 8 sqrt(t) beyond the outputs on each side at spacing sqrt(t) / 8,
@@ -1120,6 +1172,15 @@ def test_csv_coordinates_must_sit_on_the_axis_nodes():
     lines[k] = ",".join((xs, repr(float(y[4])), v))
     with pytest.raises(DomainError, match="row 8 puts axis 1 at 0.7"):
         GridFunction.from_csv("".join(lines))
+
+
+@pytest.mark.parametrize("key", ["lo", "hi", "n"])
+def test_axis_header_without_a_key_names_it(key):
+    """An axis header lacking lo=, hi= or n= is a DomainError naming the key,
+    not a KeyError."""
+    header = " ".join(f"{k}={v}" for k, v in (("lo", 0), ("hi", 1), ("n", 3)) if k != key)
+    with pytest.raises(DomainError, match=f"has no {key}="):
+        GridFunction.from_csv(f"# dim=1\n# axis {header}\nx,value\n0,1\n0.5,2\n1,3\n")
 
 
 def test_fit_growth_envelope_certifies_samples():

@@ -3,8 +3,8 @@ import pytest
 
 from heatconvex.numerics import (DomainError, affine_fit,
                                  discrete_convexity_defect,
-                                 invert_monotone, piecewise_simpson_weights,
-                                 simpson_weights)
+                                 invert_monotone, param_text,
+                                 piecewise_simpson_weights, simpson_weights)
 
 
 def test_invert_monotone_erf():
@@ -76,3 +76,15 @@ def test_convexity_defect_noise_floor():
     y = x ** 2 + noise * rng.uniform(-1, 1, x.size)
     defect, tol, _ = discrete_convexity_defect(y, h, noise)
     assert defect >= -tol
+
+
+def test_param_text_is_g_where_that_reads_back():
+    """%g where it reads back as the same float, else repr, which always does."""
+    for x in (0.0, -0.0, 1.0, 1.5, -2.0, 0.25, 1e-300, 5e-324, 1e16, np.inf, -np.inf):
+        assert param_text(x) == f"{x:g}"
+    for x in (1.0000001, 1.0 / 3.0, 0.1 + 0.2, 123456.7, 1.0 + 2.0 ** -52):
+        assert param_text(x) == repr(x) != f"{x:g}"
+    for x in np.random.default_rng(3).standard_normal(200) * 10.0 ** np.arange(-100, 100):
+        assert float(param_text(x)) == x
+    assert param_text(np.float64(1.0000001)) == "1.0000001" and param_text(3) == "3"
+    assert param_text(np.nan) == "nan"
