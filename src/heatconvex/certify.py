@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heatflow import (GridFunction, InitialDatum, _grid_size, fit_growth_envelope,
-                       heat_evolve_free)
+from .heatflow import (GridFunction, InitialDatum, _BudgetError, _grid_size,
+                       fit_growth_envelope, heat_evolve_free)
 from .numerics import DomainError, param_text
 
 __all__ = [
@@ -541,13 +541,13 @@ def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,
     For each time the datum is evolved on grid = (lo, hi, h), h snapped as
     by every evolution (which refuses a grid above the node budget), then on
     halved spacings until the significance verdict repeats and the worst
-    gap has converged (or `refine` doublings are exhausted): discrete
-    artifacts vanish under refinement, genuine
-    violations persist.  Returns (certificate, t_first), t_first the
-    earliest time whose violation is stable, else (worst certificate seen,
-    None).  A list passed as `history` collects one record per (time,
-    refinement level) run, with the evolution's converged, quad_error and
-    lattice_factor.  eps_tail is passed on to heat_evolve_free.
+    gap has converged (or `refine` doublings are exhausted, or a level would
+    pass the node budget, which ends the halving unstable; level 0 raises):
+    discrete artifacts vanish under refinement, genuine violations persist.
+    Returns (certificate, t_first), t_first the earliest time whose
+    violation is stable, else (worst certificate seen, None).  A list passed
+    as `history` collects one record per (time, refinement level) run, with
+    the evolution's meta.  eps_tail is passed on to heat_evolve_free.
     """
     plan = plan or SamplingPlan()
     lo, hi, _ = grid
@@ -557,13 +557,16 @@ def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,
         prev = stable = None
         for level in range(refine + 1):
             h = h0 / 2 ** level
-            u = heat_evolve_free(phi, t, (lo, hi, h), eps_tail=eps_tail)
+            try:
+                u = heat_evolve_free(phi, t, (lo, hi, h), eps_tail=eps_tail)
+            except _BudgetError:
+                if not level:
+                    raise
+                break  # a finer level would pass the node budget: keep the finished ones
             cert = check_F_convex(u, F, plan, significance_factor)
             if history is not None:
                 history.append({"t": float(t), "level": level, "h": h,
-                                "certificate": cert,
-                                **{k: u.meta[k] for k in
-                                   ("converged", "quad_error", "lattice_factor")}})
+                                "certificate": cert, "meta": u.meta})
             # stable: the verdict repeats, and a significant gap converged
             if prev is not None and prev.significant == cert.significant and (
                     not cert.significant or abs(cert.worst.gap - prev.worst.gap)

@@ -89,13 +89,12 @@ def _check_schedule(cfg, phi):
         check_existence(phi.growth_A, max(cfg.times))
 
 
-def _warn_unconverged(where, rec):
-    """stderr warning for an evolution whose refinement missed quad_tol;
-    rec is its meta or a hunt record, both carry the same three keys."""
-    if not rec["converged"]:
+def _warn_unconverged(where, meta):
+    """stderr warning for an evolution whose refinement missed quad_tol."""
+    if not meta["converged"]:
         print(f"warning: {where}: evolution did not converge (quad_error "
-              f"{rec['quad_error']:.3g} at lattice_factor "
-              f"{rec['lattice_factor']})", file=sys.stderr)
+              f"{meta['quad_error']:.3g} at lattice_factor "
+              f"{meta['lattice_factor']})", file=sys.stderr)
 
 
 def _cert_fields(c):
@@ -144,12 +143,8 @@ def cmd_evolve(cfg):
         u = _evolve(cfg, phi, t)
         fname = f"evolve_{i:02d}.csv"
         _write(cfg.out_dir, fname, f"# t={t!r}\n" + u.to_csv())
-        results.append({"file": fname, "t": t, "value_error": u.value_error,
-                        "growth_a": u.growth_a, "growth_A": u.growth_A,
-                        **{k: u.meta[k] for k in (
-                            "converged", "refine_history", "truncation_radius",
-                            "kernel_len", "kernel_method", "roundoff_error",
-                            "lattice_factor", "fft_block")}})
+        results.append({"file": fname, "value_error": u.value_error,
+                        "growth_a": u.growth_a, "growth_A": u.growth_A, **u.meta})
         print(f"t={t:g}: wrote {fname} (value_error {u.value_error:.3g})")
         _warn_unconverged(f"t={t:g}", u.meta)
     _write_meta(cfg, "evolve", "evolve_meta.json", {"results": results})
@@ -208,7 +203,7 @@ def cmd_hunt(cfg):
             significance_factor=cfg.significance_factor, eps_tail=cfg.eps_tail)
         lines = ["t,level,h,status,gap,noise_floor,significant"]
         for rec in history:
-            _warn_unconverged(f"{F.label} t={rec['t']:g} level {rec['level']}", rec)
+            _warn_unconverged(f"{F.label} t={rec['t']:g} level {rec['level']}", rec["meta"])
             lines.append(_row(rec["t"], rec["level"], rec["h"],
                               *_cert_fields(rec["certificate"])))
         if t_first is not None and cert.worst is not None:

@@ -96,6 +96,10 @@ class EvaluationWindowError(ValueError):
     """Grid-backed data do not cover the integration window."""
 
 
+class _BudgetError(DomainError):
+    """An output grid or a first lattice above _MAX_LATTICE_NODES."""
+
+
 def grid_nodes(lo, hi, h):
     """Uniform nodes on [lo, hi], as many as _grid_size says."""
     return np.linspace(lo, hi, _grid_size(((lo, hi, h),))[0][0])
@@ -104,14 +108,18 @@ def grid_nodes(lo, hi, h):
 def _grid_size(grids):
     """Lists of the node count n_k = max(1, round((hi - lo) / h)) + 1 and the
     snapped spacing (hi - lo) / (n_k - 1) of each (lo, hi, h) axis of an
-    output grid; ValueError for an empty extent, DomainError before any array
-    exists for more than _MAX_LATTICE_NODES nodes, which no lattice fits."""
+    output grid.  Before any array exists: DomainError unless bounds and
+    spacings are finite and h > 0, ValueError for an empty extent, and
+    _BudgetError above _MAX_LATTICE_NODES nodes, which no lattice fits."""
+    if not all(0 < h < math.inf and math.isfinite(lo) and math.isfinite(hi)
+               for lo, hi, h in grids):
+        raise DomainError(f"grid {grids!r} needs finite bounds and spacings h > 0")
     if not all(hi > lo for lo, hi, _ in grids):
         raise ValueError("empty grid extent")
     # cells past the budget, or an overflowed quotient, count as the budget
     ns = [max(1, round(min((hi - lo) / h, _MAX_LATTICE_NODES))) + 1 for lo, hi, h in grids]
     if math.prod(ns) > _MAX_LATTICE_NODES:
-        raise DomainError("the output grid of " + " x ".join(
+        raise _BudgetError("the output grid of " + " x ".join(
             f"{(hi - lo) / h + 1:.6g}" for lo, hi, h in grids)
             + f" nodes is above the budget of {_MAX_LATTICE_NODES}")
     return ns, [(hi - lo) / (n - 1) for (lo, hi, _), n in zip(grids, ns)]
@@ -717,9 +725,9 @@ def _refine(one_pass, ms, quad_tol, max_refine, cells):
     one_pass(ms) returns (values, roundoff, kernel_method, fft_block,
     kernel_len) for the lattice factors ms, one per axis.  A lattice has
     m_k c_k + 1 nodes along an axis of c_k cells at factor 1 (cells lists
-    c_k per axis).  DomainError for a first lattice above
-    _MAX_LATTICE_NODES, before one_pass samples anything, and for a first
-    pass that is not finite (data unbounded on the lattice); doubling stops
+    c_k per axis).  _BudgetError for a first lattice above
+    _MAX_LATTICE_NODES, before one_pass samples anything, DomainError for a
+    first pass that is not finite (data unbounded on the lattice); doubling stops
     short of the budget, keeping the last finished pass.  Every factor
     doubles at once, so each doubling halves every spacing and the record
     holds quad_error, the Richardson estimate |u_2m - u_m| / (15 (1 +
@@ -735,7 +743,7 @@ def _refine(one_pass, ms, quad_tol, max_refine, cells):
 
     factor = "x".join(map(str, ms))
     if nodes(ms) > _MAX_LATTICE_NODES:
-        raise DomainError(f"the first lattice (factor {factor}) has {nodes(ms)} nodes, "
+        raise _BudgetError(f"the first lattice (factor {factor}) has {nodes(ms)} nodes, "
                           f"above the budget of {_MAX_LATTICE_NODES}")
     u, roundoff, method, block, taps = one_pass(ms)
     if not np.all(np.isfinite(u)):
@@ -776,10 +784,8 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     (_separable).  The window is truncated where the closed-form Gaussian
     tail bound of the growth certificate drops below eps_tail relative to
     the result's growth scale (_truncation_window); _refine doubles the
-    Simpson lattice until quad_tol or its node budget.  value_error adds the
-    estimate, the kernel operator's roundoff bound, the tail and the
-    inherited error; meta says how it was reached (_refine's record,
-    tail_bound, truncation_radius R, inherited_error).
+    Simpson lattice until quad_tol or its node budget, and _record builds
+    value_error and meta from its record (truncation_radius R).
 
     The heat kernel is rotation invariant, so a ridge (an InitialDatum with
     a direction d) evolves as the 1D flow of its profile, read at xi = d . x.
@@ -870,14 +876,21 @@ def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [2 * c + n - 1 for c, n in zip(margins, ns)])
-    umax = float(np.max(np.abs(u)))
     return GridFunction(values=u, extent=tuple((lo, hi) for lo, hi, _ in grids),
                         growth_a=gain, growth_A=A / shrink,
-                        value_error=(rec["quad_error"] + rec["roundoff_error"]
-                                     + eps_abs / (1.0 + umax) + 1.5 * inherited),
-                        meta={"t": t, **rec, "tail_bound": eps_abs,
-                              "truncation_radius": float(R),
-                              "inherited_error": inherited})
+                        **_record(u, t, rec, eps_abs, float(R), inherited))
+
+
+def _record(u, t, rec, tail_bound, radius, inherited):
+    """value_error and meta of an evolution that reached u at time t with
+    _refine's record rec: value_error is quad_error + roundoff_error +
+    tail_bound / (1 + max|u|) + 1.5 inherited, meta holds t, rec,
+    tail_bound, the truncation_radius (None on a box) and inherited_error."""
+    umax = float(np.max(np.abs(u)))
+    return {"value_error": (rec["quad_error"] + rec["roundoff_error"]
+                            + tail_bound / (1.0 + umax) + 1.5 * inherited),
+            "meta": {"t": t, **rec, "tail_bound": tail_bound,
+                     "truncation_radius": radius, "inherited_error": inherited}}
 
 
 # -- Dirichlet evolution -----------------------------------------------------
@@ -965,107 +978,95 @@ def _box_apply(psi, m, L, t):
 _HALF_LINE_EPS_TAIL = 1e-12
 
 
-def _wall_error(ell, error):
-    """An error relative to 1 + |v| as one relative to 1 + |ell - v|, at most
-    1 + |ell| times as large: Dirichlet flows evolve v = ell - phi and return
-    ell minus the result, so the datum's error and the flow's pass here."""
-    return (1.0 + abs(ell)) * error
-
-
-def _half_line_flow(phi, ell, t, out_grid, quad_tol, max_refine):
-    """ell minus the free flow of w(y) = sign(y) (ell - phi(|y|)), of
-    certificate (|ell| + a, A) and breakpoints 0 and +-b, with the wall node
-    ell; errors as _wall_error says."""
-    grids = _axis_grids(out_grid)
-    if len(grids) != 1 or abs(grids[0][0]) > 1e-12:
-        raise ValueError("out_grid must span the half_line from its wall 0 on")
-    sample, a, A, (brk,), phi_h, inherited = _resolve_datum(phi, 1)
-
-    def odd(y):
-        return np.sign(y) * (ell - sample(np.abs(y)).reshape(np.shape(y)))
-
-    w = _free_flow((odd, abs(ell) + a, A, ((0.0, *brk, *(-b for b in brk)),),
-                    phi_h, _wall_error(ell, inherited)), t, grids, _HALF_LINE_EPS_TAIL,
-                   quad_tol, max_refine)
-    w.values[:] = ell - w.values
-    w.values[0] = ell
-    return replace(w, growth_a=abs(ell) + w.growth_a,
-                   value_error=_wall_error(ell, w.value_error))
-
-
 def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
                           max_refine=6):
     """Evolve phi holding the boundary at domain.ell, by the method of images.
 
     phi: GridFunction on the domain, or InitialDatum; out_grid: (lo, hi, h)
-    per axis, from the lower wall (to the upper wall on a box).  The half
-    line is the free flow of its odd extension (_half_line_flow).  On a box
-    the weighted samples psi of v0 = ell - phi, on a lattice from wall to
-    wall, are reflected oddly across the lower wall along each axis (the
-    wall sample cancels against its own image: 0) and convolved with the
-    periodic image sum, whose rounding joins roundoff_error (tail_bound 0):
-    on the interval in one circular convolution with its closed-form
-    spectrum (_box_apply, kernel_method "spectral", kernel_len the period),
-    on more axes by the matrix of its samples (_dirichlet_kernels).  Data or
-    grids of the wrong dimension raise ValueError, grid data short of the
-    lattice EvaluationWindowError.  Boundary nodes of the result are exact.
-    Refinement and meta are as in heat_evolve_free (truncation_radius None);
-    the errors of ell - phi and of its flow pass through _wall_error.
+    per axis, from the lower wall (to the upper wall on a box).  Every
+    domain evolves v0 = ell - phi and returns ell - v, its wall nodes ell
+    exactly; an error relative to 1 + |v| is at most 1 + |ell| times as
+    large relative to 1 + |ell - v|, so the inherited error (meta's
+    inherited_error) and value_error are scaled by that.  The half line is
+    the free flow (tail tolerance _HALF_LINE_EPS_TAIL) of sign(y) v0(|y|),
+    of certificate (|ell| + a, A) and breakpoints 0 and +-b; a box is
+    _box_flow's.  Data or grids of the wrong dimension raise ValueError,
+    grid data short of the lattice EvaluationWindowError.  Refinement and
+    meta are as in heat_evolve_free.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if domain.kind == "half_line":
-        return _half_line_flow(phi, domain.ell, t, out_grid, quad_tol, max_refine)
-    if domain.kind not in ("interval", "rectangle"):
+    if domain.kind not in ("half_line", "interval", "rectangle"):
         raise ValueError(f"unsupported domain kind {domain.kind!r} for Dirichlet flow")
-    dim, ell = domain.n, domain.ell
-    sample, _, _, brk, phi_h, inherited = _resolve_datum(phi, dim)
-    inherited = _wall_error(ell, inherited)  # v0 = ell - phi's
+    ell, scale = domain.ell, 1.0 + abs(domain.ell)
+    sample, a, A, brk, phi_h, inherited = _resolve_datum(phi, domain.n)
+    inherited *= scale  # v0's
+
+    def v0(*axes):
+        return ell - sample(*axes)
+
     grids = _axis_grids(out_grid)
-    if len(grids) != dim or any(abs(lo - a) > 1e-12 or abs(hi - b) > 1e-12 for
-                                (lo, hi, _), (a, b) in zip(grids, domain.bounds)):
-        raise ValueError(f"out_grid must span the {domain.kind} from wall to wall, "
+    if len(grids) != domain.n or any(
+            abs(g - wall) > 1e-12 for grid, walls in zip(grids, domain.bounds)
+            for g, wall in zip(grid, walls) if wall < np.inf):
+        raise ValueError(f"out_grid must span the {domain.kind} from its walls, "
                          f"one (lo, hi, h) per axis")
-    extent = domain.bounds
-    ns, Hs = _grid_size([(lo, hi, h) for (lo, hi), (_, _, h) in zip(extent, grids)])
+    if domain.kind == "half_line":
+        def odd(y):
+            return np.sign(y) * v0(np.abs(y)).reshape(np.shape(y))
+        w = _free_flow((odd, abs(ell) + a, A, ((0.0, *brk[0], *(-b for b in brk[0])),),
+                        phi_h, inherited), t, grids, _HALF_LINE_EPS_TAIL, quad_tol, max_refine)
+    else:
+        w = _box_flow(v0, domain.bounds, brk, phi_h, inherited, t,
+                      [h for *_, h in grids], quad_tol, max_refine)
+    vals = ell - w.values
+    for k, (_, hi) in enumerate(domain.bounds):
+        vals[(slice(None),) * k + ([0] if hi == np.inf else [0, -1],)] = ell
+    # the half line's flow is certified, a box's result bounded by its values
+    growth_a = (abs(ell) + w.growth_a if domain.kind == "half_line"
+                else max(float(np.max(np.abs(vals))), 1e-300))
+    return replace(w, values=vals, growth_a=growth_a, value_error=scale * w.value_error)
+
+
+def _box_flow(v0, bounds, brk, phi_h, inherited, t, hs, quad_tol, max_refine):
+    """The flow of v0, zero on the walls, on the box `bounds` to time t at
+    output spacings hs (its growth certificate left to the caller).  The
+    weighted samples psi of v0 on a lattice from wall to wall are reflected
+    oddly across the lower wall along each axis (the wall sample cancels
+    against its own image: 0) and convolved with the periodic image sum,
+    whose rounding joins roundoff_error (tail_bound 0, truncation_radius
+    None): on the interval in one circular convolution with its closed-form
+    spectrum (_box_apply, kernel_method "spectral", kernel_len the period),
+    on more axes by the matrix of its samples (_dirichlet_kernels)."""
+    ns, Hs = _grid_size([(lo, hi, h) for (lo, hi), h in zip(bounds, hs)])
 
     def one_pass(ms):
         # lattice nodes from wall to wall, and snapped piece edges
         axes = [lo + H / m * np.arange((n - 1) * m + 1)
-                for (lo, _), H, n, m in zip(extent, Hs, ns, ms)]
+                for (lo, _), H, n, m in zip(bounds, Hs, ns, ms)]
         edges = [_snap_edges(lo, H / m, y.size, b)
-                 for (lo, _), H, m, y, b in zip(extent, Hs, ms, axes, brk)]
-        if dim == 1:
-            psi = _piece_weighted_values(lambda y: ell - sample(y), axes[0],
-                                         edges[0], Hs[0] / ms[0])
+                 for (lo, _), H, m, y, b in zip(bounds, Hs, ms, axes, brk)]
+        if len(bounds) == 1:
+            psi = _piece_weighted_values(v0, axes[0], edges[0], Hs[0] / ms[0])
             psi[0] = 0.0
-            (lo, hi), = extent
+            (lo, hi), = bounds
             # one circular convolution of period 2 (psi.size - 1)
             return (*_box_apply(psi, ms[0], hi - lo, t), None, [2 * (psi.size - 1)])
         # per axis, the matrix of the image sum on odd data, reflected
         # across the whole box and folded onto the samples from the wall
         kerns, deltas = zip(*(_dirichlet_kernels(hi - lo, t, y.size - 1)
-                              for y, (lo, hi) in zip(axes, extent)))
+                              for y, (lo, hi) in zip(axes, bounds)))
         full = [_kernel_matrix(2 * y.size - 1, m, n, k)
                 for y, m, n, k in zip(axes, ms, ns, kerns)]
         return (*_separable(
-            ell - sample(*axes),
+            v0(*axes),
             [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
             [f[:, y.size - 1:] - f[:, y.size - 1::-1] for f, y in zip(full, axes)],
             deltas), None, [k.size for k in kerns])
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [n - 1 for n in ns])
-    vals = ell - u
-    for k in range(dim):
-        vals[(slice(None),) * k + ([0, -1],)] = ell
-    bound = float(np.max(np.abs(vals)))
-    err = rec["quad_error"] + rec["roundoff_error"] + 1.5 * inherited
-    return GridFunction(values=vals, extent=extent,
-                        growth_a=max(bound, 1e-300), growth_A=0.0,
-                        value_error=_wall_error(ell, err),
-                        meta={"t": t, **rec, "tail_bound": 0.0,
-                              "truncation_radius": None, "inherited_error": inherited})
+    return GridFunction(values=u, extent=bounds, **_record(u, t, rec, 0.0, None, inherited))
 
 
 # -- heat-evolved step function ----------------------------------------------

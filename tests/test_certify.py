@@ -409,6 +409,24 @@ def test_hunt_sizes_its_grid_before_any_evolution():
     assert calls == []
 
 
+def test_hunt_keeps_its_finished_levels_at_the_node_budget(monkeypatch):
+    """Under a budget of 3000 nodes this hunt certifies level 0, and level
+    1's first lattice has 4185 nodes: the hunt used to raise there and lose
+    level 0.  Now that time ends unstable with level 0 kept, its record
+    holding the evolution's whole meta.  At level 0 the refusal still
+    raises."""
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 3000)
+    phi = counterexample_datum(P2, 1.0, fit_window=(-1.0, 1.0))
+    grid = (-1.0, 1.0, 2.0 / 600)
+    history = []
+    cert, t_first = hunt_violation(P2, phi, (0.05,), grid, refine=3, history=history)
+    assert t_first is None and [rec["level"] for rec in history] == [0]
+    assert cert is history[0]["certificate"] and cert.n_samples > 0
+    assert history[0]["meta"] == heat_evolve_free(phi, 0.05, grid).meta
+    with pytest.raises(DomainError, match="first lattice .* above the budget of 3000"):
+        hunt_violation(P2, phi, (1e-6,), grid, refine=3)
+
+
 # -- the hunt dichotomy --------------------------------------------------------
 
 

@@ -7,9 +7,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from heatconvex import GridFunction
+from heatconvex import (GridFunction, counterexample_datum, heat_evolve_free,
+                        make_power_alpha)
 from heatconvex.cli import entry
 from heatconvex.transforms import ClassReport
 
@@ -297,6 +299,53 @@ def test_interval_evolve_meets_the_sine_mode(tmp_path):
         assert u.values[0] == 0.0 and u.values[-1] == 0.0
 
 
+@pytest.mark.parametrize("transform, datum", [
+    ("hot a=1", "hot_bowl"), ("neglog a=0 ell=1", "neglog_bowl")])
+def test_verify_keeps_the_shipped_bowls_convex_on_the_interval(tmp_path, transform, datum):
+    """Acceptance criterion 07 from the command line: the boundary-one
+    interval flow keeps each bowl convex in its class at every time."""
+    cfg = write_config(tmp_path, f"transform = {transform}\ndatum = {datum}\n"
+                       "domain = interval lo=0 hi=1 ell=1\ngrid.h = 0.00390625\n"
+                       "flow.times = 0.01,0.05,0.1\n")
+    out = tmp_path / "res"
+    assert entry(["verify", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "verify.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [float(row["t"]) for row in rows] == [0.01, 0.05, 0.1]
+    for row in rows:
+        assert row["significant"] == "false" and float(row["gap"]) <= 0.0
+        assert 0.0 < float(row["noise_floor"]) < 1e-6
+
+
+@pytest.mark.parametrize("datum", ["gauss_bump", "indicator"])
+@pytest.mark.parametrize("domain", ["free", "interval lo=-1 hi=1 ell=0.5"])
+def test_bump_and_indicator_evolve(tmp_path, datum, domain):
+    cfg = write_config(tmp_path, f"datum = {datum}\ndomain = {domain}\n"
+                       "grid.h = 0.03125\nflow.times = 0.05,0.2\n")
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    for i in range(2):
+        u = GridFunction.from_csv((out / f"evolve_{i:02d}.csv").read_text())
+        assert np.all(np.isfinite(u.values)) and -1e-9 <= u.values.min() <= u.values.max() <= 1 + 1e-9
+        if domain != "free":
+            assert u.extent == ((-1.0, 1.0),) and u.values[0] == u.values[-1] == 0.5
+
+
+def test_evolve_meta_holds_each_evolutions_whole_meta(tmp_path):
+    """A wedge is a ridge: its record carries the ridge line with the rest."""
+    cfg = write_config(tmp_path, VERIFY_BAD_CFG)
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    (rec,) = json.loads((out / "evolve_meta.json").read_text())["results"]
+    phi = counterexample_datum(make_power_alpha(2.0), 1.0, fit_window=(-6.0, 6.0))
+    u = heat_evolve_free(phi, 0.05, (-6.0, 6.0, 0.046875))
+    assert rec == {"file": "evolve_00.csv", "value_error": u.value_error,
+                   "growth_a": u.growth_a, "growth_A": u.growth_A,
+                   **json.loads(json.dumps(u.meta))}
+    assert rec["ridge"] == {"direction": [1.0], "line": [-6.0, 6.0, 0.046875]}
+    assert {"quad_error", "lattice_factors", "tail_bound", "inherited_error"} <= set(rec)
+
+
 @pytest.mark.parametrize("window, flags", [
     ("grid.lo = -8\ngrid.hi = 8\n", []),
     ("grid.hi = 3\n", []),
@@ -464,6 +513,22 @@ def test_verify_and_hunt_warn_on_unconverged_evolutions(tmp_path, monkeypatch, c
     assert "warning: power[1.5] t=0.05 level 0: evolution did not converge" in err
     assert "# no stable significant violation found" in (
         tmp_path / "h" / "hunt_power_1.5.csv").read_text()
+
+
+def test_hunt_at_the_node_budget_keeps_its_finished_levels(tmp_path, monkeypatch):
+    """Level 1's first lattice passes a budget of 3000 nodes: the hunt keeps
+    level 0 and writes its history, where it used to exit 2 with none."""
+    from heatconvex import heatflow
+
+    monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", 3000)
+    cfg = write_config(tmp_path, "transform = power alpha=2\ndatum = counterexample r0=1\n"
+                       "grid.lo = -1\ngrid.hi = 1\ngrid.h = 0.0033333333333333335\n"
+                       "flow.times = 0.05\ncertify.refine_levels = 3\n")
+    out = tmp_path / "res"
+    assert entry(["hunt", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "hunt_power_2.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:-1]] == [["0.050000000000000003", "0"]]
+    assert lines[-1] == "# no stable significant violation found"
 
 
 def test_verify_clean_run_exits_zero(tmp_path):

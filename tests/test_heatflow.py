@@ -10,7 +10,8 @@ from scipy.special import erf
 from heatconvex import (DomainSpec, EvaluationWindowError,
                         ExistenceWindowError, GridFunction, InitialDatum,
                         fit_growth_envelope, gauss_kernel, grid_nodes,
-                        heat_evolve_dirichlet, heat_evolve_free, heatflow, hot_h)
+                        heat_evolve_dirichlet, heat_evolve_free, heatflow, hot_h,
+                        hunt_violation, make_power_alpha)
 from heatconvex.heatflow import (_BAND_ROWS, _CSV_ROWS, _box_apply, _dirichlet_kernels,
                                  _fast_len, _kernel_apply, _kernel_matrix, _pchip,
                                  _resolve_datum, _row_template, _separable, _start_factor,
@@ -446,7 +447,10 @@ _UNIT_SQUARE = DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0)))
     (DomainSpec.interval(0.0, 1.0), (0.0, 0.5, 1.0 / 8)),
     (_UNIT_SQUARE, ((0.0, 0.5, 1.0 / 8), (0.0, 1.0, 1.0 / 8))),
     (_UNIT_SQUARE, ((0.0, 1.0, 1.0 / 8), (0.25, 3.0, 1.0 / 8))),
-], ids=["interval", "rectangle_axis_0", "rectangle_axis_1"])
+    (DomainSpec.half_line(), (0.25, 1.0, 1.0 / 8)),
+    (DomainSpec.half_line(), ((0.0, 1.0, 1.0 / 8),) * 2),
+], ids=["interval", "rectangle_axis_0", "rectangle_axis_1", "half_line_off_its_wall",
+        "half_line_two_axes"])
 def test_box_out_grid_must_span_the_domain(domain, out_grid):
     phi = _SIN if domain.n == 1 else _SIN2
     with pytest.raises(ValueError, match="out_grid must span"):
@@ -499,6 +503,31 @@ def test_dirichlet_refuses_grid_data_short_of_the_lattice(phi, domain, out_grid)
     a value_error of 7e-10."""
     with pytest.raises(EvaluationWindowError, match="integration window"):
         heat_evolve_dirichlet(phi, domain, 0.05, out_grid)
+
+
+@pytest.mark.parametrize("domain, extent, out_grid", [
+    (DomainSpec.half_line(2.0), (0.0, 6.0), (0.0, 2.0, 1.0 / 32)),
+    (DomainSpec.interval(0.0, 1.0, 2.0), (0.0, 1.0), (0.0, 1.0, 1.0 / 32)),
+], ids=["half_line", "interval"])
+def test_dirichlet_errors_scale_by_one_plus_ell(domain, extent, out_grid):
+    """Every domain evolves v0 = ell - phi and returns ell - v: the wall
+    nodes hold ell exactly, and the datum's error is scaled by 1 + |ell|
+    as v0's inherited error and again with the flow's value_error, so
+    value_error includes (1 + |ell|)^2 1.5 inherited."""
+    inherited = 1e-6
+    x = np.linspace(*extent, 193)
+    phi = GridFunction(values=np.sin(np.pi * x) + 0.5 * x, extent=(extent,),
+                       value_error=inherited)
+    u = heat_evolve_dirichlet(phi, domain, 0.05, out_grid)
+    walls = [0] if domain.kind == "half_line" else [0, -1]
+    assert np.all(u.values[walls] == 2.0) and np.all(u.values[1:-1] != 2.0)
+    meta = u.meta
+    assert meta["inherited_error"] == 3.0 * inherited
+    flow = meta["quad_error"] + meta["roundoff_error"] + 1.5 * meta["inherited_error"]
+    # the tail's share, tail_bound / (1 + max|v|), is 0 on the interval
+    assert 3.0 * flow <= u.value_error <= 3.0 * (flow + meta["tail_bound"])
+    assert u.value_error >= 3.0 ** 2 * 1.5 * inherited
+    assert (u.value_error == 3.0 * flow) == (domain.kind == "interval")
 
 
 def test_grid_data_within_roundoff_of_the_walls_still_evolve():
@@ -986,6 +1015,31 @@ def test_grid_sizes_are_counted_not_built(monkeypatch):
         grid_nodes(1.0, 1.0, 0.1)
     assert grid_nodes(0.0, 1.0, 0.3).tolist() == [0.0, 1.0 / 3, 2.0 / 3, 1.0]
     assert grid_nodes(0.0, 1.0, 5.0).tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda phi, h: heat_evolve_free(phi, 0.1, (-1.0, 1.0, h)),
+    lambda phi, h: heat_evolve_dirichlet(phi, DomainSpec.interval(0.0, 1.0), 0.1, (0.0, 1.0, h)),
+    lambda phi, h: heat_evolve_dirichlet(phi, DomainSpec.half_line(), 0.1, (0.0, 1.0, h)),
+    lambda phi, h: grid_nodes(-1.0, 1.0, h),
+    lambda phi, h: hunt_violation(make_power_alpha(2.0), phi, (0.1,), (-1.0, 1.0, h)),
+], ids=["free", "interval", "half_line", "grid_nodes", "hunt"])
+def test_a_spacing_that_is_not_finite_and_positive_is_refused(call, h):
+    """h = 0 divided by zero, h = -0.1 and h = inf returned a 2-node grid,
+    and h = nan failed in round: each is a DomainError before any sample."""
+    phi, calls = _counting(_SIN)
+    with pytest.raises(DomainError, match="needs finite bounds and spacings h > 0"):
+        call(phi, h)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lo, hi", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+def test_a_bound_that_is_not_finite_is_refused(lo, hi):
+    with pytest.raises(DomainError, match="needs finite bounds"):
+        grid_nodes(lo, hi, 0.1)
+    with pytest.raises(DomainError, match="needs finite bounds"):
+        heat_evolve_free(_SIN, 0.1, (lo, hi, 0.1))
 
 
 def test_3d_gaussian_product_meets_the_closed_form(monkeypatch):

@@ -51,6 +51,52 @@ def test_piecewise_simpson_splits_at_edges():
     assert abs(integral - 1.0) < 1e-14
 
 
+def _cubic(x):
+    return x ** 3 - 2 * x ** 2 + x - 1
+
+
+def _cubic_integral(a, b):
+    def F(x):
+        return x ** 4 / 4 - 2 * x ** 3 / 3 + x ** 2 / 2 - x
+    return F(b) - F(a)
+
+
+def test_simpson_on_two_nodes_is_the_trapezoid_rule_exact_on_linears():
+    w = simpson_weights(2, 0.5)
+    assert w.tolist() == [0.25, 0.25]
+    # 3x - 2 on [1, 1.5]
+    assert float(w @ np.array([1.0, 2.5])) == 0.875
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_simpson_short_pieces_are_exact_on_cubics(n):
+    """n = 4 takes the 3/8 rule alone, n = 6 and 8 Simpson with a 3/8 tail."""
+    h, a = 0.3, 0.5
+    x = a + h * np.arange(n)
+    integral = float(simpson_weights(n, h) @ _cubic(x))
+    assert abs(integral - _cubic_integral(a, x[-1])) < 1e-13
+
+
+def test_simpson_needs_two_nodes():
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        simpson_weights(1, 0.1)
+
+
+def test_piecewise_simpson_with_pieces_of_one_and_three_cells():
+    """Edges one cell apart take the trapezoid rule, three apart the 3/8
+    rule alone: f is linear on the one-cell piece and cubic elsewhere, so
+    the sum is exact.  On nodes 0, 0.1, ..., 2 with edges 10, 11, 14:
+    f = x + (x - 1)^3 on [0, 1], x on [1, 1.1], x + (x - 1.1)^3 on [1.1,
+    1.4], x + 0.027 + 2 (x - 1.4)^3 on [1.4, 2], continuous at each edge."""
+    nodes = np.linspace(0.0, 2.0, 21)
+    f = nodes + np.where(nodes <= 1.0, (nodes - 1.0) ** 3, 0.0)
+    f += np.where((nodes >= 1.1) & (nodes <= 1.4), (nodes - 1.1) ** 3, 0.0)
+    f += np.where(nodes > 1.4, 0.027 + 2.0 * (nodes - 1.4) ** 3, 0.0)
+    w = piecewise_simpson_weights(nodes, [0, 10, 11, 14, 20])
+    exact = 2.0 - 0.25 + 0.3 ** 4 / 4 + (0.027 * 0.6 + 2.0 * 0.6 ** 4 / 4)
+    assert abs(float(w @ f) - exact) < 1e-14
+
+
 def test_affine_fit_recovers_line():
     x = np.linspace(-3, 5, 50)
     A, B, resid = affine_fit(x, 2.5 * x - 1.0)
