@@ -7,15 +7,21 @@ tent generators g = |z - c| - 1 give preserved classes of Gaussian order 1/2
 wherever their kink c lies; so do two tent families that a sampled
 admissibility and slope probe once misread: a deep drop, where F is steep
 but continuous, and a base far right of the kink, where f_F' underflows to 0
-on the classifier's window.  Run:
+on the classifier's window.  A last table orders classes by strength
+(compare_strength, which reads h = F1 o f_F2 as convex where
+g_F2(z) >= g_F1(h) h'): the preserved powers, strongest first; the heat
+step against -log(ell - r); and a relabeling A*F + B, which defines F's
+own class.  Run:
 
     python3 demos/classify_sweep.py
 """
 
+from functools import cmp_to_key
+
 import numpy as np
 
-from heatconvex import (abs_kink_generator, builtin_transforms, classify, make_from_g,
-                        make_power_alpha)
+from heatconvex import (abs_kink_generator, builtin_transforms, classify, compare_strength,
+                        make_from_g, make_hot, make_neglog, make_power_alpha, scale_shift)
 
 
 def main():
@@ -50,6 +56,11 @@ def main():
     print("-" * 72)
     tent_rows(1.0, 50.0, 1.0, (-50.0, 0.0, 12.0))
 
+    print()
+    print("strength order: a stronger class lies inside a weaker one")
+    print("-" * 72)
+    strength_rows()
+
 
 def tent_rows(drop, base_z, base_value, centers):
     for center in centers:
@@ -57,6 +68,19 @@ def tent_rows(drop, base_z, base_value, centers):
         rep = classify(make_from_g(g, base_z, base_value, 1.0))
         print(f"  c = {center:4g}     ->  {rep.verdict:26s}  "
               f"gaussian order {rep.gaussian_order:.3f}")
+
+
+def strength_rows():
+    rank = {"F1_stronger": -1, "equivalent": 0, "F1_weaker": 1}
+    powers = sorted((make_power_alpha(a) for a in (1.0, 0.0, 0.5)),
+                    key=cmp_to_key(lambda F1, F2: rank[compare_strength(F1, F2).relation]))
+    print(f"  preserved powers, strongest first: {' > '.join(F.label for F in powers)}")
+    for ell in (0.5, 1.0, 2.0):
+        F1, F2 = make_hot(ell), make_neglog(0.0, ell)
+        print(f"  {F1.label:12s} vs {F2.label:18s} ->  {compare_strength(F1, F2).relation}")
+    F = make_power_alpha(0.5)
+    G = scale_shift(F, 2.5, -1.0)
+    print(f"  {F.label:12s} vs {G.label:18s} ->  {compare_strength(F, G).relation}")
 
 
 if __name__ == "__main__":

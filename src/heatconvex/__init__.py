@@ -5,7 +5,7 @@ function u (meaning F(u) is convex), and the package answers, numerically,
 which transforms keep that structure under the heat semigroup.  Four layers:
 
 - :mod:`heatconvex.transforms`: admissible transforms, their curvature
-  profiles, and the preservation classifier.
+  profiles, the preservation classifier and the strength order.
 - :mod:`heatconvex.heatflow`: free-space and Dirichlet heat evolution with
   certified quadrature error and growth bookkeeping.
 - :mod:`heatconvex.certify`: midpoint-inequality certificates, violation
@@ -14,16 +14,14 @@ which transforms keep that structure under the heat semigroup.  Four layers:
   verify / hunt).
 """
 
-from .numerics import DomainError, discrete_convexity_defect, invert_monotone
+from .numerics import DomainError, invert_monotone
 from .transforms import (
     ClassReport,
-    CurvatureCriterion,
     FTransform,
     GSpec,
     StrengthComparison,
     abs_kink_generator,
     builtin_transforms,
-    check_curvature_criterion,
     classify,
     compare_strength,
     default_j_window,
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "ClassReport",
-    "CurvatureCriterion",
     "DomainError",
     "DomainSpec",
     "EnvelopeComparison",
@@ -82,14 +79,12 @@ __all__ = [
     "abs_kink_generator",
     "builtin_transforms",
     "check_F_convex",
-    "check_curvature_criterion",
     "check_envelope_comparison",
     "check_quasi_convex",
     "classify",
     "compare_strength",
     "counterexample_datum",
     "default_j_window",
-    "discrete_convexity_defect",
     "fit_growth_envelope",
     "gauss_kernel",
     "grid_nodes",

@@ -12,7 +12,8 @@ reaches a verdict.
 
 Outputs carry no timestamps and all floats are printed with %.17g, so the
 same config always produces bit-identical files.  _cell formats every
-cell of the CSV tables, so each row parses to its header's width.
+cell of the CSV tables, so each row parses to its header's width, and
+_write_meta writes every metadata record as strict JSON.
 """
 
 from __future__ import annotations
@@ -70,10 +71,25 @@ def _write(out_dir, name, text):
     path.write_text(text)
 
 
+def _strict(val):
+    """val with every non-finite float, however deep, as the string "inf",
+    "-inf" or "nan": JSON has no such numbers, and jq and JSON.parse refuse
+    json's Infinity and NaN."""
+    if isinstance(val, float) and not np.isfinite(val):
+        return str(float(val))
+    if isinstance(val, dict):
+        return {k: _strict(v) for k, v in val.items()}
+    if isinstance(val, (list, tuple)):
+        return [_strict(v) for v in val]
+    return val
+
+
 def _write_meta(cfg, command, name, extra):
-    record = {"command": command, "config": cfg.resolved}
-    record.update(extra)
-    _write(cfg.out_dir, name, json.dumps(record, sort_keys=True, indent=2) + "\n")
+    """The command's metadata record, strict JSON: a non-finite number that
+    _strict missed raises."""
+    record = _strict({"command": command, "config": cfg.resolved, **extra})
+    _write(cfg.out_dir, name,
+           json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _evolve(cfg, phi, t):

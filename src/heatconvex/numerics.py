@@ -1,4 +1,4 @@
-"""Shared numerical helpers: monotone inversion, fits, quadrature, convexity defects, label text."""
+"""Shared numerical helpers: monotone inversion, quadrature weights, label text."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,10 +6,8 @@ import numpy as np
 __all__ = [
     "DomainError",
     "invert_monotone",
-    "affine_fit",
     "simpson_weights",
     "piecewise_simpson_weights",
-    "discrete_convexity_defect",
     "param_text",
 ]
 
@@ -63,16 +61,6 @@ def invert_monotone(f, target, lo, hi, deriv=None):
     return float(z[0]) if scalar else z
 
 
-def affine_fit(x, y):
-    """Least-squares y ~ A x + B; returns (A, B, max_abs_residual)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    A_mat = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(A_mat, y, rcond=None)
-    resid = y - A_mat @ coef
-    return float(coef[0]), float(coef[1]), float(np.max(np.abs(resid)))
-
-
 def simpson_weights(n_nodes, h):
     """Composite Simpson weights on n_nodes uniform nodes (spacing h).
 
@@ -116,21 +104,3 @@ def piecewise_simpson_weights(nodes, piece_edges):
             w[a : b + 1] += simpson_weights(b - a + 1, h)
     return w
 
-
-def discrete_convexity_defect(y, spacing, value_noise):
-    """Most negative scaled second difference of sampled y, with tolerance.
-
-    Returns (defect, tol, argmin_index): defect is min over interior nodes of
-    (y[i-1]-2y[i]+y[i+1])/spacing^2; tol is 100x the stencil noise implied by
-    `value_noise`, the absolute uncertainty of a sample (a scalar, or one per
-    sample, of which the largest counts).  y is convex on the grid within
-    noise iff defect >= -tol.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size < 3:
-        return 0.0, np.inf, 0
-    d2 = (y[:-2] - 2 * y[1:-1] + y[2:]) / (spacing * spacing)
-    i = int(np.argmin(d2))
-    stencil_noise = 4.0 * float(np.max(value_noise)) / (spacing * spacing)
-    tol = 100.0 * max(stencil_noise, np.finfo(float).eps)
-    return float(d2[i]), tol, i + 1

@@ -8,9 +8,11 @@ trivial, super-Gaussian growth of f_F kills all nontrivial evolving data, and
 otherwise preservation is equivalent to convexity of the curvature profile
 g = (log f_F')'.  This module builds the standard families, each admissible by
 construction (its constructor refuses parameters that would not give a
-strictly increasing, continuous F) and each with its Gaussian order and g in
-closed form; classify reads only those and the image interval.  Labels,
-which key every output, print each parameter by numerics.param_text.
+strictly increasing, continuous F), each with its Gaussian order, f_F' and g
+in closed form, and each stating the shape of g; classify reads only the
+order, the shape and the image interval, and compare_strength the closed
+forms.  Labels, which key every output, print each parameter by
+numerics.param_text.
 
 Extended-real conventions: endpoint values map to -inf/+inf (e.g. log 0 =
 -inf, and a transform that blows up at a finite right endpoint evaluates to
@@ -24,19 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heatflow import gauss_kernel, hot_h
-from .numerics import (
-    DomainError,
-    affine_fit,
-    discrete_convexity_defect,
-    invert_monotone,
-    param_text,
-)
+from .numerics import DomainError, invert_monotone, param_text
 
 __all__ = [
     "FTransform",
     "GSpec",
-    "CurvatureCriterion",
     "ClassReport",
+    "StrengthComparison",
     "make_power_alpha",
     "make_affine",
     "make_exp",
@@ -46,7 +42,7 @@ __all__ = [
     "scale_shift",
     "abs_kink_generator",
     "builtin_transforms",
-    "check_curvature_criterion",
+    "default_j_window",
     "classify",
     "compare_strength",
 ]
@@ -79,8 +75,10 @@ class FTransform:
     (j_lo, j_hi) bound the open image interval J of the domain interior;
     inverse/log_inverse/g are defined there.  All callables are vectorized,
     and f_F, f_F', log |f_F| and the curvature profile g = (log f_F')' are
-    closed forms.  gaussian_order is the least A >= 0 making e^{-A z^2} |f_F|
-    integrable over J (inf when none does), stated by each constructor.
+    closed forms.  Each constructor states two facts about them:
+    gaussian_order, the least A >= 0 making e^{-A z^2} |f_F| integrable over
+    J (inf when none does), and g_shape, the shape of g on J: 'zero' (f_F
+    affine), 'convex' (g convex and not 0) or 'not_convex'.
     """
 
     domain_kind: str
@@ -94,6 +92,7 @@ class FTransform:
     _inverse_deriv: object
     _log_inverse: object
     gaussian_order: float
+    g_shape: str
     _g_closed: object
 
     # -- evaluation ---------------------------------------------------------
@@ -248,6 +247,7 @@ def make_power_alpha(alpha):
             _inverse_deriv=np.exp,
             _log_inverse=lambda z: _as_float_array(z) + 0.0,
             gaussian_order=0.0,
+            g_shape="convex",
             _g_closed=lambda z: np.ones_like(_as_float_array(z)),
         )
     j_lo = -1.0 / alpha if alpha > 0 else -np.inf
@@ -280,6 +280,8 @@ def make_power_alpha(alpha):
                                           1.0 / alpha - 1.0),
         _log_inverse=lambda z: np.log(alpha * _as_float_array(z) + 1.0) / alpha,
         gaussian_order=np.inf if -1.0 <= alpha < 0.0 else 0.0,
+        # g'' = 2 alpha^2 (1 - alpha) / (alpha z + 1)^3, and alpha z + 1 > 0 on J
+        g_shape="zero" if alpha == 1.0 else "convex" if alpha < 1.0 else "not_convex",
         _g_closed=lambda z: (1.0 - alpha) / (alpha * _as_float_array(z) + 1.0),
     )
 
@@ -304,6 +306,7 @@ def make_affine(A, B, domain_kind="whole_line"):
         _inverse_deriv=lambda z: np.full_like(_as_float_array(z), 1.0 / A),
         _log_inverse=lambda z: np.log(np.abs(_as_float_array(z) - B)) - np.log(A),
         gaussian_order=0.0,
+        g_shape="zero",
         _g_closed=lambda z: np.zeros_like(_as_float_array(z)),
     )
 
@@ -319,6 +322,7 @@ def make_exp():
         _inverse_deriv=lambda z: 1.0 / _as_float_array(z),
         _log_inverse=lambda z: np.log(np.abs(np.log(_as_float_array(z)))),
         gaussian_order=0.0,  # log z is integrable at the finite end 0 of J
+        g_shape="not_convex",  # g'' = -2 / z^3 < 0 on J
         _g_closed=lambda z: -1.0 / _as_float_array(z),
     )
 
@@ -355,6 +359,7 @@ def make_hot(a):
         _inverse_deriv=lambda z: a * gauss_kernel(_as_float_array(z), 1.0),
         _log_inverse=log_inv,
         gaussian_order=0.0,
+        g_shape="convex",
         _g_closed=lambda z: -0.5 * _as_float_array(z),
     )
 
@@ -384,6 +389,7 @@ def make_neglog(a, ell):
         _log_inverse=lambda z: np.log(np.abs(
             ell - np.exp(-_as_float_array(z)))),
         gaussian_order=0.0,
+        g_shape="convex",
         _g_closed=lambda z: -np.ones_like(_as_float_array(z)),
     )
 
@@ -392,8 +398,8 @@ def scale_shift(F, A, B):
     """The transform A*F + B, which defines the same convexity class.
 
     Its inverse at z is f_F((z - B)/A), so its Gaussian order is that of F
-    over A^2, and its f_F' and g are F's over A.  DomainError unless A > 0
-    and B are finite.
+    over A^2, its f_F' and g are F's over A, and g has F's shape.
+    DomainError unless A > 0 and B are finite.
     """
     A, B = float(A), float(B)
     if not (0 < A < np.inf and math.isfinite(B)):
@@ -414,6 +420,7 @@ def scale_shift(F, A, B):
         _inverse_deriv=pull(F._inverse_deriv, lambda v: v / A),
         _log_inverse=pull(F._log_inverse),
         gaussian_order=F.gaussian_order / (A * A),
+        g_shape=F.g_shape,
         _g_closed=pull(F._g_closed, lambda v: v / A),
     )
 
@@ -502,11 +509,12 @@ def make_from_g(g, base_z, base_value, base_slope):
     upper_ell = sup f, which F maps to +inf, and order 0.  Above sup f / 2, F
     inverts log(sup f - f), the right tail's own mass, which keeps the
     digits that 1 - f / sup f would cancel.  The curvature profile is g
-    itself.  The label names g's points and slopes and the base (base_z,
-    base_value, base_slope), so distinct transforms read apart in every
-    output.  DomainError unless base_z, base_value >= 0 and base_slope > 0
-    are finite (g, a GSpec, checks its own numbers), and where f cannot be
-    sampled in doubles: a sup f that overflows, or a zero of f at |z| >= 2^48.
+    itself: convex, as GSpec requires, and zero for the zero generator.
+    The label names g's points and slopes and the base (base_z, base_value,
+    base_slope), so distinct transforms read apart in every output.
+    DomainError unless base_z, base_value >= 0 and base_slope > 0 are finite
+    (g, a GSpec, checks its own numbers), and where f cannot be sampled in
+    doubles: a sup f that overflows, or a zero of f at |z| >= 2^48.
     """
     if not (math.isfinite(base_z) and 0 <= base_value < np.inf
             and 0 < base_slope < np.inf):
@@ -587,6 +595,8 @@ def make_from_g(g, base_z, base_value, base_slope):
         _inverse=lambda z: np.exp(log_inv(z)),
         _inverse_deriv=lambda z: np.exp(log_fprime(z)),
         gaussian_order=0.0 if bounded else 0.5 * float(g.right_slope),
+        g_shape="zero" if g.left_slope == g.right_slope == 0 and not any(
+            v for _, v in g.points) else "convex",
         _g_closed=g)
 
 
@@ -602,60 +612,6 @@ def builtin_transforms():
     out["exp"] = make_exp()
     out["from_g_kink"] = make_from_g(abs_kink_generator(), 0.0, 0.0, 1.0)
     return out
-
-
-# -- curvature criterion ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurvatureCriterion:
-    curvature_convex: bool
-    worst_z: float
-    defect: float
-    tol: float
-
-
-def default_j_window(F):
-    """The working window inside the image interval J: 16 long, from 0.1
-    inside a finite end of J, else centred on 0; squeezed between both ends
-    when both are finite."""
-    lo = F.j_lo + 0.1 if np.isfinite(F.j_lo) else -8.0
-    hi = lo + 16.0
-    if np.isfinite(F.j_hi):
-        hi = F.j_hi - 0.1
-        if not np.isfinite(F.j_lo):
-            lo = hi - 16.0
-    if not hi > lo:
-        raise DomainError("image interval too narrow for the default window")
-    return lo, hi
-
-
-def _sampled_g(F):
-    """257 points of default_j_window(F), the closed-form g there, and the
-    roundoff of that closed form, 4 eps (1 + max |g|) per sample."""
-    z_grid = np.linspace(*default_j_window(F), 257)
-    g_vals = F.g(z_grid)
-    return z_grid, g_vals, 4 * _EPS * (1.0 + np.max(np.abs(g_vals)))
-
-
-def check_curvature_criterion(F):
-    """Sampled preservation criterion: g convex on the image.
-
-    f_F' > 0 holds by construction, so convexity of the curvature profile
-    is all that is left to check.  It reads only the closed-form g on the
-    257 points of _sampled_g: divided second differences against a
-    tolerance of 100x the propagated noise of its roundoff, and the most
-    violating grid point.
-    """
-    z_grid, g_vals, noise = _sampled_g(F)
-    defect, tol, idx = discrete_convexity_defect(
-        g_vals, float(z_grid[1] - z_grid[0]), noise)
-    return CurvatureCriterion(
-        curvature_convex=bool(defect >= -tol),
-        worst_z=float(z_grid[idx]),
-        defect=float(defect),
-        tol=float(tol),
-    )
 
 
 # -- classification -----------------------------------------------------------
@@ -678,7 +634,6 @@ class ClassReport:
     curvature_convex: object       # bool, or None when not evaluated
     verdict: str
     basis: str
-    notes: str = ""
 
     # the columns of the command line's classify.csv, in order
     FIELDS = ("label", "limit_at_sup", "gaussian_divergent", "gaussian_order",
@@ -688,7 +643,7 @@ class ClassReport:
 def _report(F, verdict, basis, **fields):
     """ClassReport of F; fields override the defaults."""
     row = dict(limit_at_sup=F.j_hi, gaussian_divergent=False,
-               gaussian_order=np.nan, curvature_convex=None, notes="")
+               gaussian_order=np.nan, curvature_convex=None)
     row.update(fields)
     return ClassReport(label=F.label, verdict=verdict, basis=basis, **row)
 
@@ -707,25 +662,27 @@ _RULES = {
         "curvature rule (bounded values, constant-boundary flow): blow-up at "
         "the endpoint plus convex curvature"),
 }
+_G_SHAPES = ("zero", "convex", "not_convex")
 
 
 def classify(F):
     """Route a transform through the preservation rules for its domain kind.
 
     F is admissible by construction, so the rules read only F.j_hi,
-    F.gaussian_order and the closed-form g; F, f_F, f_F' and log |f_F|
-    are never evaluated.  Half-line values: a bounded image is only
+    F.gaussian_order and F.g_shape, which its constructor states; nothing
+    is evaluated or sampled.  Half-line values: a bounded image is only
     trivially preserved; otherwise an infinite F.gaussian_order rules out
     nontrivial evolving data; otherwise preservation is equivalent to the
-    curvature criterion.  Whole line: same gates, then (under integrability
-    of the inverse) preserved exactly for affine transforms, which are those
-    with f_F' constant: g = 0 on the criterion's window, to within its
-    roundoff.  Bounded-above values (Dirichlet setting): preserved iff the
-    transform blows up at the right endpoint and the curvature criterion
-    holds on the image of the interior.
+    curvature criterion, g convex.  Whole line: same gates, then (under
+    integrability of the inverse) preserved exactly for affine transforms,
+    which are those with g = 0.  Bounded-above values (Dirichlet setting):
+    preserved iff the transform blows up at the right endpoint and g is
+    convex.
     """
     if F.domain_kind not in _RULES:
         raise DomainError(f"unknown domain kind {F.domain_kind!r}")
+    if F.g_shape not in _G_SHAPES:
+        raise DomainError(f"unknown curvature shape {F.g_shape!r}")
     where, trivial, curvature_basis = _RULES[F.domain_kind]
 
     if np.isfinite(F.j_hi):
@@ -740,23 +697,17 @@ def classify(F):
                            "datum can evolve",
                            gaussian_divergent=True, gaussian_order=np.inf)
         order = {"gaussian_order": F.gaussian_order}
-    crit = check_curvature_criterion(F)
-    found = dict(order, curvature_convex=crit.curvature_convex)
+    found = dict(order, curvature_convex=F.g_shape != "not_convex")
     if F.domain_kind == "whole_line":
-        _, g_vals, noise = _sampled_g(F)
-        g_max = float(np.max(np.abs(g_vals)))
-        if g_max <= noise:
+        if F.g_shape == "zero":
             return _report(F, "preserved", "affine rule (whole line): transform "
-                           "is affine, the class is plain convexity",
-                           notes=f"max |g| {g_max:.3g} within roundoff {noise:.3g}",
-                           **found)
+                           "is affine, the class is plain convexity", **found)
         return _report(F, "not_preserved", "affine-only rule (whole line): under "
                        "integrability of the inverse, only affine transforms "
-                       "preserve", notes=f"max |g| {g_max:.3g}", **found)
-    if crit.curvature_convex:
+                       "preserve", **found)
+    if found["curvature_convex"]:
         return _report(F, "preserved", curvature_basis, **found)
     return _report(F, "not_preserved", f"curvature rule ({where}): criterion fails",
-                   notes=f"worst z={crit.worst_z:.6g} defect={crit.defect:.3g}",
                    **found)
 
 
@@ -768,80 +719,83 @@ class StrengthComparison:
     relation: str                 # F1_weaker / F1_stronger / equivalent / neither
     comp12_convex: bool           # F1 o f_{F2} convex (class of F2 inside F1's)
     comp21_convex: bool
-    affine: tuple                 # (A, B, residual) of the fit F1 ~ A*F2 + B
-    worst_z: float
+    worst_z: float                # where F1 o f_{F2} curves least, in F2's window
 
 
-def _composition_convex(F_outer, F_inner, z_grid):
-    """Sampled convexity of F_outer o f_{F_inner} with per-point tolerance.
+# relative roundoff of one closed-form value: four ulps, four times over for
+# what a composition of closed forms compounds
+_ROUNDOFF = 16 * _EPS
 
-    Composition values can span hundreds of orders of magnitude across the
-    window, so each second difference is judged against the roundoff scale
-    of its own three samples rather than a global bound.
+
+def default_j_window(F):
+    """The working window inside the image interval J: 16 long, from 0.1
+    inside a finite end of J, else centred on 0; squeezed between both ends
+    when both are finite."""
+    lo = F.j_lo + 0.1 if np.isfinite(F.j_lo) else -8.0
+    hi = lo + 16.0
+    if np.isfinite(F.j_hi):
+        hi = F.j_hi - 0.1
+        if not np.isfinite(F.j_lo):
+            lo = hi - 16.0
+    if not hi > lo:
+        raise DomainError("image interval too narrow for the default window")
+    return lo, hi
+
+
+def _sign_test(F1, F2):
+    """(convex, worst z) of h = F1 o f_{F2} at 257 points z of
+    default_j_window(F2), read from the closed forms f_F' and g alone.
+
+    h' = f_{F2}'(z) / f_{F1}'(h) > 0 and h'' = h' (g_{F2}(z) - g_{F1}(h) h'),
+    so h is convex where the margin g_{F2}(z) - g_{F1}(h) h' is not
+    negative.  A margin counts as negative only beyond its roundoff bound:
+    _ROUNDOFF of both terms, plus the change of g_{F1}(h) h' when h moves by
+    its own roundoff, dh = _ROUNDOFF (|h| + f_{F2}(z) / f_{F1}'(h)), whose
+    second part is the roundoff of f_{F2}(z) carried through F1's slope.
+    The worst z is that of the smallest margin.
+
+    A point is judged where h lies inside J_{F1} (f_{F2} meeting an end of
+    F1's values puts h at an end of J_{F1}) and its margin and bound are
+    finite.  The composition is not convex where f_{F2} leaves F1's values
+    (beyond 1e-9 relative), or where no point is judged.
     """
-    vals = np.asarray(F_inner.inverse(z_grid), dtype=float)
-    lo, hi = F_outer.lower_a, F_outer.upper_ell
-    tol = 1e-9 * (1.0 + np.abs(vals))
-    if np.any(vals < lo - tol) or np.any(vals > hi + tol):
-        raise DomainError(
-            f"{F_inner.label} maps the grid outside the domain of {F_outer.label}")
-    y = np.asarray(F_outer(np.clip(vals, lo, hi)), dtype=float)
-    idx = np.flatnonzero(np.isfinite(y))
-    if idx.size < 5:
-        raise DomainError("composition leaves too few finite samples")
-    runs = np.split(idx, np.where(np.diff(idx) > 1)[0] + 1)
-    run = max(runs, key=len)
-    if run.size < 5:
-        raise DomainError("composition leaves too few finite samples")
-    z = z_grid[run]
-    y = y[run]
-    d2 = y[2:] - 2.0 * y[1:-1] + y[:-2]
-    local = np.abs(y[2:]) + 2.0 * np.abs(y[1:-1]) + np.abs(y[:-2]) + 1.0
-    rel = d2 / (1e-9 * local)
-    i = int(np.argmin(rel))
-    return bool(rel[i] >= -1.0), float(z[1 + i]), float(d2[i])
+    z = np.linspace(*default_j_window(F2), 257)
+    r = np.asarray(F2.inverse(z), dtype=float)
+    lo, hi = F1.lower_a, F1.upper_ell
+    slack = 1e-9 * (1.0 + np.abs(r))
+    if np.any(r < lo - slack) or np.any(r > hi + slack):
+        return False, np.nan
+    inner = np.nextafter(F1.j_lo, np.inf), np.nextafter(F1.j_hi, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = np.asarray(F1(np.clip(r, lo, hi)), dtype=float)
+        inside = (h > F1.j_lo) & (h < F1.j_hi)
+        z, r, h = z[inside], r[inside], h[inside]
+        dh = _ROUNDOFF * (np.abs(h) + np.abs(r) / F1.inverse_deriv(h))
+        # g_{F1}(w) h' at w = h, h - dh and h + dh, h' = f_{F2}'(z) / f_{F1}'(w)
+        w = np.clip(h + np.multiply.outer((0.0, -1.0, 1.0), dh), *inner)
+        t, t_lo, t_hi = F1.g(w) * (F2.inverse_deriv(z) / F1.inverse_deriv(w))
+        g2 = F2.g(z)
+        margin = g2 - t
+        bound = _ROUNDOFF * (np.abs(g2) + np.abs(t)) + np.maximum(
+            np.abs(t_lo - t), np.abs(t_hi - t))
+    judged = np.isfinite(margin) & np.isfinite(bound)
+    if not judged.any():
+        return False, np.nan
+    margin, bound = margin[judged], bound[judged]
+    return bool(np.all(margin >= -bound)), float(z[judged][np.argmin(margin)])
 
 
 def compare_strength(F1, F2):
     """Order two transforms by containment of their convexity classes.
 
-    F1_weaker means every F2-convex function is F1-convex (F1 o f_{F2} is
-    convex); F1_stronger is the reverse; equivalent when F1 is an affine
-    positive rescaling of F2; neither when both composition tests fail.
-    Each composition is sampled on 257 points of default_j_window of its
-    inner transform.
+    F1_weaker means every F2-convex function is F1-convex: F1 o f_{F2} is
+    convex (_sign_test); F1_stronger is the reverse; equivalent when both
+    hold, so that F1 o f_{F2} is affine and F1 an affine positive
+    rescaling of F2; neither when both fail.
     """
-    z_grid = np.linspace(*default_j_window(F2), 257)
-
-    try:
-        c12, worst12, _ = _composition_convex(F1, F2, z_grid)
-    except DomainError:
-        c12, worst12 = False, np.nan
-    try:
-        c21, worst21, _ = _composition_convex(
-            F2, F1, np.linspace(*default_j_window(F1), 257))
-    except DomainError:
-        c21, worst21 = False, np.nan
-
-    r_vals = np.asarray(F2.inverse(z_grid), dtype=float)
-    r_vals = r_vals[np.isfinite(r_vals)]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        v1 = np.asarray(F1(np.clip(r_vals, F1.lower_a, F1.upper_ell)), dtype=float)
-        v2 = np.asarray(F2(r_vals), dtype=float)
-    keep = np.isfinite(v1) & np.isfinite(v2)
-    A_fit, B_fit, resid = affine_fit(v2[keep], v1[keep])
-    scale = np.max(np.abs(v1[keep])) + 1.0
-    affine_ok = A_fit > 0 and resid <= 1e-7 * scale
-
-    if affine_ok or (c12 and c21):
-        relation = "equivalent"
-    elif c12:
-        relation = "F1_weaker"
-    elif c21:
-        relation = "F1_stronger"
-    else:
-        relation = "neither"
-    return StrengthComparison(
-        relation=relation, comp12_convex=c12, comp21_convex=c21,
-        affine=(float(A_fit), float(B_fit), float(resid)),
-        worst_z=float(worst12))
+    c12, worst_z = _sign_test(F1, F2)
+    c21, _ = _sign_test(F2, F1)
+    relation = ("equivalent" if c12 and c21 else "F1_weaker" if c12
+                else "F1_stronger" if c21 else "neither")
+    return StrengthComparison(relation=relation, comp12_convex=c12, comp21_convex=c21,
+                              worst_z=worst_z)

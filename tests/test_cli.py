@@ -482,6 +482,15 @@ def _budget_at_the_first_lattice(monkeypatch):
     monkeypatch.setattr(heatflow, "_refine", capped)
 
 
+def _strict_json(path):
+    """The JSON file at path, read as jq and JSON.parse read it: Infinity,
+    -Infinity and NaN are not JSON, and raise."""
+    def refuse(name):
+        raise AssertionError(f"{path.name} holds the non-JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_unconverged_evolution_warns_and_is_recorded(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, EVOLVE_CFG)
     assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
@@ -489,14 +498,26 @@ def test_unconverged_evolution_warns_and_is_recorded(tmp_path, monkeypatch, caps
     meta = json.loads((tmp_path / "ok" / "evolve_meta.json").read_text())
     assert meta["results"][0]["converged"] is True
 
-    # no doubling fits: the first pass is kept with quad_error inf
+    # no doubling fits: the first pass is kept with quad_error inf, which
+    # the record writes as the string "inf", so the file stays strict JSON
     _budget_at_the_first_lattice(monkeypatch)
     assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "capped")]) == 0
     err = capsys.readouterr().err
     assert "warning: t=0.25: evolution did not converge" in err
     assert "quad_error inf" in err and "lattice_factor" in err
-    meta = json.loads((tmp_path / "capped" / "evolve_meta.json").read_text())
-    assert meta["results"][0]["converged"] is False
+    (rec,) = _strict_json(tmp_path / "capped" / "evolve_meta.json")["results"]
+    assert rec["converged"] is False
+    assert rec["quad_error"] == rec["value_error"] == "inf"
+    assert float(rec["value_error"]) == math.inf
+
+
+def test_meta_records_write_non_finite_numbers_as_strings():
+    """One rule for every metadata file, however deep the number sits."""
+    from heatconvex.cli import _strict
+
+    record = {"a": [np.float64(-np.inf), (np.nan, 2.5)], "b": {"c": math.inf, "d": 1}}
+    assert _strict(record) == {"a": ["-inf", ["nan", 2.5]], "b": {"c": "inf", "d": 1}}
+    assert json.loads(json.dumps(_strict(record), allow_nan=False))["b"]["c"] == "inf"
 
 
 def test_verify_and_hunt_warn_on_unconverged_evolutions(tmp_path, monkeypatch, capsys):
@@ -513,6 +534,8 @@ def test_verify_and_hunt_warn_on_unconverged_evolutions(tmp_path, monkeypatch, c
     assert "warning: power[1.5] t=0.05 level 0: evolution did not converge" in err
     assert "# no stable significant violation found" in (
         tmp_path / "h" / "hunt_power_1.5.csv").read_text()
+    for path in (tmp_path / "v" / "verify_meta.json", tmp_path / "h" / "hunt_meta.json"):
+        _strict_json(path)
 
 
 def test_hunt_at_the_node_budget_keeps_its_finished_levels(tmp_path, monkeypatch):

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from heatconvex.numerics import (DomainError, affine_fit,
-                                 discrete_convexity_defect,
-                                 invert_monotone, param_text,
+from heatconvex.numerics import (DomainError, invert_monotone, param_text,
                                  piecewise_simpson_weights, simpson_weights)
 
 
@@ -95,33 +93,6 @@ def test_piecewise_simpson_with_pieces_of_one_and_three_cells():
     w = piecewise_simpson_weights(nodes, [0, 10, 11, 14, 20])
     exact = 2.0 - 0.25 + 0.3 ** 4 / 4 + (0.027 * 0.6 + 2.0 * 0.6 ** 4 / 4)
     assert abs(float(w @ f) - exact) < 1e-14
-
-
-def test_affine_fit_recovers_line():
-    x = np.linspace(-3, 5, 50)
-    A, B, resid = affine_fit(x, 2.5 * x - 1.0)
-    assert abs(A - 2.5) < 1e-12
-    assert abs(B + 1.0) < 1e-12
-    assert resid < 1e-12
-
-
-def test_convexity_defect_sign():
-    x = np.linspace(-1, 1, 101)
-    d_convex, tol, _ = discrete_convexity_defect(x ** 2, x[1] - x[0], 0.0)
-    assert d_convex >= -tol
-    d_concave, tol2, _ = discrete_convexity_defect(-(x ** 2), x[1] - x[0], 0.0)
-    assert d_concave < -tol2
-
-
-def test_convexity_defect_noise_floor():
-    # noise below the stencil tolerance must not flip the verdict
-    rng = np.random.default_rng(3)
-    x = np.linspace(-1, 1, 201)
-    h = x[1] - x[0]
-    noise = 1e-12
-    y = x ** 2 + noise * rng.uniform(-1, 1, x.size)
-    defect, tol, _ = discrete_convexity_defect(y, h, noise)
-    assert defect >= -tol
 
 
 def test_param_text_is_g_where_that_reads_back():

@@ -9,23 +9,22 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import erf
 
 from heatconvex import (DomainError, FTransform, GSpec, GridFunction, abs_kink_generator,
-                        builtin_transforms, check_F_convex,
-                        check_curvature_criterion, classify, compare_strength, default_j_window, make_affine,
-                        gauss_kernel, make_exp, make_from_g, make_hot, make_neglog,
-                        make_power_alpha, scale_shift)
+                        builtin_transforms, check_F_convex, classify, compare_strength,
+                        default_j_window, make_affine, gauss_kernel, make_exp, make_from_g,
+                        make_hot, make_neglog, make_power_alpha, scale_shift)
 from heatconvex.heatflow import hot_h
 
 BUILTINS = builtin_transforms()
 
 
-def _closed_form(label, domain_kind, j_lo, ev, inv, dinv, log_inv, g, order=0.0):
+def _closed_form(label, domain_kind, j_lo, ev, inv, dinv, log_inv, g, shape, order=0.0):
     """A test-local transform on values (-inf or 0, inf) from closed forms of
-    F, f_F, f_F', log |f_F| and g, and its Gaussian order."""
+    F, f_F, f_F', log |f_F| and g, the shape of g and its Gaussian order."""
     lower = 0.0 if domain_kind == "half_line_nonneg" else -np.inf
     return FTransform(domain_kind=domain_kind, lower_a=lower, upper_ell=np.inf,
                       j_lo=j_lo, j_hi=np.inf, label=label, _eval=ev, _inverse=inv,
                       _inverse_deriv=dinv, _log_inverse=log_inv, gaussian_order=order,
-                      _g_closed=g)
+                      g_shape=shape, _g_closed=g)
 
 
 def _assert_preserved(F):
@@ -300,14 +299,63 @@ def test_g_of_power_general():
                                rtol=1e-11)
 
 
+def _sampled_g_shape(F):
+    """The shape of the closed-form g read from 257 samples of
+    default_j_window(F): 'zero' where max |g| is within its roundoff,
+    noise = 4 eps (1 + max |g|); else 'convex' where no central second
+    difference, divided by the squared spacing, falls below 100 times the
+    stencil noise 4 noise / spacing^2; else 'not_convex'."""
+    z = np.linspace(*default_j_window(F), 257)
+    g = F.g(z)
+    noise = 4 * np.finfo(float).eps * (1.0 + np.max(np.abs(g)))
+    if np.max(np.abs(g)) <= noise:
+        return "zero"
+    step2 = (z[1] - z[0]) ** 2
+    d2 = (g[:-2] - 2.0 * g[1:-1] + g[2:]) / step2
+    return "convex" if d2.min() >= -100.0 * 4.0 * noise / step2 else "not_convex"
+
+
+_DEMO_TENTS = [  # the tent rows of demos/classify_sweep.py: (drop, base_z, base_value, center)
+    (drop, base_z, base_value, c) for drop, base_z, base_value, centers in (
+        (1.0, 0.0, 0.0, (1.0, 12.0, 40.0)), (20.0, 0.0, 1.0, (0.0, 1.0, 12.0)),
+        (1.0, 50.0, 1.0, (-50.0, 0.0, 12.0))) for c in centers]
+_SHAPED = {**{name: (lambda F=F: F) for name, F in BUILTINS.items()},
+           **{f"power_{a:g}": (lambda a=a: make_power_alpha(a))
+              for a in (-1.0, 0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0)},
+           **{f"tent_{d:g}_{bz:g}_{bv:g}_{c:g}": (
+               lambda d=d, bz=bz, bv=bv, c=c: make_from_g(abs_kink_generator(c, d), bz, bv, 1.0))
+              for d, bz, bv, c in _DEMO_TENTS},
+           **{name: (lambda args=args: make_from_g(*args)) for name, args in _REBUILDS.items()},
+           "from_g_zero": lambda: make_from_g(GSpec(((0.0, 0.0),), 0.0, 0.0), 0.0, 0.0, 1.0)}
+
+
+@pytest.mark.parametrize("name", _SHAPED)
+def test_stated_g_shape_matches_a_sampled_second_difference(name):
+    """Each constructor states the shape of g; the sampled second
+    differences of the closed-form g on default_j_window agree, for the
+    transform and for its A*F + B, whose g is F's, moved and scaled."""
+    F = _SHAPED[name]()
+    for G in (F, scale_shift(F, 2.5, -1.0)):
+        assert G.g_shape == _sampled_g_shape(G), G.label
+
+
 def test_curvature_criterion_dichotomy():
-    """g is convex exactly for alpha <= 1 in the power family."""
-    for alpha in (-1.0, 0.0, 0.25, 0.5, 1.0):
-        crit = check_curvature_criterion(make_power_alpha(alpha))
-        assert crit.curvature_convex, alpha
-    for alpha in (1.25, 1.5, 2.0, 3.0):
-        crit = check_curvature_criterion(make_power_alpha(alpha))
-        assert not crit.curvature_convex, alpha
+    """g is convex exactly for alpha <= 1 in the power family: the stated
+    shape says so, the sampled second differences agree, and the classifier
+    reads it wherever a rule reaches the curvature criterion (power -1 has
+    a bounded image, which decides first)."""
+    for alpha in (-1.0, 0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0):
+        F = make_power_alpha(alpha)
+        convex = alpha <= 1.0
+        assert (F.g_shape != "not_convex") == (_sampled_g_shape(F) != "not_convex") == convex
+        assert classify(F).curvature_convex is (None if alpha == -1.0 else convex), alpha
+
+
+def test_classify_refuses_an_unknown_curvature_shape():
+    import dataclasses
+
+    with pytest.raises(DomainError, match="curvature shape"):
+        classify(dataclasses.replace(make_power_alpha(0.5), g_shape="concave"))
 
 
 # -- the generator-built transform ----------------------------------------------
@@ -600,7 +648,7 @@ def test_whole_line_inverse_divergent_at_the_lower_end_of_J():
                      lambda z: 1.0 + 1.0 / np.asarray(z, dtype=float) ** 2,
                      lambda z: np.log(np.abs(inv(z))),
                      lambda z: -2.0 / (np.asarray(z, dtype=float) ** 3 + z),
-                     order=np.inf)
+                     "not_convex", order=np.inf)
     rep = classify(F)
     assert rep.verdict == "only_trivially_preserved" and rep.gaussian_divergent
     assert rep.gaussian_order == np.inf and rep.curvature_convex is None
@@ -762,9 +810,86 @@ def test_compare_strength_power_hierarchy():
 
 
 def test_compare_strength_equivalence_under_relabeling():
-    F = make_power_alpha(0.5)
-    res = compare_strength(F, scale_shift(F, 4.0, 3.0))
-    assert res.relation == "equivalent"
+    """A*F + B defines F's class: for every builtin, at scales from 1/100 to
+    100, the sign test reads F o f_{A F + B}, which is affine, as convex
+    both ways round."""
+    for name, F in BUILTINS.items():
+        for A, B in ((2.5, -1.0), (4.0, 3.0), (0.01, 5.0), (100.0, -7.0)):
+            G = scale_shift(F, A, B)
+            assert compare_strength(F, G).relation == compare_strength(G, F).relation == (
+                "equivalent"), (name, A, B)
+
+
+@pytest.mark.parametrize("name, target", [
+    ("from_g_exp", make_power_alpha(0.0)), ("from_g_neglog", make_neglog(0.0, 1.0)),
+    ("from_g_hot", make_hot(1.0)),
+    ("from_g_zero", make_power_alpha(1.0))])
+def test_generator_rebuilds_are_equivalent_to_their_closed_forms(name, target):
+    """A linear generator rebuilds its closed form up to A*F + B: g = 1 from
+    f(0) = f'(0) = 1 is e^z, log's inverse; g = -1 from f(0) = 0 is
+    1 - e^-z, neglog's; g = -z/2 is the heat step's; and g = 0 from
+    f(0) = 0 is z, plain convexity of nonnegative values."""
+    F = _SHAPED[name]()
+    assert compare_strength(F, target).relation == "equivalent"
+
+
+def _sampled_composition_convex(F_outer, F_inner):
+    """The sampled oracle: F_outer o f_{F_inner} on 257 points of
+    default_j_window(F_inner), convex where each second difference of its
+    longest finite run is at least -1e-9 times the local scale
+    |y_-| + 2|y_0| + |y_+| + 1; not convex where f_{F_inner} leaves
+    F_outer's values (beyond 1e-9 relative) or fewer than 5 samples are
+    finite."""
+    z = np.linspace(*default_j_window(F_inner), 257)
+    vals = np.asarray(F_inner.inverse(z), dtype=float)
+    lo, hi = F_outer.lower_a, F_outer.upper_ell
+    slack = 1e-9 * (1.0 + np.abs(vals))
+    if np.any(vals < lo - slack) or np.any(vals > hi + slack):
+        return False
+    with np.errstate(divide="ignore", over="ignore"):
+        y = np.asarray(F_outer(np.clip(vals, lo, hi)), dtype=float)
+    idx = np.flatnonzero(np.isfinite(y))
+    run = max(np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1), key=len)
+    if run.size < 5:
+        return False
+    y = y[run]
+    d2 = y[2:] - 2.0 * y[1:-1] + y[:-2]
+    local = np.abs(y[2:]) + 2.0 * np.abs(y[1:-1]) + np.abs(y[:-2]) + 1.0
+    return bool(np.all(d2 >= -1e-9 * local))
+
+
+_ALPHAS = (-1.0, 0.0, 0.25, 0.5, 0.5001, 0.75, 0.999, 1.0, 1.5, 2.0)
+_PARITY_PAIRS = [pytest.param(make_power_alpha(a), make_power_alpha(b), id=f"power{a:g}-power{b:g}")
+                 for a in _ALPHAS for b in _ALPHAS if a != b] + [
+    pytest.param(*pair, id=f"{pair[0].label}-{pair[1].label}")
+    for ell in (0.5, 1.0, 2.0)
+    for pair in ((make_hot(ell), make_neglog(0.0, ell)), (make_neglog(0.0, ell), make_hot(ell)))]
+
+
+@pytest.mark.parametrize("F1, F2", _PARITY_PAIRS)
+def test_compare_strength_meets_the_sampled_second_differences(F1, F2):
+    """The sign test of the closed forms gives the relation that second
+    differences of sampled compositions give, on every ordered pair of ten
+    powers (0.5 against 0.5001 and 0.999 against 1 included) and on the heat
+    step against -log(ell - r), which it reads stronger."""
+    c12, c21 = _sampled_composition_convex(F1, F2), _sampled_composition_convex(F2, F1)
+    res = compare_strength(F1, F2)
+    assert (res.comp12_convex, res.comp21_convex) == (c12, c21)
+    if F1.label.startswith("hot"):
+        assert res.relation == "F1_stronger"
+
+
+def test_affine_on_the_whole_line_is_weaker_than_power_1_both_ways_round():
+    """Convex functions of any sign hold the nonnegative ones: affine[3,2]
+    is weaker than power[1] in either argument order.  Its first order read
+    equivalent when an affine fit of F1 against F2 decided equivalence: the
+    fit read both transforms at f_{power[1]}'s values only, r > 0, where
+    affine[3,2] is 3 power[1] + 5, and never saw the negative values that
+    affine[3,2] takes and power[1] refuses.  The reverse order clipped those
+    to 0, the fit failed, and it read F1_stronger."""
+    A, P1 = BUILTINS["affine_3_2"], BUILTINS["power_1"]
+    assert compare_strength(A, P1).relation == "F1_weaker"
+    assert compare_strength(P1, A).relation == "F1_stronger"
 
 
 def test_compare_strength_kink_incomparable_with_identity():
