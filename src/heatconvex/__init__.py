@@ -14,7 +14,7 @@ which transforms keep that structure under the heat semigroup.  Four layers:
   verify / hunt).
 """
 
-from .numerics import DomainError, invert_monotone
+from .numerics import DomainError
 from .transforms import (
     ClassReport,
     FTransform,
@@ -24,7 +24,6 @@ from .transforms import (
     builtin_transforms,
     classify,
     compare_strength,
-    default_j_window,
     make_affine,
     make_exp,
     make_from_g,
@@ -39,8 +38,6 @@ from .heatflow import (
     ExistenceWindowError,
     GridFunction,
     InitialDatum,
-    fit_growth_envelope,
-    gauss_kernel,
     grid_nodes,
     heat_evolve_dirichlet,
     heat_evolve_free,
@@ -84,15 +81,11 @@ __all__ = [
     "classify",
     "compare_strength",
     "counterexample_datum",
-    "default_j_window",
-    "fit_growth_envelope",
-    "gauss_kernel",
     "grid_nodes",
     "heat_evolve_dirichlet",
     "heat_evolve_free",
     "hot_h",
     "hunt_violation",
-    "invert_monotone",
     "make_affine",
     "make_exp",
     "make_from_g",

@@ -9,14 +9,18 @@ propagated from each grid function's recorded value error, and a violation
 counts as significant only when its gap clears a significance factor
 (default 10) times that floor.
 
-Every check is a line scan along the lattice directions of one table (the
+Every check scans the lattice lines along the directions of one table (the
 vectors of {-1, 0, 1}^n up to sign: the axis in 1D; rows, columns and both
-diagonals in 2D; 13 directions in 3D) asking whether a middle value sits
+diagonals in 2D; 13 directions in 3D), asking whether a middle value sits
 above its ends: above the weighted chord for F-convexity, above the running
-minima on both sides for quasi-convexity.
+minima on both sides for quasi-convexity.  `_lines` lists a direction's
+lines as rows of flat node indices padded with a sentinel index, and the
+aligned scan and the quasi-convexity check read the field values through
+those rows as line stacks.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -159,16 +163,26 @@ def _starts(n, step, qs):
     return (qs if step < 0 else 0), (n - qs if step > 0 else n)
 
 
-def _line_slices(shape, d, ps, qs):
-    """Slices (s0, sm, s1) of the nodes x, x + ps*d, x + qs*d over every x
-    whose triple fits the grid, or None when stride qs leaves no triple."""
-    axes = []
-    for n, step in zip(shape, d):
-        if step and n <= qs:
-            return None
-        lo, hi = _starts(n, step, qs)
-        axes.append(tuple(slice(lo + o * step, hi + o * step) for o in (0, ps, qs)))
-    return tuple(zip(*axes))
+@functools.lru_cache(maxsize=32)
+def _lines(shape, d):
+    """Flat node indices of the lattice lines along d, a row per line in
+    travel order; each row is padded past its line's end with prod(shape),
+    one past the last node, so that a field with one sentinel appended
+    reads the sentinel there.  Read-only: kept for the 32 (shape,
+    direction) pairs scanned last, since a certificate and a
+    quasi-convexity check of one grid scan the same lines."""
+    size = math.prod(shape)
+    axes = [(x, n, step) for x, n, step in zip(np.indices(shape).reshape(len(shape), -1),
+                                               shape, d) if step]
+    ahead = np.min([n - 1 - x if step > 0 else x for x, n, step in axes], axis=0)
+    behind = np.min([x if step > 0 else n - 1 - x for x, n, step in axes], axis=0)
+    first = np.flatnonzero(behind == 0)
+    length = ahead[first] + 1
+    step = sum(step * math.prod(shape[k + 1:]) for k, step in enumerate(d))
+    k = np.arange(length.max())
+    lines = np.where(k < length[:, None], first[:, None] + step * k, size)
+    lines.flags.writeable = False
+    return lines
 
 
 def _fields(v, spread, factor, lam):
@@ -185,7 +199,7 @@ def _fields(v, spread, factor, lam):
                 pair((1.0 - lam) * v, (1.0 - lam) * ends), pair(lam * v, lam * ends))
 
 
-def _block_winner(gap, margin, count, inside=None):
+def _block_winner(gap, margin, count, inside=None, keys=None):
     """(k, margin[k], max gap, count) of a block of triples with gaps gap
     and margins margin, k the flat index of the largest margin (the first on
     ties), or None when the block holds no triple.  count is the block's
@@ -193,23 +207,33 @@ def _block_winner(gap, margin, count, inside=None):
     endpoints) are not triples, and a NaN margin (infinite noise) counts as
     -inf.  inside(), when given, masks the entries that are triples: the
     others are padding, whose gaps and margins are -inf or NaN, so they
-    matter only when no margin beats -inf.
+    matter only when no margin beats -inf.  keys, when given, holds the
+    scan-order keys of the entries of one leading index (a stride): a tie
+    within k's stride goes to the smallest key instead.
     """
     k = int(margin.argmax())
     m, g_max = margin.flat[k], gap.max()
-    if m == m and g_max == g_max and (inside is None or m > -np.inf):
-        return k, m, float(g_max), count
-    valid = ~np.isnan(gap)
-    if inside is not None:
-        valid &= inside()
-    count = int(np.count_nonzero(valid))
-    if count == 0:
-        return None
-    margin = np.where(valid & ~np.isnan(margin), margin, -np.inf)
-    k = int(margin.argmax())
-    if not valid.flat[k]:  # every margin is -inf: the first triple decides
-        k = int(valid.argmax())
-    return k, margin.flat[k], float(np.nanmax(gap)), count
+    valid = None
+    if not (m == m and g_max == g_max and (inside is None or m > -np.inf)):
+        valid = ~np.isnan(gap)
+        if inside is not None:
+            valid &= inside()
+        count = int(np.count_nonzero(valid))
+        if count == 0:
+            return None
+        margin = np.where(valid & ~np.isnan(margin), margin, -np.inf)
+        k = int(margin.argmax())
+        if not valid.flat[k]:  # every margin is -inf: the first triple decides
+            k = int(valid.argmax())
+        m, g_max = margin.flat[k], np.nanmax(gap)
+    if keys is not None:
+        kb, n = divmod(k, keys.size)
+        tied = margin[kb] == m
+        if valid is not None:
+            tied &= valid[kb]
+        tied = np.flatnonzero(tied)
+        k += int(tied[keys.flat[tied].argmin()]) - n
+    return k, m, float(g_max), count
 
 
 def _fold(best, fields, lam, margin, gap, g_max, nodes):
@@ -228,99 +252,87 @@ def _fold(best, fields, lam, margin, gap, g_max, nodes):
 
 
 def _scan_aligned(best, fields, p, q, lam):
-    """Worst margin over all grid-aligned stride triples for one weight.
+    """Worst margin over all grid-aligned stride triples for one weight, in
+    scan order: stride, direction, start node in C order.
 
-    Strides go in blocks of as many as fill _BLOCK triples at the block's
-    first (largest) start region; one numpy pass per block and direction
-    reads each triple member through one strided view of the real or the
-    imaginary plane of its field, copied apart (so a view's rows are
-    contiguous) and padded past the grid's far corner by q (B - 1) sentinel
-    nodes (B the longest block): ends +inf, middles -inf, so a triple with
-    a padded member is never counted and never decides.  Gaps and margins
-    land in two buffers reused by every pass.  On an axis stepping back the
-    start region is indexed from the far end, so every member lies at a
-    nonnegative multiple of the stride: (0, p, q) along a step, (q, q - p,
-    0) against.
+    Directions go in groups: consecutive ones whose lines (`_lines`) hold at
+    most _BLOCK nodes together, or one direction.  A group's lines make one
+    table, a column per line, with q (B - 1) more rows (B the group's
+    longest block), and each field plane is gathered through it once; the
+    sentinel reads +inf for ends and -inf for middles, so a triple with a
+    padded member is never counted and never decides.  Strides go in blocks
+    of as many as fill _BLOCK / (number of directions) table entries at the
+    block's first stride, which keeps an n-axis scan's buffers small.  One
+    numpy pass per block reads the members k, k + p s and k + q s of every
+    line through one strided view of each plane, into two buffers.  A tie in
+    a pass goes to the earlier direction, then start node (key); a tie
+    between groups to the earlier group.
     """
     v, _, mid, end0, end1 = fields
-    shape, dirs = v.shape, _DIRECTIONS[v.ndim]
-    caps = [min((n - 1) // q for n, step in zip(shape, d) if step) for d in dirs]
-    s_cap = max(caps)
-
-    def region(d, s):
-        return tuple(n - q * s if step else n for n, step in zip(shape, d))
-
-    blocks, s = [], 1
-    while s <= s_cap:
-        size = max(math.prod(region(d, s)) for d, cap in zip(dirs, caps) if cap >= s)
-        b = max(1, min(_BLOCK // size, s_cap - s + 1))
-        blocks.append((s, b, size))
-        s += b
-    if not blocks:
-        return best, 0
-    pad = q * (max(b for _, b, _ in blocks) - 1)
-    n_buf = max(b * size for _, b, size in blocks)
-    gap_buf, margin_buf = np.empty(n_buf), np.empty(n_buf)
-
-    def planes(a, fill):
-        out = np.full((2, *(n + pad for n in shape)), fill)
-        out[(slice(None), *(slice(0, n) for n in shape))] = a.real, a.imag
-        return out
-
-    members = planes(end0, np.inf), planes(mid, -np.inf), planes(end1, np.inf)
-    plane, *strides = members[0].strides
-    mults = [tuple((0, p, q) if step > 0 else (q, q - p, 0) if step < 0 else (0, 0, 0)
-                   for step in d) for d in dirs]
-    count = 0
-    for s, b, _ in blocks:
-        cands = []
-        for j, (d, cap) in enumerate(zip(dirs, caps)):
-            if cap < s:
-                continue
-            bd, reg = min(b, cap - s + 1), region(d, s)
-            shape_b = (bd, *reg)
-            gap = gap_buf[:math.prod(shape_b)].reshape(shape_b)
-            margin = margin_buf[:gap.size].reshape(shape_b)
-            views = []
-            for arr, c in zip(members, zip(*mults[j])):
-                step_b = sum(ci * st for ci, st in zip(c, strides))
-                views.append(tuple(np.ndarray(shape_b, float, arr, part + s * step_b,
-                                              (step_b, *strides))
-                                   for part in (0, plane)))
-            (e0_re, e0_im), (m_re, m_im), (e1_re, e1_im) = views
-            with np.errstate(invalid="ignore"):
+    shape, size, dirs = v.shape, v.size, _DIRECTIONS[v.ndim]
+    ext = np.empty((6, size + 1))  # the planes of end0, mid and end1, then the sentinel
+    ext[:, :size] = [part.reshape(-1) for a in (end0, mid, end1) for part in (a.real, a.imag)]
+    ext[:, size] = np.inf, np.inf, -np.inf, -np.inf, np.inf, np.inf
+    groups = [[]]
+    for j, d in enumerate(dirs):
+        lines = _lines(shape, d)
+        if groups[-1] and sum(t.size for _, t in groups[-1]) + lines.size > _BLOCK:
+            groups.append([])
+        groups[-1].append((j, lines))
+    cands, count, g_all = [], 0, -np.inf
+    for group in groups:
+        longest, n_lines = max(t.shape[1] for _, t in group), sum(len(t) for _, t in group)
+        blocks, s, n_strides = [], 1, (longest - 1) // q
+        while s <= n_strides:
+            w = longest - q * s
+            blocks.append((s, max(1, min(_BLOCK // len(dirs) // (w * n_lines),
+                                         n_strides - s + 1)), w))
+            s += blocks[-1][1]
+        if not blocks:
+            continue
+        idx = np.full((longest + q * (max(b for _, b, _ in blocks) - 1), n_lines), size)
+        first = 0
+        for _, t in group:
+            idx[:t.shape[1], first:first + len(t)] = t.T
+            first += len(t)
+        key = idx + np.repeat([j * size for j, _ in group], [len(t) for _, t in group])
+        length = np.count_nonzero(idx < size, axis=0)
+        # triples of the strides up to each (and of stride 0, which cancels)
+        done = np.cumsum(np.maximum(length - q * np.arange(n_strides + 1)[:, None], 0).sum(1))
+        stack = [plane.take(idx) for plane in ext]
+        row, item = stack[0].strides
+        n_buf = max(b * w for _, b, w in blocks) * n_lines
+        gap_buf, margin_buf, found = np.empty(n_buf), np.empty(n_buf), None
+        with np.errstate(invalid="ignore"):
+            for s, b, w in blocks:
+                gap = gap_buf[:b * w * n_lines].reshape(b, w, n_lines)
+                margin = margin_buf[:gap.size].reshape(gap.shape)
+                e0_re, e0_im, m_re, m_im, e1_re, e1_im = (
+                    np.ndarray(gap.shape, float, plane, o * s * row, (o * row, row, item))
+                    for plane, o in zip(stack, (0, 0, p, p, q, q)))
                 np.subtract(m_re, np.add(e0_re, e1_re, out=gap), out=gap)
                 np.subtract(m_im, np.add(e0_im, e1_im, out=margin), out=margin)
-            starts = [n - q * np.arange(s, s + bd) for n, step in zip(shape, d) if step]
-            n_triples = int(np.sum(np.prod(starts, axis=0))) * math.prod(
-                n for n, step in zip(shape, d) if not step)
 
-            def inside():
-                # the start index lies below n - q s on every stepping axis
-                lead, *idx = np.ogrid[tuple(slice(0, m) for m in shape_b)]
-                mask = True
-                for i, n, step in zip(idx, shape, d):
-                    if step:
-                        mask = mask & (i < n - q * (s + lead))
-                return mask
+                def inside():
+                    # the end, q (s + kb) steps past the start, lies on its line
+                    return np.arange(w)[:, None] < length - q * np.arange(s, s + b)[:, None, None]
 
-            won = _block_winner(gap, margin, n_triples, inside)
-            if won is not None:
-                k, m_k, g_max, cnt = won
-                count += cnt
-                kb, rest = divmod(k, math.prod(reg))
-                cands.append(((-m_k, kb, j), gap.flat[k], g_max,
-                              np.unravel_index(rest, reg)))
-        if not cands:
-            continue
-        # ties go to the smaller stride, then the earlier direction: scan order
-        (neg_m, kb, j), g, _, idx = min(cands, key=lambda c: c[0])
-        sk, d = s + kb, dirs[j]
-        x = tuple(int(i) + (q * sk if step < 0 else 0) for i, step in zip(idx, d))
-        nodes = tuple(tuple(a + o * sk * step for a, step in zip(x, d))
-                      for o in (0, p, q))
-        best = _fold(best, fields, lam, -neg_m, g, max(c[2] for c in cands), nodes)
-    return best, count
+                won = _block_winner(gap, margin, int(done[s - 1 + b] - done[s - 1]), inside,
+                                    key[:w] if n_lines > 1 else None)
+                if won is not None:
+                    k, m_k, g_max, cnt = won
+                    count, g_all = count + cnt, max(g_all, g_max)
+                    if found is None or m_k > found[0]:
+                        found = (m_k, s + k // gap[0].size, *divmod(k % gap[0].size, n_lines),
+                                 gap.flat[k])
+        if found is not None:
+            m_k, sk, c, line, g = found
+            cands.append(((-m_k, sk), g, tuple(tuple(map(int, np.unravel_index(
+                idx[c + o * sk, line], shape))) for o in (0, p, q))))
+    if not cands:
+        return best, count
+    (neg_m, _), g, nodes = min(cands, key=lambda c: c[0])  # the first: scan order
+    return _fold(best, fields, lam, -neg_m, g, g_all, nodes), count
 
 
 def _scan_random(best, fields, triples_per_lam, rng, p, q, lam, bufs):
@@ -433,61 +445,43 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
 # -- quasi-convexity ----------------------------------------------------------
 
 
-def _running_min(vals, d):
-    """Minimum over each node and every node before it along d, by window
-    doubling: the pass with stride k leaves the minimum over 2k nodes.
-    NaN nodes are skipped; the minimum is NaN only where all of them are."""
-    run = vals.astype(float)
-    k = 1
-    while (slices := _line_slices(vals.shape, d, 0, k)) is not None:
-        s0, _, s1 = slices
-        run[s1] = np.fmin(run[s1], run[s0])
-        k *= 2
-    return run
-
-
-def _ray(node, d, shape):
-    """Index arrays of the nodes node + k*d, k = 1, 2, ..., inside the grid."""
-    k = min(n - 1 - i if step > 0 else i
-            for i, step, n in zip(node, d, shape) if step)
-    steps = np.arange(1, k + 1)
-    return tuple(i + step * steps for i, step in zip(node, d))
-
-
 def check_quasi_convex(u, n_levels=32):
     """Are all sublevel sets of the sampled values convex?
 
     They are when no point of a segment lies above both its ends.  Along
-    every grid line of the scan directions, a node above the running minima
-    strictly before and after it, by more than the value-error tolerance,
-    refutes quasi-convexity.  Returns (verdict, witness): None when
-    quasi-convex, else grid points (x0, x_mid, x1) on one line, x_mid at the
-    largest excess of the first direction that has one and x0, x1 the
-    smallest values before and after it (first in travel order on ties).
-    NaN nodes (outside the domain) are skipped: they are never a witness.
-    n_levels has no effect (the line scan covers every level at once); it
-    stays so that callers passing it keep working.
+    every lattice line of the scan directions, a node above the running
+    minima strictly before and after it, by more than the value-error
+    tolerance (scaled by the largest finite |value|), refutes
+    quasi-convexity.  Returns (verdict, witness): None when quasi-convex,
+    else grid points (x0, x_mid, x1) on one line, x_mid at the largest
+    excess of the first direction that has one (the first node in C order
+    on ties) and x0, x1 the smallest values before and after it (first in
+    travel order on ties).  NaN nodes (outside the domain) are skipped: they
+    are never a witness.  n_levels has no effect (the line scan covers every
+    level at once); it stays only because perfbench/workloads.py passes it,
+    and goes when the benchmark stops passing it.
     """
     vals = u.values
-    tol = (4 * _EPS + u.value_error) * float(np.nanmax(np.abs(vals)) + 1.0)
+    finite = np.abs(vals[np.isfinite(vals)])
+    tol = (4 * _EPS + u.value_error) * (float(finite.max(initial=0.0)) + 1.0)
+    flat = np.append(vals.reshape(-1), np.nan)  # padding reads NaN, which fmin skips
     for d in _DIRECTIONS[u.dim]:
-        slices = _line_slices(vals.shape, d, 1, 2)
-        if slices is None:
+        lines = _lines(vals.shape, d)
+        row = flat[lines]
+        before = np.fmin.accumulate(row, axis=1)
+        after = np.fmin.accumulate(row[:, ::-1], axis=1)[:, ::-1]
+        with np.errstate(invalid="ignore"):  # inf - inf: no excess
+            excess = row[:, 1:-1] - np.maximum(before[:, :-2], after[:, 2:])
+        excess[np.isnan(excess)] = -np.inf
+        top = excess.max(initial=-np.inf)
+        if not top > tol:
             continue
-        back = tuple(-step for step in d)
-        s0, sm, s1 = slices
-        excess = vals[sm] - np.maximum(_running_min(vals, d)[s0],
-                                       _running_min(vals, back)[s1])
-        k = int(np.argmax(np.nan_to_num(excess, nan=-np.inf)))
-        if excess.flat[k] <= tol:
-            continue
-        idx = np.unravel_index(k, excess.shape)
-        j = tuple(i + sl.start for i, sl in zip(idx, sm))
-        before = tuple(a[::-1] for a in _ray(j, back, vals.shape))
-        after = _ray(j, d, vals.shape)
-        i0 = tuple(a[int(np.nanargmin(vals[before]))] for a in before)
-        i1 = tuple(a[int(np.nanargmin(vals[after]))] for a in after)
-        return False, (_node_point(u, i0), _node_point(u, j), _node_point(u, i1))
+        tied = np.flatnonzero(excess == top)
+        k = int(tied[lines[:, 1:-1].flat[tied].argmin()])
+        line, c = divmod(k, excess.shape[1])
+        nodes = (lines[line, int(np.nanargmin(row[line, :c + 1]))], lines[line, c + 1],
+                 lines[line, c + 2 + int(np.nanargmin(row[line, c + 2:]))])
+        return False, tuple(_node_point(u, np.unravel_index(i, vals.shape)) for i in nodes)
     return True, None
 
 

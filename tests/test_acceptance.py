@@ -23,8 +23,6 @@ from heatconvex import (
     compare_strength,
     counterexample_datum,
     builtin_transforms,
-    default_j_window,
-    gauss_kernel,
     heat_evolve_dirichlet,
     heat_evolve_free,
     hot_h,
@@ -37,6 +35,8 @@ from heatconvex import (
     make_power_alpha,
     abs_kink_generator,
 )
+from heatconvex.heatflow import gauss_kernel
+from heatconvex.transforms import default_j_window
 
 
 def _report(num, ok, detail):

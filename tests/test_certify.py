@@ -805,6 +805,93 @@ def test_every_refutation_carries_a_line_witness(seed, n0, n1, step):
         assert_line_witness(u, witness)
 
 
+def brute_quasi(u):
+    """check_quasi_convex by enumeration of every (start, middle, end) node
+    triple on every lattice line, NaN nodes skipped: the first direction
+    whose largest excess of a middle over its ends passes the tolerance
+    decides, at the first middle node in C order of that excess, with the
+    smallest values before and after it as ends (the first in travel order
+    on ties)."""
+    v = u.values
+    finite = np.abs(v[np.isfinite(v)])
+    tol = (4 * np.finfo(float).eps + u.value_error) * (finite.max(initial=0.0) + 1.0)
+
+    def ray(j, d, sign):
+        nodes, x = [], tuple(a + sign * c for a, c in zip(j, d))
+        while all(0 <= a < n for a, n in zip(x, v.shape)):
+            if not np.isnan(v[x]):
+                nodes.append(x)
+            x = tuple(a + sign * c for a, c in zip(x, d))
+        return nodes
+
+    for d in _DIRECTIONS[v.ndim]:
+        top = None
+        for j in np.ndindex(v.shape):
+            before, after = ray(j, d, -1)[::-1], ray(j, d, 1)
+            with np.errstate(invalid="ignore"):
+                excess = [v[j] - max(v[a], v[b]) for a in before for b in after]
+            excess = [e for e in excess if not np.isnan(e)]
+            if excess and (top is None or max(excess) > top[0]):
+                top = (max(excess), before, j, after)
+        if top is not None and top[0] > tol:
+            _, before, j, after = top
+            nodes = (min(before, key=v.__getitem__), j, min(after, key=v.__getitem__))
+            points = [tuple(float(ax[i]) for ax, i in zip(u.axes(), n)) for n in nodes]
+            return False, tuple(p[0] if v.ndim == 1 else p for p in points)
+    return True, None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(st.integers(2, 30)), st.tuples(st.integers(2, 9), st.integers(2, 9)),
+                 st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5))),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["walk", "bowl"]),
+       st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, 0.2]), st.sampled_from([0.0, 0.1]),
+       st.sampled_from([0.0, 1e-3]))
+def test_quasi_check_matches_an_enumeration_of_line_triples(shape, seed, kind, step, nan_share,
+                                                            inf_share, value_error):
+    """Random walks (mostly refuted) and bowls (quasi-convex), rounded so
+    that ties are common, with NaN and infinite nodes: the verdict and the
+    witness are those of brute_quasi."""
+    rng = np.random.default_rng(seed)
+    if kind == "walk":
+        vals = np.cumsum(rng.standard_normal(shape), axis=0)
+    else:
+        centre = rng.random(len(shape)) * np.array(shape)
+        vals = sum((x - c) ** 2 for x, c in zip(np.indices(shape), centre)).astype(float)
+    if step:
+        vals = np.round(vals / step) * step
+    vals[rng.random(shape) < inf_share] = np.inf
+    vals[rng.random(shape) < nan_share] = np.nan
+    u = GridFunction(values=vals, extent=tuple((0.0, 1.0 + k) for k in range(len(shape))),
+                     value_error=value_error)
+    assert check_quasi_convex(u) == brute_quasi(u)
+
+
+@pytest.mark.parametrize("vals", [[1.0, 5.0, 2.0, np.inf], [1.0, np.inf, 2.0],
+                                  [[1.0, 5.0, 2.0], [0.0, 0.0, np.inf]]])
+def test_an_infinite_node_does_not_pass_every_grid(vals):
+    """The tolerance used to scale with max |u|, infinite here, so a grid
+    with an infinite node passed whatever its other values were."""
+    vals = np.array(vals)
+    u = GridFunction(values=vals, extent=((0.0, 1.0),) * vals.ndim)
+    ok, witness = check_quasi_convex(u)
+    assert not ok
+    assert_line_witness(u, witness)
+
+
+@pytest.mark.parametrize("vals", [np.full((3, 4), np.nan), [2.0, np.nan, -0.1],
+                                  [np.nan, np.nan, -0.75]])
+def test_a_grid_without_a_line_triple_is_quasi_convex(vals):
+    """No line holds three nodes that are not NaN.  The all-NaN grid used to
+    warn 'All-NaN slice', the second grid was refuted with its NaN node as
+    the middle, and the third raised ValueError."""
+    vals = np.array(vals)
+    u = GridFunction(values=vals, extent=((0.0, 1.0),) * vals.ndim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_quasi_convex(u) == (True, None)
+
+
 # -- sampling plans ------------------------------------------------------------
 
 
@@ -1018,6 +1105,20 @@ def test_aligned_scan_matches_enumeration_over_all_strides(monkeypatch, shape, v
     lams = (0.5, 1 / 3, 3 / 8)
     cert = check_F_convex(u, P0, SamplingPlan(lambdas=lams))
     expected = fold_triples(u, P0, aligned_triples(shape, lams), 10.0)
+    assert_certificate_matches(u, cert, expected)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(4, 7), min_size=2, max_size=3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.5, 1 / 3]))
+def test_aligned_scan_breaks_ties_by_start_node(shape, seed, lam):
+    """Values of three levels tie many triples of largest margin across
+    lines and directions: the first in scan order (stride, direction, start
+    node in C order) decides, whatever the order of the lines it lies on."""
+    vals = np.random.default_rng(seed).choice([1.0, 2.0, 3.0], size=shape)
+    u = GridFunction(values=vals, extent=tuple((0.0, 1.0) for _ in shape), growth_a=4.0)
+    cert = check_F_convex(u, P1, SamplingPlan(lambdas=(lam,)))
+    expected = fold_triples(u, P1, aligned_triples(tuple(shape), (lam,)), 10.0)
     assert_certificate_matches(u, cert, expected)
 
 

@@ -8,14 +8,13 @@ import pytest
 from scipy.special import erf
 
 from heatconvex import (DomainSpec, EvaluationWindowError,
-                        ExistenceWindowError, GridFunction, InitialDatum,
-                        fit_growth_envelope, gauss_kernel, grid_nodes,
+                        ExistenceWindowError, GridFunction, InitialDatum, grid_nodes,
                         heat_evolve_dirichlet, heat_evolve_free, heatflow, hot_h,
                         hunt_violation, make_power_alpha)
 from heatconvex.heatflow import (_BAND_ROWS, _CSV_ROWS, _box_apply, _dirichlet_kernels,
                                  _fast_len, _kernel_apply, _kernel_matrix, _pchip,
                                  _resolve_datum, _row_template, _separable, _start_factor,
-                                 _valid, check_existence)
+                                 _valid, check_existence, fit_growth_envelope, gauss_kernel)
 from heatconvex.numerics import DomainError, piecewise_simpson_weights
 
 

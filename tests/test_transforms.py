@@ -10,9 +10,10 @@ from scipy.special import erf
 
 from heatconvex import (DomainError, FTransform, GSpec, GridFunction, abs_kink_generator,
                         builtin_transforms, check_F_convex, classify, compare_strength,
-                        default_j_window, make_affine, gauss_kernel, make_exp, make_from_g,
-                        make_hot, make_neglog, make_power_alpha, scale_shift)
-from heatconvex.heatflow import hot_h
+                        make_affine, make_exp, make_from_g, make_hot, make_neglog,
+                        make_power_alpha, scale_shift)
+from heatconvex.heatflow import gauss_kernel, hot_h
+from heatconvex.transforms import default_j_window
 
 BUILTINS = builtin_transforms()
 
