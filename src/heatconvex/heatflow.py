@@ -19,17 +19,20 @@ the sum per axis by one inverse FFT.  Other long 1D convolutions run as
 blocked FFTs (blocks of half the kernel where the roundoff bound is within
 a hundredth of the tolerance, else of an eighth within it), short ones (and
 data whose bound is too large) as direct sums, and every FFT carries a
-roundoff bound; data of two or more axes apply the decimated operator
-matrix of each axis along that axis, the first (a band on free space) by
-blocks of output rows over their own band.  The heat kernel is rotation
-invariant, so a ridge, a datum that reads x only through xi = d . x,
-evolves as the 1D flow of its profile: where the output nodes fill one
-uniform line of xi, free space takes that flow once on the line, with the
-profile's certificate, and gathers the grid from it.  One refinement loop
-refuses a first pass that is not finite, then doubles every m_k until a
-two-grid Richardson comparison meets the requested tolerance or the lattice
-would pass a node budget; the achieved estimate plus the roundoff bound is
-recorded on the result so certificates can build honest noise floors.
+roundoff bound.  Data of two or more axes apply the decimated operator
+matrix of each axis (a band on free space, taken by blocks of output rows
+over their own band) along that axis, without forming the lattice: it is
+sampled in slabs of rows along the first axis, each slab contracted along
+the other axes, and the first axis applied last to the contracted rows.
+The heat kernel is rotation invariant, so a ridge, a datum that reads x
+only through xi = d . x, evolves as the 1D flow of its profile: where the
+output nodes fill one uniform line of xi, free space takes that flow once
+on the line, with the profile's certificate, and gathers the grid from
+it.  One refinement loop refuses a first pass that is not finite, then
+doubles every m_k until a two-grid Richardson comparison meets the
+requested tolerance or the lattice would pass a node budget; the achieved
+estimate plus the roundoff bound is recorded on the result so certificates
+can build honest noise floors.
 """
 from __future__ import annotations
 
@@ -136,9 +139,9 @@ def _open_mesh(axes):
     return [np.asarray(c)[(...,) + (None,) * (n - 1 - k)] for k, c in enumerate(axes)]
 
 
-def _pchip(x, y, xq):
-    """Monotone cubic interpolant of y along axis 0 at the points xq, NaN
-    outside [x[0], x[-1]].
+def _pchip(x, y):
+    """Monotone cubic interpolant of y along axis 0, as a function of the
+    points xq, NaN outside [x[0], x[-1]]; its cells are fitted once here.
 
     Fritsch-Carlson slopes: the weighted harmonic mean of the two chords
     inside (0 where they differ in sign or one is 0), Moler's shape-keeping
@@ -164,12 +167,34 @@ def _pchip(x, y, xq):
         d = np.concatenate([e[:1], inner, e[1:]])
     t = (d[:-1] + d[1:] - 2 * m) / h
     c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
-    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
-    s = (xq - x[i]).reshape((-1,) + h.shape[1:])
-    # the sum starts from 0.0 as scipy's does, so a -0.0 node value reads 0.0
-    out = 0.0 + c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
-    out[~((xq >= x[0]) & (xq <= x[-1]))] = np.nan
-    return out
+
+    def at(xq):
+        xq = np.atleast_1d(xq)  # a scalar (a one-sided edge sample) is one point
+        i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+        s = (xq - x[i]).reshape((-1,) + h.shape[1:])
+        # the sum starts from 0.0 as scipy's does, so a -0.0 node value
+        # reads 0.0; it runs in place, term by term in scipy's order, so a
+        # slab of lattice rows holds two arrays of its size, not five
+        out = np.add(0.0, c3[i])
+        term = np.empty_like(out)
+        for c, power in ((c2, s), (c1, s * s), (c0, s * s * s)):
+            np.take(c, i, axis=0, out=term)
+            term *= power
+            out += term
+        out[~((xq >= x[0]) & (xq <= x[-1]))] = np.nan
+        return out
+    return at
+
+
+def _cubics(nodes, first, axes):
+    """The lattice axes[0] x axes[1] x ... read by monotone cubics along each
+    axis in turn: along axis 0 by first, a cubic already fitted through
+    nodes[0], then along each axis k by one through nodes[k], fitted to
+    what the axes before gave."""
+    vals = first(axes[0])
+    for k, (a, x) in enumerate(zip(nodes[1:], axes[1:]), 1):
+        vals = np.moveaxis(_pchip(a, np.moveaxis(vals, k, 0))(x), 0, k)
+    return vals
 
 
 @dataclass
@@ -220,13 +245,6 @@ class GridFunction:
             np.linspace(lo, hi, n)
             for (lo, hi), n in zip(self.extent, self.values.shape)
         )
-
-    def interp_to_lattice(self, *axes):
-        """Values on the lattice axes[0] x axes[1] x ..., by monotone cubics."""
-        vals = self.values
-        for k, (a, x) in enumerate(zip(self.axes(), axes)):
-            vals = np.moveaxis(_pchip(a, np.moveaxis(vals, k, 0), x), 0, k)
-        return vals
 
     # -- serialization ------------------------------------------------------
 
@@ -454,7 +472,9 @@ def _resolve_datum(phi, dim):
     at points, in any order) as floats.  Grid data raise
     EvaluationWindowError where a lattice axis leaves their extent by more
     than roundoff (1e-9 relative), and are read by monotone cubics clamped
-    to it.  A callable's result is broadcast to the lattice, so a datum that
+    to it, axis by axis: the cubic along axis 0 is fitted once, the later
+    ones to the rows each call reads, so slabs of lattice rows repeat no
+    fit.  A callable's result is broadcast to the lattice, so a datum that
     reads some axes only is evaluated on those only.  breakpoints holds kink
     coordinates per axis (a datum's flat tuple serves every axis; a ridge's
     kink b lies on the axis d crosses, at b / d_k, when it crosses one, and
@@ -465,6 +485,8 @@ def _resolve_datum(phi, dim):
     if isinstance(phi, GridFunction):
         if phi.dim != dim:
             raise ValueError(f"dim-{phi.dim} grid data for a dim-{dim} evolution")
+        nodes = phi.axes()
+        first = _pchip(nodes[0], phi.values)
 
         def sample(*axes):
             for y, (lo, hi) in zip(axes, phi.extent):
@@ -473,8 +495,8 @@ def _resolve_datum(phi, dim):
                     raise EvaluationWindowError(
                         f"datum known on {(lo, hi)} but integration window is "
                         f"[{y_lo}, {y_hi}]")
-            return phi.interp_to_lattice(
-                *(np.clip(c, lo, hi) for c, (lo, hi) in zip(axes, phi.extent)))
+            return _cubics(nodes, first,
+                           [np.clip(c, lo, hi) for c, (lo, hi) in zip(axes, phi.extent)])
         return (sample, phi.growth_a, phi.growth_A, ((),) * dim, phi.spacing,
                 phi.value_error)
     if isinstance(phi, InitialDatum):
@@ -562,10 +584,14 @@ _BATCH = 2 ** 17
 
 # lattice nodes a refinement may not pass: 2**23 doubles are 64 MiB per array
 _MAX_LATTICE_NODES = 2 ** 23
-# output rows per block of _separable's banded first contraction (measured
-# at N = 1353, K = 585, m = 4, single-thread BLAS: 8 rows take 5.85 ms, 16
-# 4.40, 32 3.88, 64 4.22, the dense product 6.83)
+# output rows per block of a banded free-space kernel matrix (_bands):
+# flow-2d's 193^2 Gaussian (last lattice N = 1353, K = 585, m = 4, slabs of
+# 12 rows, single-thread BLAS) evolves in 12.5-12.8 ms at 8 rows, 10.2-10.4
+# at 16, 10.1-10.3 at 24, 9.7-9.8 at 32 and 11.3-11.9 at 64
 _BAND_ROWS = 32
+# lattice nodes per slab of _separable: 2**14 doubles are 128 KiB, glibc's
+# initial mmap threshold, so slabs come from the heap, not fresh pages
+_SLAB_NODES = 2 ** 14
 
 
 def _fast_len(n):
@@ -655,58 +681,115 @@ def _kernel_matrix(N, m, n, kern):
     return sliding_window_view(rev, N)[(n - 1) * m::-m]
 
 
-def _along(arr, mat, k):
-    """mat applied along axis k of arr: sum_l mat[i, l] arr[..., l, ...]."""
-    return np.moveaxis(np.tensordot(arr, mat, (k, 1)), -1, k)
+def _leading_block(mat, step, order):
+    """What _bands repeats of mat, laid out in order: the first _BAND_ROWS
+    rows over their band, or where step is 0 (a box) mat as it is."""
+    if not step:
+        return mat
+    height = min(_BAND_ROWS, len(mat))
+    return np.asarray(mat[:height, :mat.shape[1] - (len(mat) - height) * step], order=order)
 
 
-def _separable(vals, weights, mats, kern_errs, step=0):
-    """Tensor quadrature of lattice values, A_k = mats[k] weights[k] applied
-    along each axis k, with its roundoff relative to direct sums.
+def _bands(block, step, n):
+    """The n-row matrix whose leading rows are block, as (rows, cols, b)
+    triples: b is the matrix over the rows and their band cols, a view of
+    block.
 
-    Row i of mats[0] vanishes outside the band of columns [i step, i step +
-    N_0 - (n_0 - 1) step) (step the lattice factor of axis 0's free-space
-    kernel matrix; 0 for the dense box matrices, whose band is every
-    column).  So axis 0 is applied by blocks of _BAND_ROWS output rows, each
-    block weighted and multiplied over its own band only; a dense matrix is
-    one block, the whole product.  The other axes apply A_k along axis k.
+    step 0: block is the whole matrix (a box's), one triple.  Else it is a
+    free-space kernel matrix of step the lattice factor, whose row i is row
+    0 moved i step columns on (_kernel_matrix): block holds its first
+    _BAND_ROWS rows over their band, and every later block of as many rows
+    is block again, read from its own first column."""
+    height, width = block.shape
+    bands = []
+    for i0 in range(0, n, height):
+        r = min(height, n - i0)
+        b = block[:r, :width - (height - r) * step]
+        bands.append((slice(i0, i0 + r), slice(i0 * step, i0 * step + b.shape[1]), b))
+    return bands
 
-    Each product rounds within gamma_N of its magnitudes, and |A_0 V| <=
-    |A_0,i|_2 c (Cauchy-Schwarz, c the 2-norms of vals along axis 0), so
-    output (i, j) errs by at most gamma |A_0,i|_2 C_j, C = c with |A_1|,
-    ..., |A_n-1| applied along its axes, gamma = 2 eps sum_k N_k (the 2
-    covers the direct sums this replaces; a band's sums are shorter still).
-    kern_errs bounds the error delta_k of a kernel sample; a row of a folded
-    Dirichlet matrix is the difference of two kernel windows, so a row of
-    A_k errs by at most d_k = 2 delta_k max|w_k| in 2-norm.  That adds d_0
-    C_j and, for k >= 1, |A_0,i|_2 d_k |C_k|_2 carried through |A_k+1|,
-    ..., where C_k is c with |A_1|, ..., |A_k-1| applied (its full norm
-    bounds the one along axis k).  Two axes A, B give gamma |A_i|_2 (|B|
-    c)_j + d_0 (|B| c)_j + d_1 |A_i|_2 |c|_2.
+
+def _contract(x, bands, k, out):
+    """The matrix of bands applied along axis k of x, block by block over
+    each block's band, into out."""
+    pre, post = math.prod(x.shape[:k]), math.prod(x.shape[k + 1:])
+    x3, out3 = x.reshape(pre, x.shape[k], post), out.reshape(pre, -1, post)
+    for rows, cols, b in bands:
+        if post == 1:
+            np.matmul(x3[:, cols, 0], b.T, out=out3[:, rows, 0])
+        else:
+            np.matmul(b, x3[:, cols], out=out3[:, rows])
+    return out
+
+
+def _separable(sample, axes, weights, mats, kern_errs, steps):
+    """Tensor quadrature of the datum on the lattice axes[0] x axes[1] x
+    ..., A_k = mats[k] weights[k] applied along each axis k, with its
+    roundoff relative to direct sums.  sample(*axes) evaluates the datum on
+    a lattice; steps[k] is the lattice factor of axis k's free-space
+    kernel matrix, 0 for a dense box matrix (_bands).
+
+    The lattice is never formed.  Axis 0 is walked in slabs of consecutive
+    lattice rows, at most _SLAB_NODES nodes and at least one row each; each
+    slab is sampled once, and A_n-1, ..., A_1 are applied to it (weights
+    to the data, the matrix by its bands), leaving its contracted rows and
+    the 2-norm c_r of each of its lattice rows.  A_0 is applied last, in
+    the same way, to the contracted rows of the whole lattice.
+
+    Each product rounds within gamma_N of its magnitudes.  A contracted row
+    is bounded by Cauchy-Schwarz over the trailing axes: |(A_1 x ... x
+    A_n-1) V_r|_j <= P_j c_r, P_j = prod_k |A_k,j_k|_2 (the 2-norm of a
+    Kronecker product of rows is the product of their 2-norms).  So output
+    (i, j) errs by at most gamma C_i P_j, C = |A_0| c, gamma = 2 eps sum_k
+    N_k (the 2 covers the direct sums this replaces and the weighting; a
+    band's sums are shorter still).  kern_errs bounds the error delta_k of
+    a kernel sample; a row of a folded Dirichlet matrix is the difference
+    of two kernel windows, so a row of A_k errs by at most d_k = 2 delta_k
+    max|w_k| in 2-norm.  For k >= 1 that adds d_k C_i times P_j with its
+    factor |A_k,j_k|_2 left out; for axis 0, d_0 |c|_2 P_j.  Two axes A, B
+    give gamma (|A| c)_i |B_j|_2 + d_1 (|A| c)_i + d_0 |c|_2 |B_j|_2, the
+    mirror image of the bound of the order that applies A first.
     """
-    n0, N0 = mats[0].shape
-    width, block = N0 - (n0 - 1) * step, _BAND_ROWS if step else n0
-    u, rows = np.empty((n0,) + vals.shape[1:]), np.empty(n0)
-    flat, out = vals.reshape(N0, -1), u.reshape(n0, -1)
-    for i0 in range(0, n0, block):
-        i1 = min(n0, i0 + block)
-        c0, c1 = i0 * step, (i1 - 1) * step + width
-        a0 = mats[0][i0:i1, c0:c1] * weights[0][c0:c1]
-        np.dot(a0, flat[c0:c1], out=out[i0:i1])
-        rows[i0:i1] = np.linalg.norm(a0, axis=1)
-    a = [mat * w for mat, w in zip(mats[1:], weights[1:])]
-    for k, ak in enumerate(a, 1):
-        u = _along(u, ak, k)
-    gamma = 2.0 * np.finfo(float).eps * sum(vals.shape)
+    n = len(axes)
+    ns = [len(mat) for mat in mats]
+    # BLAS reads the transpose of the last axis' block row by row
+    blocks = [_leading_block(mat, step, "F" if k == n - 1 else "C")
+              for k, (mat, step) in enumerate(zip(mats, steps))]
+    bands = [_bands(b, step, nk) for b, step, nk in zip(blocks, steps, ns)]
+    # each axis' weights, along that axis of a slab
+    ws = [w[(...,) + (None,) * (n - 1 - k)] for k, w in enumerate(weights)]
+    N0 = axes[0].size
+    height = max(1, _SLAB_NODES // math.prod(y.size for y in axes[1:]))
+    rows, c = np.empty((N0, *ns[1:])), np.empty(N0)
+    for r0 in range(0, N0, height):
+        x = sample(axes[0][r0:r0 + height], *axes[1:])
+        flat = x.reshape(len(x), -1)
+        c[r0:r0 + height] = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        for k in range(n - 1, 1, -1):
+            x = _contract(x * ws[k], bands[k], k,
+                          np.empty(x.shape[:k] + (ns[k],) + x.shape[k + 1:]))
+        _contract(x * ws[1], bands[1], 1, rows[r0:r0 + height])
+    rows *= ws[0]
+    u = _contract(rows, bands[0], 0, np.empty(ns))
+    del rows  # before the bound's arrays of the output's size
+
+    gamma = 2.0 * np.finfo(float).eps * sum(y.size for y in axes)
     d = [2.0 * dk * float(np.max(np.abs(w))) for dk, w in zip(kern_errs, weights)]
-    cols = np.sqrt(np.einsum("i...,i...->...", vals, vals))
-    extra = np.zeros_like(cols)
-    for k, (abs_k, dk) in enumerate(zip(map(np.abs, a), d[1:])):
-        extra = _along(extra, abs_k, k) + dk * float(np.linalg.norm(cols))
-        cols = _along(cols, abs_k, k)
-    bound = (gamma * np.multiply.outer(rows, cols) + d[0] * cols
-             + np.multiply.outer(rows, extra))
-    return u, float(np.max(bound / (1.0 + np.abs(u)))), "matrix"
+    norms = [np.sqrt(_contract(w * w, _bands(b * b, step, nk), 0, np.empty(nk)))
+             for w, b, step, nk in zip(weights[1:], blocks[1:], steps[1:], ns[1:])]
+    C = _contract(np.abs(weights[0]) * c, _bands(np.abs(blocks[0]), steps[0], ns[0]), 0,
+                  np.empty(ns[0]))
+    P = functools.reduce(np.multiply.outer, norms)
+    Q = sum(dk * functools.reduce(np.multiply.outer, norms[:k] + [np.ones(ns[k + 1])]
+                                  + norms[k + 1:])
+            for k, dk in enumerate(d[1:]))
+    # in place: each array of the output's size is a fresh mapping
+    bound = np.multiply.outer(C, gamma * P + Q)
+    bound += d[0] * float(np.linalg.norm(c)) * P
+    scale = np.abs(u)
+    scale += 1.0
+    bound /= scale
+    return u, float(np.max(bound)), "matrix"
 
 
 def _start_factor(spacings, t, datum_hs):
@@ -869,10 +952,10 @@ def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
             long_blocks = taps[0] < _FFT_MIN_LEN or block == taps[0] // _LONG_BLOCK
             return u, roundoff, method, block, taps
         return (*_separable(
-            sample(*axes),
+            sample, axes,
             [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
             [_kernel_matrix(y.size, m, n, k) for y, m, n, k in zip(axes, ms, ns, kerns)],
-            (0.0,) * dim, ms[0]), None, taps)
+            (0.0,) * dim, ms), None, taps)
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [2 * c + n - 1 for c, n in zip(margins, ns)])
@@ -1059,10 +1142,10 @@ def _box_flow(v0, bounds, brk, phi_h, inherited, t, hs, quad_tol, max_refine):
         full = [_kernel_matrix(2 * y.size - 1, m, n, k)
                 for y, m, n, k in zip(axes, ms, ns, kerns)]
         return (*_separable(
-            v0(*axes),
+            v0, axes,
             [piecewise_simpson_weights(y, e) for y, e in zip(axes, edges)],
             [f[:, y.size - 1:] - f[:, y.size - 1::-1] for f, y in zip(full, axes)],
-            deltas), None, [k.size for k in kerns])
+            deltas, (0,) * len(axes)), None, [k.size for k in kerns])
 
     u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
                      max_refine, [n - 1 for n in ns])

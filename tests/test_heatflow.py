@@ -1,6 +1,7 @@
 """Evolution oracles: closed forms the quadrature must reproduce."""
 
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,9 @@ from heatconvex import (DomainSpec, EvaluationWindowError,
                         ExistenceWindowError, GridFunction, InitialDatum, grid_nodes,
                         heat_evolve_dirichlet, heat_evolve_free, heatflow, hot_h,
                         hunt_violation, make_power_alpha)
-from heatconvex.heatflow import (_BAND_ROWS, _CSV_ROWS, _box_apply, _dirichlet_kernels,
-                                 _fast_len, _kernel_apply, _kernel_matrix, _pchip,
-                                 _resolve_datum, _row_template, _separable, _start_factor,
+from heatconvex.heatflow import (_BAND_ROWS, _CSV_ROWS, _box_apply, _cubics,
+                                 _dirichlet_kernels, _fast_len, _kernel_apply, _kernel_matrix,
+                                 _pchip, _resolve_datum, _row_template, _separable, _start_factor,
                                  _valid, check_existence, fit_growth_envelope, gauss_kernel)
 from heatconvex.numerics import DomainError, piecewise_simpson_weights
 
@@ -107,7 +108,7 @@ def test_monotone_cubic_equals_scipy_pchip(n, cols):
     y = np.where(rng.random(y.shape) < 0.6, np.round(y), y)
     xq = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200),
                          [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)]])
-    got = _pchip(x, y, xq)
+    got = _pchip(x, y)(xq)
     want = PchipInterpolator(x, y, axis=0, extrapolate=False)(xq)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(got[(xq < x[0]) | (xq > x[-1])]).all()
@@ -130,7 +131,7 @@ def test_grid_interpolation_equals_scipy_pchip_axis_by_axis(shape):
     want = values
     for k, (a, q) in enumerate(zip(knots, queries)):
         want = PchipInterpolator(a, want, axis=k, extrapolate=False)(q)
-    got = gf.interp_to_lattice(*queries)
+    got = _cubics(knots, _pchip(knots[0], values), queries)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(got).any() and not np.isnan(got).all()
 
@@ -678,12 +679,65 @@ def test_kernel_matrix_applies_the_operator(N, K, m, n, box):
     assert np.max(np.abs(mat @ psi - u) / (1.0 + np.abs(u))) < 1e-12
 
 
+def _along(arr, mat, k):
+    """mat applied along axis k of arr, sum_l mat[i, l] arr[..., l, ...], as
+    one matrix product: arr @ mat.T along the last axis, else mat times the
+    columns of axis k of each index before it."""
+    if k == arr.ndim - 1:
+        return arr @ mat.T
+    pre, rest = arr.shape[:k], arr.shape[k + 1:]
+    return (mat @ arr.reshape(int(np.prod(pre)), arr.shape[k], -1)).reshape(
+        pre + (len(mat),) + rest)
+
+
 def _dense_separable(vals, weights, mats):
-    """The n-axis operator as one dense product of each axis' weighted matrix."""
-    u = np.tensordot(mats[0] * weights[0], vals, (1, 0))
-    for k, (mat, w) in enumerate(zip(mats[1:], weights[1:]), 1):
-        u = heatflow._along(u, mat * w, k)
+    """The n-axis operator as one dense product per axis, in the streamed
+    order: axes n-1, ..., 1, then 0, each weighting the data along it and
+    applying its whole matrix.  Arrays of np.longdouble give the reference
+    in extended precision."""
+    n, u = len(mats), vals
+    for k in [*range(n - 1, 0, -1), 0]:
+        u = _along(u * weights[k][(...,) + (None,) * (n - 1 - k)], mats[k], k)
     return u
+
+
+def _lattice(vals):
+    """A sampler and lattice axes that read the array vals: the coordinates
+    of axis k are its indices, so a slab of lattice rows reads vals[rows].
+    Every call's rows are recorded on sample.rows."""
+    def sample(rows, *_):
+        sample.rows.append(rows.astype(int))
+        return vals[rows.astype(int)]
+
+    sample.rows = []
+    return sample, [np.arange(n, dtype=float) for n in vals.shape]
+
+
+def _free_case(axes, seed=5):
+    """Random lattice values, Simpson weights and free-space kernel matrices
+    of (K, m, n) per axis, N = K + (n - 1) m nodes."""
+    rng = np.random.default_rng(seed)
+    mats, weights = [], []
+    for K, m, n in axes:
+        kern = gauss_kernel(np.linspace(-4.0, 4.0, K), 1.0) * (1.0 + 0.1 * rng.random(K))
+        N = K + (n - 1) * m
+        mats.append(_kernel_matrix(N, m, n, kern))
+        weights.append(piecewise_simpson_weights(np.linspace(0.0, 1.0, N), [0, N - 1]))
+    vals = rng.standard_normal([K + (n - 1) * m for K, m, n in axes])
+    return vals, weights, mats, (0.0,) * len(axes), [m for _, m, _ in axes]
+
+
+def _box_case(Ls, ms, ns, t=0.05, seed=7):
+    """Random lattice values, Simpson weights, folded Dirichlet matrices
+    and their kernel rounding bounds of a box with sides Ls."""
+    axes = [np.linspace(0.0, L, (n - 1) * m + 1) for L, m, n in zip(Ls, ms, ns)]
+    kerns, deltas = zip(*(_dirichlet_kernels(L, t, y.size - 1) for L, y in zip(Ls, axes)))
+    full = [_kernel_matrix(2 * y.size - 1, m, n, k)
+            for y, m, n, k in zip(axes, ms, ns, kerns)]
+    mats = [f[:, y.size - 1:] - f[:, y.size - 1::-1] for f, y in zip(full, axes)]
+    weights = [piecewise_simpson_weights(y, [0, y.size - 1]) for y in axes]
+    vals = np.random.default_rng(seed).standard_normal([y.size for y in axes])
+    return vals, weights, mats, deltas, (0,) * len(axes)
 
 
 # (K, m, n) per axis of a free lattice, N = K + (n - 1) m nodes: flow-2d's
@@ -696,18 +750,11 @@ def _dense_separable(vals, weights, mats):
     ((33, 2, 70), (9, 1, 3), (17, 2, 4)),
 ], ids=["flow_2d_gaussian", "m1_one_row_past_a_block", "one_block", "3d"])
 def test_banded_contraction_meets_the_dense_product(axes):
-    """Axis 0 applied by blocks of _BAND_ROWS rows over their bands meets
-    the dense product of the whole kernel matrix within _separable's own
-    roundoff bound."""
-    rng = np.random.default_rng(5)
-    mats, weights = [], []
-    for K, m, n in axes:
-        kern = gauss_kernel(np.linspace(-4.0, 4.0, K), 1.0) * (1.0 + 0.1 * rng.random(K))
-        N = K + (n - 1) * m
-        mats.append(_kernel_matrix(N, m, n, kern))
-        weights.append(piecewise_simpson_weights(np.linspace(0.0, 1.0, N), [0, N - 1]))
-    vals = rng.standard_normal([K + (n - 1) * m for K, m, n in axes])
-    u, roundoff, method = _separable(vals, weights, mats, (0.0,) * len(axes), axes[0][1])
+    """Each axis applied by blocks of _BAND_ROWS rows over their bands
+    meets the dense product of the whole kernel matrices within
+    _separable's own roundoff bound."""
+    vals, weights, mats, errs, steps = _free_case(axes)
+    u, roundoff, method = _separable(*_lattice(vals), weights, mats, errs, steps)
     ref = _dense_separable(vals, weights, mats)
     assert method == "matrix" and u.shape == ref.shape == tuple(n for *_, n in axes)
     assert 0.0 < roundoff < 1e-11
@@ -715,19 +762,49 @@ def test_banded_contraction_meets_the_dense_product(axes):
 
 
 def test_box_matrices_take_one_block_bit_for_bit():
-    """A folded box matrix is dense: its band is every column, so axis 0 is
-    one block, the dense product bit for bit, even past _BAND_ROWS rows."""
-    t, ms, ns, Ls = 0.05, (2, 3), (2 * _BAND_ROWS + 9, 9), (2.0, 1.0)
-    axes = [np.linspace(0.0, L, (n - 1) * m + 1) for L, m, n in zip(Ls, ms, ns)]
-    kerns, deltas = zip(*(_dirichlet_kernels(L, t, y.size - 1) for L, y in zip(Ls, axes)))
-    full = [_kernel_matrix(2 * y.size - 1, m, n, k)
-            for y, m, n, k in zip(axes, ms, ns, kerns)]
-    mats = [f[:, y.size - 1:] - f[:, y.size - 1::-1] for f, y in zip(full, axes)]
-    weights = [piecewise_simpson_weights(y, [0, y.size - 1]) for y in axes]
-    vals = np.random.default_rng(7).standard_normal([y.size for y in axes])
-    u, roundoff, _ = _separable(vals, weights, mats, deltas)
+    """A folded box matrix is dense: its band is every column, so each axis
+    is one block, and the streamed contraction is the dense product in the
+    same order bit for bit, even past _BAND_ROWS rows."""
+    ns = (2 * _BAND_ROWS + 9, 9)
+    vals, weights, mats, deltas, steps = _box_case((2.0, 1.0), (2, 3), ns)
+    u, roundoff, _ = _separable(*_lattice(vals), weights, mats, deltas, steps)
     assert u.shape == ns and roundoff > 0.0
     assert np.array_equal(u, _dense_separable(vals, weights, mats))
+
+
+def _slabs(vals):
+    """The row ranges _separable walks a lattice of vals' shape in."""
+    height = max(1, heatflow._SLAB_NODES // int(np.prod(vals.shape[1:])))
+    return [np.arange(r0, min(r0 + height, len(vals))) for r0 in range(0, len(vals), height)]
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _free_case(((585, 4, 193), (585, 4, 193))),
+    lambda: _box_case((2.0, 1.0), (2, 2), (97, 97)),
+    lambda: _free_case(((33, 2, 12), (17, 2, 9), (9, 1, 20))),
+    lambda: _box_case((1.0, 0.75, 0.5), (2, 2, 2), (9, 7, 5)),
+    # a row of 1000 nodes: slabs of 16 rows, the last of 129 holds one
+    lambda: _free_case(((65, 2, 33), (801, 1, 200))),
+    # a row of 131^2 = 17161 nodes, above _SLAB_NODES: slabs of one row
+    lambda: _free_case(((9, 1, 4), (129, 1, 3), (129, 1, 3))),
+], ids=["flow_2d_free", "2d_box", "3d_free", "3d_box", "ragged_last_slab", "row_above_a_slab"])
+def test_roundoff_bound_holds_against_an_extended_precision_product(case):
+    """The streamed contraction meets the same weighted products taken in
+    np.longdouble within its roundoff bound at every output, and reads
+    each lattice row once, in slabs of at most _SLAB_NODES nodes (or one
+    row)."""
+    vals, weights, mats, errs, steps = case()
+    sample, axes = _lattice(vals)
+    u, roundoff, _ = _separable(sample, axes, weights, mats, errs, steps)
+    ref = _dense_separable(vals.astype(np.longdouble),
+                           [w.astype(np.longdouble) for w in weights],
+                           [np.asarray(m, dtype=np.longdouble) for m in mats])
+    assert 0.0 < roundoff < 1e-11
+    err = np.abs(u - ref).astype(float)
+    assert np.all(err <= roundoff * (1.0 + np.abs(u)))
+    assert [list(r) for r in sample.rows] == [list(r) for r in _slabs(vals)]
+    assert all(r.size * vals[0].size <= heatflow._SLAB_NODES or r.size == 1
+               for r in sample.rows)
 
 
 def test_fast_growing_data_fall_back_to_direct_sums():
@@ -813,9 +890,9 @@ def _spy_lattices(monkeypatch):
     shapes = []
     separable = heatflow._separable
 
-    def spy(vals, *args):
-        shapes.append(vals.shape)
-        return separable(vals, *args)
+    def spy(sample, axes, *args):
+        shapes.append(tuple(y.size for y in axes))
+        return separable(sample, axes, *args)
 
     monkeypatch.setattr(heatflow, "_separable", spy)
     return shapes
@@ -966,6 +1043,55 @@ def test_first_lattice_above_the_budget_is_refused_before_sampling(monkeypatch):
 
 
 _G33 = (-2.0, 2.0, 0.125)  # 33 nodes
+_SIN3 = InitialDatum(fn=lambda x, y, z: np.sin(np.pi * x) * np.sin(np.pi * y / 0.75)
+                     * np.sin(np.pi * z / 0.5))
+
+
+@pytest.mark.parametrize("evolve, datum", [
+    (lambda d: heat_evolve_free(d, 0.05, (_G33, _G33)),
+     InitialDatum(fn=lambda x, y: np.exp(-x * x - y * y))),
+    (lambda d: heat_evolve_dirichlet(d, _UNIT_SQUARE, 0.05, (_G8, _G8)), _SIN2),
+    (lambda d: heat_evolve_dirichlet(
+        d, DomainSpec.rectangle(((0.0, 1.0), (0.0, 0.75), (0.0, 0.5))), 0.05,
+        [(0.0, hi, 1.0 / 8) for hi in (1.0, 0.75, 0.5)]), _SIN3),
+], ids=["free_2d", "box_2d", "box_3d"])
+def test_each_pass_samples_every_lattice_node_once(evolve, datum, monkeypatch):
+    """The datum is called once per slab of lattice rows, on at most
+    _SLAB_NODES nodes (or one row), and its calls cover each pass' lattice
+    once: their broadcast sizes sum to the passes' node counts."""
+    lattices = _spy_lattices(monkeypatch)
+    phi, calls = _counting(datum)
+    u = evolve(phi)
+    assert len(lattices) == len(u.meta["refine_history"]) >= 2
+    sizes = [np.broadcast(*xs).size for xs in calls]
+    assert sum(sizes) == sum(int(np.prod(shape)) for shape in lattices)
+    assert all(size <= heatflow._SLAB_NODES or xs[0].size == 1
+               for size, xs in zip(sizes, calls))
+
+
+def test_the_flow_2d_gaussian_allocates_no_lattice(monkeypatch):
+    """flow-2d's 193^2 Gaussian product samples a last lattice of 1353^2
+    doubles, 14.6 MB; streamed in slabs, its evolution allocates at most a
+    quarter of that at any time, and meets the closed form."""
+    lattices = _spy_lattices(monkeypatch)
+    t0, t = 0.25, 0.1
+    phi = InitialDatum(fn=lambda x, y: gauss_kernel(x, t0) * gauss_kernel(y, t0),
+                       growth_a=float(gauss_kernel(0.0, t0)) ** 2)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        u = heat_evolve_free(phi, t, ((-4.0, 4.0, 8.0 / 192),) * 2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert lattices[-1] == (1353, 1353)
+    assert peak < 8 * 1353 ** 2 / 4
+    x, y = u.axes()
+    exact = np.outer(gauss_kernel(x, t0 + t), gauss_kernel(y, t0 + t))
+    assert rel_err(u.values, exact) <= u.value_error < 1e-9
 
 
 @pytest.mark.parametrize("evolve, datum", [
