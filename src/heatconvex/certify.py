@@ -16,7 +16,9 @@ above its ends: above the weighted chord for F-convexity, above the running
 minima on both sides for quasi-convexity.  `_lines` lists a direction's
 lines as rows of flat node indices padded with a sentinel index, and the
 aligned scan and the quasi-convexity check read the field values through
-those rows as line stacks.
+those rows as line stacks.  The random plan is the aligned scan of a
+seeded residue class of starts: every delta-th node of each direction, so
+that the class holds about the plan's budget of triples.
 """
 from __future__ import annotations
 
@@ -66,11 +68,14 @@ class SamplingPlan:
     """How triples are drawn.
 
     kind 'aligned' scans every grid-aligned triple (along every direction
-    of the scan table) for each weight; 'random' draws n_random triples
-    (a positive count) with weights chosen from lambdas, snapped to the
-    grid.  Weights must be rationals p/q with q <= 8 so midpoints are
-    grid-exact.  A plan that would scan nothing, or an unknown kind, is a
-    DomainError (a ValueError).
+    of the scan table) for each weight; 'random' scans a residue class of
+    their starts, one draw per weight from default_rng(seed)
+    (`_class_lines`), which holds every triple with the same probability
+    and about per = max(1, n_random // len(lambdas)) of them (n_random a
+    positive count), at least one: a budget that covers every triple gives
+    the aligned certificate.  Weights must be rationals p/q with q <= 8 so
+    midpoints are grid-exact.  A plan that would scan nothing, or an
+    unknown kind, is a DomainError (a ValueError).
     """
 
     kind: str = "aligned"
@@ -157,12 +162,6 @@ class _Directions(dict):
 _DIRECTIONS = _Directions()
 
 
-def _starts(n, step, qs):
-    """[lo, hi) of the start indices x on an axis of n nodes for which
-    x + qs*step is a node too."""
-    return (qs if step < 0 else 0), (n - qs if step > 0 else n)
-
-
 @functools.lru_cache(maxsize=32)
 def _lines(shape, d):
     """Flat node indices of the lattice lines along d, a row per line in
@@ -185,6 +184,36 @@ def _lines(shape, d):
     return lines
 
 
+def _class_lines(shape, q, per, rng):
+    """The random plan's lines for a weight of denominator q, and delta.
+
+    Of the T aligned triples over every direction (a line of L nodes holds
+    L - q s of stride s, for m = (L - 1) // q strides), the plan scans those
+    that start at node r, r + delta, ... of their direction, delta =
+    ceil(T / per) and r = rng.integers(delta).  A direction's nodes are
+    counted line after line, each in travel order: a count restarted on
+    every line would leave no start on a line of r nodes or fewer.  delta
+    is at most L - q for the longest line, so that one of its first L - q
+    nodes, which start a triple of stride 1, is in every class.  Each line
+    is returned moved to begin at its first start, so that its starts are
+    its entries 0, delta, 2 delta, ...
+    """
+    size = math.prod(shape)
+    tables = [_lines(shape, d) for d in _DIRECTIONS[len(shape)]]
+    lengths = [np.count_nonzero(t < size, axis=1) for t in tables]
+    n_triples = sum(int((m * n - q * m * (m + 1) // 2).sum())
+                    for n in lengths for m in [(n - 1) // q])
+    delta = max(1, min(-(-n_triples // per), max(int(n.max()) for n in lengths) - q))
+    r = int(rng.integers(delta))
+    moved = []
+    for t, n in zip(tables, lengths):
+        first = (r - np.cumsum(n) + n) % delta  # the first start of each line
+        cols = first[:, None] + np.arange(max(0, int((n - first).max())))
+        moved.append(np.where(cols < n[:, None],
+                              np.take_along_axis(t, np.minimum(cols, t.shape[1] - 1), 1), size))
+    return moved, delta
+
+
 def _fields(v, spread, factor, lam):
     """v, spread, and the complex pairs (v, v - f spread) of middles and (v,
     v + f spread) of ends times 1 - lam and lam, f = factor: the middle less
@@ -199,25 +228,23 @@ def _fields(v, spread, factor, lam):
                 pair((1.0 - lam) * v, (1.0 - lam) * ends), pair(lam * v, lam * ends))
 
 
-def _block_winner(gap, margin, count, inside=None, keys=None):
+def _block_winner(gap, margin, count, inside, keys=None):
     """(k, margin[k], max gap, count) of a block of triples with gaps gap
     and margins margin, k the flat index of the largest margin (the first on
     ties), or None when the block holds no triple.  count is the block's
     triple count when no entry is NaN.  NaN gaps (opposite infinite
     endpoints) are not triples, and a NaN margin (infinite noise) counts as
-    -inf.  inside(), when given, masks the entries that are triples: the
-    others are padding, whose gaps and margins are -inf or NaN, so they
-    matter only when no margin beats -inf.  keys, when given, holds the
-    scan-order keys of the entries of one leading index (a stride): a tie
-    within k's stride goes to the smallest key instead.
+    -inf.  inside() masks the entries that are triples: the others are
+    padding, whose gaps and margins are -inf or NaN, so they matter only
+    when no margin beats -inf.  keys, when given, holds the scan-order keys
+    of the entries of one leading index (a stride): a tie within k's stride
+    goes to the smallest key instead.
     """
     k = int(margin.argmax())
     m, g_max = margin.flat[k], gap.max()
     valid = None
-    if not (m == m and g_max == g_max and (inside is None or m > -np.inf)):
-        valid = ~np.isnan(gap)
-        if inside is not None:
-            valid &= inside()
+    if not (m > -np.inf and g_max == g_max):
+        valid = ~np.isnan(gap) & inside()
         count = int(np.count_nonzero(valid))
         if count == 0:
             return None
@@ -251,12 +278,14 @@ def _fold(best, fields, lam, margin, gap, g_max, nodes):
             float(v[im]), float(end0[i0].real + end1[i1].real), lam, g_max)
 
 
-def _scan_aligned(best, fields, p, q, lam):
-    """Worst margin over all grid-aligned stride triples for one weight, in
+def _scan_aligned(best, fields, p, q, lam, tables, delta):
+    """Worst margin over the grid-aligned stride triples for one weight that
+    start at entry 0, delta, 2 delta, ... of a line of tables (the lines of
+    each direction as `_lines` lists them, or moved by `_class_lines`), in
     scan order: stride, direction, start node in C order.
 
-    Directions go in groups: consecutive ones whose lines (`_lines`) hold at
-    most _BLOCK nodes together, or one direction.  A group's lines make one
+    Directions go in groups: consecutive ones whose lines hold at most
+    _BLOCK nodes together, or one direction.  A group's lines make one
     table, a column per line, with q (B - 1) more rows (B the group's
     longest block), and each field plane is gathered through it once; the
     sentinel reads +inf for ends and -inf for middles, so a triple with a
@@ -264,28 +293,28 @@ def _scan_aligned(best, fields, p, q, lam):
     of as many as fill _BLOCK / (number of directions) table entries at the
     block's first stride, which keeps an n-axis scan's buffers small.  One
     numpy pass per block reads the members k, k + p s and k + q s of every
-    line through one strided view of each plane, into two buffers.  A tie in
-    a pass goes to the earlier direction, then start node (key); a tie
-    between groups to the earlier group.
+    line, k = 0, delta, 2 delta, ..., through one strided view of each
+    plane, into two buffers.  A tie in a pass goes to the earlier direction,
+    then start node (key); a tie between groups to the earlier group.
     """
     v, _, mid, end0, end1 = fields
-    shape, size, dirs = v.shape, v.size, _DIRECTIONS[v.ndim]
+    shape, size = v.shape, v.size
     ext = np.empty((6, size + 1))  # the planes of end0, mid and end1, then the sentinel
     ext[:, :size] = [part.reshape(-1) for a in (end0, mid, end1) for part in (a.real, a.imag)]
     ext[:, size] = np.inf, np.inf, -np.inf, -np.inf, np.inf, np.inf
     groups = [[]]
-    for j, d in enumerate(dirs):
-        lines = _lines(shape, d)
+    for j, lines in enumerate(tables):
         if groups[-1] and sum(t.size for _, t in groups[-1]) + lines.size > _BLOCK:
             groups.append([])
         groups[-1].append((j, lines))
     cands, count, g_all = [], 0, -np.inf
     for group in groups:
         longest, n_lines = max(t.shape[1] for _, t in group), sum(len(t) for _, t in group)
+        # w: the starts of a stride on the longest line (the block's width)
         blocks, s, n_strides = [], 1, (longest - 1) // q
         while s <= n_strides:
-            w = longest - q * s
-            blocks.append((s, max(1, min(_BLOCK // len(dirs) // (w * n_lines),
+            w = -((q * s - longest) // delta)
+            blocks.append((s, max(1, min(_BLOCK // len(tables) // (w * n_lines),
                                          n_strides - s + 1)), w))
             s += blocks[-1][1]
         if not blocks:
@@ -298,7 +327,8 @@ def _scan_aligned(best, fields, p, q, lam):
         key = idx + np.repeat([j * size for j, _ in group], [len(t) for _, t in group])
         length = np.count_nonzero(idx < size, axis=0)
         # triples of the strides up to each (and of stride 0, which cancels)
-        done = np.cumsum(np.maximum(length - q * np.arange(n_strides + 1)[:, None], 0).sum(1))
+        done = np.cumsum(np.maximum(-((q * np.arange(n_strides + 1)[:, None] - length)
+                                      // delta), 0).sum(1))
         stack = [plane.take(idx) for plane in ext]
         row, item = stack[0].strides
         n_buf = max(b * w for _, b, w in blocks) * n_lines
@@ -308,17 +338,19 @@ def _scan_aligned(best, fields, p, q, lam):
                 gap = gap_buf[:b * w * n_lines].reshape(b, w, n_lines)
                 margin = margin_buf[:gap.size].reshape(gap.shape)
                 e0_re, e0_im, m_re, m_im, e1_re, e1_im = (
-                    np.ndarray(gap.shape, float, plane, o * s * row, (o * row, row, item))
+                    np.ndarray(gap.shape, float, plane, o * s * row,
+                               (o * row, delta * row, item))
                     for plane, o in zip(stack, (0, 0, p, p, q, q)))
                 np.subtract(m_re, np.add(e0_re, e1_re, out=gap), out=gap)
                 np.subtract(m_im, np.add(e0_im, e1_im, out=margin), out=margin)
 
                 def inside():
                     # the end, q (s + kb) steps past the start, lies on its line
-                    return np.arange(w)[:, None] < length - q * np.arange(s, s + b)[:, None, None]
+                    return (delta * np.arange(w)[:, None] < length
+                            - q * np.arange(s, s + b)[:, None, None])
 
                 won = _block_winner(gap, margin, int(done[s - 1 + b] - done[s - 1]), inside,
-                                    key[:w] if n_lines > 1 else None)
+                                    key[::delta][:w] if n_lines > 1 else None)
                 if won is not None:
                     k, m_k, g_max, cnt = won
                     count, g_all = count + cnt, max(g_all, g_max)
@@ -328,66 +360,11 @@ def _scan_aligned(best, fields, p, q, lam):
         if found is not None:
             m_k, sk, c, line, g = found
             cands.append(((-m_k, sk), g, tuple(tuple(map(int, np.unravel_index(
-                idx[c + o * sk, line], shape))) for o in (0, p, q))))
+                idx[delta * c + o * sk, line], shape))) for o in (0, p, q))))
     if not cands:
         return best, count
     (neg_m, _), g, nodes = min(cands, key=lambda c: c[0])  # the first: scan order
     return _fold(best, fields, lam, -neg_m, g, g_all, nodes), count
-
-
-def _scan_random(best, fields, triples_per_lam, rng, p, q, lam, bufs):
-    """Worst margin over triples_per_lam random grid-aligned triples, drawn
-    direction per triple (where there is more than one), then per direction
-    strides, then starts axis by axis.  The last axis's starts are drawn
-    _BLOCK triples at a time as the blocks are scanned, which leaves the
-    generator's stream as one draw would.  A block reads its triples through
-    flat node indices and gathers into bufs (three index and two complex
-    buffers of at least _BLOCK entries, or of triples_per_lam if fewer),
-    reused by every block."""
-    v, _, mid, end0, end1 = fields
-    shape, dirs, count = v.shape, _DIRECTIONS[v.ndim], 0
-    flat = [math.prod(shape[k + 1:]) for k in range(v.ndim)]  # C-order strides
-    mid, end0, end1 = (a.reshape(-1) for a in (mid, end0, end1))
-    pick = rng.integers(0, len(dirs), size=triples_per_lam) if len(dirs) > 1 else None
-    for j, d in enumerate(dirs):
-        m = triples_per_lam if pick is None else int(np.count_nonzero(pick == j))
-        if m == 0:
-            continue
-        s_hi = min((n - 1) // q for n, step in zip(shape, d) if step)
-        if s_hi < 1:
-            continue
-        s = rng.integers(1, s_hi + 1, size=m)
-        lead = [rng.integers(*_starts(n, step, q * s), size=m)
-                for n, step in zip(shape[:-1], d[:-1])]
-        step_flat = sum(step * f for step, f in zip(d, flat))
-        for a in range(0, m, _BLOCK):
-            sc = s[a:a + _BLOCK]
-            xm, x1, tmp, c0, c1 = (buf[:sc.size] for buf in bufs)
-            qs = np.multiply(sc, q, out=tmp)
-            if d[-1] > 0:  # _starts's bound n - q s, in place: no fresh array
-                x0 = rng.integers(0, np.subtract(shape[-1], qs, out=qs), size=sc.size)
-            else:
-                x0 = rng.integers(*_starts(shape[-1], d[-1], qs), size=sc.size)
-            for i, f in zip(lead, flat):
-                x0 += np.multiply(i[a:a + _BLOCK], f, out=tmp)
-            np.add(x0, np.multiply(sc, p * step_flat, out=tmp), out=xm)
-            np.add(x0, np.multiply(sc, q * step_flat, out=tmp), out=x1)
-            # every index is a node, so no mode needs its bounds check (the
-            # default, "raise", would gather into a temporary)
-            np.take(end0, x0, out=c0, mode="wrap")
-            np.take(end1, x1, out=c1, mode="wrap")
-            with np.errstate(invalid="ignore"):
-                np.add(c0, c1, out=c0)
-                np.subtract(np.take(mid, xm, out=c1, mode="wrap"), c0, out=c0)
-            won = _block_winner(c0.real, c0.imag, c0.size)
-            if won is None:
-                continue
-            k, m_k, g_max, cnt = won
-            count += cnt
-            nodes = tuple(tuple(map(int, np.unravel_index(int(ix[k]), shape)))
-                          for ix in (x0, xm, x1))
-            best = _fold(best, fields, lam, m_k, c0.real[k], g_max, nodes)
-    return best, count
 
 
 def _bare(per_axis):
@@ -413,18 +390,15 @@ def check_F_convex(u, F, plan=None, significance_factor=10.0):
     v, spread = _transform_values(u, F)
     rng = np.random.default_rng(plan.seed)
     per = max(1, plan.n_random // len(plan.lambdas))
-    if plan.kind == "random":
-        size = min(per, _BLOCK)
-        bufs = (*(np.empty(size, np.intp) for _ in range(3)),
-                *(np.empty(size, complex) for _ in range(2)))
     best, total = None, 0
     for lam in plan.lambdas:
         p, q, lam_f = _as_fraction(lam)
-        fields = _fields(v, spread, significance_factor, lam_f)
         if plan.kind == "aligned":
-            best, cnt = _scan_aligned(best, fields, p, q, lam_f)
+            tables, delta = [_lines(v.shape, d) for d in _DIRECTIONS[v.ndim]], 1
         else:
-            best, cnt = _scan_random(best, fields, per, rng, p, q, lam_f, bufs)
+            tables, delta = _class_lines(v.shape, q, per, rng)
+        best, cnt = _scan_aligned(best, _fields(v, spread, significance_factor, lam_f),
+                                  p, q, lam_f, tables, delta)
         total += cnt
 
     if best is None:

@@ -895,8 +895,9 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
 
 def _ridge_line(phi, grids):
     """The line that xi = d . x fills over the output nodes of a ridge, as
-    (lo, hi, h) and the index of each output node on it, or None (no ridge,
-    or no uniform line).
+    (lo, hi, h), and an index that reads the output nodes from the line's
+    values (in 1D a slice, the identity or its reverse, so the read is a
+    view), or None (no ridge, or no uniform line).
 
     Where |d_k| H_k is one spacing c on every axis d crosses (within 1e-12
     relative; H_k the snapped output spacing), xi at node (i_0, i_1, ...)
@@ -915,9 +916,11 @@ def _ridge_line(phi, grids):
     hi = sum(dk * (g_hi if dk > 0 else g_lo) for dk, (g_lo, g_hi, _) in zip(d, grids) if dk)
     steps = [int(np.sign(dk)) for dk in d]
     cells = sum(n - 1 for s, n in zip(steps, ns) if s)
+    if len(ns) == 1:
+        return (lo, hi, (hi - lo) / cells), slice(None, None, steps[0])
     idx = (sum(n - 1 for s, n in zip(steps, ns) if s < 0)
            + sum(_open_mesh([s * np.arange(n) for s, n in zip(steps, ns)])))
-    return (lo, hi, (hi - lo) / cells), np.broadcast_to(idx, ns)
+    return (lo, hi, (hi - lo) / cells), idx
 
 
 def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):

@@ -29,7 +29,7 @@ from heatconvex import (
     scale_shift,
 )
 from heatconvex import certify, heatflow
-from heatconvex.certify import _DIRECTIONS, _as_fraction, _starts, _transform_values
+from heatconvex.certify import _DIRECTIONS, _as_fraction, _transform_values
 
 P0 = make_power_alpha(0.0)
 P05 = make_power_alpha(0.5)
@@ -1122,26 +1122,37 @@ def test_aligned_scan_breaks_ties_by_start_node(shape, seed, lam):
     assert_certificate_matches(u, cert, expected)
 
 
-def random_triples(shape, plan):
-    """The random plan's triples, replaying its generator calls: per weight
-    the direction of each triple, then per direction strides and starts."""
+def node_counts(shape, d):
+    """Each node's count along direction d: the lines in the C order of
+    their first nodes (those whose step back along d leaves the grid), each
+    counted in travel order, the count running on from line to line."""
+    count, k = {}, 0
+    for i in np.ndindex(shape):
+        if all(0 <= a - c < n for a, c, n in zip(i, d, shape)):
+            continue
+        while all(0 <= a < n for a, n in zip(i, shape)):
+            count[i], k = k, k + 1
+            i = tuple(a + c for a, c in zip(i, d))
+    return count
+
+
+def class_triples(shape, plan):
+    """The random plan's triples, replayed: per weight, of the aligned
+    triples (counted one by one), those whose start's count along their
+    direction is r mod delta, delta = ceil(count / per) but at most the
+    longest axis less q, and r the plan's generator's one draw for the
+    weight."""
     rng = np.random.default_rng(plan.seed)
-    dirs = _DIRECTIONS[len(shape)]
+    per = max(1, plan.n_random // len(plan.lambdas))
+    counts = {d: node_counts(shape, d) for d in _DIRECTIONS[len(shape)]}
     for lam in plan.lambdas:
-        p, q, lam = _as_fraction(lam)
-        per = max(1, plan.n_random // len(plan.lambdas))
-        pick = rng.integers(0, len(dirs), size=per) if len(dirs) > 1 else None
-        for j, d in enumerate(dirs):
-            m = per if pick is None else int(np.count_nonzero(pick == j))
-            s_hi = min((n - 1) // q for n, c in zip(shape, d) if c)
-            if m == 0 or s_hi < 1:
-                continue
-            s = rng.integers(1, s_hi + 1, size=m)
-            i0 = [rng.integers(*_starts(n, c, q * s), size=m) for n, c in zip(shape, d)]
-            for k in range(m):
-                x = tuple(int(a[k]) for a in i0)
-                yield (x, tuple(a + p * int(s[k]) * c for a, c in zip(x, d)),
-                       tuple(a + q * int(s[k]) * c for a, c in zip(x, d)), lam)
+        triples = list(aligned_triples(shape, (lam,)))
+        delta = max(1, min(-(-len(triples) // per), max(shape) - _as_fraction(lam)[1]))
+        r = int(rng.integers(delta))
+        for i0, im, i1, lam in triples:
+            d = tuple(int(np.sign(b - a)) for a, b in zip(i0, i1))
+            if counts[d][i0] % delta == r:
+                yield i0, im, i1, lam
 
 
 _SHAPES = pytest.mark.parametrize("shape", [(203,), (17, 23), (6, 7, 5)],
@@ -1151,17 +1162,54 @@ _SHAPES = pytest.mark.parametrize("shape", [(203,), (17, 23), (6, 7, 5)],
 @pytest.mark.parametrize("values", ["random", "rounded", "inf", "infinite"])
 @_SHAPES
 def test_random_scan_matches_a_replay_of_its_draws(monkeypatch, shape, values):
-    """Drawing its last axis's starts and evaluating its triples a block of a
-    small block constant (97, which divides no per-direction count here) at
-    a time, the random scan keeps every generator call and so every
-    certificate."""
+    """Scanning its class a block of a small block constant (97) at a time,
+    the random scan takes the triples of the replayed class (delta 1 to 11
+    here), in scan order."""
     monkeypatch.setattr(certify, "_BLOCK", 97)
     u = scan_grid(shape, values, seed=9)
     plan = SamplingPlan(kind="random", lambdas=(0.5, 1 / 3, 3 / 8), n_random=3000,
                         seed=3)
     cert = check_F_convex(u, P0, plan)
-    expected = fold_triples(u, P0, random_triples(shape, plan), 10.0)
+    expected = fold_triples(u, P0, class_triples(shape, plan), 10.0)
     assert_certificate_matches(u, cert, expected)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_random", [2, 40, 400])
+@_SHAPES
+def test_a_small_budget_scans_the_replayed_class(monkeypatch, shape, n_random, seed):
+    """Budgets of one to a few hundred triples per weight: the class holds
+    no start on most lines and none in many blocks, yet at least one triple
+    of each weight, and each seed draws its own class."""
+    monkeypatch.setattr(certify, "_BLOCK", 97)
+    u = scan_grid(shape, "random", seed=seed)
+    plan = SamplingPlan(kind="random", lambdas=(0.5, 1 / 3), n_random=n_random, seed=seed)
+    cert = check_F_convex(u, P0, plan)
+    expected = fold_triples(u, P0, class_triples(shape, plan), 10.0)
+    assert_certificate_matches(u, cert, expected)
+    assert cert.n_samples >= 2
+
+
+@pytest.mark.parametrize("values", ["random", "rounded", "inf", "infinite"])
+@_SHAPES
+def test_a_budget_that_covers_every_triple_is_the_aligned_scan(shape, values):
+    u = scan_grid(shape, values, seed=4)
+    lams = (0.5, 1 / 3, 3 / 8)
+    n_all = max(sum(1 for _ in aligned_triples(shape, (lam,))) for lam in lams)
+    aligned = check_F_convex(u, P0, SamplingPlan(lambdas=lams))
+    for n_random in (3 * n_all, 10 ** 9):
+        plan = SamplingPlan(kind="random", lambdas=lams, n_random=n_random, seed=5)
+        assert repr(check_F_convex(u, P0, plan)) == repr(aligned)
+
+
+def test_seeds_draw_different_classes():
+    """Eight seeds on one 1D grid (delta 11 and 7) draw eight different
+    pairs of classes, and so eight different certificates."""
+    u = scan_grid((203,), "random", seed=2)
+    certs = {repr(check_F_convex(u, P0, SamplingPlan(kind="random", lambdas=(0.5, 1 / 3),
+                                                         n_random=2000, seed=seed)))
+             for seed in range(8)}
+    assert len(certs) == 8
 
 
 @pytest.mark.parametrize("shape", [(4097,), (61, 67), (13, 11, 17)],
@@ -1174,7 +1222,6 @@ def test_random_certificate_does_not_depend_on_the_block_size(monkeypatch, shape
         monkeypatch.setattr(certify, "_BLOCK", block)
         certs.append(check_F_convex(u, P0, plan))
     assert repr(certs[0]) == repr(certs[1])
-    assert certs[0].n_samples == 200_000
 
 
 # -- Dirichlet preservation ----------------------------------------------------

@@ -1277,6 +1277,21 @@ def test_a_ridge_in_1d_evolves_on_its_mirrored_line():
     assert rel_err(u.values, exact) <= u.value_error < 1e-8
 
 
+def test_a_1d_ridge_reads_its_line_as_it_lies():
+    """Along (1,) a ridge's values are its profile's flow on the grid bit for
+    bit; along (-1,) the flow on the mirrored line, reversed."""
+    def fn(xi):
+        return np.exp(-(xi - 0.5) ** 2)
+
+    def flow(direction, grid):
+        return heat_evolve_free(InitialDatum(fn=fn, direction=direction), 0.05, grid).values
+
+    assert np.array_equal(flow((1.0,), (-1.0, 2.0, 1.0 / 16)),
+                          flow(None, (-1.0, 2.0, 1.0 / 16)))
+    assert np.array_equal(flow((-1.0,), (-1.0, 2.0, 1.0 / 16)),
+                          flow(None, (-2.0, 1.0, 1.0 / 16))[::-1])
+
+
 def test_refine_history_records_every_pass():
     u = heat_evolve_free(_SIN2, 0.05, (_G8, _G8), quad_tol=1e-30, max_refine=3)
     hist = u.meta["refine_history"]
