@@ -47,7 +47,6 @@ from .certify import (
     Certificate,
     EnvelopeComparison,
     MidpointSample,
-    SamplingPlan,
     check_F_convex,
     check_envelope_comparison,
     check_quasi_convex,
@@ -71,7 +70,6 @@ __all__ = [
     "GridFunction",
     "InitialDatum",
     "MidpointSample",
-    "SamplingPlan",
     "StrengthComparison",
     "abs_kink_generator",
     "builtin_transforms",

@@ -1,24 +1,25 @@
 """Midpoint certificates: verify or refute transformed convexity on grids.
 
-A grid function u is F-convex when F(u) satisfies the midpoint inequality
-F(u((1-lam)x0 + lam x1)) <= (1-lam)F(u(x0)) + lam F(u(x1)).  The checks here
-restrict lam to small-denominator rationals so every tested midpoint lands
-exactly on a grid node; since evolved solutions are continuous, midpoint
-convexity upgrades to full convexity.  Verdicts are guarded by noise floors
-propagated from each grid function's recorded value error, and a violation
-counts as significant only when its gap clears a significance factor
-(default 10) times that floor.
+A grid function u is F-convex when F(u) is convex, that is when
+F(u(x)) <= (1-lam)F(u(x0)) + lam F(u(x1)) at x = (1-lam)x0 + lam x1.  The
+certificate tests every chord of grid nodes: every triple of nodes x0, x,
+x1 in order on one lattice line, lam their own weight (x - x0)/(x1 - x0).
+Since evolved solutions are continuous, convexity along the lines of a fine
+grid is the discrete form of convexity.  Verdicts are guarded by noise
+floors propagated from each grid function's recorded value error, and a
+violation counts as significant only when its gap clears a significance
+factor (default 10) times that floor.
 
 Every check scans the lattice lines along the directions of one table (the
 vectors of {-1, 0, 1}^n up to sign: the axis in 1D; rows, columns and both
 diagonals in 2D; 13 directions in 3D), asking whether a middle value sits
-above its ends: above the weighted chord for F-convexity, above the running
-minima on both sides for quasi-convexity.  `_lines` lists a direction's
-lines as rows of flat node indices padded with a sentinel index, and the
-aligned scan and the quasi-convexity check read the field values through
-those rows as line stacks.  The random plan is the aligned scan of a
-seeded residue class of starts: every delta-th node of each direction, so
-that the class holds about the plan's budget of triples.
+above its ends: above the chord for F-convexity, above the running minima
+on both sides for quasi-convexity.  `_lines` lists a direction's lines as
+rows of flat node indices padded with a sentinel index, which the
+quasi-convexity check reads as line stacks; `_chain` lays the lines of
+every direction end to end.  The worst chord through each middle node is
+read from lower convex hulls of the line's points (`_chords`), so the
+certificate takes a few elimination passes, not a pass per triple.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .numerics import DomainError, param_text
 
 __all__ = [
     "MidpointSample",
-    "SamplingPlan",
     "Certificate",
     "check_F_convex",
     "check_quasi_convex",
@@ -48,12 +48,12 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-_BLOCK = 1 << 16  # triples per numpy pass of a midpoint scan
 
 
 @dataclass(frozen=True)
 class MidpointSample:
-    """One tested triple: endpoints, weight, and the two sides of the inequality."""
+    """One tested triple: endpoints, the middle's weight between them, and
+    the two sides of the inequality."""
 
     x0: object
     x1: object
@@ -64,46 +64,15 @@ class MidpointSample:
 
 
 @dataclass(frozen=True)
-class SamplingPlan:
-    """How triples are drawn.
-
-    kind 'aligned' scans every grid-aligned triple (along every direction
-    of the scan table) for each weight; 'random' scans a residue class of
-    their starts, one draw per weight from default_rng(seed)
-    (`_class_lines`), which holds every triple with the same probability
-    and about per = max(1, n_random // len(lambdas)) of them (n_random a
-    positive count), at least one: a budget that covers every triple gives
-    the aligned certificate.  Weights must be rationals p/q with q <= 8 so
-    midpoints are grid-exact.  A plan that would scan nothing, or an
-    unknown kind, is a DomainError (a ValueError).
-    """
-
-    kind: str = "aligned"
-    lambdas: tuple = (0.5,)
-    n_random: int = 4000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("aligned", "random"):
-            raise DomainError(f"unknown sampling plan kind {self.kind!r}")
-        if len(self.lambdas) == 0:
-            raise DomainError("lambdas must list at least one weight")
-        if self.n_random < 1:
-            raise DomainError(
-                f"n_random must be a positive count of triples, got {self.n_random}")
-
-
-@dataclass(frozen=True)
 class Certificate:
-    """Outcome of a midpoint scan.
+    """Outcome of a chord scan.
 
     worst is the deciding triple, whose gap most exceeds the significance
     factor times its noise_floor, the propagated value-error spread there
     (value errors are two-grid estimates, so this is a discretization noise
     estimate); significant says that the gap clears factor times the floor.
-    max_gap is the largest raw gap of the scan, for display.  Midpoints are
-    grid-exact, and continuity of the data upgrades midpoint convexity to
-    convexity.
+    max_gap is the largest raw gap of every triple, for display; n_samples
+    counts the middle nodes of a triple, once per scan direction.
     """
 
     status: str
@@ -150,8 +119,8 @@ def _transform_values(u, F):
 
 
 class _Directions(dict):
-    """n -> the triple families' directions in scan order (ties keep the
-    first): the vectors of {0, 1, -1}^n whose first nonzero entry is 1."""
+    """n -> the scan directions in scan order (ties keep the first): the
+    vectors of {0, 1, -1}^n whose first nonzero entry is 1."""
 
     def __missing__(self, n):
         self[n] = tuple(d for d in itertools.product((0, 1, -1), repeat=n)
@@ -184,187 +153,158 @@ def _lines(shape, d):
     return lines
 
 
-def _class_lines(shape, q, per, rng):
-    """The random plan's lines for a weight of denominator q, and delta.
-
-    Of the T aligned triples over every direction (a line of L nodes holds
-    L - q s of stride s, for m = (L - 1) // q strides), the plan scans those
-    that start at node r, r + delta, ... of their direction, delta =
-    ceil(T / per) and r = rng.integers(delta).  A direction's nodes are
-    counted line after line, each in travel order: a count restarted on
-    every line would leave no start on a line of r nodes or fewer.  delta
-    is at most L - q for the longest line, so that one of its first L - q
-    nodes, which start a triple of stride 1, is in every class.  Each line
-    is returned moved to begin at its first start, so that its starts are
-    its entries 0, delta, 2 delta, ...
-    """
+@functools.lru_cache(maxsize=16)
+def _chain(shape):
+    """The lines of every scan direction end to end, as read-only arrays
+    over their entries (each node once per direction): node, the flat node
+    index; pos, the position along the line; line, the line's number; and
+    per line, the number of its direction."""
     size = math.prod(shape)
-    tables = [_lines(shape, d) for d in _DIRECTIONS[len(shape)]]
-    lengths = [np.count_nonzero(t < size, axis=1) for t in tables]
-    n_triples = sum(int((m * n - q * m * (m + 1) // 2).sum())
-                    for n in lengths for m in [(n - 1) // q])
-    delta = max(1, min(-(-n_triples // per), max(int(n.max()) for n in lengths) - q))
-    r = int(rng.integers(delta))
-    moved = []
-    for t, n in zip(tables, lengths):
-        first = (r - np.cumsum(n) + n) % delta  # the first start of each line
-        cols = first[:, None] + np.arange(max(0, int((n - first).max())))
-        moved.append(np.where(cols < n[:, None],
-                              np.take_along_axis(t, np.minimum(cols, t.shape[1] - 1), 1), size))
-    return moved, delta
+    parts, n_lines = [], 0
+    for j, d in enumerate(_DIRECTIONS[len(shape)]):
+        t = _lines(shape, d)
+        row, pos = np.nonzero(t < size)
+        parts.append((t[row, pos], pos.astype(float), row + n_lines, np.full(len(t), j)))
+        n_lines += len(t)
+    chain = tuple(np.concatenate(a) for a in zip(*parts))
+    for a in chain:
+        a.flags.writeable = False
+    return chain
 
 
-def _fields(v, spread, factor, lam):
-    """v, spread, and the complex pairs (v, v - f spread) of middles and (v,
-    v + f spread) of ends times 1 - lam and lam, f = factor: the middle less
-    the chord gives gap and margin gap - f noise (noise: the value-error
-    spread of both sides) in one gather and subtraction, componentwise."""
-    def pair(re, im):
-        return np.stack((re, im), axis=-1).view(complex)[..., 0]
-
-    with np.errstate(invalid="ignore"):
-        ends = v + factor * spread
-        return (v, spread, pair(v, v - factor * spread),
-                pair((1.0 - lam) * v, (1.0 - lam) * ends), pair(lam * v, lam * ends))
+def _edges(joined):
+    """(first, last): masks of the entries that begin and end their runs,
+    joined[i] telling whether entry i + 1 continues the run of entry i."""
+    first = np.ones(joined.size + 1, bool)
+    last = first.copy()
+    first[1:], last[:-1] = ~joined, ~joined
+    return first, last
 
 
-def _block_winner(gap, margin, count, inside, keys=None):
-    """(k, margin[k], max gap, count) of a block of triples with gaps gap
-    and margins margin, k the flat index of the largest margin (the first on
-    ties), or None when the block holds no triple.  count is the block's
-    triple count when no entry is NaN.  NaN gaps (opposite infinite
-    endpoints) are not triples, and a NaN margin (infinite noise) counts as
-    -inf.  inside() masks the entries that are triples: the others are
-    padding, whose gaps and margins are -inf or NaN, so they matter only
-    when no margin beats -inf.  keys, when given, holds the scan-order keys
-    of the entries of one leading index (a stride): a tie within k's stride
-    goes to the smallest key instead.
+def _bounds(line):
+    """(first, last): for each entry of line, sorted line numbers, the
+    index of its line's first and last entry."""
+    head, tail = _edges(line[1:] == line[:-1])
+    s, e = np.flatnonzero(head), np.flatnonzero(tail)
+    return np.repeat(s, e - s + 1), np.repeat(e, e - s + 1)
+
+
+def _lower_hull(xs, ys, ln):
+    """(vertex, end): masks of the points (xs, ys), each line's points in
+    order along it (ln their sorted line numbers), that are vertices of
+    their line's lower convex hull, and that are their line's first or last.
+
+    A point on or above the chord of two other points of its line is no
+    vertex, and dropping it leaves the hull as it was.  The first pass tests
+    every point against the chord of its neighbours and that of its line's
+    ends (which drops a bump's inner points at once); each later pass tests
+    the points next to those just dropped against the chord of their
+    remaining neighbours, until none drops.
     """
-    k = int(margin.argmax())
-    m, g_max = margin.flat[k], gap.max()
-    valid = None
-    if not (m > -np.inf and g_max == g_max):
-        valid = ~np.isnan(gap) & inside()
-        count = int(np.count_nonzero(valid))
-        if count == 0:
-            return None
-        margin = np.where(valid & ~np.isnan(margin), margin, -np.inf)
-        k = int(margin.argmax())
-        if not valid.flat[k]:  # every margin is -inf: the first triple decides
-            k = int(valid.argmax())
-        m, g_max = margin.flat[k], np.nanmax(gap)
-    if keys is not None:
-        kb, n = divmod(k, keys.size)
-        tied = margin[kb] == m
-        if valid is not None:
-            tied &= valid[kb]
-        tied = np.flatnonzero(tied)
-        k += int(tied[keys.flat[tied].argmin()]) - n
-    return k, m, float(g_max), count
+    k = np.arange(ln.size)
+    f, g = _bounds(ln)
+    ends = (f == k) | (g == k)
+    yf, xf = ys[f], xs[f]
+    drop = (ys - yf) * (xs[g] - xf) >= (ys[g] - yf) * (xs - xf)
+    drop[1:-1] |= ((ys[1:-1] - ys[:-2]) * (xs[2:] - xs[:-2])
+                   >= (ys[2:] - ys[:-2]) * (xs[1:-1] - xs[:-2]))
+    drop &= ~ends
+    prv, nxt, gone = k - 1, k + 1, np.flatnonzero(drop)
+    while gone.size:
+        # link the two points left on either side of each run of dropped
+        # points; in order, they are the next pass's candidates
+        a, b = prv[gone], nxt[gone]
+        a, b = a[~drop[a]], b[~drop[b]]
+        nxt[a], prv[b] = b, a
+        c = np.empty(2 * a.size, np.intp)
+        c[::2], c[1::2] = a, b
+        c = c[_edges(c[1:] == c[:-1])[0] & ~ends[c]]
+        a, b = prv[c], nxt[c]
+        gone = c[(ys[c] - ys[a]) * (xs[b] - xs[a]) >= (ys[b] - ys[a]) * (xs[c] - xs[a])]
+        drop[gone] = True
+    return ~drop, ends
 
 
-def _fold(best, fields, lam, margin, gap, g_max, nodes):
-    """Fold a triple (margin, gap, nodes (i0, im, i1)) and a block's largest
-    gap into the record (margin, gap, noise, i0, im, i1, lhs, rhs, lam,
-    max_gap) of the largest margin: a strictly larger one replaces it."""
-    if best is not None:
-        g_max = max(g_max, best[-1])
-        if not margin > best[0]:
-            return best[:-1] + (g_max,)
-    v, spread, _, end0, end1 = fields
-    i0, im, i1 = nodes
-    noise = (1.0 - lam) * spread[i0] + lam * spread[i1] + spread[im]
-    return (float(margin), float(gap), float(noise), i0, im, i1,
-            float(v[im]), float(end0[i0].real + end1[i1].real), lam, g_max)
+def _chords(x, y, line, pts):
+    """(mid, a, b, lam) of pts, sorted indices of points (x, y) that lie in
+    order along the lines numbered `line`: each mid of pts with points of
+    its line before and after it, the chord between two other points of
+    pts, a before mid and b after, that is lowest at mid, and lam =
+    (x_mid - x_a) / (x_b - x_a).
 
-
-def _scan_aligned(best, fields, p, q, lam, tables, delta):
-    """Worst margin over the grid-aligned stride triples for one weight that
-    start at entry 0, delta, 2 delta, ... of a line of tables (the lines of
-    each direction as `_lines` lists them, or moved by `_class_lines`), in
-    scan order: stride, direction, start node in C order.
-
-    Directions go in groups: consecutive ones whose lines hold at most
-    _BLOCK nodes together, or one direction.  A group's lines make one
-    table, a column per line, with q (B - 1) more rows (B the group's
-    longest block), and each field plane is gathered through it once; the
-    sentinel reads +inf for ends and -inf for middles, so a triple with a
-    padded member is never counted and never decides.  Strides go in blocks
-    of as many as fill _BLOCK / (number of directions) table entries at the
-    block's first stride, which keeps an n-axis scan's buffers small.  One
-    numpy pass per block reads the members k, k + p s and k + q s of every
-    line, k = 0, delta, 2 delta, ..., through one strided view of each
-    plane, into two buffers.  A tie in a pass goes to the earlier direction,
-    then start node (key); a tie between groups to the earlier group.
+    That chord is the lower envelope at mid of its line's other points: the
+    edge over mid of the lower hull H where mid is no vertex of H, and the
+    chord of its neighbours where they are its neighbours on H too.
+    Dropping a vertex changes the hull only between its neighbours on H, so
+    at the other inner vertices of odd rank along H it is the hull of the
+    points between their neighbours without them, and at even rank the
+    same without the even ones: one more hull pass.
     """
-    v, _, mid, end0, end1 = fields
-    shape, size = v.shape, v.size
-    ext = np.empty((6, size + 1))  # the planes of end0, mid and end1, then the sentinel
-    ext[:, :size] = [part.reshape(-1) for a in (end0, mid, end1) for part in (a.real, a.imag)]
-    ext[:, size] = np.inf, np.inf, -np.inf, -np.inf, np.inf, np.inf
-    groups = [[]]
-    for j, lines in enumerate(tables):
-        if groups[-1] and sum(t.size for _, t in groups[-1]) + lines.size > _BLOCK:
-            groups.append([])
-        groups[-1].append((j, lines))
-    cands, count, g_all = [], 0, -np.inf
-    for group in groups:
-        longest, n_lines = max(t.shape[1] for _, t in group), sum(len(t) for _, t in group)
-        # w: the starts of a stride on the longest line (the block's width)
-        blocks, s, n_strides = [], 1, (longest - 1) // q
-        while s <= n_strides:
-            w = -((q * s - longest) // delta)
-            blocks.append((s, max(1, min(_BLOCK // len(tables) // (w * n_lines),
-                                         n_strides - s + 1)), w))
-            s += blocks[-1][1]
-        if not blocks:
-            continue
-        idx = np.full((longest + q * (max(b for _, b, _ in blocks) - 1), n_lines), size)
-        first = 0
-        for _, t in group:
-            idx[:t.shape[1], first:first + len(t)] = t.T
-            first += len(t)
-        key = idx + np.repeat([j * size for j, _ in group], [len(t) for _, t in group])
-        length = np.count_nonzero(idx < size, axis=0)
-        # triples of the strides up to each (and of stride 0, which cancels)
-        done = np.cumsum(np.maximum(-((q * np.arange(n_strides + 1)[:, None] - length)
-                                      // delta), 0).sum(1))
-        stack = [plane.take(idx) for plane in ext]
-        row, item = stack[0].strides
-        n_buf = max(b * w for _, b, w in blocks) * n_lines
-        gap_buf, margin_buf, found = np.empty(n_buf), np.empty(n_buf), None
-        with np.errstate(invalid="ignore"):
-            for s, b, w in blocks:
-                gap = gap_buf[:b * w * n_lines].reshape(b, w, n_lines)
-                margin = margin_buf[:gap.size].reshape(gap.shape)
-                e0_re, e0_im, m_re, m_im, e1_re, e1_im = (
-                    np.ndarray(gap.shape, float, plane, o * s * row,
-                               (o * row, delta * row, item))
-                    for plane, o in zip(stack, (0, 0, p, p, q, q)))
-                np.subtract(m_re, np.add(e0_re, e1_re, out=gap), out=gap)
-                np.subtract(m_im, np.add(e0_im, e1_im, out=margin), out=margin)
+    if not pts.size:
+        return pts, pts, pts, x[pts]
+    whole = pts.size == x.size  # then pts lists every point, and needs no gather
+    xs, ys, ln = (x, y, line) if whole else (x[pts], y[pts], line[pts])
+    n, n_lines = pts.size, int(ln[-1]) + 1
+    vertex, ends = _lower_hull(xs, ys, ln)
+    hull = np.flatnonzero(vertex)
+    k, (first, last) = np.arange(hull.size), _bounds(ln[hull])
+    lone = (first < k) & (k < last)  # inner vertices with a point between them and a neighbour on H
+    lone[1:-1] &= (hull[:-2] + 1 < hull[1:-1]) | (hull[1:-1] + 1 < hull[2:])
+    copy = np.zeros(n, np.intp)  # the hull each point reads: H, or copy 1 or 2
+    copy[hull[lone]] = 2 - (k - first)[lone] % 2
+    # the vertices next to each middle on H: r is the rank along H of the
+    # last vertex at or before each point
+    mid, r = np.flatnonzero(~ends), np.cumsum(vertex) - 1
+    a, b = hull[r[mid] - vertex[mid]], hull[r[mid] + 1]
+    if lone.any():
+        sets = []
+        for c in (1, 2):  # the points between the H neighbours of copy c's vertices
+            read = np.zeros(hull.size + 1, bool)
+            read[:-1] = copy[hull] == c
+            window = read[r] | read[r + 1] | (vertex & read[r - 1])
+            sets.append(np.flatnonzero(window & (copy != c)))
+        more = np.concatenate((sets[0] + n, sets[1] + 2 * n))  # copy c of point i is c n + i
+        verts = more[_lower_hull(xs[more % n], ys[more % n], np.concatenate(
+            (ln[sets[0]], ln[sets[1]] + n_lines)))[0]]
+        lone = hull[lone]
+        shift = copy[lone] * n
+        j, at = np.searchsorted(verts, lone + shift), np.searchsorted(mid, lone)
+        a[at], b[at] = verts[j - 1] - shift, verts[j] - shift
+    lam = (xs[mid] - xs[a]) / (xs[b] - xs[a])
+    return (mid, a, b, lam) if whole else (pts[mid], pts[a], pts[b], lam)
 
-                def inside():
-                    # the end, q (s + kb) steps past the start, lies on its line
-                    return (delta * np.arange(w)[:, None] < length
-                            - q * np.arange(s, s + b)[:, None, None])
 
-                won = _block_winner(gap, margin, int(done[s - 1 + b] - done[s - 1]), inside,
-                                    key[::delta][:w] if n_lines > 1 else None)
-                if won is not None:
-                    k, m_k, g_max, cnt = won
-                    count, g_all = count + cnt, max(g_all, g_max)
-                    if found is None or m_k > found[0]:
-                        found = (m_k, s + k // gap[0].size, *divmod(k % gap[0].size, n_lines),
-                                 gap.flat[k])
-        if found is not None:
-            m_k, sk, c, line, g = found
-            cands.append(((-m_k, sk), g, tuple(tuple(map(int, np.unravel_index(
-                idx[delta * c + o * sk, line], shape))) for o in (0, p, q))))
-    if not cands:
-        return best, count
-    (neg_m, _), g, nodes = min(cands, key=lambda c: c[0])  # the first: scan order
-    return _fold(best, fields, lam, -neg_m, g, g_all, nodes), count
+# node kinds: -inf, finite, +inf, NaN; [middle, end, end] -> do nodes of
+# these kinds make a triple (a gap that is not NaN), and one of gap +inf?
+_REP = np.array([-np.inf, 1.0, np.inf, np.nan])
+with np.errstate(invalid="ignore"):
+    _GAP = _REP[:, None, None] - (_REP[:, None] + _REP)
+_TRIPLE, _INF_GAP = ~np.isnan(_GAP), _GAP == np.inf
+
+
+def _typed_scan(v, chain, finite_gaps):
+    """(n_samples, max_gap, first) of values v that are not all finite,
+    finite_gaps the gaps of the middles whose chord the raw-gap pass read:
+    the count of middles of a triple, the largest gap of a triple, and the
+    first triple in scan order (None for none): the first middle e, then
+    the first entry of its line that makes a triple with e and an entry
+    after it, then the first such entry after e."""
+    node, _, line, direction = chain
+    head, tail = _bounds(line)
+    vals = v.reshape(-1)[node]
+    t = (vals > -np.inf).astype(int) + (vals == np.inf) + 3 * np.isnan(vals)  # the kinds
+    own = t == np.arange(4)[:, None]
+    seen = np.cumsum(own, axis=1)
+    # pairs[e, i, j]: a node of kind i before entry e on its line, and one of kind j after
+    pairs = (seen - own > (seen - own)[:, head]).T[:, :, None] & (seen[:, tail] > seen).T[:, None, :]
+    judged = np.flatnonzero((pairs & _TRIPLE[t]).any((1, 2)))
+    if not judged.size:
+        return 0, float("nan"), None
+    max_gap = np.inf if (pairs & _INF_GAP[t]).any() else float(finite_gaps.max(initial=-np.inf))
+    e = judged[(direction[line[judged]] * v.size + node[judged]).argmin()]
+    ok = _TRIPLE[t[e]][:, t[e + 1:tail[e] + 1]]
+    a = head[e] + int(np.argmax(ok[t[head[e]:e]].any(1)))
+    return judged.size, max_gap, (a, e, e + 1 + int(np.argmax(ok[t[a]])))
 
 
 def _bare(per_axis):
@@ -372,48 +312,85 @@ def _bare(per_axis):
     return per_axis[0] if len(per_axis) == 1 else per_axis
 
 
-def _node_point(u, idx):
-    """Coordinates of node idx of u: a float in 1D, else a tuple."""
-    return _bare(tuple(float(ax[i]) for ax, i in zip(u.axes(), idx)))
+def _node_point(axes, idx):
+    """Coordinates of node idx on the grid axes: a float in 1D, else a tuple."""
+    return _bare(tuple(float(ax[i]) for ax, i in zip(axes, idx)))
 
 
-def check_F_convex(u, F, plan=None, significance_factor=10.0):
-    """Midpoint-inequality scan of F(u) over a sampling plan of grid triples.
+def check_F_convex(u, F, significance_factor=10.0):
+    """Convexity test of F(u) along every chord of nodes of every lattice line.
 
-    Endpoint pairs whose transformed values are opposite infinities carry no
-    information and are excluded.  The certificate holds the deciding sample,
-    of largest gap - significance_factor * noise (noise: the value-error
-    spread at its nodes), its noise floor, whether its gap clears the factor
-    times the floor, and the largest raw gap of the scan (max_gap).
+    A triple is three nodes a, x, b in order on a line of a scan direction,
+    lam = (x - a)/(b - a): its gap is F(u(x)) less the chord of F(u) from a
+    to b at x, its noise (1 - lam) s_a + lam s_b + s_x, s the value-error
+    spread of F(u).  Ends whose transformed values are opposite infinities
+    carry no information and make no triple.  The certificate holds the
+    deciding triple, of largest margin gap - significance_factor * noise
+    (ties go to the earlier direction, then the earlier middle node in C
+    order), its noise floor, whether its gap clears the factor times the
+    floor, the largest raw gap (max_gap) and the number of middle nodes of
+    a triple, once per direction (n_samples).  Infinite noise counts as
+    margin -inf: when no margin is finite, the first triple in scan order
+    decides (first middle, then first ends, as `_typed_scan` reads them).
+
+    With f the factor, the margin is w_mid(x) less the chord of w_end at x,
+    w_mid = F(u) - f s and w_end = F(u) + f s, so the largest at x is
+    w_mid(x) less the lower envelope at x of w_end's other nodes: one
+    `_chords` pass reads it over the nodes of finite w_end, and the largest
+    gaps over those of finite F(u) (f = 0).
     """
-    plan = plan or SamplingPlan()
     v, spread = _transform_values(u, F)
-    rng = np.random.default_rng(plan.seed)
-    per = max(1, plan.n_random // len(plan.lambdas))
-    best, total = None, 0
-    for lam in plan.lambdas:
-        p, q, lam_f = _as_fraction(lam)
-        if plan.kind == "aligned":
-            tables, delta = [_lines(v.shape, d) for d in _DIRECTIONS[v.ndim]], 1
-        else:
-            tables, delta = _class_lines(v.shape, q, per, rng)
-        best, cnt = _scan_aligned(best, _fields(v, spread, significance_factor, lam_f),
-                                  p, q, lam_f, tables, delta)
-        total += cnt
+    chain = _chain(v.shape)
+    node, pos, line, direction = chain
+    size, flat, flat_s = node.size, v.reshape(-1), spread.reshape(-1)
 
-    if best is None:
+    def scan_order(e):  # of middle entries e: direction, then node
+        return direction[line[e]] * flat.size + node[e]
+
+    # margins on the entries of a first copy of the chain, raw gaps on a second
+    with np.errstate(invalid="ignore"):
+        y = np.concatenate(((flat + significance_factor * flat_s)[node], flat[node]))
+        mid, a, b, lam = _chords(np.concatenate((pos, pos)), y,
+                                 np.concatenate((line, line + direction.size)),
+                                 np.flatnonzero(np.isfinite(y)))
+        margin = (np.concatenate(((flat - significance_factor * flat_s)[node], flat[node]))[mid]
+                  - (y[a] + lam * (y[b] - y[a])))
+    split = int(np.searchsorted(mid, size))
+    if np.isfinite(flat).all():
+        n_samples = mid.size - split
+        max_gap = float(margin[split:].max()) if n_samples else np.nan
+        if n_samples:  # all finite: the first triple through e starts its line
+            e = mid[split:] - size
+            e = e[scan_order(e).argmin()]
+            first = e - int(pos[e]), e, e + 1
+    else:
+        n_samples, max_gap, first = _typed_scan(v, chain, margin[split:])
+    if split:
+        tied = np.flatnonzero(margin[:split] == margin[:split].max())
+        k = tied[scan_order(mid[tied]).argmin()]
+        nodes = a[k], mid[k], b[k]
+    elif n_samples:
+        nodes = first
+    else:
         return Certificate(status="no_violation_found", worst=None,
                            noise_floor=0.0, significant=False)
-    _, gap, noise, i0, im, i1, lhs, rhs, lam_f, max_gap = best
-    worst = MidpointSample(
-        x0=_node_point(u, i0), x1=_node_point(u, i1), lam=lam_f,
-        lhs=lhs, rhs=rhs, gap=gap)
+    i0, im, i1 = (int(node[e]) for e in nodes)
+    lam_f = float((pos[nodes[1]] - pos[nodes[0]]) / (pos[nodes[2]] - pos[nodes[0]]))
+    lhs, rhs = float(flat[im]), float((1.0 - lam_f) * flat[i0] + lam_f * flat[i1])
+    noise = float((1.0 - lam_f) * flat_s[i0] + lam_f * flat_s[i1] + flat_s[im])
+    gap = lhs - rhs
+    axes = u.axes()
+    worst = MidpointSample(x0=_node_point(axes, np.unravel_index(i0, v.shape)),
+                           x1=_node_point(axes, np.unravel_index(i1, v.shape)), lam=lam_f,
+                           lhs=lhs, rhs=rhs, gap=gap)
     # positive gaps below the noise floor are discretization dust, not
-    # violations; significance additionally demands a clearance by the factor
+    # violations; significance additionally demands a clearance by the
+    # factor.  max_gap holds the deciding gap whatever the rounding of the
+    # chords that the raw-gap pass compared
     status = "violation" if gap > noise else "no_violation_found"
-    significant = bool(gap > significance_factor * noise)
     return Certificate(status=status, worst=worst, noise_floor=noise,
-                       significant=significant, n_samples=total, max_gap=max_gap)
+                       significant=bool(gap > significance_factor * noise),
+                       n_samples=n_samples, max_gap=max(max_gap, gap))
 
 
 # -- quasi-convexity ----------------------------------------------------------
@@ -455,7 +432,8 @@ def check_quasi_convex(u, n_levels=32):
         line, c = divmod(k, excess.shape[1])
         nodes = (lines[line, int(np.nanargmin(row[line, :c + 1]))], lines[line, c + 1],
                  lines[line, c + 2 + int(np.nanargmin(row[line, c + 2:]))])
-        return False, tuple(_node_point(u, np.unravel_index(i, vals.shape)) for i in nodes)
+        axes = u.axes()
+        return False, tuple(_node_point(axes, np.unravel_index(i, vals.shape)) for i in nodes)
     return True, None
 
 
@@ -502,7 +480,7 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
                         direction=tuple(d))
 
 
-def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,
+def hunt_violation(F, phi, times, grid, refine=3, history=None,
                    significance_factor=10.0, eps_tail=1e-10):
     """Search scheduled times for a grid-stable significant violation.
 
@@ -517,7 +495,6 @@ def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,
     as `history` collects one record per (time, refinement level) run, with
     the evolution's meta.  eps_tail is passed on to heat_evolve_free.
     """
-    plan = plan or SamplingPlan()
     lo, hi, _ = grid
     _, (h0,) = _grid_size((grid,))
     overall = None
@@ -531,7 +508,7 @@ def hunt_violation(F, phi, times, grid, refine=3, plan=None, history=None,
                 if not level:
                     raise
                 break  # a finer level would pass the node budget: keep the finished ones
-            cert = check_F_convex(u, F, plan, significance_factor)
+            cert = check_F_convex(u, F, significance_factor)
             if history is not None:
                 history.append({"t": float(t), "level": level, "h": h,
                                 "certificate": cert, "meta": u.meta})

@@ -121,10 +121,14 @@ def _cert_fields(c):
 
 
 def _scan_record(cert, **where):
-    """where plus the certificate's triple count and largest raw gap (None
-    when it scanned no triple), for the *_meta.json scan lists."""
+    """where plus the certificate's count of middle nodes, its largest raw
+    gap and its deciding chord {x0, x1, lam, gap} (both None when it
+    scanned no triple), for the *_meta.json scan lists."""
+    w = cert.worst
     return {**where, "n_samples": cert.n_samples,
-            "max_gap": cert.max_gap if cert.n_samples else None}
+            "max_gap": cert.max_gap if cert.n_samples else None,
+            "chord": None if w is None else {"x0": w.x0, "x1": w.x1, "lam": w.lam,
+                                             "gap": w.gap}}
 
 
 def _require_transforms(cfg):
@@ -186,7 +190,7 @@ def cmd_verify(cfg):
         for t in cfg.times:
             u = _evolve(cfg, phi, t)
             _warn_unconverged(f"{F.label} t={t:g}", u.meta)
-            cert = check_F_convex(u, F, cfg.plan, cfg.significance_factor)
+            cert = check_F_convex(u, F, cfg.significance_factor)
             worst = cert.worst
             any_significant |= cert.significant
             fields = _cert_fields(cert)
@@ -215,7 +219,7 @@ def cmd_hunt(cfg):
         history = []
         cert, t_first = hunt_violation(
             F, phi, cfg.times, cfg.grid, refine=cfg.refine_levels,
-            plan=cfg.plan, history=history,
+            history=history,
             significance_factor=cfg.significance_factor, eps_tail=cfg.eps_tail)
         lines = ["t,level,h,status,gap,noise_floor,significant"]
         for rec in history:
@@ -273,7 +277,6 @@ def build_parser():
                        help="window override, written lo,hi "
                             "(use --grid-extent=-8,8 for negative lo)")
         s.add_argument("--times", help="comma-separated time schedule override")
-        s.add_argument("--seed", type=int, help="randomized-plan seed override")
         s.set_defaults(fn=fn)
     return parser
 
@@ -284,7 +287,6 @@ def entry(argv=None):
         "out": args.out,
         "grid.h": args.grid_h,
         "flow.times": args.times,
-        "seed": args.seed,
     }
     if args.grid_extent is not None:
         parts = re.split(r"[,:]", args.grid_extent)

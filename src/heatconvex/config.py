@@ -14,7 +14,7 @@ describe a transform or a datum are a registry name followed by inline
     grid.hi   = 1
     grid.h    = 0.015625
     flow.times = 0.05,0.1,0.2
-    certify.lambda_set = 1/2,1/4
+    certify.significance_factor = 10
     out       = results
 
 Unknown keys are rejected so typos fail loudly, and so are ``grid.lo`` and
@@ -23,17 +23,21 @@ evolved from wall to wall (its window resolves to the walls, and ``grid.h``
 must fit between them) and truncates nothing (``flow.eps_tail`` is refused).
 Every effective value, parsed and defaults included, lands in the
 ``resolved`` mapping that the commands write into their metadata records.
+The retired keys ``certify.plan``, ``certify.lambda_set``,
+``certify.n_random`` and ``seed``, which chose the midpoint weights and
+triples before the certificate tested every chord, are accepted with a
+warning on stderr naming each, and left out of ``resolved``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .certify import SamplingPlan, counterexample_datum
+from .certify import counterexample_datum
 from .heatflow import DomainSpec, GridFunction, InitialDatum, fit_growth_envelope, gauss_kernel, hot_h
 from .numerics import param_text
 from .transforms import (abs_kink_generator, make_affine, make_exp,
@@ -51,16 +55,15 @@ _DEFAULTS = {
     "grid.h": 1.0 / 64.0,
     "flow.times": (0.05, 0.1, 0.2),
     "flow.eps_tail": 1e-10,
-    "certify.plan": "aligned",
-    "certify.lambda_set": (0.5,),
-    "certify.n_random": 4000,
     "certify.refine_levels": 3,
     "certify.significance_factor": 10.0,
-    "seed": 0,
     "out": ".",
 }
 
-_KNOWN_KEYS = set(_DEFAULTS) | {"transform", "datum"}
+# keys of the midpoint plans that the chord certificate replaced
+_RETIRED = ("certify.plan", "certify.lambda_set", "certify.n_random", "seed")
+
+_KNOWN_KEYS = set(_DEFAULTS) | {"transform", "datum"} | set(_RETIRED)
 
 
 def _scalar(tok):
@@ -72,13 +75,6 @@ def _scalar(tok):
         return float(tok)
     except ValueError:
         return tok
-
-
-def _fraction(tok):
-    if "/" in str(tok):
-        num, den = str(tok).split("/", 1)
-        return float(Fraction(int(num), int(den)))
-    return float(tok)
 
 
 def _float_list(value):
@@ -269,7 +265,6 @@ class ExperimentConfig:
     grid: tuple                 # (lo, hi, h); lo, hi the walls of an interval
     times: tuple
     eps_tail: float
-    plan: SamplingPlan
     refine_levels: int
     significance_factor: float
     out_dir: str
@@ -337,20 +332,10 @@ def load_config(path, overrides=None):
     if not times or not all(0 < t < np.inf for t in times):
         raise ConfigError("flow.times must list positive finite times, "
                           f"got {get('flow.times')!r}")
-    lambdas = get("certify.lambda_set")
-    if isinstance(lambdas, str):
-        try:
-            lambdas = tuple(_fraction(tok) for tok in lambdas.split(","))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"certify.lambda_set must list fractions, got {lambdas!r}")
-    plan_kind = str(get("certify.plan"))
-    if plan_kind not in ("aligned", "random"):
-        raise ConfigError("certify.plan must be aligned or random")
-    n_random = number("certify.n_random", int, lambda n: n >= 1,
-                      "a positive count of triples")
-    seed = number("seed", int, lambda n: n >= 0, "an integer >= 0")
-    plan = SamplingPlan(kind=plan_kind, lambdas=tuple(lambdas),
-                        n_random=n_random, seed=seed)
+    for key in _RETIRED:
+        if key in raw:
+            print(f"warning: {key} = {raw[key]} is ignored (retired: the certificate "
+                  "tests every chord)", file=sys.stderr)
 
     transforms = []
     for spec in raw["transform"]:
@@ -369,8 +354,7 @@ def load_config(path, overrides=None):
 
     datum_spec = _inline(raw["datum"]) if "datum" in raw else None
     resolved.update({"transform": list(raw["transform"]), "datum": raw.get("datum", ""),
-                     "grid.lo": lo, "grid.hi": hi, "flow.times": list(times),
-                     "certify.lambda_set": list(lambdas), "certify.plan": plan_kind})
+                     "grid.lo": lo, "grid.hi": hi, "flow.times": list(times)})
 
     return ExperimentConfig(
         transforms=transforms,
@@ -380,7 +364,6 @@ def load_config(path, overrides=None):
         times=tuple(sorted(float(t) for t in times)),
         eps_tail=number("flow.eps_tail", float, lambda e: 0 < e < 1,
                         "a relative tolerance in (0, 1)"),
-        plan=plan,
         refine_levels=number("certify.refine_levels", int, lambda n: n >= 0,
                              "a count >= 0"),
         significance_factor=number("certify.significance_factor", float,

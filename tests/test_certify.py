@@ -13,7 +13,6 @@ from heatconvex import (
     ExistenceWindowError,
     GridFunction,
     InitialDatum,
-    SamplingPlan,
     check_F_convex,
     check_envelope_comparison,
     check_quasi_convex,
@@ -892,55 +891,246 @@ def test_a_grid_without_a_line_triple_is_quasi_convex(vals):
         assert check_quasi_convex(u) == (True, None)
 
 
-# -- sampling plans ------------------------------------------------------------
+# -- the chord scan against every triple ---------------------------------------
 
 
-@pytest.mark.parametrize("u", [
-    grid_1d(lambda x: np.sin(2 * x) + x * x / 4 + 2.0),
-    grid_2d(lambda x, y: np.sin(2 * x) * np.cos(y) + x * x / 4 + 2.0, n=33),
-], ids=["1d", "2d"])
-def test_random_plan_is_deterministic_by_seed(u):
-    plan = SamplingPlan(kind="random", lambdas=(0.5, 0.25), n_random=500, seed=7)
-    c1 = check_F_convex(u, P1, plan)
-    c2 = check_F_convex(u, P1, plan)
-    assert c1.worst.gap == c2.worst.gap
-    assert c1.worst.x0 == c2.worst.x0
-    assert c1.n_samples == c2.n_samples > 0
+def every_triple(shape):
+    """Every triple of nodes in order on a lattice line, in scan order:
+    direction, middle node in C order, then the first end and the last end
+    in travel order; lam the middle's weight between the ends."""
+    def ray(j, d, sign):
+        nodes, x = [], tuple(a + sign * c for a, c in zip(j, d))
+        while all(0 <= a < n for a, n in zip(x, shape)):
+            nodes.append(x)
+            x = tuple(a + sign * c for a, c in zip(x, d))
+        return nodes
+
+    for k, d in enumerate(_DIRECTIONS[len(shape)]):
+        for im in np.ndindex(shape):
+            before, after = ray(im, d, -1)[::-1], ray(im, d, 1)
+            for s0, i0 in enumerate(before):
+                for s1, i1 in enumerate(after):
+                    d0, d1 = len(before) - s0, s1 + 1
+                    yield k, i0, im, i1, float(d0) / float(d0 + d1)
 
 
-def brute_aligned_2d(vals, p, q):
-    """Every triple of the four 2D families, in the scan's order, the pedestrian way."""
-    lam = p / q
-    n0, n1 = vals.shape
-    best, count = None, 0
-    for s in range(1, (max(n0, n1) - 1) // q + 1):
-        for d0, d1 in ((0, 1), (1, 0), (1, 1), (1, -1)):
-            for i in range(n0):
-                for j in range(n1):
-                    i1, j1 = i + q * s * d0, j + q * s * d1
-                    if not (0 <= i1 < n0 and 0 <= j1 < n1):
-                        continue
-                    mid = vals[i + p * s * d0, j + p * s * d1]
-                    gap = mid - ((1.0 - lam) * vals[i, j] + lam * vals[i1, j1])
-                    count += 1
-                    if best is None or gap > best[0]:
-                        best = (gap, (i, j), (i1, j1))
-    return best, count
+def brute_certificate(u, F, factor):
+    """(best, first, max_gap, middles) over every triple, the pedestrian
+    way: best the (margin, triple) of largest finite margin gap - factor
+    noise, the chord taken as w0 + lam (w1 - w0) of w = F(u) + factor
+    spread (None when no margin is finite); first the first triple in scan
+    order; max_gap the largest gap; middles the count of (direction,
+    middle) pairs of a triple.  A NaN gap (opposite infinite ends) is no
+    triple."""
+    v, spread = _transform_values(u, F)
+    best = first = None
+    g_max, middles = -np.inf, set()
+    with np.errstate(invalid="ignore"):
+        for k, i0, im, i1, lam in every_triple(v.shape):
+            gap = v[im] - ((1.0 - lam) * v[i0] + lam * v[i1])
+            if np.isnan(gap):
+                continue
+            first = first or (i0, im, i1, lam)
+            g_max = max(g_max, gap)
+            middles.add((k, im))
+            w0, w1 = v[i0] + factor * spread[i0], v[i1] + factor * spread[i1]
+            margin = v[im] - factor * spread[im] - (w0 + lam * (w1 - w0))
+            if np.isfinite(margin) and (best is None or margin > best[0]):
+                best = (margin, (i0, im, i1, lam))
+    return best, first, g_max, len(middles)
 
 
-@pytest.mark.parametrize("lam,p,q", [(0.5, 1, 2), (1 / 3, 1, 3)])
-def test_aligned_2d_scan_matches_enumeration(lam, p, q):
-    rng = np.random.default_rng(5)
-    vals = rng.random((9, 17)) + 0.5
-    u = GridFunction(values=vals, extent=((-1.0, 1.0), (-2.0, 2.0)),
-                     growth_a=float(np.max(np.abs(vals))) + 1.0, growth_A=0.0)
-    cert = check_F_convex(u, P1, SamplingPlan(lambdas=(lam,)))
-    (gap, n0, n1), count = brute_aligned_2d(np.asarray(P1(vals)), p, q)
-    ax0, ax1 = u.axes()
-    assert cert.worst.gap == gap
-    assert cert.worst.x0 == (float(ax0[n0[0]]), float(ax1[n0[1]]))
-    assert cert.worst.x1 == (float(ax0[n1[0]]), float(ax1[n1[1]]))
-    assert cert.n_samples == count
+def _point(u, i):
+    p = tuple(float(a[k]) for a, k in zip(u.axes(), i))
+    return p[0] if u.dim == 1 else p
+
+
+def assert_matches_every_triple(u, F, factor=10.0):
+    """The chord scan decides as the enumeration of every triple does: the
+    same count of middles and largest gap, and a deciding margin equal to
+    the largest finite margin within rounding; with no finite margin, the
+    first triple in scan order, exactly."""
+    cert = check_F_convex(u, F, factor)
+    best, first, g_max, middles = brute_certificate(u, F, factor)
+    assert cert.n_samples == middles
+    if first is None:
+        assert cert.worst is None and np.isnan(cert.max_gap)
+        return
+    assert cert.max_gap == pytest.approx(g_max, rel=1e-12, abs=1e-12)
+    if best is None:
+        i0, im, i1, lam = first
+        assert cert.noise_floor == np.inf
+        assert (cert.worst.x0, cert.worst.x1, cert.worst.lam) == (_point(u, i0), _point(u, i1),
+                                                                   lam)
+        v, _ = _transform_values(u, F)
+        assert cert.worst.gap == v[im] - ((1.0 - lam) * v[i0] + lam * v[i1])
+    else:
+        margin = cert.worst.gap - factor * cert.noise_floor
+        assert margin == pytest.approx(best[0], rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1), st.sampled_from(["walk", "bowl", "rounded"]),
+       st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([0.0, 1e-9]),
+       st.sampled_from([0.0, 10.0]))
+def test_chord_scan_matches_every_triple_on_1d_grids(n, seed, kind, odd_share, value_error,
+                                                     factor):
+    """Positive walks, bowls and rounded walks (ties), with a share of odd
+    nodes under power alpha = 0 (F = log): u = 0 and u = inf give F(u) =
+    -inf and +inf, and u = 1e-12 with a value error of 1e-9 a finite F(u)
+    of infinite spread."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n, dtype=float)
+    vals = {"walk": np.exp(np.cumsum(rng.standard_normal(n)) * 0.5),
+            "bowl": np.exp(0.05 * (x - rng.random() * n) ** 2),
+            "rounded": np.round(np.exp(np.cumsum(rng.standard_normal(n)) * 0.5), 1) + 0.1}[kind]
+    odd = rng.random(n) < odd_share
+    vals[odd] = rng.choice([0.0, np.inf, 1e-12], size=int(odd.sum()))
+    u = GridFunction(values=vals, extent=((-1.0, 1.0),), value_error=value_error)
+    assert_matches_every_triple(u, P0, factor)
+
+
+@pytest.mark.parametrize("values", ["random", "rounded", "constant", "inf", "infinite"])
+@pytest.mark.parametrize("shape", [(7, 9), (5, 6, 4)], ids=["2d", "3d"])
+def test_chord_scan_matches_every_triple_on_2d_and_3d_grids(shape, values):
+    """Every direction of a small 2D and 3D grid: random values, rounded
+    values (ties), a constant grid, a twelfth of the nodes at 0 or +inf
+    (whose log is -inf or +inf), and grids of 0 and +inf only, where no
+    margin is finite."""
+    rng = np.random.default_rng(len(shape))
+    vals = rng.random(shape) + 0.5
+    if values == "rounded":
+        vals = np.round(vals, 1)
+    elif values == "constant":
+        vals = np.full(shape, 1.25)
+    elif values == "inf":
+        flat = vals.reshape(-1)
+        k = rng.choice(flat.size, size=flat.size // 12, replace=False)
+        flat[k] = rng.choice([0.0, np.inf], size=k.size)
+    elif values == "infinite":
+        vals = rng.choice([0.0, np.inf], size=shape)
+    u = GridFunction(values=vals, extent=tuple((-1.0, 1.0 + k) for k in range(len(shape))),
+                     growth_a=10.0, value_error=1e-9)
+    assert_matches_every_triple(u, P0)
+    assert_matches_every_triple(u, P1, 0.0)
+
+
+def _middle(u, worst):
+    """(direction, middle node) of a reported triple."""
+    i0, i1 = (np.array([int(np.argmin(np.abs(a - c))) for a, c in
+                        zip(u.axes(), np.atleast_1d(x))]) for x in (worst.x0, worst.x1))
+    steps = int(np.max(np.abs(i1 - i0)))
+    d = (i1 - i0) // steps
+    return tuple(int(c) for c in d), tuple(int(c) for c in i0 + round(worst.lam * steps) * d)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(3, 7), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1))
+def test_ties_go_to_the_earlier_direction_then_middle_node(shape, seed):
+    """Values of three levels: the largest margin is that of a top node with
+    a bottom node on either side of it along a line, the same float at
+    every such node, since the lowest chord there is flat.  The first
+    direction that has one decides, at its first such node in C order."""
+    vals = np.random.default_rng(seed).choice([1.0, 2.0, 3.0], size=shape)
+    u = GridFunction(values=vals, extent=tuple((0.0, 1.0) for _ in shape), growth_a=4.0)
+    expected = None
+    for d in _DIRECTIONS[len(shape)]:
+        for im in np.ndindex(*shape):
+            if vals[im] == 3.0 and all(
+                    any(vals[tuple(a + sign * k * c for a, c in zip(im, d))] == 1.0
+                        for k in range(1, max(shape))
+                        if all(0 <= a + sign * k * c < n for a, c, n in zip(im, d, shape)))
+                    for sign in (-1, 1)):
+                expected = (d, im)
+                break
+        if expected:
+            break
+    cert = check_F_convex(u, P1)
+    if expected is None:
+        return
+    assert _middle(u, cert.worst) == expected
+    assert cert.worst.gap - 10.0 * cert.noise_floor == pytest.approx(2.0, abs=1e-12)
+
+
+def monotone_chain(xs, ys):
+    """Indices of the lower hull's vertices of the points (xs, ys), xs
+    increasing: Andrew's monotone chain, one point at a time."""
+    hull = []
+    for i in range(len(xs)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (ys[b] - ys[a]) * (xs[i] - xs[a]) >= (ys[i] - ys[a]) * (xs[b] - xs[a]):
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+def envelope_without_each(ys):
+    """C(x) at every inner index x of one line: the lower envelope at x of
+    the points other than x, from the monotone-chain hull, and at each of
+    its vertices from the hull of the points between its two neighbours."""
+    xs = np.arange(len(ys), dtype=float)
+
+    def at(hull, i):
+        j = next(k for k in range(1, len(hull)) if hull[k] > i)
+        a, b = hull[j - 1], hull[j]
+        return ys[a] + (xs[i] - xs[a]) / (xs[b] - xs[a]) * (ys[b] - ys[a])
+
+    hull = monotone_chain(xs, ys)
+    env = np.array([at(hull, i) for i in range(1, len(ys) - 1)])
+    for r in range(1, len(hull) - 1):
+        lo, i, hi = hull[r - 1], hull[r], hull[r + 1]
+        rest = [k for k in range(lo, hi + 1) if k != i]
+        local = monotone_chain(xs[rest], ys[rest])
+        env[i - 1] = at([rest[k] for k in local], i)
+    return env
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_hull_passes_meet_a_monotone_chain(alpha):
+    """On a benchmark wedge (4097 nodes on (-6, 6), t = 0.05) the
+    elimination passes give the monotone chain's envelope at every middle.
+    Power 2's concave arc makes the passes erode its hull a point or two at
+    a time, hundreds of passes."""
+    F = make_power_alpha(alpha)
+    u = heat_evolve_free(counterexample_datum(F, 1.0), 0.05, (-6.0, 6.0, 12.0 / 4096))
+    v, spread = _transform_values(u, F)
+    y = v + 10.0 * spread
+    x = np.arange(y.size, dtype=float)
+    mid, a, b, lam = certify._chords(x, y, np.zeros(y.size, np.intp), np.arange(y.size))
+    assert np.array_equal(mid, np.arange(1, y.size - 1))
+    assert np.all(a < mid) and np.all(mid < b)
+    np.testing.assert_allclose(y[a] + lam * (y[b] - y[a]), envelope_without_each(y),
+                               rtol=1e-13, atol=1e-13)
+
+
+def aligned_margin(u, F, lam, factor=10.0):
+    """The largest margin over the stride triples of one weight p/q, whose
+    middle lies p of q strides from the first end, the pedestrian way."""
+    p, q, lam = _as_fraction(lam)
+    v, spread = _transform_values(u, F)
+    w_mid, w_end, n = v - factor * spread, v + factor * spread, v.size
+    return max(float(np.max(w_mid[p * s:n - (q - p) * s]
+                            - ((1.0 - lam) * w_end[:n - q * s] + lam * w_end[q * s:])))
+               for s in range(1, (n - 1) // q + 1))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+def test_every_chord_margin_bounds_every_aligned_margin_on_the_benchmark_wedges(alpha):
+    """The benchmark's verify wedges (4097 nodes on (-6, 6), t = 0.05): the
+    margin of the deciding chord is at least the largest margin of the
+    stride triples of each weight 1/2, 1/3, 1/4 and 3/8, and the verdict
+    is the class's."""
+    F = make_power_alpha(alpha)
+    u = heat_evolve_free(counterexample_datum(F, 1.0), 0.05, (-6.0, 6.0, 12.0 / 4096))
+    cert = check_F_convex(u, F)
+    margin = cert.worst.gap - 10.0 * cert.noise_floor
+    for lam in (0.5, 1 / 3, 0.25, 3 / 8):
+        assert margin >= aligned_margin(u, F, lam) - 1e-15
+    assert cert.significant == (alpha > 1.0)
+    assert cert.n_samples == 4095
 
 
 def test_directions_are_the_lattice_vectors_up_to_sign():
@@ -949,55 +1139,6 @@ def test_directions_are_the_lattice_vectors_up_to_sign():
     dirs = _DIRECTIONS[3]
     assert len(dirs) == len(set(dirs)) == 13
     assert {tuple(-c for c in d) for d in dirs}.isdisjoint(dirs)
-
-
-def test_aligned_3d_scan_matches_enumeration():
-    """Every triple along the 13 directions, the pedestrian way; with
-    significance factor 0 the margin is the gap itself."""
-    rng = np.random.default_rng(11)
-    vals = rng.random((5, 6, 7)) + 0.5
-    u = GridFunction(values=vals, extent=((-1.0, 1.0), (0.0, 2.0), (-3.0, 0.0)),
-                     growth_a=2.0, growth_A=0.0)
-    cert = check_F_convex(u, P1, SamplingPlan(lambdas=(1 / 3,)), significance_factor=0.0)
-    v = np.asarray(P1(vals))
-    best, count = None, 0
-    for s in range(1, (max(vals.shape) - 1) // 3 + 1):
-        for d in _DIRECTIONS[3]:
-            for i in np.ndindex(vals.shape):
-                end = tuple(a + 3 * s * c for a, c in zip(i, d))
-                if not all(0 <= e < n for e, n in zip(end, vals.shape)):
-                    continue
-                mid = tuple(a + s * c for a, c in zip(i, d))
-                gap = v[mid] - (2.0 / 3.0 * v[i] + 1.0 / 3.0 * v[end])
-                count += 1
-                if best is None or gap > best[0]:
-                    best = (gap, i, end)
-    axes = u.axes()
-    assert cert.n_samples == count
-    assert cert.worst.gap == cert.max_gap == best[0]
-    assert cert.worst.x0 == tuple(float(a[k]) for a, k in zip(axes, best[1]))
-    assert cert.worst.x1 == tuple(float(a[k]) for a, k in zip(axes, best[2]))
-
-
-@pytest.mark.parametrize("n_random", [0, -5])
-def test_non_positive_random_triple_count_is_refused(n_random):
-    """A plan of no triples used to run one per weight and certify from that."""
-    with pytest.raises(ValueError, match="n_random"):
-        SamplingPlan(kind="random", lambdas=(0.5, 0.25), n_random=n_random)
-
-
-def test_unknown_plan_kind_rejected():
-    u = grid_1d(lambda x: x * x)
-    with pytest.raises(DomainError):
-        check_F_convex(u, P1, SamplingPlan(kind="sobol"))
-
-
-@pytest.mark.parametrize("fields", [{"lambdas": ()}, {"kind": "sobol", "lambdas": ()}])
-def test_plan_that_scans_nothing_is_refused(fields):
-    """Each plan used to certify the strictly concave 2 - x^2 as
-    no_violation_found from 0 triples."""
-    with pytest.raises(ValueError):
-        SamplingPlan(**fields)
 
 
 @pytest.mark.parametrize("value_error", [0.0, 1e-9])
@@ -1014,214 +1155,6 @@ def test_infinite_node_values_certify_without_warnings(value_error):
         strict = check_F_convex(u, P0)
     assert repr(strict) == repr(quiet)
     assert strict.n_samples > 0
-
-
-# -- the blocked scans against the pedestrian scan ----------------------------
-
-
-def fold_triples(u, F, triples, factor):
-    """Fold (i0, im, i1, lam) triples in scan order the pedestrian way: the
-    first of largest margin gap - factor noise decides, NaN gaps are not
-    triples, a NaN margin counts as -inf.  Returns ((margin, (i0, i1, lam,
-    lhs, gap), noise) of the deciding triple, the largest gap, the count)."""
-    v, spread = _transform_values(u, F)
-    best, g_max, count = None, -np.inf, 0
-    with np.errstate(invalid="ignore"):
-        for i0, im, i1, lam in triples:
-            gap = v[im] - ((1.0 - lam) * v[i0] + lam * v[i1])
-            if np.isnan(gap):
-                continue
-            count += 1
-            g_max = max(g_max, gap)
-            margin = (v[im] - factor * spread[im]) - (
-                (1.0 - lam) * (v[i0] + factor * spread[i0])
-                + lam * (v[i1] + factor * spread[i1]))
-            if np.isnan(margin):
-                margin = -np.inf
-            if best is None or margin > best[0]:
-                noise = (1.0 - lam) * spread[i0] + lam * spread[i1] + spread[im]
-                best = (margin, (i0, i1, lam, v[im], gap), noise)
-    return best, g_max, count
-
-
-def aligned_triples(shape, lams):
-    """Every aligned triple in scan order: weight, stride, direction, start."""
-    for lam in lams:
-        p, q, lam = _as_fraction(lam)
-        for s in range(1, (max(shape) - 1) // q + 1):
-            for d in _DIRECTIONS[len(shape)]:
-                for i0 in np.ndindex(shape):
-                    i1 = tuple(a + q * s * c for a, c in zip(i0, d))
-                    if all(0 <= a < n for a, n in zip(i1, shape)):
-                        yield (i0, tuple(a + p * s * c for a, c in zip(i0, d)), i1, lam)
-
-
-def assert_certificate_matches(u, cert, expected):
-    best, g_max, count = expected
-    _, (i0, i1, lam, lhs, gap), noise = best
-    axes = u.axes()
-    point = [tuple(float(a[k]) for a, k in zip(axes, i)) for i in (i0, i1)]
-    if u.dim == 1:
-        point = [x for x, in point]
-    assert (cert.worst.x0, cert.worst.x1, cert.worst.lam) == (*point, lam)
-    assert cert.worst.gap == gap and cert.worst.lhs == lhs
-    assert cert.max_gap == g_max
-    assert cert.noise_floor == noise
-    assert cert.n_samples == count
-
-
-def scan_grid(shape, values, seed):
-    """A grid function of the given shape: 'random' values, 'rounded'
-    values (ties across strides and directions), a 'constant' grid (all
-    ties), 'inf' values with nodes at 0 and +inf, whose log is -inf and +inf
-    (NaN triples), or 'infinite' values, every node 0 or +inf (no margin
-    beats -inf, so the first triple decides)."""
-    rng = np.random.default_rng(seed)
-    vals = rng.random(shape) + 0.5
-    if values == "rounded":
-        vals = np.round(vals, 1)
-    elif values == "constant":
-        vals = np.full(shape, 1.25)
-    elif values == "inf":
-        flat = vals.reshape(-1)
-        k = rng.choice(flat.size, size=max(2, flat.size // 12), replace=False)
-        flat[k] = rng.choice([0.0, np.inf], size=k.size)
-    elif values == "infinite":
-        vals = rng.choice([0.0, np.inf], size=shape)
-    extent = tuple((-1.0, 1.0 + k) for k in range(len(shape)))
-    return GridFunction(values=vals, extent=extent, growth_a=10.0, growth_A=0.0,
-                        value_error=1e-9)
-
-
-@pytest.mark.parametrize("block", [1 << 16, 300, 41])
-@pytest.mark.parametrize("values", ["random", "rounded", "constant", "inf", "infinite"])
-@pytest.mark.parametrize("shape", [(203,), (17, 23), (6, 7, 5)], ids=["1d", "2d", "3d"])
-def test_aligned_scan_matches_enumeration_over_all_strides(monkeypatch, shape, values,
-                                                           block):
-    """No stride cap, three weights; a small block constant makes blocks
-    span several strides and end mid-range."""
-    monkeypatch.setattr(certify, "_BLOCK", block)
-    u = scan_grid(shape, values, seed=len(shape))
-    lams = (0.5, 1 / 3, 3 / 8)
-    cert = check_F_convex(u, P0, SamplingPlan(lambdas=lams))
-    expected = fold_triples(u, P0, aligned_triples(shape, lams), 10.0)
-    assert_certificate_matches(u, cert, expected)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.lists(st.integers(4, 7), min_size=2, max_size=3), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([0.5, 1 / 3]))
-def test_aligned_scan_breaks_ties_by_start_node(shape, seed, lam):
-    """Values of three levels tie many triples of largest margin across
-    lines and directions: the first in scan order (stride, direction, start
-    node in C order) decides, whatever the order of the lines it lies on."""
-    vals = np.random.default_rng(seed).choice([1.0, 2.0, 3.0], size=shape)
-    u = GridFunction(values=vals, extent=tuple((0.0, 1.0) for _ in shape), growth_a=4.0)
-    cert = check_F_convex(u, P1, SamplingPlan(lambdas=(lam,)))
-    expected = fold_triples(u, P1, aligned_triples(tuple(shape), (lam,)), 10.0)
-    assert_certificate_matches(u, cert, expected)
-
-
-def node_counts(shape, d):
-    """Each node's count along direction d: the lines in the C order of
-    their first nodes (those whose step back along d leaves the grid), each
-    counted in travel order, the count running on from line to line."""
-    count, k = {}, 0
-    for i in np.ndindex(shape):
-        if all(0 <= a - c < n for a, c, n in zip(i, d, shape)):
-            continue
-        while all(0 <= a < n for a, n in zip(i, shape)):
-            count[i], k = k, k + 1
-            i = tuple(a + c for a, c in zip(i, d))
-    return count
-
-
-def class_triples(shape, plan):
-    """The random plan's triples, replayed: per weight, of the aligned
-    triples (counted one by one), those whose start's count along their
-    direction is r mod delta, delta = ceil(count / per) but at most the
-    longest axis less q, and r the plan's generator's one draw for the
-    weight."""
-    rng = np.random.default_rng(plan.seed)
-    per = max(1, plan.n_random // len(plan.lambdas))
-    counts = {d: node_counts(shape, d) for d in _DIRECTIONS[len(shape)]}
-    for lam in plan.lambdas:
-        triples = list(aligned_triples(shape, (lam,)))
-        delta = max(1, min(-(-len(triples) // per), max(shape) - _as_fraction(lam)[1]))
-        r = int(rng.integers(delta))
-        for i0, im, i1, lam in triples:
-            d = tuple(int(np.sign(b - a)) for a, b in zip(i0, i1))
-            if counts[d][i0] % delta == r:
-                yield i0, im, i1, lam
-
-
-_SHAPES = pytest.mark.parametrize("shape", [(203,), (17, 23), (6, 7, 5)],
-                                  ids=["1d", "2d", "3d"])
-
-
-@pytest.mark.parametrize("values", ["random", "rounded", "inf", "infinite"])
-@_SHAPES
-def test_random_scan_matches_a_replay_of_its_draws(monkeypatch, shape, values):
-    """Scanning its class a block of a small block constant (97) at a time,
-    the random scan takes the triples of the replayed class (delta 1 to 11
-    here), in scan order."""
-    monkeypatch.setattr(certify, "_BLOCK", 97)
-    u = scan_grid(shape, values, seed=9)
-    plan = SamplingPlan(kind="random", lambdas=(0.5, 1 / 3, 3 / 8), n_random=3000,
-                        seed=3)
-    cert = check_F_convex(u, P0, plan)
-    expected = fold_triples(u, P0, class_triples(shape, plan), 10.0)
-    assert_certificate_matches(u, cert, expected)
-
-
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("n_random", [2, 40, 400])
-@_SHAPES
-def test_a_small_budget_scans_the_replayed_class(monkeypatch, shape, n_random, seed):
-    """Budgets of one to a few hundred triples per weight: the class holds
-    no start on most lines and none in many blocks, yet at least one triple
-    of each weight, and each seed draws its own class."""
-    monkeypatch.setattr(certify, "_BLOCK", 97)
-    u = scan_grid(shape, "random", seed=seed)
-    plan = SamplingPlan(kind="random", lambdas=(0.5, 1 / 3), n_random=n_random, seed=seed)
-    cert = check_F_convex(u, P0, plan)
-    expected = fold_triples(u, P0, class_triples(shape, plan), 10.0)
-    assert_certificate_matches(u, cert, expected)
-    assert cert.n_samples >= 2
-
-
-@pytest.mark.parametrize("values", ["random", "rounded", "inf", "infinite"])
-@_SHAPES
-def test_a_budget_that_covers_every_triple_is_the_aligned_scan(shape, values):
-    u = scan_grid(shape, values, seed=4)
-    lams = (0.5, 1 / 3, 3 / 8)
-    n_all = max(sum(1 for _ in aligned_triples(shape, (lam,))) for lam in lams)
-    aligned = check_F_convex(u, P0, SamplingPlan(lambdas=lams))
-    for n_random in (3 * n_all, 10 ** 9):
-        plan = SamplingPlan(kind="random", lambdas=lams, n_random=n_random, seed=5)
-        assert repr(check_F_convex(u, P0, plan)) == repr(aligned)
-
-
-def test_seeds_draw_different_classes():
-    """Eight seeds on one 1D grid (delta 11 and 7) draw eight different
-    pairs of classes, and so eight different certificates."""
-    u = scan_grid((203,), "random", seed=2)
-    certs = {repr(check_F_convex(u, P0, SamplingPlan(kind="random", lambdas=(0.5, 1 / 3),
-                                                         n_random=2000, seed=seed)))
-             for seed in range(8)}
-    assert len(certs) == 8
-
-
-@pytest.mark.parametrize("shape", [(4097,), (61, 67), (13, 11, 17)],
-                         ids=["1d", "2d", "3d"])
-def test_random_certificate_does_not_depend_on_the_block_size(monkeypatch, shape):
-    u = scan_grid(shape, "random", seed=5)
-    plan = SamplingPlan(kind="random", lambdas=(1 / 3, 0.5), n_random=200_000, seed=8)
-    certs = []
-    for block in (97, 1 << 16):
-        monkeypatch.setattr(certify, "_BLOCK", block)
-        certs.append(check_F_convex(u, P0, plan))
-    assert repr(certs[0]) == repr(certs[1])
 
 
 # -- Dirichlet preservation ----------------------------------------------------

@@ -87,7 +87,7 @@ def test_classify_writes_table_and_metadata(tmp_path):
     assert meta["verdicts"]["power[1]"] == "preserved"
     # defaults are recorded alongside explicit settings
     assert meta["config"]["grid.h"] == pytest.approx(1 / 64)
-    assert meta["config"]["certify.lambda_set"] == [0.5]
+    assert meta["config"]["certify.significance_factor"] == 10.0
     assert meta["config"]["flow.times"] == [0.05, 0.1, 0.2]
 
 
@@ -385,8 +385,8 @@ def test_tail_tolerance_on_an_interval_is_a_config_error(tmp_path, capsys):
 def test_meta_records_the_parsed_value_of_every_key(tmp_path):
     """Keys set in the file used to be recorded as the strings written there
     ("flow.eps_tail": "1e-3"), defaults as numbers."""
-    set_keys = ("flow.eps_tail = 1e-3\ncertify.n_random = 800\n"
-                "certify.refine_levels = 2\ncertify.significance_factor = 5\n")
+    set_keys = ("flow.eps_tail = 1e-3\ncertify.refine_levels = 2\n"
+                "certify.significance_factor = 5\n")
     configs = []
     for name, extra in (("default", ""), ("set", set_keys)):
         cfg = write_config(tmp_path, EVOLVE_CFG + extra, name=f"{name}.cfg")
@@ -394,9 +394,9 @@ def test_meta_records_the_parsed_value_of_every_key(tmp_path):
         configs.append(json.loads((tmp_path / name / "evolve_meta.json").read_text())["config"])
     default, given = configs
     assert {k: type(v) for k, v in default.items()} == {k: type(v) for k, v in given.items()}
-    assert (given["flow.eps_tail"], given["certify.n_random"], given["certify.refine_levels"],
-            given["certify.significance_factor"]) == (1e-3, 800, 2, 5.0)
-    assert (default["flow.eps_tail"], default["certify.n_random"]) == (1e-10, 4000)
+    assert (given["flow.eps_tail"], given["certify.refine_levels"],
+            given["certify.significance_factor"]) == (1e-3, 2, 5.0)
+    assert (default["flow.eps_tail"], default["certify.refine_levels"]) == (1e-10, 3)
 
 
 def test_grid_spacing_wider_than_the_interval_is_a_config_error(tmp_path, capsys):
@@ -635,10 +635,11 @@ def test_every_verify_row_matches_the_header(tmp_path):
 
 
 def test_verify_meta_records_each_scan(tmp_path):
-    """One record per (transform, t): the triples scanned and the largest
-    raw gap, which a grid without a triple does not have."""
+    """One record per (transform, t): the middle nodes judged (every node
+    but the two ends of the 257-node line) and the largest raw gap, which a
+    grid without a triple does not have."""
     for name, lines, n_samples in (
-            ("fine", (), sum(257 - 2 * s for s in range(1, 129))),
+            ("fine", (), 257 - 2),
             ("bare", ("grid.lo = -1", "grid.hi = 1", "grid.h = 2"), 0)):
         cfg = write_config(tmp_path, _replace_keys(VERIFY_OK_CFG, *lines),
                            name=f"{name}.cfg")
@@ -702,7 +703,7 @@ def test_hunt_meta_records_each_scan(tmp_path):
         assert [(r["t"], r["level"]) for r in recs] == [
             (float(row["t"]), int(row["level"])) for row in rows]
         for rec, row in zip(recs, rows):
-            assert set(rec) == {"t", "level", "n_samples", "max_gap"}
+            assert set(rec) == {"t", "level", "n_samples", "max_gap", "chord"}
             assert rec["n_samples"] > 0 and rec["max_gap"] >= float(row["gap"])
 
 
@@ -715,8 +716,6 @@ def test_hunt_meta_records_each_scan(tmp_path):
     ("verify", "certify.significance_factor = nan"),
     ("verify", "grid.h = abc"),
     ("evolve", "flow.times = 0.05,x"),
-    ("verify", "certify.lambda_set = 1/0"),
-    ("verify", "seed = -1"),
 ])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, command, line):
     """Each value used to crash the command (exit 1, a traceback) or, for
@@ -761,13 +760,56 @@ def test_classify_without_transforms_is_a_config_error(tmp_path):
     assert r.returncode == 2
 
 
-@pytest.mark.parametrize("n_random", ["0", "-5"])
-def test_non_positive_random_triple_count_is_a_config_error(tmp_path, n_random):
-    cfg = write_config(tmp_path, VERIFY_BAD_CFG + "certify.plan = random\n"
-                       f"certify.n_random = {n_random}\n")
-    r = run_cli("verify", "--config", cfg, "--out", str(tmp_path / "res"))
-    assert r.returncode == 2
-    assert "certify.n_random" in r.stderr
+@pytest.mark.parametrize("line", ["certify.plan = random", "certify.lambda_set = 1/3,1/2",
+                                  "certify.n_random = 0", "seed = -1"])
+def test_retired_keys_warn_and_change_nothing(tmp_path, capsys, line):
+    """The keys of the midpoint plans, which the benchmark's configs still
+    write, are accepted with a warning on stderr that names each, and leave
+    verify.csv byte for byte as it is without them; the metadata's resolved
+    config leaves them out."""
+    outs = []
+    for name, text in (("without", VERIFY_BAD_CFG), ("with", VERIFY_BAD_CFG + line + "\n")):
+        cfg = write_config(tmp_path, text, name=f"{name}.cfg")
+        outs.append(tmp_path / name)
+        assert entry(["verify", "--config", cfg, "--out", str(outs[-1])]) == 5
+        err = capsys.readouterr().err
+    key = line.split("=")[0].strip()
+    assert f"{key} = " in err and "retired: the certificate tests every chord" in err
+    assert (outs[0] / "verify.csv").read_bytes() == (outs[1] / "verify.csv").read_bytes()
+    assert key not in json.loads((outs[1] / "verify_meta.json").read_text())["config"]
+
+
+def test_seed_flag_is_gone(tmp_path):
+    r = run_cli("verify", "--config", write_config(tmp_path, VERIFY_OK_CFG), "--seed", "3")
+    assert r.returncode == 2 and "--seed" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "hunt"])
+def test_scan_records_carry_the_deciding_chord(tmp_path, command):
+    """Each scan record's chord is the deciding triple of its CSV row:
+    verify.csv's lambda, x0, x1 and gap, or the hunt level's gap."""
+    cfg = write_config(tmp_path, VERIFY_BAD_CFG if command == "verify" else HUNT_CFG)
+    out = tmp_path / "res"
+    entry([command, "--config", cfg, "--out", str(out)])
+    name = "verify.csv" if command == "verify" else "hunt_power_1.5.csv"
+    with open(out / name, newline="") as fh:
+        rows = list(csv.DictReader(r for r in fh if not r.startswith("#")))
+    scans = json.loads((out / f"{command}_meta.json").read_text())["scans"]
+    recs = scans if command == "verify" else scans["power[1.5]"]
+    assert len(recs) == len(rows) > 0
+    for rec, row in zip(recs, rows):
+        chord = rec["chord"]
+        assert set(chord) == {"x0", "x1", "lam", "gap"} and chord["gap"] == float(row["gap"])
+        assert chord["x0"] < chord["x1"] and 0.0 < chord["lam"] < 1.0
+        if command == "verify":
+            assert (chord["lam"], chord["x0"], chord["x1"]) == (
+                float(row["lambda"]), float(row["x0"]), float(row["x1"]))
+    if command == "verify":  # a two-node grid scans no triple
+        bare = write_config(tmp_path, _replace_keys(VERIFY_OK_CFG, "grid.lo = -1", "grid.hi = 1",
+                                                    "grid.h = 2"), name="bare.cfg")
+        assert entry(["verify", "--config", bare, "--out", str(tmp_path / "bare")]) == 0
+        scans = json.loads((tmp_path / "bare" / "verify_meta.json").read_text())["scans"]
+        assert [rec["chord"] for rec in scans] == [None, None]
 
 
 def test_bad_grid_extent_flag(tmp_path):
