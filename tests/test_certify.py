@@ -1,5 +1,6 @@
 """Midpoint certificates, envelopes, hunts, and the class hierarchy."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -894,10 +895,10 @@ def test_a_grid_without_a_line_triple_is_quasi_convex(vals):
 # -- the chord scan against every triple ---------------------------------------
 
 
-def every_triple(shape):
-    """Every triple of nodes in order on a lattice line, in scan order:
-    direction, middle node in C order, then the first end and the last end
-    in travel order; lam the middle's weight between the ends."""
+def line_ends(shape):
+    """(k, im, before, after) in scan order, direction k then middle node
+    im in C order: the nodes of im's line along direction k before im and
+    after it, each in travel order."""
     def ray(j, d, sign):
         nodes, x = [], tuple(a + sign * c for a, c in zip(j, d))
         while all(0 <= a < n for a, n in zip(x, shape)):
@@ -907,37 +908,46 @@ def every_triple(shape):
 
     for k, d in enumerate(_DIRECTIONS[len(shape)]):
         for im in np.ndindex(shape):
-            before, after = ray(im, d, -1)[::-1], ray(im, d, 1)
-            for s0, i0 in enumerate(before):
-                for s1, i1 in enumerate(after):
-                    d0, d1 = len(before) - s0, s1 + 1
-                    yield k, i0, im, i1, float(d0) / float(d0 + d1)
+            yield k, im, ray(im, d, -1)[::-1], ray(im, d, 1)
 
 
 def brute_certificate(u, F, factor):
-    """(best, first, max_gap, middles) over every triple, the pedestrian
-    way: best the (margin, triple) of largest finite margin gap - factor
-    noise, the chord taken as w0 + lam (w1 - w0) of w = F(u) + factor
-    spread (None when no margin is finite); first the first triple in scan
-    order; max_gap the largest gap; middles the count of (direction,
-    middle) pairs of a triple.  A NaN gap (opposite infinite ends) is no
-    triple."""
+    """(best, first, max_gap, middles) over every triple of nodes in order
+    on a lattice line, the pedestrian way, a middle's triples at once: best
+    the (margin, triple) of largest finite margin gap - factor noise, the
+    chord taken as w0 + lam (w1 - w0) of w = F(u) + factor spread (None
+    when no margin is finite); first the first triple in scan order
+    (direction, middle, then first end and last end in travel order);
+    max_gap the largest gap; middles the count of (direction, middle) pairs
+    of a triple.  A triple is (i0, im, i1, lam), lam the middle's weight
+    between the ends.  A NaN gap (opposite infinite ends) is no triple."""
     v, spread = _transform_values(u, F)
     best = first = None
-    g_max, middles = -np.inf, set()
+    g_max, middles = -np.inf, 0
     with np.errstate(invalid="ignore"):
-        for k, i0, im, i1, lam in every_triple(v.shape):
-            gap = v[im] - ((1.0 - lam) * v[i0] + lam * v[i1])
-            if np.isnan(gap):
+        w = v + factor * spread
+        for _, im, before, after in line_ends(v.shape):
+            if not (before and after):
                 continue
-            first = first or (i0, im, i1, lam)
-            g_max = max(g_max, gap)
-            middles.add((k, im))
-            w0, w1 = v[i0] + factor * spread[i0], v[i1] + factor * spread[i1]
+            i0, i1 = tuple(np.array(before).T), tuple(np.array(after).T)
+            d0, d1 = np.arange(len(before), 0, -1)[:, None], np.arange(1, len(after) + 1)
+            lam = d0 / (d0 + d1)
+            gap = v[im] - ((1.0 - lam) * v[i0][:, None] + lam * v[i1])
+            triple = ~np.isnan(gap)
+            if not triple.any():
+                continue
+            middles += 1
+            g_max = max(g_max, gap[triple].max())
+            if first is None:
+                s0, s1 = np.argwhere(triple)[0]
+                first = (before[s0], im, after[s1], lam[s0, s1])
+            w0, w1 = w[i0][:, None], w[i1]
             margin = v[im] - factor * spread[im] - (w0 + lam * (w1 - w0))
-            if np.isfinite(margin) and (best is None or margin > best[0]):
-                best = (margin, (i0, im, i1, lam))
-    return best, first, g_max, len(middles)
+            margin = np.where(triple & np.isfinite(margin), margin, -np.inf)
+            s0, s1 = np.unravel_index(np.argmax(margin), margin.shape)
+            if np.isfinite(margin[s0, s1]) and (best is None or margin[s0, s1] > best[0]):
+                best = (margin[s0, s1], (before[s0], im, after[s1], lam[s0, s1]))
+    return best, first, g_max, middles
 
 
 def _point(u, i):
@@ -1155,6 +1165,169 @@ def test_infinite_node_values_certify_without_warnings(value_error):
         strict = check_F_convex(u, P0)
     assert repr(strict) == repr(quiet)
     assert strict.n_samples > 0
+
+
+# -- stride triples, larger grids and blocks of lines -------------------------
+
+
+def scan_grid(shape, values, seed):
+    """A grid function of the given shape: 'random' values, 'rounded'
+    values (ties across lines and directions), a 'constant' grid (all
+    ties), 'inf' values with nodes at 0 and +inf, whose log is -inf and +inf
+    (NaN triples), or 'infinite' values, every node 0 or +inf (no margin
+    is finite, so the first triple decides)."""
+    rng = np.random.default_rng(seed)
+    vals = rng.random(shape) + 0.5
+    if values == "rounded":
+        vals = np.round(vals, 1)
+    elif values == "constant":
+        vals = np.full(shape, 1.25)
+    elif values == "inf":
+        flat = vals.reshape(-1)
+        k = rng.choice(flat.size, size=max(2, flat.size // 12), replace=False)
+        flat[k] = rng.choice([0.0, np.inf], size=k.size)
+    elif values == "infinite":
+        vals = rng.choice([0.0, np.inf], size=shape)
+    extent = tuple((-1.0, 1.0 + k) for k in range(len(shape)))
+    return GridFunction(values=vals, extent=extent, growth_a=10.0, growth_A=0.0,
+                        value_error=1e-9)
+
+
+def aligned_triples(shape, lams):
+    """Every stride triple of the weights p/q, the middle p of q strides
+    from the first end: (i0, im, i1, lam) by weight, stride, direction,
+    start node."""
+    for lam in lams:
+        p, q, lam = _as_fraction(lam)
+        for s in range(1, (max(shape) - 1) // q + 1):
+            for d in _DIRECTIONS[len(shape)]:
+                for i0 in np.ndindex(shape):
+                    i1 = tuple(a + q * s * c for a, c in zip(i0, d))
+                    if all(0 <= a < n for a, n in zip(i1, shape)):
+                        yield (i0, tuple(a + p * s * c for a, c in zip(i0, d)), i1, lam)
+
+
+def fold_triples(u, F, triples, factor):
+    """(best margin, largest gap, middles) of (i0, im, i1, lam) triples, the
+    pedestrian way: margin gap - factor noise with a NaN margin counted as
+    -inf, NaN gaps no triples, and middles the set of (direction, middle)
+    pairs of a triple."""
+    v, spread = _transform_values(u, F)
+    best, g_max, middles = -np.inf, -np.inf, set()
+    with np.errstate(invalid="ignore"):
+        for i0, im, i1, lam in triples:
+            gap = v[im] - ((1.0 - lam) * v[i0] + lam * v[i1])
+            if np.isnan(gap):
+                continue
+            middles.add((tuple(int(np.sign(b - a)) for a, b in zip(i0, i1)), im))
+            g_max = max(g_max, gap)
+            margin = (v[im] - factor * spread[im]) - (
+                (1.0 - lam) * (v[i0] + factor * spread[i0])
+                + lam * (v[i1] + factor * spread[i1]))
+            if not np.isnan(margin):
+                best = max(best, margin)
+    return best, g_max, middles
+
+
+def inner_nodes(shape):
+    """The count of (direction, node) pairs with a node on either side."""
+    return sum(math.prod(n - 2 * abs(c) for n, c in zip(shape, d))
+               for d in _DIRECTIONS[len(shape)])
+
+
+def assert_covers(u, cert, expected, factor=10.0):
+    """The certificate read every chord of the folded triples: its deciding
+    margin is at least their largest finite one, its largest gap at least
+    theirs, and it judged each of their middles."""
+    best, g_max, middles = expected
+    if np.isfinite(best):
+        assert cert.worst.gap - factor * cert.noise_floor >= best - 1e-12
+    assert cert.max_gap >= g_max - 1e-12
+    assert cert.n_samples >= len(middles)
+
+
+@pytest.mark.parametrize("seed", [1 << 16, 300, 41])
+@pytest.mark.parametrize("values", ["random", "rounded", "constant", "inf", "infinite"])
+@pytest.mark.parametrize("shape", [(203,), (17, 23), (6, 7, 5)], ids=["1d", "2d", "3d"])
+def test_aligned_scan_matches_enumeration_over_all_strides(shape, values, seed):
+    """The stride triples of the weights 1/2, 1/3 and 3/8 over every
+    stride, on 1D-3D grids of each kind, are chords of the certificate."""
+    u = scan_grid(shape, values, seed)
+    cert = check_F_convex(u, P0)
+    assert_covers(u, cert, fold_triples(u, P0, aligned_triples(shape, (0.5, 1 / 3, 3 / 8)),
+                                        10.0))
+    if values in ("random", "rounded", "constant"):
+        assert cert.n_samples == inner_nodes(shape)
+
+
+@pytest.mark.parametrize("lam,p,q", [(0.5, 1, 2), (1 / 3, 1, 3)])
+def test_aligned_2d_scan_matches_enumeration(lam, p, q):
+    """Every stride triple of one weight on the four 2D families; with
+    significance factor 0 the margin is the gap itself."""
+    rng = np.random.default_rng(5)
+    vals = rng.random((9, 17)) + 0.5
+    u = GridFunction(values=vals, extent=((-1.0, 1.0), (-2.0, 2.0)),
+                     growth_a=float(np.max(np.abs(vals))) + 1.0, growth_A=0.0)
+    cert = check_F_convex(u, P1, significance_factor=0.0)
+    expected = fold_triples(u, P1, aligned_triples(vals.shape, (lam,)), 0.0)
+    assert_covers(u, cert, expected, factor=0.0)
+    assert cert.worst.gap >= expected[1] - 1e-12
+    assert cert.n_samples == inner_nodes(vals.shape) == 7 * 15 * 2 + 9 * 15 + 7 * 17
+
+
+def test_aligned_3d_scan_matches_enumeration():
+    """Every stride triple of weight 1/3 along the 13 directions; with
+    significance factor 0 the deciding gap is the largest gap."""
+    rng = np.random.default_rng(11)
+    vals = rng.random((5, 6, 7)) + 0.5
+    u = GridFunction(values=vals, extent=((-1.0, 1.0), (0.0, 2.0), (-3.0, 0.0)),
+                     growth_a=2.0, growth_A=0.0)
+    cert = check_F_convex(u, P1, significance_factor=0.0)
+    expected = fold_triples(u, P1, aligned_triples(vals.shape, (1 / 3,)), 0.0)
+    assert_covers(u, cert, expected, factor=0.0)
+    assert cert.max_gap == cert.worst.gap >= expected[1] - 1e-12
+    assert cert.n_samples == inner_nodes(vals.shape)
+
+
+_SHAPES = pytest.mark.parametrize("shape", [(203,), (17, 23), (6, 7, 5)],
+                                  ids=["1d", "2d", "3d"])
+
+
+@pytest.mark.parametrize("values", ["random", "rounded", "inf", "infinite"])
+@_SHAPES
+def test_a_budget_that_covers_every_triple_is_the_aligned_scan(shape, values):
+    """A triple's weight (x - a)/(b - a) is p/q in lowest terms and its
+    stride the gcd, so the aligned scan of every weight and stride reads
+    every triple; the certificate decides as that enumeration does on 1D-3D
+    grids of each kind, a 1D line of 203 nodes among them."""
+    assert_matches_every_triple(scan_grid(shape, values, seed=4), P0)
+
+
+@pytest.mark.parametrize("shape", [(4097,), (61, 67), (13, 11, 17)],
+                         ids=["1d", "2d", "3d"])
+def test_random_certificate_does_not_depend_on_the_block_size(shape):
+    """The hull passes take the lines of every direction at once, in the
+    certificate's two copies (margins, raw gaps); fed blocks of 97 lines or
+    one line at a time, they read the same chords, and on the first 97
+    lines those of the monotone chain's envelope."""
+    u = scan_grid(shape, "random", seed=5)
+    v, spread = _transform_values(u, P0)
+    node, pos, line, direction = certify._chain(v.shape)
+    x, ln = np.concatenate((pos, pos)), np.concatenate((line, line + direction.size))
+    y = np.concatenate(((v + 10.0 * spread).reshape(-1)[node], v.reshape(-1)[node]))
+    whole = certify._chords(x, y, ln, np.arange(x.size))
+    assert whole[0].size == 2 * inner_nodes(shape)
+    mid, a, b, lam = whole
+    for k in range(min(97, int(ln[-1]) + 1)):
+        pts = np.flatnonzero(ln == k)
+        on = (pts[0] <= mid) & (mid <= pts[-1])
+        np.testing.assert_allclose(y[a[on]] + lam[on] * (y[b[on]] - y[a[on]]),
+                                   envelope_without_each(y[pts]), rtol=1e-13, atol=1e-13)
+    for block in (97, 1):
+        parts = [certify._chords(x, y, ln, np.flatnonzero(ln // block == b))
+                 for b in range(int(ln[-1]) // block + 1)]
+        for w, part in zip(whole, zip(*parts)):
+            assert np.array_equal(w, np.concatenate(part))
 
 
 # -- Dirichlet preservation ----------------------------------------------------
