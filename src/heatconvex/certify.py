@@ -4,11 +4,14 @@ A grid function u is F-convex when F(u) is convex, that is when
 F(u(x)) <= (1-lam)F(u(x0)) + lam F(u(x1)) at x = (1-lam)x0 + lam x1.  The
 certificate tests every chord of grid nodes: every triple of nodes x0, x,
 x1 in order on one lattice line, lam their own weight (x - x0)/(x1 - x0).
-Since evolved solutions are continuous, convexity along the lines of a fine
-grid is the discrete form of convexity.  Verdicts are guarded by noise
-floors propagated from each grid function's recorded value error, and a
-violation counts as significant only when its gap clears a significance
-factor (default 10) times that floor.
+The test is exact for 1D data, whose one line holds every chord of nodes,
+and for ridges (data of d . x alone), whose F(u) along each lattice line
+not orthogonal to d is their profile's, reparametrized.  Other data of
+n >= 2 axes are tested only along the directions in {-1, 0, 1}^n: a grid
+can be convex along all of them and still not convex.  Verdicts are
+guarded by noise floors propagated from each grid function's recorded
+value error, and a violation counts as significant only when its gap
+clears a significance factor (default 10) times that floor.
 
 Every check scans the lattice lines along the directions of one table (the
 vectors of {-1, 0, 1}^n up to sign: the axis in 1D; rows, columns and both
@@ -53,14 +56,12 @@ _EPS = np.finfo(float).eps
 @dataclass(frozen=True)
 class MidpointSample:
     """One tested triple: endpoints, the middle's weight between them, and
-    the two sides of the inequality."""
+    the gap, F(u) at the middle less the chord there."""
 
     x0: object
     x1: object
     lam: float
-    lhs: float
-    rhs: float
-    gap: float  # lhs - rhs exactly
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,7 @@ class Certificate:
     factor times its noise_floor, the propagated value-error spread there
     (value errors are two-grid estimates, so this is a discretization noise
     estimate); significant says that the gap clears factor times the floor.
-    max_gap is the largest raw gap of every triple, for display; n_samples
-    counts the middle nodes of a triple, once per scan direction.
+    n_samples counts the middle nodes of a triple, once per scan direction.
     """
 
     status: str
@@ -80,7 +80,6 @@ class Certificate:
     noise_floor: float
     significant: bool
     n_samples: int = 0
-    max_gap: float = float("nan")
 
 
 def _as_fraction(lam):
@@ -275,20 +274,18 @@ def _chords(x, y, line, pts):
 
 
 # node kinds: -inf, finite, +inf, NaN; [middle, end, end] -> do nodes of
-# these kinds make a triple (a gap that is not NaN), and one of gap +inf?
+# these kinds make a triple (a gap that is not NaN)?
 _REP = np.array([-np.inf, 1.0, np.inf, np.nan])
 with np.errstate(invalid="ignore"):
-    _GAP = _REP[:, None, None] - (_REP[:, None] + _REP)
-_TRIPLE, _INF_GAP = ~np.isnan(_GAP), _GAP == np.inf
+    _TRIPLE = ~np.isnan(_REP[:, None, None] - (_REP[:, None] + _REP))
 
 
-def _typed_scan(v, chain, finite_gaps):
-    """(n_samples, max_gap, first) of values v that are not all finite,
-    finite_gaps the gaps of the middles whose chord the raw-gap pass read:
-    the count of middles of a triple, the largest gap of a triple, and the
-    first triple in scan order (None for none): the first middle e, then
-    the first entry of its line that makes a triple with e and an entry
-    after it, then the first such entry after e."""
+def _typed_scan(v, chain):
+    """(n_samples, first) of values v of any kinds: the count of middles of
+    a triple, and the first triple in scan order (None for none): the first
+    middle e, then the first entry of its line that makes a triple with e
+    and an entry after it, then the first such entry after e.  The reference
+    of `_finite_scan`; certificates call it only when some v is not finite."""
     node, _, line, direction = chain
     head, tail = _bounds(line)
     vals = v.reshape(-1)[node]
@@ -299,12 +296,23 @@ def _typed_scan(v, chain, finite_gaps):
     pairs = (seen - own > (seen - own)[:, head]).T[:, :, None] & (seen[:, tail] > seen).T[:, None, :]
     judged = np.flatnonzero((pairs & _TRIPLE[t]).any((1, 2)))
     if not judged.size:
-        return 0, float("nan"), None
-    max_gap = np.inf if (pairs & _INF_GAP[t]).any() else float(finite_gaps.max(initial=-np.inf))
+        return 0, None
     e = judged[(direction[line[judged]] * v.size + node[judged]).argmin()]
     ok = _TRIPLE[t[e]][:, t[e + 1:tail[e] + 1]]
     a = head[e] + int(np.argmax(ok[t[head[e]:e]].any(1)))
-    return judged.size, max_gap, (a, e, e + 1 + int(np.argmax(ok[t[a]])))
+    return judged.size, (a, e, e + 1 + int(np.argmax(ok[t[a]])))
+
+
+def _finite_scan(chain):
+    """`_typed_scan` of finite values, from the chain alone: every entry
+    with entries of its line on both sides is a middle, and the first
+    triple through the first middle e starts e's line."""
+    node, pos, line, direction = chain
+    mids = np.flatnonzero((pos[:-1] > 0) & (line[1:] == line[:-1]))
+    if not mids.size:
+        return 0, None
+    e = int(mids[(direction[line[mids]] * node.size + node[mids]).argmin()])
+    return mids.size, (e - int(pos[e]), e, e + 1)
 
 
 def _bare(per_axis):
@@ -328,46 +336,28 @@ def check_F_convex(u, F, significance_factor=10.0):
     deciding triple, of largest margin gap - significance_factor * noise
     (ties go to the earlier direction, then the earlier middle node in C
     order), its noise floor, whether its gap clears the factor times the
-    floor, the largest raw gap (max_gap) and the number of middle nodes of
-    a triple, once per direction (n_samples).  Infinite noise counts as
-    margin -inf: when no margin is finite, the first triple in scan order
-    decides (first middle, then first ends, as `_typed_scan` reads them).
+    floor, and the number of middle nodes of a triple, once per direction
+    (n_samples).  Infinite noise counts as margin -inf: when no margin is
+    finite, the first triple in scan order decides (first middle, then
+    first ends, as `_typed_scan` reads them).
 
     With f the factor, the margin is w_mid(x) less the chord of w_end at x,
     w_mid = F(u) - f s and w_end = F(u) + f s, so the largest at x is
     w_mid(x) less the lower envelope at x of w_end's other nodes: one
-    `_chords` pass reads it over the nodes of finite w_end, and the largest
-    gaps over those of finite F(u) (f = 0).
+    `_chords` pass over the nodes of finite w_end reads it.
     """
     v, spread = _transform_values(u, F)
     chain = _chain(v.shape)
     node, pos, line, direction = chain
-    size, flat, flat_s = node.size, v.reshape(-1), spread.reshape(-1)
-
-    def scan_order(e):  # of middle entries e: direction, then node
-        return direction[line[e]] * flat.size + node[e]
-
-    # margins on the entries of a first copy of the chain, raw gaps on a second
+    flat, flat_s = v.reshape(-1), spread.reshape(-1)
     with np.errstate(invalid="ignore"):
-        y = np.concatenate(((flat + significance_factor * flat_s)[node], flat[node]))
-        mid, a, b, lam = _chords(np.concatenate((pos, pos)), y,
-                                 np.concatenate((line, line + direction.size)),
-                                 np.flatnonzero(np.isfinite(y)))
-        margin = (np.concatenate(((flat - significance_factor * flat_s)[node], flat[node]))[mid]
-                  - (y[a] + lam * (y[b] - y[a])))
-    split = int(np.searchsorted(mid, size))
-    if np.isfinite(flat).all():
-        n_samples = mid.size - split
-        max_gap = float(margin[split:].max()) if n_samples else np.nan
-        if n_samples:  # all finite: the first triple through e starts its line
-            e = mid[split:] - size
-            e = e[scan_order(e).argmin()]
-            first = e - int(pos[e]), e, e + 1
-    else:
-        n_samples, max_gap, first = _typed_scan(v, chain, margin[split:])
-    if split:
-        tied = np.flatnonzero(margin[:split] == margin[:split].max())
-        k = tied[scan_order(mid[tied]).argmin()]
+        y = (flat + significance_factor * flat_s)[node]
+        mid, a, b, lam = _chords(pos, y, line, np.flatnonzero(np.isfinite(y)))
+        margin = (flat - significance_factor * flat_s)[node[mid]] - (y[a] + lam * (y[b] - y[a]))
+    n_samples, first = _finite_scan(chain) if np.isfinite(flat).all() else _typed_scan(v, chain)
+    if mid.size:
+        tied = np.flatnonzero(margin == margin.max())
+        k = tied[(direction[line[mid[tied]]] * flat.size + node[mid[tied]]).argmin()]
         nodes = a[k], mid[k], b[k]
     elif n_samples:
         nodes = first
@@ -376,21 +366,18 @@ def check_F_convex(u, F, significance_factor=10.0):
                            noise_floor=0.0, significant=False)
     i0, im, i1 = (int(node[e]) for e in nodes)
     lam_f = float((pos[nodes[1]] - pos[nodes[0]]) / (pos[nodes[2]] - pos[nodes[0]]))
-    lhs, rhs = float(flat[im]), float((1.0 - lam_f) * flat[i0] + lam_f * flat[i1])
+    gap = float(flat[im]) - float((1.0 - lam_f) * flat[i0] + lam_f * flat[i1])
     noise = float((1.0 - lam_f) * flat_s[i0] + lam_f * flat_s[i1] + flat_s[im])
-    gap = lhs - rhs
     axes = u.axes()
     worst = MidpointSample(x0=_node_point(axes, np.unravel_index(i0, v.shape)),
                            x1=_node_point(axes, np.unravel_index(i1, v.shape)), lam=lam_f,
-                           lhs=lhs, rhs=rhs, gap=gap)
+                           gap=gap)
     # positive gaps below the noise floor are discretization dust, not
-    # violations; significance additionally demands a clearance by the
-    # factor.  max_gap holds the deciding gap whatever the rounding of the
-    # chords that the raw-gap pass compared
+    # violations; significance additionally demands a clearance by the factor
     status = "violation" if gap > noise else "no_violation_found"
     return Certificate(status=status, worst=worst, noise_floor=noise,
                        significant=bool(gap > significance_factor * noise),
-                       n_samples=n_samples, max_gap=max(max_gap, gap))
+                       n_samples=n_samples)
 
 
 # -- quasi-convexity ----------------------------------------------------------

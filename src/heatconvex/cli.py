@@ -121,12 +121,11 @@ def _cert_fields(c):
 
 
 def _scan_record(cert, **where):
-    """where plus the certificate's count of middle nodes, its largest raw
-    gap and its deciding chord {x0, x1, lam, gap} (both None when it
-    scanned no triple), for the *_meta.json scan lists."""
+    """where plus the certificate's count of middle nodes and its deciding
+    chord {x0, x1, lam, gap} (None when it scanned no triple), for the
+    *_meta.json scan lists."""
     w = cert.worst
     return {**where, "n_samples": cert.n_samples,
-            "max_gap": cert.max_gap if cert.n_samples else None,
             "chord": None if w is None else {"x0": w.x0, "x1": w.x1, "lam": w.lam,
                                              "gap": w.gap}}
 

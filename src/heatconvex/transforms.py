@@ -717,8 +717,6 @@ def classify(F):
 @dataclass(frozen=True)
 class StrengthComparison:
     relation: str                 # F1_weaker / F1_stronger / equivalent / neither
-    comp12_convex: bool           # F1 o f_{F2} convex (class of F2 inside F1's)
-    comp21_convex: bool
     worst_z: float                # where F1 o f_{F2} curves least, in F2's window
 
 
@@ -797,5 +795,4 @@ def compare_strength(F1, F2):
     c21, _ = _sign_test(F2, F1)
     relation = ("equivalent" if c12 and c21 else "F1_weaker" if c12
                 else "F1_stronger" if c21 else "neither")
-    return StrengthComparison(relation=relation, comp12_convex=c12, comp21_convex=c21,
-                              worst_z=worst_z)
+    return StrengthComparison(relation=relation, worst_z=worst_z)

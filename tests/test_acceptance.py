@@ -123,8 +123,7 @@ def test_criterion_04_kink_generator_construction():
     cmp_ = compare_strength(make_power_alpha(1.0), F)
     ok = (report.curvature_convex
           and 0.4 <= report.gaussian_order <= 0.6
-          and cmp_.relation != "F1_weaker"
-          and not cmp_.comp12_convex
+          and cmp_.relation in ("F1_stronger", "neither")
           and 0.5 <= cmp_.worst_z <= 1.5)
     el = _budget(4, t0, 30)
     _report(4, ok,

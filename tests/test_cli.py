@@ -636,7 +636,7 @@ def test_every_verify_row_matches_the_header(tmp_path):
 
 def test_verify_meta_records_each_scan(tmp_path):
     """One record per (transform, t): the middle nodes judged (every node
-    but the two ends of the 257-node line) and the largest raw gap, which a
+    but the two ends of the 257-node line) and the deciding chord, which a
     grid without a triple does not have."""
     for name, lines, n_samples in (
             ("fine", (), 257 - 2),
@@ -654,9 +654,9 @@ def test_verify_meta_records_each_scan(tmp_path):
         for rec, row in zip(scans, rows):
             assert rec["n_samples"] == n_samples
             if n_samples:
-                assert rec["max_gap"] >= float(row["gap"])
+                assert rec["chord"]["gap"] == float(row["gap"])
             else:
-                assert rec["max_gap"] is None
+                assert rec["chord"] is None
 
 
 def test_evolve_meta_records_the_refinement_history(tmp_path):
@@ -703,8 +703,8 @@ def test_hunt_meta_records_each_scan(tmp_path):
         assert [(r["t"], r["level"]) for r in recs] == [
             (float(row["t"]), int(row["level"])) for row in rows]
         for rec, row in zip(recs, rows):
-            assert set(rec) == {"t", "level", "n_samples", "max_gap", "chord"}
-            assert rec["n_samples"] > 0 and rec["max_gap"] >= float(row["gap"])
+            assert set(rec) == {"t", "level", "n_samples", "chord"}
+            assert rec["n_samples"] > 0 and rec["chord"]["gap"] == float(row["gap"])
 
 
 @pytest.mark.parametrize("command,line", [

@@ -875,7 +875,8 @@ def test_compare_strength_meets_the_sampled_second_differences(F1, F2):
     step against -log(ell - r), which it reads stronger."""
     c12, c21 = _sampled_composition_convex(F1, F2), _sampled_composition_convex(F2, F1)
     res = compare_strength(F1, F2)
-    assert (res.comp12_convex, res.comp21_convex) == (c12, c21)
+    assert res.relation == {(True, True): "equivalent", (True, False): "F1_weaker",
+                            (False, True): "F1_stronger", (False, False): "neither"}[c12, c21]
     if F1.label.startswith("hot"):
         assert res.relation == "F1_stronger"
 
