@@ -73,13 +73,19 @@ class Certificate:
     (value errors are two-grid estimates, so this is a discretization noise
     estimate); significant says that the gap clears factor times the floor.
     n_samples counts the middle nodes of a triple, once per scan direction.
+    status is "violation" when the deciding gap exceeds the floor (positive
+    gaps below it are discretization dust), else "no_violation_found".
     """
 
-    status: str
     worst: object
     noise_floor: float
     significant: bool
     n_samples: int = 0
+
+    @property
+    def status(self):
+        return ("violation" if self.worst is not None and self.worst.gap > self.noise_floor
+                else "no_violation_found")
 
 
 def _as_fraction(lam):
@@ -241,8 +247,7 @@ def _chords(x, y, line, pts):
     """
     if not pts.size:
         return pts, pts, pts, x[pts]
-    whole = pts.size == x.size  # then pts lists every point, and needs no gather
-    xs, ys, ln = (x, y, line) if whole else (x[pts], y[pts], line[pts])
+    xs, ys, ln = x[pts], y[pts], line[pts]
     n, n_lines = pts.size, int(ln[-1]) + 1
     vertex, ends = _lower_hull(xs, ys, ln)
     hull = np.flatnonzero(vertex)
@@ -270,7 +275,7 @@ def _chords(x, y, line, pts):
         j, at = np.searchsorted(verts, lone + shift), np.searchsorted(mid, lone)
         a[at], b[at] = verts[j - 1] - shift, verts[j] - shift
     lam = (xs[mid] - xs[a]) / (xs[b] - xs[a])
-    return (mid, a, b, lam) if whole else (pts[mid], pts[a], pts[b], lam)
+    return pts[mid], pts[a], pts[b], lam
 
 
 # node kinds: -inf, finite, +inf, NaN; [middle, end, end] -> do nodes of
@@ -362,8 +367,7 @@ def check_F_convex(u, F, significance_factor=10.0):
     elif n_samples:
         nodes = first
     else:
-        return Certificate(status="no_violation_found", worst=None,
-                           noise_floor=0.0, significant=False)
+        return Certificate(worst=None, noise_floor=0.0, significant=False)
     i0, im, i1 = (int(node[e]) for e in nodes)
     lam_f = float((pos[nodes[1]] - pos[nodes[0]]) / (pos[nodes[2]] - pos[nodes[0]]))
     gap = float(flat[im]) - float((1.0 - lam_f) * flat[i0] + lam_f * flat[i1])
@@ -372,10 +376,7 @@ def check_F_convex(u, F, significance_factor=10.0):
     worst = MidpointSample(x0=_node_point(axes, np.unravel_index(i0, v.shape)),
                            x1=_node_point(axes, np.unravel_index(i1, v.shape)), lam=lam_f,
                            gap=gap)
-    # positive gaps below the noise floor are discretization dust, not
-    # violations; significance additionally demands a clearance by the factor
-    status = "violation" if gap > noise else "no_violation_found"
-    return Certificate(status=status, worst=worst, noise_floor=noise,
+    return Certificate(worst=worst, noise_floor=noise,
                        significant=bool(gap > significance_factor * noise),
                        n_samples=n_samples)
 
@@ -591,7 +592,6 @@ class EnvelopeComparison:
     max_gap: float
     noise_floor: float
     n_flagged: int
-    worst_x: float
     n_samples: int
 
 
@@ -604,7 +604,7 @@ def check_envelope_comparison(F, phi, lam, t, window, h):
     window padded by that evolution's truncation radius, evolves W0 likewise,
     and checks evolve(W0) at each decomposition midpoint of u's nodes against
     F^{-1}((1-lam) F(u(x0)) + lam F(u(x1))), within three combined noise
-    floors.  The sample of largest gap - 3 noise decides (worst_x,
+    floors.  The sample of largest gap - 3 noise decides (its
     noise_floor); max_gap is the largest raw gap.  Nodes relying on flagged
     envelope values make a failed comparison inconclusive, not a violation.
     """
@@ -613,8 +613,7 @@ def check_envelope_comparison(F, phi, lam, t, window, h):
     lo, hi = window
     u = heat_evolve_free(phi, t, (lo, hi, h))
     p, q, lam_f = _as_fraction(lam)
-    x, = u.axes()
-    n, h = x.size, u.spacing[0]
+    n, h = u.values.size, u.spacing[0]
 
     # W0 is defined by grid values, so its construction window must already
     # cover the quadrature reach of its evolution to time t.  W0 carries
@@ -650,7 +649,7 @@ def check_envelope_comparison(F, phi, lam, t, window, h):
     uW_err = uW.value_error * (1.0 + np.abs(uW.values))
 
     max_gap = worst_gap = worst_margin = -np.inf
-    worst_x, worst_noise, n_samples = np.nan, 0.0, 0
+    worst_noise, n_samples = 0.0, 0
     for s in range(1, (n - 1) // q + 1):
         # start nodes i0 = 0 .. n - 1 - q s, middles i0 + p s, ends i0 + q s
         with np.errstate(invalid="ignore"):
@@ -676,7 +675,7 @@ def check_envelope_comparison(F, phi, lam, t, window, h):
         k = int(np.argmax(np.where(np.isnan(margin), -np.inf, margin)))
         if margin[k] > worst_margin:
             worst_margin, worst_gap = float(margin[k]), float(gap[c[k]])
-            worst_x, worst_noise = float(x[j[c[k]]]), float(noise_c[k])
+            worst_noise = float(noise_c[k])
 
     if worst_gap <= 3.0 * worst_noise:
         status = "holds"
@@ -687,4 +686,4 @@ def check_envelope_comparison(F, phi, lam, t, window, h):
     return EnvelopeComparison(status=status, max_gap=float(max_gap),
                               noise_floor=worst_noise,
                               n_flagged=int(np.count_nonzero(flagged)),
-                              worst_x=worst_x, n_samples=n_samples)
+                              n_samples=n_samples)

@@ -106,7 +106,7 @@ def _check_schedule(cfg, phi):
 
 
 def _warn_unconverged(where, meta):
-    """stderr warning for an evolution whose refinement missed quad_tol."""
+    """stderr warning for an evolution whose refinement missed heatflow._QUAD_TOL."""
     if not meta["converged"]:
         print(f"warning: {where}: evolution did not converge (quad_error "
               f"{meta['quad_error']:.3g} at lattice_factor "

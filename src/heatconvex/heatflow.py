@@ -28,11 +28,11 @@ The heat kernel is rotation invariant, so a ridge, a datum that reads x
 only through xi = d . x, evolves as the 1D flow of its profile: where the
 output nodes fill one uniform line of xi, free space takes that flow once
 on the line, with the profile's certificate, and gathers the grid from
-it.  One refinement loop refuses a first pass that is not finite, then
-doubles every m_k until a two-grid Richardson comparison meets the
-requested tolerance or the lattice would pass a node budget; the achieved
-estimate plus the roundoff bound is recorded on the result so certificates
-can build honest noise floors.
+it.  One refinement loop refuses any pass that is not finite and doubles
+every m_k until a two-grid Richardson comparison meets one tolerance
+(_QUAD_TOL), a cap on doublings or the lattice would pass a node budget;
+the achieved estimate plus the roundoff bound is recorded on the result so
+certificates can build honest noise floors.
 """
 from __future__ import annotations
 
@@ -197,6 +197,16 @@ def _cubics(nodes, first, axes):
     return vals
 
 
+def _check_certificate(a, A, value_error=0.0):
+    """DomainError unless the growth certificate (a, A) is finite with
+    a >= 0 and the value_error is >= 0 (inf allowed): anything else bounds
+    nothing."""
+    if not (0 <= a < math.inf and math.isfinite(A) and value_error >= 0):
+        raise DomainError(f"a certificate needs a finite growth_a >= 0, a finite growth_A "
+                          f"and a value_error >= 0, got growth_a={a!r} growth_A={A!r} "
+                          f"value_error={value_error!r}")
+
+
 @dataclass
 class GridFunction:
     """Sampled function on a uniform n-axis grid with growth metadata.
@@ -206,7 +216,8 @@ class GridFunction:
     fields certify |phi| <= growth_a * exp(growth_A |x|^2) at every node.
     value_error is the recorded max relative uncertainty |du|/(1+|u|) of the
     values (quadrature + roundoff + truncation for evolved data, 0 for exact
-    data).
+    data; inf for an evolution that never doubled).  DomainError for a
+    certificate that is no bound (_check_certificate).
     """
 
     values: np.ndarray
@@ -222,6 +233,7 @@ class GridFunction:
         self.growth_a = float(self.growth_a)
         self.growth_A = float(self.growth_A)
         self.value_error = float(self.value_error)
+        _check_certificate(self.growth_a, self.growth_A, self.value_error)
         self.extent = tuple((float(lo), float(hi)) for lo, hi in self.extent)
         if self.values.ndim != len(self.extent):
             raise ValueError("extent/values dimension mismatch")
@@ -332,12 +344,16 @@ class DomainSpec:
     of any number of axes).
 
     bounds holds (lo, hi) per axis, none for free space; ell is the boundary
-    value held fixed by the Dirichlet evolution.
+    value held fixed by the Dirichlet evolution, finite (else DomainError).
     """
 
     kind: str
     bounds: tuple = ()
     ell: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.ell):
+            raise DomainError(f"the wall value ell must be finite, got {self.ell!r}")
 
     @property
     def n(self):
@@ -387,6 +403,7 @@ class InitialDatum:
     the profile's kinks along xi, and the growth certificate the profile's,
     which bounds the datum too because |d . x| <= |x|.  Calling the datum
     at x evaluates the profile at d . x, over the axes d crosses only.
+    The growth certificate is checked as GridFunction's is.
     """
 
     fn: object
@@ -397,6 +414,7 @@ class InitialDatum:
     direction: tuple = None
 
     def __post_init__(self):
+        _check_certificate(self.growth_a, self.growth_A)
         if self.direction is not None:
             d = tuple(float(v) for v in np.ravel(self.direction))
             if not (d and all(map(math.isfinite, d))
@@ -450,6 +468,12 @@ def fit_growth_envelope(fn, window):
         raise DomainError(f"no finite sample of the datum on the window {window!r}")
     a = float(np.max(finite)) * (1 + 1e-9)
     return max(a, 1e-300), A
+
+
+def _check_time(t):
+    """DomainError unless 0 < t < inf."""
+    if not 0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t!r}")
 
 
 def check_existence(A, t):
@@ -584,6 +608,10 @@ _BATCH = 2 ** 17
 
 # lattice nodes a refinement may not pass: 2**23 doubles are 64 MiB per array
 _MAX_LATTICE_NODES = 2 ** 23
+# the Richardson estimate at which refinement stops, and the doublings it may
+# take (heat_evolve_free's default; every Dirichlet flow's cap)
+_QUAD_TOL = 1e-9
+_MAX_REFINE = 6
 # output rows per block of a banded free-space kernel matrix (_bands):
 # flow-2d's 193^2 Gaussian (last lattice N = 1353, K = 585, m = 4, slabs of
 # 12 rows, single-thread BLAS) evolves in 12.5-12.8 ms at 8 rows, 10.2-10.4
@@ -801,8 +829,8 @@ def _start_factor(spacings, t, datum_hs):
                  for H, dh in zip(spacings, datum_hs or (None,) * len(spacings)))
 
 
-def _refine(one_pass, ms, quad_tol, max_refine, cells):
-    """Double every lattice factor until two passes agree to quad_tol;
+def _refine(one_pass, ms, max_refine, cells):
+    """Double every lattice factor until two passes agree to _QUAD_TOL;
     returns (values, record).
 
     one_pass(ms) returns (values, roundoff, kernel_method, fft_block,
@@ -810,65 +838,63 @@ def _refine(one_pass, ms, quad_tol, max_refine, cells):
     m_k c_k + 1 nodes along an axis of c_k cells at factor 1 (cells lists
     c_k per axis).  _BudgetError for a first lattice above
     _MAX_LATTICE_NODES, before one_pass samples anything, DomainError for a
-    first pass that is not finite (data unbounded on the lattice); doubling stops
+    pass that is not finite (data unbounded on its lattice); doubling stops
     short of the budget, keeping the last finished pass.  Every factor
     doubles at once, so each doubling halves every spacing and the record
     holds quad_error, the Richardson estimate |u_2m - u_m| / (15 (1 +
     |u_2m|)) of the last doubling (inf when none ran), the roundoff_error,
     kernel_method, fft_block (the block length of an FFT pass, else None)
     and kernel_len of the last pass, its lattice_factors (m_k per axis) and
-    lattice_factor (the largest), converged (quad_error <= quad_tol) and
+    lattice_factor (the largest), converged (quad_error <= _QUAD_TOL) and
     refine_history, one [lattice_factor, estimate] per pass (estimate None
     for the first).
     """
     def nodes(ms):
         return math.prod(m * c + 1 for m, c in zip(ms, cells))
 
-    factor = "x".join(map(str, ms))
     if nodes(ms) > _MAX_LATTICE_NODES:
-        raise _BudgetError(f"the first lattice (factor {factor}) has {nodes(ms)} nodes, "
-                          f"above the budget of {_MAX_LATTICE_NODES}")
-    u, roundoff, method, block, taps = one_pass(ms)
-    if not np.all(np.isfinite(u)):
-        raise DomainError(f"datum must be bounded: the first pass (lattice factor "
-                          f"{factor}) is not finite")
-    est = np.inf
-    history = [[max(ms), None]]
-    for _ in range(max_refine):
-        doubled = tuple(2 * m for m in ms)
-        if nodes(doubled) > _MAX_LATTICE_NODES:
+        raise _BudgetError(f"the first lattice (factor {'x'.join(map(str, ms))}) has "
+                          f"{nodes(ms)} nodes, above the budget of {_MAX_LATTICE_NODES}")
+    u, est, history = None, np.inf, []
+    while True:
+        u_next, roundoff, method, block, taps = one_pass(ms)
+        if not np.all(np.isfinite(u_next)):
+            which = "first pass" if u is None else "pass"
+            raise DomainError(f"datum must be bounded: the {which} at lattice factor "
+                              f"{'x'.join(map(str, ms))} is not finite")
+        if u is not None:
+            est = float(np.max(np.abs(u_next - u) / (1.0 + np.abs(u_next)))) / 15.0
+        history.append([max(ms), None if u is None else est])
+        u, doubled = u_next, tuple(2 * m for m in ms)
+        if (est <= _QUAD_TOL or len(history) > max_refine
+                or nodes(doubled) > _MAX_LATTICE_NODES):
             break
         ms = doubled
-        u_next, roundoff, method, block, taps = one_pass(ms)
-        est = float(np.max(np.abs(u_next - u) / (1.0 + np.abs(u_next)))) / 15.0
-        history.append([max(ms), est])
-        u = u_next
-        if est <= quad_tol:
-            break
     return u, {"quad_error": est, "roundoff_error": roundoff,
                "kernel_method": method, "fft_block": block, "kernel_len": taps,
                "lattice_factor": max(ms), "lattice_factors": list(ms),
-               "converged": est <= quad_tol, "refine_history": history}
+               "converged": est <= _QUAD_TOL, "refine_history": history}
 
 
 # -- free-space evolution ----------------------------------------------------
 
 
-def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
-                     max_refine=6):
+def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, max_refine=_MAX_REFINE):
     """Evolve phi by the free-space heat semigroup to time t on out_grid.
 
     phi: GridFunction or InitialDatum (callable + growth certificate).
-    out_grid: (lo, hi, h) for one axis or one such triple per axis; grid
-    data of another dimension raise ValueError, grid data short of the
-    quadrature window EvaluationWindowError, and 4*growth_A*t >= 1 - margin
+    out_grid: (lo, hi, h) for one axis or one such triple per axis; a time
+    t outside (0, inf) raises DomainError, grid data of another dimension
+    ValueError, grid data short of the quadrature window
+    EvaluationWindowError, and 4*growth_A*t >= 1 - margin
     ExistenceWindowError.  One axis applies the kernel as one convolution
     (_kernel_apply), more axes its decimated matrix along each axis
     (_separable).  The window is truncated where the closed-form Gaussian
     tail bound of the growth certificate drops below eps_tail relative to
     the result's growth scale (_truncation_window); _refine doubles the
-    Simpson lattice until quad_tol or its node budget, and _record builds
-    value_error and meta from its record (truncation_radius R).
+    Simpson lattice until _QUAD_TOL, max_refine doublings or its node
+    budget, and _record builds value_error and meta from its record
+    (truncation_radius R).
 
     The heat kernel is rotation invariant, so a ridge (an InitialDatum with
     a direction d) evolves as the 1D flow of its profile, read at xi = d . x.
@@ -877,16 +903,15 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, quad_tol=1e-9,
     gathered onto the grid; its value_error and growth certificate hold
     there, and meta adds ridge = {direction, line}, the line as (lo, hi, h).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     grids = _axis_grids(out_grid)
     datum = _resolve_datum(phi, len(grids))  # a ridge of another dimension raises
     line = _ridge_line(phi, grids)
     if line is None:
-        return _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine)
+        return _free_flow(datum, t, grids, eps_tail, max_refine)
     xi_grid, idx = line
     w = _free_flow(_resolve_datum(replace(phi, direction=None), 1), t, (xi_grid,),
-                   eps_tail, quad_tol, max_refine)
+                   eps_tail, max_refine)
     return replace(w, values=w.values[idx],
                    extent=tuple((lo, hi) for lo, hi, _ in grids),
                    meta={**w.meta, "ridge": {"direction": list(phi.direction),
@@ -923,7 +948,7 @@ def _ridge_line(phi, grids):
     return (lo, hi, (hi - lo) / cells), idx
 
 
-def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
+def _free_flow(datum, t, grids, eps_tail, max_refine):
     """heat_evolve_free of a datum as _resolve_datum returns it, on the
     per-axis grids."""
     dim = len(grids)
@@ -950,7 +975,7 @@ def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
         if dim == 1:
             m, = ms
             psi = _piece_weighted_values(sample, axes[0], edges[0], Hs[0] / m)
-            u, roundoff, method, block = _kernel_apply(psi, m, kerns[0], quad_tol / 100.0,
+            u, roundoff, method, block = _kernel_apply(psi, m, kerns[0], _QUAD_TOL / 100.0,
                                                        long_blocks)
             long_blocks = taps[0] < _FFT_MIN_LEN or block == taps[0] // _LONG_BLOCK
             return u, roundoff, method, block, taps
@@ -960,8 +985,8 @@ def _free_flow(datum, t, grids, eps_tail, quad_tol, max_refine):
             [_kernel_matrix(y.size, m, n, k) for y, m, n, k in zip(axes, ms, ns, kerns)],
             (0.0,) * dim, ms), None, taps)
 
-    u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
-                     max_refine, [2 * c + n - 1 for c, n in zip(margins, ns)])
+    u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), max_refine,
+                     [2 * c + n - 1 for c, n in zip(margins, ns)])
     return GridFunction(values=u, extent=tuple((lo, hi) for lo, hi, _ in grids),
                         growth_a=gain, growth_A=A / shrink,
                         **_record(u, t, rec, eps_abs, float(R), inherited))
@@ -1064,8 +1089,7 @@ def _box_apply(psi, m, L, t):
 _HALF_LINE_EPS_TAIL = 1e-12
 
 
-def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
-                          max_refine=6):
+def heat_evolve_dirichlet(phi, domain, t, out_grid):
     """Evolve phi holding the boundary at domain.ell, by the method of images.
 
     phi: GridFunction on the domain, or InitialDatum; out_grid: (lo, hi, h)
@@ -1076,12 +1100,12 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
     inherited_error) and value_error are scaled by that.  The half line is
     the free flow (tail tolerance _HALF_LINE_EPS_TAIL) of sign(y) v0(|y|),
     of certificate (|ell| + a, A) and breakpoints 0 and +-b; a box is
-    _box_flow's.  Data or grids of the wrong dimension raise ValueError,
-    grid data short of the lattice EvaluationWindowError.  Refinement and
+    _box_flow's.  A time t outside (0, inf) raises DomainError, data or
+    grids of the wrong dimension ValueError, grid data short of the lattice
+    EvaluationWindowError.  Refinement (at most _MAX_REFINE doublings) and
     meta are as in heat_evolve_free.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     if domain.kind not in ("half_line", "interval", "rectangle"):
         raise ValueError(f"unsupported domain kind {domain.kind!r} for Dirichlet flow")
     ell, scale = domain.ell, 1.0 + abs(domain.ell)
@@ -1101,10 +1125,10 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
         def odd(y):
             return np.sign(y) * v0(np.abs(y)).reshape(np.shape(y))
         w = _free_flow((odd, abs(ell) + a, A, ((0.0, *brk[0], *(-b for b in brk[0])),),
-                        phi_h, inherited), t, grids, _HALF_LINE_EPS_TAIL, quad_tol, max_refine)
+                        phi_h, inherited), t, grids, _HALF_LINE_EPS_TAIL, _MAX_REFINE)
     else:
         w = _box_flow(v0, domain.bounds, brk, phi_h, inherited, t,
-                      [h for *_, h in grids], quad_tol, max_refine)
+                      [h for *_, h in grids])
     vals = ell - w.values
     for k, (_, hi) in enumerate(domain.bounds):
         vals[(slice(None),) * k + ([0] if hi == np.inf else [0, -1],)] = ell
@@ -1114,7 +1138,7 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid, *, quad_tol=1e-9,
     return replace(w, values=vals, growth_a=growth_a, value_error=scale * w.value_error)
 
 
-def _box_flow(v0, bounds, brk, phi_h, inherited, t, hs, quad_tol, max_refine):
+def _box_flow(v0, bounds, brk, phi_h, inherited, t, hs):
     """The flow of v0, zero on the walls, on the box `bounds` to time t at
     output spacings hs (its growth certificate left to the caller).  The
     weighted samples psi of v0 on a lattice from wall to wall are reflected
@@ -1150,8 +1174,7 @@ def _box_flow(v0, bounds, brk, phi_h, inherited, t, hs, quad_tol, max_refine):
             [f[:, y.size - 1:] - f[:, y.size - 1::-1] for f, y in zip(full, axes)],
             deltas, (0,) * len(axes)), None, [k.size for k in kerns])
 
-    u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), quad_tol,
-                     max_refine, [n - 1 for n in ns])
+    u, rec = _refine(one_pass, _start_factor(Hs, t, phi_h), _MAX_REFINE, [n - 1 for n in ns])
     return GridFunction(values=u, extent=bounds, **_record(u, t, rec, 0.0, None, inherited))
 
 

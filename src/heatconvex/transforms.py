@@ -70,8 +70,9 @@ class FTransform:
     (DomainError otherwise), so F is strictly increasing and continuous on
     its domain, with f_F' > 0 on J.
 
-    domain_kind: 'half_line_nonneg' (values r >= 0), 'whole_line', or
-    'bounded_above' (values in [lower_a, upper_ell] with F(upper_ell) = inf).
+    The domain [lower_a, upper_ell] sets domain_kind: 'bounded_above' for a
+    finite upper_ell (F(upper_ell) = inf), else 'whole_line' for lower_a =
+    -inf, else 'half_line_nonneg' (values r >= lower_a >= 0).
     (j_lo, j_hi) bound the open image interval J of the domain interior;
     inverse/log_inverse/g are defined there.  All callables are vectorized,
     and f_F, f_F', log |f_F| and the curvature profile g = (log f_F')' are
@@ -81,7 +82,6 @@ class FTransform:
     affine), 'convex' (g convex and not 0) or 'not_convex'.
     """
 
-    domain_kind: str
     lower_a: float
     upper_ell: float
     j_lo: float
@@ -94,6 +94,11 @@ class FTransform:
     gaussian_order: float
     g_shape: str
     _g_closed: object
+
+    @property
+    def domain_kind(self):
+        return ("bounded_above" if math.isfinite(self.upper_ell)
+                else "whole_line" if self.lower_a == -math.inf else "half_line_nonneg")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -239,7 +244,6 @@ def make_power_alpha(alpha):
         raise DomainError("alpha must be finite")
     if alpha == 0.0:
         return FTransform(
-            domain_kind="half_line_nonneg",
             lower_a=0.0, upper_ell=np.inf, j_lo=-np.inf, j_hi=np.inf,
             label="power[0]",
             _eval=lambda r: np.log(r),
@@ -271,7 +275,6 @@ def make_power_alpha(alpha):
         return out if out.ndim else out[()]
 
     return FTransform(
-        domain_kind="half_line_nonneg",
         lower_a=0.0, upper_ell=np.inf, j_lo=j_lo, j_hi=j_hi,
         label=f"power[{param_text(alpha)}]",
         _eval=ev,
@@ -298,7 +301,6 @@ def make_affine(A, B, domain_kind="whole_line"):
     else:
         raise DomainError("affine transform: unsupported domain kind")
     return FTransform(
-        domain_kind=domain_kind,
         lower_a=lower, upper_ell=np.inf, j_lo=j_lo, j_hi=np.inf,
         label=f"affine[{param_text(A, B)}]",
         _eval=lambda r: A * _as_float_array(r) + B,
@@ -314,7 +316,6 @@ def make_affine(A, B, domain_kind="whole_line"):
 def make_exp():
     """Whole-line transform F(r) = e^r (inverse log; the standard non-affine probe)."""
     return FTransform(
-        domain_kind="whole_line",
         lower_a=-np.inf, upper_ell=np.inf, j_lo=0.0, j_hi=np.inf,
         label="exp",
         _eval=lambda r: np.exp(_as_float_array(r)),
@@ -351,7 +352,6 @@ def make_hot(a):
         return np.log(a) + log_ndtr(_as_float_array(z) / np.sqrt(2.0))
 
     return FTransform(
-        domain_kind="bounded_above",
         lower_a=0.0, upper_ell=a, j_lo=-np.inf, j_hi=np.inf,
         label=f"hot[{param_text(a)}]",
         _eval=ev,
@@ -380,7 +380,6 @@ def make_neglog(a, ell):
             return -np.log(ell - r)
 
     return FTransform(
-        domain_kind="bounded_above",
         lower_a=float(a), upper_ell=ell, j_lo=j_lo, j_hi=np.inf,
         label=f"neglog[{param_text(a, ell)}]",
         _eval=ev,
@@ -410,7 +409,6 @@ def scale_shift(F, A, B):
         return lambda z: post(fn((_as_float_array(z) - B) / A))
 
     return FTransform(
-        domain_kind=F.domain_kind,
         lower_a=F.lower_a, upper_ell=F.upper_ell,
         j_lo=A * F.j_lo + B if np.isfinite(F.j_lo) else F.j_lo,
         j_hi=A * F.j_hi + B if np.isfinite(F.j_hi) else F.j_hi,
@@ -589,7 +587,6 @@ def make_from_g(g, base_z, base_value, base_slope):
         return out
 
     return FTransform(
-        domain_kind="bounded_above" if bounded else "half_line_nonneg",
         lower_a=float(lower_a), upper_ell=float(upper_ell), j_lo=float(j_lo), j_hi=np.inf,
         label=label, _eval=ev, _log_inverse=log_inv,
         _inverse=lambda z: np.exp(log_inv(z)),
@@ -623,13 +620,13 @@ class ClassReport:
 
     verdict is preserved, not_preserved or only_trivially_preserved;
     limit_at_sup is the top of J; gaussian_order is nan where no rule read
-    it (bounded values, bounded image) and curvature_convex None where no
-    rule reached the curvature criterion.
+    it (bounded values, bounded image), and gaussian_divergent says that it
+    is inf; curvature_convex is None where no rule reached the curvature
+    criterion.
     """
 
     label: str
     limit_at_sup: float
-    gaussian_divergent: bool
     gaussian_order: float          # least sufficient Gaussian weight order
     curvature_convex: object       # bool, or None when not evaluated
     verdict: str
@@ -639,11 +636,14 @@ class ClassReport:
     FIELDS = ("label", "limit_at_sup", "gaussian_divergent", "gaussian_order",
               "curvature_convex", "verdict", "basis")
 
+    @property
+    def gaussian_divergent(self):
+        return bool(self.gaussian_order == np.inf)
+
 
 def _report(F, verdict, basis, **fields):
     """ClassReport of F; fields override the defaults."""
-    row = dict(limit_at_sup=F.j_hi, gaussian_divergent=False,
-               gaussian_order=np.nan, curvature_convex=None)
+    row = dict(limit_at_sup=F.j_hi, gaussian_order=np.nan, curvature_convex=None)
     row.update(fields)
     return ClassReport(label=F.label, verdict=verdict, basis=basis, **row)
 
@@ -679,8 +679,6 @@ def classify(F):
     preserved iff the transform blows up at the right endpoint and g is
     convex.
     """
-    if F.domain_kind not in _RULES:
-        raise DomainError(f"unknown domain kind {F.domain_kind!r}")
     if F.g_shape not in _G_SHAPES:
         raise DomainError(f"unknown curvature shape {F.g_shape!r}")
     where, trivial, curvature_basis = _RULES[F.domain_kind]
@@ -694,8 +692,7 @@ def classify(F):
             return _report(F, "only_trivially_preserved",
                            f"gaussian-divergence rule ({where}): no Gaussian weight "
                            "makes the inverse integrable over J, so no nontrivial "
-                           "datum can evolve",
-                           gaussian_divergent=True, gaussian_order=np.inf)
+                           "datum can evolve", gaussian_order=np.inf)
         order = {"gaussian_order": F.gaussian_order}
     found = dict(order, curvature_convex=F.g_shape != "not_convex")
     if F.domain_kind == "whole_line":

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -410,13 +411,16 @@ def test_grid_spacing_wider_than_the_interval_is_a_config_error(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("domain", ["interval lo=1 hi=0", "interval lo=0 hi=0"])
+@pytest.mark.parametrize("domain", ["interval lo=1 hi=0", "interval lo=0 hi=0",
+                                    "interval lo=0 hi=1 ell=nan", "interval lo=0 hi=1 ell=inf"])
 def test_degenerate_interval_is_a_config_error(tmp_path, domain):
-    """It used to end in a ValueError traceback, exit 1."""
+    """It used to end in a ValueError traceback, exit 1; a wall value that
+    is not finite exited 2 as a datum that "must be bounded"."""
     cfg = write_config(tmp_path, f"datum = gaussian t0=0.5\ndomain = {domain}\n")
     r = run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "res"))
     assert r.returncode == 2
-    assert "config error" in r.stderr and "b > a" in r.stderr
+    why = "ell must be finite" if "ell" in domain else "b > a"
+    assert "config error" in r.stderr and why in r.stderr
     assert "Traceback" not in r.stderr
 
 
@@ -474,10 +478,10 @@ def _budget_at_the_first_lattice(monkeypatch):
 
     refine = heatflow._refine
 
-    def capped(one_pass, ms, quad_tol, max_refine, cells):
+    def capped(one_pass, ms, max_refine, cells):
         monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES",
                             math.prod(m * c + 1 for m, c in zip(ms, cells)))
-        return refine(one_pass, ms, quad_tol, max_refine, cells)
+        return refine(one_pass, ms, max_refine, cells)
 
     monkeypatch.setattr(heatflow, "_refine", capped)
 
@@ -861,6 +865,31 @@ def test_malformed_csv_datum_is_a_config_error(tmp_path, capsys, text, why):
     err = capsys.readouterr().err
     assert "config error" in err and why in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+@pytest.mark.parametrize("certificate, code", [
+    ("growth_a=nan", 2), ("growth_a=-1", 2), ("growth_A=nan", 2), ("growth_A=inf", 2),
+    ("value_error=-1", 2), ("value_error=nan", 2), ("value_error=inf", 0)])
+def test_a_csv_datum_certificate_that_bounds_nothing_is_a_config_error(
+        tmp_path, capsys, command, certificate, code):
+    """A grid file's growth certificate and value error come from outside
+    the program: growth_A=nan ended both commands in a traceback (exit 1),
+    value_error=-1 let evolve write a negative value_error and
+    value_error=nan let verify pass at infinite noise.  An infinite
+    value_error is what an evolution that never doubled records: legal."""
+    x = np.linspace(-6.0, 6.0, 193)
+    gf = GridFunction(values=np.exp(-x * x) + 1.0, extent=((-6.0, 6.0),))
+    datum = tmp_path / "datum.csv"
+    datum.write_text(re.sub(certificate.split("=")[0] + r"=\S+", certificate, gf.to_csv()))
+    cfg = write_config(tmp_path, f"datum = csv path={datum}\ntransform = power alpha=1\n"
+                       "grid.lo = -2\ngrid.hi = 2\ngrid.h = 0.0625\nflow.times = 0.1\n")
+    out = tmp_path / "res"
+    assert entry([command, "--config", cfg, "--out", str(out)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "config error" in err and "a certificate needs" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("datum", ["gaussian t0=0", "gaussian t0=-1", "abs scale=nan",

@@ -484,6 +484,16 @@ def test_a_pole_is_refused_after_the_first_pass(evolve):
     assert sum(np.size(xs[0]) > 1 for xs in calls) == 1
 
 
+def test_every_refinement_pass_must_be_finite():
+    """1/|x - 3/32| is finite on the first lattice (spacing 1/16) and
+    infinite at a node of the second: refinement went on to lattice factor
+    128 and returned NaN values with value_error NaN."""
+    phi = InitialDatum(fn=lambda x: 1.0 / np.abs(x - 3.0 / 32), growth_a=1e3)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            DomainError, match="bounded: the pass at lattice factor 4 is not finite"):
+        heat_evolve_free(phi, 0.5, (-1.0, 1.0, 1.0 / 8))
+
+
 def _sine_grid(*his):
     """sin(pi x) sin(pi y) ... on [0, hi] per axis, 33 nodes each."""
     axes = [np.linspace(0.0, hi, 33) for hi in his]
@@ -542,9 +552,28 @@ def test_grid_data_within_roundoff_of_the_walls_still_evolve():
     lambda: DomainSpec.interval(0.0, 0.0),
     lambda: DomainSpec.interval(0.0, np.nan),
     lambda: DomainSpec.rectangle(((0.0, 1.0), (2.0, 2.0))),
-], ids=["interval_reversed", "interval_empty", "interval_nan", "rectangle_flat_axis"])
+    lambda: DomainSpec.interval(0.0, 1.0, ell=np.nan),
+    lambda: DomainSpec.interval(0.0, 1.0, ell=np.inf),
+    lambda: DomainSpec.half_line(-np.inf),
+    lambda: DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0)), ell=np.nan),
+    lambda: heat_evolve_free(_SIN, np.inf, (-2.0, 2.0, 1.0 / 8)),
+    lambda: heat_evolve_free(_SIN, np.nan, (-2.0, 2.0, 1.0 / 8)),
+    lambda: heat_evolve_free(_SIN, 0.0, (-2.0, 2.0, 1.0 / 8)),
+    lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(-2.0, 2.0), np.inf,
+                                  (-2.0, 2.0, 1.0 / 8)),
+    lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(-2.0, 2.0), np.nan,
+                                  (-2.0, 2.0, 1.0 / 8)),
+    lambda: heat_evolve_dirichlet(_SIN, DomainSpec.half_line(), -1.0, (0.0, 2.0, 1.0 / 8)),
+], ids=["interval_reversed", "interval_empty", "interval_nan", "rectangle_flat_axis",
+        "interval_ell_nan", "interval_ell_inf", "half_line_ell_-inf", "rectangle_ell_nan",
+        "free_t_inf", "free_t_nan", "free_t_0", "interval_t_inf", "interval_t_nan",
+        "half_line_t_-1"])
 def test_degenerate_domains_raise_a_typed_error(make):
-    """A DomainError, which is still a ValueError for library callers."""
+    """A DomainError, which is still a ValueError for library callers: for
+    a degenerate box, a wall value that is not finite, and a time outside
+    (0, inf).  An infinite time divided by zero in free space, a NaN time
+    failed in int(), and on the interval both passed numpy warnings and
+    then a misleading "datum must be bounded"."""
     with pytest.raises(DomainError) as info:
         make()
     assert isinstance(info.value, ValueError)
@@ -899,19 +928,25 @@ def _spy_lattices(monkeypatch):
 
 
 @pytest.mark.parametrize("evolve", [
-    lambda **kw: heat_evolve_free(_SIN2, 0.05, (_G8, _G8), **kw),
-    lambda **kw: heat_evolve_dirichlet(
-        _SIN2, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))), 0.05, (_G8, _G8), **kw),
+    lambda: heat_evolve_free(_SIN2, 0.05, (_G8, _G8), max_refine=heatflow._MAX_REFINE),
+    lambda: heat_evolve_dirichlet(
+        _SIN2, DomainSpec.rectangle(((0.0, 1.0), (0.0, 1.0))), 0.05, (_G8, _G8)),
 ], ids=["free_2d", "rectangle"])
 def test_node_budget_keeps_the_last_finished_pass(evolve, monkeypatch):
+    """Each evolution refines up to heatflow._MAX_REFINE doublings here."""
+    def capped_at(max_refine):
+        monkeypatch.setattr(heatflow, "_MAX_REFINE", max_refine)
+        return evolve()
+
     lattices = _spy_lattices(monkeypatch)
-    full = evolve(quad_tol=1e-30, max_refine=3)
+    monkeypatch.setattr(heatflow, "_QUAD_TOL", 1e-30)
+    full = capped_at(3)
     assert len(lattices) == 4 and not full.meta["converged"]
-    one = evolve(quad_tol=1e-30, max_refine=1)
+    one = capped_at(1)
     # room for the lattice of the first doubling, not for the second
     monkeypatch.setattr(heatflow, "_MAX_LATTICE_NODES", int(np.prod(lattices[1])))
     del lattices[:]
-    capped = evolve(quad_tol=1e-30, max_refine=3)
+    capped = capped_at(3)
     assert len(lattices) == 2
     assert capped.meta["lattice_factor"] == one.meta["lattice_factor"]
     assert capped.meta["lattice_factor"] * 4 == full.meta["lattice_factor"]
@@ -1177,7 +1212,8 @@ def test_3d_gaussian_product_meets_the_closed_form(monkeypatch):
     phi = InitialDatum(fn=lambda x, y, z: gauss_kernel(x, s) * gauss_kernel(y, s)
                        * gauss_kernel(z, s), growth_a=float(gauss_kernel(0.0, s)) ** 3)
     g = (-1.0 / 16, 1.0 / 16, 1.0 / 16)
-    u = heat_evolve_free(phi, t, (g, g, g), eps_tail=1e-6, quad_tol=1e-6)
+    monkeypatch.setattr(heatflow, "_QUAD_TOL", 1e-6)
+    u = heat_evolve_free(phi, t, (g, g, g), eps_tail=1e-6)
     x, y, z = u.axes()
     exact = (gauss_kernel(x, s + t)[:, None, None] * gauss_kernel(y, s + t)[:, None]
              * gauss_kernel(z, s + t))
@@ -1236,7 +1272,8 @@ def test_3d_datum_that_reads_y_only(monkeypatch):
     phi = InitialDatum(fn=lambda x, y, z: gauss_kernel(y, s),
                        growth_a=float(gauss_kernel(0.0, s)))
     g = (-1.0 / 16, 1.0 / 16, 1.0 / 16)
-    u = heat_evolve_free(phi, t, (g, g, g), eps_tail=1e-6, quad_tol=1e-6)
+    monkeypatch.setattr(heatflow, "_QUAD_TOL", 1e-6)
+    u = heat_evolve_free(phi, t, (g, g, g), eps_tail=1e-6)
     y = u.axes()[1]
     assert u.meta["converged"] and u.values.shape == (3, 3, 3)
     assert rel_err(u.values, gauss_kernel(y, s + t)[:, None]) <= u.value_error < 1e-5
@@ -1292,8 +1329,9 @@ def test_a_1d_ridge_reads_its_line_as_it_lies():
                           flow(None, (-2.0, 1.0, 1.0 / 16))[::-1])
 
 
-def test_refine_history_records_every_pass():
-    u = heat_evolve_free(_SIN2, 0.05, (_G8, _G8), quad_tol=1e-30, max_refine=3)
+def test_refine_history_records_every_pass(monkeypatch):
+    monkeypatch.setattr(heatflow, "_QUAD_TOL", 1e-30)
+    u = heat_evolve_free(_SIN2, 0.05, (_G8, _G8), max_refine=3)
     hist = u.meta["refine_history"]
     m0 = hist[0][0]
     assert hist[0][1] is None and len(hist) == 4

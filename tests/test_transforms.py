@@ -22,7 +22,7 @@ def _closed_form(label, domain_kind, j_lo, ev, inv, dinv, log_inv, g, shape, ord
     """A test-local transform on values (-inf or 0, inf) from closed forms of
     F, f_F, f_F', log |f_F| and g, the shape of g and its Gaussian order."""
     lower = 0.0 if domain_kind == "half_line_nonneg" else -np.inf
-    return FTransform(domain_kind=domain_kind, lower_a=lower, upper_ell=np.inf,
+    return FTransform(lower_a=lower, upper_ell=np.inf,
                       j_lo=j_lo, j_hi=np.inf, label=label, _eval=ev, _inverse=inv,
                       _inverse_deriv=dinv, _log_inverse=log_inv, gaussian_order=order,
                       g_shape=shape, _g_closed=g)
@@ -786,15 +786,16 @@ def test_classify_is_relabeling_invariant():
 
 
 def test_classify_report_serialization():
-    """FIELDS, the columns the command line writes, each name a field of
-    the report; the cells themselves are the command line's to format."""
-    import dataclasses
-
+    """FIELDS, the columns the command line writes, each name read off the
+    report (a field, or the property gaussian_divergent, a plain bool so
+    that its cell reads true or false); the cells themselves are the
+    command line's to format."""
     from heatconvex.transforms import ClassReport
     rep = classify(make_power_alpha(1.0))
-    names = [f.name for f in dataclasses.fields(ClassReport)]
-    assert set(ClassReport.FIELDS) <= set(names) and ClassReport.FIELDS[0] == "label"
-    assert [getattr(rep, k) for k in ("label", "verdict")] == ["power[1]", "preserved"]
+    row = {k: getattr(rep, k) for k in ClassReport.FIELDS}
+    assert ClassReport.FIELDS[0] == "label"
+    assert [row[k] for k in ("label", "verdict")] == ["power[1]", "preserved"]
+    assert row["gaussian_divergent"] is False
 
 
 # -- strength comparison ---------------------------------------------------------
