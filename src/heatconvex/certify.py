@@ -36,7 +36,7 @@ import numpy as np
 
 from .heatflow import (GridFunction, InitialDatum, _BudgetError, _grid_size,
                        fit_growth_envelope, heat_evolve_free)
-from .numerics import DomainError, param_text
+from .numerics import DomainError, check_count, check_factor, param_text
 
 __all__ = [
     "MidpointSample",
@@ -348,9 +348,10 @@ def check_F_convex(u, F, significance_factor=10.0):
 
     With f the factor, the margin is w_mid(x) less the chord of w_end at x,
     w_mid = F(u) - f s and w_end = F(u) + f s, so the largest at x is
-    w_mid(x) less the lower envelope at x of w_end's other nodes: one
-    `_chords` pass over the nodes of finite w_end reads it.
+    w_mid(x) less the lower envelope at x of w_end's other nodes: one `_chords`
+    pass over the nodes of finite w_end reads it.  check_factor checks f.
     """
+    check_factor(significance_factor, "significance_factor")
     v, spread = _transform_values(u, F)
     chain = _chain(v.shape)
     node, pos, line, direction = chain
@@ -441,8 +442,9 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
     gives |phi(x)| <= a exp(A |x|^2).  In every dimension, 1D included, the
     datum is a ridge (InitialDatum.direction = d): fn is the profile of xi
     and its breakpoint z0 lies along xi, so a free-space evolution takes the
-    1D flow of the profile.
+    1D flow of the profile.  DomainError unless dim is a whole number >= 1.
     """
+    dim = check_count(dim, "dim", 1)
     r0 = float(r0)
     if not (F.lower_a < r0 < F.upper_ell):
         raise DomainError("r0 must be interior to the transform's domain")
@@ -481,8 +483,10 @@ def hunt_violation(F, phi, times, grid, refine=3, history=None,
     Returns (certificate, t_first), t_first the earliest time whose
     violation is stable, else (worst certificate seen, None).  A list passed
     as `history` collects one record per (time, refinement level) run, with
-    the evolution's meta.  eps_tail is passed on to heat_evolve_free.
+    the evolution's meta.  refine is a count (check_count); eps_tail and
+    significance_factor are checked where they are read.
     """
+    refine = check_count(refine, "refine")
     lo, hi, _ = grid
     _, (h0,) = _grid_size((grid,))
     overall = None

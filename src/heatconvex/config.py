@@ -39,13 +39,13 @@ import numpy as np
 
 from .certify import counterexample_datum
 from .heatflow import DomainSpec, GridFunction, InitialDatum, fit_growth_envelope, gauss_kernel, hot_h
-from .numerics import param_text
+from .numerics import check_count, check_factor, check_grid, check_time, check_tolerance, param_text
 from .transforms import (abs_kink_generator, make_affine, make_exp,
                          make_from_g, make_hot, make_neglog, make_power_alpha)
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent experiment configuration."""
+    """Malformed or inconsistent configuration; a number off its rule is a DomainError."""
 
 
 _DEFAULTS = {
@@ -187,9 +187,7 @@ def build_datum(name, params, F=None, window=(-8.0, 8.0)):
         return InitialDatum(fn=ridge, growth_a=a, growth_A=A,
                             breakpoints=(0.0,), label="exp_abs")
     if name == "gaussian":
-        t0 = _num(params, "t0", 0.5)
-        if not t0 > 0:
-            raise ConfigError(f"datum 'gaussian' needs t0 > 0, got {t0!r}")
+        t0 = check_time(_num(params, "t0", 0.5), "datum 'gaussian' t0")
         return InitialDatum(fn=lambda x: gauss_kernel(x, t0),
                             growth_a=float(gauss_kernel(0.0, t0)), growth_A=0.0,
                             label=f"gaussian[t0={param_text(t0)}]")
@@ -295,19 +293,16 @@ def load_config(path, overrides=None):
     # every key's value as the run uses it, whether the file set it or not
     resolved = {key: get(key) for key in _DEFAULTS}
 
-    def number(key, cast, ok, what):
-        """get(key) cast to int or float, resolved; ConfigError unless ok."""
+    def number(key, check=None):
+        """get(key) as a float, resolved as the numerics checker check returns it."""
         try:
-            val = cast(get(key))
+            val = float(get(key))
         except (TypeError, ValueError):
-            val = None
-        if val is None or not ok(val):
-            raise ConfigError(f"{key} must be {what}, got {get(key)!r}")
-        resolved[key] = val
-        return val
+            raise ConfigError(f"{key} must be a number, got {get(key)!r}")
+        resolved[key] = val if check is None else check(val, key)
+        return resolved[key]
 
-    lo, hi, h = (number(key, float, np.isfinite, "a finite number")
-                 for key in ("grid.lo", "grid.hi", "grid.h"))
+    lo, hi, h = (number(key) for key in ("grid.lo", "grid.hi", "grid.h"))
     domain = _build_domain(get("domain"))
     if domain.kind == "interval":
         # an interval evolves from wall to wall, so its window is the walls:
@@ -321,17 +316,16 @@ def load_config(path, overrides=None):
         if "flow.eps_tail" in raw:
             raise ConfigError("flow.eps_tail does not apply to an interval "
                               "domain, whose evolution has no truncated tail")
-    if not (hi > lo and 0 < h <= hi - lo):
-        raise ConfigError(f"bad grid: lo={lo} hi={hi} h={h}")
+    check_grid((lo, hi, h), "grid (grid.lo, grid.hi, grid.h)")
     times = get("flow.times")
     if isinstance(times, str):
         try:
             times = _float_list(times)
         except ValueError:
             times = ()
-    if not times or not all(0 < t < np.inf for t in times):
-        raise ConfigError("flow.times must list positive finite times, "
-                          f"got {get('flow.times')!r}")
+    if not times:
+        raise ConfigError(f"flow.times must list times, got {get('flow.times')!r}")
+    times = [check_time(t, "flow.times") for t in times]
     for key in _RETIRED:
         if key in raw:
             print(f"warning: {key} = {raw[key]} is ignored (retired: the certificate "
@@ -362,12 +356,9 @@ def load_config(path, overrides=None):
         domain=domain,
         grid=(lo, hi, h),
         times=tuple(sorted(float(t) for t in times)),
-        eps_tail=number("flow.eps_tail", float, lambda e: 0 < e < 1,
-                        "a relative tolerance in (0, 1)"),
-        refine_levels=number("certify.refine_levels", int, lambda n: n >= 0,
-                             "a count >= 0"),
-        significance_factor=number("certify.significance_factor", float,
-                                   lambda c: 0 <= c < np.inf, "finite and >= 0"),
+        eps_tail=number("flow.eps_tail", check_tolerance),
+        refine_levels=number("certify.refine_levels", check_count),
+        significance_factor=number("certify.significance_factor", check_factor),
         out_dir=str(get("out")),
         resolved=resolved,
     )

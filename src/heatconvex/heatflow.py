@@ -44,7 +44,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import DomainError, piecewise_simpson_weights
+from .numerics import (DomainError, check_count, check_grid, check_time, check_tolerance,
+                       piecewise_simpson_weights)
 
 __all__ = [
     "ExistenceWindowError",
@@ -109,18 +110,14 @@ def grid_nodes(lo, hi, h):
 
 
 def _grid_size(grids):
-    """Lists of the node count n_k = max(1, round((hi - lo) / h)) + 1 and the
-    snapped spacing (hi - lo) / (n_k - 1) of each (lo, hi, h) axis of an
-    output grid.  Before any array exists: DomainError unless bounds and
-    spacings are finite and h > 0, ValueError for an empty extent, and
-    _BudgetError above _MAX_LATTICE_NODES nodes, which no lattice fits."""
-    if not all(0 < h < math.inf and math.isfinite(lo) and math.isfinite(hi)
-               for lo, hi, h in grids):
-        raise DomainError(f"grid {grids!r} needs finite bounds and spacings h > 0")
-    if not all(hi > lo for lo, hi, _ in grids):
-        raise ValueError("empty grid extent")
+    """Lists of the node count n_k = round((hi - lo) / h) + 1 and the snapped
+    spacing (hi - lo) / (n_k - 1) of each (lo, hi, h) axis of an output grid.
+    Before any array exists: DomainError unless each axis passes check_grid,
+    and _BudgetError above _MAX_LATTICE_NODES nodes, which no lattice fits."""
+    for grid in grids:
+        check_grid(grid, "grid")
     # cells past the budget, or an overflowed quotient, count as the budget
-    ns = [max(1, round(min((hi - lo) / h, _MAX_LATTICE_NODES))) + 1 for lo, hi, h in grids]
+    ns = [round(min((hi - lo) / h, _MAX_LATTICE_NODES)) + 1 for lo, hi, h in grids]
     if math.prod(ns) > _MAX_LATTICE_NODES:
         raise _BudgetError("the output grid of " + " x ".join(
             f"{(hi - lo) / h + 1:.6g}" for lo, hi, h in grids)
@@ -217,7 +214,8 @@ class GridFunction:
     value_error is the recorded max relative uncertainty |du|/(1+|u|) of the
     values (quadrature + roundoff + truncation for evolved data, 0 for exact
     data; inf for an evolution that never doubled).  DomainError for a
-    certificate that is no bound (_check_certificate).
+    certificate that is no bound (_check_certificate) or an extent axis
+    that check_grid refuses with its spacing (not finite, or hi <= lo).
     """
 
     values: np.ndarray
@@ -240,6 +238,8 @@ class GridFunction:
         if min(self.values.shape, default=2) < 2:
             raise DomainError(f"grid data need two nodes per axis, got shape "
                               f"{self.values.shape}")
+        for (lo, hi), h in zip(self.extent, self.spacing):
+            check_grid((lo, hi, h), "extent")
 
     @property
     def dim(self):
@@ -436,8 +436,7 @@ class InitialDatum:
 def gauss_kernel(x, t):
     """1D heat kernel (4 pi t)^(-1/2) exp(-x^2 / (4t)); x is distance."""
     x = np.asarray(x, dtype=float)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    check_time(t, "t")
     return (4 * np.pi * t) ** -0.5 * np.exp(-(x * x) / (4 * t))
 
 
@@ -468,12 +467,6 @@ def fit_growth_envelope(fn, window):
         raise DomainError(f"no finite sample of the datum on the window {window!r}")
     a = float(np.max(finite)) * (1 + 1e-9)
     return max(a, 1e-300), A
-
-
-def _check_time(t):
-    """DomainError unless 0 < t < inf."""
-    if not 0 < t < math.inf:
-        raise DomainError(f"t must be positive and finite, got {t!r}")
 
 
 def check_existence(A, t):
@@ -579,11 +572,14 @@ def _piece_weighted_values(fn, y, piece_edges, h):
     for a_idx, b_idx in zip(piece_edges[:-1], piece_edges[1:]):
         if b_idx <= a_idx or (a_idx == 0 and b_idx == len(y) - 1):
             continue
-        wp = piecewise_simpson_weights(y[a_idx:b_idx + 1], [0, b_idx - a_idx])
+        # the piece's own end weights of simpson_weights, in its closed form
+        n, hp = b_idx - a_idx + 1, y[a_idx + 1] - y[a_idx]
+        first = 0.5 * hp if n == 2 else 3.0 * (hp / 8.0) if n == 4 else hp / 3.0
+        last = first if n % 2 or n < 6 else 3.0 * (hp / 8.0)
         if a_idx > 0:
-            psi[a_idx] += wp[0] * (float(fn(y[a_idx] + nudge)) - vals[a_idx])
+            psi[a_idx] += first * (float(fn(y[a_idx] + nudge)) - vals[a_idx])
         if b_idx < len(y) - 1:
-            psi[b_idx] += wp[-1] * (float(fn(y[b_idx] - nudge)) - vals[b_idx])
+            psi[b_idx] += last * (float(fn(y[b_idx] - nudge)) - vals[b_idx])
     return psi
 
 
@@ -883,13 +879,13 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, max_refine=_MAX_REFINE
     """Evolve phi by the free-space heat semigroup to time t on out_grid.
 
     phi: GridFunction or InitialDatum (callable + growth certificate).
-    out_grid: (lo, hi, h) for one axis or one such triple per axis; a time
-    t outside (0, inf) raises DomainError, grid data of another dimension
-    ValueError, grid data short of the quadrature window
-    EvaluationWindowError, and 4*growth_A*t >= 1 - margin
-    ExistenceWindowError.  One axis applies the kernel as one convolution
-    (_kernel_apply), more axes its decimated matrix along each axis
-    (_separable).  The window is truncated where the closed-form Gaussian
+    out_grid: (lo, hi, h) for one axis or one such triple per axis; a t,
+    grid axis, eps_tail or max_refine that numerics refuses raises
+    DomainError, grid data of another dimension ValueError, grid data short
+    of the quadrature window EvaluationWindowError, and 4*growth_A*t >= 1 -
+    margin ExistenceWindowError.  One axis applies the kernel as one
+    convolution (_kernel_apply), more axes its decimated matrix along each
+    axis (_separable).  The window is truncated where the closed-form Gaussian
     tail bound of the growth certificate drops below eps_tail relative to
     the result's growth scale (_truncation_window); _refine doubles the
     Simpson lattice until _QUAD_TOL, max_refine doublings or its node
@@ -903,7 +899,9 @@ def heat_evolve_free(phi, t, out_grid, *, eps_tail=1e-10, max_refine=_MAX_REFINE
     gathered onto the grid; its value_error and growth certificate hold
     there, and meta adds ridge = {direction, line}, the line as (lo, hi, h).
     """
-    _check_time(t)
+    check_time(t, "t")
+    check_tolerance(eps_tail, "eps_tail")
+    check_count(max_refine, "max_refine")
     grids = _axis_grids(out_grid)
     datum = _resolve_datum(phi, len(grids))  # a ridge of another dimension raises
     line = _ridge_line(phi, grids)
@@ -1100,12 +1098,12 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid):
     inherited_error) and value_error are scaled by that.  The half line is
     the free flow (tail tolerance _HALF_LINE_EPS_TAIL) of sign(y) v0(|y|),
     of certificate (|ell| + a, A) and breakpoints 0 and +-b; a box is
-    _box_flow's.  A time t outside (0, inf) raises DomainError, data or
-    grids of the wrong dimension ValueError, grid data short of the lattice
-    EvaluationWindowError.  Refinement (at most _MAX_REFINE doublings) and
-    meta are as in heat_evolve_free.
+    _box_flow's.  A t or grid axis numerics refuses, or a grid off the walls,
+    raises DomainError, data of the wrong dimension ValueError, grid data
+    short of the lattice EvaluationWindowError.  Refinement (at most
+    _MAX_REFINE doublings) and meta are as in heat_evolve_free.
     """
-    _check_time(t)
+    check_time(t, "t")
     if domain.kind not in ("half_line", "interval", "rectangle"):
         raise ValueError(f"unsupported domain kind {domain.kind!r} for Dirichlet flow")
     ell, scale = domain.ell, 1.0 + abs(domain.ell)
@@ -1117,10 +1115,10 @@ def heat_evolve_dirichlet(phi, domain, t, out_grid):
 
     grids = _axis_grids(out_grid)
     if len(grids) != domain.n or any(
-            abs(g - wall) > 1e-12 for grid, walls in zip(grids, domain.bounds)
+            not abs(g - wall) <= 1e-12 for grid, walls in zip(grids, domain.bounds)
             for g, wall in zip(grid, walls) if wall < np.inf):
-        raise ValueError(f"out_grid must span the {domain.kind} from its walls, "
-                         f"one (lo, hi, h) per axis")
+        raise DomainError(f"out_grid must span the {domain.kind} from its walls, "
+                          f"one (lo, hi, h) per axis")
     if domain.kind == "half_line":
         def odd(y):
             return np.sign(y) * v0(np.abs(y)).reshape(np.shape(y))

@@ -1,10 +1,11 @@
-"""Shared numerical helpers: monotone inversion, quadrature weights, label text."""
+"""Shared numerical helpers: number rules, monotone inversion, quadrature, labels."""
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
     "DomainError",
+    "check_time", "check_grid", "check_tolerance", "check_count", "check_factor",
     "invert_monotone",
     "simpson_weights",
     "piecewise_simpson_weights",
@@ -14,6 +15,29 @@ __all__ = [
 
 class DomainError(ValueError):
     """Argument left the mathematical domain of an operation."""
+
+
+def _rule(what, ok):
+    """The checker of one kind of number, for the library and the config:
+    check(x, name) returns x where ok(x) holds, else raises DomainError."""
+    def check(x, name):
+        if not ok(x):
+            raise DomainError(f"{name} needs {what}, got {x!r}")
+        return x
+    return check
+
+
+check_time = _rule("to be positive and finite", lambda t: 0 < t < np.inf)
+check_tolerance = _rule("to lie in (0, 1)", lambda e: 0 < e < 1)
+check_factor = _rule("to be finite and >= 0", lambda c: 0 <= c < np.inf)
+check_grid = _rule("finite bounds and spacings h > 0 with h <= hi - lo, as (lo, hi, h)",
+                   lambda g: np.isfinite(g).all() and 0 < g[2] <= g[1] - g[0])
+
+
+def check_count(n, name, least=0):
+    """A count, as an int: a whole number >= least."""
+    return int(_rule(f"to be a whole number >= {least}",
+                     lambda n: least <= n < np.inf and n % 1 == 0)(n, name))
 
 
 def param_text(*xs):

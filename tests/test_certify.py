@@ -1167,13 +1167,13 @@ def oblique_saddle():
                         extent=((-2.0, 2.0), (-2.0, 2.0)), growth_a=20.0, value_error=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: only the lattice lines of "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: only the lattice lines of "
                                         "{-1, 0, 1}^n directions are tested")
 def test_an_oblique_saddle_is_refuted():
     assert check_F_convex(oblique_saddle(), P1).significant
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items 3 and 12: only the lattice lines of "
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 6 and 5: only the lattice lines of "
                                         "{-1, 0, 1}^n directions are tested")
 def test_an_oblique_saddle_is_not_quasi_convex():
     assert not check_quasi_convex(oblique_saddle())[0]

@@ -407,7 +407,8 @@ def test_grid_spacing_wider_than_the_interval_is_a_config_error(tmp_path, capsys
                        "grid.h = 2\nflow.times = 0.05\n")
     out = tmp_path / "res"
     assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 2
-    assert "bad grid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "grid.h" in err and "h <= hi - lo" in err and "got (0.0, 1.0, 2.0)" in err
     assert not out.exists()
 
 
@@ -718,6 +719,12 @@ def test_hunt_meta_records_each_scan(tmp_path):
     ("evolve", "flow.times = nan"),
     ("verify", "flow.times = nan"),
     ("verify", "certify.significance_factor = nan"),
+    ("verify", "certify.significance_factor = -1"),
+    ("verify", "flow.eps_tail = 2"),
+    ("verify", "flow.eps_tail = inf"),
+    ("verify", "flow.eps_tail = nan"),
+    ("hunt", "certify.refine_levels = 0.5"),
+    ("evolve", "grid.lo = 7"),
     ("verify", "grid.h = abc"),
     ("evolve", "flow.times = 0.05,x"),
 ])

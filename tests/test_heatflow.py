@@ -9,13 +9,14 @@ import pytest
 from scipy.special import erf
 
 from heatconvex import (DomainSpec, EvaluationWindowError,
-                        ExistenceWindowError, GridFunction, InitialDatum, grid_nodes,
-                        heat_evolve_dirichlet, heat_evolve_free, heatflow, hot_h,
-                        hunt_violation, make_power_alpha)
+                        ExistenceWindowError, GridFunction, InitialDatum, counterexample_datum,
+                        check_F_convex, grid_nodes, heat_evolve_dirichlet, heat_evolve_free,
+                        heatflow, hot_h, hunt_violation, make_power_alpha)
 from heatconvex.heatflow import (_BAND_ROWS, _CSV_ROWS, _box_apply, _cubics,
                                  _dirichlet_kernels, _fast_len, _kernel_apply, _kernel_matrix,
-                                 _pchip, _resolve_datum, _row_template, _separable, _start_factor,
-                                 _valid, check_existence, fit_growth_envelope, gauss_kernel)
+                                 _pchip, _piece_weighted_values, _resolve_datum, _row_template,
+                                 _separable, _start_factor, _valid, check_existence,
+                                 fit_growth_envelope, gauss_kernel)
 from heatconvex.numerics import DomainError, piecewise_simpson_weights
 
 
@@ -134,6 +135,39 @@ def test_grid_interpolation_equals_scipy_pchip_axis_by_axis(shape):
     got = _cubics(knots, _pchip(knots[0], values), queries)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+def test_piece_end_weights_match_the_rebuilt_rule_bit_for_bit():
+    """The one-sided corrections at interior piece edges read each piece's
+    end weights from simpson_weights' closed form (h/2, 3h/8, h/3, or h/3
+    then 3h/8), not from weights rebuilt over the piece."""
+    def rebuilt(fn, y, edges, h):
+        vals = fn(y)
+        psi = piecewise_simpson_weights(y, edges) * vals
+        for a, b in zip(edges[:-1], edges[1:]):
+            if b > a and not (a == 0 and b == len(y) - 1):
+                wp = piecewise_simpson_weights(y[a:b + 1], [0, b - a])
+                if a > 0:
+                    psi[a] += wp[0] * (float(fn(y[a] + 1e-9 * h)) - vals[a])
+                if b < len(y) - 1:
+                    psi[b] += wp[-1] * (float(fn(y[b] - 1e-9 * h)) - vals[b])
+        return psi
+
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        n = int(rng.integers(2, 40))
+        h = float(rng.uniform(1e-3, 1.0))
+        y = float(rng.uniform(-5.0, 5.0)) + h * np.arange(n)
+        inner = rng.choice(np.arange(1, n - 1), size=min(n - 2, int(rng.integers(0, 5))),
+                           replace=False) if n > 2 else []
+        edges = sorted({0, n - 1, *map(int, inner)})
+        cut = float(rng.choice(y))
+
+        def step(x):
+            return np.where(np.asarray(x) >= cut, np.cos(x) + 1.0, np.sin(x))
+
+        assert np.array_equal(_piece_weighted_values(step, y, edges, h),
+                              rebuilt(step, y, edges, h))
 
 
 def test_grid_data_that_are_not_finite_are_refused():
@@ -564,16 +598,34 @@ def test_grid_data_within_roundoff_of_the_walls_still_evolve():
     lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(-2.0, 2.0), np.nan,
                                   (-2.0, 2.0, 1.0 / 8)),
     lambda: heat_evolve_dirichlet(_SIN, DomainSpec.half_line(), -1.0, (0.0, 2.0, 1.0 / 8)),
+    lambda: GridFunction(values=np.zeros(3), extent=((1.0, -1.0),)),
+    lambda: GridFunction(values=np.zeros(3), extent=((np.nan, 1.0),)),
+    lambda: counterexample_datum(make_power_alpha(1.0), 1.0, dim=0),
+    *(lambda e=e: heat_evolve_free(_SIN, 0.1, (-2.0, 2.0, 1.0 / 8), eps_tail=e)
+      for e in (0.0, -1.0, 2.0, np.inf, np.nan)),
+    *(lambda m=m: heat_evolve_free(_SIN, 0.1, (-2.0, 2.0, 1.0 / 8), max_refine=m)
+      for m in (-1, 0.5)),
+    lambda: heat_evolve_free(_SIN, 0.1, (1.0, -1.0, 0.125)),
+    lambda: heat_evolve_dirichlet(_SIN, DomainSpec.interval(0.0, 1.0), 0.1, (0.0, 0.5, 1.0 / 8)),
+    lambda: hunt_violation(make_power_alpha(1.0), _SIN, (0.1,), (-1.0, 1.0, 0.25), refine=-1),
+    *(lambda c=c: check_F_convex(_sine_grid(1.0), make_power_alpha(1.0), c)
+      for c in (np.nan, -1.0)),
 ], ids=["interval_reversed", "interval_empty", "interval_nan", "rectangle_flat_axis",
         "interval_ell_nan", "interval_ell_inf", "half_line_ell_-inf", "rectangle_ell_nan",
         "free_t_inf", "free_t_nan", "free_t_0", "interval_t_inf", "interval_t_nan",
-        "half_line_t_-1"])
+        "half_line_t_-1", "extent_reversed", "extent_nan", "wedge_dim_0",
+        "eps_tail_0", "eps_tail_-1", "eps_tail_2", "eps_tail_inf", "eps_tail_nan",
+        "max_refine_-1", "max_refine_0.5", "free_grid_reversed", "interval_grid_off_the_walls",
+        "hunt_refine_-1", "significance_factor_nan", "significance_factor_-1"])
 def test_degenerate_domains_raise_a_typed_error(make):
     """A DomainError, which is still a ValueError for library callers: for
-    a degenerate box, a wall value that is not finite, and a time outside
-    (0, inf).  An infinite time divided by zero in free space, a NaN time
-    failed in int(), and on the interval both passed numpy warnings and
-    then a misleading "datum must be bounded"."""
+    a degenerate box, a wall value that is not finite, a time outside
+    (0, inf), and each number that a numerics checker refuses.  An infinite
+    time divided by zero in free space, a NaN time failed in int(), and on
+    the interval both passed numpy warnings and then a misleading "datum
+    must be bounded"; eps_tail 0 and -1 warned, 2 and inf ran, max_refine
+    -1 and 0.5 ran, the reversed grid raised a plain ValueError, hunt's
+    refine -1 an AttributeError, and the certificate took any factor."""
     with pytest.raises(DomainError) as info:
         make()
     assert isinstance(info.value, ValueError)
@@ -1171,10 +1223,11 @@ def test_grid_sizes_are_counted_not_built(monkeypatch):
     assert grid_nodes(0.0, 1.0, 1.0 / 999).size == 1000
     with pytest.raises(DomainError, match="output grid of 1001 nodes"):
         grid_nodes(0.0, 1.0, 1.0 / 1000)
-    with pytest.raises(ValueError, match="empty grid extent"):
-        grid_nodes(1.0, 1.0, 0.1)
+    for empty in ((1.0, 1.0, 0.1), (1.0, -1.0, 0.125), (0.0, 1.0, 5.0)):
+        with pytest.raises(DomainError, match="h <= hi - lo"):
+            grid_nodes(*empty)
     assert grid_nodes(0.0, 1.0, 0.3).tolist() == [0.0, 1.0 / 3, 2.0 / 3, 1.0]
-    assert grid_nodes(0.0, 1.0, 5.0).tolist() == [0.0, 1.0]
+    assert grid_nodes(0.0, 1.0, 1.0).tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
