@@ -36,7 +36,8 @@ import numpy as np
 
 from .heatflow import (GridFunction, InitialDatum, _BudgetError, _grid_size,
                        fit_growth_envelope, heat_evolve_free)
-from .numerics import DomainError, check_count, check_factor, param_text
+from .numerics import (DomainError, check_count, check_direction, check_factor, check_real,
+                       check_schedule, check_tolerance, param_text)
 
 __all__ = [
     "MidpointSample",
@@ -89,14 +90,12 @@ class Certificate:
 
 
 def _as_fraction(lam):
-    """(p, q, p / q) for a weight lam = p / q with q <= 8."""
-    fr = Fraction(lam).limit_denominator(8)
-    if abs(float(fr) - float(lam)) > 1e-12:
+    """(p, q, p / q) for a weight lam = p / q in (0, 1) with q <= 8."""
+    fr = Fraction(check_tolerance(lam, "lambda")).limit_denominator(8)
+    if abs(float(fr) - float(lam)) > 1e-12 or not 0 < fr < 1:
         raise DomainError(
-            f"lambda = {lam} is not a rational p/q with q <= 8; midpoints "
+            f"lambda = {lam} is not a rational p/q in (0, 1) with q <= 8; midpoints "
             "must land on grid nodes")
-    if not 0 < fr < 1:
-        raise DomainError("lambda must lie strictly between 0 and 1")
     return fr.numerator, fr.denominator, fr.numerator / fr.denominator
 
 
@@ -442,24 +441,16 @@ def counterexample_datum(F, r0, direction=None, dim=1, fit_window=(-8.0, 8.0)):
     gives |phi(x)| <= a exp(A |x|^2).  In every dimension, 1D included, the
     datum is a ridge (InitialDatum.direction = d): fn is the profile of xi
     and its breakpoint z0 lies along xi, so a free-space evolution takes the
-    1D flow of the profile.  DomainError unless dim is a whole number >= 1.
+    1D flow of the profile.  DomainError unless dim is a whole number >= 1,
+    direction has dim finite entries, not all 0, and fit_window is a window.
     """
     dim = check_count(dim, "dim", 1)
     r0 = float(r0)
     if not (F.lower_a < r0 < F.upper_ell):
         raise DomainError("r0 must be interior to the transform's domain")
-    z0 = float(F(r0))
-    if not np.isfinite(z0):
-        raise DomainError("F(r0) must be finite")
+    z0 = check_real(float(F(r0)), "F(r0)")
 
-    d = np.ravel(np.asarray(np.eye(dim)[0] if direction is None else direction,
-                            dtype=float))
-    if d.size != dim:
-        raise DomainError(f"direction needs {dim} entries, got {d.size}")
-    norm = float(np.hypot.reduce(np.abs(d)))
-    if norm == 0:
-        raise DomainError("direction must be a nonzero vector")
-    d = d / norm
+    d = check_direction(np.eye(dim)[0] if direction is None else direction, dim, "direction")
 
     def profile(xi):
         return F.inverse(z0 + np.abs(np.asarray(xi, dtype=float) - z0))
@@ -483,9 +474,10 @@ def hunt_violation(F, phi, times, grid, refine=3, history=None,
     Returns (certificate, t_first), t_first the earliest time whose
     violation is stable, else (worst certificate seen, None).  A list passed
     as `history` collects one record per (time, refinement level) run, with
-    the evolution's meta.  refine is a count (check_count); eps_tail and
-    significance_factor are checked where they are read.
+    the evolution's meta.  times (a schedule) and refine (a count) are
+    checked here, eps_tail and significance_factor where they are read.
     """
+    times = check_schedule(times, "times")
     refine = check_count(refine, "refine")
     lo, hi, _ = grid
     _, (h0,) = _grid_size((grid,))
@@ -614,9 +606,9 @@ def check_envelope_comparison(F, phi, lam, t, window, h):
     """
     if not isinstance(phi, InitialDatum):
         raise TypeError("phi must be an InitialDatum")
+    p, q, lam_f = _as_fraction(lam)
     lo, hi = window
     u = heat_evolve_free(phi, t, (lo, hi, h))
-    p, q, lam_f = _as_fraction(lam)
     n, h = u.values.size, u.spacing[0]
 
     # W0 is defined by grid values, so its construction window must already

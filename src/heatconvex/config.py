@@ -17,20 +17,21 @@ describe a transform or a datum are a registry name followed by inline
     certify.significance_factor = 10
     out       = results
 
-Unknown keys are rejected so typos fail loudly, and so are ``grid.lo`` and
-``grid.hi`` values other than the walls of an interval domain, which is
-evolved from wall to wall (its window resolves to the walls, and ``grid.h``
-must fit between them) and truncates nothing (``flow.eps_tail`` is refused).
-Every effective value, parsed and defaults included, lands in the
-``resolved`` mapping that the commands write into their metadata records.
-The retired keys ``certify.plan``, ``certify.lambda_set``,
-``certify.n_random`` and ``seed``, which chose the midpoint weights and
-triples before the certificate tested every chord, are accepted with a
-warning on stderr naming each, and left out of ``resolved``.
+Unknown keys and inline parameters that a kind does not take are rejected
+so typos fail loudly, and so are ``grid.lo`` and ``grid.hi`` values other
+than the walls of an interval domain, which is evolved from wall to wall
+(its window resolves to the walls, and ``grid.h`` must fit between them)
+and truncates nothing (``flow.eps_tail`` is refused).  Every effective
+value, parsed and defaults included, lands in the ``resolved`` mapping of
+the metadata records.  The retired keys ``certify.plan``,
+``certify.lambda_set``, ``certify.n_random`` and ``seed``, which chose the
+midpoint weights and triples before the certificate tested every chord, are
+accepted with a warning on stderr naming each, and left out of ``resolved``.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +40,8 @@ import numpy as np
 
 from .certify import counterexample_datum
 from .heatflow import DomainSpec, GridFunction, InitialDatum, fit_growth_envelope, gauss_kernel, hot_h
-from .numerics import check_count, check_factor, check_grid, check_time, check_tolerance, param_text
+from .numerics import (check_count, check_factor, check_grid, check_real, check_schedule,
+                       check_time, check_tolerance, param_text)
 from .transforms import (abs_kink_generator, make_affine, make_exp,
                          make_from_g, make_hot, make_neglog, make_power_alpha)
 
@@ -53,7 +55,7 @@ _DEFAULTS = {
     "grid.lo": -8.0,
     "grid.hi": 8.0,
     "grid.h": 1.0 / 64.0,
-    "flow.times": (0.05, 0.1, 0.2),
+    "flow.times": "0.05,0.1,0.2",
     "flow.eps_tail": 1e-10,
     "certify.refine_levels": 3,
     "certify.significance_factor": 10.0,
@@ -68,17 +70,9 @@ _KNOWN_KEYS = set(_DEFAULTS) | {"transform", "datum"} | set(_RETIRED)
 
 def _scalar(tok):
     try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
         return float(tok)
     except ValueError:
         return tok
-
-
-def _float_list(value):
-    return tuple(float(tok) for tok in str(value).split(",") if tok.strip())
 
 
 def _inline(value):
@@ -120,22 +114,33 @@ def parse_config_text(text):
 
 
 def _num(params, key, default=None):
-    if key in params:
-        val = params[key]
-        if not isinstance(val, (int, float)):
-            raise ConfigError(f"parameter {key!r} must be a number, got {val!r}")
-        return float(val)
-    if default is None:
+    """params[key], taken out of params, as a float, else default."""
+    val = params.pop(key, default)
+    if val is None:
         raise ConfigError(f"missing required parameter {key!r}")
-    return float(default)
+    if not isinstance(val, (int, float)):
+        raise ConfigError(f"parameter {key!r} must be a number, got {val!r}")
+    return float(val)
 
 
+def _declared(build):
+    """build on a copy of params; one that its kind does not take (_num) is a ConfigError."""
+    @functools.wraps(build)
+    def run(name, params, *args, **kwargs):
+        params = dict(params)
+        built = build(name, params, *args, **kwargs)
+        if params:
+            raise ConfigError(f"{name!r} has no parameter {min(params)!r}")
+        return built
+    return run
+
+
+@_declared
 def build_transform(name, params):
     if name == "power":
         return make_power_alpha(_num(params, "alpha"))
     if name == "affine":
-        return make_affine(_num(params, "A", 1.0), _num(params, "B", 0.0),
-                           domain_kind=params.get("domain", "whole_line"))
+        return make_affine(_num(params, "A", 1.0), _num(params, "B", 0.0))
     if name == "exp":
         return make_exp()
     if name == "hot":
@@ -151,16 +156,17 @@ def build_transform(name, params):
     raise ConfigError(f"unknown transform kind {name!r}")
 
 
+@_declared
 def build_datum(name, params, F=None, window=(-8.0, 8.0)):
     """Named initial-datum generators used by evolve/verify/hunt.
 
     F is the transform under test, needed only by the 'counterexample'
     generator; window sizes the fitted growth certificates.  A non-finite
-    numeric parameter, or a Gaussian's t0 <= 0, is a ConfigError.
+    numeric parameter, or a Gaussian's t0 <= 0, is a DomainError.
     """
     for key, val in params.items():
-        if isinstance(val, float) and not np.isfinite(val):
-            raise ConfigError(f"datum parameter {key!r} must be finite, got {val!r}")
+        if isinstance(val, float):
+            check_real(val, f"datum parameter {key!r}")
     if name == "const":
         c = _num(params, "c", 1.0)
         return InitialDatum(fn=lambda x: np.full_like(np.asarray(x, float), c),
@@ -229,7 +235,7 @@ def build_datum(name, params, F=None, window=(-8.0, 8.0)):
         return InitialDatum(fn=cup, growth_a=1.0, growth_A=0.0,
                             label="neglog_bowl")
     if name == "csv":
-        path = params.get("path")
+        path = params.pop("path", None)
         if not isinstance(path, str):
             raise ConfigError("datum 'csv' needs path=<file>")
         try:
@@ -239,8 +245,8 @@ def build_datum(name, params, F=None, window=(-8.0, 8.0)):
     raise ConfigError(f"unknown datum kind {name!r}")
 
 
-def _build_domain(value):
-    name, params = _inline(value)
+@_declared
+def _build_domain(name, params):
     if name == "free":
         return DomainSpec.free_space()
     if name == "interval":
@@ -303,7 +309,7 @@ def load_config(path, overrides=None):
         return resolved[key]
 
     lo, hi, h = (number(key) for key in ("grid.lo", "grid.hi", "grid.h"))
-    domain = _build_domain(get("domain"))
+    domain = _build_domain(*_inline(get("domain")))
     if domain.kind == "interval":
         # an interval evolves from wall to wall, so its window is the walls:
         # one set elsewhere would be written to the metadata but not used
@@ -317,15 +323,11 @@ def load_config(path, overrides=None):
             raise ConfigError("flow.eps_tail does not apply to an interval "
                               "domain, whose evolution has no truncated tail")
     check_grid((lo, hi, h), "grid (grid.lo, grid.hi, grid.h)")
-    times = get("flow.times")
-    if isinstance(times, str):
-        try:
-            times = _float_list(times)
-        except ValueError:
-            times = ()
-    if not times:
-        raise ConfigError(f"flow.times must list times, got {get('flow.times')!r}")
-    times = [check_time(t, "flow.times") for t in times]
+    try:
+        times = [float(tok) for tok in str(get("flow.times")).split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"flow.times must list numbers, got {get('flow.times')!r}")
+    times = check_schedule(times, "flow.times")
     for key in _RETIRED:
         if key in raw:
             print(f"warning: {key} = {raw[key]} is ignored (retired: the certificate "

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import (DomainError, check_count, check_grid, check_time, check_tolerance,
-                       piecewise_simpson_weights)
+from .numerics import (DomainError, check_count, check_grid, check_real, check_time,
+                       check_tolerance, check_window, piecewise_simpson_weights)
 
 __all__ = [
     "ExistenceWindowError",
@@ -290,33 +290,37 @@ class GridFunction:
     def from_csv(cls, text):
         """to_csv's grid function; DomainError unless rows fill the axes
         with one coordinate per axis and a value each, every coordinate
-        within _CSV_COORD_TOL spacings of its node (to_csv's are exact)."""
+        within _CSV_COORD_TOL spacings of its node (to_csv's are exact),
+        and naming the line of a header or row that does not parse."""
         axes = []
         growth = {"growth_a": 1.0, "growth_A": 0.0, "value_error": 0.0}
         rows = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("x,"):
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("axis"):
-                    kv = dict(p.split("=") for p in body.split()[1:])
-                    if missing := sorted({"lo", "hi", "n"} - kv.keys()):
-                        raise DomainError(f"axis header {line!r} has no {missing[0]}=")
-                    axes.append((float(kv["lo"]), float(kv["hi"]), int(kv["n"])))
-                else:
-                    # other comment lines (dim=..., a caller's t=... stamp)
-                    # are ignored except for the known growth keys
-                    for part in body.split():
-                        k, _, v = part.partition("=")
-                        if k in growth:
-                            growth[k] = float(v)
-                continue
-            row = [float(c) for c in line.split(",")]
-            if len(row) != len(axes) + 1:
-                raise DomainError(f"row {len(rows) + 1} has {len(row)} columns, not "
-                                  f"{len(axes)} coordinates and a value")
+            try:
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("axis"):
+                        kv = dict(p.split("=") for p in body.split()[1:])
+                        if missing := sorted({"lo", "hi", "n"} - kv.keys()):
+                            raise DomainError(f"axis header has no {missing[0]}=")
+                        axes.append((float(kv["lo"]), float(kv["hi"]), int(kv["n"])))
+                    else:
+                        # other comment lines (dim=..., a caller's t=... stamp)
+                        # are ignored except for the known growth keys
+                        for part in body.split():
+                            k, _, v = part.partition("=")
+                            if k in growth:
+                                growth[k] = float(v)
+                    continue
+                row = [float(c) for c in line.split(",")]
+                if len(row) != len(axes) + 1:
+                    raise DomainError(f"row {len(rows) + 1} has {len(row)} columns, not "
+                                      f"{len(axes)} coordinates and a value")
+            except ValueError as exc:  # DomainError included
+                raise DomainError(f"line {lineno} {line!r}: {exc}") from None
             rows.append(row)
         if not axes:
             raise DomainError("no '# axis lo= hi= n=' header line")
@@ -343,8 +347,8 @@ class DomainSpec:
     """Spatial domain: free space, half line, interval, or rectangle (a box
     of any number of axes).
 
-    bounds holds (lo, hi) per axis, none for free space; ell is the boundary
-    value held fixed by the Dirichlet evolution, finite (else DomainError).
+    bounds holds (lo, hi) per axis, none for free space, a window (finite,
+    lo < hi) per box axis; the wall value ell is finite.  Else DomainError.
     """
 
     kind: str
@@ -352,8 +356,7 @@ class DomainSpec:
     ell: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.ell):
-            raise DomainError(f"the wall value ell must be finite, got {self.ell!r}")
+        check_real(self.ell, "the wall value ell")
 
     @property
     def n(self):
@@ -370,16 +373,13 @@ class DomainSpec:
 
     @classmethod
     def interval(cls, a, b, ell=0.0):
-        if not b > a:
-            raise DomainError(f"an interval needs b > a, got a={a!r} b={b!r}")
+        a, b = check_window((a, b), "an interval (a, b)")
         return cls(kind="interval", bounds=((float(a), float(b)),), ell=ell)
 
     @classmethod
     def rectangle(cls, bounds, ell=0.0):
         """A box: bounds holds (lo, hi) of every axis."""
-        bounds = tuple((float(a), float(b)) for a, b in bounds)
-        if not all(b > a for a, b in bounds):
-            raise DomainError(f"degenerate rectangle {bounds!r}: each axis needs hi > lo")
+        bounds = tuple(tuple(map(float, check_window(ab, "a rectangle axis"))) for ab in bounds)
         return cls(kind="rectangle", bounds=bounds, ell=ell)
 
 
@@ -447,9 +447,9 @@ def fit_growth_envelope(fn, window):
     of 801 even samples of the window (clamped to >= 0); a is then the least
     constant making the bound hold at every sample.  The certificate is
     exact at the samples and assumed to extend beyond the window.
-    DomainError when no sample is finite.
+    DomainError for a window that check_window refuses, or no finite sample.
     """
-    lo, hi = window
+    lo, hi = check_window(window, "window")
     x = np.linspace(lo, hi, 801)
     vals = np.abs(np.asarray(fn(x), dtype=float))
     outer = np.abs(x) >= 0.5 * max(abs(lo), abs(hi))

@@ -1,4 +1,4 @@
-"""Shared numerical helpers: number rules, monotone inversion, quadrature, labels."""
+"""Shared numerical helpers: input rules, monotone inversion, quadrature, labels."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,6 +6,7 @@ import numpy as np
 __all__ = [
     "DomainError",
     "check_time", "check_grid", "check_tolerance", "check_count", "check_factor",
+    "check_real", "check_positive", "check_window", "check_direction", "check_schedule",
     "invert_monotone",
     "simpson_weights",
     "piecewise_simpson_weights",
@@ -27,17 +28,35 @@ def _rule(what, ok):
     return check
 
 
-check_time = _rule("to be positive and finite", lambda t: 0 < t < np.inf)
+check_real = _rule("to be finite", lambda x: -np.inf < x < np.inf)
+check_positive = _rule("to be positive and finite", lambda x: 0 < x < np.inf)
+check_time = check_positive  # a time is a positive finite real
 check_tolerance = _rule("to lie in (0, 1)", lambda e: 0 < e < 1)
 check_factor = _rule("to be finite and >= 0", lambda c: 0 <= c < np.inf)
 check_grid = _rule("finite bounds and spacings h > 0 with h <= hi - lo, as (lo, hi, h)",
                    lambda g: np.isfinite(g).all() and 0 < g[2] <= g[1] - g[0])
+check_window = _rule("finite bounds lo < hi, as (lo, hi)",
+                     lambda w: np.shape(w) == (2,) and np.isfinite(w).all() and w[0] < w[1])
 
 
 def check_count(n, name, least=0):
     """A count, as an int: a whole number >= least."""
     return int(_rule(f"to be a whole number >= {least}",
                      lambda n: least <= n < np.inf and n % 1 == 0)(n, name))
+
+
+def check_direction(d, dim, name):
+    """A direction, as the unit vector d / |d|: dim finite entries, not all 0."""
+    v = np.ravel(np.asarray(d, dtype=float))
+    _rule(f"{dim} finite entries, not all 0",
+          lambda _: v.size == dim and np.isfinite(v).all() and v.any())(d, name)
+    return v / float(np.hypot.reduce(np.abs(v)))
+
+
+def check_schedule(times, name):
+    """A schedule, as a tuple: a non-empty sequence of times (check_time)."""
+    _rule("a non-empty sequence of times", lambda s: np.ndim(s) == 1 and len(s) > 0)(times, name)
+    return tuple(check_time(t, name) for t in times)
 
 
 def param_text(*xs):

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heatflow import gauss_kernel, hot_h
-from .numerics import DomainError, invert_monotone, param_text
+from .numerics import (DomainError, check_factor, check_positive, check_real, invert_monotone,
+                       param_text)
 
 __all__ = [
     "FTransform",
@@ -164,9 +165,8 @@ class GSpec:
     right_slope: float
 
     def __post_init__(self):
-        values = [v for p in self.points for v in p] + [self.left_slope, self.right_slope]
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError("GSpec needs finite points and slopes")
+        for value in [v for p in self.points for v in p] + [self.left_slope, self.right_slope]:
+            check_real(value, "a GSpec point or slope")
         zs = [p[0] for p in self.points]
         if not zs or sorted(zs) != zs or len(set(zs)) != len(zs):
             raise DomainError("GSpec needs distinct sorted breakpoints")
@@ -239,9 +239,7 @@ def make_power_alpha(alpha):
     Gaussian order 0, except for -1 <= alpha < 0, where f_F blows up like
     (1 + alpha z)^(1/alpha) at the top of J, unintegrably: inf.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise DomainError("alpha must be finite")
+    alpha = check_real(float(alpha), "alpha")
     if alpha == 0.0:
         return FTransform(
             lower_a=0.0, upper_ell=np.inf, j_lo=-np.inf, j_hi=np.inf,
@@ -289,19 +287,11 @@ def make_power_alpha(alpha):
     )
 
 
-def make_affine(A, B, domain_kind="whole_line"):
-    """Affine transform A*r + B; DomainError unless A > 0 and B are finite."""
-    A, B = float(A), float(B)
-    if not (0 < A < np.inf and math.isfinite(B)):
-        raise DomainError("affine transform needs a finite slope A > 0 and a finite B")
-    if domain_kind == "whole_line":
-        lower, j_lo = -np.inf, -np.inf
-    elif domain_kind == "half_line_nonneg":
-        lower, j_lo = 0.0, B
-    else:
-        raise DomainError("affine transform: unsupported domain kind")
+def make_affine(A, B):
+    """Whole-line affine transform A*r + B; DomainError unless A > 0 and B are finite."""
+    A, B = check_positive(float(A), "A"), check_real(float(B), "B")
     return FTransform(
-        lower_a=lower, upper_ell=np.inf, j_lo=j_lo, j_hi=np.inf,
+        lower_a=-np.inf, upper_ell=np.inf, j_lo=-np.inf, j_hi=np.inf,
         label=f"affine[{param_text(A, B)}]",
         _eval=lambda r: A * _as_float_array(r) + B,
         _inverse=lambda z: (_as_float_array(z) - B) / A,
@@ -369,9 +359,9 @@ def make_neglog(a, ell):
 
     DomainError unless ell is finite and a < ell; a may be -inf.
     """
-    ell = float(ell)
-    if not (math.isfinite(ell) and a < ell):
-        raise DomainError("make_neglog needs a finite ell and a < ell")
+    ell = check_real(float(ell), "ell")
+    if not a < ell:
+        raise DomainError(f"make_neglog needs a < ell, got a={a!r} ell={ell!r}")
     j_lo = -np.inf if np.isneginf(a) else -np.log(ell - a)
 
     def ev(r):
@@ -400,9 +390,7 @@ def scale_shift(F, A, B):
     over A^2, its f_F' and g are F's over A, and g has F's shape.
     DomainError unless A > 0 and B are finite.
     """
-    A, B = float(A), float(B)
-    if not (0 < A < np.inf and math.isfinite(B)):
-        raise DomainError("scale_shift needs a finite A > 0 and a finite B")
+    A, B = check_positive(float(A), "A"), check_real(float(B), "B")
 
     def pull(fn, post=lambda v: v):
         """z -> post(fn((z - B)/A))."""
@@ -514,10 +502,9 @@ def make_from_g(g, base_z, base_value, base_slope):
     (g, a GSpec, checks its own numbers), and where f cannot be sampled in
     doubles: a sup f that overflows, or a zero of f at |z| >= 2^48.
     """
-    if not (math.isfinite(base_z) and 0 <= base_value < np.inf
-            and 0 < base_slope < np.inf):
-        raise DomainError("make_from_g needs a finite base_z, a finite "
-                          "base_value >= 0 and a finite base_slope > 0")
+    check_real(base_z, "base_z")
+    check_factor(base_value, "base_value")
+    check_positive(base_slope, "base_slope")
     label = (f"from_g[points={''.join(f'({param_text(z, v)})' for z, v in g.points)},"
              f"slopes=({param_text(g.left_slope, g.right_slope)}),"
              f"base=({param_text(base_z, base_value, base_slope)})]")

@@ -1,17 +1,19 @@
 """End-to-end checks of the command-line front end."""
 
 import csv
+import inspect
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heatconvex import (GridFunction, counterexample_datum, heat_evolve_free,
+from heatconvex import (GridFunction, config, counterexample_datum, heat_evolve_free,
                         make_power_alpha)
 from heatconvex.cli import entry
 from heatconvex.transforms import ClassReport
@@ -420,7 +422,7 @@ def test_degenerate_interval_is_a_config_error(tmp_path, domain):
     cfg = write_config(tmp_path, f"datum = gaussian t0=0.5\ndomain = {domain}\n")
     r = run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "res"))
     assert r.returncode == 2
-    why = "ell must be finite" if "ell" in domain else "b > a"
+    why = "ell needs to be finite" if "ell" in domain else "needs finite bounds lo < hi"
     assert "config error" in r.stderr and why in r.stderr
     assert "Traceback" not in r.stderr
 
@@ -909,6 +911,76 @@ def test_bad_datum_parameters_are_a_config_error(tmp_path, capsys, datum):
     assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _readme_kinds(label):
+    """README's kind list that follows label: kind -> {parameter: default},
+    None for a parameter with no default."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.split(r"[.;]\s", text.split(label, 1)[1], maxsplit=1)[0]
+    kinds = {}
+    for span in re.findall(r"`([^`]+)`", listed):
+        name, *params = span.split()
+        kinds[name] = {k: float(v) if v else None
+                       for k, v in (param.split("=") for param in params)}
+    return kinds
+
+
+_KINDS = {key: _readme_kinds(label) for key, label in
+          (("transform", "Transform kinds:"), ("datum", "Datum kinds:"), ("domain", "Domains:"))}
+
+
+def _kind_line(tmp_path, key, kind):
+    """A config line of the kind with its required parameters (alpha, path) given."""
+    params = " ".join(f"{k}={_csv_datum(tmp_path) if k == 'path' else 2}"
+                      for k, v in _KINDS[key][kind].items() if v is None)
+    return f"{key} = {kind} {params}".rstrip()
+
+
+def _csv_datum(tmp_path):
+    x = np.linspace(-6.0, 6.0, 97)
+    path = tmp_path / "datum.csv"
+    path.write_text(GridFunction(values=np.exp(-x * x), extent=((-6.0, 6.0),)).to_csv())
+    return str(path)
+
+
+@pytest.mark.parametrize("key, kind", [(key, kind) for key, kinds in _KINDS.items()
+                                       for kind in kinds])
+def test_an_undeclared_inline_parameter_exits_two_naming_it(tmp_path, capsys, key, kind):
+    """A misspelt parameter (domain = interval ... el=1, power alpha=1
+    alpah=2, gaussian t0=0.5 t1=3) used to be dropped: the run took the
+    default and exited 0."""
+    base = {"transform": "transform = power alpha=2", "datum": "datum = gaussian t0=0.5",
+            "domain": ""}
+    base[key] = _kind_line(tmp_path, key, kind) + " typo=1"
+    cfg = write_config(tmp_path, "\n".join(base.values()) + "\ngrid.lo = -2\ngrid.hi = 2\n"
+                       "grid.h = 0.0625\nflow.times = 0.05\n")
+    out = tmp_path / "res"
+    assert entry(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{kind!r} has no parameter 'typo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", list(_KINDS))
+def test_the_readme_kind_lists_name_every_parameter_with_its_default(tmp_path, monkeypatch, key):
+    """Each kind README lists is one the config builds, and reads exactly the
+    parameters listed, with the listed defaults; csv's path is its one
+    parameter that is not a number."""
+    build = {"transform": config.build_transform, "datum": config.build_datum,
+             "domain": config._build_domain}[key]
+    assert set(_KINDS[key]) == set(re.findall(r'name == "(\w+)"', inspect.getsource(build)))
+    num = config._num
+    for kind, listed in _KINDS[key].items():
+        read = {"path": None} if kind == "csv" else {}
+
+        def spy(params, name, default=None):
+            read[name] = default
+            return num(params, name, default)
+
+        monkeypatch.setattr(config, "_num", spy)
+        _, params = config._inline(_kind_line(tmp_path, key, kind).split("=", 1)[1])
+        build(kind, params, **({"F": make_power_alpha(2.0)} if key == "datum" else {}))
+        assert read == listed, kind
 
 
 @pytest.mark.parametrize("command", ["classify", "verify", "hunt"])

@@ -10,8 +10,9 @@ from scipy.special import erf
 
 from heatconvex import (DomainSpec, EvaluationWindowError,
                         ExistenceWindowError, GridFunction, InitialDatum, counterexample_datum,
-                        check_F_convex, grid_nodes, heat_evolve_dirichlet, heat_evolve_free,
-                        heatflow, hot_h, hunt_violation, make_power_alpha)
+                        check_envelope_comparison, check_F_convex, grid_nodes,
+                        heat_evolve_dirichlet, heat_evolve_free, heatflow, hot_h, hunt_violation,
+                        make_power_alpha, mixture_envelope)
 from heatconvex.heatflow import (_BAND_ROWS, _CSV_ROWS, _box_apply, _cubics,
                                  _dirichlet_kernels, _fast_len, _kernel_apply, _kernel_matrix,
                                  _pchip, _piece_weighted_values, _resolve_datum, _row_template,
@@ -610,13 +611,29 @@ def test_grid_data_within_roundoff_of_the_walls_still_evolve():
     lambda: hunt_violation(make_power_alpha(1.0), _SIN, (0.1,), (-1.0, 1.0, 0.25), refine=-1),
     *(lambda c=c: check_F_convex(_sine_grid(1.0), make_power_alpha(1.0), c)
       for c in (np.nan, -1.0)),
+    lambda: DomainSpec.interval(-np.inf, 1.0),
+    lambda: DomainSpec.rectangle(((0.0, 1.0), (0.0, np.inf))),
+    *(lambda w=w: counterexample_datum(make_power_alpha(1.0), 1.0, fit_window=w)
+      for w in ((np.nan, 1.0), (-np.inf, 1.0), (-1.0, np.inf))),
+    *(lambda d=d: counterexample_datum(make_power_alpha(1.0), 1.0, direction=d, dim=2)
+      for d in ((np.inf, 1.0), (np.nan, 1.0), (0.0, 0.0), (1.0, 1.0, 1.0))),
+    *(lambda ts=ts: hunt_violation(make_power_alpha(1.0), _SIN, ts, (-1.0, 1.0, 0.25))
+      for ts in ((), 0.1)),
+    *(lambda lam=lam: mixture_envelope(_sine_grid(1.0), lam) for lam in (np.nan, np.inf)),
+    *(lambda lam=lam: check_envelope_comparison(
+        make_power_alpha(1.0), InitialDatum(fn=lambda x: np.exp(-x * x)), lam, 0.1,
+        (-1.0, 1.0), 0.25) for lam in (np.nan, np.inf)),
 ], ids=["interval_reversed", "interval_empty", "interval_nan", "rectangle_flat_axis",
         "interval_ell_nan", "interval_ell_inf", "half_line_ell_-inf", "rectangle_ell_nan",
         "free_t_inf", "free_t_nan", "free_t_0", "interval_t_inf", "interval_t_nan",
         "half_line_t_-1", "extent_reversed", "extent_nan", "wedge_dim_0",
         "eps_tail_0", "eps_tail_-1", "eps_tail_2", "eps_tail_inf", "eps_tail_nan",
         "max_refine_-1", "max_refine_0.5", "free_grid_reversed", "interval_grid_off_the_walls",
-        "hunt_refine_-1", "significance_factor_nan", "significance_factor_-1"])
+        "hunt_refine_-1", "significance_factor_nan", "significance_factor_-1",
+        "interval_-inf", "rectangle_inf_axis", "fit_window_nan", "fit_window_-inf",
+        "fit_window_inf", "direction_inf", "direction_nan", "direction_0", "direction_3_entries",
+        "hunt_times_empty", "hunt_times_bare", "envelope_lambda_nan", "envelope_lambda_inf",
+        "comparison_lambda_nan", "comparison_lambda_inf"])
 def test_degenerate_domains_raise_a_typed_error(make):
     """A DomainError, which is still a ValueError for library callers: for
     a degenerate box, a wall value that is not finite, a time outside
@@ -1457,6 +1474,20 @@ def test_csv_coordinates_must_sit_on_the_axis_nodes():
     lines[k] = ",".join((xs, repr(float(y[4])), v))
     with pytest.raises(DomainError, match="row 8 puts axis 1 at 0.7"):
         GridFunction.from_csv("".join(lines))
+
+
+@pytest.mark.parametrize("lineno, text", [
+    (2, "# dim=1\n# axis lo=0 hi=1 n=2.5\nx,value\n0,1\n1,2\n"),
+    (2, "# dim=1\n# axis lo=0 hi=1 n=2 step\nx,value\n0,1\n1,2\n"),
+    (3, "# dim=1\n# axis lo=0 hi=1 n=2\n# growth_a=abc\nx,value\n0,1\n1,2\n"),
+    (5, "# dim=1\n# axis lo=0 hi=1 n=2\nx,value\n0,1\n1,abc\n"),
+    (5, "# dim=1\n# axis lo=0 hi=1 n=2\nx,value\n0,1\n1,\n"),
+], ids=["n_not_whole", "header_token_without_equals", "growth_a_not_a_number",
+        "cell_not_a_number", "cell_empty"])
+def test_a_line_that_does_not_parse_is_a_domain_error_naming_it(lineno, text):
+    """Each of these once raised a plain ValueError from int() or float()."""
+    with pytest.raises(DomainError, match=f"^line {lineno} "):
+        GridFunction.from_csv(text)
 
 
 @pytest.mark.parametrize("key", ["lo", "hi", "n"])
